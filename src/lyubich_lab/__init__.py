@@ -25,7 +25,7 @@ from .rational_map import (CriticalDatum, RationalMap, branch_index,
                            builtin_map, critical_points, evaluate,
                            evaluate_array, exceptional_points, fiber,
                            fixed_points, is_exceptional)
-from .operator_lab import (LeveledOperator, OperatorModel, build_model,
+from .operator_lab import (OperatorModel, build_model,
                            default_basis, verification_suite,
                            verify_covariance, verify_frame_bound,
                            verify_isometry, verify_key_lemma,

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import sampled_tree
-from .rational_map import RationalMap, critical_points, evaluate
-from .sphere import INFINITY, SpherePoint, as_point, chordal, chordal_array
+from .rational_map import RationalMap, critical_points
+from .sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
+                     sphere_points)
 from .test_functions import TestFunction
-from .transfer_operator import cached_fiber
+from .transfer_operator import gather_fibers
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
 _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
@@ -47,8 +48,7 @@ class JuliaSample:
         return self.points.size
 
     def sphere_points(self) -> list[SpherePoint]:
-        return [INFINITY if self.inf_mask[i] else SpherePoint(complex(self.points[i]))
-                for i in range(self.size)]
+        return sphere_points(self.points, self.inf_mask)
 
 
 def julia_sample(rmap: RationalMap, size: int, seed: int,
@@ -108,16 +108,12 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
     for c in crit:
         dist_crit = np.minimum(dist_crit, chordal_array(sample.points, sample.inf_mask, c))
 
-    min_gap = np.full(sample.size, np.inf)
-    for i in range(sample.size):
-        z = INFINITY if sample.inf_mask[i] else SpherePoint(complex(sample.points[i]))
-        fib = cached_fiber(rmap, evaluate(rmap, z))
-        atoms = fib.points()
-        for a in range(len(atoms)):
-            for b in range(a + 1, len(atoms)):
-                gap = chordal(atoms[a], atoms[b])
-                if gap < min_gap[i]:
-                    min_gap[i] = gap
+    fib = gather_fibers(rmap, sample.points, sample.inf_mask, siblings=True)
+    atoms = sphere_points(fib.points, fib.inf_mask)
+    min_gap = np.array([
+        min((chordal(atoms[a], atoms[b]) for a in range(lo, hi) for b in range(a + 1, hi)),
+            default=np.inf)
+        for lo, hi in zip(fib.offsets[:-1], fib.offsets[1:])])
 
     def ok(r: float) -> bool:
         included = dist_crit > 2 * r
@@ -276,10 +272,6 @@ def basis_to_json(basis: list, path=None) -> str:
 # net construction
 
 
-def _pairwise_dist_to(points, inf_mask, center: SpherePoint) -> np.ndarray:
-    return chordal_array(points, inf_mask, center)
-
-
 def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
                        radius: float | None = None,
                        count: int | None = None) -> tuple[list[int], float]:
@@ -294,7 +286,7 @@ def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
         return [], 0.0
     chosen = [0]
     first = INFINITY if inf_mask[0] else SpherePoint(complex(points[0]))
-    cover = _pairwise_dist_to(points, inf_mask, first)
+    cover = chordal_array(points, inf_mask, first)
     while True:
         worst = float(cover.max())
         if radius is not None and worst <= radius:
@@ -306,7 +298,7 @@ def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
         nxt = int(cover.argmax())
         chosen.append(nxt)
         c = INFINITY if inf_mask[nxt] else SpherePoint(complex(points[nxt]))
-        cover = np.minimum(cover, _pairwise_dist_to(points, inf_mask, c))
+        cover = np.minimum(cover, chordal_array(points, inf_mask, c))
     return chosen, float(cover.max())
 
 
@@ -508,32 +500,18 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
         return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
 
     partition = basis[0].partition
-    n = rmap.degree
-
-    fiber_pts, fiber_infs, fiber_mult, offsets = [], [], [], [0]
-    for i in range(pts.size):
-        z = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
-        fib = cached_fiber(rmap, evaluate(rmap, z))
-        for point, mult in fib.atoms:
-            fiber_pts.append(point.value)
-            fiber_infs.append(point.infinite)
-            fiber_mult.append(mult)
-        offsets.append(len(fiber_pts))
-    fiber_pts = np.array(fiber_pts, dtype=complex)
-    fiber_infs = np.array(fiber_infs, dtype=bool)
-    fiber_mult = np.array(fiber_mult, dtype=float)
-
-    U_fiber = partition.member_matrix(fiber_pts, fiber_infs)
-    xi_fiber = xi.evaluate(fiber_pts, fiber_infs)
+    fib = gather_fibers(rmap, pts, infs, siblings=True)
+    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
+    xi_fiber = xi.evaluate(fib.points, fib.inf_mask)
     U_sample = partition.member_matrix(pts, infs)
 
     recon = np.zeros(pts.size, dtype=complex)
     count = min(N, len(basis))
     for i in range(pts.size):
-        lo, hi = offsets[i], offsets[i + 1]
-        seg = fiber_mult[lo:hi] * xi_fiber[lo:hi]
+        lo, hi = fib.offsets[i], fib.offsets[i + 1]
+        seg = fib.mult[lo:hi] * xi_fiber[lo:hi]
         # Bumps are real, so the conjugate in the inner product is a no-op.
-        ips = U_fiber[:count, lo:hi] @ seg / n
+        ips = U_fiber[:count, lo:hi] @ seg / fib.degree
         recon[i] = U_sample[:count, i] @ ips
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0

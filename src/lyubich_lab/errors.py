@@ -35,7 +35,7 @@ class CoverFailure(LyubichLabError):
 
 
 class EigSolverFailure(LyubichLabError):
-    """The dense Hermitian eigensolver failed to converge."""
+    """The eigensolver of the sibling blocks failed to converge."""
 
 
 class NoVanishingTail(LyubichLabError):

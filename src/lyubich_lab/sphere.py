@@ -66,6 +66,12 @@ def as_point(x) -> SpherePoint:
     return SpherePoint(z)
 
 
+def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]:
+    """The points of a complex array with its companion infinity mask."""
+    return [INFINITY if inf else SpherePoint(complex(z))
+            for z, inf in zip(points, inf_mask)]
+
+
 def _chordal_finite(z: complex, w: complex) -> float:
     az, aw = abs(z), abs(w)
     if az > _HUGE and aw > _HUGE:

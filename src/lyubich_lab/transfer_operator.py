@@ -15,12 +15,13 @@ suite pin that down.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .preimage_solver import WeightedPreimage, preimages
-from .rational_map import RationalMap
-from .sphere import as_point
+from .rational_map import RationalMap, evaluate
+from .sphere import as_point, sphere_points
 from .test_functions import TestFunction
 
 _CACHE_CAPACITY = 1 << 16
@@ -44,6 +45,40 @@ def cached_fiber(rmap: RationalMap, w) -> WeightedPreimage:
         while len(_cache) > _CACHE_CAPACITY:
             _cache.popitem(last=False)
     return result
+
+
+class Fibers(NamedTuple):
+    """Fibers over a list of points, flattened: the fiber over point j
+    fills the slice ``offsets[j]:offsets[j + 1]`` of the other arrays."""
+
+    points: np.ndarray
+    inf_mask: np.ndarray
+    mult: np.ndarray
+    offsets: np.ndarray
+    degree: int
+
+    def average(self, values: np.ndarray) -> np.ndarray:
+        """(1/n) * sum of mult * values per fiber, summed as apply_transfer does."""
+        return np.add.reduceat(self.mult * values, self.offsets[:-1]) / self.degree
+
+
+def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
+                  siblings: bool = False) -> Fibers:
+    """The fiber over each point of a point array, looked up through
+    :func:`cached_fiber`; with ``siblings=True`` the fiber over its image,
+    which holds the point and its siblings."""
+    centers = sphere_points(points, inf_mask)
+    if siblings:
+        centers = [evaluate(rmap, z) for z in centers]
+    pts, infs, mult, offsets = [], [], [], [0]
+    for w in centers:
+        for point, m in cached_fiber(rmap, w).atoms:
+            pts.append(point.value)
+            infs.append(point.infinite)
+            mult.append(m)
+        offsets.append(len(pts))
+    return Fibers(np.array(pts, dtype=complex), np.array(infs, dtype=bool),
+                  np.array(mult, dtype=float), np.array(offsets), rmap.degree)
 
 
 def clear_fiber_cache() -> None:

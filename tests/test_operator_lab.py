@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from lyubich_lab.bimodule_basis import (VanishingFunction, julia_sample,
-                                        reconstruct)
+from lyubich_lab.bimodule_basis import (BasisElement, PartitionOfUnity,
+                                        VanishingFunction, _RawBump,
+                                        julia_sample, reconstruct)
 from lyubich_lab.errors import NoVanishingTail
-from lyubich_lab.operator_lab import (build_model, default_basis,
+from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab.operator_lab import (_frame_matrix, build_model, default_basis,
                                       verification_suite, verify_covariance,
                                       verify_frame_bound, verify_isometry,
                                       verify_key_lemma, verify_representation,
                                       verify_vanishing_reconstruction)
-from lyubich_lab.rational_map import builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, SpherePoint
-from lyubich_lab.transfer_operator import apply_transfer
+from lyubich_lab.transfer_operator import apply_transfer, inner_product
 from lyubich_lab import test_functions as tf
 
 
@@ -101,15 +103,6 @@ def test_adjoint_realizes_transfer(cheb_model, cheb):
     for j in range(prev.dim):
         y = INFINITY if prev.inf_mask[j] else SpherePoint(complex(prev.points[j]))
         assert abs(via_model[j] - apply_transfer(cheb, f, y)) < 1e-10
-
-
-def test_leveled_operator_kinds(quad_model):
-    comp = quad_model.composition(3)
-    assert comp.kind == "composition" and comp.matrix.shape == (8, 4)
-    adj = quad_model.adjoint_composition(3)
-    assert adj.kind == "adjoint-composition" and adj.matrix.shape == (4, 8)
-    mult = quad_model.multiplication(tf.Z, 3)
-    assert np.count_nonzero(mult.matrix - np.diag(np.diag(mult.matrix))) == 0
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +203,14 @@ def test_frame_bound_monotone(quad_model, quad_basis):
         previous = top
 
 
+def test_frame_bound_beyond_4096_atoms(quad_map, quad_basis):
+    model = build_model(quad_map, 1, 13)
+    assert model.dim(13) == 8192
+    low, high = verify_frame_bound(model, quad_basis, len(quad_basis), 13,
+                                   full=True)
+    assert -1e-10 <= low and high <= 1 + 1e-8
+
+
 def test_vanishing_zero_function(cheb_model, cheb_basis):
     M, residual = verify_vanishing_reconstruction(
         cheb_model, cheb_basis, VanishingFunction.zero(), 8)
@@ -275,3 +276,90 @@ def test_suite_deterministic(quad_map):
     b = verification_suite(quad_map, m=5, seed=9, trials=5, pairs=3,
                            basis_count=8, sample_size=64, unitality_points=32)
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# the sibling-block path against the dense reference
+
+ORACLE_BOUND = 1e-14
+
+ORACLE_CASES = [
+    ("quad", builtin_map("quad"), 1, 6),
+    ("basilica", builtin_map("basilica"), None, 6),
+    # level 1 is a single child of multiplicity 2, a padded block
+    ("chebyshev@-2", builtin_map("chebyshev"), -2, 1),
+    # blocks of 3
+    ("z^3", RationalMap([0, 0, 0, 1], [1]), None, 4),
+]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def oracle_case(request):
+    _, rmap, w, k = request.param
+    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    basis = default_basis(rmap, julia_sample(rmap, 256, seed=0), count=16)
+    return rmap, model, basis, k
+
+
+def _dense_eigvals(model, k, matrix):
+    d = np.sqrt(model.levels[k].weights)
+    sim = matrix * (d[:, None] / d[None, :])
+    return np.linalg.eigvalsh(0.5 * (sim + sim.conj().T))
+
+
+def _assert_frame_matches_dense(model, basis, k):
+    for n in range(1, len(basis) + 1):
+        eigs = _dense_eigvals(model, k, _frame_matrix(model, basis, n, k))
+        low, high = verify_frame_bound(model, basis, n, k, full=True)
+        assert abs(low - eigs[0]) <= ORACLE_BOUND
+        assert abs(high - eigs[-1]) <= ORACLE_BOUND
+
+
+def test_frame_bound_matches_dense(oracle_case):
+    _, model, basis, k = oracle_case
+    _assert_frame_matches_dense(model, basis, k)
+
+
+def test_frame_bound_padded_block_matches_dense():
+    # Basilica rooted at 0: level 2 holds the two children of 1 and the
+    # double child 0 of -1.  Two bumps covering the sphere make the
+    # two-child block positive definite, so the single-child block's
+    # padding must not show up as a zero eigenvalue.
+    rmap = builtin_map("basilica")
+    model = build_model(rmap, 0, 2)
+    assert model.dims() == (1, 2, 3)
+    partition = PartitionOfUnity(2, [_RawBump(SpherePoint(2 + 0j), 3.0, 2),
+                                     _RawBump(SpherePoint(-2 + 1j), 3.0, 2)])
+    basis = [BasisElement(i, b, partition) for i, b in enumerate(partition.bumps)]
+    low, _ = verify_frame_bound(model, basis, 2, 2, full=True)
+    assert low > 1e-3
+    _assert_frame_matches_dense(model, basis, 2)
+
+
+def test_vanishing_gap_matches_dense(oracle_case):
+    rmap, model, basis, k = oracle_case
+    lvl = model.levels[k]
+    centre = SpherePoint(complex(lvl.points[0]))
+    vf = VanishingFunction.bump(rmap, centre, 0.5, branch_points=[])
+    M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
+    gap = np.diag(model.values(vf.fn, k)) @ (_frame_matrix(model, basis, M, k)
+                                              - np.eye(lvl.dim))
+    assert abs(residual - model.weighted_norm(k, gap)) <= ORACLE_BOUND
+
+
+def test_representation_matches_dense(oracle_case):
+    rmap, model, _, k = oracle_case
+    rng = np.random.default_rng(38)
+    prev = model.levels[k - 1]
+    comp = model.composition_matrix(k)
+    adj = model.adjoint_matrix(k)
+    for _ in range(5):
+        xi = tf.random_polynomial(rng, 2)
+        eta = tf.random_polynomial(rng, 2)
+        a = tf.random_polynomial(rng, 1)
+        _, residual2 = verify_representation(model, xi, eta, a, k)
+        xv, ev = model.values(xi, k), model.values(eta, k)
+        pairing = adj @ ((np.conj(xv) * ev)[:, None] * comp)
+        ip_vals = inner_product(rmap, xi, eta).evaluate(prev.points, prev.inf_mask)
+        dense = model.weighted_norm(k - 1, pairing - np.diag(ip_vals))
+        assert abs(residual2 - dense) <= ORACLE_BOUND

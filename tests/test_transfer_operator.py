@@ -4,9 +4,10 @@ import pytest
 from lyubich_lab.lyubich_measure import integrate, measure_from_tree
 from lyubich_lab.preimage_solver import iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
-from lyubich_lab.transfer_operator import (apply_transfer, inner_product,
-                                           sup_norm_2, transfer_power,
-                                           transfer_result)
+from lyubich_lab.sphere import sphere_points
+from lyubich_lab.transfer_operator import (apply_transfer, gather_fibers,
+                                           inner_product, sup_norm_2,
+                                           transfer_power, transfer_result)
 from lyubich_lab import test_functions as tf
 
 
@@ -183,3 +184,20 @@ def test_transfer_result_no_closed_form_cases(quad_map):
     assert transfer_result(quad_map, mixed).closed_form is None
     ratl = RationalMap([-1, 0, 1], [1, 0, 1])
     assert transfer_result(ratl, tf.Z).closed_form is None
+
+
+def test_gathered_fibers_average_like_apply_transfer(cheb):
+    # 2 is a fixed point, -2 the critical value with the double preimage 0
+    points = np.array([2.0, -2.0, 0.3 + 0.1j, 5.0], dtype=complex)
+    inf_mask = np.zeros(points.size, dtype=bool)
+    fib = gather_fibers(cheb, points, inf_mask)
+    assert list(np.diff(fib.offsets)) == [2, 1, 2, 2]
+    rng = np.random.default_rng(41)
+    a = tf.random_polynomial(rng, 2)
+    via_fibers = fib.average(a.evaluate(fib.points, fib.inf_mask))
+    for value, w in zip(via_fibers, sphere_points(points, inf_mask)):
+        assert abs(value - apply_transfer(cheb, a, w)) < 1e-14
+    siblings = gather_fibers(cheb, points, inf_mask, siblings=True)
+    for j, z in enumerate(points):
+        lo, hi = siblings.offsets[j], siblings.offsets[j + 1]
+        assert np.min(np.abs(siblings.points[lo:hi] - z)) < 1e-12
