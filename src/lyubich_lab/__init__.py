@@ -23,8 +23,8 @@ from .preimage_solver import (DEFAULT_BUDGET, PreimageTree, WeightedPreimage,
                               iterated_preimages, preimages, sampled_tree)
 from .rational_map import (CriticalDatum, RationalMap, branch_index,
                            builtin_map, critical_points, evaluate,
-                           evaluate_array, exceptional_points, fiber,
-                           fixed_points, is_exceptional)
+                           evaluate_array, exceptional_points, fixed_points,
+                           is_exceptional)
 from .operator_lab import (OperatorModel, build_model,
                            default_basis, verification_suite,
                            verify_covariance, verify_frame_bound,

@@ -73,12 +73,9 @@ def julia_sample(rmap: RationalMap, size: int, seed: int,
     order = np.lexsort((lvl.points.imag, lvl.points.real, lvl.infinite))
     pts = lvl.points[order]
     infs = lvl.infinite[order]
+    # Drop each entry equal to the one before it (every infinity after the first).
     keep = np.ones(pts.size, dtype=bool)
-    for i in range(1, pts.size):
-        if infs[i] and infs[i - 1]:
-            keep[i] = False
-        elif not infs[i] and not infs[i - 1] and pts[i] == pts[i - 1]:
-            keep[i] = False
+    keep[1:] = (infs[1:] != infs[:-1]) | (~infs[1:] & (pts[1:] != pts[:-1]))
     pts, infs = pts[keep], infs[keep]
 
     if pts.size > size:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _fiber
 from .errors import DegenerateSample, ExceptionalRoot
-from .preimage_solver import PreimageTree
+from .preimage_solver import PreimageTree, iterated_preimages
 from .rational_map import (RationalMap, branch_index, evaluate_array,
                            fixed_points, is_exceptional)
 from .sphere import INFINITY, SpherePoint, as_point, chordal
@@ -253,18 +253,13 @@ def default_root(rmap: RationalMap) -> SpherePoint:
     raise DegenerateSample("no suitable non-exceptional root found")
 
 
-def convergence_report(rmap: RationalMap, roots, depths, fs,
-                       tree_factory=None) -> dict:
+def convergence_report(rmap: RationalMap, roots, depths, fs) -> dict:
     """Integrals of each function against the depth-m measures.
 
     Returns a diagnostic report (no pass/fail): one record per
     (function, root, depth) with the value, the difference from the
     previous depth, and the spread across roots at that depth.
     """
-    from .preimage_solver import iterated_preimages
-
-    if tree_factory is None:
-        tree_factory = iterated_preimages
     roots = [as_point(r) for r in roots]
     depths = sorted(int(m) for m in depths)
     for r in roots:
@@ -273,7 +268,7 @@ def convergence_report(rmap: RationalMap, roots, depths, fs,
 
     values = {}
     for ri, root in enumerate(roots):
-        tree = tree_factory(rmap, root, depths[-1])
+        tree = iterated_preimages(rmap, root, depths[-1])
         for m in depths:
             mu = measure_from_tree(tree, m)
             for fi, f in enumerate(fs):

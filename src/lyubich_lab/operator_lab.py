@@ -38,7 +38,7 @@ from .preimage_solver import PreimageTree, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point, chordal_array
 from .test_functions import ONE, TestFunction, random_polynomial
-from .transfer_operator import gather_fibers, inner_product, transfer_power
+from .transfer_operator import gather_fibers, transfer_power
 
 TOLERANCES = {
     "invariance": 1e-8,
@@ -127,11 +127,9 @@ class OperatorModel:
         return float(np.linalg.norm(sim, 2))
 
 
-def build_model(rmap: RationalMap, w, m: int,
-                budget: int | None = None) -> OperatorModel:
+def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
     """Populate the tower for a map, non-exceptional root, and depth."""
-    kwargs = {} if budget is None else {"budget": budget}
-    tree = iterated_preimages(rmap, w, m, **kwargs)
+    tree = iterated_preimages(rmap, w, m)
     model = OperatorModel(map=rmap, root=tree.root, depth=m, tree=tree)
     for k in range(m + 1):
         lvl = tree.level(k)
@@ -202,7 +200,8 @@ def verify_representation(model: OperatorModel, xi: TestFunction,
     # norm of a diagonal is its largest entry.
     pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
     prev = model.levels[k - 1]
-    ip_vals = inner_product(model.map, xi, eta).evaluate(prev.points, prev.inf_mask)
+    fib = gather_fibers(model.map, prev.points, prev.inf_mask)
+    ip_vals = fib.average((xi.conj() * eta).evaluate(fib.points, fib.inf_mask))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
 
@@ -418,10 +417,14 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     if want("transfer_two_path"):
         a = random_polynomial(rng, 2)
         worst = 0.0
-        for power in (0, 1, 2, 3, 5, 8, min(m, 10)):
-            tree = iterated_preimages(rmap, w, power)
+        powers = (0, 1, 2, 3, 5, 8, min(m, 10))
+        # Every power reads a level of one tree; level k of a deeper tree
+        # is built exactly as in a depth-k tree.
+        tree = (model.tree if max(powers) <= m
+                else iterated_preimages(rmap, w, max(powers)))
+        for power in powers:
             via_power = transfer_power(rmap, a, power, w)
-            via_tree = integrate(measure_from_tree(tree), a)
+            via_tree = integrate(measure_from_tree(tree, power), a)
             worst = max(worst, abs(via_power - via_tree))
         records.append(_record("transfer_two_path", rmap, w, m, k, worst))
 

@@ -1,14 +1,20 @@
-"""Fibers R^{-1}(w) with multiplicities and iterated-preimage trees.
+"""Fibers R^{-1}(w) with multiplicities, flat fiber tables, and
+iterated-preimage trees.
 
 The tree is the combinatorial backbone of the preimage-counting measures:
 level k holds the solutions of the k-fold composition equal to the root,
 each carrying the running product of branch indices along its ancestry.
 Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
+
+Both tree builders share one level loop, which solves each level into a
+flat :class:`Fibers` table; the transfer operator gathers its fibers into
+the same table through its cache.
 """
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,34 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
     target = as_point(w)
     atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, target)
     return WeightedPreimage(target=target, atoms=tuple(atoms))
+
+
+class Fibers(NamedTuple):
+    """Fibers over a list of points, flattened: the fiber over point j
+    fills the slice ``offsets[j]:offsets[j + 1]`` of the other arrays."""
+
+    points: np.ndarray
+    inf_mask: np.ndarray
+    mult: np.ndarray             # int64 branch indices
+    offsets: np.ndarray
+    degree: int
+
+    def average(self, values: np.ndarray) -> np.ndarray:
+        """(1/n) * sum of mult * values per fiber, summed as apply_transfer does."""
+        return np.add.reduceat(self.mult * values, self.offsets[:-1]) / self.degree
+
+
+def fiber_table(rmap: RationalMap, centers, solve) -> Fibers:
+    """The fibers ``solve(rmap, w)`` over each point w of ``centers``, as one table."""
+    pts, infs, mult, offsets = [], [], [], [0]
+    for w in centers:
+        for point, m in solve(rmap, w).atoms:
+            pts.append(point.value)
+            infs.append(point.infinite)
+            mult.append(m)
+        offsets.append(len(pts))
+    return Fibers(np.array(pts, dtype=complex), np.array(infs, dtype=bool),
+                  np.array(mult, dtype=np.int64), np.array(offsets), rmap.degree)
 
 
 @dataclass
@@ -113,18 +147,50 @@ def _root_level(w: SpherePoint) -> TreeLevel:
 
 
 def _sorted_level(points, infinite, cum, parent) -> TreeLevel:
-    points = np.asarray(points, dtype=complex)
-    infinite = np.asarray(infinite, dtype=bool)
-    cum = np.asarray(cum, dtype=np.int64)
-    parent = np.asarray(parent, dtype=np.int64)
     order = np.lexsort((points.imag, points.real, infinite))
     return TreeLevel(points[order], infinite[order], cum[order], parent[order])
 
 
-def _check_root(rmap: RationalMap, w: SpherePoint) -> None:
-    if is_exceptional(rmap, w):
+def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
+          budget: int, rng=None) -> PreimageTree:
+    """The one level loop behind both tree builders.
+
+    Each level solves the fibers of all its atoms into one flat table.  A
+    child's count is its branch index when ``branches`` equals the degree;
+    otherwise each node draws ``branches`` of its ``degree`` fiber slots
+    from ``rng`` without replacement, in node order, and a child's count is
+    its number of draws.
+    """
+    if m < 0:
+        raise ValueError("depth must be non-negative")
+    if is_exceptional(rmap, root):
         raise ExceptionalRoot(
-            f"{w!r} has a finite backward orbit; preimage measures are undefined there")
+            f"{root!r} has a finite backward orbit; preimage measures are undefined there")
+    if branches ** m > budget:
+        what = "degree" if rng is None else "branches"
+        raise BudgetExceeded(
+            f"{what}**m = {branches ** m} exceeds the atom budget {budget}")
+
+    n = rmap.degree
+    tree = PreimageTree(map=rmap, root=root, depth=m, weight_base=branches,
+                        levels=[_root_level(root)])
+    for _ in range(m):
+        prev = tree.levels[-1]
+        fib = fiber_table(rmap, map(prev.atom, range(prev.size)), preimages)
+        parent = np.repeat(np.arange(prev.size), np.diff(fib.offsets))
+        counts = fib.mult
+        if branches < n:
+            # Each fiber's multiplicities sum to n, so node j owns the fiber
+            # slots n*j .. n*j + n - 1; a child fills branch-index many.
+            slots = np.repeat(np.arange(parent.size), fib.mult)
+            draws = np.concatenate([n * j + rng.permutation(n)[:branches]
+                                    for j in range(prev.size)])
+            counts = np.bincount(slots[draws], minlength=parent.size)
+        keep = counts > 0
+        tree.levels.append(_sorted_level(
+            fib.points[keep], fib.inf_mask[keep],
+            counts[keep] * prev.cum[parent[keep]], parent[keep]))
+    return tree
 
 
 def iterated_preimages(rmap: RationalMap, w, m: int,
@@ -134,29 +200,7 @@ def iterated_preimages(rmap: RationalMap, w, m: int,
     Raises ExceptionalRoot when w has a finite backward orbit and
     BudgetExceeded when degree**m would exceed the atom budget.
     """
-    root = as_point(w)
-    if m < 0:
-        raise ValueError("depth must be non-negative")
-    _check_root(rmap, root)
-    if rmap.degree ** m > budget:
-        raise BudgetExceeded(
-            f"degree**m = {rmap.degree ** m} exceeds the atom budget {budget}")
-
-    tree = PreimageTree(map=rmap, root=root, depth=m, weight_base=rmap.degree,
-                        levels=[_root_level(root)])
-    for _ in range(m):
-        prev = tree.levels[-1]
-        pts, infs, cums, pars = [], [], [], []
-        for j in range(prev.size):
-            fib = preimages(rmap, prev.atom(j))
-            parent_cum = int(prev.cum[j])
-            for point, mult in fib.atoms:
-                pts.append(point.value)
-                infs.append(point.infinite)
-                cums.append(mult * parent_cum)
-                pars.append(j)
-        tree.levels.append(_sorted_level(pts, infs, cums, pars))
-    return tree
+    return _grow(rmap, as_point(w), m, rmap.degree, budget)
 
 
 def sampled_tree(rmap: RationalMap, w, m: int, branches_per_node: int,
@@ -174,36 +218,4 @@ def sampled_tree(rmap: RationalMap, w, m: int, branches_per_node: int,
     b = int(branches_per_node)
     if not 1 <= b <= n:
         raise ValueError(f"branches_per_node must be in [1, {n}]")
-    if m < 0:
-        raise ValueError("depth must be non-negative")
-    _check_root(rmap, root)
-    if b ** m > budget:
-        raise BudgetExceeded(
-            f"branches**m = {b ** m} exceeds the atom budget {budget}")
-
-    rng = np.random.default_rng(seed)
-    tree = PreimageTree(map=rmap, root=root, depth=m, weight_base=b,
-                        levels=[_root_level(root)])
-    for _ in range(m):
-        prev = tree.levels[-1]
-        pts, infs, cums, pars = [], [], [], []
-        for j in range(prev.size):
-            fib = preimages(rmap, prev.atom(j))
-            parent_cum = int(prev.cum[j])
-            mults = np.array([mult for _, mult in fib.atoms])
-            if b == n:
-                counts = mults
-            else:
-                slots = np.repeat(np.arange(len(fib.atoms)), mults)
-                chosen = slots[rng.permutation(n)[:b]]
-                counts = np.bincount(chosen, minlength=len(fib.atoms))
-            for idx, (point, _) in enumerate(fib.atoms):
-                c = int(counts[idx])
-                if c == 0:
-                    continue
-                pts.append(point.value)
-                infs.append(point.infinite)
-                cums.append(c * parent_cum)
-                pars.append(j)
-        tree.levels.append(_sorted_level(pts, infs, cums, pars))
-    return tree
+    return _grow(rmap, root, m, b, budget, np.random.default_rng(seed))

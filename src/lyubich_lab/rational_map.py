@@ -293,11 +293,6 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
     return data
 
 
-def fiber(rmap: RationalMap, w) -> list[tuple[SpherePoint, int]]:
-    """Solutions of R(z) = w with multiplicities summing to the degree."""
-    return _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, as_point(w))
-
-
 def fixed_points(rmap: RationalMap) -> list[tuple[SpherePoint, complex | None]]:
     """Fixed points with multipliers R'(p) (None at a fixed infinity of
     branching order >= 2, where the multiplier is zero)."""
@@ -355,14 +350,14 @@ def exceptional_points(rmap: RationalMap) -> list[SpherePoint]:
         found.append(p)
 
     for p in candidates:
-        atoms = fiber(rmap, p)
+        atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, p)
         if len(atoms) != 1:
             continue
         z1 = atoms[0][0]
         if chordal(z1, p) <= _fiber.CLUSTER_RADIUS:
             record(p)
             continue
-        atoms2 = fiber(rmap, z1)
+        atoms2 = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, z1)
         if len(atoms2) != 1:
             continue
         z2 = atoms2[0][0]

@@ -4,62 +4,40 @@ Applying the operator to a function a gives the new function
 ``w -> (1/n) * sum over R(z) = w of branch_index(z) * a(z)``.
 Results are returned as lazily evaluable closures over fiber solves, so
 compositions needed elsewhere stay exact.  Fibers are memoized per
-(map, point) with an LRU budget because inner products hit the same
-fibers over and over.
+(map, point) in a ``functools.lru_cache`` because inner products hit the
+same fibers over and over; :func:`gather_fibers` reads a whole point array
+through that cache into the flat fiber table of ``preimage_solver``.
 
 The density symbol of the invariant measure is the transfer of the
 constant one, identically one here; the unitality checks in the test
 suite pin that down.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
-from .preimage_solver import WeightedPreimage, preimages
+from .preimage_solver import Fibers, WeightedPreimage, fiber_table, preimages
 from .rational_map import RationalMap, evaluate
-from .sphere import as_point, sphere_points
+from .sphere import SpherePoint, as_point, sphere_points
 from .test_functions import TestFunction
 
 _CACHE_CAPACITY = 1 << 16
-_cache: OrderedDict = OrderedDict()
-_cache_lock = threading.Lock()
+
+
+@lru_cache(maxsize=_CACHE_CAPACITY)
+def _solve(rmap: RationalMap, infinite: bool, re: float, im: float) -> WeightedPreimage:
+    return preimages(rmap, SpherePoint(complex(re, im), infinite))
 
 
 def cached_fiber(rmap: RationalMap, w) -> WeightedPreimage:
     """Memoized fiber solve; safe under concurrent access."""
     p = as_point(w)
-    key = (rmap._uid, p.infinite, p.value.real, p.value.imag)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            return hit
-    result = preimages(rmap, p)
-    with _cache_lock:
-        _cache[key] = result
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_CAPACITY:
-            _cache.popitem(last=False)
-    return result
+    return _solve(rmap, p.infinite, p.value.real, p.value.imag)
 
 
-class Fibers(NamedTuple):
-    """Fibers over a list of points, flattened: the fiber over point j
-    fills the slice ``offsets[j]:offsets[j + 1]`` of the other arrays."""
-
-    points: np.ndarray
-    inf_mask: np.ndarray
-    mult: np.ndarray
-    offsets: np.ndarray
-    degree: int
-
-    def average(self, values: np.ndarray) -> np.ndarray:
-        """(1/n) * sum of mult * values per fiber, summed as apply_transfer does."""
-        return np.add.reduceat(self.mult * values, self.offsets[:-1]) / self.degree
+clear_fiber_cache = _solve.cache_clear
 
 
 def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
@@ -70,20 +48,7 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
     centers = sphere_points(points, inf_mask)
     if siblings:
         centers = [evaluate(rmap, z) for z in centers]
-    pts, infs, mult, offsets = [], [], [], [0]
-    for w in centers:
-        for point, m in cached_fiber(rmap, w).atoms:
-            pts.append(point.value)
-            infs.append(point.infinite)
-            mult.append(m)
-        offsets.append(len(pts))
-    return Fibers(np.array(pts, dtype=complex), np.array(infs, dtype=bool),
-                  np.array(mult, dtype=float), np.array(offsets), rmap.degree)
-
-
-def clear_fiber_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    return fiber_table(rmap, centers, cached_fiber)
 
 
 def apply_transfer(rmap: RationalMap, a: TestFunction, w) -> complex:

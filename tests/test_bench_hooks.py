@@ -1,0 +1,51 @@
+"""The benchmark's layer tracer must find every name it wraps in the package.
+
+The tracer in ``bench/tracing.py`` patches package functions by name, so a
+refactor that renames or removes one of them breaks the benchmark; these
+checks catch that in the ordinary test run.
+"""
+
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+import tracing  # noqa: E402
+sys.path.remove(BENCH)
+
+from lyubich_lab import preimage_solver, transfer_operator  # noqa: E402
+from lyubich_lab.rational_map import builtin_map  # noqa: E402
+
+
+def test_tracer_installs_and_restores_every_wrapper():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        installed = set(tracing.wrappers_installed())
+        for name in ("lyubich_lab.preimage_solver.preimages",
+                     "lyubich_lab.preimage_solver.iterated_preimages",
+                     "lyubich_lab.preimage_solver.sampled_tree",
+                     "lyubich_lab.transfer_operator.preimages",
+                     "lyubich_lab.transfer_operator.cached_fiber",
+                     "lyubich_lab.operator_lab.build_model",
+                     "lyubich_lab._fiber.solve_fiber"):
+            assert name in installed
+
+        # Each tree build is one span; the trees never use the fiber cache.
+        quad = builtin_map("quad")
+        tracer.reset()
+        preimage_solver.iterated_preimages(quad, 1, 3)
+        preimage_solver.sampled_tree(quad, 1, 3, branches_per_node=1, seed=0)
+        assert tracer.calls("preimage_solver.tree") == 2
+        assert tracer.counter("preimage_solver.atoms") == 15 + 4
+        assert tracer.calls("transfer_operator.cached_fiber") == 0
+
+        # A cache miss solves through the transfer operator's own alias.
+        transfer_operator.clear_fiber_cache()
+        transfer_operator.cached_fiber(quad, 0.37 + 0.1j)
+        transfer_operator.cached_fiber(quad, 0.37 + 0.1j)
+        assert tracer.calls("transfer_operator.cached_fiber") == 2
+        assert tracer.calls("transfer_operator.fiber_miss") == 1
+    finally:
+        tracer.restore()
+    assert not tracing.wrappers_installed()

@@ -141,13 +141,43 @@ def test_budget_enforced(quad):
 # sampled trees
 
 
-def test_sampled_full_branches_is_full_tree(quad):
-    full = iterated_preimages(quad, 1, 3)
-    samp = sampled_tree(quad, 1, 3, branches_per_node=2, seed=42)
-    assert samp.weight_base == 2
+NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
+
+
+@pytest.mark.parametrize("rmap,w", [
+    (builtin_map("quad"), 1),
+    (RationalMap([0, -3, 0, 1], [1], name="z^3-3z"), -2),
+    (NEWTON, INFINITY),
+], ids=["quad", "z^3-3z", "newton"])
+def test_sampled_full_branches_is_full_tree(rmap, w):
+    full = iterated_preimages(rmap, w, 3)
+    samp = sampled_tree(rmap, w, 3, branches_per_node=rmap.degree, seed=42)
+    assert samp.weight_base == full.weight_base == rmap.degree
     for k in range(4):
-        np.testing.assert_array_equal(samp.level(k).points, full.level(k).points)
-        np.testing.assert_array_equal(samp.level(k).cum, full.level(k).cum)
+        for name in ("points", "infinite", "cum", "parent"):
+            np.testing.assert_array_equal(getattr(samp.level(k), name),
+                                          getattr(full.level(k), name))
+
+
+def test_sampled_tree_draw_order_is_pinned():
+    # Two of three fiber slots per node, drawn in node order; the fiber over
+    # infinity is the double pole 0 and infinity itself.
+    tree = sampled_tree(NEWTON, INFINITY, 3, branches_per_node=2, seed=2)
+    r, s, t = 0.793700526, 0.396850263 + 0.687364818j, 0.56126102 + 0.183618349j
+    u = 0.71688775 + 1.241686006j
+    want = [
+        ([0], [True], [1], [-1]),
+        ([0, 0], [False, True], [1, 1], [0, 0]),
+        ([0, s.conjugate(), s], [False, False, False], [2, 1, 1], [1, 0, 0]),
+        ([-r, -t, -t.conjugate(), s, u.conjugate(), u], [False] * 6,
+         [2, 1, 1, 2, 1, 1], [0, 1, 2, 0, 1, 2]),
+    ]
+    assert tree.weight_base == 2
+    for lvl, (points, infinite, cum, parent) in zip(tree.levels, want):
+        np.testing.assert_allclose(lvl.points, points, atol=1e-8)
+        np.testing.assert_array_equal(lvl.infinite, infinite)
+        np.testing.assert_array_equal(lvl.cum, cum)
+        np.testing.assert_array_equal(lvl.parent, parent)
 
 
 def test_sampled_single_orbit_on_circle(quad):

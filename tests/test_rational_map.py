@@ -177,7 +177,7 @@ def test_riemann_hurwitz_random_maps():
 def _brute_force_exceptional(rmap):
     """Direct definition scan: points whose two-step backward orbit stays
     inside a singleton chain."""
-    from lyubich_lab.rational_map import fiber
+    from lyubich_lab.preimage_solver import preimages
     out = []
     candidates = [p for p, _ in fixed_points(rmap)]
     # also include two-cycle members reachable from collapsed fibers
@@ -185,14 +185,14 @@ def _brute_force_exceptional(rmap):
         if d.index == rmap.degree:
             candidates.append(evaluate(rmap, d.point))
     for p in candidates:
-        f1 = fiber(rmap, p)
+        f1 = preimages(rmap, p).atoms
         if len(f1) != 1:
             continue
         z1 = f1[0][0]
         if chordal(z1, p) < 1e-6:
             out.append(p)
             continue
-        f2 = fiber(rmap, z1)
+        f2 = preimages(rmap, z1).atoms
         if len(f2) == 1 and chordal(f2[0][0], p) < 1e-6:
             out.append(p)
             out.append(z1)
