@@ -60,16 +60,27 @@ def julia_sample(rmap: RationalMap, size: int, seed: int,
     Deterministic for a given seed; at most ``size`` points, deduplicated
     and sorted.
     """
+    return _julia_samples(rmap, (size,), seed, depth)[0]
+
+
+def _julia_samples(rmap: RationalMap, sizes, seed: int,
+                   depth: int | None = None) -> list[JuliaSample]:
+    """:func:`julia_sample` for each of ``sizes``; sizes that pick the same
+    depth read one sampled tree."""
     from .lyubich_measure import default_root
 
-    if size < 1:
+    if min(sizes) < 1:
         raise DegenerateSample("sample size must be positive")
-    if depth is None:
-        depth = max(12, int(math.ceil(math.log2(max(size, 2)))) + 2)
+    depths = [max(12, int(math.ceil(math.log2(max(size, 2)))) + 2) if depth is None
+              else depth for size in sizes]
     root = default_root(rmap)
-    tree = sampled_tree(rmap, root, depth, branches_per_node=2, seed=seed)
-    lvl = tree.level(depth)
+    levels = {d: sampled_tree(rmap, root, d, branches_per_node=2, seed=seed).level(d)
+              for d in sorted(set(depths))}
+    return [_thin(rmap, levels[d], size, d, seed) for size, d in zip(sizes, depths)]
 
+
+def _thin(rmap: RationalMap, lvl, size: int, depth: int, seed: int) -> JuliaSample:
+    """The distinct atoms of a tree level, sorted, thinned evenly to ``size``."""
     order = np.lexsort((lvl.points.imag, lvl.points.real, lvl.infinite))
     pts = lvl.points[order]
     infs = lvl.infinite[order]

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bimodule_basis import (JuliaSample, VanishingFunction,
+from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
                              branch_points_on_julia, branch_separation_radius,
-                             build_basis, julia_sample, net_radius)
+                             build_basis, net_radius)
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (default_root, integrate, measure_from_tree,
                               measure_match_defect, pushforward)
@@ -376,6 +376,9 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     model = build_model(rmap, w, m)
+    # At the default sizes both samples come from one depth-12 tree.
+    sizes = (sample_size, unitality_points) if want("transfer_unitality") else (sample_size,)
+    sample, *unitality_sample = _julia_samples(rmap, sizes, seed)
     k = m
     records = []
 
@@ -408,8 +411,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         records.append(_record("covariance", rmap, w, m, k, worst))
 
     if want("transfer_unitality"):
-        sample = julia_sample(rmap, unitality_points, seed)
-        fib = gather_fibers(rmap, sample.points, sample.inf_mask)
+        fib = gather_fibers(rmap, unitality_sample[0].points, unitality_sample[0].inf_mask)
         ones = fib.average(ONE.evaluate(fib.points, fib.inf_mask))
         worst = float(np.max(np.abs(ones - 1.0)))
         records.append(_record("transfer_unitality", rmap, w, m, k, worst))
@@ -428,7 +430,6 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
             worst = max(worst, abs(via_power - via_tree))
         records.append(_record("transfer_two_path", rmap, w, m, k, worst))
 
-    sample = julia_sample(rmap, sample_size, seed)
     basis = default_basis(rmap, sample, count=basis_count)
 
     if want("representation"):

@@ -8,8 +8,13 @@ Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
 
 Both tree builders share one level loop, which solves each level into a
-flat :class:`Fibers` table; the transfer operator gathers its fibers into
-the same table through its cache.
+flat :class:`Fibers` table with the batched engine ``_fiber.solve_fibers``,
+in blocks of ``_BLOCK_ROWS`` atoms so that its temporaries stay small.  The
+engine hands every atom outside its plain case (infinity, a degree drop, a
+root at the origin, no convergence, a near multiple root) to the scalar
+``_fiber.solve_fiber``, the path :func:`preimages` takes.  Single-point
+callers stay on that scalar path; the transfer operator gathers its fibers
+into the same table through its cache.
 """
 
 import csv
@@ -24,6 +29,9 @@ from .rational_map import RationalMap, is_exceptional
 from .sphere import INFINITY, SpherePoint, as_point
 
 DEFAULT_BUDGET = 1 << 22
+
+# Tree atoms solved per call of the batched fiber engine.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,18 @@ def fiber_table(rmap: RationalMap, centers, solve) -> Fibers:
         offsets.append(len(pts))
     return Fibers(np.array(pts, dtype=complex), np.array(infs, dtype=bool),
                   np.array(mult, dtype=np.int64), np.array(offsets), rmap.degree)
+
+
+def _level_fibers(rmap: RationalMap, points: np.ndarray, infinite: np.ndarray) -> Fibers:
+    """The fibers over every point of a level, solved in blocks by the
+    batched engine."""
+    blocks = [_fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
+                                  points[s:s + _BLOCK_ROWS], infinite[s:s + _BLOCK_ROWS])
+              for s in range(0, points.size, _BLOCK_ROWS)]
+    pts, infs, mult, offsets = zip(*blocks)
+    counts = np.concatenate([np.diff(o) for o in offsets])
+    return Fibers(np.concatenate(pts), np.concatenate(infs), np.concatenate(mult),
+                  np.concatenate([[0], np.cumsum(counts)]), rmap.degree)
 
 
 @dataclass
@@ -176,7 +196,7 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
                         levels=[_root_level(root)])
     for _ in range(m):
         prev = tree.levels[-1]
-        fib = fiber_table(rmap, map(prev.atom, range(prev.size)), preimages)
+        fib = _level_fibers(rmap, prev.points, prev.infinite)
         parent = np.repeat(np.arange(prev.size), np.diff(fib.offsets))
         counts = fib.mult
         if branches < n:

@@ -14,7 +14,9 @@ import tracing  # noqa: E402
 sys.path.remove(BENCH)
 
 from lyubich_lab import preimage_solver, transfer_operator  # noqa: E402
-from lyubich_lab.rational_map import builtin_map  # noqa: E402
+from lyubich_lab.rational_map import (RationalMap, builtin_map,  # noqa: E402
+                                      exceptional_points)
+from lyubich_lab.sphere import INFINITY  # noqa: E402
 
 
 def test_tracer_installs_and_restores_every_wrapper():
@@ -46,6 +48,32 @@ def test_tracer_installs_and_restores_every_wrapper():
         transfer_operator.cached_fiber(quad, 0.37 + 0.1j)
         assert tracer.calls("transfer_operator.cached_fiber") == 2
         assert tracer.calls("transfer_operator.fiber_miss") == 1
+    finally:
+        tracer.restore()
+    assert not tracing.wrappers_installed()
+
+
+def test_fiber_solve_span_counts_the_scalar_fallbacks():
+    # Tree levels go through the batched engine; ``fiber.solve`` counts only
+    # the atoms it hands to the scalar path.  The map's exceptional-point
+    # search, which also solves fibers, runs once per map beforehand.
+    quad = builtin_map("quad")
+    newton = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
+    exceptional_points(quad)
+    exceptional_points(newton)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        preimage_solver.iterated_preimages(quad, 1, 6)
+        assert tracer.calls("fiber.solve") == 0
+
+        # Newton's map of z^3 - 1 fixes infinity: each level holds one
+        # infinite atom, and only its fiber falls back.
+        tracer.reset()
+        tree = preimage_solver.iterated_preimages(newton, INFINITY, 5)
+        infinite_atoms = sum(int(lvl.infinite.sum()) for lvl in tree.levels[:-1])
+        assert infinite_atoms == 5
+        assert tracer.calls("fiber.solve") == infinite_atoms
     finally:
         tracer.restore()
     assert not tracing.wrappers_installed()

@@ -14,6 +14,7 @@ from lyubich_lab.operator_lab import (_frame_matrix, build_model, default_basis,
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, SpherePoint
 from lyubich_lab.transfer_operator import apply_transfer, inner_product
+from lyubich_lab import bimodule_basis
 from lyubich_lab import test_functions as tf
 
 
@@ -276,6 +277,30 @@ def test_suite_deterministic(quad_map):
     b = verification_suite(quad_map, m=5, seed=9, trials=5, pairs=3,
                            basis_count=8, sample_size=64, unitality_points=32)
     assert a == b
+
+
+def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
+    # The default 384-point basis sample and 1000-point unitality sample
+    # both pick depth 12, so one sampled tree serves them.
+    depths = []
+    sampled_tree = bimodule_basis.sampled_tree
+
+    def counting(rmap, w, m, *args, **kwargs):
+        depths.append(m)
+        return sampled_tree(rmap, w, m, *args, **kwargs)
+
+    monkeypatch.setattr(bimodule_basis, "sampled_tree", counting)
+    verification_suite(quad_map, m=4, seed=3, trials=2, pairs=2, basis_count=8,
+                       identities=["transfer_unitality"])
+    assert depths == [12]
+
+    both = bimodule_basis._julia_samples(quad_map, (384, 1000), 3)
+    assert depths == [12, 12]
+    for sample, size in zip(both, (384, 1000)):
+        alone = julia_sample(quad_map, size, 3)
+        np.testing.assert_array_equal(sample.points, alone.points)
+        np.testing.assert_array_equal(sample.inf_mask, alone.inf_mask)
+        assert sample.method == alone.method
 
 
 # ----------------------------------------------------------------------
