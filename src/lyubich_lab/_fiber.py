@@ -8,16 +8,17 @@ Two paths solve the same equation.  :func:`solve_fiber` takes one target
 and is the reference: Aberth iteration per root, chordal clustering into
 atoms with multiplicities, multiplicity-corrected polishing.
 :func:`solve_fibers` takes a whole array of targets, as the tree builder
-needs, and runs the simultaneous Aberth-Ehrlich iteration on all of them at
-once as one ``(targets, degree)`` array (Aberth, Math. Comp. 27, 1973;
-Bini, Numer. Algorithms 13, 1996).  It handles only the plain case: a
-finite target whose fiber polynomial keeps its full degree and a nonzero
-constant term, and whose roots all converge and lie farther apart than
-ten times ``CLUSTER_RADIUS``.  Every other target (infinity, a degree drop, a
-root at the origin, no convergence within the iteration cap, or a near
-multiple root, which is where the two iterations could disagree about a
-merge) goes to :func:`solve_fiber`, so multiplicities are decided only by
-the reference path.
+and every other caller with a point array need, and runs the simultaneous
+Aberth-Ehrlich iteration on all of them at once as one ``(targets,
+degree)`` array (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13,
+1996).  It handles only the plain case: a finite target whose fiber
+polynomial keeps its full degree and a nonzero constant term, and whose
+roots all converge and lie farther apart than ten times
+``CLUSTER_RADIUS``.  Every other target (infinity, a degree drop, a root at
+the origin, no convergence within the iteration cap, or a near multiple
+root, which is where the two iterations could disagree about a merge) goes
+to :func:`solve_fiber`, so multiplicities are decided only by the reference
+path.
 """
 
 import cmath

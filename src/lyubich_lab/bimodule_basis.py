@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
-from .preimage_solver import sampled_tree
+from .preimage_solver import gather_fibers, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
                      sphere_points)
 from .test_functions import TestFunction
-from .transfer_operator import gather_fibers
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
 _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
@@ -513,14 +512,9 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
     xi_fiber = xi.evaluate(fib.points, fib.inf_mask)
     U_sample = partition.member_matrix(pts, infs)
 
-    recon = np.zeros(pts.size, dtype=complex)
     count = min(N, len(basis))
-    for i in range(pts.size):
-        lo, hi = fib.offsets[i], fib.offsets[i + 1]
-        seg = fib.mult[lo:hi] * xi_fiber[lo:hi]
-        # Bumps are real, so the conjugate in the inner product is a no-op.
-        ips = U_fiber[:count, lo:hi] @ seg / fib.degree
-        recon[i] = U_sample[:count, i] @ ips
+    # Bumps are real, so the conjugate in the inner product is a no-op.
+    recon = (U_sample[:count] * fib.average(U_fiber[:count] * xi_fiber)).sum(axis=0)
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0
     table = TestFunction.from_table(pts, infs, recon, name=f"recon{count}({xi.name})")

@@ -34,11 +34,11 @@ from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (default_root, integrate, measure_from_tree,
                               measure_match_defect, pushforward)
-from .preimage_solver import PreimageTree, iterated_preimages
+from .preimage_solver import PreimageTree, gather_fibers, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point, chordal_array
 from .test_functions import ONE, TestFunction, random_polynomial
-from .transfer_operator import gather_fibers, transfer_power
+from .transfer_operator import transfer_power
 
 TOLERANCES = {
     "invariance": 1e-8,
@@ -113,11 +113,12 @@ class OperatorModel:
         return mat
 
     def apply_adjoint(self, k: int, v: np.ndarray) -> np.ndarray:
-        """Adjoint composition applied to a vector, without the dense matrix."""
+        """Adjoint composition applied to the vectors along the last axis
+        of ``v``, without the dense matrix."""
         lvl = self.levels[k]
         prev = self.levels[k - 1]
-        out = np.zeros(prev.dim, dtype=complex)
-        np.add.at(out, lvl.parent, v * lvl.weights)
+        out = np.zeros(v.shape[:-1] + (prev.dim,), dtype=complex)
+        np.add.at(out.T, lvl.parent, (v * lvl.weights).T)
         return out / prev.weights
 
     def weighted_norm(self, k: int, matrix: np.ndarray) -> float:
@@ -224,23 +225,14 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     U = _basis_matrix(basis, lvl.points, lvl.inf_mask)
     count = min(N, len(basis))
 
-    path_a = np.zeros(lvl.dim, dtype=complex)
-    for i in range(count):
-        u = U[i]
-        t = u * av                       # bumps are real-valued
-        s = model.apply_adjoint(k, t)
-        path_a += u * s[lvl.parent]
+    # Bumps are real-valued, so no conjugates appear.
+    S = model.apply_adjoint(k, U[:count] * av)
+    path_a = (U[:count] * S[:, lvl.parent]).sum(axis=0)
 
     fib = gather_fibers(model.map, lvl.points, lvl.inf_mask, siblings=True)
     U_fiber = _basis_matrix(basis, fib.points, fib.inf_mask)
     a_fiber = a.evaluate(fib.points, fib.inf_mask)
-
-    path_b = np.zeros(lvl.dim, dtype=complex)
-    for j in range(lvl.dim):
-        lo, hi = fib.offsets[j], fib.offsets[j + 1]
-        seg = fib.mult[lo:hi] * a_fiber[lo:hi]
-        ips = U_fiber[:count, lo:hi] @ seg / fib.degree
-        path_b[j] = U[:count, j] @ ips
+    path_b = (U[:count] * fib.average(U_fiber[:count] * a_fiber)).sum(axis=0)
 
     return float(np.max(np.abs(path_a - path_b))) if lvl.dim else 0.0
 

@@ -7,14 +7,14 @@ each carrying the running product of branch indices along its ancestry.
 Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
 
-Both tree builders share one level loop, which solves each level into a
+:func:`gather_fibers` solves the fibers over a whole point array into one
 flat :class:`Fibers` table with the batched engine ``_fiber.solve_fibers``,
-in blocks of ``_BLOCK_ROWS`` atoms so that its temporaries stay small.  The
-engine hands every atom outside its plain case (infinity, a degree drop, a
-root at the origin, no convergence, a near multiple root) to the scalar
-``_fiber.solve_fiber``, the path :func:`preimages` takes.  Single-point
-callers stay on that scalar path; the transfer operator gathers its fibers
-into the same table through its cache.
+in blocks of ``_BLOCK_ROWS`` points so that its temporaries stay small.
+Both tree builders share one level loop that calls it on each level, and
+the operator checks call it on levels and samples.  The engine hands every
+point outside its plain case (infinity, a degree drop, a root at the
+origin, no convergence, a near multiple root) to the scalar
+``_fiber.solve_fiber``, the path :func:`preimages` takes for single points.
 """
 
 import csv
@@ -25,12 +25,12 @@ import numpy as np
 
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
-from .rational_map import RationalMap, is_exceptional
+from .rational_map import RationalMap, evaluate_array, is_exceptional
 from .sphere import INFINITY, SpherePoint, as_point
 
 DEFAULT_BUDGET = 1 << 22
 
-# Tree atoms solved per call of the batched fiber engine.
+# Points solved per call of the batched fiber engine.
 _BLOCK_ROWS = 1024
 
 
@@ -71,29 +71,22 @@ class Fibers(NamedTuple):
     degree: int
 
     def average(self, values: np.ndarray) -> np.ndarray:
-        """(1/n) * sum of mult * values per fiber, summed as apply_transfer does."""
-        return np.add.reduceat(self.mult * values, self.offsets[:-1]) / self.degree
+        """(1/n) * sum of mult * values per fiber, along the last axis of
+        ``values``, summed in fiber order as apply_transfer does."""
+        return np.add.reduceat(self.mult * values, self.offsets[:-1], axis=-1) / self.degree
 
 
-def fiber_table(rmap: RationalMap, centers, solve) -> Fibers:
-    """The fibers ``solve(rmap, w)`` over each point w of ``centers``, as one table."""
-    pts, infs, mult, offsets = [], [], [], [0]
-    for w in centers:
-        for point, m in solve(rmap, w).atoms:
-            pts.append(point.value)
-            infs.append(point.infinite)
-            mult.append(m)
-        offsets.append(len(pts))
-    return Fibers(np.array(pts, dtype=complex), np.array(infs, dtype=bool),
-                  np.array(mult, dtype=np.int64), np.array(offsets), rmap.degree)
-
-
-def _level_fibers(rmap: RationalMap, points: np.ndarray, infinite: np.ndarray) -> Fibers:
-    """The fibers over every point of a level, solved in blocks by the
-    batched engine."""
+def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
+                  siblings: bool = False) -> Fibers:
+    """The fiber over each point of a point array, solved in blocks by the
+    batched engine; with ``siblings=True`` the fiber over its image, which
+    holds the point and its siblings."""
+    if siblings:
+        points, inf_mask = evaluate_array(rmap, points, inf_mask)
+    # An empty array is solved as one empty block.
     blocks = [_fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
-                                  points[s:s + _BLOCK_ROWS], infinite[s:s + _BLOCK_ROWS])
-              for s in range(0, points.size, _BLOCK_ROWS)]
+                                  points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS])
+              for s in range(0, max(points.size, 1), _BLOCK_ROWS)]
     pts, infs, mult, offsets = zip(*blocks)
     counts = np.concatenate([np.diff(o) for o in offsets])
     return Fibers(np.concatenate(pts), np.concatenate(infs), np.concatenate(mult),
@@ -196,7 +189,7 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
                         levels=[_root_level(root)])
     for _ in range(m):
         prev = tree.levels[-1]
-        fib = _level_fibers(rmap, prev.points, prev.infinite)
+        fib = gather_fibers(rmap, prev.points, prev.infinite)
         parent = np.repeat(np.arange(prev.size), np.diff(fib.offsets))
         counts = fib.mult
         if branches < n:

@@ -4,9 +4,11 @@ Applying the operator to a function a gives the new function
 ``w -> (1/n) * sum over R(z) = w of branch_index(z) * a(z)``.
 Results are returned as lazily evaluable closures over fiber solves, so
 compositions needed elsewhere stay exact.  Fibers are memoized per
-(map, point) in a ``functools.lru_cache`` because inner products hit the
-same fibers over and over; :func:`gather_fibers` reads a whole point array
-through that cache into the flat fiber table of ``preimage_solver``.
+(map, point) in a ``functools.lru_cache`` for these pointwise callers,
+because recursive powers and inner products hit the same fibers over and
+over.  Point arrays (tables, the sup norm) skip the cache: they solve all
+their fibers at once with ``preimage_solver.gather_fibers`` and average
+them as segment sums.
 
 The density symbol of the invariant measure is the transfer of the
 constant one, identically one here; the unitality checks in the test
@@ -18,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .preimage_solver import Fibers, WeightedPreimage, fiber_table, preimages
-from .rational_map import RationalMap, evaluate
-from .sphere import SpherePoint, as_point, sphere_points
+from .preimage_solver import WeightedPreimage, gather_fibers, preimages
+from .rational_map import RationalMap
+from .sphere import SpherePoint, as_point
 from .test_functions import TestFunction
 
 _CACHE_CAPACITY = 1 << 16
@@ -38,17 +40,6 @@ def cached_fiber(rmap: RationalMap, w) -> WeightedPreimage:
 
 
 clear_fiber_cache = _solve.cache_clear
-
-
-def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
-                  siblings: bool = False) -> Fibers:
-    """The fiber over each point of a point array, looked up through
-    :func:`cached_fiber`; with ``siblings=True`` the fiber over its image,
-    which holds the point and its siblings."""
-    centers = sphere_points(points, inf_mask)
-    if siblings:
-        centers = [evaluate(rmap, z) for z in centers]
-    return fiber_table(rmap, centers, cached_fiber)
 
 
 def apply_transfer(rmap: RationalMap, a: TestFunction, w) -> complex:
@@ -175,7 +166,7 @@ def _closed_form_transfer(rmap: RationalMap, a: TestFunction) -> TestFunction | 
 
 def transfer_result(rmap: RationalMap, a: TestFunction,
                     points=None, inf_mask=None) -> TransferResult:
-    """Package the transfer of a function, with a pointwise table on an
+    """Package the transfer of a function, with a table of its values on an
     optional evaluation set and an exact polynomial child when available."""
     function = transfer_function(rmap, a)
     table = None
@@ -183,7 +174,9 @@ def transfer_result(rmap: RationalMap, a: TestFunction,
         points = np.asarray(points, dtype=complex)
         if inf_mask is None:
             inf_mask = np.zeros(points.shape, dtype=bool)
-        values = function.evaluate(points, inf_mask)
+        inf_mask = np.asarray(inf_mask, dtype=bool)
+        fib = gather_fibers(rmap, points.ravel(), inf_mask.ravel())
+        values = fib.average(a.evaluate(fib.points, fib.inf_mask)).reshape(points.shape)
         table = TestFunction.from_table(points, inf_mask, values,
                                         name=f"L[{a.name}] table")
     return TransferResult(base=a, function=function, table=table,
@@ -207,13 +200,10 @@ def sup_norm_2(rmap: RationalMap, xi: TestFunction, sample) -> float:
 
     Monotone under sample refinement.
     """
-    points = list(sample)
+    points = [as_point(w) for w in sample]
     if not points:
         raise ValueError("sample must be nonempty")
-    ip = inner_product(rmap, xi, xi)
-    worst = 0.0
-    for w in points:
-        value = ip(w).real
-        if value > worst:
-            worst = value
-    return worst ** 0.5
+    fib = gather_fibers(rmap, np.array([p.value for p in points]),
+                        np.array([p.infinite for p in points]))
+    square = (xi.conj() * xi).evaluate(fib.points, fib.inf_mask)
+    return float(np.max(fib.average(square).real)) ** 0.5

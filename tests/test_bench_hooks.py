@@ -8,15 +8,21 @@ checks catch that in the ordinary test run.
 import os
 import sys
 
+import numpy as np
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
 import tracing  # noqa: E402
 sys.path.remove(BENCH)
 
-from lyubich_lab import preimage_solver, transfer_operator  # noqa: E402
+from lyubich_lab import (bimodule_basis, preimage_solver,  # noqa: E402
+                         transfer_operator)
+from lyubich_lab.lyubich_measure import default_root  # noqa: E402
+from lyubich_lab.operator_lab import default_basis  # noqa: E402
 from lyubich_lab.rational_map import (RationalMap, builtin_map,  # noqa: E402
                                       exceptional_points)
 from lyubich_lab.sphere import INFINITY  # noqa: E402
+from lyubich_lab.test_functions import random_polynomial  # noqa: E402
 
 
 def test_tracer_installs_and_restores_every_wrapper():
@@ -74,6 +80,29 @@ def test_fiber_solve_span_counts_the_scalar_fallbacks():
         infinite_atoms = sum(int(lvl.infinite.sum()) for lvl in tree.levels[:-1])
         assert infinite_atoms == 5
         assert tracer.calls("fiber.solve") == infinite_atoms
+    finally:
+        tracer.restore()
+    assert not tracing.wrappers_installed()
+
+
+def test_point_arrays_skip_the_cache_and_the_scalar_path():
+    # A basilica level and sample hold no critical value and no infinity,
+    # so every fiber of them is solved by the batched engine.
+    basilica = builtin_map("basilica")
+    level = preimage_solver.iterated_preimages(basilica, default_root(basilica), 8).level(8)
+    sample = bimodule_basis.julia_sample(basilica, 200, seed=1)
+    basis = default_basis(basilica, sample)
+    xi = random_polynomial(np.random.default_rng(46), 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        transfer_operator.gather_fibers(basilica, level.points, level.infinite)
+        transfer_operator.gather_fibers(basilica, level.points, level.infinite,
+                                        siblings=True)
+        transfer_operator.sup_norm_2(basilica, xi, sample.sphere_points())
+        bimodule_basis.reconstruct(basilica, basis, xi, len(basis), sample)
+        assert tracer.calls("transfer_operator.cached_fiber") == 0
+        assert tracer.calls("fiber.solve") == 0
     finally:
         tracer.restore()
     assert not tracing.wrappers_installed()

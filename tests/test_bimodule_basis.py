@@ -226,6 +226,30 @@ def test_reconstruct_orthogonal_support_single_term(quad_map, circle_sample):
     assert residual < 1e-10
 
 
+def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
+    # Reference: the per-point loop over scalar fibers read through the
+    # cache; the library sums segments of one batched fiber table.
+    from lyubich_lab.rational_map import evaluate
+
+    r = min(net_radius(interval_sample, 24) * 1.000001,
+            branch_separation_radius(cheb, interval_sample) / 3.0)
+    basis = build_basis(cheb, interval_sample, r, count_cap=128)
+    partition = basis[0].partition
+    xi = tf.random_polynomial(np.random.default_rng(47), 2)
+    pts, infs = interval_sample.points, interval_sample.inf_mask
+    U = partition.member_matrix(pts, infs)
+    for count in (1, len(basis) // 2, len(basis)):
+        table, _ = reconstruct(cheb, basis, xi, count, interval_sample)
+        want = np.zeros(pts.size, dtype=complex)
+        for i, z in enumerate(interval_sample.sphere_points()):
+            atoms = cached_fiber(cheb, evaluate(cheb, z)).atoms
+            at = np.array([p.value for p, _ in atoms])
+            at_inf = np.array([p.infinite for p, _ in atoms])
+            seg = np.array([m for _, m in atoms]) * xi.evaluate(at, at_inf)
+            want[i] = U[:count, i] @ (partition.member_matrix(at, at_inf)[:count] @ seg) / 2
+        assert np.max(np.abs(table.evaluate(pts, infs) - want)) <= 1e-13
+
+
 def test_reconstruct_residual_nonincreasing(quad_map, circle_sample):
     r = net_radius(circle_sample, 16) * 1.000001
     basis = build_basis(quad_map, circle_sample, r, count_cap=32)

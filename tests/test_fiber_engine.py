@@ -11,7 +11,7 @@ import pytest
 
 from lyubich_lab import _fiber, preimage_solver, roots
 from lyubich_lab.lyubich_measure import default_root
-from lyubich_lab.preimage_solver import fiber_table, iterated_preimages, preimages
+from lyubich_lab.preimage_solver import iterated_preimages, preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, as_point, sphere_points
 
@@ -29,6 +29,17 @@ AGREEMENT = 1e-12
 def _chordal(z, z_inf, w, w_inf):
     finite = 2 * np.abs(z - w) / (np.hypot(1, np.abs(z)) * np.hypot(1, np.abs(w)))
     return np.where(z_inf | w_inf, np.where(z_inf & w_inf, 0.0, 2.0), finite)
+
+
+def _scalar_table(rmap, points, infinite):
+    """The scalar fibers ``preimages(rmap, w).atoms`` over each point, as
+    flat (points, inf_mask, mult, offsets) arrays."""
+    fibers = [preimages(rmap, w).atoms for w in sphere_points(points, infinite)]
+    atoms = [atom for fiber in fibers for atom in fiber]
+    return (np.array([p.value for p, _ in atoms], dtype=complex),
+            np.array([p.infinite for p, _ in atoms], dtype=bool),
+            np.array([m for _, m in atoms], dtype=np.int64),
+            np.concatenate([[0], np.cumsum([len(f) for f in fibers])]))
 
 
 def _solve(rmap, targets):
@@ -53,25 +64,26 @@ def test_batched_levels_agree_with_scalar_fibers(rmap, root, depth):
     tree = iterated_preimages(rmap, root, depth)
     for k in range(1, depth + 1):
         prev, lvl = tree.level(k - 1), tree.level(k)
-        ref = fiber_table(rmap, sphere_points(prev.points, prev.infinite), preimages)
-        ref_parent = np.repeat(np.arange(prev.size), np.diff(ref.offsets))
-        ref_cum = ref.mult * prev.cum[ref_parent]
-        assert lvl.size == ref.points.size
-        assert np.sum(lvl.infinite) == np.sum(ref.inf_mask)
+        ref_points, ref_inf, ref_mult, ref_offsets = _scalar_table(rmap, prev.points,
+                                                                   prev.infinite)
+        ref_parent = np.repeat(np.arange(prev.size), np.diff(ref_offsets))
+        ref_cum = ref_mult * prev.cum[ref_parent]
+        assert lvl.size == ref_points.size
+        assert np.sum(lvl.infinite) == np.sum(ref_inf)
         assert sorted(lvl.cum) == sorted(ref_cum)
         # Nearest batched sibling of each scalar atom, slot by slot.
         by_parent = np.argsort(lvl.parent, kind="stable")
         start = np.searchsorted(lvl.parent[by_parent], ref_parent)
         width = np.bincount(lvl.parent, minlength=prev.size)[ref_parent]
-        dist = np.full((ref.points.size, rmap.degree), np.inf)
+        dist = np.full((ref_points.size, rmap.degree), np.inf)
         for j in range(rmap.degree):
             cand = by_parent[np.minimum(start + j, lvl.size - 1)]
-            d = _chordal(ref.points, ref.inf_mask, lvl.points[cand], lvl.infinite[cand])
+            d = _chordal(ref_points, ref_inf, lvl.points[cand], lvl.infinite[cand])
             dist[:, j] = np.where(j < width, d, np.inf)
         nearest = by_parent[start + np.argmin(dist, axis=1)]
         assert np.unique(nearest).size == lvl.size
         assert np.max(np.min(dist, axis=1)) <= AGREEMENT
-        np.testing.assert_array_equal(lvl.infinite[nearest], ref.inf_mask)
+        np.testing.assert_array_equal(lvl.infinite[nearest], ref_inf)
         np.testing.assert_array_equal(lvl.cum[nearest], ref_cum)
 
 

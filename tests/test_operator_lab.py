@@ -6,7 +6,8 @@ from lyubich_lab.bimodule_basis import (BasisElement, PartitionOfUnity,
                                         julia_sample, reconstruct)
 from lyubich_lab.errors import NoVanishingTail
 from lyubich_lab.lyubich_measure import default_root
-from lyubich_lab.operator_lab import (_frame_matrix, build_model, default_basis,
+from lyubich_lab.operator_lab import (TOLERANCES, _frame_matrix, build_model,
+                                      default_basis,
                                       verification_suite, verify_covariance,
                                       verify_frame_bound, verify_isometry,
                                       verify_key_lemma, verify_representation,
@@ -168,6 +169,32 @@ def test_representation_random_pairs(cheb_model):
         r1, r2 = verify_representation(cheb_model, xi, eta, a, 8)
         assert r1 == 0.0
         assert r2 < 1e-10
+
+
+def test_refit_fibers_catch_a_swapped_parent():
+    # The checks re-solve the level below with the engine that built the
+    # tree, so their fibers equal the tree's bit for bit; a fault in the
+    # tree's parent assembly must still show against them.
+    basilica = builtin_map("basilica")
+    model = build_model(basilica, default_root(basilica), 6)
+    parent = model.levels[6].parent
+    i, j = 0, int(np.flatnonzero(parent != parent[0])[0])
+
+    def worst(model):
+        rng = np.random.default_rng(44)
+        cov = rep = 0.0
+        for _ in range(5):
+            a, f, g = (tf.random_polynomial(rng, 2) for _ in range(3))
+            cov = max(cov, verify_covariance(model, a, f, g, 6))
+            rep = max(rep, verify_representation(model, f, g, a, 6)[1])
+        return cov, rep
+
+    cov, rep = worst(model)
+    assert cov <= TOLERANCES["covariance"] and rep <= TOLERANCES["representation"]
+    parent[[i, j]] = parent[[j, i]]
+    cov, rep = worst(model)
+    assert cov > TOLERANCES["covariance"]
+    assert rep > TOLERANCES["representation"]
 
 
 def test_key_lemma_zero_terms(quad_model, quad_basis):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from lyubich_lab import _fiber
+from lyubich_lab.bimodule_basis import julia_sample
 from lyubich_lab.lyubich_measure import integrate, measure_from_tree
 from lyubich_lab.preimage_solver import iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
-from lyubich_lab.sphere import sphere_points
+from lyubich_lab.sphere import as_point, sphere_points
 from lyubich_lab.transfer_operator import (apply_transfer, gather_fibers,
                                            inner_product, sup_norm_2,
                                            transfer_power, transfer_result)
@@ -129,6 +131,29 @@ def test_sup_norm_monotone_under_refinement(quad_map):
     a = sup_norm_2(quad_map, tf.Z, coarse)
     b = sup_norm_2(quad_map, tf.Z, fine)
     assert b >= a
+
+
+def test_sup_norm_equals_pointwise_inner_products(monkeypatch, cheb):
+    # -2 is the critical value; its fiber is the double root 0, which the
+    # batched engine hands to the scalar path.
+    sample = julia_sample(cheb, 64, seed=3).sphere_points() + [as_point(-2.0)]
+    calls = []
+    scalar = _fiber.solve_fiber
+
+    def counting(num_pad, den_pad, degree, w):
+        calls.append(w)
+        return scalar(num_pad, den_pad, degree, w)
+
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        xi = tf.random_polynomial(rng, 2)
+        ip = inner_product(cheb, xi, xi)
+        want = max(ip(w).real for w in sample) ** 0.5
+        monkeypatch.setattr(_fiber, "solve_fiber", counting)
+        got = sup_norm_2(cheb, xi, sample)
+        monkeypatch.setattr(_fiber, "solve_fiber", scalar)
+        assert abs(got - want) <= 1e-14
+    assert calls == [as_point(-2.0)] * 3
 
 
 def test_cache_returns_identical_results(cheb):
