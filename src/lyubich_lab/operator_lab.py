@@ -222,17 +222,16 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     """
     lvl = model.levels[k]
     av = model.values(a, k)
-    U = _basis_matrix(basis, lvl.points, lvl.inf_mask)
     count = min(N, len(basis))
+    U = _basis_matrix(basis, lvl.points, lvl.inf_mask)[:count]
 
     # Bumps are real-valued, so no conjugates appear.
-    S = model.apply_adjoint(k, U[:count] * av)
-    path_a = (U[:count] * S[:, lvl.parent]).sum(axis=0)
+    path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
 
     fib = gather_fibers(model.map, lvl.points, lvl.inf_mask, siblings=True)
-    U_fiber = _basis_matrix(basis, fib.points, fib.inf_mask)
+    U_fiber = _basis_matrix(basis, fib.points, fib.inf_mask)[:count]
     a_fiber = a.evaluate(fib.points, fib.inf_mask)
-    path_b = (U[:count] * fib.average(U_fiber[:count] * a_fiber)).sum(axis=0)
+    path_b = (U * fib.average(U_fiber * a_fiber)).sum(axis=0)
 
     return float(np.max(np.abs(path_a - path_b))) if lvl.dim else 0.0
 
