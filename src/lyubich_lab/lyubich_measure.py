@@ -4,6 +4,11 @@ The depth-m measure puts weight (branch product) / base**m on each deepest
 atom of a preimage tree.  Weights are kept as integer numerators over a
 power of the base, so the level-to-level pushforward identity can be
 checked with exact rational arithmetic rather than approximately.
+
+The pushforward merges the children of each atom along the tree's parent
+edges, and the match compares atom j with atom j, so atoms that crowd
+together (as at the ends of the arcsine law) are never mistaken for each
+other.
 """
 
 import math
@@ -12,12 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _fiber
 from .errors import DegenerateSample, ExceptionalRoot
 from .preimage_solver import PreimageTree, iterated_preimages
 from .rational_map import (RationalMap, branch_index, evaluate_array,
                            fixed_points, is_exceptional)
-from .sphere import INFINITY, SpherePoint, as_point, chordal
+from .sphere import INFINITY, SpherePoint, as_point, chordal_pairs
 from .test_functions import TestFunction
 
 
@@ -26,7 +30,9 @@ class AtomicMeasure:
     """A finite atomic probability measure with exact rational weights.
 
     Atom i has weight ``nums[i] / base**depth``.  The numerators are
-    integers and always sum to ``base**depth`` exactly.
+    integers and always sum to ``base**depth`` exactly.  A measure read
+    from a tree level keeps each atom's ``parent`` on the level above; a
+    pushforward keeps each merged atom's ``spread``.
     """
 
     map: RationalMap
@@ -36,6 +42,8 @@ class AtomicMeasure:
     points: np.ndarray
     inf_mask: np.ndarray
     nums: np.ndarray
+    parent: np.ndarray | None = None
+    spread: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -92,6 +100,7 @@ def measure_from_tree(tree: PreimageTree, level: int | None = None) -> AtomicMea
         points=lvl.points.copy(),
         inf_mask=lvl.infinite.copy(),
         nums=lvl.cum.astype(np.int64).copy(),
+        parent=lvl.parent.copy(),
     )
     mu.validate()
     return mu
@@ -112,114 +121,68 @@ def integrate(mu: AtomicMeasure, f: TestFunction) -> complex:
 
 
 def pushforward(mu: AtomicMeasure, rmap: RationalMap) -> AtomicMeasure:
-    """Image measure under the map, atoms merged by chordal clustering.
+    """Image measure under the map, merged along the tree's parent edges.
 
-    Numerators add exactly, so for a depth-m tree measure the result
-    equals the depth-(m-1) measure of the same tree in exact rational
-    arithmetic (atom positions agree to the clustering tolerance).
+    The children of each level-(k-1) atom become one atom, in the order of
+    level k-1: their numerators add exactly, and the atom sits at the
+    numerator-weighted mean of their images, or at infinity when any image
+    is infinite.  ``spread`` keeps, per merged atom, the largest chordal
+    distance from a child's image to it.  For a depth-m tree measure the
+    result equals the depth-(m-1) measure of the same tree in exact
+    rational arithmetic.
+
+    Raises ValueError for a measure without parents or a foreign map.
     """
     if mu.depth < 1:
         raise ValueError("pushforward needs depth >= 1")
-    images, inf_mask = evaluate_array(rmap, mu.points, mu.inf_mask)
+    if mu.parent is None:
+        raise ValueError("pushforward needs a measure from a tree level")
+    if rmap is not mu.map:
+        raise ValueError("pushforward needs the map the measure's tree was built for")
+    images, image_inf = evaluate_array(rmap, mu.points, mu.inf_mask)
+    size = int(mu.parent.max()) + 1
+    nums = np.zeros(size, dtype=np.int64)
+    np.add.at(nums, mu.parent, mu.nums)
+    # evaluate_array puts 0j at infinite images, so they add nothing here.
+    sums = np.zeros(size, dtype=complex)
+    np.add.at(sums, mu.parent, mu.nums * images)
+    inf_mask = np.zeros(size, dtype=bool)
+    inf_mask[mu.parent[image_inf]] = True
+    points = np.where(inf_mask, 0j, sums / nums)
+    spread = np.zeros(size)
+    np.maximum.at(spread, mu.parent, chordal_pairs(
+        images, image_inf, points[mu.parent], inf_mask[mu.parent]))
 
-    order = np.lexsort((images.imag, images.real, inf_mask))
-    merged_pts: list[complex] = []
-    merged_inf: list[bool] = []
-    merged_num: list[int] = []
-    for idx in order:
-        z = complex(images[idx])
-        isinf = bool(inf_mask[idx])
-        num = int(mu.nums[idx])
-        match = -1
-        for j in range(len(merged_pts) - 1, -1, -1):
-            if merged_inf[j] != isinf:
-                continue
-            if isinf:
-                match = j
-                break
-            if abs(merged_pts[j].real - z.real) > _fiber.CLUSTER_RADIUS:
-                break
-            a = SpherePoint(merged_pts[j])
-            if chordal(a, SpherePoint(z)) <= _fiber.CLUSTER_RADIUS:
-                match = j
-                break
-        if match < 0:
-            merged_pts.append(z)
-            merged_inf.append(isinf)
-            merged_num.append(num)
-        else:
-            total = merged_num[match] + num
-            if not isinf:
-                merged_pts[match] = (merged_pts[match] * merged_num[match]
-                                     + z * num) / total
-            merged_num[match] = total
-
-    out = AtomicMeasure(
-        map=mu.map,
-        root=mu.root,
-        depth=mu.depth,
-        base=mu.base,
-        points=np.array(merged_pts, dtype=complex),
-        inf_mask=np.array(merged_inf, dtype=bool),
-        nums=np.array(merged_num, dtype=np.int64),
-    )
+    out = AtomicMeasure(map=mu.map, root=mu.root, depth=mu.depth, base=mu.base,
+                        points=points, inf_mask=inf_mask, nums=nums, spread=spread)
     out.validate()
     return out
 
 
-def measure_match_defect(a: AtomicMeasure, b: AtomicMeasure,
-                         position_tol: float = 1e-8) -> tuple[float, bool]:
-    """Match atoms by nearest position; report the worst position error
-    and whether every matched pair has exactly equal rational weight.
+def measure_match_defect(a: AtomicMeasure, b: AtomicMeasure) -> tuple[float, bool]:
+    """Compare atom j of one measure with atom j of the other; report the
+    worst chordal distance or ``spread``, and whether every pair has
+    exactly equal rational weight.
 
-    An unmatched atom reports position error inf.  The clustering
-    invariant keeps distinct atoms much farther apart than the tolerance,
-    so nearest matching is unambiguous.
+    Measures of different sizes report inf.  A pushforward comes out in
+    the order of the level it lands on, so it pairs with that level by
+    index.
     """
     if a.size != b.size:
         return float("inf"), False
-    fa, fb = a.weight_fractions(), b.weight_fractions()
-
-    fin_b = np.nonzero(~b.inf_mask)[0]
-    order = fin_b[np.argsort(b.points[fin_b].real)]
-    b_re = b.points[order].real
-    inf_b = [int(j) for j in np.nonzero(b.inf_mask)[0]]
-    used = np.zeros(b.size, dtype=bool)
-
-    worst = 0.0
-    weights_exact = True
-    for i in range(a.size):
-        if a.inf_mask[i]:
-            match = next((j for j in inf_b if not used[j]), None)
-            if match is None:
-                return float("inf"), False
-            best = 0.0
-        else:
-            z = complex(a.points[i])
-            lo = np.searchsorted(b_re, z.real - position_tol, side="left")
-            hi = np.searchsorted(b_re, z.real + position_tol, side="right")
-            match, best = None, position_tol
-            pa = SpherePoint(z)
-            for idx in range(lo, hi):
-                j = int(order[idx])
-                if used[j]:
-                    continue
-                d = chordal(pa, SpherePoint(complex(b.points[j])))
-                if d <= best:
-                    match, best = j, d
-            if match is None:
-                return float("inf"), False
-        if fa[i] != fb[match]:
-            weights_exact = False
-        used[match] = True
-        worst = max(worst, best)
-    return worst, weights_exact
+    gaps = [chordal_pairs(a.points, a.inf_mask, b.points, b.inf_mask)]
+    gaps += [m.spread for m in (a, b) if m.spread is not None]
+    worst = max(float(g.max(initial=0.0)) for g in gaps)
+    da, db = a.denominator(), b.denominator()
+    common = math.gcd(da, db)
+    exact = np.array_equal(a.nums * (db // common), b.nums * (da // common))
+    return worst, bool(exact)
 
 
 def measures_match(a: AtomicMeasure, b: AtomicMeasure,
                    position_tol: float = 1e-8) -> bool:
     """Same atoms to ``position_tol`` and exactly equal rational weights."""
-    defect, exact = measure_match_defect(a, b, position_tol)
+    defect, exact = measure_match_defect(a, b)
     return exact and defect <= position_tol
 
 

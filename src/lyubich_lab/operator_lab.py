@@ -34,7 +34,7 @@ from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (default_root, integrate, measure_from_tree,
                               measure_match_defect, pushforward)
-from .preimage_solver import PreimageTree, gather_fibers, iterated_preimages
+from .preimage_solver import Fibers, PreimageTree, gather_fibers, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point, chordal_array
 from .test_functions import ONE, TestFunction, random_polynomial
@@ -76,12 +76,21 @@ class OperatorModel:
     depth: int
     tree: PreimageTree
     levels: list = field(default_factory=list)
+    _fibers: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
         return self.levels[k].dim
 
     def dims(self) -> tuple:
         return tuple(lvl.dim for lvl in self.levels)
+
+    def fibers(self, k: int) -> Fibers:
+        """The fibers over level k-1, solved once per model from the level's
+        points, never read from the tree's parent and ``cum`` assembly."""
+        if k not in self._fibers:
+            prev = self.levels[k - 1]
+            self._fibers[k] = gather_fibers(self.map, prev.points, prev.inf_mask)
+        return self._fibers[k]
 
     def values(self, f: TestFunction, k: int) -> np.ndarray:
         lvl = self.levels[k]
@@ -172,7 +181,7 @@ def verify_covariance(model: OperatorModel, a: TestFunction, f: TestFunction,
     lhs_terms = av * fv[lvl.parent] * np.conj(gv[lvl.parent]) * lvl.weights
     lhs = complex(math.fsum(lhs_terms.real.tolist()),
                   math.fsum(lhs_terms.imag.tolist()))
-    fib = gather_fibers(model.map, prev.points, prev.inf_mask)
+    fib = model.fibers(k)
     la = fib.average(a.evaluate(fib.points, fib.inf_mask))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
     rhs = complex(math.fsum(rhs_terms.real.tolist()),
@@ -200,8 +209,7 @@ def verify_representation(model: OperatorModel, xi: TestFunction,
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.
     pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
-    prev = model.levels[k - 1]
-    fib = gather_fibers(model.map, prev.points, prev.inf_mask)
+    fib = model.fibers(k)
     ip_vals = fib.average((xi.conj() * eta).evaluate(fib.points, fib.inf_mask))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
@@ -367,9 +375,12 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     model = build_model(rmap, w, m)
-    # At the default sizes both samples come from one depth-12 tree.
-    sizes = (sample_size, unitality_points) if want("transfer_unitality") else (sample_size,)
-    sample, *unitality_sample = _julia_samples(rmap, sizes, seed)
+    # The basis sample feeds the last three identities only.  At the
+    # default sizes both samples come from one depth-12 tree.
+    with_basis = any(map(want, ("key_lemma", "frame_bound", "vanishing_tail")))
+    sizes = (((sample_size,) if with_basis else ())
+             + ((unitality_points,) if want("transfer_unitality") else ()))
+    samples = _julia_samples(rmap, sizes, seed) if sizes else []
     k = m
     records = []
 
@@ -402,7 +413,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         records.append(_record("covariance", rmap, w, m, k, worst))
 
     if want("transfer_unitality"):
-        fib = gather_fibers(rmap, unitality_sample[0].points, unitality_sample[0].inf_mask)
+        fib = gather_fibers(rmap, samples[-1].points, samples[-1].inf_mask)
         ones = fib.average(ONE.evaluate(fib.points, fib.inf_mask))
         worst = float(np.max(np.abs(ones - 1.0)))
         records.append(_record("transfer_unitality", rmap, w, m, k, worst))
@@ -421,7 +432,9 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
             worst = max(worst, abs(via_power - via_tree))
         records.append(_record("transfer_two_path", rmap, w, m, k, worst))
 
-    basis = default_basis(rmap, sample, count=basis_count)
+    if with_basis:
+        sample = samples[0]
+        basis = default_basis(rmap, sample, count=basis_count)
 
     if want("representation"):
         worst = 0.0

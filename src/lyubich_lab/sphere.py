@@ -122,3 +122,25 @@ def chordal_array(points: np.ndarray, inf_mask: np.ndarray, q) -> np.ndarray:
     out = np.asarray(out)
     out[inf_mask] = 0.0
     return out
+
+
+def chordal_pairs(z: np.ndarray, z_inf: np.ndarray,
+                  w: np.ndarray, w_inf: np.ndarray) -> np.ndarray:
+    """Chordal distances between matching entries of two point arrays.
+
+    Pairs outside the unit disc are compared through z -> 1/z, as
+    :func:`chordal` does, so nearby large points keep their precision.
+    """
+    # hypot of the parts rounds as the scalar abs(complex) does; np.abs
+    # of a complex array differs from it in the last bit.
+    def mod(x):
+        return np.hypot(x.real, x.imag)
+
+    flip = (z_inf | (mod(z) > 1.0)) & (w_inf | (mod(w) > 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(flip, np.where(z_inf, 0j, 1.0 / z), z)
+        w = np.where(flip, np.where(w_inf, 0j, 1.0 / w), w)
+    hz, hw = np.hypot(1.0, mod(z)), np.hypot(1.0, mod(w))
+    out = 2.0 * mod(z - w) / (hz * hw)
+    out = np.where(z_inf & ~flip, 2.0 / hw, out)
+    return np.where(w_inf & ~flip, 2.0 / hz, out)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,9 +10,10 @@ from scipy.integrate import quad
 from lyubich_lab.errors import ExceptionalRoot, IncompatibleTable
 from lyubich_lab.lyubich_measure import (convergence_report, default_root,
                                          integrate, measure_from_tree,
-                                         measure_match_defect, pushforward)
+                                         measure_match_defect, measures_match,
+                                         pushforward)
 from lyubich_lab.preimage_solver import iterated_preimages
-from lyubich_lab.rational_map import builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab import test_functions as tf
 
 
@@ -133,16 +136,111 @@ def test_pushforward_merges_double_root(cheb):
     assert atoms == {2.0: Fraction(1, 2), -2.0: Fraction(1, 2)}
 
 
-@pytest.mark.parametrize("name", ["quad", "basilica", "chebyshev"])
-def test_exact_level_identity(name):
+@pytest.mark.parametrize("name, root, depth", [
+    pytest.param("quad", None, 10, id="quad"),
+    pytest.param("basilica", None, 10, id="basilica"),
+    pytest.param("chebyshev", None, 10, id="chebyshev"),
+    # Level-13 atoms crowd within 6e-7 of each other near -2 and 2, closer
+    # than any distance rule could keep apart.
+    pytest.param("chebyshev", 2, 14, id="chebyshev-at-2"),
+])
+def test_exact_level_identity(name, root, depth):
     rmap = builtin_map(name)
-    tree = iterated_preimages(rmap, default_root(rmap), 10)
-    for k in range(10, 0, -1):
+    tree = iterated_preimages(rmap, default_root(rmap) if root is None else root, depth)
+    for k in range(depth, 0, -1):
         pushed = pushforward(measure_from_tree(tree, k), rmap)
         target = measure_from_tree(tree, k - 1)
+        assert pushed.size == target.size
         defect, exact = measure_match_defect(pushed, target)
         assert exact, f"weights differ at level {k}"
         assert defect < 1e-8
+    if root == 2:
+        assert tree.atom_count(depth - 1) == 4097
+
+
+# Planted faults: each corrupts one copy of a tree that passes, and the
+# pushforward of level k must then stop matching level k-1.
+
+
+@pytest.fixture(scope="module")
+def basilica_tree():
+    basilica = builtin_map("basilica")
+    return iterated_preimages(basilica, default_root(basilica), 8)
+
+
+def invariance(tree, k):
+    pushed = pushforward(measure_from_tree(tree, k), tree.map)
+    return measure_match_defect(pushed, measure_from_tree(tree, k - 1))
+
+
+def test_swapped_parents_break_invariance(basilica_tree):
+    defect, exact = invariance(basilica_tree, 8)
+    assert exact and defect <= 1e-8
+    tree = copy.deepcopy(basilica_tree)
+    parent = tree.level(8).parent
+    i, j = 0, int(np.flatnonzero(parent != parent[0])[0])
+    parent[[i, j]] = parent[[j, i]]
+    defect, exact = invariance(tree, 8)
+    assert exact  # every basilica atom is simple, so only positions show it
+    assert defect > 1e-8
+
+
+@pytest.mark.parametrize("level", [8, 7])
+def test_moved_atom_breaks_invariance(basilica_tree, level):
+    tree = copy.deepcopy(basilica_tree)
+    points = tree.level(level).points
+    # The atom of largest modulus: its image moves by |2z| * 1e-7, not less.
+    points[np.argmax(np.abs(points))] += 1e-7
+    defect, _ = invariance(tree, 8)
+    assert defect > 1e-8
+
+
+def test_every_child_image_is_checked(basilica_tree):
+    # Moving both children z and -z of one atom by the same step moves their
+    # images z^2 + c apart by 4 z * 1e-7 but their mean only by 1e-14.
+    tree = copy.deepcopy(basilica_tree)
+    lvl = tree.level(8)
+    i = int(np.argmax(np.abs(lvl.points)))
+    lvl.points[lvl.parent == lvl.parent[i]] += 1e-7
+    pushed = pushforward(measure_from_tree(tree, 8), tree.map)
+    target = measure_from_tree(tree, 7)
+    j = lvl.parent[i]
+    assert abs(pushed.points[j] - target.points[j]) < 1e-12
+    defect, exact = measure_match_defect(pushed, target)
+    assert exact
+    assert defect > 1e-8
+
+
+def test_swapped_cum_breaks_exact_weights():
+    cheb = builtin_map("chebyshev")
+    tree = copy.deepcopy(iterated_preimages(cheb, 2, 6))
+    lvl = tree.level(6)
+    i = int(np.flatnonzero(lvl.cum == 2)[0])
+    j = int(np.flatnonzero((lvl.cum == 1) & (lvl.parent != lvl.parent[i]))[0])
+    lvl.cum[[i, j]] = lvl.cum[[j, i]]
+    pushed = pushforward(measure_from_tree(tree, 6), tree.map)
+    _, exact = measure_match_defect(pushed, measure_from_tree(tree, 5))
+    assert not exact
+    assert not measures_match(pushed, measure_from_tree(tree, 5))
+
+
+def test_newton_map_at_infinity_passes_every_level():
+    # Newton's map of z^3 - 1: 0 is a double pole and infinity a fixed point,
+    # so every level below the root holds infinite atoms and poles.
+    newton = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton")
+    tree = iterated_preimages(newton, complex("inf"), 6)
+    for k in range(6, 0, -1):
+        assert tree.level(k).infinite.any()
+        defect, exact = invariance(tree, k)
+        assert exact and defect <= 1e-8, f"level {k}"
+
+
+def test_pushforward_rejects_measures_off_their_tree(quad_map):
+    mu = measure_from_tree(iterated_preimages(quad_map, 1, 3))
+    with pytest.raises(ValueError, match="tree level"):
+        pushforward(dataclasses.replace(mu, parent=None), quad_map)
+    with pytest.raises(ValueError, match="map"):
+        pushforward(mu, builtin_map("quad"))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from lyubich_lab.operator_lab import (TOLERANCES, _frame_matrix, build_model,
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, SpherePoint
 from lyubich_lab.transfer_operator import apply_transfer, inner_product
-from lyubich_lab import bimodule_basis
+from lyubich_lab import bimodule_basis, operator_lab
 from lyubich_lab import test_functions as tf
 
 
@@ -318,7 +318,7 @@ def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
 
     monkeypatch.setattr(bimodule_basis, "sampled_tree", counting)
     verification_suite(quad_map, m=4, seed=3, trials=2, pairs=2, basis_count=8,
-                       identities=["transfer_unitality"])
+                       identities=["transfer_unitality", "key_lemma"])
     assert depths == [12]
 
     both = bimodule_basis._julia_samples(quad_map, (384, 1000), 3)
@@ -328,6 +328,33 @@ def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
         np.testing.assert_array_equal(sample.points, alone.points)
         np.testing.assert_array_equal(sample.inf_mask, alone.inf_mask)
         assert sample.method == alone.method
+
+
+def test_suite_builds_no_basis_it_does_not_read():
+    # At m=6 the default basis of z^3 - 3z cannot cover its sample
+    # (CoverFailure), but invariance never reads the basis.
+    cubic = RationalMap([0, -3, 0, 1], [1])
+    report = verification_suite(cubic, -2, m=6, identities=["invariance"])
+    [record] = report["results"]
+    assert record["identity"] == "invariance" and record["pass"]
+
+
+def test_model_solves_each_level_once(monkeypatch, quad_map):
+    calls = []
+    gather = operator_lab.gather_fibers
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(operator_lab, "gather_fibers", counting)
+    model = build_model(quad_map, 1, 5)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        a, f, g = (tf.random_polynomial(rng, 2) for _ in range(3))
+        assert verify_covariance(model, a, f, g, 5) <= TOLERANCES["covariance"]
+        assert verify_representation(model, f, g, a, 5)[1] <= TOLERANCES["representation"]
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,16 @@ def test_tree_hand_solved_chebyshev(cheb):
     assert int(tree.level(2).cum.sum()) == 4
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_double_root_over_critical_value_is_one_atom():
+    # z^3 - 3z + 2 = (z - 1)^2 (z + 2): the fiber over -2 holds two atoms, so
+    # the levels hold 1, 2, 5, 14 atoms, not 3**k.  Aberth splits the
+    # double root wider than the clustering radius.
+    cubic = RationalMap([0, -3, 0, 1], [1])
+    tree = iterated_preimages(cubic, -2, 3)
+    assert [tree.atom_count(k) for k in range(4)] == [1, 2, 5, 14]
+
+
 @pytest.mark.parametrize("name", ["quad", "basilica", "chebyshev"])
 def test_level_mass_exact(name):
     rmap = builtin_map(name)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lyubich_lab.sphere import INFINITY, SpherePoint, as_point, chordal, chordal_array
+from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
+                                chordal_pairs)
 
 
 def test_finite_point_rejects_nan():
@@ -71,3 +72,21 @@ def test_sort_key_orders_infinity_last():
     ordered = sorted(pts, key=lambda p: p.sort_key())
     assert ordered[-1].infinite
     assert ordered[0].value == -1
+
+
+def test_chordal_pairs_match_scalar_chordal():
+    rng = np.random.default_rng(5)
+    z = (rng.normal(size=400) + 1j * rng.normal(size=400)) * np.exp(rng.uniform(-8, 8, 400))
+    w = np.concatenate([z[:100] * (1 + 1e-9j), z[100:200], -z[200:300],
+                        rng.normal(size=100) * 1e200])
+    w[100:200] = z[100:200]
+    z_inf = np.zeros(400, bool)
+    w_inf = np.zeros(400, bool)
+    z_inf[::7] = True
+    w_inf[::11] = True
+    z[::7] = 0j
+    w[::11] = 0j
+    got = chordal_pairs(z, z_inf, w, w_inf)
+    want = [chordal(INFINITY if zi else SpherePoint(a), INFINITY if wi else SpherePoint(b))
+            for a, zi, b, wi in zip(z, z_inf, w, w_inf)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
