@@ -26,12 +26,12 @@ print("transfer of |z|^2 at w: ", apply_transfer(quad, tf.ABS2, w).real,
       " = |w| =", abs(w))
 
 print()
-print("== two independent code paths ==")
+print("== fiber tables vs tree quadrature ==")
 a = tf.random_polynomial(np.random.default_rng(0), 2)
 for m in (1, 4, 8, 10):
     via_power = transfer_power(cheb, a, m, 2.0)
     via_tree = integrate(measure_from_tree(iterated_preimages(cheb, 2.0, m)), a)
-    print(f"  m={m:2d}  recursion {via_power:+.12f}   tree quadrature "
+    print(f"  m={m:2d}  fibers {via_power:+.12f}   tree quadrature "
           f"{via_tree:+.12f}   gap {abs(via_power - via_tree):.1e}")
 
 print()

@@ -77,6 +77,7 @@ class OperatorModel:
     tree: PreimageTree
     levels: list = field(default_factory=list)
     _fibers: dict = field(default_factory=dict, repr=False)
+    _basis_matrices: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
         return self.levels[k].dim
@@ -91,6 +92,17 @@ class OperatorModel:
             prev = self.levels[k - 1]
             self._fibers[k] = gather_fibers(self.map, prev.points, prev.inf_mask)
         return self._fibers[k]
+
+    def basis_matrix(self, basis: list, k: int) -> np.ndarray:
+        """The basis's partition evaluated on level k, one row per member,
+        computed once per model, partition and level; read-only."""
+        key = (basis[0].partition if basis else None, k)
+        if key not in self._basis_matrices:
+            lvl = self.levels[k]
+            matrix = _basis_matrix(basis, lvl.points, lvl.inf_mask)
+            matrix.setflags(write=False)
+            self._basis_matrices[key] = matrix
+        return self._basis_matrices[key]
 
     def values(self, f: TestFunction, k: int) -> np.ndarray:
         lvl = self.levels[k]
@@ -231,7 +243,7 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     lvl = model.levels[k]
     av = model.values(a, k)
     count = min(N, len(basis))
-    U = _basis_matrix(basis, lvl.points, lvl.inf_mask)[:count]
+    U = model.basis_matrix(basis, k)[:count]
 
     # Bumps are real-valued, so no conjugates appear.
     path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
@@ -272,7 +284,7 @@ def _frame_blocks(model: OperatorModel, basis: list, N: int, k: int):
     slot = np.empty(lvl.dim, dtype=np.intp)
     slot[order] = np.arange(lvl.dim) - (np.cumsum(counts) - counts)[lvl.parent[order]]
     count = min(N, len(basis))
-    U = _basis_matrix(basis, lvl.points, lvl.inf_mask)[:count]
+    U = model.basis_matrix(basis, k)[:count]
     V = np.zeros((prev.dim, int(counts.max()), count))
     V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
     return V @ V.transpose(0, 2, 1), slot, counts
@@ -423,7 +435,10 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         worst = 0.0
         powers = (0, 1, 2, 3, 5, 8, min(m, 10))
         # Every power reads a level of one tree; level k of a deeper tree
-        # is built exactly as in a depth-k tree.
+        # is built exactly as in a depth-k tree.  transfer_power solves the
+        # same orbit with the same engine, so this compares the tree's
+        # weights, order and quadrature with fiber-order averaging; the
+        # tests hold transfer_power to the scalar path and the closed form.
         tree = (model.tree if max(powers) <= m
                 else iterated_preimages(rmap, w, max(powers)))
         for power in powers:

@@ -3,12 +3,12 @@
 Applying the operator to a function a gives the new function
 ``w -> (1/n) * sum over R(z) = w of branch_index(z) * a(z)``.
 Results are returned as lazily evaluable closures over fiber solves, so
-compositions needed elsewhere stay exact.  Fibers are memoized per
-(map, point) in a ``functools.lru_cache`` for these pointwise callers,
-because recursive powers and inner products hit the same fibers over and
-over.  Point arrays (tables, the sup norm) skip the cache: they solve all
-their fibers at once with ``preimage_solver.gather_fibers`` and average
-them as segment sums.
+compositions needed elsewhere stay exact.  The closures evaluate one
+point at a time; their fibers are memoized per (map, point) in a
+``functools.lru_cache``, so evaluating a closure or inner product at a
+point again reuses its solve.  Point arrays (tables, the sup norm) and
+powers skip the cache: they solve all their fibers at once with
+``preimage_solver.gather_fibers`` and average them as segment sums.
 
 The density symbol of the invariant measure is the transfer of the
 constant one, identically one here; the unitality checks in the test
@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .preimage_solver import WeightedPreimage, gather_fibers, preimages
+from .errors import BudgetExceeded
+from .preimage_solver import DEFAULT_BUDGET, WeightedPreimage, gather_fibers, preimages
 from .rational_map import RationalMap
 from .sphere import SpherePoint, as_point
 from .test_functions import TestFunction
@@ -52,21 +53,33 @@ def apply_transfer(rmap: RationalMap, a: TestFunction, w) -> complex:
 
 
 def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
-    """m-fold application at a point, by direct recursion over fibers.
+    """m-fold application at a point, level by level over the backward orbit.
 
-    This traversal is independent of the tree/measure code path; the two
-    must agree to within accumulated roundoff.
+    Solves the fibers over each level of the orbit of w in one
+    ``gather_fibers`` table, evaluates a once on the deepest level, and
+    averages the values back up the tables.  The orbit is the one the
+    tree builders enumerate, with the same engine, but summed in fiber
+    order rather than read from a tree.  Raises BudgetExceeded when
+    degree**m exceeds the tree builders' atom budget.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
     p = as_point(w)
     if m == 0:
         return complex(a(p))
-    fib = cached_fiber(rmap, p)
-    total = 0j
-    for point, mult in fib.atoms:
-        total += mult * transfer_power(rmap, a, m - 1, point)
-    return total / rmap.degree
+    if rmap.degree ** m > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"degree**m = {rmap.degree ** m} exceeds the atom budget {DEFAULT_BUDGET}")
+    points, inf_mask = np.array([p.value], dtype=complex), np.array([p.infinite])
+    tables = []
+    for _ in range(m):
+        fib = gather_fibers(rmap, points, inf_mask)
+        tables.append(fib)
+        points, inf_mask = fib.points, fib.inf_mask
+    values = a.evaluate(points, inf_mask)
+    for fib in reversed(tables):
+        values = fib.average(values)
+    return complex(values[0])
 
 
 def transfer_function(rmap: RationalMap, a: TestFunction) -> TestFunction:

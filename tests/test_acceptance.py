@@ -100,7 +100,7 @@ def test_criterion_3_covariance():
 
 
 def test_criterion_4_transfer_unitality_and_two_path():
-    """|L(1) - 1| < 1e-12 at 1000 sample points; the recursive power and
+    """|L(1) - 1| < 1e-12 at 1000 sample points; the level-wise power and
     the tree quadrature agree to 1e-10 for m <= 10."""
     worst_unital = 0.0
     for name in BENCHMARKS:

@@ -87,7 +87,8 @@ def test_fiber_solve_span_counts_the_scalar_fallbacks():
 
 def test_point_arrays_skip_the_cache_and_the_scalar_path():
     # A basilica level and sample hold no critical value and no infinity,
-    # so every fiber of them is solved by the batched engine.
+    # nor does the backward orbit of a level atom, so every fiber of them is
+    # solved by the batched engine.
     basilica = builtin_map("basilica")
     level = preimage_solver.iterated_preimages(basilica, default_root(basilica), 8).level(8)
     sample = bimodule_basis.julia_sample(basilica, 200, seed=1)
@@ -101,6 +102,7 @@ def test_point_arrays_skip_the_cache_and_the_scalar_path():
                                         siblings=True)
         transfer_operator.sup_norm_2(basilica, xi, sample.sphere_points())
         bimodule_basis.reconstruct(basilica, basis, xi, len(basis), sample)
+        transfer_operator.transfer_power(basilica, xi, 8, level.atom(0))
         assert tracer.calls("transfer_operator.cached_fiber") == 0
         assert tracer.calls("fiber.solve") == 0
     finally:

@@ -330,6 +330,24 @@ def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
         assert sample.method == alone.method
 
 
+def test_suite_evaluates_the_basis_once_per_level(monkeypatch, quad_map):
+    # The frame bound takes every prefix N of the basis, the key lemma three
+    # and the vanishing tail one; all of them read one matrix of level m.
+    sizes = []
+    member_matrix = PartitionOfUnity.member_matrix
+
+    def counting(self, points, inf_mask=None):
+        sizes.append(np.size(points))
+        return member_matrix(self, points, inf_mask)
+
+    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting)
+    report = verification_suite(quad_map, m=6, seed=1, trials=2, pairs=2,
+                                identities=["key_lemma", "frame_bound",
+                                            "vanishing_tail"])
+    assert report["results"][1]["N"] > 1
+    assert sizes.count(2 ** 6) == 1
+
+
 def test_suite_builds_no_basis_it_does_not_read():
     # At m=6 the default basis of z^3 - 3z cannot cover its sample
     # (CoverFailure), but invariance never reads the basis.

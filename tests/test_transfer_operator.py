@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from lyubich_lab import _fiber
+from lyubich_lab import _fiber, transfer_operator
 from lyubich_lab.bimodule_basis import julia_sample
+from lyubich_lab.errors import BudgetExceeded
 from lyubich_lab.lyubich_measure import integrate, measure_from_tree
-from lyubich_lab.preimage_solver import iterated_preimages
+from lyubich_lab.preimage_solver import iterated_preimages, preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
-from lyubich_lab.sphere import as_point, sphere_points
-from lyubich_lab.transfer_operator import (apply_transfer, gather_fibers,
-                                           inner_product, sup_norm_2,
-                                           transfer_power, transfer_result)
+from lyubich_lab.sphere import INFINITY, as_point, sphere_points
+from lyubich_lab.transfer_operator import (_closed_form_transfer, apply_transfer,
+                                           gather_fibers, inner_product,
+                                           sup_norm_2, transfer_power,
+                                           transfer_result)
 from lyubich_lab import test_functions as tf
 
 
@@ -94,6 +96,83 @@ def test_two_path_equality(name, w):
         via_power = transfer_power(rmap, a, m, w)
         via_tree = integrate(measure_from_tree(tree), a)
         assert abs(via_power - via_tree) < 1e-10
+
+
+def _recursive_power(rmap, a, m, w):
+    """Reference for transfer_power: a recursion over the orbit of w with
+    one scalar fiber solve per node."""
+    p = as_point(w)
+    if m == 0:
+        return complex(a(p))
+    total = 0j
+    for point, mult in preimages(rmap, p).atoms:
+        total += mult * _recursive_power(rmap, a, m - 1, point)
+    return total / rmap.degree
+
+
+NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
+# Bounded on the sphere, so defined at the infinite atoms of Newton's map.
+BOUNDED = tf.TestFunction.from_callable(
+    lambda z: (abs(z) ** 2 + 0.3 * z + 1j) / (1 + abs(z) ** 2), "bounded",
+    at_infinity=1.0)
+
+
+@pytest.mark.parametrize("rmap,w,a", [
+    (builtin_map("quad"), 0.3 + 0.8j, None),
+    (builtin_map("basilica"), None, None),
+    (builtin_map("chebyshev"), 2.0, None),
+    # Infinity is a fixed point and 0 a double pole: every level holds an
+    # infinite atom and the rows the batched engine hands to the scalar path.
+    (NEWTON, INFINITY, BOUNDED),
+], ids=["quad", "basilica", "chebyshev", "newton-inf"])
+def test_power_matches_the_scalar_recursion(rmap, w, a):
+    rng = np.random.default_rng(47)
+    if w is None:
+        w = complex(rng.uniform(-1, 1), rng.uniform(0.2, 1))
+    if a is None:
+        a = tf.random_polynomial(rng, 2)
+    for m in (1, 2, 3, 5, 8):
+        assert abs(transfer_power(rmap, a, m, w) - _recursive_power(rmap, a, m, w)) <= 1e-12
+
+
+# A polynomial in pure powers of z and conj(z), whose transfers stay so.
+PURE_POWERS = tf.TestFunction.polynomial({(1, 0): 0.3, (2, 0): 1.0, (0, 2): -0.5j,
+                                          (0, 1): 0.2})
+
+
+def _closed_form_power(rmap, a, p):
+    for _ in range(p):
+        a = _closed_form_transfer(rmap, a)
+    return a
+
+
+@pytest.mark.parametrize("name,w", [("quad", 0.3 + 0.8j),
+                                    ("basilica", 0.25 + 0.4j),
+                                    ("chebyshev", -0.7 + 1.1j)])
+def test_power_matches_the_iterated_closed_form(name, w):
+    rmap = builtin_map(name)
+    for p in range(11):
+        exact = _closed_form_power(rmap, PURE_POWERS, p)(w)
+        assert abs(transfer_power(rmap, PURE_POWERS, p, w) - exact) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_power_over_a_critical_value_matches_the_closed_form():
+    # The fiber of z^3 - 3z over -2 is (z - 1)^2 (z + 2); the split double
+    # root moves every power by about 4e-8.
+    cubic = RationalMap([0, -3, 0, 1], [1])
+    for p in range(7):
+        exact = _closed_form_power(cubic, PURE_POWERS, p)(-2.0)
+        assert abs(transfer_power(cubic, PURE_POWERS, p, -2.0) - exact) <= 1e-10
+
+
+def test_power_beyond_the_atom_budget_raises_before_solving(monkeypatch, quad_map):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("solved a fiber")
+
+    monkeypatch.setattr(transfer_operator, "gather_fibers", unexpected)
+    with pytest.raises(BudgetExceeded):
+        transfer_power(quad_map, tf.ONE, 23, 0.77)
 
 
 def test_inner_product_identity_element(quad_map):
