@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
 from .preimage_solver import DEFAULT_BUDGET, iterated_preimages, preimages, sampled_tree
 from .rational_map import RationalMap, builtin_map
 from .sphere import INFINITY, SpherePoint
-from .transfer_operator import apply_transfer, transfer_power
+from .transfer_operator import transfer_power
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -239,10 +239,7 @@ def _cmd_transfer(args) -> int:
     w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
     f = parse_test_function(args.f or "one")
     power = args.power if args.power is not None else 1
-    if power == 1:
-        value = apply_transfer(rmap, f, w)
-    else:
-        value = transfer_power(rmap, f, power, w)
+    value = transfer_power(rmap, f, power, w)
     _emit({
         "command": "transfer",
         "map": rmap.describe(),

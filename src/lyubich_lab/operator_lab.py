@@ -93,13 +93,30 @@ class OperatorModel:
             self._fibers[k] = gather_fibers(self.map, prev.points, prev.inf_mask)
         return self._fibers[k]
 
+    def sibling_fibers(self, k: int) -> Fibers:
+        """The fibers over the images of level k, each holding an atom and
+        its siblings, solved once per model from the level's points."""
+        if ("siblings", k) not in self._fibers:
+            lvl = self.levels[k]
+            self._fibers["siblings", k] = gather_fibers(self.map, lvl.points, lvl.inf_mask,
+                                                        siblings=True)
+        return self._fibers["siblings", k]
+
     def basis_matrix(self, basis: list, k: int) -> np.ndarray:
         """The basis's partition evaluated on level k, one row per member,
         computed once per model, partition and level; read-only."""
-        key = (basis[0].partition if basis else None, k)
+        lvl = self.levels[k]
+        return self._cached_basis_matrix(basis, k, lvl.points, lvl.inf_mask)
+
+    def sibling_basis_matrix(self, basis: list, k: int) -> np.ndarray:
+        """The same on the points of ``sibling_fibers(k)``; read-only."""
+        fib = self.sibling_fibers(k)
+        return self._cached_basis_matrix(basis, ("siblings", k), fib.points, fib.inf_mask)
+
+    def _cached_basis_matrix(self, basis: list, key, points, inf_mask) -> np.ndarray:
+        key = (basis[0].partition if basis else None, key)
         if key not in self._basis_matrices:
-            lvl = self.levels[k]
-            matrix = _basis_matrix(basis, lvl.points, lvl.inf_mask)
+            matrix = _basis_matrix(basis, points, inf_mask)
             matrix.setflags(write=False)
             self._basis_matrices[key] = matrix
         return self._basis_matrices[key]
@@ -248,8 +265,8 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     # Bumps are real-valued, so no conjugates appear.
     path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
 
-    fib = gather_fibers(model.map, lvl.points, lvl.inf_mask, siblings=True)
-    U_fiber = _basis_matrix(basis, fib.points, fib.inf_mask)[:count]
+    fib = model.sibling_fibers(k)
+    U_fiber = model.sibling_basis_matrix(basis, k)[:count]
     a_fiber = a.evaluate(fib.points, fib.inf_mask)
     path_b = (U * fib.average(U_fiber * a_fiber)).sum(axis=0)
 

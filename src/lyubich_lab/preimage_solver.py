@@ -7,14 +7,14 @@ each carrying the running product of branch indices along its ancestry.
 Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
 
-:func:`gather_fibers` solves the fibers over a whole point array into one
-flat :class:`Fibers` table with the batched engine ``_fiber.solve_fibers``,
-in blocks of ``_BLOCK_ROWS`` points so that its temporaries stay small.
-Both tree builders share one level loop that calls it on each level, and
-the operator checks call it on levels and samples.  The engine hands every
-point outside its plain case (infinity, a degree drop, a root at the
-origin, no convergence, a near multiple root) to the scalar
-``_fiber.solve_fiber``, the path :func:`preimages` takes for single points.
+Every fiber is solved by one engine, ``_fiber.solve_fibers``, which takes
+its multiple roots from the map's critical points.  :func:`gather_fibers`
+solves the fibers over a whole point array into one flat :class:`Fibers`
+table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
+temporaries stay small.  Both tree builders share one level loop that
+calls it on each level, and the operator checks call it on levels and
+samples.  :func:`preimages` solves one point through the engine's
+one-row front ``_fiber.solve_fiber``.
 """
 
 import csv
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
-from .rational_map import RationalMap, evaluate_array, is_exceptional
+from .rational_map import RationalMap, critical_points, evaluate_array, is_exceptional
 from .sphere import INFINITY, SpherePoint, as_point
 
 DEFAULT_BUDGET = 1 << 22
@@ -56,7 +56,8 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
     if the root finder cannot meet its residual target.
     """
     target = as_point(w)
-    atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, target)
+    atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, target,
+                               critical_points(rmap))
     return WeightedPreimage(target=target, atoms=tuple(atoms))
 
 
@@ -83,9 +84,11 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
     holds the point and its siblings."""
     if siblings:
         points, inf_mask = evaluate_array(rmap, points, inf_mask)
+    critical = critical_points(rmap)
     # An empty array is solved as one empty block.
     blocks = [_fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
-                                  points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS])
+                                  points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS],
+                                  critical)
               for s in range(0, max(points.size, 1), _BLOCK_ROWS)]
     pts, infs, mult, offsets = zip(*blocks)
     counts = np.concatenate([np.diff(o) for o in offsets])

@@ -252,33 +252,47 @@ def branch_index(rmap: RationalMap, z) -> int:
 
 
 def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
-    """All points of local degree >= 2, including infinity when branched.
+    """All points of local degree >= 2, each once, including infinity when
+    branched.
 
-    The finite candidates are the roots of the Wronskian P'Q - PQ'; each
-    cluster is polished and its local degree recomputed independently.
-    The result always satisfies the Riemann-Hurwitz count
+    The finite candidates are the roots of the Wronskian P'Q - PQ', where a
+    critical point of index e is a root of multiplicity e - 1.  Each root
+    starts a cluster of itself and its nearest remaining roots, largest
+    size first; the cluster centre is polished with the
+    multiplicity-corrected step, and the cluster is accepted when it is
+    nearer its centre than every other root and the local degree there is
+    its size + 1.  The result always satisfies the Riemann-Hurwitz count
     sum(index - 1) = 2 * degree - 2 exactly, or an error is raised.
 
     This list is the branched-point set used downstream: the basis
     machinery treats the members that meet the Julia set as the branch
-    points requiring sector elements.
+    points requiring sector elements, and the fiber engine puts its
+    multiple roots at them.
     """
     cached = rmap._cache.get("critical")
     if cached is not None:
         return cached
 
     w = rmap.wronskian()
-    finite_roots = roots.aberth_roots(w) if w.size > 1 else np.zeros(0, dtype=complex)
+    found = roots.aberth_roots(w) if w.size > 1 else np.zeros(0, dtype=complex)
     # Branching at infinity is detected directly; drop near-infinite noise.
-    finite_roots = finite_roots[np.abs(finite_roots) <= _fiber._NEAR_INFINITY]
-    clusters = _fiber.cluster_points(finite_roots, np.ones(finite_roots.size, dtype=int))
+    found = found[np.abs(found) <= _fiber._NEAR_INFINITY]
 
     data = []
-    for point, mult in clusters:
-        center = roots.polish_root(w, point.value, mult)
-        e = branch_index(rmap, SpherePoint(center))
-        if e >= 2:
-            data.append(CriticalDatum(SpherePoint(center), e))
+    left = np.ones(found.size, dtype=bool)
+    while left.any():
+        idx = np.flatnonzero(left)
+        near = idx[np.argsort(np.abs(found[idx] - found[idx[0]]), kind="stable")]
+        taken = near[:1]
+        for size in range(min(near.size, rmap.degree - 1), 0, -1):
+            center = roots.polish_root(w, found[near[:size]].mean(), size)
+            dist = np.abs(found[near] - center)
+            if (dist[:size].max() < dist[size:].min(initial=np.inf)
+                    and branch_index(rmap, SpherePoint(center)) == size + 1):
+                data.append(CriticalDatum(SpherePoint(center), size + 1))
+                taken = near[:size]
+                break
+        left[taken] = False
     e_inf = branch_index(rmap, INFINITY)
     if e_inf >= 2:
         data.append(CriticalDatum(INFINITY, e_inf))
@@ -336,8 +350,9 @@ def exceptional_points(rmap: RationalMap) -> list[SpherePoint]:
     if cached is not None:
         return cached
     n = rmap.degree
+    critical = critical_points(rmap)
     candidates = []
-    for datum in critical_points(rmap):
+    for datum in critical:
         if datum.index == n:
             candidates.append(evaluate(rmap, datum.point))
 
@@ -350,14 +365,14 @@ def exceptional_points(rmap: RationalMap) -> list[SpherePoint]:
         found.append(p)
 
     for p in candidates:
-        atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, p)
+        atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, p, critical)
         if len(atoms) != 1:
             continue
         z1 = atoms[0][0]
         if chordal(z1, p) <= _fiber.CLUSTER_RADIUS:
             record(p)
             continue
-        atoms2 = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, z1)
+        atoms2 = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, z1, critical)
         if len(atoms2) != 1:
             continue
         z2 = atoms2[0][0]

@@ -59,10 +59,11 @@ def test_tracer_installs_and_restores_every_wrapper():
     assert not tracing.wrappers_installed()
 
 
-def test_fiber_solve_span_counts_the_scalar_fallbacks():
-    # Tree levels go through the batched engine; ``fiber.solve`` counts only
-    # the atoms it hands to the scalar path.  The map's exceptional-point
-    # search, which also solves fibers, runs once per map beforehand.
+def test_fiber_solve_span_counts_only_single_point_solves():
+    # Tree levels go through the batched engine, infinite atoms and double
+    # poles included; ``fiber.solve`` counts one-point solves only.  The
+    # map's exceptional-point search, which also solves single fibers, runs
+    # once per map beforehand.
     quad = builtin_map("quad")
     newton = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
     exceptional_points(quad)
@@ -74,12 +75,13 @@ def test_fiber_solve_span_counts_the_scalar_fallbacks():
         assert tracer.calls("fiber.solve") == 0
 
         # Newton's map of z^3 - 1 fixes infinity: each level holds one
-        # infinite atom, and only its fiber falls back.
+        # infinite atom, whose fiber holds the double pole 0.
         tracer.reset()
         tree = preimage_solver.iterated_preimages(newton, INFINITY, 5)
-        infinite_atoms = sum(int(lvl.infinite.sum()) for lvl in tree.levels[:-1])
-        assert infinite_atoms == 5
-        assert tracer.calls("fiber.solve") == infinite_atoms
+        assert sum(int(lvl.infinite.sum()) for lvl in tree.levels[:-1]) == 5
+        assert tracer.calls("fiber.solve") == 0
+        preimage_solver.preimages(newton, INFINITY)
+        assert tracer.calls("fiber.solve") == 1
     finally:
         tracer.restore()
     assert not tracing.wrappers_installed()

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from lyubich_lab.cli import main, parse_test_function, ConfigError
+from lyubich_lab.rational_map import builtin_map
+from lyubich_lab.transfer_operator import apply_transfer
 
 
 def _run_json(capsys, argv):
@@ -98,6 +100,14 @@ def test_transfer_command(capsys):
         "transfer", "--map", "quad", "--w", "0.5,0.5", "--f", "one"])
     assert code == 0
     assert data["value"] == [1.0, 0.0]
+
+
+def test_transfer_power_one_is_one_application(capsys):
+    code, data = _run_json(capsys, [
+        "transfer", "--map", "basilica", "--w", "0.3,-0.4", "--f", "abs2", "--power", "1"])
+    assert code == 0
+    want = apply_transfer(builtin_map("basilica"), parse_test_function("abs2"), 0.3 - 0.4j)
+    assert abs(complex(*data["value"]) - want) <= 1e-14
 
 
 def test_converge_command(capsys):

@@ -332,7 +332,8 @@ def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
 
 def test_suite_evaluates_the_basis_once_per_level(monkeypatch, quad_map):
     # The frame bound takes every prefix N of the basis, the key lemma three
-    # and the vanishing tail one; all of them read one matrix of level m.
+    # and the vanishing tail one; all of them read one matrix of level m,
+    # and the key lemma one matrix of the 2^(m+1) siblings of its atoms.
     sizes = []
     member_matrix = PartitionOfUnity.member_matrix
 
@@ -346,6 +347,7 @@ def test_suite_evaluates_the_basis_once_per_level(monkeypatch, quad_map):
                                             "vanishing_tail"])
     assert report["results"][1]["N"] > 1
     assert sizes.count(2 ** 6) == 1
+    assert sizes.count(2 ** 7) == 1
 
 
 def test_suite_builds_no_basis_it_does_not_read():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from lyubich_lab.errors import BudgetExceeded, ExceptionalRoot
 from lyubich_lab.preimage_solver import (iterated_preimages, preimages,
                                          sampled_tree)
-from lyubich_lab.rational_map import RationalMap, builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
 from lyubich_lab.sphere import INFINITY, chordal
 
 
@@ -98,14 +100,45 @@ def test_tree_hand_solved_chebyshev(cheb):
     assert int(tree.level(2).cum.sum()) == 4
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-def test_double_root_over_critical_value_is_one_atom():
-    # z^3 - 3z + 2 = (z - 1)^2 (z + 2): the fiber over -2 holds two atoms, so
-    # the levels hold 1, 2, 5, 14 atoms, not 3**k.  Aberth splits the
-    # double root wider than the clustering radius.
+def _shifted_power(e):
+    """(z - 1)^e - 3: one critical point of index e at 1, over -3."""
+    return RationalMap([math.comb(e, k) * (-1) ** (e - k) - 3 * (k == 0)
+                        for k in range(e + 1)], [1])
+
+
+@pytest.mark.parametrize("rmap,root,sizes,critical", [
+    # z^3 - 3z + 2 = (z - 1)^2 (z + 2): the fiber over -2 holds two atoms,
+    # so the levels hold 1, 2, 5, 14 atoms, not 3**k.
+    (RationalMap([0, -3, 0, 1], [1]), -2, [1, 2, 5, 14], [(-1, 2), (1, 2), ("inf", 3)]),
+    (_shifted_power(3), -3, [1, 1, 3, 9], [(1, 3), ("inf", 3)]),
+    (_shifted_power(4), -3, [1, 1, 4, 16], [(1, 4), ("inf", 4)]),
+    (_shifted_power(5), -3, [1, 1, 5, 25], [(1, 5), ("inf", 5)]),
+], ids=["z^3-3z", "e=3", "e=4", "e=5"])
+def test_double_root_over_critical_value_is_one_atom(rmap, root, sizes, critical):
+    # Each critical point is listed once with its true index, and the
+    # fiber over its value holds it as one atom of that multiplicity.
+    got = critical_points(rmap)
+    assert [d.index for d in got] == [e for _, e in critical]
+    for d, (point, _) in zip(got, critical):
+        if point == "inf":
+            assert d.point.infinite
+        else:
+            assert abs(d.point.value - point) <= 1e-8
+    tree = iterated_preimages(rmap, root, 3)
+    assert [tree.atom_count(k) for k in range(4)] == sizes
+
+
+def test_critical_value_rule_is_a_backward_error_test():
+    # Within the residual tolerance of the critical value -2 the double
+    # root is one atom at the critical point 1; 1e-9 away it is two simple
+    # roots 2e-5 apart.
     cubic = RationalMap([0, -3, 0, 1], [1])
-    tree = iterated_preimages(cubic, -2, 3)
-    assert [tree.atom_count(k) for k in range(4)] == [1, 2, 5, 14]
+    near = preimages(cubic, -2 + 1e-14).atoms
+    assert [m for _, m in near] == [1, 2]
+    assert near[1][0].value == 1 and abs(near[0][0].value + 2) <= 1e-12
+    off = preimages(cubic, -2 + 1e-9).atoms
+    assert [m for _, m in off] == [1, 1, 1]
+    assert 1e-5 < abs(off[2][0].value - off[1][0].value) < 1e-4
 
 
 @pytest.mark.parametrize("name", ["quad", "basilica", "chebyshev"])

@@ -156,10 +156,9 @@ def test_power_matches_the_iterated_closed_form(name, w):
         assert abs(transfer_power(rmap, PURE_POWERS, p, w) - exact) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_power_over_a_critical_value_matches_the_closed_form():
-    # The fiber of z^3 - 3z over -2 is (z - 1)^2 (z + 2); the split double
-    # root moves the powers by 3e-8 at p=1, shrinking to 1.3e-10 at p=6.
+    # The fiber of z^3 - 3z over -2 is (z - 1)^2 (z + 2): one double atom at
+    # the critical point 1, as the closed form counts it.
     cubic = RationalMap([0, -3, 0, 1], [1])
     for p in range(7):
         exact = _closed_form_power(cubic, PURE_POWERS, p)(-2.0)
@@ -214,14 +213,14 @@ def test_sup_norm_monotone_under_refinement(quad_map):
 
 def test_sup_norm_equals_pointwise_inner_products(monkeypatch, cheb):
     # -2 is the critical value; its fiber is the double root 0, which the
-    # batched engine hands to the scalar path.
+    # batched engine solves with the rest of the sample.
     sample = julia_sample(cheb, 64, seed=3).sphere_points() + [as_point(-2.0)]
     calls = []
-    scalar = _fiber.solve_fiber
+    single = _fiber.solve_fiber
 
-    def counting(num_pad, den_pad, degree, w):
-        calls.append(w)
-        return scalar(num_pad, den_pad, degree, w)
+    def counting(*args):
+        calls.append(args[3])
+        return single(*args)
 
     rng = np.random.default_rng(45)
     for _ in range(3):
@@ -230,9 +229,9 @@ def test_sup_norm_equals_pointwise_inner_products(monkeypatch, cheb):
         want = max(ip(w).real for w in sample) ** 0.5
         monkeypatch.setattr(_fiber, "solve_fiber", counting)
         got = sup_norm_2(cheb, xi, sample)
-        monkeypatch.setattr(_fiber, "solve_fiber", scalar)
+        monkeypatch.setattr(_fiber, "solve_fiber", single)
         assert abs(got - want) <= 1e-14
-    assert calls == [as_point(-2.0)] * 3
+    assert calls == []
 
 
 def test_cache_returns_identical_results(cheb):
