@@ -31,8 +31,9 @@ from .sphere import INFINITY, SpherePoint, chordal
 # sqrt(1e-12) = 1e-6.  Fibers do not use it.
 CLUSTER_RADIUS = 1e-6
 
-# Finite roots beyond this modulus are chordally inside the cluster radius
-# of infinity and are merged into an existing atom at infinity.
+# Finite candidates beyond this modulus are chordally inside the cluster
+# radius of infinity: noise that the critical- and fixed-point search drops,
+# since it finds branching and fixed points at infinity directly.
 _NEAR_INFINITY = 2.0 / CLUSTER_RADIUS
 
 # Relative cancellation tolerance when deciding the degree drop of
@@ -40,16 +41,13 @@ _NEAR_INFINITY = 2.0 / CLUSTER_RADIUS
 _CANCEL_TOL = 1e-10
 
 
-def cluster_points(points, mults, radius: float = CLUSTER_RADIUS,
-                   include_infinity: int = 0):
+def cluster_points(points, mults, radius: float = CLUSTER_RADIUS):
     """Merge points closer than ``radius`` in the chordal metric.
 
     Parameters
     ----------
     points : sequence of complex finite candidates.
     mults : matching integer multiplicities.
-    include_infinity : multiplicity of a pre-existing atom at infinity;
-        huge finite candidates merge into it.
 
     Returns
     -------
@@ -57,17 +55,6 @@ def cluster_points(points, mults, radius: float = CLUSTER_RADIUS,
     """
     pts = [complex(p) for p in points]
     ms = [int(m) for m in mults]
-    inf_mult = int(include_infinity)
-    if inf_mult > 0:
-        keep_pts, keep_ms = [], []
-        for p, m in zip(pts, ms):
-            if abs(p) > _NEAR_INFINITY:
-                inf_mult += m
-            else:
-                keep_pts.append(p)
-                keep_ms.append(m)
-        pts, ms = keep_pts, keep_ms
-
     order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
     parent = list(range(len(pts)))
 
@@ -99,8 +86,6 @@ def cluster_points(points, mults, radius: float = CLUSTER_RADIUS,
         total = sum(ms[i] for i in members)
         center = sum(pts[i] * ms[i] for i in members) / total
         out.append((SpherePoint(center), total))
-    if inf_mult > 0:
-        out.append((INFINITY, inf_mult))
     return out
 
 

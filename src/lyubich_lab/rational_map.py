@@ -258,10 +258,10 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
     The finite candidates are the roots of the Wronskian P'Q - PQ', where a
     critical point of index e is a root of multiplicity e - 1.  Each root
     starts a cluster of itself and its nearest remaining roots, largest
-    size first; the cluster centre is polished with the
-    multiplicity-corrected step, and the cluster is accepted when it is
-    nearer its centre than every other root and the local degree there is
-    its size + 1.  The result always satisfies the Riemann-Hurwitz count
+    size first.  The centre of a cluster of size s is a simple root of the
+    (s - 1)-th derivative of the Wronskian, and Newton there places it to
+    rounding; the cluster is accepted when it is nearer its centre than
+    every other root and the local degree there is s + 1.  The result always satisfies the Riemann-Hurwitz count
     sum(index - 1) = 2 * degree - 2 exactly, or an error is raised.
 
     This list is the branched-point set used downstream: the basis
@@ -285,7 +285,11 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
         near = idx[np.argsort(np.abs(found[idx] - found[idx[0]]), kind="stable")]
         taken = near[:1]
         for size in range(min(near.size, rmap.degree - 1), 0, -1):
-            center = roots.polish_root(w, found[near[:size]].mean(), size)
+            # A root of W of multiplicity s is a simple root of W^(s-1).
+            dw = w
+            for _ in range(size - 1):
+                dw = roots.derivative(dw)
+            center = roots.polish_root(dw, found[near[:size]].mean(), 1)
             dist = np.abs(found[near] - center)
             if (dist[:size].max() < dist[size:].min(initial=np.inf)
                     and branch_index(rmap, SpherePoint(center)) == size + 1):

@@ -96,18 +96,15 @@ def _rows_eval_with_scale(c: np.ndarray, abs_c: np.ndarray, z: np.ndarray):
     return value, scale
 
 
-def aberth_rows(h: np.ndarray, max_iterations: int | None = None):
+def aberth_rows(h: np.ndarray):
     """Simultaneous Aberth iteration on each row of ``h`` (rows, n + 1),
     n >= 1, with a nonzero leading coefficient in every row.
 
     A root stops moving once it meets the residual test; the update is
     Jacobi (every root moves against the previous iterate), so each row's
     answer does not depend on the other rows.  Returns the roots (rows, n)
-    and a mask of the rows that converged within the iteration cap
-    (``MAX_ITERATIONS`` as set when called, unless given).
+    and a mask of the rows that converged within ``MAX_ITERATIONS``.
     """
-    if max_iterations is None:
-        max_iterations = MAX_ITERATIONS
     rows, n = h.shape[0], h.shape[1] - 1
     c = h / np.abs(h).max(axis=1, keepdims=True)
     radius = 1.0 + np.abs(c[:, :n] / c[:, n:]).max(axis=1)
@@ -118,7 +115,7 @@ def aberth_rows(h: np.ndarray, max_iterations: int | None = None):
     zi, ci, dci = z, c, c[:, 1:] * np.arange(1, n + 1)
     abs_ci = np.abs(c)
     done = np.zeros(z.shape, dtype=bool)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         pv, scale = _rows_eval_with_scale(ci, abs_ci, zi)
         done |= np.abs(pv) <= RESIDUAL_TOL * np.maximum(scale, 1e-300)
         busy = ~done.all(axis=1)
@@ -169,13 +166,13 @@ def companion_rows(h: np.ndarray) -> np.ndarray:
     return z
 
 
-def rows_roots(h: np.ndarray, max_iterations: int | None = None) -> np.ndarray:
+def rows_roots(h: np.ndarray) -> np.ndarray:
     """All roots of each row of ``h`` (rows, n + 1), n >= 1: the Aberth
     iteration, and the companion matrix for the rows it leaves unconverged.
 
     Raises RootFindingFailure when a companion root fails its residual test.
     """
-    z, converged = aberth_rows(h, max_iterations)
+    z, converged = aberth_rows(h)
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
     return z
@@ -220,15 +217,13 @@ def companion_roots(coeffs) -> np.ndarray:
     return r
 
 
-def aberth_roots(coeffs, max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
+def aberth_roots(coeffs) -> np.ndarray:
     """All complex roots of a polynomial, with multiplicity as repeats.
 
     Parameters
     ----------
     coeffs : array_like
         Ascending coefficients; exact zero leading entries are ignored.
-    max_iterations : int
-        Iteration cap before falling back to the companion matrix.
 
     Returns
     -------
@@ -250,7 +245,7 @@ def aberth_roots(coeffs, max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
     head = np.zeros(zeros_at_origin, dtype=complex)
     if c.size == 1:
         return head
-    return np.concatenate([head, rows_roots(c[None, :], max_iterations)[0]])
+    return np.concatenate([head, rows_roots(c[None, :])[0]])
 
 
 def polish_root(coeffs, z0: complex, multiplicity: int, steps: int = 3) -> complex:

@@ -23,6 +23,8 @@ CHEB3 = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
 # (z^2 + 1) / (z^2 - 1): critical value -1 (over the critical point 0, the
 # fiber polynomial is 2z^2) and 1 (over infinity, where P - wQ drops to 2).
 DROP = RationalMap([1, 0, 1], [-1, 0, 1], name="drop")
+# (z - 1)^6 - 3: one critical point of index 6 at 1, over -3.
+SEXTIC = RationalMap([-2, -6, 15, -20, 15, -6, 1], [1], name="(z-1)^6-3")
 
 # Bound on the chordal distance between engine and reference atoms: both
 # polish the same simple roots, so they differ only in the last bits.
@@ -77,7 +79,12 @@ def _reference_table(rmap, points, infinite):
             scale = sum(abs(hk) * max(1, abs(c)) ** k for k, hk in enumerate(row))
             if abs(np.polyval(row[::-1], c)) <= 1e-12 * scale:
                 near = sorted(range(len(atoms)), key=lambda i: abs(atoms[i][0] - c))[:e]
-                atoms = [a for i, a in enumerate(atoms) if i not in near] + [(c, False, e)]
+                # The e-fold root is a simple root of h^(e-1); find it from c.
+                dh = row[None, :]
+                for _ in range(e - 1):
+                    dh = dh[:, 1:] * np.arange(1, dh.shape[1])
+                z = complex(_newton(dh, np.array([[c]]))[0, 0])
+                atoms = [a for i, a in enumerate(atoms) if i not in near] + [(z, False, e)]
         if t < n:
             atoms.append((0j, True, n - t))
         fibers.append(sorted(atoms, key=lambda a: (a[1], a[0].real, a[0].imag)))
@@ -133,10 +140,13 @@ def _assert_matches_reference(rmap, points, infinite, got, parent_cum=None):
     (NEWTON, INFINITY, 7),
     (NEWTON, 0.4 + 0.2j, 7),
     (CHEB3, -2, 7),
-], ids=["quad", "basilica", "chebyshev", "newton-inf", "newton-finite", "z^3-3z"])
+    (SEXTIC, -3, 4),
+], ids=["quad", "basilica", "chebyshev", "newton-inf", "newton-finite", "z^3-3z",
+        "(z-1)^6-3"])
 def test_batched_levels_agree_with_scalar_fibers(rmap, root, depth):
-    # z^3-3z rooted at -2 meets its double root over -2 on every level, and
-    # Newton rooted at infinity its double pole 0.
+    # z^3-3z rooted at -2 meets its double root over -2 on every level,
+    # Newton rooted at infinity its double pole 0, and (z-1)^6-3 rooted at
+    # -3 its sixfold root 1 on the first level.
     root = default_root(rmap) if root is None else root
     tree = iterated_preimages(rmap, root, depth)
     for k in range(1, depth + 1):

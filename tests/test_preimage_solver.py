@@ -110,20 +110,22 @@ def _shifted_power(e):
     # z^3 - 3z + 2 = (z - 1)^2 (z + 2): the fiber over -2 holds two atoms,
     # so the levels hold 1, 2, 5, 14 atoms, not 3**k.
     (RationalMap([0, -3, 0, 1], [1]), -2, [1, 2, 5, 14], [(-1, 2), (1, 2), ("inf", 3)]),
-    (_shifted_power(3), -3, [1, 1, 3, 9], [(1, 3), ("inf", 3)]),
-    (_shifted_power(4), -3, [1, 1, 4, 16], [(1, 4), ("inf", 4)]),
-    (_shifted_power(5), -3, [1, 1, 5, 25], [(1, 5), ("inf", 5)]),
-], ids=["z^3-3z", "e=3", "e=4", "e=5"])
+] + [(_shifted_power(e), -3, [1, 1, e, e * e], [(1, e), ("inf", e)]) for e in range(3, 8)],
+    ids=["z^3-3z"] + [f"e={e}" for e in range(3, 8)])
 def test_double_root_over_critical_value_is_one_atom(rmap, root, sizes, critical):
-    # Each critical point is listed once with its true index, and the
-    # fiber over its value holds it as one atom of that multiplicity.
+    # Each critical point is listed once with its true index, at its exact
+    # place to rounding, and the fiber over its value holds it as one atom
+    # of that multiplicity.
     got = critical_points(rmap)
     assert [d.index for d in got] == [e for _, e in critical]
     for d, (point, _) in zip(got, critical):
         if point == "inf":
             assert d.point.infinite
         else:
-            assert abs(d.point.value - point) <= 1e-8
+            assert abs(d.point.value - point) <= 1e-12
+    crit = {d.point.value: d.index for d in got if not d.point.infinite}
+    multiple = [(p.value, m) for p, m in preimages(rmap, root).atoms if m > 1]
+    assert len(multiple) == 1 and crit.get(multiple[0][0]) == multiple[0][1]
     tree = iterated_preimages(rmap, root, 3)
     assert [tree.atom_count(k) for k in range(4)] == sizes
 
