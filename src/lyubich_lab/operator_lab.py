@@ -456,6 +456,8 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         # same orbit with the same engine, so this compares the tree's
         # weights, order and quadrature with fiber-order averaging; the
         # tests hold transfer_power to the scalar path and the closed form.
+        # The powers share one orbit solve: each reuses the levels of the
+        # one before and solves only the deeper ones.
         tree = (model.tree if max(powers) <= m
                 else iterated_preimages(rmap, w, max(powers)))
         for power in powers:

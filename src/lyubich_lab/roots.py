@@ -123,8 +123,9 @@ def aberth_rows(h: np.ndarray):
         if not busy.any():
             live = live[busy]
             break
-        live, zi, ci, dci, abs_ci, done, pv = (
-            a[busy] for a in (live, zi, ci, dci, abs_ci, done, pv))
+        if not busy.all():
+            live, zi, ci, dci, abs_ci, done, pv = (
+                a[busy] for a in (live, zi, ci, dci, abs_ci, done, pv))
         dv = rows_eval(dci, zi)
         stuck = dv == 0
         newton = pv / dv

@@ -6,9 +6,12 @@ Results are returned as lazily evaluable closures over fiber solves, so
 compositions needed elsewhere stay exact.  The closures evaluate one
 point at a time; their fibers are memoized per (map, point) in a
 ``functools.lru_cache``, so evaluating a closure or inner product at a
-point again reuses its solve.  Point arrays (tables, the sup norm) and
-powers skip the cache: they solve all their fibers at once with
+point again reuses its solve.  Point arrays (tables, the sup norm) skip
+that cache: they solve all their fibers at once with
 ``preimage_solver.gather_fibers`` and average them as segment sums.
+Powers solve their backward orbit the same way, one table per level, and
+keep the tables of the most recent orbit, so further powers at the same
+point, of any function, reuse its levels.
 
 The density symbol of the invariant measure is the transfer of the
 constant one, identically one here; the unitality checks in the test
@@ -40,7 +43,18 @@ def cached_fiber(rmap: RationalMap, w) -> WeightedPreimage:
     return _solve(rmap, p.infinite, p.value.real, p.value.imag)
 
 
-clear_fiber_cache = _solve.cache_clear
+# The most recent backward orbit as (key, tables) in a one-slot list,
+# keyed like ``_solve``: tables[k] is the fiber table over level k.  The
+# slot's entry is replaced whole, never changed in place, so a concurrent
+# reader sees a whole orbit or the one before it; concurrent writers may
+# repeat a solve but not corrupt one.
+_orbit: list = [(None, ())]
+
+
+def clear_fiber_cache() -> None:
+    """Forget every memoized solve: the per-point fibers and the orbit."""
+    _solve.cache_clear()
+    _orbit[0] = (None, ())
 
 
 def apply_transfer(rmap: RationalMap, a: TestFunction, w) -> complex:
@@ -59,8 +73,12 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
     ``gather_fibers`` table, evaluates a once on the deepest level, and
     averages the values back up the tables.  The orbit is the one the
     tree builders enumerate, with the same engine, but summed in fiber
-    order rather than read from a tree.  Raises BudgetExceeded when
-    degree**m exceeds the tree builders' atom budget.
+    order rather than read from a tree.  The tables of the last orbit are
+    kept: a later call at the same point on the same map reuses the levels
+    it needs and solves only the missing deeper ones, from the deepest
+    kept table, so every value equals a cold solve's bit for bit.  Raises
+    BudgetExceeded, before any solve, when degree**m exceeds the tree
+    builders' atom budget.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
@@ -70,13 +88,22 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
     if rmap.degree ** m > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"degree**m = {rmap.degree ** m} exceeds the atom budget {DEFAULT_BUDGET}")
-    points, inf_mask = np.array([p.value], dtype=complex), np.array([p.infinite])
-    tables = []
-    for _ in range(m):
-        fib = gather_fibers(rmap, points, inf_mask)
-        tables.append(fib)
-        points, inf_mask = fib.points, fib.inf_mask
-    values = a.evaluate(points, inf_mask)
+    key = (rmap, p.infinite, p.value.real, p.value.imag)
+    known, tables = _orbit[0]
+    if known != key:
+        tables = ()
+    if len(tables) < m:
+        if tables:
+            points, inf_mask = tables[-1].points, tables[-1].inf_mask
+        else:
+            points, inf_mask = np.array([p.value], dtype=complex), np.array([p.infinite])
+        for _ in range(m - len(tables)):
+            fib = gather_fibers(rmap, points, inf_mask)
+            tables += (fib,)
+            points, inf_mask = fib.points, fib.inf_mask
+        _orbit[0] = (key, tables)
+    tables = tables[:m]
+    values = a.evaluate(tables[-1].points, tables[-1].inf_mask)
     for fib in reversed(tables):
         values = fib.average(values)
     return complex(values[0])

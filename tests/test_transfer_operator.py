@@ -174,6 +174,70 @@ def test_power_beyond_the_atom_budget_raises_before_solving(monkeypatch, quad_ma
         transfer_power(quad_map, tf.ONE, 23, 0.77)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The point counts of the gather_fibers calls transfer_power makes,
+    from an empty memo."""
+    calls = []
+    gather = transfer_operator.gather_fibers
+
+    def counting(rmap, points, inf_mask, *args, **kwargs):
+        calls.append(points.size)
+        return gather(rmap, points, inf_mask, *args, **kwargs)
+
+    transfer_operator.clear_fiber_cache()
+    monkeypatch.setattr(transfer_operator, "gather_fibers", counting)
+    yield calls
+    transfer_operator.clear_fiber_cache()
+
+
+def test_power_memo_solves_only_missing_levels(solves):
+    basilica = builtin_map("basilica")
+    w = 0.3 + 0.4j
+    transfer_power(basilica, tf.Z, 3, w)
+    assert solves == [1, 2, 4]
+    transfer_power(basilica, tf.ZBAR, 3, w)
+    assert len(solves) == 3
+    transfer_power(basilica, tf.Z, 5, w)
+    assert solves[3:] == [8, 16]
+    transfer_power(basilica, tf.ABS2, 3, w)
+    assert len(solves) == 5
+
+
+@pytest.mark.parametrize("change", ["clear", "point", "map"])
+def test_power_memo_solves_again_after_a_change(solves, change):
+    rmap, w = builtin_map("basilica"), 0.3 + 0.4j
+    transfer_power(rmap, tf.Z, 4, w)
+    if change == "clear":
+        transfer_operator.clear_fiber_cache()
+    elif change == "point":
+        w = 0.3 - 0.4j
+    else:
+        rmap = builtin_map("basilica")
+    del solves[:]
+    transfer_power(rmap, tf.Z, 4, w)
+    assert solves == [1, 2, 4, 8]
+
+
+def _cold_power(rmap, a, m, w):
+    transfer_operator.clear_fiber_cache()
+    return transfer_power(rmap, a, m, w)
+
+
+@pytest.mark.parametrize("rmap,w,a", [
+    (builtin_map("basilica"), 0.25 + 0.4j, None),
+    (NEWTON, INFINITY, BOUNDED),
+], ids=["basilica", "newton-inf"])
+def test_power_memo_hits_equal_cold_solves(rmap, w, a):
+    rng = np.random.default_rng(48)
+    functions = [a] if a is not None else [tf.random_polynomial(rng, 2) for _ in range(2)]
+    powers = (12, 3, 7, 12) if rmap.degree == 2 else (8, 3, 5, 8)
+    transfer_operator.clear_fiber_cache()
+    warm = [transfer_power(rmap, f, m, w) for m in powers for f in functions]
+    cold = [_cold_power(rmap, f, m, w) for m in powers for f in functions]
+    assert warm == cold
+
+
 def test_inner_product_identity_element(quad_map):
     ip = inner_product(quad_map, tf.ONE, tf.ONE)
     for w in (0.2, 1 + 1j, -0.7j):
@@ -250,6 +314,26 @@ def test_concurrent_evaluation_matches_serial(cheb):
     serial = [apply_transfer(cheb, a, w) for w in points]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda w: apply_transfer(cheb, a, w), points))
+    assert serial == threaded
+
+
+def test_concurrent_powers_match_serial():
+    # Interleaved points and depths keep replacing and extending the orbit
+    # memo while other threads read it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    basilica = builtin_map("basilica")
+    rng = np.random.default_rng(31)
+    functions = [tf.random_polynomial(rng, 2) for _ in range(3)]
+    roots = [0.25 + 0.4j, -0.6 + 0.2j]
+    jobs = [(roots[i % 2], m, f) for i in range(2) for m in range(1, 11)
+            for f in functions]
+    jobs = [jobs[i] for i in rng.permutation(len(jobs))] * 2
+    serial = [_cold_power(basilica, f, m, w) for w, m, f in jobs]
+    transfer_operator.clear_fiber_cache()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        threaded = list(pool.map(lambda job: transfer_power(basilica, job[2], job[1], job[0]),
+                                 jobs))
     assert serial == threaded
 
 
