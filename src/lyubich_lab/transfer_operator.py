@@ -76,7 +76,8 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
     order rather than read from a tree.  The tables of the last orbit are
     kept: a later call at the same point on the same map reuses the levels
     it needs and solves only the missing deeper ones, from the deepest
-    kept table, so every value equals a cold solve's bit for bit.  Raises
+    kept table, so every value equals a cold solve's bit for bit;
+    ``clear_fiber_cache()`` releases the kept tables.  Raises
     BudgetExceeded, before any solve, when degree**m exceeds the tree
     builders' atom budget.
     """

@@ -319,21 +319,28 @@ def test_concurrent_evaluation_matches_serial(cheb):
 
 def test_concurrent_powers_match_serial():
     # Interleaved points and depths keep replacing and extending the orbit
-    # memo while other threads read it.
+    # memo while other threads read it; a short switch interval makes the
+    # threads trade places inside transfer_power.
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     basilica = builtin_map("basilica")
     rng = np.random.default_rng(31)
     functions = [tf.random_polynomial(rng, 2) for _ in range(3)]
     roots = [0.25 + 0.4j, -0.6 + 0.2j]
-    jobs = [(roots[i % 2], m, f) for i in range(2) for m in range(1, 11)
-            for f in functions]
+    jobs = [(w, m, f) for w in roots for m in range(1, 11) for f in functions]
     jobs = [jobs[i] for i in rng.permutation(len(jobs))] * 2
     serial = [_cold_power(basilica, f, m, w) for w, m, f in jobs]
     transfer_operator.clear_fiber_cache()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda job: transfer_power(basilica, job[2], job[1], job[0]),
-                                 jobs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(
+                lambda job: transfer_power(basilica, job[2], job[1], job[0]), jobs,
+                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert serial == threaded
 
 
