@@ -17,14 +17,15 @@ makes the reconstruction identity hold to roundoff.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
-from .preimage_solver import gather_fibers, sampled_tree
+from .preimage_solver import Fibers, gather_fibers, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
-                     sphere_points)
+                     chordal_pairs, sphere_points)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -48,6 +49,12 @@ class JuliaSample:
 
     def sphere_points(self) -> list[SpherePoint]:
         return sphere_points(self.points, self.inf_mask)
+
+    @cached_property
+    def sibling_fibers(self) -> Fibers:
+        """The fibers over the images of the sample points, each holding a
+        point and its siblings, solved once per sample."""
+        return gather_fibers(self.map, self.points, self.inf_mask, siblings=True)
 
 
 def julia_sample(rmap: RationalMap, size: int, seed: int,
@@ -115,7 +122,7 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
     for c in crit:
         dist_crit = np.minimum(dist_crit, chordal_array(sample.points, sample.inf_mask, c))
 
-    fib = gather_fibers(rmap, sample.points, sample.inf_mask, siblings=True)
+    fib = sample.sibling_fibers
     atoms = sphere_points(fib.points, fib.inf_mask)
     min_gap = np.array([
         min((chordal(atoms[a], atoms[b]) for a in range(lo, hi) for b in range(a + 1, hi)),
@@ -239,17 +246,8 @@ class BasisElement:
     def evaluate(self, points, inf_mask=None) -> np.ndarray:
         return self.partition.member_matrix(points, inf_mask)[self.index]
 
-    def __call__(self, z) -> float:
-        p = as_point(z)
-        pts = np.array([p.value], dtype=complex)
-        infs = np.array([p.infinite])
-        return float(self.evaluate(pts, infs)[0])
-
     def function(self) -> TestFunction:
-        return TestFunction.from_callable(
-            lambda z: complex(self(z)),
-            name=f"u{self.index}",
-            at_infinity=complex(self(INFINITY)))
+        return TestFunction.from_callable(self.evaluate, name=f"u{self.index}")
 
 
 def basis_to_json(basis: list, path=None) -> str:
@@ -467,14 +465,13 @@ class VanishingFunction:
                     f"support of the bump meets the branch point {bp!r}")
             dists.append(gap)
 
-        def profile(z):
-            d = chordal(as_point(z), c)
+        def profile(points, inf_mask):
+            d = chordal_pairs(points, inf_mask, np.full(points.shape, c.value),
+                              np.full(points.shape, c.infinite))
             t = d / radius
-            return complex(max(1.0 - t * t, 0.0) ** 2)
+            return np.clip(1.0 - t * t, 0.0, None) ** 2
 
-        fn = TestFunction.from_callable(
-            profile, name=f"bump({c!r},{radius})",
-            at_infinity=profile(INFINITY))
+        fn = TestFunction.from_callable(profile, name=f"bump({c!r},{radius})")
         return VanishingFunction(fn=fn, support_center=c, support_radius=radius,
                                  branch_points=branch_points, distances=tuple(dists))
 
@@ -507,7 +504,7 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
         return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
 
     partition = basis[0].partition
-    fib = gather_fibers(rmap, pts, infs, siblings=True)
+    fib = sample.sibling_fibers
     U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
     xi_fiber = xi.evaluate(fib.points, fib.inf_mask)
     U_sample = partition.member_matrix(pts, infs)

@@ -27,6 +27,10 @@ EXIT_NUMERIC = 3
 
 _IDENTITIES = sorted(operator_lab.TOLERANCES)
 
+# Commands that write their data to a .csv --out; basis writes its JSON
+# export to --out whatever the name.
+_CSV_EXPORTS = ("tree", "julia", "measure")
+
 
 class ConfigError(Exception):
     pass
@@ -403,6 +407,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         _apply_config(args, argv)
+        if (str(args.out or "").endswith(".csv")
+                and args.command not in _CSV_EXPORTS + ("basis",)):
+            raise ConfigError(f"{args.command} has no CSV export; "
+                              f"only {', '.join(_CSV_EXPORTS)} write --out *.csv")
         handler = parser._command_table[args.command]
         return handler(args)
     except (ConfigError, InvalidMapError, ExceptionalRoot, DegenerateSample,

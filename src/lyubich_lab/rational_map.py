@@ -7,7 +7,6 @@ infinity as an ordinary point by switching to the reciprocal coordinate.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,76 +139,36 @@ def _check_coprime(num: np.ndarray, den: np.ndarray) -> None:
 
 
 def evaluate(rmap: RationalMap, z) -> SpherePoint:
-    """Apply the map to a sphere point, total on the sphere.
-
-    Uses the direct chart for moderate |z| and the reciprocal chart at
-    infinity or beyond the chart limit; poles map to infinity.
-    """
+    """Apply the map to a sphere point: :func:`evaluate_array` on one point."""
     p = as_point(z)
-    if p.infinite:
-        return _evaluate_inverted(rmap, 0j)
-    if abs(p.value) > CHART_LIMIT:
-        return _evaluate_inverted(rmap, 1.0 / p.value)
-    return _evaluate_direct(rmap, p.value)
-
-
-def _evaluate_direct(rmap: RationalMap, z: complex) -> SpherePoint:
-    a = complex(roots.polyval(rmap.num, z))
-    b = complex(roots.polyval(rmap.den, z))
-    return _quotient_point(a, b)
-
-
-def _evaluate_inverted(rmap: RationalMap, s: complex) -> SpherePoint:
-    a = complex(roots.polyval(rmap._num_rev, s))
-    b = complex(roots.polyval(rmap._den_rev, s))
-    return _quotient_point(a, b)
-
-
-def _quotient_point(a: complex, b: complex) -> SpherePoint:
-    if b == 0:
-        return INFINITY
-    w = a / b
-    if math.isfinite(w.real) and math.isfinite(w.imag):
-        return SpherePoint(w)
-    return INFINITY
+    w, w_inf = evaluate_array(rmap, np.array([p.value]), np.array([p.infinite]))
+    return INFINITY if w_inf[0] else SpherePoint(complex(w[0]))
 
 
 def evaluate_array(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray):
-    """Vectorized :func:`evaluate` over complex arrays with infinity masks."""
+    """Apply the map to a complex array with its infinity mask, total on
+    the sphere; returns the images and their infinity mask.
+
+    Uses the direct chart for moderate |z| and the reciprocal chart
+    s = 1/z at infinity (s = 0) or beyond the chart limit; poles map to
+    infinity.
+    """
     points = np.asarray(points, dtype=complex)
     inf_mask = np.asarray(inf_mask, dtype=bool)
     out = np.zeros(points.shape, dtype=complex)
     out_inf = np.zeros(points.shape, dtype=bool)
     big = inf_mask | (np.abs(points) > CHART_LIMIT)
-
-    direct = ~big
-    if direct.any():
-        z = points[direct]
-        a = roots.polyval(rmap.num, z)
-        b = roots.polyval(rmap.den, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        charts = ((~big, points[~big], rmap.num, rmap.den),
+                  (big, np.where(inf_mask[big], 0j, 1.0 / points[big]),
+                   rmap._num_rev, rmap._den_rev))
+        for chart, z, num, den in charts:
+            a = roots.polyval(num, z)
+            b = roots.polyval(den, z)
             w = a / b
-        bad = (b == 0) | ~np.isfinite(w)
-        w = np.where(bad, 0j, w)
-        out[direct] = w
-        tmp = out_inf[direct]
-        tmp[bad] = True
-        out_inf[direct] = tmp
-
-    if big.any():
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(inf_mask[big], 0j, 1.0 / points[big])
-        a = roots.polyval(rmap._num_rev, s)
-        b = roots.polyval(rmap._den_rev, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = a / b
-        bad = (b == 0) | ~np.isfinite(w)
-        w = np.where(bad, 0j, w)
-        out[big] = w
-        tmp = out_inf[big]
-        tmp[bad] = True
-        out_inf[big] = tmp
-
+            bad = (b == 0) | ~np.isfinite(w)
+            out[chart] = np.where(bad, 0j, w)
+            out_inf[chart] = bad
     return out, out_inf
 
 

@@ -11,7 +11,8 @@ error.
 import numpy as np
 
 from .errors import IncompatibleTable
-from .sphere import SpherePoint, as_point
+from .rational_map import evaluate_array
+from .sphere import as_point
 
 
 class TestFunction:
@@ -19,19 +20,19 @@ class TestFunction:
 
     Construct through the classmethods: :meth:`polynomial` for a
     coefficient table ``{(j, k): c}`` meaning ``sum c * z**j * conj(z)**k``,
-    :meth:`from_callable` for closures, :meth:`from_table` for values bound
-    to a fixed atom set.
+    :meth:`from_callable` for array closures, :meth:`from_table` for values
+    bound to a fixed atom set.  :meth:`evaluate` is the one evaluation
+    path; calling a function on a point evaluates it on a one-point array.
     """
 
-    __slots__ = ("kind", "name", "_coeffs", "_fn", "_at_inf", "_points", "_inf_mask", "_values")
+    __slots__ = ("kind", "name", "_coeffs", "_fn", "_points", "_inf_mask", "_values")
 
-    def __init__(self, kind, name, coeffs=None, fn=None, at_inf=None,
+    def __init__(self, kind, name, coeffs=None, fn=None,
                  points=None, inf_mask=None, values=None):
         self.kind = kind
         self.name = name
         self._coeffs = coeffs
         self._fn = fn
-        self._at_inf = at_inf
         self._points = points
         self._inf_mask = inf_mask
         self._values = values
@@ -55,8 +56,12 @@ class TestFunction:
         return cls.polynomial({(0, 0): c}, name=name or str(c))
 
     @classmethod
-    def from_callable(cls, fn, name: str, at_infinity=None) -> "TestFunction":
-        return cls("callable", name, fn=fn, at_inf=at_infinity)
+    def from_callable(cls, fn, name: str) -> "TestFunction":
+        """Wrap ``fn(points, inf_mask)``, which returns the values on a
+        complex array with its infinity mask, in the array's shape, and
+        raises ValueError where the function is undefined (at infinity,
+        say)."""
+        return cls("callable", name, fn=fn)
 
     @classmethod
     def from_table(cls, points, inf_mask, values, name: str = "table") -> "TestFunction":
@@ -70,27 +75,12 @@ class TestFunction:
 
     def __call__(self, z) -> complex:
         p = as_point(z)
-        if self.kind == "poly":
-            if p.infinite:
-                return self._poly_at_infinity()
-            return self._poly_scalar(p.value)
-        if self.kind == "callable":
-            if p.infinite:
-                if self._at_inf is None:
-                    raise ValueError(f"{self.name} is not defined at infinity")
-                return complex(self._at_inf)
-            return complex(self._fn(p.value))
-        # table
-        if p.infinite:
-            hits = np.nonzero(self._inf_mask)[0]
-        else:
-            hits = np.nonzero((self._points == p.value) & ~self._inf_mask)[0]
-        if hits.size == 0:
-            raise IncompatibleTable(f"point {p!r} is not an atom of table {self.name}")
-        return complex(self._values[hits[0]])
+        return complex(self.evaluate(np.array([p.value]), np.array([p.infinite]))[0])
 
     def evaluate(self, points, inf_mask=None) -> np.ndarray:
-        """Vectorized evaluation on a complex array with an infinity mask."""
+        """The values on a complex array with its infinity mask (no infinite
+        points when omitted).  A table evaluates only at its own atoms,
+        matched exactly, and raises IncompatibleTable at any other point."""
         points = np.asarray(points, dtype=complex)
         if inf_mask is None:
             inf_mask = np.zeros(points.shape, dtype=bool)
@@ -104,29 +94,17 @@ class TestFunction:
                 out[inf_mask] = self._poly_at_infinity()
             return out
         if self.kind == "callable":
-            out = np.empty(points.shape, dtype=complex)
-            flat = out.reshape(-1)
-            pflat = points.reshape(-1)
-            iflat = inf_mask.reshape(-1)
-            for i in range(pflat.size):
-                if iflat[i]:
-                    if self._at_inf is None:
-                        raise ValueError(f"{self.name} is not defined at infinity")
-                    flat[i] = complex(self._at_inf)
-                else:
-                    flat[i] = complex(self._fn(pflat[i]))
-            return out
-        # table: atoms must match the binding exactly
-        if (points.shape != self._points.shape
-                or not np.array_equal(inf_mask, self._inf_mask)
-                or not np.array_equal(points, self._points)):
-            raise IncompatibleTable(
-                f"table {self.name} is bound to a different atom set")
-        return self._values.copy()
-
-    def _poly_scalar(self, z: complex) -> complex:
-        zbar = z.conjugate()
-        return sum(c * z**j * zbar**k for (j, k), c in self._coeffs.items())
+            return np.asarray(self._fn(points, inf_mask), dtype=complex)
+        index = {}
+        for i, key in enumerate(_atom_keys(self._points, self._inf_mask)):
+            index.setdefault(key, i)
+        try:
+            hits = [index[key] for key in _atom_keys(points, inf_mask)]
+        except KeyError as exc:
+            infinite, z = exc.args[0]
+            raise IncompatibleTable(f"point {'inf' if infinite else repr(z)} is not "
+                                    f"an atom of table {self.name}") from None
+        return self._values.ravel()[hits].reshape(points.shape)
 
     def _poly_at_infinity(self) -> complex:
         nonconst = [jk for jk in self._coeffs if jk != (0, 0)]
@@ -142,10 +120,8 @@ class TestFunction:
             flipped = {(k, j): c.conjugate() for (j, k), c in self._coeffs.items()}
             return TestFunction.polynomial(flipped, name=f"conj({self.name})")
         if self.kind == "callable":
-            fn = self._fn
-            at_inf = None if self._at_inf is None else complex(self._at_inf).conjugate()
             return TestFunction.from_callable(
-                lambda z: complex(fn(z)).conjugate(), f"conj({self.name})", at_inf)
+                lambda p, i: np.conj(self.evaluate(p, i)), f"conj({self.name})")
         return TestFunction.from_table(
             self._points, self._inf_mask, np.conj(self._values), f"conj({self.name})")
 
@@ -161,10 +137,9 @@ class TestFunction:
                     key = (j1 + j2, k1 + k2)
                     prod[key] = prod.get(key, 0j) + c1 * c2
             return TestFunction.polynomial(prod, name=f"({self.name})*({other.name})")
-        a, b = self, other
         return TestFunction.from_callable(
-            lambda z: a(z) * b(z), f"({a.name})*({b.name})",
-            at_infinity=_inf_product(a, b))
+            lambda p, i: self.evaluate(p, i) * other.evaluate(p, i),
+            f"({self.name})*({other.name})")
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -179,14 +154,9 @@ class TestFunction:
             for key, c in other._coeffs.items():
                 total[key] = total.get(key, 0j) + c
             return TestFunction.polynomial(total, name=f"({self.name})+({other.name})")
-        a, b = self, other
-        at_inf = None
-        try:
-            at_inf = a(SpherePoint.infinity()) + b(SpherePoint.infinity())
-        except (ValueError, IncompatibleTable):
-            at_inf = None
         return TestFunction.from_callable(
-            lambda z: a(z) + b(z), f"({a.name})+({b.name})", at_infinity=at_inf)
+            lambda p, i: self.evaluate(p, i) + other.evaluate(p, i),
+            f"({self.name})+({other.name})")
 
     __radd__ = __add__
 
@@ -201,27 +171,25 @@ class TestFunction:
                 {jk: c * v for jk, v in self._coeffs.items()},
                 name=f"{c}*({self.name})")
         if self.kind == "callable":
-            fn = self._fn
-            at_inf = None if self._at_inf is None else c * complex(self._at_inf)
             return TestFunction.from_callable(
-                lambda z: c * fn(z), f"{c}*({self.name})", at_inf)
+                lambda p, i: c * self.evaluate(p, i), f"{c}*({self.name})")
         return TestFunction.from_table(
             self._points, self._inf_mask, c * self._values, f"{c}*({self.name})")
 
     def compose_with(self, rational_map) -> "TestFunction":
         """The function z -> f(R(z)); composition is exact, no interpolation."""
-        from .rational_map import evaluate
-
-        base = self
-
-        def composed(z):
-            return base(evaluate(rational_map, as_point(z)))
-
         return TestFunction.from_callable(
-            composed, f"({self.name}) o R", at_infinity=None)
+            lambda p, i: self.evaluate(*evaluate_array(rational_map, p, i)),
+            f"({self.name}) o R")
 
     def __repr__(self):
         return f"TestFunction<{self.kind}:{self.name}>"
+
+
+def _atom_keys(points: np.ndarray, inf_mask: np.ndarray) -> list:
+    """One hashable key per point: (True, 0j) at infinity, else (False, z)."""
+    inf_mask = inf_mask.ravel()
+    return list(zip(inf_mask.tolist(), np.where(inf_mask, 0j, points.ravel()).tolist()))
 
 
 def _poly_name(coeffs: dict) -> str:
@@ -238,13 +206,6 @@ def _poly_name(coeffs: dict) -> str:
     return "+".join(parts)
 
 
-def _inf_product(a: TestFunction, b: TestFunction):
-    try:
-        return a(SpherePoint.infinity()) * b(SpherePoint.infinity())
-    except (ValueError, IncompatibleTable):
-        return None
-
-
 ONE = TestFunction.constant(1.0, name="1")
 
 Z = TestFunction.polynomial({(1, 0): 1.0}, name="z")
@@ -257,13 +218,22 @@ RE4 = RE2 * RE2
 
 
 def abs_distance(center: complex, name: str | None = None) -> TestFunction:
-    """The Lipschitz function z -> |z - center|."""
+    """The Lipschitz function z -> |z - center|, undefined at infinity."""
     c = complex(center)
-    return TestFunction.from_callable(
-        lambda z: abs(z - c), name or f"|z-({c})|", at_infinity=None)
+    name = name or f"|z-({c})|"
+
+    def distance(points, inf_mask):
+        if inf_mask.any():
+            raise ValueError(f"{name} is not defined at infinity")
+        d = points - c
+        # hypot of the parts rounds as the scalar abs(complex) does; np.abs
+        # of a complex array differs from it in the last bit.
+        return np.hypot(d.real, d.imag)
+
+    return TestFunction.from_callable(distance, name)
 
 
-ABS = TestFunction.from_callable(lambda z: abs(z), "|z|", at_infinity=None)
+ABS = abs_distance(0.0, "|z|")
 
 
 def random_polynomial(rng: np.random.Generator, max_degree: int = 2,

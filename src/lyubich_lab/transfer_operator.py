@@ -3,15 +3,16 @@
 Applying the operator to a function a gives the new function
 ``w -> (1/n) * sum over R(z) = w of branch_index(z) * a(z)``.
 Results are returned as lazily evaluable closures over fiber solves, so
-compositions needed elsewhere stay exact.  The closures evaluate one
-point at a time; their fibers are memoized per (map, point) in a
-``functools.lru_cache``, so evaluating a closure or inner product at a
-point again reuses its solve.  Point arrays (tables, the sup norm) skip
-that cache: they solve all their fibers at once with
-``preimage_solver.gather_fibers`` and average them as segment sums.
-Powers solve their backward orbit the same way, one table per level, and
-keep the tables of the most recent orbit, so further powers at the same
-point, of any function, reuse its levels.
+compositions needed elsewhere stay exact.  The closures are array
+functions: each point array they are evaluated on (a table, the sup
+norm's sample, or a single point) has its fibers solved at once by one
+``preimage_solver.gather_fibers`` call and averaged as segment sums.
+``apply_transfer`` is the one-point front that memoizes its fiber per
+(map, point) in a ``functools.lru_cache``, so evaluating it at a point
+again reuses the solve.  Powers solve their backward orbit with
+``gather_fibers`` too, one table per level, and keep the tables of the
+most recent orbit, so further powers at the same point, of any function,
+reuse its levels.
 
 The density symbol of the invariant measure is the transfer of the
 constant one, identically one here; the unitality checks in the test
@@ -58,12 +59,12 @@ def clear_fiber_cache() -> None:
 
 
 def apply_transfer(rmap: RationalMap, a: TestFunction, w) -> complex:
-    """One application of the transfer operator evaluated at a point."""
-    fib = cached_fiber(rmap, w)
-    total = 0j
-    for point, mult in fib.atoms:
-        total += mult * a(point)
-    return total / rmap.degree
+    """One application of the transfer operator evaluated at a point,
+    through the memoized fiber of ``cached_fiber``."""
+    atoms = cached_fiber(rmap, w).atoms
+    values = a.evaluate(np.array([p.value for p, _ in atoms]),
+                        np.array([p.infinite for p, _ in atoms]))
+    return sum(mult * value for (_, mult), value in zip(atoms, values)) / rmap.degree
 
 
 def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
@@ -110,11 +111,19 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
     return complex(values[0])
 
 
+def _fiber_average(rmap: RationalMap, a: TestFunction, name: str) -> TestFunction:
+    """The closure w -> (1/n) sum over R(z) = w of e(z) a(z), which solves
+    each point array it is evaluated on with one ``gather_fibers`` call."""
+    def average(points, inf_mask):
+        fib = gather_fibers(rmap, points.ravel(), inf_mask.ravel())
+        return fib.average(a.evaluate(fib.points, fib.inf_mask)).reshape(points.shape)
+
+    return TestFunction.from_callable(average, name)
+
+
 def transfer_function(rmap: RationalMap, a: TestFunction) -> TestFunction:
     """The transfer of a, as an evaluable closure."""
-    return TestFunction.from_callable(
-        lambda z: apply_transfer(rmap, a, z),
-        name=f"L[{a.name}]")
+    return _fiber_average(rmap, a, f"L[{a.name}]")
 
 
 @dataclass(frozen=True)
@@ -215,10 +224,7 @@ def transfer_result(rmap: RationalMap, a: TestFunction,
         points = np.asarray(points, dtype=complex)
         if inf_mask is None:
             inf_mask = np.zeros(points.shape, dtype=bool)
-        inf_mask = np.asarray(inf_mask, dtype=bool)
-        fib = gather_fibers(rmap, points.ravel(), inf_mask.ravel())
-        values = fib.average(a.evaluate(fib.points, fib.inf_mask)).reshape(points.shape)
-        table = TestFunction.from_table(points, inf_mask, values,
+        table = TestFunction.from_table(points, inf_mask, function.evaluate(points, inf_mask),
                                         name=f"L[{a.name}] table")
     return TransferResult(base=a, function=function, table=table,
                           closed_form=_closed_form_transfer(rmap, a))
@@ -230,10 +236,7 @@ def inner_product(rmap: RationalMap, xi: TestFunction, eta: TestFunction) -> Tes
     Conjugate-symmetric, and positive on the diagonal since each fiber
     term is branch_index * |xi|^2.
     """
-    integrand = xi.conj() * eta
-    return TestFunction.from_callable(
-        lambda z: apply_transfer(rmap, integrand, z),
-        name=f"<{xi.name},{eta.name}>")
+    return _fiber_average(rmap, xi.conj() * eta, f"<{xi.name},{eta.name}>")
 
 
 def sup_norm_2(rmap: RationalMap, xi: TestFunction, sample) -> float:
@@ -244,7 +247,6 @@ def sup_norm_2(rmap: RationalMap, xi: TestFunction, sample) -> float:
     points = [as_point(w) for w in sample]
     if not points:
         raise ValueError("sample must be nonempty")
-    fib = gather_fibers(rmap, np.array([p.value for p in points]),
-                        np.array([p.infinite for p in points]))
-    square = (xi.conj() * xi).evaluate(fib.points, fib.inf_mask)
-    return float(np.max(fib.average(square).real)) ** 0.5
+    square = inner_product(rmap, xi, xi).evaluate(np.array([p.value for p in points]),
+                                                  np.array([p.infinite for p in points]))
+    return float(np.max(square.real)) ** 0.5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lyubich_lab import bimodule_basis
 from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         PartitionOfUnity, VanishingFunction,
                                         _RawBump, basis_to_json,
@@ -248,6 +249,34 @@ def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
             seg = np.array([m for _, m in atoms]) * xi.evaluate(at, at_inf)
             want[i] = U[:count, i] @ (partition.member_matrix(at, at_inf)[:count] @ seg) / 2
         assert np.max(np.abs(table.evaluate(pts, infs) - want)) <= 1e-13
+
+
+def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
+                                                          interval_sample):
+    r = min(net_radius(interval_sample, 24) * 1.000001,
+            branch_separation_radius(cheb, interval_sample) / 3.0)
+    basis = build_basis(cheb, interval_sample, r, count_cap=128)
+    rng = np.random.default_rng(50)
+    xis = [tf.random_polynomial(rng, 2) for _ in range(2)]
+    solves = []
+    gather = bimodule_basis.gather_fibers
+
+    def counting(*args, **kwargs):
+        solves.append(args[1].size)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(bimodule_basis, "gather_fibers", counting)
+    sample = julia_sample(cheb, 320, seed=7)
+    reconstruct(cheb, basis, xis[0], len(basis), sample)
+    assert solves == [sample.size]
+    warm, warm_residual = reconstruct(cheb, basis, xis[1], len(basis), sample)
+    assert solves == [sample.size]
+    cold_sample = julia_sample(cheb, 320, seed=7)
+    cold, cold_residual = reconstruct(cheb, basis, xis[1], len(basis), cold_sample)
+    assert len(solves) == 2
+    pts, infs = sample.points, sample.inf_mask
+    assert np.array_equal(warm.evaluate(pts, infs), cold.evaluate(pts, infs))
+    assert warm_residual == cold_residual
 
 
 def test_reconstruct_residual_nonincreasing(quad_map, circle_sample):

@@ -118,6 +118,20 @@ def test_converge_command(capsys):
     assert len(data["records"]) == 2 * 2 * 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--map", "quad", "--w", "0.5,0.5"],
+    ["converge", "--map", "quad", "--depths", "2"],
+    ["preimages", "--map", "quad", "--w", "4,0"],
+    ["verify", "isometry", "--map", "quad", "--depth", "2"],
+], ids=lambda argv: argv[0])
+def test_csv_out_without_a_csv_export_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert "tree, julia, measure" in captured.err
+
+
 def test_basis_command(tmp_path, capsys):
     path = tmp_path / "basis.json"
     code = main(["basis", "--map", "quad", "--size", "128", "--basis-count",

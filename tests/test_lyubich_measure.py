@@ -257,6 +257,20 @@ def test_root_independence_quad(quad_map):
         assert abs(a - b) < 1e-3
 
 
+@pytest.mark.parametrize("name,root", [("chebyshev", 2.0), ("quad", 1.0)])
+def test_callable_integrals_match_scalar_abs_bit_for_bit(name, root):
+    # The array callables take |z - c| as hypot of the parts, which rounds
+    # as the scalar abs(complex) does, so the measure reports keep their
+    # bytes; np.abs of a complex array differs in the last bit on the circle.
+    mu = measure_from_tree(iterated_preimages(builtin_map(name), root, 10))
+    weights = mu.weights_float()
+    for f, center in ((tf.ABS, 0j), (tf.abs_distance(0.7), 0.7 + 0j)):
+        scalar = [abs(complex(z) - center) for z in mu.points]
+        assert f.evaluate(mu.points, mu.inf_mask).real.tolist() == scalar
+        want = math.fsum(a * w for a, w in zip(scalar, weights))
+        assert integrate(mu, f) == complex(want, 0.0)
+
+
 def test_convergence_report_structure(quad_map):
     report = convergence_report(quad_map, [1.0, 2.0 + 1j], [2, 4, 6],
                                 [tf.ONE, tf.RE2])

@@ -4,8 +4,8 @@ import pytest
 from lyubich_lab.errors import InvalidMapError
 from lyubich_lab.rational_map import (RationalMap, branch_index, builtin_map,
                                       critical_points, evaluate, evaluate_array,
-                                      exceptional_points, fixed_points,
-                                      _evaluate_direct, _evaluate_inverted)
+                                      exceptional_points, fixed_points)
+from lyubich_lab.roots import polyval
 from lyubich_lab.sphere import INFINITY, as_point, chordal
 
 
@@ -65,15 +65,18 @@ def test_evaluate_simple(quad, cheb):
 
 
 def test_evaluate_chart_agreement():
+    # The moduli straddle the chart limit, so evaluate takes both charts;
+    # each answer must agree with the quotient in either chart.
     ratl = RationalMap([-1, 0, 1], [1, 0, 1])
     rng = np.random.default_rng(4)
     for _ in range(100):
         z = 1e8 * (0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
-        direct = _evaluate_direct(ratl, z)
-        inverted = _evaluate_inverted(ratl, 1.0 / z)
-        assert not direct.infinite and not inverted.infinite
-        rel = abs(direct.value - inverted.value) / max(abs(direct.value), 1e-300)
-        assert rel < 1e-10
+        direct = polyval(ratl.num, z) / polyval(ratl.den, z)
+        inverted = polyval(ratl._num_rev, 1.0 / z) / polyval(ratl._den_rev, 1.0 / z)
+        got = evaluate(ratl, z)
+        assert not got.infinite
+        for value in (direct, inverted):
+            assert abs(got.value - value) / max(abs(value), 1e-300) < 1e-10
 
 
 def test_evaluate_array_matches_scalar(cheb):

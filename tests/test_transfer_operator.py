@@ -10,8 +10,8 @@ from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, as_point, sphere_points
 from lyubich_lab.transfer_operator import (_closed_form_transfer, apply_transfer,
                                            gather_fibers, inner_product,
-                                           sup_norm_2, transfer_power,
-                                           transfer_result)
+                                           sup_norm_2, transfer_function,
+                                           transfer_power, transfer_result)
 from lyubich_lab import test_functions as tf
 
 
@@ -111,10 +111,15 @@ def _recursive_power(rmap, a, m, w):
 
 
 NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
+
+
+def _bounded(z, inf_mask):
+    r2 = np.abs(z) ** 2
+    return np.where(inf_mask, 1.0, (r2 + 0.3 * z + 1j) / (1 + r2))
+
+
 # Bounded on the sphere, so defined at the infinite atoms of Newton's map.
-BOUNDED = tf.TestFunction.from_callable(
-    lambda z: (abs(z) ** 2 + 0.3 * z + 1j) / (1 + abs(z) ** 2), "bounded",
-    at_infinity=1.0)
+BOUNDED = tf.TestFunction.from_callable(_bounded, "bounded")
 
 
 @pytest.mark.parametrize("rmap,w,a", [
@@ -259,6 +264,37 @@ def test_inner_product_conjugate_symmetry(cheb):
     for _ in range(20):
         w = complex(rng.normal(), rng.normal())
         assert abs(fwd(w) - bwd(w).conjugate()) < 1e-12
+
+
+@pytest.mark.parametrize("closure", ["transfer_function", "inner_product"])
+def test_closures_solve_a_point_array_in_one_call(monkeypatch, cheb, closure):
+    rng = np.random.default_rng(49)
+    xi, eta = tf.random_polynomial(rng, 2), tf.random_polynomial(rng, 2)
+    if closure == "transfer_function":
+        f, integrand = transfer_function(cheb, xi), xi
+    else:
+        f, integrand = inner_product(cheb, xi, eta), xi.conj() * eta
+    # 2 is a fixed point, -2 the critical value with the double preimage 0
+    points = np.concatenate([[2.0, -2.0], rng.normal(size=30) + 1j * rng.normal(size=30)])
+    gathers, singles = [], []
+    gather, single = transfer_operator.gather_fibers, _fiber.solve_fiber
+
+    def counting_gather(rmap, pts, *args, **kwargs):
+        gathers.append(pts.size)
+        return gather(rmap, pts, *args, **kwargs)
+
+    def counting_single(*args):
+        singles.append(args[3])
+        return single(*args)
+
+    monkeypatch.setattr(transfer_operator, "gather_fibers", counting_gather)
+    monkeypatch.setattr(_fiber, "solve_fiber", counting_single)
+    values = f.evaluate(points)
+    monkeypatch.undo()
+    assert gathers == [points.size]
+    assert singles == []
+    for value, w in zip(values, points):
+        assert abs(value - apply_transfer(cheb, integrand, w)) <= 1e-14
 
 
 def test_sup_norm_basics(quad_map):
