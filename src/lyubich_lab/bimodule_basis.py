@@ -114,6 +114,8 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
     Guarantees that a bump of support diameter below 2r centered away from
     the critical points meets each fiber in at most one atom.
     """
+    if sample.map is not rmap:
+        raise ValueError("the sample belongs to another map")
     if sample.size < 2:
         raise DegenerateSample("need at least two sample points")
     crit = [d.point for d in critical_points(rmap)]
@@ -496,6 +498,8 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
     Each term is element * (inner product of element with xi, composed
     with the map); the residual is the sup-norm gap to xi over the sample.
     """
+    if sample.map is not rmap:
+        raise ValueError("the sample belongs to another map")
     pts, infs = sample.points, sample.inf_mask
     xi_vals = xi.evaluate(pts, infs)
     if N <= 0:

@@ -95,15 +95,22 @@ class TestFunction:
             return out
         if self.kind == "callable":
             return np.asarray(self._fn(points, inf_mask), dtype=complex)
-        index = {}
-        for i, key in enumerate(_atom_keys(self._points, self._inf_mask)):
-            index.setdefault(key, i)
-        try:
-            hits = [index[key] for key in _atom_keys(points, inf_mask)]
-        except KeyError as exc:
-            infinite, z = exc.args[0]
-            raise IncompatibleTable(f"point {'inf' if infinite else repr(z)} is not "
-                                    f"an atom of table {self.name}") from None
+        # table: each point must be one of the atoms, matched exactly; the
+        # first of equal atoms wins.  Infinite points are keyed inf + 0j,
+        # and a NaN sentinel, which sorts last, keeps every search in range.
+        # The table's own atom array, the common case, needs no search.
+        if (points.shape == self._points.shape and np.array_equal(inf_mask, self._inf_mask)
+                and np.array_equal(points, self._points)):
+            return self._values.copy()
+        atoms = np.append(np.where(self._inf_mask, np.inf, self._points), np.nan)
+        query = np.where(inf_mask, np.inf, points).ravel()
+        order = np.argsort(atoms, kind="stable")
+        hits = order[np.searchsorted(atoms[order], query)]
+        missing = np.flatnonzero(atoms[hits] != query)
+        if missing.size:
+            z = complex(query[missing[0]])
+            z = "inf" if np.isinf(z) else repr(z)
+            raise IncompatibleTable(f"point {z} is not an atom of table {self.name}")
         return self._values.ravel()[hits].reshape(points.shape)
 
     def _poly_at_infinity(self) -> complex:
@@ -184,12 +191,6 @@ class TestFunction:
 
     def __repr__(self):
         return f"TestFunction<{self.kind}:{self.name}>"
-
-
-def _atom_keys(points: np.ndarray, inf_mask: np.ndarray) -> list:
-    """One hashable key per point: (True, 0j) at infinity, else (False, z)."""
-    inf_mask = inf_mask.ravel()
-    return list(zip(inf_mask.tolist(), np.where(inf_mask, 0j, points.ravel()).tolist()))
 
 
 def _poly_name(coeffs: dict) -> str:

@@ -277,6 +277,10 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     pts, infs = sample.points, sample.inf_mask
     assert np.array_equal(warm.evaluate(pts, infs), cold.evaluate(pts, infs))
     assert warm_residual == cold_residual
+    with pytest.raises(ValueError, match="another map"):
+        reconstruct(builtin_map("chebyshev"), basis, xis[1], len(basis), sample)
+    with pytest.raises(ValueError, match="another map"):
+        branch_separation_radius(builtin_map("chebyshev"), sample)
 
 
 def test_reconstruct_residual_nonincreasing(quad_map, circle_sample):
