@@ -166,7 +166,7 @@ def _merge_at_critical_point(h, points, inf_mask, mult, c: complex, e: int) -> N
     finite slots nearest c, until they hold e multiplicities, into one
     atom at c."""
     scale = (np.abs(h) * max(1.0, abs(c)) ** np.arange(h.shape[1])).sum(axis=1)
-    value = roots.rows_eval(h, np.full((h.shape[0], 1), c))[:, 0]
+    value = roots.horner(h.T, np.full((1, h.shape[0]), c))[0]
     hit = np.flatnonzero(np.abs(value) <= roots.RESIDUAL_TOL * scale)
     if not hit.size:
         return

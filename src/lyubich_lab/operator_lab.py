@@ -232,8 +232,13 @@ def verify_representation(model: OperatorModel, xi: TestFunction,
     xv = model.values(xi, k)
     # C has a single one per level-k atom (row); scale those entries as the
     # row scalings would, so both sides take the identical floating-point path.
+    # The products are named: from 256 KiB numpy computes ``x * temporary``
+    # in place as ``temporary * x``, and a complex product can differ from
+    # its mirror image in the last bit.
     comp = np.ones(model.dim(k))
-    residual1 = float(np.max(np.abs(av * (xv * comp) - (av * xv) * comp)))
+    x_comp = xv * comp
+    a_x = av * xv
+    residual1 = float(np.max(np.abs(av * x_comp - a_x * comp)))
 
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.

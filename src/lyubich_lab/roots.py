@@ -1,13 +1,26 @@
 """Polynomial root finding for the preimage machinery.
 
 One engine finds roots: the simultaneous Aberth-Ehrlich iteration run on
-a stack of polynomials of one degree at once, as a ``(rows, degree + 1)``
-array (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996).
-Rows that miss the residual test within ``MAX_ITERATIONS`` take the
-eigenvalues of their companion matrices, in one stacked call.  The
-scalar functions :func:`aberth_roots` and :func:`polish_root` are one-row
-fronts of the same code.  Coefficients are ascending throughout the
-package: ``c[k]`` multiplies ``z**k``.
+a stack of polynomials of one degree at once (Aberth, Math. Comp. 27,
+1973; Bini, Numer. Algorithms 13, 1996).  Callers pass the stack as a
+``(rows, degree + 1)`` array.  The engine transposes it once into
+root-major form, coefficients ``(degree + 1, rows)`` and roots
+``(degree, rows)``, so that every Horner step, residual test and
+repulsion term works on contiguous length-``rows`` vectors, and the
+per-row reductions run over the short leading axis.  Rows that miss the
+residual test within ``MAX_ITERATIONS`` take the eigenvalues of their
+companion matrices, in one stacked call.  The scalar functions
+:func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
+same code.
+
+Each row is solved on its own, and the answers are the same to the bit
+for any number of rows.  That needs one rule: an operand of a complex
+product is never a temporary.  From 256 KiB numpy may compute
+``x * temporary`` in place as ``temporary * x``, and a complex product
+can differ from its mirror image in the last bit.
+
+Coefficients are ascending throughout the package: ``c[k]`` multiplies
+``z**k``.
 """
 
 import cmath
@@ -76,24 +89,31 @@ def taylor_shift(coeffs, z0: complex) -> np.ndarray:
     return out
 
 
-def rows_eval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner's rule row by row: ``c`` is (rows, k + 1) ascending, ``z`` is
-    (rows, n)."""
-    value = np.zeros_like(z)
-    for k in range(c.shape[1] - 1, -1, -1):
-        value = value * z + c[:, k:k + 1]
+def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner's rule on root-major arrays: ``c`` is (k + 1, rows) ascending,
+    ``z`` is (m, rows), and the result holds polynomial r at ``z[:, r]``.
+    Real ``c`` and ``z`` give the evaluation scale sum(|c_k| |z|^k)."""
+    # The rule starts from 0 * z, not from c[-1], so that a non-finite z
+    # gives NaN throughout.
+    value = 0 * z + c[-1]
+    for k in range(c.shape[0] - 2, -1, -1):
+        value = value * z + c[k]
     return value
 
 
-def _rows_eval_with_scale(c: np.ndarray, abs_c: np.ndarray, z: np.ndarray):
-    """p(z) and the evaluation scale sum(|c_k| |z|^k), row by row."""
-    value = np.zeros_like(z)
-    scale = np.zeros(z.shape)
-    az = np.abs(z)
-    for k in range(c.shape[1] - 1, -1, -1):
-        value = value * z + c[:, k:k + 1]
-        scale = scale * az + abs_c[:, k:k + 1]
-    return value, scale
+def _repulsion(z: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """Sum of 1/(z_i - z_j) over j != i for each root z_i, in ascending j;
+    a zero difference counts as 1e-14 (1 + |z_i|)."""
+    n = z.shape[0]
+    repulsion = np.zeros_like(z)
+    for k in range(n - 1):
+        # Root i takes its k-th other root: z_k below the diagonal, z_(k+1)
+        # from it on.
+        dz = z - z[np.where(np.arange(n) <= k, k + 1, k)]
+        if not dz.all():
+            dz = np.where(dz == 0, 1e-14 * (1 + az), dz)
+        repulsion += 1.0 / dz
+    return repulsion
 
 
 def aberth_rows(h: np.ndarray):
@@ -106,44 +126,47 @@ def aberth_rows(h: np.ndarray):
     and a mask of the rows that converged within ``MAX_ITERATIONS``.
     """
     rows, n = h.shape[0], h.shape[1] - 1
-    c = h / np.abs(h).max(axis=1, keepdims=True)
-    radius = 1.0 + np.abs(c[:, :n] / c[:, n:]).max(axis=1)
-    z = radius[:, None] * np.array([cmath.exp(2j * math.pi * (k / n + 0.3779))
-                                    for k in range(n)])
+    h = np.ascontiguousarray(h.T)
+    c = h / np.abs(h).max(axis=0)
+    radius = 1.0 + np.abs(c[:n] / c[n]).max(axis=0)
+    start = np.array([cmath.exp(2j * math.pi * (k / n + 0.3779)) for k in range(n)])
+    z = radius * start[:, None]
     # Work on the rows still iterating only; ``live`` maps them back.
+    # Finished rows keep their roots, so they are dropped only once they
+    # are at least half of the live rows.
     live = np.arange(rows)
-    zi, ci, dci = z, c, c[:, 1:] * np.arange(1, n + 1)
-    abs_ci = np.abs(c)
+    zi, ci, dci, abs_ci = z, c, c[1:] * np.arange(1, n + 1)[:, None], np.abs(c)
     done = np.zeros(z.shape, dtype=bool)
     for _ in range(MAX_ITERATIONS):
-        pv, scale = _rows_eval_with_scale(ci, abs_ci, zi)
-        done |= np.abs(pv) <= RESIDUAL_TOL * np.maximum(scale, 1e-300)
-        busy = ~done.all(axis=1)
-        z[live[~busy]] = zi[~busy]
-        if not busy.any():
-            live = live[busy]
-            break
-        if not busy.all():
-            live, zi, ci, dci, abs_ci, done, pv = (
-                a[busy] for a in (live, zi, ci, dci, abs_ci, done, pv))
-        dv = rows_eval(dci, zi)
-        stuck = dv == 0
-        newton = pv / dv
-        # Sum of 1/(z_i - z_j) over j != i, one column j at a time.
         az = np.abs(zi)
-        repulsion = np.zeros_like(zi)
-        for j in range(n):
-            dz = zi - zi[:, j:j + 1]
-            inv = 1.0 / np.where(dz == 0, 1e-14 * (1 + az), dz)
-            inv[:, j] = 0
-            repulsion += inv
+        pv = horner(ci, zi)
+        done |= np.abs(pv) <= RESIDUAL_TOL * np.maximum(horner(abs_ci, az), 1e-300)
+        finished = done.all(axis=0)
+        settled = np.count_nonzero(finished)
+        if settled == live.size:
+            break
+        if 2 * settled >= live.size:
+            z[:, live[finished]] = zi[:, finished]
+            busy = ~finished
+            live = live[busy]
+            zi, ci, dci, abs_ci, done, pv, az = (
+                a[:, busy] for a in (zi, ci, dci, abs_ci, done, pv, az))
+        dv = horner(dci, zi)
+        newton = pv / dv
+        repulsion = _repulsion(zi, az)
         denom = 1.0 - newton * repulsion
-        step = np.where(denom == 0, newton, newton / denom)
-        moved = np.where(stuck, zi * (1.0 + 1e-6 + 1e-6j), zi - step)
+        step = newton / denom
+        if not denom.all():
+            step = np.where(denom == 0, newton, step)
+        moved = zi - step
+        if not dv.all():
+            moved = np.where(dv == 0, zi * (1.0 + 1e-6 + 1e-6j), moved)
         zi = np.where(done, zi, moved)
+    finished = done.all(axis=0)
+    z[:, live[finished]] = zi[:, finished]
     converged = np.ones(rows, dtype=bool)
-    converged[live] = False
-    return z, converged
+    converged[live[~finished]] = False
+    return z.T, converged
 
 
 def companion_rows(h: np.ndarray) -> np.ndarray:
@@ -158,9 +181,10 @@ def companion_rows(h: np.ndarray) -> np.ndarray:
         z = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise RootFindingFailure("companion eigenvalue solve failed") from exc
-    c = h / np.abs(h).max(axis=1, keepdims=True)
-    pv, scale = _rows_eval_with_scale(c, np.abs(c), z)
-    bad = ~(np.abs(pv) <= 1e-6 * np.maximum(scale, 1e-300))
+    c = np.ascontiguousarray(h.T)
+    c = c / np.abs(c).max(axis=0)
+    pv = horner(c, z.T)
+    bad = ~(np.abs(pv) <= 1e-6 * np.maximum(horner(np.abs(c), np.abs(z.T)), 1e-300))
     if bad.any():
         raise RootFindingFailure(
             f"root finder did not converge (residual {np.abs(pv)[bad].max():.3e})")
@@ -184,24 +208,26 @@ def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1, steps: int = 3) ->
     of every row of the unnormalised ``h``, keeping the iterate of least
     residual.  For an m-fold root this converges quadratically where the
     plain Newton step would stall at linear rate."""
-    n = h.shape[1] - 1
-    dh = h[:, 1:] * np.arange(1, n + 1)
-    pv = rows_eval(h, z)
+    h = np.ascontiguousarray(h.T)
+    z = np.ascontiguousarray(z.T)
+    n = h.shape[0] - 1
+    dh = h[1:] * np.arange(1, n + 1)[:, None]
+    pv = horner(h, z)
     best, best_res = z, np.abs(pv)
     stepping = np.ones(z.shape, dtype=bool)
     for _ in range(steps):
-        dv = rows_eval(dh, z)
+        dv = horner(dh, z)
         stepping &= dv != 0
         moved = z - multiplicity * pv / dv
         stepping &= np.isfinite(moved)
-        res = rows_eval(h, moved)
+        res = horner(h, moved)
         abs_res = np.abs(res)
         better = stepping & (abs_res <= best_res)
         best = np.where(better, moved, best)
         best_res = np.where(better, abs_res, best_res)
         z = np.where(stepping, moved, z)
         pv = np.where(stepping, res, pv)
-    return best
+    return best.T
 
 
 def companion_roots(coeffs) -> np.ndarray:

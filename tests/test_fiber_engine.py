@@ -6,8 +6,13 @@ eigenvalues of each row's companion matrix, stacked per degree and
 Newton-polished in this file, with the critical-point rule for multiple
 roots written out again.  These checks pin the agreement between the two,
 the rows past the iteration cap, and that splitting the targets into
-blocks never changes an answer.
+blocks never changes an answer.  A frozen copy of the row-major engine
+that the root-major one replaced pins every bit of the tables.
 """
+
+import cmath
+import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,6 +30,14 @@ CHEB3 = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
 DROP = RationalMap([1, 0, 1], [-1, 0, 1], name="drop")
 # (z - 1)^6 - 3: one critical point of index 6 at 1, over -3.
 SEXTIC = RationalMap([-2, -6, 15, -20, 15, -6, 1], [1], name="(z-1)^6-3")
+LATTES = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4], name="lattes")
+
+
+def _shifted_power(e):
+    """(z - 1)^e - 3: one critical point of index e at 1, over -3."""
+    return RationalMap([comb(e, k) * (-1) ** (e - k) - 3 * (k == 0) for k in range(e + 1)],
+                       [1], name=f"(z-1)^{e}-3")
+
 
 # Bound on the chordal distance between engine and reference atoms: both
 # polish the same simple roots, so they differ only in the last bits.
@@ -133,16 +146,25 @@ def _assert_matches_reference(rmap, points, infinite, got, parent_cum=None):
     np.testing.assert_array_equal(got_mult[nearest], ref_mult)
 
 
-@pytest.mark.parametrize("rmap,root,depth", [
-    (builtin_map("quad"), complex(np.exp(2j * np.pi * 0.3)), 12),
-    (builtin_map("basilica"), None, 11),
-    (builtin_map("chebyshev"), None, 10),
-    (NEWTON, INFINITY, 7),
-    (NEWTON, 0.4 + 0.2j, 7),
-    (CHEB3, -2, 7),
-    (SEXTIC, -3, 4),
-], ids=["quad", "basilica", "chebyshev", "newton-inf", "newton-finite", "z^3-3z",
-        "(z-1)^6-3"])
+LEVELS = [
+    pytest.param(builtin_map("quad"), complex(np.exp(2j * np.pi * 0.3)), 12, id="quad"),
+    pytest.param(builtin_map("basilica"), None, 11, id="basilica"),
+    pytest.param(builtin_map("chebyshev"), None, 10, id="chebyshev"),
+    pytest.param(NEWTON, INFINITY, 7, id="newton-inf"),
+    pytest.param(NEWTON, 0.4 + 0.2j, 7, id="newton-finite"),
+    pytest.param(CHEB3, -2, 7, id="z^3-3z"),
+    pytest.param(SEXTIC, -3, 4, id="(z-1)^6-3"),
+]
+
+# Mixed blocks, with no tree: infinity, critical values and a degree drop
+# among generic targets.
+MIXED = [
+    pytest.param(DROP, [0.3 + 0.2j, INFINITY, -1, 1, -0.5j], None, id="drop-mixed"),
+    pytest.param(CHEB3, [0.7 - 0.1j, -2, 1.1j, -2 + 1e-9], None, id="z^3-3z-mixed"),
+]
+
+
+@pytest.mark.parametrize("rmap,root,depth", LEVELS)
 def test_batched_levels_agree_with_scalar_fibers(rmap, root, depth):
     # z^3-3z rooted at -2 meets its double root over -2 on every level,
     # Newton rooted at infinity its double pole 0, and (z-1)^6-3 rooted at
@@ -180,6 +202,13 @@ def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
     quad = builtin_map("quad")
     points, infinite = _targets([0.3 + 0.2j, -1.5, 2j])
     want = _solve(quad, points, infinite)
+    # A block that the cap splits, solved without the cap.
+    values = np.array([0.3 + 0.2j, 2j, 1e6j, 100.0])
+    finite = np.zeros(4, dtype=bool)
+    h = quad._num_pad - values[:, None] * quad._den_pad
+    full, converged = roots.aberth_rows(h)
+    assert converged.all()
+    want_split = _solve(quad, values, finite)
     calls = []
     companion = roots.companion_rows
 
@@ -195,15 +224,28 @@ def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
 
+    # At 5 iterations one row of four has finished, too few to be dropped
+    # from the iteration, and at 6 two have, and are dropped.  Either way
+    # the finished rows keep their Aberth roots and only the others reach
+    # the companion matrices.
+    for cap, finished in ((5, [0]), (6, [0, 3])):
+        monkeypatch.setattr(roots, "MAX_ITERATIONS", cap)
+        z, converged = roots.aberth_rows(h)
+        np.testing.assert_array_equal(np.flatnonzero(converged), finished)
+        assert z[converged].tobytes() == full[converged].tobytes()
+        calls.clear()
+        got = _solve(quad, values, finite)
+        assert calls == [4 - len(finished)]
+        for j in finished:
+            for a, b in zip(got[:3], want_split[:3]):
+                assert a[2 * j:2 * j + 2].tobytes() == b[2 * j:2 * j + 2].tobytes()
+
 
 @pytest.mark.parametrize("rmap,root,depth", [
-    (builtin_map("basilica"), None, 9),
-    (NEWTON, INFINITY, 6),
-    # Mixed blocks, with no tree: infinity, critical values and a degree
-    # drop among generic targets.
-    (DROP, [0.3 + 0.2j, INFINITY, -1, 1, -0.5j], None),
-    (CHEB3, [0.7 - 0.1j, -2, 1.1j, -2 + 1e-9], None),
-], ids=["basilica", "newton-inf", "drop-mixed", "z^3-3z-mixed"])
+    pytest.param(builtin_map("basilica"), None, 9, id="basilica"),
+    pytest.param(NEWTON, INFINITY, 6, id="newton-inf"),
+    *MIXED,
+])
 def test_block_size_never_changes_an_answer(monkeypatch, rmap, root, depth):
     if depth is None:
         points, infinite = _targets(root)
@@ -234,3 +276,166 @@ def test_block_size_never_changes_an_answer(monkeypatch, rmap, root, depth):
         for a, b in zip(whole.levels, blocked.levels):
             for name in ("points", "infinite", "cum", "parent"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_blocks_above_the_elision_size_keep_every_bit(monkeypatch):
+    # From 256 KiB numpy may run an operation in place in a temporary
+    # operand: the engine's arrays cross that size at 8192 quadratic rows.
+    basilica = builtin_map("basilica")
+    root = default_root(basilica)
+    trees = []
+    for rows in (1024, 4096, 16384):
+        monkeypatch.setattr(preimage_solver, "_BLOCK_ROWS", rows)
+        trees.append(iterated_preimages(basilica, root, 14))
+    for tree in trees[1:]:
+        _assert_same_levels(tree, trees[0])
+
+    lvl = trees[0].level(13)
+    assert lvl.size == 8192
+    one = _solve(basilica, lvl.points, lvl.infinite)
+    parts = [_solve(basilica, lvl.points[s:s + 1000], lvl.infinite[s:s + 1000])
+             for s in range(0, lvl.size, 1000)]
+    for got, want in zip(zip(*parts), one[:3]):
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+# The row-major engine that the root-major one replaced, frozen as it was:
+# coefficients (rows, degree + 1), roots (rows, degree).
+
+
+def _ref_rows_eval(c, z):
+    value = np.zeros_like(z)
+    for k in range(c.shape[1] - 1, -1, -1):
+        value = value * z + c[:, k:k + 1]
+    return value
+
+
+def _ref_rows_eval_with_scale(c, abs_c, z):
+    value = np.zeros_like(z)
+    scale = np.zeros(z.shape)
+    az = np.abs(z)
+    for k in range(c.shape[1] - 1, -1, -1):
+        value = value * z + c[:, k:k + 1]
+        scale = scale * az + abs_c[:, k:k + 1]
+    return value, scale
+
+
+def _ref_aberth_rows(h):
+    rows, n = h.shape[0], h.shape[1] - 1
+    c = h / np.abs(h).max(axis=1, keepdims=True)
+    radius = 1.0 + np.abs(c[:, :n] / c[:, n:]).max(axis=1)
+    z = radius[:, None] * np.array([cmath.exp(2j * math.pi * (k / n + 0.3779))
+                                    for k in range(n)])
+    live = np.arange(rows)
+    zi, ci, dci = z, c, c[:, 1:] * np.arange(1, n + 1)
+    abs_ci = np.abs(c)
+    done = np.zeros(z.shape, dtype=bool)
+    for _ in range(roots.MAX_ITERATIONS):
+        pv, scale = _ref_rows_eval_with_scale(ci, abs_ci, zi)
+        done |= np.abs(pv) <= roots.RESIDUAL_TOL * np.maximum(scale, 1e-300)
+        busy = ~done.all(axis=1)
+        z[live[~busy]] = zi[~busy]
+        if not busy.any():
+            live = live[busy]
+            break
+        if not busy.all():
+            live, zi, ci, dci, abs_ci, done, pv = (
+                a[busy] for a in (live, zi, ci, dci, abs_ci, done, pv))
+        dv = _ref_rows_eval(dci, zi)
+        stuck = dv == 0
+        newton = pv / dv
+        az = np.abs(zi)
+        repulsion = np.zeros_like(zi)
+        for j in range(n):
+            dz = zi - zi[:, j:j + 1]
+            inv = 1.0 / np.where(dz == 0, 1e-14 * (1 + az), dz)
+            inv[:, j] = 0
+            repulsion += inv
+        denom = 1.0 - newton * repulsion
+        step = np.where(denom == 0, newton, newton / denom)
+        moved = np.where(stuck, zi * (1.0 + 1e-6 + 1e-6j), zi - step)
+        zi = np.where(done, zi, moved)
+    converged = np.ones(rows, dtype=bool)
+    converged[live] = False
+    return z, converged
+
+
+def _ref_polish_rows(h, z, multiplicity=1, steps=3):
+    n = h.shape[1] - 1
+    dh = h[:, 1:] * np.arange(1, n + 1)
+    pv = _ref_rows_eval(h, z)
+    best, best_res = z, np.abs(pv)
+    stepping = np.ones(z.shape, dtype=bool)
+    for _ in range(steps):
+        dv = _ref_rows_eval(dh, z)
+        stepping &= dv != 0
+        moved = z - multiplicity * pv / dv
+        stepping &= np.isfinite(moved)
+        res = _ref_rows_eval(h, moved)
+        abs_res = np.abs(res)
+        better = stepping & (abs_res <= best_res)
+        best = np.where(better, moved, best)
+        best_res = np.where(better, abs_res, best_res)
+        z = np.where(stepping, moved, z)
+        pv = np.where(stepping, res, pv)
+    return best
+
+
+def _ref_rows_roots(h):
+    z, converged = _ref_aberth_rows(h)
+    if not converged.all():
+        z[~converged] = roots.companion_rows(h[~converged])
+    return z
+
+
+def _assert_same_levels(tree, other):
+    for a, b in zip(tree.levels, other.levels, strict=True):
+        for name in ("points", "infinite", "cum", "parent"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def _assert_rows_keep_the_reference_bits(rmap, points, infinite):
+    """rows_roots and polish_rows on the fiber polynomials of the finite
+    targets whose degree does not drop, against the frozen engine."""
+    num, den, n = rmap._num_pad, rmap._den_pad, rmap.degree
+    w = points[~infinite, None]
+    h = num - w * den
+    lead = abs(num[n]) + np.abs(w[:, 0]) * abs(den[n])
+    h = h[(np.abs(h[:, n]) > 1e-10 * lead) & (h[:, 0] != 0)]
+    with np.errstate(all="ignore"):
+        z = _ref_rows_roots(h)
+        assert roots.rows_roots(h).tobytes() == z.tobytes()
+        for m in (1, 2):
+            assert roots.polish_rows(h, z, m).tobytes() == _ref_polish_rows(h, z, m).tobytes()
+
+
+@pytest.mark.parametrize("rmap,root,depth", [
+    *LEVELS,
+    pytest.param(LATTES, None, 6, id="lattes"),
+    pytest.param(_shifted_power(2), -3, 10, id="(z-1)^2-3"),
+    # 1728 targets of degree 12: arrays above 256 KiB in one block.
+    pytest.param(_shifted_power(12), 0.5, 4, id="(z-1)^12-3"),
+    *MIXED,
+])
+def test_engine_keeps_the_bits_of_the_row_major_engine(monkeypatch, rmap, root, depth):
+    if depth is None:
+        points, infinite = _targets(root)
+        one = _solve(rmap, points, infinite)
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "aberth_rows", _ref_aberth_rows)
+            patch.setattr(roots, "polish_rows", _ref_polish_rows)
+            ref = _solve(rmap, points, infinite)
+        for got, want in zip(one, ref, strict=True):
+            assert got.tobytes() == want.tobytes()
+        _assert_rows_keep_the_reference_bits(rmap, points, infinite)
+        return
+
+    root = default_root(rmap) if root is None else root
+    tree = iterated_preimages(rmap, root, depth)
+    with monkeypatch.context() as patch:
+        patch.setattr(roots, "aberth_rows", _ref_aberth_rows)
+        patch.setattr(roots, "polish_rows", _ref_polish_rows)
+        ref = iterated_preimages(rmap, root, depth)
+    _assert_same_levels(tree, ref)
+    for lvl in tree.levels[:-1]:
+        _assert_rows_keep_the_reference_bits(rmap, lvl.points, lvl.infinite)

@@ -171,6 +171,15 @@ def test_representation_random_pairs(cheb_model):
         assert r2 < 1e-10
 
 
+def test_representation_is_exact_from_16384_atoms():
+    # From 256 KiB (16384 complex values) numpy runs a product with a
+    # temporary operand in place and may swap its operands, which moves
+    # the last bit: the exact first relation must still read 0.
+    report = verification_suite(builtin_map("basilica"), m=14, seed=1, trials=3,
+                                pairs=3, identities=["representation"])
+    assert report["all_pass"]
+
+
 def test_refit_fibers_catch_a_swapped_parent():
     # The checks re-solve the level below with the engine that built the
     # tree, so their fibers equal the tree's bit for bit; a fault in the
