@@ -12,7 +12,6 @@ that the root-major one replaced pins every bit of the tables.
 
 import cmath
 import math
-from math import comb
 
 import numpy as np
 import pytest
@@ -28,16 +27,17 @@ CHEB3 = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
 # (z^2 + 1) / (z^2 - 1): critical value -1 (over the critical point 0, the
 # fiber polynomial is 2z^2) and 1 (over infinity, where P - wQ drops to 2).
 DROP = RationalMap([1, 0, 1], [-1, 0, 1], name="drop")
-# (z - 1)^6 - 3: one critical point of index 6 at 1, over -3.
-SEXTIC = RationalMap([-2, -6, 15, -20, 15, -6, 1], [1], name="(z-1)^6-3")
+# (z^2 + 1)^2 / (4z(z^2 - 1)): a Lattès map of degree 4.
 LATTES = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4], name="lattes")
 
 
 def _shifted_power(e):
     """(z - 1)^e - 3: one critical point of index e at 1, over -3."""
-    return RationalMap([comb(e, k) * (-1) ** (e - k) - 3 * (k == 0) for k in range(e + 1)],
-                       [1], name=f"(z-1)^{e}-3")
+    return RationalMap([math.comb(e, k) * (-1) ** (e - k) - 3 * (k == 0)
+                        for k in range(e + 1)], [1], name=f"(z-1)^{e}-3")
 
+
+SEXTIC = _shifted_power(6)
 
 # Bound on the chordal distance between engine and reference atoms: both
 # polish the same simple roots, so they differ only in the last bits.
