@@ -23,7 +23,7 @@ target off a critical value keeps simple roots, however close.
 import numpy as np
 
 from . import roots
-from .sphere import INFINITY, SpherePoint, chordal
+from .sphere import INFINITY, SpherePoint, atom_order, chordal
 
 # Chordal radius under which numerically distinct points are one point in
 # the critical-, fixed- and exceptional-point search: double roots perturb
@@ -97,9 +97,8 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     its infinity mask; ``critical`` is the map's critical points (objects
     with ``point`` and ``index``).  Returns ``(points, inf_mask, mult,
     offsets)``: the fiber over target j fills ``offsets[j]:offsets[j + 1]``
-    of the other arrays, ordered by (infinite, real, imag).  Each target is
-    solved on its own, so splitting the targets into blocks never changes
-    an answer.
+    of the other arrays, in ``atom_order``.  Each target is solved on its
+    own, so splitting the targets into blocks never changes an answer.
     """
     n = degree
     values = np.asarray(values, dtype=complex)
@@ -151,10 +150,8 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
             _merge_at_critical_point(h, points, inf_mask, mult,
                                      datum.point.value, datum.index)
 
-    # Finite atoms by (real, imag), then infinity, then the empty slots,
-    # whose NaN key sorts last.
-    key = np.where(mult == 0, np.nan, np.where(inf_mask, np.inf, points.real))
-    order = np.lexsort((points.imag, key), axis=1)
+    # The empty slots go in as NaN, which sorts last.
+    order = atom_order(np.where(mult == 0, np.nan, points), inf_mask)
     count = np.count_nonzero(mult, axis=1)
     flat = (n * np.arange(rows)[:, None] + order)[np.arange(n) < count[:, None]]
     offsets = np.concatenate([[0], np.cumsum(count)])

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import Fibers, gather_fibers, sampled_tree
 from .rational_map import RationalMap, critical_points
-from .sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
-                     chordal_pairs, sphere_points)
+from .sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
+                     chordal_array, chordal_pairs, sphere_points)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -87,7 +87,7 @@ def _julia_samples(rmap: RationalMap, sizes, seed: int,
 
 def _thin(rmap: RationalMap, lvl, size: int, depth: int, seed: int) -> JuliaSample:
     """The distinct atoms of a tree level, sorted, thinned evenly to ``size``."""
-    order = np.lexsort((lvl.points.imag, lvl.points.real, lvl.infinite))
+    order = atom_order(lvl.points, lvl.infinite)
     pts = lvl.points[order]
     infs = lvl.infinite[order]
     # Drop each entry equal to the one before it (every infinity after the first).
@@ -491,6 +491,15 @@ class VanishingFunction:
         return gap < self.support_radius + element.support_radius
 
 
+def reconstruction_sum(U: np.ndarray, fib: Fibers, U_fiber: np.ndarray,
+                       values: np.ndarray) -> np.ndarray:
+    """sum_i u_i * L(u_i * f) at each point: ``U`` holds the elements on
+    the points, ``U_fiber`` on ``fib``, the fibers of the points' images,
+    and ``values`` is f on ``fib``.  Bumps are real, so the conjugate in
+    the inner product is a no-op."""
+    return (U * fib.average(U_fiber * values)).sum(axis=0)
+
+
 def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
                 sample: JuliaSample) -> tuple[TestFunction, float]:
     """Partial reconstruction sum over the first N elements, on the sample.
@@ -514,8 +523,7 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
     U_sample = partition.member_matrix(pts, infs)
 
     count = min(N, len(basis))
-    # Bumps are real, so the conjugate in the inner product is a no-op.
-    recon = (U_sample[:count] * fib.average(U_fiber[:count] * xi_fiber)).sum(axis=0)
+    recon = reconstruction_sum(U_sample[:count], fib, U_fiber[:count], xi_fiber)
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0
     table = TestFunction.from_table(pts, infs, recon, name=f"recon{count}({xi.name})")

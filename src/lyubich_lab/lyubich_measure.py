@@ -14,6 +14,7 @@ other.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class AtomicMeasure:
     def denominator(self) -> int:
         return self.base ** self.depth
 
-    def weights_float(self) -> np.ndarray:
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The float weights, each ``nums[i] / float(base**depth)``."""
         return self.nums / float(self.denominator())
 
     def weight_fractions(self) -> list[Fraction]:
@@ -106,6 +109,13 @@ def measure_from_tree(tree: PreimageTree, level: int | None = None) -> AtomicMea
     return mu
 
 
+def compensated_sum(re: np.ndarray, im: np.ndarray) -> complex:
+    """The complex number whose parts are the correctly rounded sums of the
+    real and the imaginary term arrays; every weighted sum of a report is
+    taken here."""
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+
+
 def integrate(mu: AtomicMeasure, f: TestFunction) -> complex:
     """Quadrature sum(f(atom) * weight) with compensated summation.
 
@@ -114,10 +124,7 @@ def integrate(mu: AtomicMeasure, f: TestFunction) -> complex:
     denominators used here.
     """
     values = f.evaluate(mu.points, mu.inf_mask)
-    w = mu.weights_float()
-    re = math.fsum((values.real * w).tolist())
-    im = math.fsum((values.imag * w).tolist())
-    return complex(re, im)
+    return compensated_sum(values.real * mu.weights, values.imag * mu.weights)
 
 
 def pushforward(mu: AtomicMeasure, rmap: RationalMap) -> AtomicMeasure:

@@ -23,17 +23,16 @@ degree x degree per level-(k-1) atom, and C* M C is diagonal.  The dense
 level matrices below are only the reference that tests compare against.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
                              branch_points_on_julia, branch_separation_radius,
-                             build_basis, net_radius)
+                             build_basis, net_radius, reconstruction_sum)
 from .errors import EigSolverFailure, NoVanishingTail
-from .lyubich_measure import (default_root, integrate, measure_from_tree,
-                              measure_match_defect, pushforward)
+from .lyubich_measure import (compensated_sum, default_root, integrate,
+                              measure_from_tree, measure_match_defect, pushforward)
 from .preimage_solver import Fibers, PreimageTree, gather_fibers, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point, chordal_array
@@ -54,22 +53,9 @@ TOLERANCES = {
 
 
 @dataclass
-class LevelSpace:
-    """One weighted atom space of the tower."""
-
-    points: np.ndarray
-    inf_mask: np.ndarray
-    weights: np.ndarray
-    parent: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.points.size
-
-
-@dataclass
 class OperatorModel:
-    """The tower of weighted atom spaces for one map, root, and depth."""
+    """The tower of weighted atom spaces for one map, root, and depth:
+    level k is the tree's depth-k measure."""
 
     map: RationalMap
     root: SpherePoint
@@ -80,10 +66,10 @@ class OperatorModel:
     _basis_matrices: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
-        return self.levels[k].dim
+        return self.levels[k].size
 
     def dims(self) -> tuple:
-        return tuple(lvl.dim for lvl in self.levels)
+        return tuple(lvl.size for lvl in self.levels)
 
     def fibers(self, k: int) -> Fibers:
         """The fibers over level k-1, solved once per model from the level's
@@ -113,6 +99,29 @@ class OperatorModel:
         fib = self.sibling_fibers(k)
         return self._cached_basis_matrix(basis, ("siblings", k), fib.points, fib.inf_mask)
 
+    def frame_vectors(self, basis: list, k: int):
+        """The basis on level k regrouped by sibling block after the
+        sqrt(weight) similarity, computed once per model, partition and
+        level; read-only.  Returns ``V`` (parents, width, elements) with
+        ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)`` for the child x in slot s of
+        parent p and zero padding, each atom's slot among its siblings, and
+        each parent's child count."""
+        key = (basis[0].partition if basis else None, ("frame", k))
+        if key not in self._basis_matrices:
+            lvl = self.levels[k]
+            prev = self.levels[k - 1]
+            counts = np.bincount(lvl.parent, minlength=prev.size)
+            order = np.argsort(lvl.parent, kind="stable")
+            slot = np.empty(lvl.size, dtype=np.intp)
+            slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
+            U = self.basis_matrix(basis, k)
+            V = np.zeros((prev.size, int(counts.max()), U.shape[0]))
+            V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
+            for array in (V, slot, counts):
+                array.setflags(write=False)
+            self._basis_matrices[key] = V, slot, counts
+        return self._basis_matrices[key]
+
     def _cached_basis_matrix(self, basis: list, key, points, inf_mask) -> np.ndarray:
         key = (basis[0].partition if basis else None, key)
         if key not in self._basis_matrices:
@@ -126,15 +135,14 @@ class OperatorModel:
         return f.evaluate(lvl.points, lvl.inf_mask)
 
     def inner(self, k: int, fv: np.ndarray, gv: np.ndarray) -> complex:
-        w = self.levels[k].weights
-        terms = fv * np.conj(gv) * w
-        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+        terms = fv * np.conj(gv) * self.levels[k].weights
+        return compensated_sum(terms.real, terms.imag)
 
     def composition_matrix(self, k: int) -> np.ndarray:
         """The parent-lookup matrix H_{k-1} -> H_k (rows are one-hot); dense reference."""
         lvl = self.levels[k]
-        mat = np.zeros((lvl.dim, self.levels[k - 1].dim))
-        mat[np.arange(lvl.dim), lvl.parent] = 1.0
+        mat = np.zeros((lvl.size, self.levels[k - 1].size))
+        mat[np.arange(lvl.size), lvl.parent] = 1.0
         return mat
 
     def adjoint_matrix(self, k: int) -> np.ndarray:
@@ -146,8 +154,8 @@ class OperatorModel:
         """
         lvl = self.levels[k]
         prev = self.levels[k - 1]
-        mat = np.zeros((prev.dim, lvl.dim))
-        mat[lvl.parent, np.arange(lvl.dim)] = lvl.weights / prev.weights[lvl.parent]
+        mat = np.zeros((prev.size, lvl.size))
+        mat[lvl.parent, np.arange(lvl.size)] = lvl.weights / prev.weights[lvl.parent]
         return mat
 
     def apply_adjoint(self, k: int, v: np.ndarray) -> np.ndarray:
@@ -155,7 +163,7 @@ class OperatorModel:
         of ``v``, without the dense matrix."""
         lvl = self.levels[k]
         prev = self.levels[k - 1]
-        out = np.zeros(v.shape[:-1] + (prev.dim,), dtype=complex)
+        out = np.zeros(v.shape[:-1] + (prev.size,), dtype=complex)
         np.add.at(out.T, lvl.parent, (v * lvl.weights).T)
         return out / prev.weights
 
@@ -169,17 +177,8 @@ class OperatorModel:
 def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
     """Populate the tower for a map, non-exceptional root, and depth."""
     tree = iterated_preimages(rmap, w, m)
-    model = OperatorModel(map=rmap, root=tree.root, depth=m, tree=tree)
-    for k in range(m + 1):
-        lvl = tree.level(k)
-        denom = float(tree.weight_base ** k)
-        model.levels.append(LevelSpace(
-            points=lvl.points.copy(),
-            inf_mask=lvl.infinite.copy(),
-            weights=lvl.cum / denom,
-            parent=lvl.parent.copy(),
-        ))
-    return model
+    return OperatorModel(map=rmap, root=tree.root, depth=m, tree=tree,
+                         levels=[measure_from_tree(tree, k) for k in range(m + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +207,11 @@ def verify_covariance(model: OperatorModel, a: TestFunction, f: TestFunction,
     fv = model.values(f, k - 1)
     gv = model.values(g, k - 1)
     lhs_terms = av * fv[lvl.parent] * np.conj(gv[lvl.parent]) * lvl.weights
-    lhs = complex(math.fsum(lhs_terms.real.tolist()),
-                  math.fsum(lhs_terms.imag.tolist()))
     fib = model.fibers(k)
     la = fib.average(a.evaluate(fib.points, fib.inf_mask))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
-    rhs = complex(math.fsum(rhs_terms.real.tolist()),
-                  math.fsum(rhs_terms.imag.tolist()))
-    return abs(lhs - rhs)
+    return abs(compensated_sum(lhs_terms.real, lhs_terms.imag)
+               - compensated_sum(rhs_terms.real, rhs_terms.imag))
 
 
 def verify_representation(model: OperatorModel, xi: TestFunction,
@@ -273,9 +269,9 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     fib = model.sibling_fibers(k)
     U_fiber = model.sibling_basis_matrix(basis, k)[:count]
     a_fiber = a.evaluate(fib.points, fib.inf_mask)
-    path_b = (U * fib.average(U_fiber * a_fiber)).sum(axis=0)
+    path_b = reconstruction_sum(U, fib, U_fiber, a_fiber)
 
-    return float(np.max(np.abs(path_a - path_b))) if lvl.dim else 0.0
+    return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
 
 def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarray:
@@ -284,7 +280,7 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     comp = model.composition_matrix(k)
     proj = comp @ model.adjoint_matrix(k)
     U = _basis_matrix(basis, lvl.points, lvl.inf_mask)
-    total = np.zeros((lvl.dim, lvl.dim), dtype=complex)
+    total = np.zeros((lvl.size, lvl.size), dtype=complex)
     for i in range(min(N, len(basis))):
         u = U[i]
         total += u[:, None] * proj * u[None, :]
@@ -295,20 +291,12 @@ def _frame_blocks(model: OperatorModel, basis: list, N: int, k: int):
     """The partial frame sum on level k after the sqrt(weight) similarity,
     as a (parents, width, width) stack of real symmetric sibling blocks.
 
-    Block p sums v v^T over the first N elements, v = u[children of p] *
-    sqrt(w_child / w_p), zero-padded to ``width``.  Also returns each atom's
-    slot among its siblings and each parent's child count.
+    Block p sums v v^T over the first N elements of
+    :meth:`OperatorModel.frame_vectors`.  Also returns each atom's slot
+    among its siblings and each parent's child count.
     """
-    lvl = model.levels[k]
-    prev = model.levels[k - 1]
-    counts = np.bincount(lvl.parent, minlength=prev.dim)
-    order = np.argsort(lvl.parent, kind="stable")
-    slot = np.empty(lvl.dim, dtype=np.intp)
-    slot[order] = np.arange(lvl.dim) - (np.cumsum(counts) - counts)[lvl.parent[order]]
-    count = min(N, len(basis))
-    U = model.basis_matrix(basis, k)[:count]
-    V = np.zeros((prev.dim, int(counts.max()), count))
-    V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
+    V, slot, counts = model.frame_vectors(basis, k)
+    V = V[..., :min(N, len(basis))]
     return V @ V.transpose(0, 2, 1), slot, counts
 
 
@@ -399,8 +387,11 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     """Run every identity check for one map and return the JSON report.
 
     Deterministic for a given seed.  ``identities`` may restrict to a
-    subset of the record names.
+    subset of the record names.  Each identity compares level m with
+    level m - 1, so m < 1 raises ValueError.
     """
+    if m < 1:
+        raise ValueError(f"verification needs depth m >= 1, got {m}")
     w = default_root(rmap) if w is None else as_point(w)
     wanted = None if identities is None else set(identities)
 
@@ -421,14 +412,11 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     if want("invariance"):
         worst = 0.0
         exact = True
-        mu = measure_from_tree(model.tree, model.depth)
         for level in range(model.depth, 0, -1):
-            pushed = pushforward(mu, rmap)
-            target = measure_from_tree(model.tree, level - 1)
-            defect, ok = measure_match_defect(pushed, target)
+            pushed = pushforward(model.levels[level], rmap)
+            defect, ok = measure_match_defect(pushed, model.levels[level - 1])
             worst = max(worst, defect)
             exact = exact and ok
-            mu = target
         records.append(_record("invariance", rmap, w, m, k, worst,
                                extra_pass=exact))
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
 from .rational_map import RationalMap, critical_points, evaluate_array, is_exceptional
-from .sphere import INFINITY, SpherePoint, as_point
+from .sphere import INFINITY, SpherePoint, as_point, atom_order
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -168,7 +168,7 @@ def _root_level(w: SpherePoint) -> TreeLevel:
 
 
 def _sorted_level(points, infinite, cum, parent) -> TreeLevel:
-    order = np.lexsort((points.imag, points.real, infinite))
+    order = atom_order(points, infinite)
     return TreeLevel(points[order], infinite[order], cum[order], parent[order])
 
 

@@ -117,17 +117,14 @@ def _exact_trim(coeffs) -> np.ndarray:
         raise InvalidMapError("empty coefficient list")
     if not np.all(np.isfinite(c)):
         raise InvalidMapError("coefficients must be finite")
-    k = c.size - 1
-    while k > 0 and c[k] == 0:
-        k -= 1
-    return c[: k + 1].copy()
+    return roots.trim(c)
 
 
 def _check_coprime(num: np.ndarray, den: np.ndarray) -> None:
     if den.size <= 1:
         return
     for root in roots.aberth_roots(den):
-        value = roots.polyval(num, root)
+        value = roots.horner(num, root)
         scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(num))
         if abs(value) < _COPRIME_TOL * max(scale, 1e-300):
             raise InvalidMapError(
@@ -163,8 +160,8 @@ def evaluate_array(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray):
                   (big, np.where(inf_mask[big], 0j, 1.0 / points[big]),
                    rmap._num_rev, rmap._den_rev))
         for chart, z, num, den in charts:
-            a = roots.polyval(num, z)
-            b = roots.polyval(den, z)
+            a = roots.horner(num, z)
+            b = roots.horner(den, z)
             w = a / b
             bad = (b == 0) | ~np.isfinite(w)
             out[chart] = np.where(bad, 0j, w)
@@ -285,8 +282,8 @@ def fixed_points(rmap: RationalMap) -> list[tuple[SpherePoint, complex | None]]:
         raw = raw[np.abs(raw) <= _fiber._NEAR_INFINITY]
         for point, mult in _fiber.cluster_points(raw, np.ones(raw.size, dtype=int)):
             z = roots.polish_root(f, point.value, mult)
-            qv = complex(roots.polyval(rmap.den, z))
-            wv = complex(roots.polyval(rmap.wronskian(), z))
+            qv = complex(roots.horner(rmap.den, z))
+            wv = complex(roots.horner(rmap.wronskian(), z))
             multiplier = wv / (qv * qv) if qv != 0 else None
             out.append((SpherePoint(z), multiplier))
     num_deg = rmap.num.size - 1

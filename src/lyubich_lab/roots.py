@@ -48,20 +48,13 @@ def trim(coeffs, rel_tol: float = 0.0) -> np.ndarray:
     return c[: k + 1].copy()
 
 
-def polyval(coeffs, z):
-    """Evaluate an ascending-coefficient polynomial by Horner's rule."""
-    c = np.asarray(coeffs, dtype=complex)
-    result = np.zeros_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 0j
-    for k in range(c.size - 1, -1, -1):
-        result = result * z + c[k]
-    return result
-
-
 def derivative(coeffs) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
+    """The derivative's coefficients along the leading axis: of one
+    polynomial, or of each column of a root-major stack."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape[0] <= 1:
+        return np.zeros((1,) + c.shape[1:], dtype=complex)
+    return c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
 def taylor_shift(coeffs, z0: complex) -> np.ndarray:
@@ -89,10 +82,12 @@ def taylor_shift(coeffs, z0: complex) -> np.ndarray:
     return out
 
 
-def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner's rule on root-major arrays: ``c`` is (k + 1, rows) ascending,
-    ``z`` is (m, rows), and the result holds polynomial r at ``z[:, r]``.
-    Real ``c`` and ``z`` give the evaluation scale sum(|c_k| |z|^k)."""
+def horner(c: np.ndarray, z):
+    """Horner's rule, the one polynomial evaluator.  ``c`` is ascending:
+    one polynomial (k + 1,) evaluated at every entry of ``z``, or a
+    root-major stack (k + 1, rows) with ``z`` (m, rows), where the result
+    holds polynomial r at ``z[:, r]``.  Real ``c`` and ``z`` give the
+    evaluation scale sum(|c_k| |z|^k)."""
     # The rule starts from 0 * z, not from c[-1], so that a non-finite z
     # gives NaN throughout.
     value = 0 * z + c[-1]
@@ -135,7 +130,7 @@ def aberth_rows(h: np.ndarray):
     # Finished rows keep their roots, so they are dropped only once they
     # are at least half of the live rows.
     live = np.arange(rows)
-    zi, ci, dci, abs_ci = z, c, c[1:] * np.arange(1, n + 1)[:, None], np.abs(c)
+    zi, ci, dci, abs_ci = z, c, derivative(c), np.abs(c)
     done = np.zeros(z.shape, dtype=bool)
     for _ in range(MAX_ITERATIONS):
         az = np.abs(zi)
@@ -210,8 +205,7 @@ def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1, steps: int = 3) ->
     plain Newton step would stall at linear rate."""
     h = np.ascontiguousarray(h.T)
     z = np.ascontiguousarray(z.T)
-    n = h.shape[0] - 1
-    dh = h[1:] * np.arange(1, n + 1)[:, None]
+    dh = derivative(h)
     pv = horner(h, z)
     best, best_res = z, np.abs(pv)
     stepping = np.ones(z.shape, dtype=bool)

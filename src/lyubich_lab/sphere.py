@@ -45,6 +45,7 @@ class SpherePoint:
         return SpherePoint(0j, True)
 
     def sort_key(self) -> tuple:
+        """The scalar form of :func:`atom_order`."""
         return (1 if self.infinite else 0, self.value.real, self.value.imag)
 
     def __repr__(self) -> str:
@@ -70,6 +71,13 @@ def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]
     """The points of a complex array with its companion infinity mask."""
     return [INFINITY if inf else SpherePoint(complex(z))
             for z, inf in zip(points, inf_mask)]
+
+
+def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
+    """The order of atoms along the last axis, the one order of fibers,
+    tree levels and Julia samples: finite points by (real, imag), then
+    infinity, ties kept in place.  A NaN real part sorts after infinity."""
+    return np.lexsort((points.imag, np.where(inf_mask, np.inf, points.real)), axis=-1)
 
 
 def _chordal_finite(z: complex, w: complex) -> float:

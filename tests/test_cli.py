@@ -26,6 +26,16 @@ def test_unknown_identity_exit_2(capsys):
     assert main(["verify", "nonsense", "--map", "quad"]) == 2
 
 
+@pytest.mark.parametrize("identity", ["isometry", "covariance", "all"])
+def test_verify_depth_0_exit_2(capsys, identity):
+    # Each identity compares level m with level m - 1; at m = 0 there is
+    # no level below, which once read level 0 in its place.
+    assert main(["verify", identity, "--map", "quad", "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "depth m >= 1" in captured.err
+
+
 def test_exceptional_root_exit_2(capsys):
     assert main(["tree", "--map", "quad", "--w", "0,0", "--depth", "2"]) == 2
 

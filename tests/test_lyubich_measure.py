@@ -263,7 +263,7 @@ def test_callable_integrals_match_scalar_abs_bit_for_bit(name, root):
     # as the scalar abs(complex) does, so the measure reports keep their
     # bytes; np.abs of a complex array differs in the last bit on the circle.
     mu = measure_from_tree(iterated_preimages(builtin_map(name), root, 10))
-    weights = mu.weights_float()
+    weights = mu.weights
     for f, center in ((tf.ABS, 0j), (tf.abs_distance(0.7), 0.7 + 0j)):
         scalar = [abs(complex(z) - center) for z in mu.points]
         assert f.evaluate(mu.points, mu.inf_mask).real.tolist() == scalar

@@ -102,7 +102,7 @@ def test_adjoint_realizes_transfer(cheb_model, cheb):
     fv = cheb_model.values(f, k)
     via_model = cheb_model.apply_adjoint(k, fv)
     prev = cheb_model.levels[k - 1]
-    for j in range(prev.dim):
+    for j in range(prev.size):
         y = INFINITY if prev.inf_mask[j] else SpherePoint(complex(prev.points[j]))
         assert abs(via_model[j] - apply_transfer(cheb, f, y)) < 1e-10
 
@@ -307,6 +307,12 @@ def test_suite_subset(quad_map):
     assert [rec["identity"] for rec in report["results"]] == ["isometry"]
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_suite_rejects_depth_below_1(quad_map, m):
+    with pytest.raises(ValueError, match="depth m >= 1"):
+        verification_suite(quad_map, m=m, identities=["isometry"])
+
+
 def test_suite_deterministic(quad_map):
     a = verification_suite(quad_map, m=5, seed=9, trials=5, pairs=3,
                            basis_count=8, sample_size=64, unitality_points=32)
@@ -451,7 +457,7 @@ def test_vanishing_gap_matches_dense(oracle_case):
     vf = VanishingFunction.bump(rmap, centre, 0.5, branch_points=[])
     M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
     gap = np.diag(model.values(vf.fn, k)) @ (_frame_matrix(model, basis, M, k)
-                                              - np.eye(lvl.dim))
+                                              - np.eye(lvl.size))
     assert abs(residual - model.weighted_norm(k, gap)) <= ORACLE_BOUND
 
 

@@ -5,7 +5,7 @@ from lyubich_lab.errors import InvalidMapError
 from lyubich_lab.rational_map import (RationalMap, branch_index, builtin_map,
                                       critical_points, evaluate, evaluate_array,
                                       exceptional_points, fixed_points)
-from lyubich_lab.roots import polyval
+from lyubich_lab.roots import horner
 from lyubich_lab.sphere import INFINITY, as_point, chordal
 
 
@@ -71,8 +71,8 @@ def test_evaluate_chart_agreement():
     rng = np.random.default_rng(4)
     for _ in range(100):
         z = 1e8 * (0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
-        direct = polyval(ratl.num, z) / polyval(ratl.den, z)
-        inverted = polyval(ratl._num_rev, 1.0 / z) / polyval(ratl._den_rev, 1.0 / z)
+        direct = horner(ratl.num, z) / horner(ratl.den, z)
+        inverted = horner(ratl._num_rev, 1.0 / z) / horner(ratl._den_rev, 1.0 / z)
         got = evaluate(ratl, z)
         assert not got.infinite
         for value in (direct, inverted):

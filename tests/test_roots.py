@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lyubich_lab.roots import (aberth_roots, companion_roots, derivative,
-                               polish_root, polyval, taylor_shift, trim)
+from lyubich_lab.roots import (aberth_roots, companion_roots, derivative, horner,
+                               polish_root, taylor_shift, trim)
 
 
 def _poly_from_roots(zeros):
@@ -18,14 +18,19 @@ def test_trim_drops_tiny_leading():
 
 
 def test_polyval_horner():
-    assert polyval([1, 2, 3], 2.0) == 1 + 4 + 12
+    assert horner(np.array([1, 2, 3]), 2.0) == 1 + 4 + 12
     z = np.array([0, 1j, -1], dtype=complex)
-    np.testing.assert_allclose(polyval([0, 0, 1], z), z * z)
+    np.testing.assert_allclose(horner(np.array([0, 0, 1]), z), z * z)
+    # A root-major stack evaluates column r at z[:, r].
+    stack = np.array([[1, 0], [2, 0], [3, 1]])
+    assert horner(stack, np.array([[2.0, 3.0]])).tolist() == [[17, 9]]
 
 
 def test_derivative():
     np.testing.assert_allclose(derivative([5, 3, 2, 1]), [3, 4, 3])
     assert derivative([7]).tolist() == [0]
+    stack = np.array([[5, 1], [3, 1], [2, 1], [1, 1]])
+    np.testing.assert_array_equal(derivative(stack), [[3, 1], [4, 2], [3, 3]])
 
 
 def test_taylor_shift_quadratic():
@@ -40,7 +45,7 @@ def test_taylor_shift_matches_eval():
     z0 = 0.7 - 0.4j
     shifted = taylor_shift(c, z0)
     for t in (0.1, -0.3 + 0.2j, 1.5j):
-        assert polyval(shifted, t) == pytest.approx(polyval(c, z0 + t), rel=1e-12)
+        assert horner(shifted, t) == pytest.approx(horner(c, z0 + t), rel=1e-12)
 
 
 def test_aberth_simple_cubic():

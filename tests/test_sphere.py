@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, chordal, chordal_array,
-                                chordal_pairs)
+from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
+                                chordal_array, chordal_pairs)
 
 
 def test_finite_point_rejects_nan():
@@ -72,6 +72,28 @@ def test_sort_key_orders_infinity_last():
     ordered = sorted(pts, key=lambda p: p.sort_key())
     assert ordered[-1].infinite
     assert ordered[0].value == -1
+
+
+def test_atom_order_is_sort_key_order():
+    # Infinity twice, real parts +0.0 and -0.0 (equal as keys, so kept in
+    # place), and conjugate pairs with equal real parts.
+    pts = [INFINITY, SpherePoint(0.5 - 2j), SpherePoint(complex(-0.0, 1.0)),
+           SpherePoint(0.5 + 2j), SpherePoint(complex(0.0, -1.0)), INFINITY,
+           SpherePoint(complex(0.0, 1.0)), SpherePoint(-3 + 0j), SpherePoint(0.5 - 2j),
+           SpherePoint(complex(-0.0, -1.0)), SpherePoint(0.5 + 0j)]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        shuffled = [pts[i] for i in rng.permutation(len(pts))]
+        values = np.array([p.value for p in shuffled])
+        inf_mask = np.array([p.infinite for p in shuffled])
+        want = sorted(range(len(shuffled)), key=lambda i: shuffled[i].sort_key())
+        assert atom_order(values, inf_mask).tolist() == want
+        # Along the last axis of a stack, row by row.
+        stacked = atom_order(np.stack([values, values[::-1]]),
+                             np.stack([inf_mask, inf_mask[::-1]]))
+        assert stacked[0].tolist() == want
+        assert stacked[1].tolist() == sorted(
+            range(len(shuffled)), key=lambda i: shuffled[::-1][i].sort_key())
 
 
 def test_chordal_pairs_match_scalar_chordal():

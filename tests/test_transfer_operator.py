@@ -229,14 +229,16 @@ def _cold_power(rmap, a, m, w):
     return transfer_power(rmap, a, m, w)
 
 
-@pytest.mark.parametrize("rmap,w,a", [
-    (builtin_map("basilica"), 0.25 + 0.4j, None),
-    (NEWTON, INFINITY, BOUNDED),
-], ids=["basilica", "newton-inf"])
-def test_power_memo_hits_equal_cold_solves(rmap, w, a):
+@pytest.mark.parametrize("rmap,w,a,powers", [
+    (builtin_map("basilica"), 0.25 + 0.4j, None, (12, 3, 7, 12)),
+    (NEWTON, INFINITY, BOUNDED, (8, 3, 5, 8)),
+    # The deepest table holds 32768 atoms, above numpy's 16384-point
+    # threshold for eliding temporaries.
+    (builtin_map("basilica"), 0.25 + 0.4j, None, (15, 3, 12, 15)),
+], ids=["basilica", "newton-inf", "basilica-32768"])
+def test_power_memo_hits_equal_cold_solves(rmap, w, a, powers):
     rng = np.random.default_rng(48)
     functions = [a] if a is not None else [tf.random_polynomial(rng, 2) for _ in range(2)]
-    powers = (12, 3, 7, 12) if rmap.degree == 2 else (8, 3, 5, 8)
     transfer_operator.clear_fiber_cache()
     warm = [transfer_power(rmap, f, m, w) for m in powers for f in functions]
     cold = [_cold_power(rmap, f, m, w) for m in powers for f in functions]

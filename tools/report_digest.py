@@ -1,0 +1,62 @@
+"""Print the sha256 of a fixed set of lyubich-lab outputs.
+
+Two checkouts whose outputs should be byte-identical print the same
+lines.  Each command runs in a fresh interpreter, in an empty working
+directory, against the ``src/`` next to this script.  The output hashed
+is the file a command writes through ``--out``, or else (and when the
+command fails before writing it) its stdout report with the
+``generated_at`` line dropped.
+
+    python tools/report_digest.py
+
+The set covers trees at 16384 atoms and more (where numpy's temporary
+elision can move last bits), a tree with atoms at infinity, a Julia
+sample, a basis export and three verification reports.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+COMMANDS = [
+    ["tree", "--map", "basilica", "--depth", "14", "--out", "out.csv"],
+    ["tree", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
+    ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "inf",
+     "--depth", "7", "--out", "out.csv"],
+    ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
+    ["basis", "--map", "basilica", "--out", "out.json"],
+    ["verify", "all", "--map", "quad", "--seed", "7"],
+    ["verify", "all", "--map", "basilica", "--depth", "9", "--seed", "1"],
+    ["verify", "all", "--map", "basilica", "--depth", "14", "--seed", "1",
+     "--trials", "3", "--pairs", "3"],
+]
+
+
+def digest(argv: list) -> str:
+    """The sha256 of one command's output, its exit code and the command."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "lyubich_lab.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, check=False)
+        out = os.path.join(cwd, argv[argv.index("--out") + 1]) if "--out" in argv else ""
+        if os.path.exists(out):
+            with open(out, "rb") as handle:
+                output = handle.read()
+        else:
+            output = b"".join(line for line in proc.stdout.splitlines(keepends=True)
+                              if b'"generated_at"' not in line)
+    return f"{hashlib.sha256(output).hexdigest()}  exit={proc.returncode}  {' '.join(argv)}"
+
+
+def main() -> int:
+    for argv in COMMANDS:
+        print(digest(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
