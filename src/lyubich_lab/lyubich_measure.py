@@ -109,11 +109,15 @@ def measure_from_tree(tree: PreimageTree, level: int | None = None) -> AtomicMea
     return mu
 
 
-def compensated_sum(re: np.ndarray, im: np.ndarray) -> complex:
+def compensated_sum(re: np.ndarray, im: np.ndarray | None = None):
     """The complex number whose parts are the correctly rounded sums of the
-    real and the imaginary term arrays; every weighted sum of a report is
-    taken here."""
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    real and the imaginary term arrays, or the real sum alone when ``im`` is
+    omitted; every weighted sum of a report is taken here.  Term arrays of
+    shape (rows, n) give one sum per row, as an array."""
+    parts = [[math.fsum(row) for row in np.atleast_2d(terms).tolist()]
+             for terms in ((re,) if im is None else (re, im))]
+    sums = parts[0] if im is None else list(map(complex, *parts))
+    return sums[0] if np.ndim(re) == 1 else np.array(sums)
 
 
 def integrate(mu: AtomicMeasure, f: TestFunction) -> complex:

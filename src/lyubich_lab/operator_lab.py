@@ -36,7 +36,8 @@ from .lyubich_measure import (compensated_sum, default_root, integrate,
 from .preimage_solver import Fibers, PreimageTree, gather_fibers, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point, chordal_array
-from .test_functions import ONE, TestFunction, random_polynomial
+from .test_functions import (ONE, PolynomialBatch, PowerTable, TestFunction,
+                             random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
 
 TOLERANCES = {
@@ -64,6 +65,7 @@ class OperatorModel:
     levels: list = field(default_factory=list)
     _fibers: dict = field(default_factory=dict, repr=False)
     _basis_matrices: dict = field(default_factory=dict, repr=False)
+    _powers: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
         return self.levels[k].size
@@ -130,13 +132,28 @@ class OperatorModel:
             self._basis_matrices[key] = matrix
         return self._basis_matrices[key]
 
-    def values(self, f: TestFunction, k: int) -> np.ndarray:
+    def values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
+        """f on level k, or one row per polynomial of a batch; polynomials
+        read the level's power table, kept once per model."""
         lvl = self.levels[k]
-        return f.evaluate(lvl.points, lvl.inf_mask)
+        return f.evaluate(self._power_table(k, lvl.points, lvl.inf_mask))
 
-    def inner(self, k: int, fv: np.ndarray, gv: np.ndarray) -> complex:
-        terms = fv * np.conj(gv) * self.levels[k].weights
-        return compensated_sum(terms.real, terms.imag)
+    def fiber_values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
+        """The same on the points of ``fibers(k)``."""
+        fib = self.fibers(k)
+        return f.evaluate(self._power_table(("fibers", k), fib.points, fib.inf_mask))
+
+    def _power_table(self, key, points, inf_mask) -> PowerTable:
+        if key not in self._powers:
+            self._powers[key] = PowerTable(points, inf_mask)
+        return self._powers[key]
+
+    def inner(self, k: int, fv: np.ndarray, gv: np.ndarray | None = None):
+        """The weighted inner products <fv, gv> on level k along the last
+        axis; with ``gv`` omitted, the squared norms <fv, fv>, whose
+        imaginary parts are not summed."""
+        terms = fv * np.conj(fv if gv is None else gv) * self.levels[k].weights
+        return compensated_sum(terms.real, None if gv is None else terms.imag)
 
     def composition_matrix(self, k: int) -> np.ndarray:
         """The parent-lookup matrix H_{k-1} -> H_k (rows are one-hot); dense reference."""
@@ -185,17 +202,20 @@ def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
 # identity checks
 
 
-def verify_isometry(model: OperatorModel, f: TestFunction, k: int) -> float:
+# Isometry, covariance and representation take a batch wherever they take
+# a polynomial, and return the worst residual over its rows.
+
+
+def verify_isometry(model: OperatorModel, f: TestFunction | PolynomialBatch, k: int) -> float:
     """| ||Cf||^2 on level k  -  ||f||^2 on level k-1 |."""
     fv = model.values(f, k - 1)
-    cf = fv[model.levels[k].parent]
-    lhs = model.inner(k, cf, cf).real
-    rhs = model.inner(k - 1, fv, fv).real
-    return abs(lhs - rhs)
+    cf = fv[..., model.levels[k].parent]
+    return float(np.max(np.abs(model.inner(k, cf) - model.inner(k - 1, fv))))
 
 
-def verify_covariance(model: OperatorModel, a: TestFunction, f: TestFunction,
-                      g: TestFunction, k: int) -> float:
+def verify_covariance(model: OperatorModel, a: TestFunction | PolynomialBatch,
+                      f: TestFunction | PolynomialBatch, g: TestFunction | PolynomialBatch,
+                      k: int) -> float:
     """|<M_a Cf, Cg> on level k - <M_(La) f, g> on level k-1|.
 
     The right side evaluates the transferred symbol through independent
@@ -206,23 +226,24 @@ def verify_covariance(model: OperatorModel, a: TestFunction, f: TestFunction,
     av = model.values(a, k)
     fv = model.values(f, k - 1)
     gv = model.values(g, k - 1)
-    lhs_terms = av * fv[lvl.parent] * np.conj(gv[lvl.parent]) * lvl.weights
-    fib = model.fibers(k)
-    la = fib.average(a.evaluate(fib.points, fib.inf_mask))
+    lhs_terms = av * fv[..., lvl.parent] * np.conj(gv[..., lvl.parent]) * lvl.weights
+    la = model.fibers(k).average(model.fiber_values(a, k))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
-    return abs(compensated_sum(lhs_terms.real, lhs_terms.imag)
-               - compensated_sum(rhs_terms.real, rhs_terms.imag))
+    gap = (compensated_sum(lhs_terms.real, lhs_terms.imag)
+           - compensated_sum(rhs_terms.real, rhs_terms.imag))
+    # hypot of the parts rounds as abs of a Python complex does.
+    return float(np.max(np.hypot(np.real(gap), np.imag(gap))))
 
 
-def verify_representation(model: OperatorModel, xi: TestFunction,
-                          eta: TestFunction, a: TestFunction,
+def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBatch,
+                          eta: TestFunction | PolynomialBatch, a: TestFunction | PolynomialBatch,
                           k: int) -> tuple[float, float]:
     """Residuals of the two representation relations.
 
     First: multiplication before or after the symbol map agrees exactly
-    as matrices (asserted zero by construction).  Second: the operator
-    norm gap between the composed pairing and multiplication by the
-    module inner product on level k-1.
+    as matrices (asserted zero by construction, on every row of a batch).
+    Second: the operator norm gap between the composed pairing and
+    multiplication by the module inner product on level k-1.
     """
     av = model.values(a, k)
     xv = model.values(xi, k)
@@ -239,8 +260,7 @@ def verify_representation(model: OperatorModel, xi: TestFunction,
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.
     pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
-    fib = model.fibers(k)
-    ip_vals = fib.average((xi.conj() * eta).evaluate(fib.points, fib.inf_mask))
+    ip_vals = model.fibers(k).average(model.fiber_values(xi.conj() * eta, k))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
 
@@ -370,6 +390,20 @@ def _record(identity: str, rmap: RationalMap, w: SpherePoint, m: int, k: int,
     return rec
 
 
+# numpy computes a product with a temporary operand in place from this
+# size, and may swap the operands, which can move the last bit.
+_ELISION_BYTES = 256 * 1024
+
+
+def _chunks(count: int, *sizes: int) -> list:
+    """Row slices of a batch of ``count`` trials whose complex arrays of
+    shape (rows, size) stay below the elision size for every point array
+    size given, or of one row each: then a trial's values take the same
+    path as in a run of one trial at a time."""
+    rows = max(1, (_ELISION_BYTES - 1) // (np.dtype(complex).itemsize * max(*sizes, 1)))
+    return [slice(start, start + rows) for start in range(0, count, rows)]
+
+
 def default_basis(rmap: RationalMap, sample: JuliaSample,
                   count: int = 32, count_cap: int = 256) -> list:
     """Basis sized for the suite: a net of about ``count`` bumps whose
@@ -388,10 +422,15 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
 
     Deterministic for a given seed.  ``identities`` may restrict to a
     subset of the record names.  Each identity compares level m with
-    level m - 1, so m < 1 raises ValueError.
+    level m - 1, so m < 1 raises ValueError, as do fewer than one trial or
+    pair.  The random polynomials of each identity are drawn up front and
+    checked in batches.
     """
     if m < 1:
         raise ValueError(f"verification needs depth m >= 1, got {m}")
+    if trials < 1 or pairs < 1:
+        raise ValueError(f"verification needs trials >= 1 and pairs >= 1, "
+                         f"got trials={trials}, pairs={pairs}")
     w = default_root(rmap) if w is None else as_point(w)
     wanted = None if identities is None else set(identities)
 
@@ -421,17 +460,15 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
                                extra_pass=exact))
 
     if want("isometry"):
-        worst = max(verify_isometry(model, random_polynomial(rng, 2), k)
-                    for _ in range(trials))
+        fs = random_polynomials(rng, trials, 2)
+        worst = max(verify_isometry(model, fs[rows], k)
+                    for rows in _chunks(trials, model.dim(k)))
         records.append(_record("isometry", rmap, w, m, k, worst))
 
     if want("covariance"):
-        worst = 0.0
-        for _ in range(trials):
-            a = random_polynomial(rng, 2)
-            f = random_polynomial(rng, 2)
-            g = random_polynomial(rng, 2)
-            worst = max(worst, verify_covariance(model, a, f, g, k))
+        a, f, g = random_trials(rng, trials, (2, 2, 2))
+        worst = max(verify_covariance(model, a[rows], f[rows], g[rows], k)
+                    for rows in _chunks(trials, model.dim(k), model.fibers(k).points.size))
         records.append(_record("covariance", rmap, w, m, k, worst))
 
     if want("transfer_unitality"):
@@ -464,22 +501,18 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         basis = default_basis(rmap, sample, count=basis_count)
 
     if want("representation"):
-        worst = 0.0
-        exact = True
-        for _ in range(pairs):
-            xi = random_polynomial(rng, 2)
-            eta = random_polynomial(rng, 2)
-            a = random_polynomial(rng, 1)
-            r1, r2 = verify_representation(model, xi, eta, a, k)
-            exact = exact and (r1 == 0.0)
-            worst = max(worst, r2)
+        xi, eta, a = random_trials(rng, pairs, (2, 2, 1))
+        residuals = [verify_representation(model, xi[rows], eta[rows], a[rows], k)
+                     for rows in _chunks(pairs, model.dim(k), model.fibers(k).points.size)]
+        exact = all(r1 == 0.0 for r1, _ in residuals)
+        worst = max(r2 for _, r2 in residuals)
         records.append(_record("representation", rmap, w, m, k, worst,
                                extra_pass=exact))
 
     if want("key_lemma"):
         worst = 0.0
-        for N in (0, max(1, len(basis) // 2), len(basis)):
-            a = random_polynomial(rng, 2)
+        symbols = random_polynomials(rng, 3, 2)
+        for N, a in zip((0, max(1, len(basis) // 2), len(basis)), symbols):
             worst = max(worst, verify_key_lemma(model, basis, N, a, k))
         records.append(_record("key_lemma", rmap, w, m, k, worst,
                                N=len(basis)))

@@ -5,7 +5,9 @@ quadrature and to the operator model: bivariate polynomials in (z, conj z),
 named analytic forms wrapped as callables, and pointwise tables bound to a
 specific atom set.  Polynomials compose exactly under products and
 conjugation, which keeps the operator identities free of interpolation
-error.
+error.  A :class:`PolynomialBatch` holds many polynomials over one term
+list, and a :class:`PowerTable` keeps the powers of a point array that
+every polynomial evaluated on it reads.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ class TestFunction:
     path; calling a function on a point evaluates it on a one-point array.
     """
 
-    __slots__ = ("kind", "name", "_coeffs", "_fn", "_points", "_inf_mask", "_values")
+    __slots__ = ("kind", "name", "_coeffs", "_fn", "_points", "_inf_mask", "_values",
+                 "_search")
 
     def __init__(self, kind, name, coeffs=None, fn=None,
                  points=None, inf_mask=None, values=None):
@@ -36,6 +39,7 @@ class TestFunction:
         self._points = points
         self._inf_mask = inf_mask
         self._values = values
+        self._search = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -79,45 +83,36 @@ class TestFunction:
 
     def evaluate(self, points, inf_mask=None) -> np.ndarray:
         """The values on a complex array with its infinity mask (no infinite
-        points when omitted).  A table evaluates only at its own atoms,
-        matched exactly, and raises IncompatibleTable at any other point."""
-        points = np.asarray(points, dtype=complex)
-        if inf_mask is None:
-            inf_mask = np.zeros(points.shape, dtype=bool)
-        inf_mask = np.asarray(inf_mask, dtype=bool)
+        points when omitted), or on a :class:`PowerTable`, whose powers a
+        polynomial reads.  A table evaluates only at its own atoms, matched
+        exactly, and raises IncompatibleTable at any other point."""
+        table = as_power_table(points, inf_mask)
+        points, inf_mask = table.points, table.inf_mask
         if self.kind == "poly":
-            out = np.zeros(points.shape, dtype=complex)
-            zbar = np.conj(points)
-            for (j, k), c in self._coeffs.items():
-                out += c * points**j * zbar**k
-            if inf_mask.any():
-                out[inf_mask] = self._poly_at_infinity()
-            return out
+            return PolynomialBatch.of(self).evaluate(table)[0]
         if self.kind == "callable":
             return np.asarray(self._fn(points, inf_mask), dtype=complex)
         # table: each point must be one of the atoms, matched exactly; the
         # first of equal atoms wins.  Infinite points are keyed inf + 0j,
         # and a NaN sentinel, which sorts last, keeps every search in range.
-        # The table's own atom array, the common case, needs no search.
+        # The table's own atom array, the common case, needs no search; the
+        # sorted keys are kept from the first search on.
         if (points.shape == self._points.shape and np.array_equal(inf_mask, self._inf_mask)
                 and np.array_equal(points, self._points)):
             return self._values.copy()
-        atoms = np.append(np.where(self._inf_mask, np.inf, self._points), np.nan)
+        if self._search is None:
+            atoms = np.append(np.where(self._inf_mask, np.inf, self._points), np.nan)
+            order = np.argsort(atoms, kind="stable")
+            self._search = order, atoms[order]
+        order, keys = self._search
         query = np.where(inf_mask, np.inf, points).ravel()
-        order = np.argsort(atoms, kind="stable")
-        hits = order[np.searchsorted(atoms[order], query)]
-        missing = np.flatnonzero(atoms[hits] != query)
+        slots = np.searchsorted(keys, query)
+        missing = np.flatnonzero(keys[slots] != query)
         if missing.size:
             z = complex(query[missing[0]])
             z = "inf" if np.isinf(z) else repr(z)
             raise IncompatibleTable(f"point {z} is not an atom of table {self.name}")
-        return self._values.ravel()[hits].reshape(points.shape)
-
-    def _poly_at_infinity(self) -> complex:
-        nonconst = [jk for jk in self._coeffs if jk != (0, 0)]
-        if nonconst:
-            raise ValueError(f"polynomial {self.name} is not defined at infinity")
-        return self._coeffs.get((0, 0), 0j)
+        return self._values.ravel()[order[slots]].reshape(points.shape)
 
     # ------------------------------------------------------------------
     # algebra
@@ -138,12 +133,9 @@ class TestFunction:
         if not isinstance(other, TestFunction):
             return NotImplemented
         if self.kind == "poly" and other.kind == "poly":
-            prod = {}
-            for (j1, k1), c1 in self._coeffs.items():
-                for (j2, k2), c2 in other._coeffs.items():
-                    key = (j1 + j2, k1 + k2)
-                    prod[key] = prod.get(key, 0j) + c1 * c2
-            return TestFunction.polynomial(prod, name=f"({self.name})*({other.name})")
+            prod = PolynomialBatch.of(self) * PolynomialBatch.of(other)
+            return TestFunction.polynomial(dict(zip(prod.keys, prod.coeffs[0])),
+                                           name=f"({self.name})*({other.name})")
         return TestFunction.from_callable(
             lambda p, i: self.evaluate(p, i) * other.evaluate(p, i),
             f"({self.name})*({other.name})")
@@ -207,6 +199,121 @@ def _poly_name(coeffs: dict) -> str:
     return "+".join(parts)
 
 
+# ----------------------------------------------------------------------
+# polynomial batches and power tables
+
+
+class PowerTable:
+    """A point array with its infinity mask and the powers ``points**j``
+    and ``conj(points)**k`` that polynomials read, each computed once, when
+    first read, exactly as numpy computes it (``z**3`` is not
+    ``(z*z)*z``).  The powers are read-only."""
+
+    __slots__ = ("points", "inf_mask", "_powers")
+
+    def __init__(self, points, inf_mask=None):
+        self.points = np.asarray(points, dtype=complex)
+        self.inf_mask = (np.zeros(self.points.shape, dtype=bool) if inf_mask is None
+                         else np.asarray(inf_mask, dtype=bool))
+        self._powers = {}
+
+    def power(self, j: int, conjugate: bool = False) -> np.ndarray:
+        """``points**j``, or ``conj(points)**j`` with ``conjugate``."""
+        if (j, conjugate) not in self._powers:
+            if conjugate and "conj" not in self._powers:
+                self._powers["conj"] = np.conj(self.points)
+            base = self._powers["conj"] if conjugate else self.points
+            self._powers[j, conjugate] = base**j
+            self._powers[j, conjugate].setflags(write=False)
+        return self._powers[j, conjugate]
+
+
+def as_power_table(points, inf_mask=None) -> PowerTable:
+    """``points`` itself when it is a PowerTable, else a fresh one."""
+    return points if isinstance(points, PowerTable) else PowerTable(points, inf_mask)
+
+
+class PolynomialBatch:
+    """Polynomials in (z, conj z) that share one term list: row i of the
+    ``(rows, terms)`` matrix ``coeffs`` holds the coefficients of the terms
+    ``keys``.  Evaluation gives one row of values per polynomial; an integer
+    index gives that row as a :class:`TestFunction`, a slice a batch."""
+
+    __slots__ = ("keys", "coeffs", "name")
+
+    def __init__(self, keys, coeffs, name: str = "batch"):
+        self.keys = tuple((int(j), int(k)) for j, k in keys)
+        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+        self.name = name
+
+    @classmethod
+    def of(cls, f: TestFunction) -> "PolynomialBatch":
+        """A polynomial TestFunction as a one-row batch."""
+        if f.kind != "poly":
+            raise TypeError(f"{f.name} is not a polynomial")
+        return cls(list(f._coeffs), [list(f._coeffs.values())], f.name)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return TestFunction.polynomial(dict(zip(self.keys, self.coeffs[rows])),
+                                           name=self.name)
+        return PolynomialBatch(self.keys, self.coeffs[rows], self.name)
+
+    def evaluate(self, points, inf_mask=None) -> np.ndarray:
+        """The values on a point array with its infinity mask, or on a
+        :class:`PowerTable`: one row per polynomial, in the points' shape.
+
+        This is the one polynomial evaluator.  Terms accumulate in key order
+        as ``(c * z**j) * conj(z)**k`` on the table's named power arrays, so
+        the product order does not depend on the array size (numpy runs
+        ``x * temporary`` as ``temporary * x`` from 256 KiB), and a row's
+        values do not depend on the other rows.  At infinity only a
+        constant is defined.
+        """
+        table = as_power_table(points, inf_mask)
+        out = np.zeros((len(self),) + table.points.shape, dtype=complex)
+        column = (-1,) + (1,) * table.points.ndim
+        for (j, k), c in zip(self.keys, self.coeffs.T):
+            c = c.reshape(column)
+            z_j = table.power(j)
+            zbar_k = table.power(k, conjugate=True)
+            out += (c * z_j) * zbar_k
+        if table.inf_mask.any():
+            if any(key != (0, 0) for key in self.keys):
+                raise ValueError(f"polynomial {self.name} is not defined at infinity")
+            out[:, table.inf_mask] = self.coeffs[:, :1] if self.keys else 0j
+        return out
+
+    def conj(self) -> "PolynomialBatch":
+        return PolynomialBatch([(k, j) for j, k in self.keys], np.conj(self.coeffs),
+                               f"conj({self.name})")
+
+    def __mul__(self, other: "PolynomialBatch") -> "PolynomialBatch":
+        """Row-wise products, in :meth:`TestFunction.__mul__`'s key order.
+
+        The products of coefficients round as Python's complex product does,
+        from real and imaginary parts (numpy's complex multiply may fuse
+        them), and accumulate from ``0j`` in the order of the nested term
+        loops.
+        """
+        sums = {}
+        for (j1, k1), a in zip(self.keys, self.coeffs.T):
+            for (j2, k2), b in zip(other.keys, other.coeffs.T):
+                key = (j1 + j2, k1 + k2)
+                re, im = sums.get(key, (0.0, 0.0))
+                sums[key] = (re + (a.real * b.real - a.imag * b.imag),
+                             im + (a.real * b.imag + a.imag * b.real))
+        rows = np.broadcast_shapes((len(self),), (len(other),))[0]
+        coeffs = np.empty((rows, len(sums)), dtype=complex)
+        for t, (re, im) in enumerate(sums.values()):
+            coeffs[:, t].real = re
+            coeffs[:, t].imag = im
+        return PolynomialBatch(sums, coeffs, f"({self.name})*({other.name})")
+
+
 ONE = TestFunction.constant(1.0, name="1")
 
 Z = TestFunction.polynomial({(1, 0): 1.0}, name="z")
@@ -237,16 +344,44 @@ def abs_distance(center: complex, name: str | None = None) -> TestFunction:
 ABS = abs_distance(0.0, "|z|")
 
 
-def random_polynomial(rng: np.random.Generator, max_degree: int = 2,
-                      decay: float = 3.0, name: str = "rand") -> TestFunction:
-    """A random polynomial in (z, conj z) with geometrically damped coefficients.
+def _term_keys(max_degree: int) -> list:
+    return [(j, k) for j in range(max_degree + 1) for k in range(max_degree + 1 - j)]
+
+
+def random_trials(rng: np.random.Generator, count: int, degrees,
+                  decay: float = 3.0, name: str = "rand") -> tuple:
+    """``count`` trials of one random polynomial per entry of ``degrees``,
+    as one batch per entry, drawn from the stream exactly as ``count``
+    rounds of ``random_polynomial(rng, d)`` for d in ``degrees`` would draw
+    them, with one call of ``rng.standard_normal``."""
+    keys = [_term_keys(d) for d in degrees]
+    edges = np.cumsum([0] + [2 * len(k) for k in keys])
+    normals = rng.standard_normal(count * int(edges[-1])).reshape(count, int(edges[-1]))
+    batches = []
+    for lo, hi, terms in zip(edges, edges[1:], keys):
+        parts = normals[:, lo:hi].reshape(count, len(terms), 2)
+        scale = np.array([decay ** (-(j + k)) for j, k in terms])
+        coeffs = np.empty((count, len(terms)), dtype=complex)
+        coeffs.real = parts[..., 0] * scale
+        coeffs.imag = parts[..., 1] * scale
+        batches.append(PolynomialBatch(terms, coeffs, name))
+    return tuple(batches)
+
+
+def random_polynomials(rng: np.random.Generator, count: int, max_degree: int = 2,
+                       decay: float = 3.0, name: str = "rand") -> PolynomialBatch:
+    """``count`` random polynomials in (z, conj z) over one term list, with
+    geometrically damped coefficients: the batch of ``count`` successive
+    :func:`random_polynomial` calls, drawn with one call of
+    ``rng.standard_normal``.
 
     The damping keeps values O(1) on the disk |z| <= 2 so that residual
     tolerances in the operator checks are meaningful.
     """
-    coeffs = {}
-    for j in range(max_degree + 1):
-        for k in range(max_degree + 1 - j):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            coeffs[(j, k)] = c * decay ** (-(j + k))
-    return TestFunction.polynomial(coeffs, name=name)
+    return random_trials(rng, count, (max_degree,), decay, name)[0]
+
+
+def random_polynomial(rng: np.random.Generator, max_degree: int = 2,
+                      decay: float = 3.0, name: str = "rand") -> TestFunction:
+    """One random polynomial: the one-row case of :func:`random_polynomials`."""
+    return random_polynomials(rng, 1, max_degree, decay, name)[0]

@@ -36,6 +36,20 @@ def test_verify_depth_0_exit_2(capsys, identity):
     assert "depth m >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "covariance", "--map", "quad", "--depth", "3", "--trials", "0"],
+    ["verify", "all", "--map", "quad", "--depth", "3", "--trials", "0"],
+    ["verify", "representation", "--map", "quad", "--depth", "3", "--pairs", "0"],
+])
+def test_verify_without_trials_exit_2(capsys, argv):
+    # With no trial a check has no residual: it once passed at 0.0, or
+    # failed on the max of an empty sequence.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials >= 1 and pairs >= 1" in captured.err
+
+
 def test_exceptional_root_exit_2(capsys):
     assert main(["tree", "--map", "quad", "--w", "0,0", "--depth", "2"]) == 2
 

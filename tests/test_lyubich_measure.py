@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from lyubich_lab.errors import ExceptionalRoot, IncompatibleTable
-from lyubich_lab.lyubich_measure import (convergence_report, default_root,
-                                         integrate, measure_from_tree,
+from lyubich_lab.lyubich_measure import (compensated_sum, convergence_report,
+                                         default_root, integrate, measure_from_tree,
                                          measure_match_defect, measures_match,
                                          pushforward)
 from lyubich_lab.preimage_solver import iterated_preimages
@@ -312,3 +312,20 @@ def test_measure_csv(tmp_path, cheb):
     total = sum(int(r[2]) for r in rows[1:])
     assert total == mu.denominator()
     assert all(int(r[3]) == 3 for r in rows[1:])
+
+
+def test_compensated_sum_takes_one_sum_per_row():
+    rng = np.random.default_rng(2)
+    # cancelling terms, where a plain sum loses every digit
+    re = np.concatenate([rng.standard_normal((4, 50)) * 1e16, rng.standard_normal((4, 50))],
+                        axis=1)
+    re = np.concatenate([re, -re[:, :50]], axis=1)
+    im = rng.standard_normal((4, 150))
+    rows = compensated_sum(re, im)
+    assert rows.shape == (4,)
+    for i in range(4):
+        assert rows[i] == complex(math.fsum(re[i]), math.fsum(im[i]))
+        assert rows[i] == compensated_sum(re[i], im[i])
+        assert compensated_sum(re[i]) == math.fsum(re[i])
+    assert compensated_sum(re).tolist() == [math.fsum(row) for row in re]
+    assert compensated_sum(np.zeros(0), np.zeros(0)) == 0j

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -477,3 +480,160 @@ def test_representation_matches_dense(oracle_case):
         ip_vals = inner_product(rmap, xi, eta).evaluate(prev.points, prev.inf_mask)
         dense = model.weighted_norm(k - 1, pairing - np.diag(ip_vals))
         assert abs(residual2 - dense) <= ORACLE_BOUND
+
+
+# ----------------------------------------------------------------------
+# batched trials against a frozen copy of the per-trial loops
+#
+# The suite once drew and checked one polynomial at a time, evaluating
+# each term as ``c * points**j * conj(points)**k``.  The copy below keeps
+# that code, so the batched suite is held to its records bit for bit.
+
+
+def _frozen_polynomial(rng, max_degree):
+    coeffs = {}
+    for j in range(max_degree + 1):
+        for k in range(max_degree + 1 - j):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            coeffs[(j, k)] = c * 3.0 ** (-(j + k))
+    return coeffs
+
+
+def _frozen_values(coeffs, points):
+    out = np.zeros(points.shape, dtype=complex)
+    zbar = np.conj(points)
+    for (j, k), c in coeffs.items():
+        out += c * points**j * zbar**k
+    return out
+
+
+def _frozen_conj_product(xi, eta):
+    prod = {}
+    for (j1, k1), c1 in xi.items():
+        for (j2, k2), c2 in eta.items():
+            key = (k1 + j2, j1 + k2)
+            prod[key] = prod.get(key, 0j) + c1.conjugate() * c2
+    return prod
+
+
+def _frozen_sum(terms):
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def _frozen_isometry(model, f, k):
+    fv = _frozen_values(f, model.levels[k - 1].points)
+    cf = fv[model.levels[k].parent]
+    lhs = _frozen_sum(cf * np.conj(cf) * model.levels[k].weights).real
+    rhs = _frozen_sum(fv * np.conj(fv) * model.levels[k - 1].weights).real
+    return abs(lhs - rhs)
+
+
+def _frozen_covariance(model, a, f, g, k):
+    lvl = model.levels[k]
+    prev = model.levels[k - 1]
+    av = _frozen_values(a, lvl.points)
+    fv = _frozen_values(f, prev.points)
+    gv = _frozen_values(g, prev.points)
+    lhs_terms = av * fv[lvl.parent] * np.conj(gv[lvl.parent]) * lvl.weights
+    fib = model.fibers(k)
+    la = fib.average(_frozen_values(a, fib.points))
+    rhs_terms = la * fv * np.conj(gv) * prev.weights
+    return abs(_frozen_sum(lhs_terms) - _frozen_sum(rhs_terms))
+
+
+def _frozen_representation(model, xi, eta, a, k):
+    points = model.levels[k].points
+    av = _frozen_values(a, points)
+    xv = _frozen_values(xi, points)
+    comp = np.ones(model.dim(k))
+    x_comp = xv * comp
+    a_x = av * xv
+    residual1 = float(np.max(np.abs(av * x_comp - a_x * comp)))
+    pairing = model.apply_adjoint(k, np.conj(xv) * _frozen_values(eta, points))
+    fib = model.fibers(k)
+    ip_vals = fib.average(_frozen_values(_frozen_conj_product(xi, eta), fib.points))
+    return residual1, float(np.max(np.abs(pairing - ip_vals)))
+
+
+def _frozen_records(rmap, m, seed, trials, pairs):
+    w = default_root(rmap)
+    rng = np.random.default_rng(seed)
+    model = build_model(rmap, w, m)
+    worst = max(_frozen_isometry(model, _frozen_polynomial(rng, 2), m)
+                for _ in range(trials))
+    records = [operator_lab._record("isometry", rmap, w, m, m, worst)]
+    worst = 0.0
+    for _ in range(trials):
+        a, f, g = (_frozen_polynomial(rng, 2) for _ in range(3))
+        worst = max(worst, _frozen_covariance(model, a, f, g, m))
+    records.append(operator_lab._record("covariance", rmap, w, m, m, worst))
+    _frozen_polynomial(rng, 2)          # transfer_two_path's symbol
+    worst = 0.0
+    exact = True
+    for _ in range(pairs):
+        xi, eta, a = _frozen_polynomial(rng, 2), _frozen_polynomial(rng, 2), \
+            _frozen_polynomial(rng, 1)
+        r1, r2 = _frozen_representation(model, xi, eta, a, m)
+        exact = exact and (r1 == 0.0)
+        worst = max(worst, r2)
+    records.append(operator_lab._record("representation", rmap, w, m, m, worst,
+                                        extra_pass=exact))
+    return records
+
+
+BATCH_CASES = [(name, m, seed) for name, m in (("quad", 9), ("basilica", 9), ("chebyshev", 8))
+               for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,m,seed,trials,pairs",
+                         [case + (100, 50) for case in BATCH_CASES]
+                         # 2048 atoms: chunks of 7 rows, three of them per identity
+                         + [("basilica", 11, 2, 20, 10)])
+def test_batched_trials_keep_the_per_trial_records(name, m, seed, trials, pairs):
+    rmap = builtin_map(name)
+    report = verification_suite(rmap, m=m, seed=seed, trials=trials, pairs=pairs,
+                                identities=["isometry", "covariance", "transfer_two_path",
+                                            "representation"])
+    batched = [rec for rec in report["results"] if rec["identity"] != "transfer_two_path"]
+    assert json.dumps(batched) == json.dumps(_frozen_records(rmap, m, seed, trials, pairs))
+    # The suite's chunks hold several rows but not every trial.
+    chunks = operator_lab._chunks(trials, 2 ** m)
+    assert 1 < chunks[0].stop < trials
+
+
+def test_a_polynomial_and_its_one_row_batch_agree_above_the_elision_size():
+    # 16384 atoms: numpy would run ``x * temporary`` in place and swapped.
+    basilica = builtin_map("basilica")
+    lvl = build_model(basilica, default_root(basilica), 14).levels[14]
+    assert lvl.size == 16384
+    rng = np.random.default_rng(5)
+    batch = tf.random_polynomials(rng, 3, 2)
+    values = batch.evaluate(lvl.points, lvl.inf_mask)
+    for i in range(3):
+        single = batch[i].evaluate(lvl.points, lvl.inf_mask)
+        assert single.tobytes() == values[i].tobytes()
+        assert single.tobytes() == batch[i:i + 1].evaluate(lvl.points)[0].tobytes()
+    product = (batch.conj() * batch[::-1]).evaluate(lvl.points)
+    for i in range(3):
+        single = (batch[i].conj() * batch[2 - i]).evaluate(lvl.points)
+        assert single.tobytes() == product[i].tobytes()
+
+
+def test_batched_checks_return_the_worst_row(cheb_model):
+    rng = np.random.default_rng(37)
+    a, f, g = tf.random_trials(rng, 6, (2, 2, 1))
+    assert verify_isometry(cheb_model, f, 8) == max(verify_isometry(cheb_model, f[i], 8)
+                                                    for i in range(6))
+    assert verify_covariance(cheb_model, a, f, g, 8) == max(
+        verify_covariance(cheb_model, a[i], f[i], g[i], 8) for i in range(6))
+    r1, r2 = verify_representation(cheb_model, a, f, g, 8)
+    rows = [verify_representation(cheb_model, a[i], f[i], g[i], 8) for i in range(6)]
+    assert r1 == 0.0 and all(row[0] == 0.0 for row in rows)
+    assert r2 == max(row[1] for row in rows)
+
+
+@pytest.mark.parametrize("trials,pairs", [(0, 5), (5, 0), (-1, 5)])
+def test_suite_rejects_fewer_than_one_trial(quad_map, trials, pairs):
+    with pytest.raises(ValueError, match="trials >= 1 and pairs >= 1"):
+        verification_suite(quad_map, m=3, trials=trials, pairs=pairs,
+                           identities=["covariance"])

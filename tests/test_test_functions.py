@@ -106,3 +106,97 @@ def test_a_point_evaluates_as_a_one_point_array(name):
     else:
         assert f(INFINITY) == at_infinity
         assert f.evaluate([0.3, 0.0], [False, True])[1] == at_infinity
+
+
+def _scalar_draw(rng, max_degree, decay=3.0):
+    """The draw of one random polynomial as it was made one scalar at a time."""
+    coeffs = {}
+    for j in range(max_degree + 1):
+        for k in range(max_degree + 1 - j):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            coeffs[(j, k)] = c * decay ** (-(j + k))
+    return coeffs
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_random_polynomials_are_successive_draws(degree):
+    batch_rng, single_rng, scalar_rng = (np.random.default_rng(21) for _ in range(3))
+    batch = tf.random_polynomials(batch_rng, 40, degree)
+    for i in range(40):
+        single = tf.random_polynomial(single_rng, degree)._coeffs
+        scalar = _scalar_draw(scalar_rng, degree)
+        row = batch[i]._coeffs
+        assert list(row) == list(single) == list(scalar) == list(batch.keys)
+        assert all(row[key] == single[key] == scalar[key] for key in scalar)
+    state = batch_rng.bit_generator.state
+    assert state == single_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def test_random_trials_interleave_as_successive_draws():
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    xi, eta, a = tf.random_trials(rng, 5, (2, 2, 1))
+    for i in range(5):
+        for batch, degree in ((xi, 2), (eta, 2), (a, 1)):
+            assert batch[i]._coeffs == _scalar_draw(ref, degree)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_product_coefficients_round_as_python_complex():
+    rng = np.random.default_rng(13)
+    xi, eta = tf.random_polynomials(rng, 30, 2), tf.random_polynomials(rng, 30, 2)
+    product = xi.conj() * eta
+    for i in range(30):
+        expected = {}
+        for (j1, k1), c1 in xi[i]._coeffs.items():
+            for (j2, k2), c2 in eta[i]._coeffs.items():
+                key = (k1 + j2, j1 + k2)
+                expected[key] = expected.get(key, 0j) + c1.conjugate() * c2
+        assert product[i]._coeffs == expected
+        assert list(product[i]._coeffs) == list(expected)
+        assert (xi[i].conj() * eta[i])._coeffs == expected
+
+
+def test_a_batch_evaluates_row_by_row_on_a_power_table():
+    points = np.exp(1j * np.linspace(0, 6, 300)) * np.linspace(0.2, 2, 300)
+    table = tf.PowerTable(points)
+    batch = tf.random_polynomials(np.random.default_rng(4), 7, 3)
+    values = batch.evaluate(table)
+    assert values.shape == (7, 300)
+    for i in range(7):
+        assert batch[i].evaluate(points).tobytes() == values[i].tobytes()
+        assert batch[i].evaluate(table).tobytes() == values[i].tobytes()
+    # the powers are numpy's, computed once and shared
+    assert table.power(3).tobytes() == (points**3).tobytes()
+    assert table.power(2, conjugate=True).tobytes() == (np.conj(points)**2).tobytes()
+    assert table.power(3) is table.power(3)
+    assert not table.power(3).flags.writeable
+
+
+def test_a_batch_is_defined_at_infinity_only_when_constant():
+    inf = np.array([False, True])
+    consts = tf.PolynomialBatch([(0, 0)], [[2.0], [1j]])
+    np.testing.assert_array_equal(consts.evaluate([0.5, 0.0], inf), [[2, 2], [1j, 1j]])
+    with pytest.raises(ValueError):
+        tf.random_polynomials(np.random.default_rng(0), 2, 1).evaluate([0.5, 0.0], inf)
+
+
+def test_table_lookups_sort_the_atoms_once(monkeypatch):
+    points = np.random.default_rng(9).standard_normal(500) + 0j
+    table = tf.TestFunction.from_table(points, np.zeros(500, dtype=bool), 2 * points)
+    sorts = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        sorts.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    query = points[[7, 3, 499, 3]]
+    first = table.evaluate(query)
+    second = table.evaluate(query[::-1])
+    assert len(sorts) == 1
+    np.testing.assert_array_equal(first, 2 * query)
+    np.testing.assert_array_equal(second, first[::-1])
+    with pytest.raises(IncompatibleTable):
+        table(0.123)
+    assert len(sorts) == 1

@@ -11,7 +11,8 @@ command fails before writing it) its stdout report with the
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
 elision can move last bits), a tree with atoms at infinity, a Julia
-sample, a basis export and three verification reports.
+sample, a basis export and four verification reports, one of them with
+trials checked in chunks of several rows.
 """
 
 import hashlib
@@ -33,6 +34,9 @@ COMMANDS = [
     ["verify", "all", "--map", "basilica", "--depth", "9", "--seed", "1"],
     ["verify", "all", "--map", "basilica", "--depth", "14", "--seed", "1",
      "--trials", "3", "--pairs", "3"],
+    # 2048-atom levels: the suite checks its trials in chunks of several rows.
+    ["verify", "all", "--map", "basilica", "--depth", "11", "--seed", "2",
+     "--trials", "40", "--pairs", "20"],
 ]
 
 
