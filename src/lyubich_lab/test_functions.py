@@ -218,14 +218,22 @@ class PowerTable:
         self._powers = {}
 
     def power(self, j: int, conjugate: bool = False) -> np.ndarray:
-        """``points**j``, or ``conj(points)**j`` with ``conjugate``."""
-        if (j, conjugate) not in self._powers:
-            if conjugate and "conj" not in self._powers:
-                self._powers["conj"] = np.conj(self.points)
-            base = self._powers["conj"] if conjugate else self.points
-            self._powers[j, conjugate] = base**j
-            self._powers[j, conjugate].setflags(write=False)
-        return self._powers[j, conjugate]
+        """``points**j``, or ``conj(points)**j`` with ``conjugate``.  numpy's
+        ``z**0`` is exactly 1 at every point, NaN and infinity included, so
+        it is filled in, not computed."""
+        key = (j, conjugate)
+        if key not in self._powers:
+            if j == 0:
+                value = np.ones(self.points.shape, dtype=complex)
+            elif conjugate:
+                if "conj" not in self._powers:
+                    self._powers["conj"] = np.conj(self.points)
+                value = self._powers["conj"]**j
+            else:
+                value = self.points**j
+            value.setflags(write=False)
+            self._powers[key] = value
+        return self._powers[key]
 
 
 def as_power_table(points, inf_mask=None) -> PowerTable:
@@ -270,17 +278,18 @@ class PolynomialBatch:
         as ``(c * z**j) * conj(z)**k`` on the table's named power arrays, so
         the product order does not depend on the array size (numpy runs
         ``x * temporary`` as ``temporary * x`` from 256 KiB), and a row's
-        values do not depend on the other rows.  At infinity only a
-        constant is defined.
+        values do not depend on the other rows.  The second product is
+        taken in place, which rounds as the fresh product does and spares
+        numpy's costly check for a temporary it may reuse.  At infinity
+        only a constant is defined.
         """
         table = as_power_table(points, inf_mask)
         out = np.zeros((len(self),) + table.points.shape, dtype=complex)
         column = (-1,) + (1,) * table.points.ndim
         for (j, k), c in zip(self.keys, self.coeffs.T):
-            c = c.reshape(column)
-            z_j = table.power(j)
-            zbar_k = table.power(k, conjugate=True)
-            out += (c * z_j) * zbar_k
+            term = c.reshape(column) * table.power(j)
+            term *= table.power(k, conjugate=True)
+            out += term
         if table.inf_mask.any():
             if any(key != (0, 0) for key in self.keys):
                 raise ValueError(f"polynomial {self.name} is not defined at infinity")

@@ -170,6 +170,13 @@ def test_a_batch_evaluates_row_by_row_on_a_power_table():
     assert table.power(2, conjugate=True).tobytes() == (np.conj(points)**2).tobytes()
     assert table.power(3) is table.power(3)
     assert not table.power(3).flags.writeable
+    # z**0 is filled in as numpy computes it: 1 everywhere, NaN and inf too
+    odd = np.append(points, [np.nan, np.inf, complex(np.nan, 1), complex(-np.inf, np.inf), 0])
+    with np.errstate(all="ignore"):
+        for conjugate in (False, True):
+            base = np.conj(odd) if conjugate else odd
+            zeroth = tf.PowerTable(odd).power(0, conjugate)
+            assert zeroth.tobytes() == (base**0).tobytes()
 
 
 def test_a_batch_is_defined_at_infinity_only_when_constant():
