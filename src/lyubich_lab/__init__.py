@@ -33,8 +33,7 @@ from .operator_lab import (OperatorModel, build_model,
                            verify_vanishing_reconstruction)
 from .sphere import INFINITY, SpherePoint, as_point, chordal
 from .test_functions import TestFunction, random_polynomial
-from .transfer_operator import (TransferResult, apply_transfer, inner_product,
-                                sup_norm_2, transfer_function, transfer_power,
-                                transfer_result)
+from .transfer_operator import (apply_transfer, inner_product, sup_norm_2,
+                                transfer_function, transfer_power)
 
 __version__ = "0.1.0"

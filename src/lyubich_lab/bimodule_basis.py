@@ -16,7 +16,7 @@ makes the reconstruction identity hold to roundoff.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,13 +35,20 @@ _SECTOR_LADDER_CAP = 16
 
 @dataclass
 class JuliaSample:
-    """Deterministic sample of the Julia set from deep preimage atoms."""
+    """Deterministic sample of the Julia set from deep preimage atoms.
+
+    The sample owns what is derived from its points, each computed once,
+    when first read: the fibers over their images, their distances to the
+    critical points, the branch points, and each partition's member
+    matrices.  Arrays it keeps are read-only.
+    """
 
     map: RationalMap
     points: np.ndarray
     inf_mask: np.ndarray
     method: str
     seed: int
+    _members: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -55,6 +62,56 @@ class JuliaSample:
         """The fibers over the images of the sample points, each holding a
         point and its siblings, solved once per sample."""
         return gather_fibers(self.map, self.points, self.inf_mask, siblings=True)
+
+    @cached_property
+    def critical_distances(self) -> np.ndarray:
+        """The chordal distances from each critical point of the map (one
+        row each, in ``critical_points`` order) to each sample point."""
+        crit = critical_points(self.map)
+        table = np.array([chordal_array(self.points, self.inf_mask, d.point)
+                          for d in crit]).reshape(len(crit), self.size)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _branch_rows(self) -> np.ndarray:
+        """The rows of ``critical_distances`` whose critical point meets the
+        sample: lies within 6x the median spacing of it, or within 1e-3."""
+        if self.size < 2:
+            return np.zeros(0, dtype=np.intp)
+        # The sample concentrates where the balanced measure does, so local
+        # gaps can be several times the median spacing (e.g. the arcsine law
+        # is sparse mid-interval); 6x keeps on-set critical points detected.
+        threshold = max(6.0 * _median_spacing(self), 1e-3)
+        return np.flatnonzero(self.critical_distances.min(axis=1) <= threshold)
+
+    @property
+    def branch_points(self) -> list:
+        """The critical points that meet the sample."""
+        crit = critical_points(self.map)
+        return [crit[i] for i in self._branch_rows]
+
+    @property
+    def branch_distances(self) -> np.ndarray:
+        """The rows of ``critical_distances`` of ``branch_points``."""
+        return self.critical_distances[self._branch_rows]
+
+    def member_matrices(self, partition: "PartitionOfUnity") -> tuple:
+        """The partition's member matrices on the sample points and on the
+        points of ``sibling_fibers``, computed once per partition."""
+        if partition not in self._members:
+            fib = self.sibling_fibers
+            matrices = (partition.member_matrix(self.points, self.inf_mask),
+                        partition.member_matrix(fib.points, fib.inf_mask))
+            for matrix in matrices:
+                matrix.setflags(write=False)
+            self._members[partition] = matrices
+        return self._members[partition]
+
+
+def _check_sample(rmap: RationalMap, sample: JuliaSample) -> None:
+    if sample.map is not rmap:
+        raise ValueError("the sample belongs to another map")
 
 
 def julia_sample(rmap: RationalMap, size: int, seed: int,
@@ -114,15 +171,10 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
     Guarantees that a bump of support diameter below 2r centered away from
     the critical points meets each fiber in at most one atom.
     """
-    if sample.map is not rmap:
-        raise ValueError("the sample belongs to another map")
+    _check_sample(rmap, sample)
     if sample.size < 2:
         raise DegenerateSample("need at least two sample points")
-    crit = [d.point for d in critical_points(rmap)]
-
-    dist_crit = np.full(sample.size, np.inf)
-    for c in crit:
-        dist_crit = np.minimum(dist_crit, chordal_array(sample.points, sample.inf_mask, c))
+    dist_crit = sample.critical_distances.min(axis=0, initial=np.inf)
 
     fib = sample.sibling_fibers
     atoms = sphere_points(fib.points, fib.inf_mask)
@@ -316,20 +368,10 @@ def net_radius(sample: JuliaSample, count: int) -> float:
 
 
 def branch_points_on_julia(rmap: RationalMap, sample: JuliaSample) -> list:
-    """Critical points that meet the sampled Julia set."""
-    if sample.size < 2:
-        return []
-    # The sample concentrates where the balanced measure does, so local
-    # gaps can be several times the median spacing (e.g. the arcsine law
-    # is sparse mid-interval); 6x keeps on-set critical points detected.
-    spacing = _median_spacing(sample)
-    threshold = max(6.0 * spacing, 1e-3)
-    out = []
-    for datum in critical_points(rmap):
-        d = float(np.min(chordal_array(sample.points, sample.inf_mask, datum.point)))
-        if d <= threshold:
-            out.append(datum)
-    return out
+    """Critical points that meet the sampled Julia set, as the sample
+    finds them once (:attr:`JuliaSample.branch_points`)."""
+    _check_sample(rmap, sample)
+    return sample.branch_points
 
 
 def _median_spacing(sample: JuliaSample) -> float:
@@ -360,15 +402,10 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
     n = rmap.degree
     pts, infs = sample.points, sample.inf_mask
     branch = branch_points_on_julia(rmap, sample)
+    near = sample.branch_distances
     rho0 = 4.0 * r
 
-    if branch:
-        pool_mask = np.ones(sample.size, dtype=bool)
-        for datum in branch:
-            pool_mask &= chordal_array(pts, infs, datum.point) > rho0
-    else:
-        pool_mask = np.ones(sample.size, dtype=bool)
-    pool_idx = np.nonzero(pool_mask)[0]
+    pool_idx = np.flatnonzero(np.all(near > rho0, axis=0))
     if pool_idx.size == 0 and not branch:
         raise CoverFailure("empty sample")
 
@@ -379,21 +416,18 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
             f"net of {len(chosen)} centers covers the sample only to radius "
             f"{cover:.3g} > {r:.3g}")
 
-    net_bumps = []
-    for local in chosen:
-        i = int(pool_idx[local])
-        center = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
-        net_bumps.append(_RawBump(center=center, radius=_SUPPORT_FACTOR * r,
-                                  exponent=2))
+    centers = pool_idx[chosen]
+    net_bumps = [_RawBump(center=INFINITY if infs[i] else SpherePoint(complex(pts[i])),
+                          radius=_SUPPORT_FACTOR * r, exponent=2) for i in centers]
     if branch:
-        def dist_to_branch(bump):
-            return min(chordal(bump.center, d.point) for d in branch)
-
-        net_bumps.sort(key=lambda b: (-dist_to_branch(b), b.center.sort_key()))
+        # Farthest from the branch points first.
+        clearance = near[:, centers].min(axis=0)
+        order = sorted(range(len(net_bumps)),
+                       key=lambda j: (-clearance[j], net_bumps[j].center.sort_key()))
+        net_bumps = [net_bumps[j] for j in order]
 
     sector_bumps = []
-    for datum in sorted(branch, key=lambda d: d.point.sort_key()):
-        dists = chordal_array(pts, infs, datum.point)
+    for datum, dists in sorted(zip(branch, near), key=lambda pair: pair[0].point.sort_key()):
         positive = dists[dists > 1e-12]
         d_plus = float(positive.min()) if positive.size else rho0 / 4
         levels = 1
@@ -418,12 +452,11 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
 
     partition = PartitionOfUnity(n, bumps)
     total = partition.raw_matrix(pts, infs).sum(axis=0)
-    uncovered = np.nonzero(total <= 0.0)[0]
-    for i in uncovered:
+    uncovered = np.flatnonzero((total <= 0.0) & (near.min(axis=0, initial=np.inf) > 1e-9))
+    if uncovered.size:
+        i = uncovered[0]
         p = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
-        near_branch = any(chordal(p, d.point) <= 1e-9 for d in branch)
-        if not near_branch:
-            raise CoverFailure(f"sample point {p!r} is not covered by any bump")
+        raise CoverFailure(f"sample point {p!r} is not covered by any bump")
 
     return [BasisElement(index=i, bump=b, partition=partition)
             for i, b in enumerate(bumps)]
@@ -507,8 +540,7 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
     Each term is element * (inner product of element with xi, composed
     with the map); the residual is the sup-norm gap to xi over the sample.
     """
-    if sample.map is not rmap:
-        raise ValueError("the sample belongs to another map")
+    _check_sample(rmap, sample)
     pts, infs = sample.points, sample.inf_mask
     xi_vals = xi.evaluate(pts, infs)
     if N <= 0:
@@ -516,11 +548,9 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
                                         name=f"recon0({xi.name})")
         return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
 
-    partition = basis[0].partition
     fib = sample.sibling_fibers
-    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
+    U_sample, U_fiber = sample.member_matrices(basis[0].partition)
     xi_fiber = xi.evaluate(fib.points, fib.inf_mask)
-    U_sample = partition.member_matrix(pts, infs)
 
     count = min(N, len(basis))
     recon = reconstruction_sum(U_sample[:count], fib, U_fiber[:count], xi_fiber)

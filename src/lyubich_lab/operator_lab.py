@@ -35,7 +35,7 @@ from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
 from .preimage_solver import Fibers, PreimageTree, gather_fibers, iterated_preimages
 from .rational_map import RationalMap
-from .sphere import INFINITY, SpherePoint, as_point, chordal_array
+from .sphere import INFINITY, SpherePoint, as_point
 from .test_functions import (ONE, PolynomialBatch, PowerTable, TestFunction,
                              random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
@@ -56,16 +56,20 @@ TOLERANCES = {
 @dataclass
 class OperatorModel:
     """The tower of weighted atom spaces for one map, root, and depth:
-    level k is the tree's depth-k measure."""
+    level k is the tree's depth-k measure.
+
+    What the model derives from a point set is computed once and kept in
+    one memo keyed by the point set: ``k`` names level k, ``("fibers", k)``
+    the points of :meth:`fibers` and ``("siblings", k)`` those of
+    :meth:`sibling_fibers`.  The arrays it keeps are read-only.
+    """
 
     map: RationalMap
     root: SpherePoint
     depth: int
     tree: PreimageTree
     levels: list = field(default_factory=list)
-    _fibers: dict = field(default_factory=dict, repr=False)
-    _basis_matrices: dict = field(default_factory=dict, repr=False)
-    _powers: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def dim(self, k: int) -> int:
         return self.levels[k].size
@@ -73,43 +77,63 @@ class OperatorModel:
     def dims(self) -> tuple:
         return tuple(lvl.size for lvl in self.levels)
 
+    def _derived(self, where, what, make):
+        """``make()`` for the point set ``where``, kept under ``what``."""
+        memo = self._memo.setdefault(where, {})
+        if what not in memo:
+            memo[what] = make()
+        return memo[what]
+
     def fibers(self, k: int) -> Fibers:
         """The fibers over level k-1, solved once per model from the level's
         points, never read from the tree's parent and ``cum`` assembly."""
-        if k not in self._fibers:
-            prev = self.levels[k - 1]
-            self._fibers[k] = gather_fibers(self.map, prev.points, prev.inf_mask)
-        return self._fibers[k]
+        prev = self.levels[k - 1]
+        return self._derived(("fibers", k), "fibers",
+                             lambda: gather_fibers(self.map, prev.points, prev.inf_mask))
 
     def sibling_fibers(self, k: int) -> Fibers:
         """The fibers over the images of level k, each holding an atom and
         its siblings, solved once per model from the level's points."""
-        if ("siblings", k) not in self._fibers:
-            lvl = self.levels[k]
-            self._fibers["siblings", k] = gather_fibers(self.map, lvl.points, lvl.inf_mask,
-                                                        siblings=True)
-        return self._fibers["siblings", k]
-
-    def basis_matrix(self, basis: list, k: int) -> np.ndarray:
-        """The basis's partition evaluated on level k, one row per member,
-        computed once per model, partition and level; read-only."""
         lvl = self.levels[k]
-        return self._cached_basis_matrix(basis, k, lvl.points, lvl.inf_mask)
+        return self._derived(("siblings", k), "fibers",
+                             lambda: gather_fibers(self.map, lvl.points, lvl.inf_mask,
+                                                   siblings=True))
 
-    def sibling_basis_matrix(self, basis: list, k: int) -> np.ndarray:
-        """The same on the points of ``sibling_fibers(k)``; read-only."""
-        fib = self.sibling_fibers(k)
-        return self._cached_basis_matrix(basis, ("siblings", k), fib.points, fib.inf_mask)
+    def _points(self, where) -> tuple:
+        if isinstance(where, tuple):
+            kind, k = where
+            owner = self.fibers(k) if kind == "fibers" else self.sibling_fibers(k)
+        else:
+            owner = self.levels[where]
+        return owner.points, owner.inf_mask
+
+    def values(self, f: TestFunction | PolynomialBatch, where) -> np.ndarray:
+        """f on a point set, or one row per polynomial of a batch;
+        polynomials read the point set's power table."""
+        return f.evaluate(self._derived(where, "powers",
+                                        lambda: PowerTable(*self._points(where))))
+
+    def basis_matrix(self, basis: list, where) -> np.ndarray:
+        """The basis's partition evaluated on a point set, one row per
+        member, computed once per partition."""
+        partition = basis[0].partition if basis else None
+
+        def make():
+            points, inf_mask = self._points(where)
+            matrix = (partition.member_matrix(points, inf_mask) if basis
+                      else np.zeros((0, points.size)))
+            matrix.setflags(write=False)
+            return matrix
+
+        return self._derived(where, partition, make)
 
     def frame_vectors(self, basis: list, k: int):
         """The basis on level k regrouped by sibling block after the
-        sqrt(weight) similarity, computed once per model, partition and
-        level; read-only.  Returns ``V`` (parents, width, elements) with
-        ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)`` for the child x in slot s of
-        parent p and zero padding, each atom's slot among its siblings, and
-        each parent's child count."""
-        key = (basis[0].partition if basis else None, ("frame", k))
-        if key not in self._basis_matrices:
+        sqrt(weight) similarity, computed once per partition.  Returns ``V``
+        (parents, width, elements) with ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)``
+        for the child x in slot s of parent p and zero padding, each atom's
+        slot among its siblings, and each parent's child count."""
+        def make():
             lvl = self.levels[k]
             prev = self.levels[k - 1]
             counts = np.bincount(lvl.parent, minlength=prev.size)
@@ -121,32 +145,9 @@ class OperatorModel:
             V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
             for array in (V, slot, counts):
                 array.setflags(write=False)
-            self._basis_matrices[key] = V, slot, counts
-        return self._basis_matrices[key]
+            return V, slot, counts
 
-    def _cached_basis_matrix(self, basis: list, key, points, inf_mask) -> np.ndarray:
-        key = (basis[0].partition if basis else None, key)
-        if key not in self._basis_matrices:
-            matrix = _basis_matrix(basis, points, inf_mask)
-            matrix.setflags(write=False)
-            self._basis_matrices[key] = matrix
-        return self._basis_matrices[key]
-
-    def values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
-        """f on level k, or one row per polynomial of a batch; polynomials
-        read the level's power table, kept once per model."""
-        lvl = self.levels[k]
-        return f.evaluate(self._power_table(k, lvl.points, lvl.inf_mask))
-
-    def fiber_values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
-        """The same on the points of ``fibers(k)``."""
-        fib = self.fibers(k)
-        return f.evaluate(self._power_table(("fibers", k), fib.points, fib.inf_mask))
-
-    def _power_table(self, key, points, inf_mask) -> PowerTable:
-        if key not in self._powers:
-            self._powers[key] = PowerTable(points, inf_mask)
-        return self._powers[key]
+        return self._derived(k, ("frame", basis[0].partition if basis else None), make)
 
     def inner(self, k: int, fv: np.ndarray, gv: np.ndarray | None = None):
         """The weighted inner products <fv, gv> on level k along the last
@@ -227,7 +228,7 @@ def verify_covariance(model: OperatorModel, a: TestFunction | PolynomialBatch,
     fv = model.values(f, k - 1)
     gv = model.values(g, k - 1)
     lhs_terms = av * fv[..., lvl.parent] * np.conj(gv[..., lvl.parent]) * lvl.weights
-    la = model.fibers(k).average(model.fiber_values(a, k))
+    la = model.fibers(k).average(model.values(a, ("fibers", k)))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
     gap = (compensated_sum(lhs_terms.real, lhs_terms.imag)
            - compensated_sum(rhs_terms.real, rhs_terms.imag))
@@ -260,15 +261,9 @@ def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBat
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.
     pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
-    ip_vals = model.fibers(k).average(model.fiber_values(xi.conj() * eta, k))
+    ip_vals = model.fibers(k).average(model.values(xi.conj() * eta, ("fibers", k)))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
-
-
-def _basis_matrix(basis: list, points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
-    if not basis:
-        return np.zeros((0, points.size))
-    return basis[0].partition.member_matrix(points, inf_mask)
 
 
 def verify_key_lemma(model: OperatorModel, basis: list, N: int,
@@ -286,10 +281,9 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     # Bumps are real-valued, so no conjugates appear.
     path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
 
-    fib = model.sibling_fibers(k)
-    U_fiber = model.sibling_basis_matrix(basis, k)[:count]
-    a_fiber = a.evaluate(fib.points, fib.inf_mask)
-    path_b = reconstruction_sum(U, fib, U_fiber, a_fiber)
+    U_fiber = model.basis_matrix(basis, ("siblings", k))[:count]
+    a_fiber = model.values(a, ("siblings", k))
+    path_b = reconstruction_sum(U, model.sibling_fibers(k), U_fiber, a_fiber)
 
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
@@ -299,7 +293,7 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     lvl = model.levels[k]
     comp = model.composition_matrix(k)
     proj = comp @ model.adjoint_matrix(k)
-    U = _basis_matrix(basis, lvl.points, lvl.inf_mask)
+    U = model.basis_matrix(basis, k)
     total = np.zeros((lvl.size, lvl.size), dtype=complex)
     for i in range(min(N, len(basis))):
         u = U[i]
@@ -537,10 +531,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     if want("vanishing_tail"):
         branch = [d.point for d in branch_points_on_julia(rmap, sample)]
         if branch:
-            dists = np.full(sample.size, np.inf)
-            for bp in branch:
-                dists = np.minimum(dists, chordal_array(sample.points,
-                                                        sample.inf_mask, bp))
+            dists = sample.branch_distances.min(axis=0)
             center_idx = int(np.argmax(dists))
             center = (INFINITY if sample.inf_mask[center_idx]
                       else SpherePoint(complex(sample.points[center_idx])))

@@ -19,7 +19,6 @@ constant one, identically one here; the unitality checks in the test
 suite pin that down.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -126,22 +125,6 @@ def transfer_function(rmap: RationalMap, a: TestFunction) -> TestFunction:
     return _fiber_average(rmap, a, f"L[{a.name}]")
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """The transfer of a function: lazy form, optional table, closed form.
-
-    ``function`` evaluates anywhere through fiber solves; ``table`` is the
-    same values bound to a supplied evaluation set; ``closed_form`` is an
-    exact polynomial expression, available when the input is a polynomial
-    in pure powers of z or conj(z) and the map itself is a polynomial.
-    """
-
-    base: TestFunction
-    function: TestFunction
-    table: TestFunction | None = None
-    closed_form: TestFunction | None = None
-
-
 def _power_sum_polynomials(rmap: RationalMap, top: int) -> list[np.ndarray]:
     """Power sums of the fiber over w as polynomials in w (Newton's
     identities); valid for polynomial maps, where the fiber polynomial's
@@ -166,16 +149,12 @@ def _power_sum_polynomials(rmap: RationalMap, top: int) -> list[np.ndarray]:
     for k in range(1, top + 1):
         acc = np.zeros(1, dtype=complex)
         for i in range(1, min(k - 1, n) + 1):
-            term = _poly_mul(elementary[i], sums[k - i]) * ((-1.0) ** (i - 1))
+            term = np.convolve(elementary[i], sums[k - i]) * ((-1.0) ** (i - 1))
             acc = _poly_add(acc, term)
         if k <= n:
             acc = _poly_add(acc, ((-1.0) ** (k - 1)) * k * elementary[k])
         sums.append(acc)
     return sums
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,6 +166,9 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_transfer(rmap: RationalMap, a: TestFunction) -> TestFunction | None:
+    """The transfer of a as an exact polynomial, when a is a polynomial in
+    pure powers of z or conj(z) and the map itself is a polynomial; None
+    otherwise.  The tests read it as an oracle."""
     if a.kind != "poly" or rmap.den.size != 1:
         return None
     keys = list(a._coeffs)
@@ -212,22 +194,6 @@ def _closed_form_transfer(rmap: RationalMap, a: TestFunction) -> TestFunction | 
                 if b != 0:
                     coeffs[(0, i)] = coeffs.get((0, i), 0j) + c * b.conjugate()
     return TestFunction.polynomial(coeffs, name=f"L[{a.name}] closed form")
-
-
-def transfer_result(rmap: RationalMap, a: TestFunction,
-                    points=None, inf_mask=None) -> TransferResult:
-    """Package the transfer of a function, with a table of its values on an
-    optional evaluation set and an exact polynomial child when available."""
-    function = transfer_function(rmap, a)
-    table = None
-    if points is not None:
-        points = np.asarray(points, dtype=complex)
-        if inf_mask is None:
-            inf_mask = np.zeros(points.shape, dtype=bool)
-        table = TestFunction.from_table(points, inf_mask, function.evaluate(points, inf_mask),
-                                        name=f"L[{a.name}] table")
-    return TransferResult(base=a, function=function, table=table,
-                          closed_form=_closed_form_transfer(rmap, a))
 
 
 def inner_product(rmap: RationalMap, xi: TestFunction, eta: TestFunction) -> TestFunction:

@@ -259,28 +259,42 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     rng = np.random.default_rng(50)
     xis = [tf.random_polynomial(rng, 2) for _ in range(2)]
     solves = []
+    members = []
     gather = bimodule_basis.gather_fibers
+    member_matrix = PartitionOfUnity.member_matrix
 
     def counting(*args, **kwargs):
         solves.append(args[1].size)
         return gather(*args, **kwargs)
 
+    def counting_members(self, points, inf_mask=None):
+        members.append(np.size(points))
+        return member_matrix(self, points, inf_mask)
+
     monkeypatch.setattr(bimodule_basis, "gather_fibers", counting)
+    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting_members)
     sample = julia_sample(cheb, 320, seed=7)
     reconstruct(cheb, basis, xis[0], len(basis), sample)
     assert solves == [sample.size]
+    # The member matrices on the sample and on its sibling fibers.
+    assert sorted(members) == [sample.size, sample.sibling_fibers.points.size]
     warm, warm_residual = reconstruct(cheb, basis, xis[1], len(basis), sample)
     assert solves == [sample.size]
+    assert len(members) == 2
     cold_sample = julia_sample(cheb, 320, seed=7)
     cold, cold_residual = reconstruct(cheb, basis, xis[1], len(basis), cold_sample)
     assert len(solves) == 2
+    assert len(members) == 4
     pts, infs = sample.points, sample.inf_mask
     assert np.array_equal(warm.evaluate(pts, infs), cold.evaluate(pts, infs))
     assert warm_residual == cold_residual
-    with pytest.raises(ValueError, match="another map"):
-        reconstruct(builtin_map("chebyshev"), basis, xis[1], len(basis), sample)
-    with pytest.raises(ValueError, match="another map"):
-        branch_separation_radius(builtin_map("chebyshev"), sample)
+    other = builtin_map("chebyshev")
+    for refused in (lambda: reconstruct(other, basis, xis[1], len(basis), sample),
+                    lambda: branch_separation_radius(other, sample),
+                    lambda: branch_points_on_julia(other, sample),
+                    lambda: build_basis(other, sample, r)):
+        with pytest.raises(ValueError, match="another map"):
+            refused()
 
 
 def test_reconstruct_residual_nonincreasing(quad_map, circle_sample):

@@ -368,6 +368,24 @@ def test_suite_evaluates_the_basis_once_per_level(monkeypatch, quad_map):
     assert sizes.count(2 ** 7) == 1
 
 
+def test_suite_finds_the_branch_points_once(monkeypatch, cheb):
+    # The basis and the vanishing tail both read the branch points, which
+    # the sample finds with one O(size^2) median spacing.
+    spacings = []
+    median_spacing = bimodule_basis._median_spacing
+
+    def counting(sample):
+        spacings.append(sample.size)
+        return median_spacing(sample)
+
+    monkeypatch.setattr(bimodule_basis, "_median_spacing", counting)
+    report = verification_suite(cheb, m=6, seed=1, trials=2, pairs=2,
+                                identities=["key_lemma", "frame_bound",
+                                            "vanishing_tail"])
+    assert len(report["results"]) == 3
+    assert spacings == [384]
+
+
 def test_suite_builds_no_basis_it_does_not_read():
     # At m=6 the default basis of z^3 - 3z cannot cover its sample
     # (CoverFailure), but invariance never reads the basis.

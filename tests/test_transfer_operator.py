@@ -11,7 +11,7 @@ from lyubich_lab.sphere import INFINITY, as_point, sphere_points
 from lyubich_lab.transfer_operator import (_closed_form_transfer, apply_transfer,
                                            gather_fibers, inner_product,
                                            sup_norm_2, transfer_function,
-                                           transfer_power, transfer_result)
+                                           transfer_power)
 from lyubich_lab import test_functions as tf
 
 
@@ -383,39 +383,38 @@ def test_concurrent_powers_match_serial():
 
 
 # ----------------------------------------------------------------------
-# packaged transfer results
+# tables and closed forms of the transfer
 
 
-def test_transfer_result_table_satisfies_formula(cheb):
+def test_transfer_table_satisfies_formula(cheb):
     rng = np.random.default_rng(28)
     a = tf.random_polynomial(rng, 2)
     pts = rng.normal(size=12) + 1j * rng.normal(size=12)
-    res = transfer_result(cheb, a, points=pts)
     inf = np.zeros(12, dtype=bool)
-    table_vals = res.table.evaluate(pts, inf)
+    table = tf.TestFunction.from_table(pts, inf, transfer_function(cheb, a).evaluate(pts, inf))
+    table_vals = table.evaluate(pts, inf)
     for i, w in enumerate(pts):
         assert abs(table_vals[i] - apply_transfer(cheb, a, w)) < 1e-10
 
 
-def test_transfer_result_closed_form_polynomial_map(quad_map, cheb):
+def test_closed_form_transfer_polynomial_map(quad_map, cheb):
     rng = np.random.default_rng(29)
     cubic_symbol = tf.TestFunction.polynomial({(3, 0): 1.0, (0, 2): 2j,
                                                (0, 0): -1.0})
     for rmap in (quad_map, cheb):
         for a in (tf.ONE, tf.Z, tf.Z * tf.Z, tf.ZBAR, cubic_symbol):
-            res = transfer_result(rmap, a)
-            assert res.closed_form is not None
+            closed_form = _closed_form_transfer(rmap, a)
+            assert closed_form is not None
             for _ in range(15):
                 w = complex(rng.normal(scale=2), rng.normal(scale=2))
-                assert abs(res.closed_form(w)
-                           - apply_transfer(rmap, a, w)) < 1e-10
+                assert abs(closed_form(w) - apply_transfer(rmap, a, w)) < 1e-10
 
 
-def test_transfer_result_no_closed_form_cases(quad_map):
+def test_no_closed_form_transfer_cases(quad_map):
     mixed = tf.TestFunction.polynomial({(1, 1): 1.0})
-    assert transfer_result(quad_map, mixed).closed_form is None
+    assert _closed_form_transfer(quad_map, mixed) is None
     ratl = RationalMap([-1, 0, 1], [1, 0, 1])
-    assert transfer_result(ratl, tf.Z).closed_form is None
+    assert _closed_form_transfer(ratl, tf.Z) is None
 
 
 def test_gathered_fibers_average_like_apply_transfer(cheb):

@@ -11,8 +11,9 @@ command fails before writing it) its stdout report with the
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
 elision can move last bits), a tree with atoms at infinity, a Julia
-sample, a basis export and four verification reports, one of them with
-trials checked in chunks of several rows.
+sample, basis exports of basilica and of chebyshev (whose Julia set meets
+a critical point), and five verification reports, one of them on
+chebyshev and one with trials checked in chunks of several rows.
 """
 
 import hashlib
@@ -30,6 +31,9 @@ COMMANDS = [
      "--depth", "7", "--out", "out.csv"],
     ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
     ["basis", "--map", "basilica", "--out", "out.json"],
+    # Chebyshev's Julia set meets its critical point: sector ladders, the
+    # pool mask and the vanishing tail's branch-side centre.
+    ["basis", "--map", "chebyshev", "--out", "out.json"],
     ["verify", "all", "--map", "quad", "--seed", "7"],
     ["verify", "all", "--map", "basilica", "--depth", "9", "--seed", "1"],
     ["verify", "all", "--map", "basilica", "--depth", "14", "--seed", "1",
@@ -37,6 +41,7 @@ COMMANDS = [
     # 2048-atom levels: the suite checks its trials in chunks of several rows.
     ["verify", "all", "--map", "basilica", "--depth", "11", "--seed", "2",
      "--trials", "40", "--pairs", "20"],
+    ["verify", "all", "--map", "chebyshev", "--depth", "8", "--seed", "4"],
 ]
 
 
