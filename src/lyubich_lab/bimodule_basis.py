@@ -31,6 +31,8 @@ from .test_functions import TestFunction
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
 _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
 _SECTOR_LADDER_CAP = 16
+# Entries of one row block of the distance matrix in ``_median_spacing``.
+_SPACING_BLOCK = 1 << 16
 
 
 @dataclass
@@ -375,13 +377,27 @@ def branch_points_on_julia(rmap: RationalMap, sample: JuliaSample) -> list:
 
 
 def _median_spacing(sample: JuliaSample) -> float:
+    """The median over the sample of the chordal distance from a point to
+    its nearest other point, taken row block by row block of the distance
+    matrix, each entry rounded as ``chordal_array`` rounds it."""
     pts, infs = sample.points, sample.inf_mask
-    nearest = np.full(sample.size, np.inf)
-    for i in range(sample.size):
-        p = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
-        d = chordal_array(pts, infs, p)
-        d[i] = np.inf
-        nearest[i] = d.min()
+    norm = np.hypot(1.0, np.abs(pts))
+    # chordal_array takes a finite query point's hypot(1, |q|) in scalars,
+    # with abs(q), which rounds as np.hypot(re, im) does.
+    q_norm = np.array([math.hypot(1.0, a) for a in np.hypot(pts.real, pts.imag).tolist()])
+    nearest = np.empty(sample.size)
+    block = max(1, _SPACING_BLOCK // max(sample.size, 1))
+    for start in range(0, sample.size, block):
+        at = slice(start, start + block)
+        qn = q_norm[at, None]
+        with np.errstate(all="ignore"):
+            d = 2.0 * np.abs(pts - pts[at, None]) / (norm * qn)
+        if infs.any():
+            d = np.where(infs, 2.0 / qn, d)
+            d = np.where(infs[at, None], np.where(infs, 0.0, 2.0 / norm), d)
+        rows = np.arange(d.shape[0])
+        d[rows, start + rows] = np.inf
+        nearest[at] = d.min(axis=1)
     return float(np.median(nearest))
 
 

@@ -30,9 +30,10 @@ from .sphere import INFINITY, SpherePoint, as_point, atom_order
 
 DEFAULT_BUDGET = 1 << 22
 
-# Points solved per call of the batched fiber engine.  Each Aberth
-# iteration makes a few dozen numpy calls whatever the block size, so
-# larger blocks spread that fixed cost over more rows; tree building time
+# Points solved per call of the batched fiber engine.  Each call makes
+# its numpy calls (a few dozen per Aberth iteration, fewer for the closed
+# form of quadratic rows) whatever the block size, so larger blocks
+# spread that fixed cost over more rows; tree building time
 # is flat from about 2048 rows up, and 4096 keeps a quadratic map's root
 # array at 128 KiB.  Every point is solved on its own, so any block size
 # gives the same bits (tests/test_fiber_engine.py checks 1024 to 16384).

@@ -1,15 +1,20 @@
 """Polynomial root finding for the preimage machinery.
 
-One engine finds roots: the simultaneous Aberth-Ehrlich iteration run on
-a stack of polynomials of one degree at once (Aberth, Math. Comp. 27,
-1973; Bini, Numer. Algorithms 13, 1996).  Callers pass the stack as a
-``(rows, degree + 1)`` array.  The engine transposes it once into
-root-major form, coefficients ``(degree + 1, rows)`` and roots
+Rows of one degree are solved as a stack, a ``(rows, degree + 1)``
+array, by one of two engines chosen by the degree alone.  A quadratic row
+takes the closed form, the quadratic formula with the root of larger
+modulus taken first and the other from the product of the roots, which is
+backward stable (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, section 1.8).  Rows of any other degree take
+the simultaneous Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973;
+Bini, Numer. Algorithms 13, 1996).  Both work root-major: they transpose
+the stack once into coefficients ``(degree + 1, rows)`` and roots
 ``(degree, rows)``, so that every Horner step, residual test and
 repulsion term works on contiguous length-``rows`` vectors, and the
-per-row reductions run over the short leading axis.  Rows that miss the
-residual test within ``MAX_ITERATIONS`` take the eigenvalues of their
-companion matrices, in one stacked call.  The scalar functions
+per-row reductions run over the short leading axis.  Both hold their
+roots to one backward-error test, and rows that fail it (the closed form)
+or miss it within ``MAX_ITERATIONS`` (the iteration) take the eigenvalues
+of their companion matrices, in one stacked call.  The scalar functions
 :func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
 same code.
 
@@ -186,13 +191,41 @@ def companion_rows(h: np.ndarray) -> np.ndarray:
     return z
 
 
+def quadratic_rows(h: np.ndarray):
+    """Both roots of each row of ``h`` (rows, 3), with a nonzero leading
+    coefficient in every row, in closed form.
+
+    With each row scaled by max|c_k|, d = sqrt(b^2 - 4ac) takes the sign
+    that makes |b + d| >= |b - d|, so q = -(b + d)/2 suffers no
+    cancellation; the roots are q/a and c/q.  Returns the roots (rows, 2)
+    and a mask of the rows whose two roots meet the residual test of
+    :func:`aberth_rows`.
+    """
+    h = np.ascontiguousarray(h.T)
+    c = h / np.abs(h).max(axis=0)
+    c0, b, a = c
+    bb = b * b
+    ac = a * c0
+    d = np.sqrt(bb - 4 * ac)
+    # Re(conj(b) d) < 0 means b - d is the longer sum.
+    d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
+    longer = b + d
+    q = -0.5 * longer
+    z = np.stack([q / a, c0 / q])
+    pv = horner(c, z)
+    converged = (np.abs(pv) <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
+                 ).all(axis=0)
+    return z.T, converged
+
+
 def rows_roots(h: np.ndarray) -> np.ndarray:
-    """All roots of each row of ``h`` (rows, n + 1), n >= 1: the Aberth
-    iteration, and the companion matrix for the rows it leaves unconverged.
+    """All roots of each row of ``h`` (rows, n + 1), n >= 1: the closed
+    form for n = 2, the Aberth iteration otherwise, and the companion
+    matrix for the rows that fail the residual test in either.
 
     Raises RootFindingFailure when a companion root fails its residual test.
     """
-    z, converged = aberth_rows(h)
+    z, converged = quadratic_rows(h) if h.shape[1] == 3 else aberth_rows(h)
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
     return z

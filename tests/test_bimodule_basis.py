@@ -10,8 +10,9 @@ from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         farthest_point_net, julia_sample,
                                         net_radius, reconstruct)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
-from lyubich_lab.rational_map import builtin_map
-from lyubich_lab.sphere import SpherePoint, chordal
+from lyubich_lab.preimage_solver import iterated_preimages
+from lyubich_lab.rational_map import RationalMap, builtin_map
+from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_array
 from lyubich_lab.transfer_operator import cached_fiber
 from lyubich_lab import test_functions as tf
 
@@ -139,6 +140,50 @@ def test_branch_points_detection(quad_map, cheb, circle_sample, interval_sample)
     found = branch_points_on_julia(cheb, interval_sample)
     assert len(found) == 1
     assert abs(found[0].point.value) < 1e-9 and found[0].index == 2
+
+
+def _median_spacing_loop(sample):
+    """The median nearest-neighbour spacing, one ``chordal_array`` per point."""
+    pts, infs = sample.points, sample.inf_mask
+    nearest = np.full(sample.size, np.inf)
+    for i in range(sample.size):
+        p = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
+        d = chordal_array(pts, infs, p)
+        d[i] = np.inf
+        nearest[i] = d.min()
+    return float(np.median(nearest))
+
+
+@pytest.mark.parametrize("name,size", [("basilica", 1000), ("basilica", 384),
+                                       ("chebyshev", 384)])
+def test_median_spacing_equals_the_pointwise_loop(name, size):
+    sample = julia_sample(builtin_map(name), size, seed=1)
+    assert sample.size == size
+    assert bimodule_basis._median_spacing(sample) == _median_spacing_loop(sample)
+
+
+def test_median_spacing_with_infinity_in_the_sample(monkeypatch):
+    # The Lattès map's Julia set is the whole sphere, and infinity is a
+    # fixed point: every level of its tree rooted there holds infinity.
+    lattes = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4], name="lattes")
+    lvl = iterated_preimages(lattes, INFINITY, 3).level(3)
+    assert lvl.infinite.sum() == 1
+    sample = JuliaSample(lattes, lvl.points, lvl.infinite, "tree", 0)
+    want = _median_spacing_loop(sample)
+    assert bimodule_basis._median_spacing(sample) == want
+    # Row blocks of one and of several points, and a remainder block.
+    for block in (1, 7 * sample.size):
+        monkeypatch.setattr(bimodule_basis, "_SPACING_BLOCK", block)
+        assert bimodule_basis._median_spacing(sample) == want
+    # Three points whose median spacing is the distance from infinity to
+    # its nearest point 10, 2 / hypot(1, 10).
+    small = JuliaSample(lattes, np.array([0j, 10, 0]), np.array([True, False, False]),
+                        "tree", 0)
+    want = _median_spacing_loop(small)
+    assert want == pytest.approx(2 / np.hypot(1, 10), rel=1e-15)
+    for block in (1, 2, 1 << 16):
+        monkeypatch.setattr(bimodule_basis, "_SPACING_BLOCK", block)
+        assert bimodule_basis._median_spacing(small) == want
 
 
 def test_build_basis_partition_normalization(quad_map, circle_sample):

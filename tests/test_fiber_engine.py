@@ -5,9 +5,11 @@ Every fiber, of a tree level or of a single point, is solved by
 eigenvalues of each row's companion matrix, stacked per degree and
 Newton-polished in this file, with the critical-point rule for multiple
 roots written out again.  These checks pin the agreement between the two,
-the rows past the iteration cap, and that splitting the targets into
-blocks never changes an answer.  A frozen copy of the row-major engine
-that the root-major one replaced pins every bit of the tables.
+the rows past the iteration cap or failing the residual test, and that
+splitting the targets into blocks never changes an answer.  A frozen copy
+of the row-major engine that the root-major one replaced pins every bit
+of the Aberth iteration and the polishing, and of the tables of maps of
+degree 3 and more, whose rows the iteration solves.
 """
 
 import cmath
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from lyubich_lab import _fiber, preimage_solver, roots
+from lyubich_lab.errors import RootFindingFailure
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import iterated_preimages, preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
@@ -199,16 +202,18 @@ def test_special_rows_match_the_reference(monkeypatch):
 
 
 def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
-    quad = builtin_map("quad")
+    # Cubic rows: the quadratics' rows take the closed form, not the
+    # iteration.
     points, infinite = _targets([0.3 + 0.2j, -1.5, 2j])
-    want = _solve(quad, points, infinite)
-    # A block that the cap splits, solved without the cap.
-    values = np.array([0.3 + 0.2j, 2j, 1e6j, 100.0])
+    want = _solve(CHEB3, points, infinite)
+    # A block that the cap splits, solved without the cap: its rows first
+    # meet the residual test at iterations 6, 8, 11 and 17.
+    values = np.array([0.3 + 0.2j, 100.0, 1e3, 1e6j])
     finite = np.zeros(4, dtype=bool)
-    h = quad._num_pad - values[:, None] * quad._den_pad
+    h = CHEB3._num_pad - values[:, None] * CHEB3._den_pad
     full, converged = roots.aberth_rows(h)
     assert converged.all()
-    want_split = _solve(quad, values, finite)
+    want_split = _solve(CHEB3, values, finite)
     calls = []
     companion = roots.companion_rows
 
@@ -218,27 +223,63 @@ def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
 
     monkeypatch.setattr(roots, "companion_rows", counting)
     monkeypatch.setattr(roots, "MAX_ITERATIONS", 2)
-    got = _solve(quad, points, infinite)
+    got = _solve(CHEB3, points, infinite)
     assert calls == [3]
     assert np.max(np.abs(got[0] - want[0])) <= AGREEMENT
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
 
-    # At 5 iterations one row of four has finished, too few to be dropped
-    # from the iteration, and at 6 two have, and are dropped.  Either way
+    # At 6 iterations one row of four has finished, too few to be dropped
+    # from the iteration, and at 8 two have, and are dropped.  Either way
     # the finished rows keep their Aberth roots and only the others reach
     # the companion matrices.
-    for cap, finished in ((5, [0]), (6, [0, 3])):
+    for cap, finished in ((6, [0]), (8, [0, 1])):
         monkeypatch.setattr(roots, "MAX_ITERATIONS", cap)
         z, converged = roots.aberth_rows(h)
         np.testing.assert_array_equal(np.flatnonzero(converged), finished)
         assert z[converged].tobytes() == full[converged].tobytes()
         calls.clear()
-        got = _solve(quad, values, finite)
+        got = _solve(CHEB3, values, finite)
         assert calls == [4 - len(finished)]
         for j in finished:
             for a, b in zip(got[:3], want_split[:3]):
-                assert a[2 * j:2 * j + 2].tobytes() == b[2 * j:2 * j + 2].tobytes()
+                assert a[3 * j:3 * j + 3].tobytes() == b[3 * j:3 * j + 3].tobytes()
+
+
+def test_quadratic_rows_that_fail_the_residual_test_fall_back(monkeypatch):
+    quad = builtin_map("quad")
+    values = np.array([0.3 + 0.2j, 1.0, 0.7 - 0.1j, 0.25])
+    finite = np.zeros(4, dtype=bool)
+    want = _solve(quad, values, finite)
+    calls = []
+    companion = roots.companion_rows
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return companion(h)
+
+    monkeypatch.setattr(roots, "companion_rows", counting)
+    # With no tolerance only exact roots pass: those of z^2 - 1 and
+    # z^2 - 1/4 keep their closed-form bits, the others reach the
+    # companion matrices.
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
+    h = quad._num_pad - values[:, None] * quad._den_pad
+    _, converged = roots.quadratic_rows(h)
+    np.testing.assert_array_equal(converged, [False, True, False, True])
+    got = _solve(quad, values, finite)
+    assert calls == [2]
+    assert np.max(np.abs(got[0] - want[0])) <= AGREEMENT
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(a, b)
+    for j in (1, 3):
+        for a, b in zip(got[:3], want[:3]):
+            assert a[2 * j:2 * j + 2].tobytes() == b[2 * j:2 * j + 2].tobytes()
+
+
+def test_a_quadratic_row_with_a_nan_coefficient_raises():
+    h = np.array([[0.3, 0, 1], [np.nan, 0, 1], [1, 2j, 1]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(RootFindingFailure):
+        roots.rows_roots(h)
 
 
 @pytest.mark.parametrize("rmap,root,depth", [
@@ -381,13 +422,6 @@ def _ref_polish_rows(h, z, multiplicity=1, steps=3):
     return best
 
 
-def _ref_rows_roots(h):
-    z, converged = _ref_aberth_rows(h)
-    if not converged.all():
-        z[~converged] = roots.companion_rows(h[~converged])
-    return z
-
-
 def _assert_same_levels(tree, other):
     for a, b in zip(tree.levels, other.levels, strict=True):
         for name in ("points", "infinite", "cum", "parent"):
@@ -395,16 +429,20 @@ def _assert_same_levels(tree, other):
 
 
 def _assert_rows_keep_the_reference_bits(rmap, points, infinite):
-    """rows_roots and polish_rows on the fiber polynomials of the finite
-    targets whose degree does not drop, against the frozen engine."""
+    """aberth_rows and polish_rows on the fiber polynomials of the finite
+    targets whose degree does not drop, against the frozen engine.  The
+    iteration runs here on rows of every degree, quadratics included,
+    though the fiber engine solves those in closed form."""
     num, den, n = rmap._num_pad, rmap._den_pad, rmap.degree
     w = points[~infinite, None]
     h = num - w * den
     lead = abs(num[n]) + np.abs(w[:, 0]) * abs(den[n])
     h = h[(np.abs(h[:, n]) > 1e-10 * lead) & (h[:, 0] != 0)]
     with np.errstate(all="ignore"):
-        z = _ref_rows_roots(h)
-        assert roots.rows_roots(h).tobytes() == z.tobytes()
+        z, converged = _ref_aberth_rows(h)
+        got, got_converged = roots.aberth_rows(h)
+        assert got.tobytes() == z.tobytes()
+        np.testing.assert_array_equal(got_converged, converged)
         for m in (1, 2):
             assert roots.polish_rows(h, z, m).tobytes() == _ref_polish_rows(h, z, m).tobytes()
 
@@ -432,10 +470,13 @@ def test_engine_keeps_the_bits_of_the_row_major_engine(monkeypatch, rmap, root, 
 
     root = default_root(rmap) if root is None else root
     tree = iterated_preimages(rmap, root, depth)
-    with monkeypatch.context() as patch:
-        patch.setattr(roots, "aberth_rows", _ref_aberth_rows)
-        patch.setattr(roots, "polish_rows", _ref_polish_rows)
-        ref = iterated_preimages(rmap, root, depth)
-    _assert_same_levels(tree, ref)
+    # The trees of quadratic maps never reach the iteration, so only their
+    # rows are compared.
+    if rmap.degree >= 3:
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "aberth_rows", _ref_aberth_rows)
+            patch.setattr(roots, "polish_rows", _ref_polish_rows)
+            ref = iterated_preimages(rmap, root, depth)
+        _assert_same_levels(tree, ref)
     for lvl in tree.levels[:-1]:
         _assert_rows_keep_the_reference_bits(rmap, lvl.points, lvl.infinite)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lyubich_lab import roots
 from lyubich_lab.roots import (aberth_roots, companion_roots, derivative, horner,
                                polish_root, taylor_shift, trim)
 
@@ -104,3 +105,83 @@ def test_polish_multiple_root():
     c = _poly_from_roots([2.0, 2.0, 2.0])
     z = polish_root(c, 2.0 + 1e-5, 3)
     assert abs(z - 2.0) < 1e-4
+
+
+# Bound on the chordal distance between a closed-form root and the root
+# it was built from.
+AGREEMENT = 1e-12
+
+
+def _chordal(z, w):
+    return 2 * np.abs(z - w) / (np.hypot(1, np.abs(z)) * np.hypot(1, np.abs(w)))
+
+
+def _matched(got, want):
+    """The chordal distance from each root in ``want`` to the root of
+    ``got`` paired with it, trying both orders."""
+    straight = _chordal(got, want)
+    crossed = _chordal(got[::-1], want)
+    return straight if straight.max() <= crossed.max() else crossed
+
+
+def _backward_error_ok(h, z):
+    c = h / np.abs(h).max()
+    value = np.abs(horner(c, z))
+    scale = horner(np.abs(c), np.abs(z))
+    return bool(np.all(value <= roots.RESIDUAL_TOL * np.maximum(scale, 1e-300)))
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param((0.7 + 0.3j, -0.7 - 0.3j), id="b=0"),
+    pytest.param((2j, -0.5j), id="imaginary"),
+    # The textbook formula takes the small root from -b + d, which cancels
+    # here to a chordal error near 1e-10.
+    pytest.param((1e6 * np.exp(1j), 1e-6 * np.exp(-2j)), id="ratio-1e12"),
+    pytest.param((-3.25, 0.125 + 4j), id="generic"),
+])
+def test_quadratic_rows_give_the_prescribed_roots(pair):
+    h = _poly_from_roots(pair)
+    want = np.array(pair)
+    for scale in (1.0, 1e150, 1e-150):
+        z, converged = roots.quadratic_rows(scale * h[None, :])
+        assert converged.all()
+        assert _matched(z[0], want).max() <= AGREEMENT
+
+
+def test_quadratic_rows_near_double_root_meet_the_backward_error_test():
+    # Roots 1e-8 apart: forward error near 1e-8 is all the data allow.
+    for base in (1.0, 0.3 - 2j):
+        h = _poly_from_roots([base, base + 1e-8])
+        for scale in (1.0, 1e150, 1e-150):
+            z, converged = roots.quadratic_rows(scale * h[None, :])
+            assert converged.all()
+            assert _backward_error_ok(scale * h, z[0])
+            assert np.max(np.abs(z[0] - base)) < 1e-7
+
+
+def test_quadratic_block_keeps_the_bits_of_one_row_solves():
+    # 16384 rows: arrays above numpy's 256 KiB elision size.
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(16384, 3)) + 1j * rng.normal(size=(16384, 3))
+    h[::7, 1] = 0
+    h[::11] *= 1e120
+    block = roots.rows_roots(h)
+    single = np.concatenate([roots.rows_roots(h[r:r + 1]) for r in range(h.shape[0])])
+    assert block.tobytes() == single.tobytes()
+
+
+def test_rows_roots_takes_the_closed_form_for_quadratics_only(monkeypatch):
+    seen = []
+    aberth = roots.aberth_rows
+
+    def counting(h):
+        seen.append(h.shape[1] - 1)
+        return aberth(h)
+
+    monkeypatch.setattr(roots, "aberth_rows", counting)
+    for degree in (1, 2, 3, 4):
+        h = _poly_from_roots(np.arange(1, degree + 1) * (0.5 + 0.25j))[None, :]
+        got = np.sort_complex(roots.rows_roots(h)[0])
+        np.testing.assert_allclose(got, np.sort_complex(np.arange(1, degree + 1) * (0.5 + 0.25j)),
+                                   atol=1e-12)
+    assert seen == [1, 3, 4]

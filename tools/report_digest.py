@@ -10,10 +10,12 @@ command fails before writing it) its stdout report with the
     python tools/report_digest.py
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
-elision can move last bits), a tree with atoms at infinity, a Julia
-sample, basis exports of basilica and of chebyshev (whose Julia set meets
-a critical point), and five verification reports, one of them on
-chebyshev and one with trials checked in chunks of several rows.
+elision can move last bits), a tree with atoms at infinity, a tree of
+the cubic z^3 - 3z (its rows take the Aberth iteration, where those of
+the quadratics take the closed form), a Julia sample, basis exports of
+basilica and of chebyshev (whose Julia set meets a critical point), and
+five verification reports, one of them on chebyshev and one with trials
+checked in chunks of several rows.
 """
 
 import hashlib
@@ -29,6 +31,8 @@ COMMANDS = [
     ["tree", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
     ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "inf",
      "--depth", "7", "--out", "out.csv"],
+    # z^3 - 3z: cubic rows on the Aberth iteration, 19683 atoms at level 9.
+    ["tree", "--num=0,0;-3,0;0,0;1,0", "--den=1,0", "--depth", "9", "--out", "out.csv"],
     ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
     ["basis", "--map", "basilica", "--out", "out.json"],
     # Chebyshev's Julia set meets its critical point: sector ladders, the
