@@ -287,8 +287,9 @@ def aberth_roots(coeffs) -> np.ndarray:
     Raises
     ------
     RootFindingFailure
-        If neither the simultaneous iteration nor the fallback meets the
-        residual criterion.
+        If neither :func:`rows_roots`'s engine for the degree (the closed
+        form of a quadratic, the simultaneous iteration otherwise) nor the
+        companion fallback meets the residual criterion.
     """
     c = trim(coeffs)
     # Exact zero low-order coefficients contribute roots at the origin.
