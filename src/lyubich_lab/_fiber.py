@@ -23,6 +23,7 @@ target off a critical value keeps simple roots, however close.
 import numpy as np
 
 from . import roots
+from .errors import RootFindingFailure
 from .sphere import INFINITY, SpherePoint, atom_order, chordal
 
 # Chordal radius under which numerically distinct points are one point in
@@ -105,7 +106,8 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     infinite = np.asarray(infinite, dtype=bool)
     rows = values.size
     w = np.where(infinite, 0j, values)[:, None]
-    h = np.where(infinite[:, None], den_pad, num_pad - w * den_pad)
+    h = num_pad - w * den_pad
+    h[infinite] = den_pad
 
     # A leading coefficient that cancels against the magnitudes subtracted
     # drops the degree to ``top`` (over infinity only exact zeros of Q do);
@@ -113,16 +115,23 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     # Most rows have neither, so only the others are scanned.
     lead = np.where(infinite, abs(den_pad[n]),
                     abs(num_pad[n]) + np.abs(w[:, 0]) * abs(den_pad[n]))
+    # A NaN target is one of them: its leading coefficient is NaN.
     odd = np.flatnonzero(~(np.abs(h[:, n]) > _CANCEL_TOL * lead) | (h[:, 0] == 0))
+    h_odd = h[odd]
+    if np.isnan(h_odd).any():
+        raise RootFindingFailure("a fiber polynomial has a NaN coefficient")
     size = np.where(infinite[odd, None], abs(den_pad),
                     abs(num_pad) + np.abs(w[odd]) * abs(den_pad))
-    kept = np.abs(h[odd]) > _CANCEL_TOL * size
+    kept = np.abs(h_odd) > _CANCEL_TOL * size
     kept[:, 0] = True
     top = n - np.argmax(kept[:, ::-1], axis=1)
-    low = np.minimum(np.argmax(h[odd] != 0, axis=1), top)
-    plain = np.ones(rows, dtype=bool)
-    plain[odd] = False
-    groups = [(0, n, np.flatnonzero(plain))]
+    low = np.minimum(np.argmax(h_odd != 0, axis=1), top)
+    plain = slice(None)
+    if odd.size:
+        plain = np.ones(rows, dtype=bool)
+        plain[odd] = False
+        plain = np.flatnonzero(plain)
+    groups = [(0, n, plain)] if odd.size < rows else []
     for lo, hi in sorted(set(zip(low.tolist(), top.tolist()))):
         groups.append((lo, hi, odd[(low == lo) & (top == hi)]))
 
@@ -132,7 +141,7 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     # Slots: the roots of h / z^lo, then one exact root at 0, then (always
     # the last slot) the atom at infinity.
     for lo, hi, at in groups:
-        if hi > lo and at.size:
+        if hi > lo:
             reduced = h[at, lo:hi + 1]
             # Steps that divide by zero are masked out and a row that
             # overflows fails its residual test, so no warning is news.
@@ -145,25 +154,51 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
             mult[at, n - 1] += n - hi
             inf_mask[at, n - 1] = True
 
-    for datum in critical:
-        if not datum.point.infinite:
-            _merge_at_critical_point(h, points, inf_mask, mult,
+    finite_critical = [d for d in critical if not d.point.infinite]
+    if finite_critical:
+        coeffs = np.ascontiguousarray(h.T)
+        for datum in finite_critical:
+            _merge_at_critical_point(coeffs, points, inf_mask, mult,
                                      datum.point.value, datum.index)
 
-    # The empty slots go in as NaN, which sorts last.
-    order = atom_order(np.where(mult == 0, np.nan, points), inf_mask)
-    count = np.count_nonzero(mult, axis=1)
-    flat = (n * np.arange(rows)[:, None] + order)[np.arange(n) < count[:, None]]
-    offsets = np.concatenate([[0], np.cumsum(count)])
+    # Each row in order, its empty slots dropped: the stable sort keeps the
+    # order of the other slots whatever the empty ones hold.
+    ranked = (n * np.arange(rows)[:, None] + atom_order(points, inf_mask)).ravel()
+    filled = mult.ravel()[ranked] != 0
+    flat = ranked[filled]
+    offsets = np.concatenate([[0], np.cumsum(filled)[n - 1::n]])
     return points.ravel()[flat], inf_mask.ravel()[flat], mult.ravel()[flat], offsets
 
 
-def _merge_at_critical_point(h, points, inf_mask, mult, c: complex, e: int) -> None:
+def _row_major_sum(terms: np.ndarray) -> np.ndarray:
+    """The sums over the leading axis of ``terms`` (k, rows), each added in
+    the order numpy's ``sum(axis=1)`` adds a contiguous row of k values:
+    left to right below 8 values, else in eight interleaved partial sums
+    joined pairwise, then the rest, in halves above 128 values."""
+    k = terms.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _row_major_sum(terms[:half]) + _row_major_sum(terms[half:])
+    if k < 8:
+        total, rest = terms[0], terms[1:]
+    else:
+        r = list(terms[:8])
+        for i in range(8, k - k % 8, 8):
+            r = [r[j] + terms[i + j] for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = terms[k - k % 8:]
+    for row in rest:
+        total = total + row
+    return total
+
+
+def _merge_at_critical_point(coeffs, points, inf_mask, mult, c: complex, e: int) -> None:
     """On every row whose h meets the backward-error test at c, merge the
     finite slots nearest c, until they hold e multiplicities, into one
-    atom at c."""
-    scale = (np.abs(h) * max(1.0, abs(c)) ** np.arange(h.shape[1])).sum(axis=1)
-    value = roots.horner(h.T, np.full((1, h.shape[0]), c))[0]
+    atom at c.  ``coeffs`` is h root-major, (n + 1, rows) and contiguous."""
+    powers = max(1.0, abs(c)) ** np.arange(coeffs.shape[0])
+    scale = _row_major_sum(np.abs(coeffs) * powers[:, None])
+    value = roots.horner(coeffs, np.full((1, coeffs.shape[1]), c))[0]
     hit = np.flatnonzero(np.abs(value) <= roots.RESIDUAL_TOL * scale)
     if not hit.size:
         return

@@ -76,8 +76,19 @@ def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]
 def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
     """The order of atoms along the last axis, the one order of fibers,
     tree levels and Julia samples: finite points by (real, imag), then
-    infinity, ties kept in place.  A NaN real part sorts after infinity."""
-    return np.lexsort((points.imag, np.where(inf_mask, np.inf, points.real)), axis=-1)
+    infinity, ties kept in place.  A NaN real part sorts after infinity.
+
+    One stable sort of a complex key, which numpy orders by (real, imag):
+    the points with the real part +inf on infinite entries.  numpy puts
+    every value with a NaN part after all others, so a NaN imaginary part
+    under a non-NaN real part enters the key as +inf, and sorts last among
+    its real part as a NaN does in a sort by real part, then imaginary."""
+    real = np.where(inf_mask, np.inf, points.real)
+    imag = points.imag
+    key = np.empty(points.shape, dtype=complex)
+    key.real = real
+    key.imag = np.where(np.isnan(imag) & ~np.isnan(real), np.inf, imag)
+    return np.argsort(key, axis=-1, kind="stable")
 
 
 def _chordal_finite(z: complex, w: complex) -> float:

@@ -22,7 +22,7 @@ from lyubich_lab import _fiber, preimage_solver, roots
 from lyubich_lab.errors import RootFindingFailure
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import iterated_preimages, preimages
-from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
+from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points, evaluate
 from lyubich_lab.sphere import INFINITY, as_point, sphere_points
 
 NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
@@ -282,6 +282,20 @@ def test_a_quadratic_row_with_a_nan_coefficient_raises():
         roots.rows_roots(h)
 
 
+def test_a_nan_target_raises():
+    # Its fiber polynomial is NaN throughout, leading coefficient included,
+    # which is no degree drop.
+    quad = builtin_map("quad")
+    with np.errstate(all="ignore"), pytest.raises(RootFindingFailure):
+        preimage_solver.gather_fibers(quad, np.array([np.nan, 0.5]), np.array([False, False]))
+    with np.errstate(all="ignore"), pytest.raises(RootFindingFailure):
+        roots.rows_roots(quad._num_pad - np.array([[np.nan], [0.5]]) * quad._den_pad)
+    # Flagged infinite, the same value is infinity.
+    fib = preimage_solver.gather_fibers(quad, np.array([np.nan, 0.5]), np.array([True, False]))
+    assert fib.offsets.tolist() == [0, 1, 3]
+    assert fib.inf_mask.tolist() == [True, False, False]
+
+
 @pytest.mark.parametrize("rmap,root,depth", [
     pytest.param(builtin_map("basilica"), None, 9, id="basilica"),
     pytest.param(NEWTON, INFINITY, 6, id="newton-inf"),
@@ -480,3 +494,83 @@ def test_engine_keeps_the_bits_of_the_row_major_engine(monkeypatch, rmap, root, 
         _assert_same_levels(tree, ref)
     for lvl in tree.levels[:-1]:
         _assert_rows_keep_the_reference_bits(rmap, lvl.points, lvl.infinite)
+
+
+# The critical-point merge as it was, row-major: the scale of its
+# backward-error test summed along each (rows, n + 1) row.
+
+
+def _ref_merge_at_critical_point(h, points, inf_mask, mult, c, e):
+    scale = (np.abs(h) * max(1.0, abs(c)) ** np.arange(h.shape[1])).sum(axis=1)
+    value = roots.horner(h.T, np.full((1, h.shape[0]), c))[0]
+    hit = np.flatnonzero(np.abs(value) <= roots.RESIDUAL_TOL * scale)
+    if not hit.size:
+        return
+    m = mult[hit]
+    dist = np.where((m > 0) & ~inf_mask[hit], np.abs(points[hit] - c), np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")
+    m_sorted = np.take_along_axis(m, order, axis=1)
+    taken_sorted = ((np.cumsum(m_sorted, axis=1) - m_sorted < e)
+                    & np.isfinite(np.take_along_axis(dist, order, axis=1)))
+    taken = np.zeros_like(taken_sorted)
+    np.put_along_axis(taken, order, taken_sorted, axis=1)
+    total = np.where(taken, m, 0).sum(axis=1)
+    m[taken] = 0
+    first = order[:, 0]
+    m[np.arange(hit.size), first] += total
+    mult[hit] = m
+    points[hit[total > 0], first[total > 0]] = c
+
+
+def _power_at(center, e):
+    """(z - center)^e - 3: one critical point of index e at ``center``."""
+    return RationalMap(np.polynomial.polynomial.polyfromroots([center] * e) - 3 * (
+        np.arange(e + 1) == 0), [1], name=f"(z-{center})^{e}-3")
+
+
+def test_row_sums_keep_the_order_of_numpy_row_sums():
+    # Below 8 terms numpy adds a row left to right, from 8 in eight
+    # partial sums, and above 128 in halves.
+    rng = np.random.default_rng(8)
+    for k in [*range(1, 20), 127, 128, 129, 300]:
+        terms = np.abs(rng.normal(size=(2000, k))) * np.exp(rng.uniform(-30, 30, (2000, k)))
+        want = terms.sum(axis=1)
+        assert _fiber._row_major_sum(np.ascontiguousarray(terms.T)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rmap", [
+    pytest.param(NEWTON, id="newton"),
+    pytest.param(CHEB3, id="z^3-3z"),
+    pytest.param(builtin_map("basilica"), id="basilica"),
+    pytest.param(_power_at(0.5, 3), id="|c|<1"),
+    pytest.param(_power_at(2 - 1j, 4), id="|c|>1"),
+    *[pytest.param(_shifted_power(e), id=f"(z-1)^{e}-3") for e in (2, 6, 9, 12)],
+])
+def test_root_major_merge_keeps_the_bits_of_the_row_major_merge(monkeypatch, rmap):
+    # Random targets and targets 1e-16 to 1e-10 off the critical values,
+    # so that rows meet the test, miss it, and sit at its edge.
+    crit = critical_points(rmap)
+    values = [evaluate(rmap, d.point) for d in crit if not d.point.infinite]
+    values = [v.value for v in values if not v.infinite]
+    rng = np.random.default_rng(4)
+    targets = np.concatenate([
+        rng.normal(size=200) + 1j * rng.normal(size=200),
+        np.repeat(values, 20) * (1 + np.tile(np.geomspace(1e-16, 1e-10, 20), len(values)))])
+    infinite = np.zeros(targets.size, dtype=bool)
+    hits = []
+    merge = _fiber._merge_at_critical_point
+
+    def ref(coeffs, points, inf_mask, mult, c, e):
+        h = np.ascontiguousarray(coeffs.T)
+        scale = (np.abs(h) * max(1.0, abs(c)) ** np.arange(h.shape[1])).sum(axis=1)
+        value = roots.horner(h.T, np.full((1, h.shape[0]), c))[0]
+        hits.append(np.count_nonzero(np.abs(value) <= roots.RESIDUAL_TOL * scale))
+        _ref_merge_at_critical_point(h, points, inf_mask, mult, c, e)
+
+    got = _solve(rmap, targets, infinite)
+    monkeypatch.setattr(_fiber, "_merge_at_critical_point", ref)
+    want = _solve(rmap, targets, infinite)
+    assert 0 < sum(hits) < len(hits) * targets.size
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    monkeypatch.setattr(_fiber, "_merge_at_critical_point", merge)

@@ -112,3 +112,52 @@ def test_chordal_pairs_match_scalar_chordal():
     want = [chordal(INFINITY if zi else SpherePoint(a), INFINITY if wi else SpherePoint(b))
             for a, zi, b, wi in zip(z, z_inf, w, w_inf)]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+
+
+def _lexsort_order(points, inf_mask):
+    """The lexsort that ``atom_order`` was, frozen as it was."""
+    return np.lexsort((points.imag, np.where(inf_mask, np.inf, points.real)), axis=-1)
+
+
+def _edge_points(rng, shape):
+    """Points and infinity masks drawn from the values fibers and levels
+    hold: ±0.0 parts, conjugate pairs, exact ties, NaN empty slots, NaN
+    imaginary parts and infinite entries storing 0, inf or NaN."""
+    finite = np.array([0.5 + 2j, 0.5 - 2j, complex(0.0, 1.0), complex(-0.0, 1.0),
+                       complex(0.0, -0.0), complex(-0.0, 0.0), -3 + 0j, 1e-300 - 1e300j,
+                       complex(0.5, np.nan), complex(-1.0, np.nan), np.nan,
+                       complex(np.nan, np.nan), complex(np.nan, 2.0)])
+    stored_at_infinity = np.array([0j, np.inf, np.nan, complex(np.nan, np.nan)])
+    random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    points = np.where(rng.random(shape) < 0.6, rng.choice(finite, shape), random)
+    inf_mask = rng.random(shape) < 0.2
+    points[inf_mask] = rng.choice(stored_at_infinity, np.count_nonzero(inf_mask))
+    return points, inf_mask
+
+
+def test_atom_order_keeps_the_lexsort_order():
+    rng = np.random.default_rng(12)
+    # (rows, n) fiber arrays, as the fiber engine sorts them, and flat levels.
+    for shape in [(500, 2), (300, 3), (100, 7), (4000,), (1,), (0,)]:
+        points, inf_mask = _edge_points(rng, shape)
+        want = _lexsort_order(points, inf_mask)
+        assert atom_order(points, inf_mask).tolist() == want.tolist()
+        # The conjugates of the same points.
+        conj = np.conj(points)
+        assert (atom_order(conj, inf_mask).tolist()
+                == _lexsort_order(conj, inf_mask).tolist())
+
+
+def test_atom_order_keeps_the_lexsort_order_of_a_deep_level():
+    from lyubich_lab.lyubich_measure import default_root
+    from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
+    from lyubich_lab.rational_map import builtin_map
+
+    basilica = builtin_map("basilica")
+    prev = iterated_preimages(basilica, default_root(basilica), 13).level(13)
+    fib = gather_fibers(basilica, prev.points, prev.infinite)
+    shuffle = np.random.default_rng(3).permutation(fib.points.size)
+    for points, inf_mask in ((fib.points, fib.inf_mask),
+                             (fib.points[shuffle], fib.inf_mask[shuffle])):
+        assert points.size == 16384
+        assert atom_order(points, inf_mask).tolist() == _lexsort_order(points, inf_mask).tolist()
