@@ -9,7 +9,10 @@ targets and solves each fiber polynomial h = P - wQ (h = Q when w is
 infinity) as a row.  A degree drop of h, decided at ``_CANCEL_TOL``, is an
 atom at infinity, and exact zero low-order coefficients are an exact root
 at 0.  Rows that share what is left to solve are solved together by the
-rows engine of :mod:`roots` and polished.
+rows engine of :mod:`roots`: quadratic rows in closed form with one fused
+Newton step, and the rows of other degrees, or that the closed form
+fails, by the Aberth iteration or the companion matrix and three steps of
+``polish_rows``.
 
 Multiplicities come from critical points, not from distances: a multiple
 root of h lies at a critical point c with R(c) = w, and its multiplicity
@@ -146,7 +149,10 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
             # Steps that divide by zero are masked out and a row that
             # overflows fails its residual test, so no warning is news.
             with np.errstate(all="ignore"):
-                points[at, :hi - lo] = roots.polish_rows(reduced, roots.rows_roots(reduced))
+                z, stepped = roots.rows_roots(reduced)
+                if not stepped.all():
+                    z[~stepped] = roots.polish_rows(reduced[~stepped], z[~stepped])
+            points[at, :hi - lo] = z
             mult[at, :hi - lo] = 1
         if lo:
             mult[at, hi - lo] = lo

@@ -14,7 +14,10 @@ repulsion term works on contiguous length-``rows`` vectors, and the
 per-row reductions run over the short leading axis.  Both hold their
 roots to one backward-error test, and rows that fail it (the closed form)
 or miss it within ``MAX_ITERATIONS`` (the iteration) take the eigenvalues
-of their companion matrices, in one stacked call.  The scalar functions
+of their companion matrices, in one stacked call.  The closed-form roots
+then take one Newton step, fused with the residual test that already
+evaluated p at them; the iteration's roots and the companion roots are
+for the three steps of :func:`polish_rows`.  The scalar functions
 :func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
 same code.
 
@@ -193,12 +196,15 @@ def companion_rows(h: np.ndarray) -> np.ndarray:
 
 def quadratic_rows(h: np.ndarray):
     """Both roots of each row of ``h`` (rows, 3), with a nonzero leading
-    coefficient in every row, in closed form.
+    coefficient in every row, in closed form, each refined by one Newton
+    step.
 
     With each row scaled by max|c_k|, d = sqrt(b^2 - 4ac) takes the sign
     that makes |b + d| >= |b - d|, so q = -(b + d)/2 suffers no
-    cancellation; the roots are q/a and c/q.  Returns the roots (rows, 2)
-    and a mask of the rows whose two roots meet the residual test of
+    cancellation; the roots are q/a and c/q.  Each root then takes the
+    step z - p/p' on the scaled coefficients, kept where it is finite and
+    |p| does not rise.  Returns the roots (rows, 2) and a mask of the rows
+    whose two closed-form roots meet the residual test of
     :func:`aberth_rows`.
     """
     h = np.ascontiguousarray(h.T)
@@ -213,22 +219,33 @@ def quadratic_rows(h: np.ndarray):
     q = -0.5 * longer
     z = np.stack([q / a, c0 / q])
     pv = horner(c, z)
-    converged = (np.abs(pv) <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
+    abs_pv = np.abs(pv)
+    converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
                  ).all(axis=0)
-    return z.T, converged
+    # A zero derivative (a double root) or an overflow gives a step that is
+    # not finite, and the root keeps its closed form.
+    with np.errstate(all="ignore"):
+        dv = horner(derivative(c), z)
+        moved = z - pv / dv
+        better = np.isfinite(moved) & (np.abs(horner(c, moved)) <= abs_pv)
+    return np.where(better, moved, z).T, converged
 
 
-def rows_roots(h: np.ndarray) -> np.ndarray:
+def rows_roots(h: np.ndarray):
     """All roots of each row of ``h`` (rows, n + 1), n >= 1: the closed
     form for n = 2, the Aberth iteration otherwise, and the companion
     matrix for the rows that fail the residual test in either.
 
-    Raises RootFindingFailure when a companion root fails its residual test.
+    Returns the roots (rows, n) and a mask of the rows solved in closed
+    form, whose roots have taken their Newton step; the roots of the other
+    rows are for :func:`polish_rows`.  Raises RootFindingFailure when a
+    companion root fails its residual test.
     """
-    z, converged = quadratic_rows(h) if h.shape[1] == 3 else aberth_rows(h)
+    quadratic = h.shape[1] == 3
+    z, converged = quadratic_rows(h) if quadratic else aberth_rows(h)
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
-    return z
+    return z, converged & quadratic
 
 
 def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1, steps: int = 3) -> np.ndarray:
@@ -300,7 +317,7 @@ def aberth_roots(coeffs) -> np.ndarray:
     head = np.zeros(zeros_at_origin, dtype=complex)
     if c.size == 1:
         return head
-    return np.concatenate([head, rows_roots(c[None, :])[0]])
+    return np.concatenate([head, rows_roots(c[None, :])[0][0]])
 
 
 def polish_root(coeffs, z0: complex, multiplicity: int, steps: int = 3) -> complex:

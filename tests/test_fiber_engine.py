@@ -9,7 +9,10 @@ the rows past the iteration cap or failing the residual test, and that
 splitting the targets into blocks never changes an answer.  A frozen copy
 of the row-major engine that the root-major one replaced pins every bit
 of the Aberth iteration and the polishing, and of the tables of maps of
-degree 3 and more, whose rows the iteration solves.
+degree 3 and more, whose rows the iteration solves.  Frozen copies of the
+row-major critical-point merge and of the closed form before its Newton
+step pin the merge's bits and bound the step against the polish it
+replaced.
 """
 
 import cmath
@@ -251,29 +254,40 @@ def test_quadratic_rows_that_fail_the_residual_test_fall_back(monkeypatch):
     values = np.array([0.3 + 0.2j, 1.0, 0.7 - 0.1j, 0.25])
     finite = np.zeros(4, dtype=bool)
     want = _solve(quad, values, finite)
-    calls = []
-    companion = roots.companion_rows
+    calls, polished = [], []
+    companion, polish = roots.companion_rows, roots.polish_rows
 
     def counting(h):
         calls.append(h.shape[0])
         return companion(h)
 
+    def counting_polish(h, z):
+        polished.append(h.shape[0])
+        return polish(h, z)
+
     monkeypatch.setattr(roots, "companion_rows", counting)
+    monkeypatch.setattr(roots, "polish_rows", counting_polish)
     # With no tolerance only exact roots pass: those of z^2 - 1 and
     # z^2 - 1/4 keep their closed-form bits, the others reach the
-    # companion matrices.
+    # companion matrices and the three-step polish.
     monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
     h = quad._num_pad - values[:, None] * quad._den_pad
     _, converged = roots.quadratic_rows(h)
     np.testing.assert_array_equal(converged, [False, True, False, True])
     got = _solve(quad, values, finite)
     assert calls == [2]
+    assert polished == [2]
     assert np.max(np.abs(got[0] - want[0])) <= AGREEMENT
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
     for j in (1, 3):
         for a, b in zip(got[:3], want[:3]):
             assert a[2 * j:2 * j + 2].tobytes() == b[2 * j:2 * j + 2].tobytes()
+    # The others keep the bits of the frozen polish of their companion roots.
+    fell = h[[0, 2]]
+    ref = _ref_polish_rows(fell, companion(fell))
+    for j, row in zip((0, 2), ref):
+        assert np.sort_complex(got[0][2 * j:2 * j + 2]).tobytes() == np.sort_complex(row).tobytes()
 
 
 def test_a_quadratic_row_with_a_nan_coefficient_raises():
@@ -574,3 +588,62 @@ def test_root_major_merge_keeps_the_bits_of_the_row_major_merge(monkeypatch, rma
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()
     monkeypatch.setattr(_fiber, "_merge_at_critical_point", merge)
+
+
+# The closed form as it was before it took its Newton step, frozen; the
+# fiber engine polished its roots with three steps of polish_rows.
+
+
+def _ref_closed_form(h):
+    """The roots (rows, 2), the residual-test mask and the scaled
+    root-major coefficients."""
+    h = np.ascontiguousarray(h.T)
+    c = h / np.abs(h).max(axis=0)
+    c0, b, a = c
+    bb = b * b
+    ac = a * c0
+    d = np.sqrt(bb - 4 * ac)
+    d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
+    longer = b + d
+    q = -0.5 * longer
+    z = np.stack([q / a, c0 / q])
+    pv = roots.horner(c, z)
+    converged = (np.abs(pv) <= roots.RESIDUAL_TOL
+                 * np.maximum(roots.horner(np.abs(c), np.abs(z)), 1e-300)).all(axis=0)
+    return z.T, converged, c
+
+
+# Bound on the distance between a closed-form root after its one Newton
+# step and the same closed-form root after the three-step polish, in units
+# of its modulus: 4 ulps.  The worst on the levels below is 1.1 ulps.
+STEP_AGREEMENT = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("rmap,root", [
+    pytest.param(builtin_map("quad"), complex(np.exp(2j * np.pi * 0.3)), id="quad"),
+    pytest.param(builtin_map("basilica"), None, id="basilica"),
+    pytest.param(builtin_map("chebyshev"), 2, id="chebyshev"),
+])
+def test_the_newton_step_agrees_with_the_three_step_polish(rmap, root):
+    root = default_root(rmap) if root is None else root
+    tree = iterated_preimages(rmap, root, 13)
+    moved = 0
+    # The fibers over levels 0 to 13 are levels 1 to 14.
+    for lvl in tree.levels:
+        w = lvl.points[~lvl.infinite, None]
+        h = rmap._num_pad - w * rmap._den_pad
+        h = h[h[:, 0] != 0]
+        closed, converged, c = _ref_closed_form(h)
+        got, got_converged = roots.quadratic_rows(h)
+        np.testing.assert_array_equal(got_converged, converged)
+        with np.errstate(all="ignore"):
+            want = _ref_polish_rows(h, closed)
+        got, want, closed, c = got[converged], want[converged], closed[converged], c[:, converged]
+        # As sets: each row's roots straight or crossed, whichever is closer.
+        crossed = np.abs(got - want[:, ::-1]).max(axis=1) < np.abs(got - want).max(axis=1)
+        want = np.where(crossed[:, None], want[:, ::-1], want)
+        assert np.all(np.abs(got - want) <= STEP_AGREEMENT * np.abs(want))
+        # The step never raises the residual of the closed form.
+        assert np.all(np.abs(roots.horner(c, got.T)) <= np.abs(roots.horner(c, closed.T)))
+        moved += np.count_nonzero(got != closed)
+    assert moved > 0

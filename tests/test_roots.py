@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,9 +167,10 @@ def test_quadratic_block_keeps_the_bits_of_one_row_solves():
     h = rng.normal(size=(16384, 3)) + 1j * rng.normal(size=(16384, 3))
     h[::7, 1] = 0
     h[::11] *= 1e120
-    block = roots.rows_roots(h)
-    single = np.concatenate([roots.rows_roots(h[r:r + 1]) for r in range(h.shape[0])])
-    assert block.tobytes() == single.tobytes()
+    block, stepped = roots.rows_roots(h)
+    singles = [roots.rows_roots(h[r:r + 1]) for r in range(h.shape[0])]
+    assert block.tobytes() == np.concatenate([z for z, _ in singles]).tobytes()
+    np.testing.assert_array_equal(stepped, np.concatenate([s for _, s in singles]))
 
 
 def test_rows_roots_takes_the_closed_form_for_quadratics_only(monkeypatch):
@@ -181,7 +184,20 @@ def test_rows_roots_takes_the_closed_form_for_quadratics_only(monkeypatch):
     monkeypatch.setattr(roots, "aberth_rows", counting)
     for degree in (1, 2, 3, 4):
         h = _poly_from_roots(np.arange(1, degree + 1) * (0.5 + 0.25j))[None, :]
-        got = np.sort_complex(roots.rows_roots(h)[0])
+        got = np.sort_complex(roots.rows_roots(h)[0][0])
         np.testing.assert_allclose(got, np.sort_complex(np.arange(1, degree + 1) * (0.5 + 0.25j)),
                                    atol=1e-12)
     assert seen == [1, 3, 4]
+
+
+def test_the_newton_step_raises_no_warning():
+    # Double roots: the derivative vanishes at the closed form, and the
+    # roots keep it.  Scaled rows and a generic one take their step.
+    h = np.array([[1, -2, 1], _poly_from_roots([0.3j, 0.3j]), [1e-150, 0, 1e150],
+                  [3, 0.5 - 1j, 2j]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, converged = roots.quadratic_rows(h)
+        roots.rows_roots(h)
+    assert converged.all()
+    assert z[0].tolist() == [1, 1]
