@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
+from lyubich_lab.rational_map import builtin_map
 from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
                                 chordal_array, chordal_pairs)
 
@@ -149,10 +152,6 @@ def test_atom_order_keeps_the_lexsort_order():
 
 
 def test_atom_order_keeps_the_lexsort_order_of_a_deep_level():
-    from lyubich_lab.lyubich_measure import default_root
-    from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
-    from lyubich_lab.rational_map import builtin_map
-
     basilica = builtin_map("basilica")
     prev = iterated_preimages(basilica, default_root(basilica), 13).level(13)
     fib = gather_fibers(basilica, prev.points, prev.infinite)
