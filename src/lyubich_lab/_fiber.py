@@ -176,34 +176,14 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     return points.ravel()[flat], inf_mask.ravel()[flat], mult.ravel()[flat], offsets
 
 
-def _row_major_sum(terms: np.ndarray) -> np.ndarray:
-    """The sums over the leading axis of ``terms`` (k, rows), each added in
-    the order numpy's ``sum(axis=1)`` adds a contiguous row of k values:
-    left to right below 8 values, else in eight interleaved partial sums
-    joined pairwise, then the rest, in halves above 128 values."""
-    k = terms.shape[0]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _row_major_sum(terms[:half]) + _row_major_sum(terms[half:])
-    if k < 8:
-        total, rest = terms[0], terms[1:]
-    else:
-        r = list(terms[:8])
-        for i in range(8, k - k % 8, 8):
-            r = [r[j] + terms[i + j] for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = terms[k - k % 8:]
-    for row in rest:
-        total = total + row
-    return total
-
-
 def _merge_at_critical_point(coeffs, points, inf_mask, mult, c: complex, e: int) -> None:
     """On every row whose h meets the backward-error test at c, merge the
     finite slots nearest c, until they hold e multiplicities, into one
     atom at c.  ``coeffs`` is h root-major, (n + 1, rows) and contiguous."""
     powers = max(1.0, abs(c)) ** np.arange(coeffs.shape[0])
-    scale = _row_major_sum(np.abs(coeffs) * powers[:, None])
+    # numpy adds the rows of a contiguous (n + 1, rows) array in order, as
+    # it adds a row of fewer than 8 values of a row-major (rows, n + 1) one.
+    scale = (np.abs(coeffs) * powers[:, None]).sum(axis=0)
     value = roots.horner(coeffs, np.full((1, coeffs.shape[1]), c))[0]
     hit = np.flatnonzero(np.abs(value) <= roots.RESIDUAL_TOL * scale)
     if not hit.size:

@@ -16,13 +16,13 @@ makes the reconstruction identity hold to roundoff.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
-from .preimage_solver import Fibers, gather_fibers, sampled_tree
+from .preimage_solver import Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
                      chordal_array, chordal_pairs, sphere_points)
@@ -35,14 +35,15 @@ _SECTOR_LADDER_CAP = 16
 _SPACING_BLOCK = 1 << 16
 
 
-@dataclass
-class JuliaSample:
+@dataclass(eq=False)
+class JuliaSample(PointSet):
     """Deterministic sample of the Julia set from deep preimage atoms.
 
     The sample owns what is derived from its points, each computed once,
-    when first read: the fibers over their images, their distances to the
-    critical points, the branch points, and each partition's member
-    matrices.  Arrays it keeps are read-only.
+    when first read: what every :class:`PointSet` owns (the fibers over
+    the points and over their images, and each partition's member
+    matrices), their distances to the critical points and the branch
+    points.  Arrays it keeps are read-only.
     """
 
     map: RationalMap
@@ -50,20 +51,9 @@ class JuliaSample:
     inf_mask: np.ndarray
     method: str
     seed: int
-    _members: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def size(self) -> int:
-        return self.points.size
 
     def sphere_points(self) -> list[SpherePoint]:
         return sphere_points(self.points, self.inf_mask)
-
-    @cached_property
-    def sibling_fibers(self) -> Fibers:
-        """The fibers over the images of the sample points, each holding a
-        point and its siblings, solved once per sample."""
-        return gather_fibers(self.map, self.points, self.inf_mask, siblings=True)
 
     @cached_property
     def critical_distances(self) -> np.ndarray:
@@ -97,18 +87,6 @@ class JuliaSample:
     def branch_distances(self) -> np.ndarray:
         """The rows of ``critical_distances`` of ``branch_points``."""
         return self.critical_distances[self._branch_rows]
-
-    def member_matrices(self, partition: "PartitionOfUnity") -> tuple:
-        """The partition's member matrices on the sample points and on the
-        points of ``sibling_fibers``, computed once per partition."""
-        if partition not in self._members:
-            fib = self.sibling_fibers
-            matrices = (partition.member_matrix(self.points, self.inf_mask),
-                        partition.member_matrix(fib.points, fib.inf_mask))
-            for matrix in matrices:
-                matrix.setflags(write=False)
-            self._members[partition] = matrices
-        return self._members[partition]
 
 
 def _check_sample(rmap: RationalMap, sample: JuliaSample) -> None:
@@ -146,9 +124,9 @@ def _julia_samples(rmap: RationalMap, sizes, seed: int,
 
 def _thin(rmap: RationalMap, lvl, size: int, depth: int, seed: int) -> JuliaSample:
     """The distinct atoms of a tree level, sorted, thinned evenly to ``size``."""
-    order = atom_order(lvl.points, lvl.infinite)
+    order = atom_order(lvl.points, lvl.inf_mask)
     pts = lvl.points[order]
-    infs = lvl.infinite[order]
+    infs = lvl.inf_mask[order]
     # Drop each entry equal to the one before it (every infinity after the first).
     keep = np.ones(pts.size, dtype=bool)
     keep[1:] = (infs[1:] != infs[:-1]) | (~infs[1:] & (pts[1:] != pts[:-1]))
@@ -565,11 +543,10 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
         return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
 
     fib = sample.sibling_fibers
-    U_sample, U_fiber = sample.member_matrices(basis[0].partition)
-    xi_fiber = xi.evaluate(fib.points, fib.inf_mask)
-
+    partition = basis[0].partition
     count = min(N, len(basis))
-    recon = reconstruction_sum(U_sample[:count], fib, U_fiber[:count], xi_fiber)
+    recon = reconstruction_sum(sample.member_matrix(partition)[:count], fib,
+                               fib.member_matrix(partition)[:count], xi.evaluate(fib.powers))
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0
     table = TestFunction.from_table(pts, infs, recon, name=f"recon{count}({xi.name})")

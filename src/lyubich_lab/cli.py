@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
                      LyubichLabError, RootFindingFailure)
 from .preimage_solver import DEFAULT_BUDGET, iterated_preimages, preimages, sampled_tree
 from .rational_map import RationalMap, builtin_map
-from .sphere import INFINITY, SpherePoint
+from .sphere import INFINITY, SpherePoint, csv_cells
 from .transfer_operator import transfer_power
 
 EXIT_OK = 0
@@ -184,12 +184,7 @@ def _cmd_julia(args) -> int:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["re", "im"])
-            for i in range(sample.size):
-                if sample.inf_mask[i]:
-                    writer.writerow(["inf", "inf"])
-                else:
-                    writer.writerow([repr(float(sample.points[i].real)),
-                                     repr(float(sample.points[i].imag))])
+            writer.writerows(csv_cells(sample.points, sample.inf_mask))
     _emit({
         "command": "julia",
         "map": rmap.describe(),

@@ -3,7 +3,9 @@
 The depth-m measure puts weight (branch product) / base**m on each deepest
 atom of a preimage tree.  Weights are kept as integer numerators over a
 power of the base, so the level-to-level pushforward identity can be
-checked with exact rational arithmetic rather than approximately.
+checked with exact rational arithmetic rather than approximately.  The
+measure of a tree level is the level itself: ``preimage_solver`` defines
+:class:`AtomicMeasure` as the tree's level type, and this module reads it.
 
 The pushforward merges the children of each atom along the tree's parent
 edges, and the match compares atom j with atom j, so atoms that crowd
@@ -12,99 +14,21 @@ other.
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateSample, ExceptionalRoot
-from .preimage_solver import PreimageTree, iterated_preimages
+from .preimage_solver import AtomicMeasure, PreimageTree, iterated_preimages
 from .rational_map import (RationalMap, branch_index, evaluate_array,
                            fixed_points, is_exceptional)
-from .sphere import INFINITY, SpherePoint, as_point, chordal_pairs
+from .sphere import SpherePoint, as_point, chordal_pairs
 from .test_functions import TestFunction
 
 
-@dataclass
-class AtomicMeasure:
-    """A finite atomic probability measure with exact rational weights.
-
-    Atom i has weight ``nums[i] / base**depth``.  The numerators are
-    integers and always sum to ``base**depth`` exactly.  A measure read
-    from a tree level keeps each atom's ``parent`` on the level above; a
-    pushforward keeps each merged atom's ``spread``.
-    """
-
-    map: RationalMap
-    root: SpherePoint
-    depth: int
-    base: int
-    points: np.ndarray
-    inf_mask: np.ndarray
-    nums: np.ndarray
-    parent: np.ndarray | None = None
-    spread: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-    def denominator(self) -> int:
-        return self.base ** self.depth
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The float weights, each ``nums[i] / float(base**depth)``."""
-        return self.nums / float(self.denominator())
-
-    def weight_fractions(self) -> list[Fraction]:
-        d = self.denominator()
-        return [Fraction(int(n), d) for n in self.nums]
-
-    def atoms(self) -> list[tuple[SpherePoint, Fraction]]:
-        d = self.denominator()
-        out = []
-        for i in range(self.size):
-            p = INFINITY if self.inf_mask[i] else SpherePoint(complex(self.points[i]))
-            out.append((p, Fraction(int(self.nums[i]), d)))
-        return out
-
-    def validate(self) -> None:
-        if np.any(self.nums <= 0):
-            raise ValueError("weights must be positive")
-        if int(self.nums.sum()) != self.denominator():
-            raise ValueError("weights do not sum to one exactly")
-
-    def to_csv(self, path) -> None:
-        """Columns re, im, weight_num, weight_depth; weight = num/base**depth."""
-        import csv
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["re", "im", "weight_num", "weight_depth"])
-            for i in range(self.size):
-                if self.inf_mask[i]:
-                    re, im = "inf", "inf"
-                else:
-                    re = repr(float(self.points[i].real))
-                    im = repr(float(self.points[i].imag))
-                writer.writerow([re, im, int(self.nums[i]), self.depth])
-
-
 def measure_from_tree(tree: PreimageTree, level: int | None = None) -> AtomicMeasure:
-    """The atomic measure carried by a tree level (deepest by default)."""
-    k = tree.depth if level is None else int(level)
-    lvl = tree.level(k)
-    mu = AtomicMeasure(
-        map=tree.map,
-        root=tree.root,
-        depth=k,
-        base=tree.weight_base,
-        points=lvl.points.copy(),
-        inf_mask=lvl.infinite.copy(),
-        nums=lvl.cum.astype(np.int64).copy(),
-        parent=lvl.parent.copy(),
-    )
+    """The atomic measure carried by a tree level (deepest by default): the
+    level itself, validated."""
+    mu = tree.level(tree.depth if level is None else int(level))
     mu.validate()
     return mu
 
@@ -152,20 +76,20 @@ def pushforward(mu: AtomicMeasure, rmap: RationalMap) -> AtomicMeasure:
         raise ValueError("pushforward needs the map the measure's tree was built for")
     images, image_inf = evaluate_array(rmap, mu.points, mu.inf_mask)
     size = int(mu.parent.max()) + 1
-    nums = np.zeros(size, dtype=np.int64)
-    np.add.at(nums, mu.parent, mu.nums)
+    cum = np.zeros(size, dtype=np.int64)
+    np.add.at(cum, mu.parent, mu.cum)
     # evaluate_array puts 0j at infinite images, so they add nothing here.
     sums = np.zeros(size, dtype=complex)
-    np.add.at(sums, mu.parent, mu.nums * images)
+    np.add.at(sums, mu.parent, mu.cum * images)
     inf_mask = np.zeros(size, dtype=bool)
     inf_mask[mu.parent[image_inf]] = True
-    points = np.where(inf_mask, 0j, sums / nums)
+    points = np.where(inf_mask, 0j, sums / cum)
     spread = np.zeros(size)
     np.maximum.at(spread, mu.parent, chordal_pairs(
         images, image_inf, points[mu.parent], inf_mask[mu.parent]))
 
     out = AtomicMeasure(map=mu.map, root=mu.root, depth=mu.depth, base=mu.base,
-                        points=points, inf_mask=inf_mask, nums=nums, spread=spread)
+                        points=points, inf_mask=inf_mask, cum=cum, spread=spread)
     out.validate()
     return out
 
@@ -186,7 +110,7 @@ def measure_match_defect(a: AtomicMeasure, b: AtomicMeasure) -> tuple[float, boo
     worst = max(float(g.max(initial=0.0)) for g in gaps)
     da, db = a.denominator(), b.denominator()
     common = math.gcd(da, db)
-    exact = np.array_equal(a.nums * (db // common), b.nums * (da // common))
+    exact = np.array_equal(a.cum * (db // common), b.cum * (da // common))
     return worst, bool(exact)
 
 

@@ -21,6 +21,11 @@ discrete pushforward identity makes them exact.
 C C* couples only siblings, so the checks work on one block of at most
 degree x degree per level-(k-1) atom, and C* M C is diagonal.  The dense
 level matrices below are only the reference that tests compare against.
+
+The model's levels are the tree's own levels, with no copies.  The checks
+read the fibers, sibling fibers, power tables and member matrices that
+each level, fiber table and Julia sample owns, so over one suite run each
+point set is solved once and each partition evaluated on it once.
 """
 
 from dataclasses import dataclass, field
@@ -33,10 +38,10 @@ from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
-from .preimage_solver import Fibers, PreimageTree, gather_fibers, iterated_preimages
+from .preimage_solver import Fibers, PointSet, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point
-from .test_functions import (ONE, PolynomialBatch, PowerTable, TestFunction,
+from .test_functions import (ONE, PolynomialBatch, TestFunction,
                              random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
 
@@ -56,12 +61,12 @@ TOLERANCES = {
 @dataclass
 class OperatorModel:
     """The tower of weighted atom spaces for one map, root, and depth:
-    level k is the tree's depth-k measure.
+    level k is the tree's depth-k measure, the tree's own level.
 
-    What the model derives from a point set is computed once and kept in
-    one memo keyed by the point set: ``k`` names level k, ``("fibers", k)``
-    the points of :meth:`fibers` and ``("siblings", k)`` those of
-    :meth:`sibling_fibers`.  The arrays it keeps are read-only.
+    Each level owns what is derived from its points (its fibers, sibling
+    fibers, power table and member matrices); the model only names them
+    by level.  The one memo it keeps holds :meth:`frame_vectors`, which
+    reads two levels, keyed by (k, partition).  Its arrays are read-only.
     """
 
     map: RationalMap
@@ -77,55 +82,20 @@ class OperatorModel:
     def dims(self) -> tuple:
         return tuple(lvl.size for lvl in self.levels)
 
-    def _derived(self, where, what, make):
-        """``make()`` for the point set ``where``, kept under ``what``."""
-        memo = self._memo.setdefault(where, {})
-        if what not in memo:
-            memo[what] = make()
-        return memo[what]
-
     def fibers(self, k: int) -> Fibers:
-        """The fibers over level k-1, solved once per model from the level's
-        points, never read from the tree's parent and ``cum`` assembly."""
-        prev = self.levels[k - 1]
-        return self._derived(("fibers", k), "fibers",
-                             lambda: gather_fibers(self.map, prev.points, prev.inf_mask))
+        """The fibers over level k-1, solved once from the level's points,
+        never read from the tree's parent and ``cum`` assembly."""
+        return self.levels[k - 1].fibers
 
     def sibling_fibers(self, k: int) -> Fibers:
         """The fibers over the images of level k, each holding an atom and
-        its siblings, solved once per model from the level's points."""
-        lvl = self.levels[k]
-        return self._derived(("siblings", k), "fibers",
-                             lambda: gather_fibers(self.map, lvl.points, lvl.inf_mask,
-                                                   siblings=True))
+        its siblings, solved once from the level's points."""
+        return self.levels[k].sibling_fibers
 
-    def _points(self, where) -> tuple:
-        if isinstance(where, tuple):
-            kind, k = where
-            owner = self.fibers(k) if kind == "fibers" else self.sibling_fibers(k)
-        else:
-            owner = self.levels[where]
-        return owner.points, owner.inf_mask
-
-    def values(self, f: TestFunction | PolynomialBatch, where) -> np.ndarray:
-        """f on a point set, or one row per polynomial of a batch;
-        polynomials read the point set's power table."""
-        return f.evaluate(self._derived(where, "powers",
-                                        lambda: PowerTable(*self._points(where))))
-
-    def basis_matrix(self, basis: list, where) -> np.ndarray:
-        """The basis's partition evaluated on a point set, one row per
-        member, computed once per partition."""
-        partition = basis[0].partition if basis else None
-
-        def make():
-            points, inf_mask = self._points(where)
-            matrix = (partition.member_matrix(points, inf_mask) if basis
-                      else np.zeros((0, points.size)))
-            matrix.setflags(write=False)
-            return matrix
-
-        return self._derived(where, partition, make)
+    def values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
+        """f on level k, or one row per polynomial of a batch; polynomials
+        read the level's power table."""
+        return f.evaluate(self.levels[k].powers)
 
     def frame_vectors(self, basis: list, k: int):
         """The basis on level k regrouped by sibling block after the
@@ -133,21 +103,21 @@ class OperatorModel:
         (parents, width, elements) with ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)``
         for the child x in slot s of parent p and zero padding, each atom's
         slot among its siblings, and each parent's child count."""
-        def make():
+        key = (k, basis[0].partition if basis else None)
+        if key not in self._memo:
             lvl = self.levels[k]
             prev = self.levels[k - 1]
             counts = np.bincount(lvl.parent, minlength=prev.size)
             order = np.argsort(lvl.parent, kind="stable")
             slot = np.empty(lvl.size, dtype=np.intp)
             slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
-            U = self.basis_matrix(basis, k)
+            U = _basis_on(lvl, basis)
             V = np.zeros((prev.size, int(counts.max()), U.shape[0]))
             V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
             for array in (V, slot, counts):
                 array.setflags(write=False)
-            return V, slot, counts
-
-        return self._derived(k, ("frame", basis[0].partition if basis else None), make)
+            self._memo[key] = V, slot, counts
+        return self._memo[key]
 
     def inner(self, k: int, fv: np.ndarray, gv: np.ndarray | None = None):
         """The weighted inner products <fv, gv> on level k along the last
@@ -192,6 +162,11 @@ class OperatorModel:
         return float(np.linalg.norm(sim, 2))
 
 
+def _basis_on(points: PointSet, basis: list) -> np.ndarray:
+    """The basis's partition on a point set, one row per member."""
+    return points.member_matrix(basis[0].partition) if basis else np.zeros((0, points.size))
+
+
 def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
     """Populate the tower for a map, non-exceptional root, and depth."""
     tree = iterated_preimages(rmap, w, m)
@@ -228,7 +203,8 @@ def verify_covariance(model: OperatorModel, a: TestFunction | PolynomialBatch,
     fv = model.values(f, k - 1)
     gv = model.values(g, k - 1)
     lhs_terms = av * fv[..., lvl.parent] * np.conj(gv[..., lvl.parent]) * lvl.weights
-    la = model.fibers(k).average(model.values(a, ("fibers", k)))
+    fib = model.fibers(k)
+    la = fib.average(a.evaluate(fib.powers))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
     gap = (compensated_sum(lhs_terms.real, lhs_terms.imag)
            - compensated_sum(rhs_terms.real, rhs_terms.imag))
@@ -261,7 +237,8 @@ def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBat
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.
     pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
-    ip_vals = model.fibers(k).average(model.values(xi.conj() * eta, ("fibers", k)))
+    fib = model.fibers(k)
+    ip_vals = fib.average((xi.conj() * eta).evaluate(fib.powers))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
 
@@ -276,14 +253,13 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     lvl = model.levels[k]
     av = model.values(a, k)
     count = min(N, len(basis))
-    U = model.basis_matrix(basis, k)[:count]
+    U = _basis_on(lvl, basis)[:count]
 
     # Bumps are real-valued, so no conjugates appear.
     path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
 
-    U_fiber = model.basis_matrix(basis, ("siblings", k))[:count]
-    a_fiber = model.values(a, ("siblings", k))
-    path_b = reconstruction_sum(U, model.sibling_fibers(k), U_fiber, a_fiber)
+    fib = model.sibling_fibers(k)
+    path_b = reconstruction_sum(U, fib, _basis_on(fib, basis)[:count], a.evaluate(fib.powers))
 
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
@@ -293,7 +269,7 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     lvl = model.levels[k]
     comp = model.composition_matrix(k)
     proj = comp @ model.adjoint_matrix(k)
-    U = model.basis_matrix(basis, k)
+    U = _basis_on(lvl, basis)
     total = np.zeros((lvl.size, lvl.size), dtype=complex)
     for i in range(min(N, len(basis))):
         u = U[i]
@@ -466,7 +442,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         records.append(_record("covariance", rmap, w, m, k, worst))
 
     if want("transfer_unitality"):
-        fib = gather_fibers(rmap, samples[-1].points, samples[-1].inf_mask)
+        fib = samples[-1].fibers
         ones = fib.average(ONE.evaluate(fib.points, fib.inf_mask))
         worst = float(np.max(np.abs(ones - 1.0)))
         records.append(_record("transfer_unitality", rmap, w, m, k, worst))

@@ -1,9 +1,10 @@
-"""Fibers R^{-1}(w) with multiplicities, flat fiber tables, and
-iterated-preimage trees.
+"""Fibers R^{-1}(w) with multiplicities, point sets, flat fiber tables,
+and iterated-preimage trees.
 
 The tree is the combinatorial backbone of the preimage-counting measures:
-level k holds the solutions of the k-fold composition equal to the root,
-each carrying the running product of branch indices along its ancestry.
+level k is the depth-k measure, an :class:`AtomicMeasure` whose atoms
+solve the k-fold composition equal to the root, each carrying the running
+product of branch indices along its ancestry as its weight numerator.
 Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
 
@@ -12,21 +13,26 @@ its multiple roots from the map's critical points.  :func:`gather_fibers`
 solves the fibers over a whole point array into one flat :class:`Fibers`
 table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
 temporaries stay small.  Both tree builders share one level loop that
-calls it on each level, and the operator checks call it on levels and
-samples.  :func:`preimages` solves one point through the engine's
-one-row front ``_fiber.solve_fiber``.
+calls it on each level.  Tree levels, fiber tables and Julia samples
+share :class:`PointSet`, the one implementation of what a point set
+derives from its points: its fibers, the fibers over its images, its
+power table and its member matrices, each kept by the point set itself.
+:func:`preimages` solves one point through the engine's one-row front
+``_fiber.solve_fiber``.
 """
 
 import csv
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
 from .rational_map import RationalMap, critical_points, evaluate_array, is_exceptional
-from .sphere import INFINITY, SpherePoint, as_point, atom_order
+from .sphere import INFINITY, SpherePoint, as_point, atom_order, csv_cells
+from .test_functions import PowerTable
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -67,20 +73,62 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
     return WeightedPreimage(target=target, atoms=tuple(atoms))
 
 
-class Fibers(NamedTuple):
-    """Fibers over a list of points, flattened: the fiber over point j
-    fills the slice ``offsets[j]:offsets[j + 1]`` of the other arrays."""
+class PointSet:
+    """A point array of a map with its infinity mask, and the one owner of
+    what is derived from its points, each computed once, when first read:
+    the fibers over the points and over their images, the power table that
+    polynomials read, and each partition's member matrix.  Subclasses hold
+    ``map``, ``points`` and ``inf_mask``.  Matrices it keeps are read-only.
+    """
 
+    @property
+    def size(self) -> int:
+        return self.points.size
+
+    def atom(self, i: int) -> SpherePoint:
+        return INFINITY if self.inf_mask[i] else SpherePoint(complex(self.points[i]))
+
+    @cached_property
+    def fibers(self) -> "Fibers":
+        """The fibers over the points."""
+        return gather_fibers(self.map, self.points, self.inf_mask)
+
+    @cached_property
+    def sibling_fibers(self) -> "Fibers":
+        """The fibers over the images of the points, each holding a point
+        and its siblings."""
+        return gather_fibers(self.map, self.points, self.inf_mask, siblings=True)
+
+    @cached_property
+    def powers(self) -> PowerTable:
+        return PowerTable(self.points, self.inf_mask)
+
+    def member_matrix(self, partition) -> np.ndarray:
+        """``partition.member_matrix`` on the points, one row per member."""
+        members = self.__dict__.setdefault("_members", {})
+        if partition not in members:
+            matrix = partition.member_matrix(self.points, self.inf_mask)
+            matrix.setflags(write=False)
+            members[partition] = matrix
+        return members[partition]
+
+
+@dataclass(eq=False)
+class Fibers(PointSet):
+    """Fibers of a map over a list of points, flattened: the fiber over
+    point j fills the slice ``offsets[j]:offsets[j + 1]`` of the other
+    arrays."""
+
+    map: RationalMap
     points: np.ndarray
     inf_mask: np.ndarray
     mult: np.ndarray             # int64 branch indices
     offsets: np.ndarray
-    degree: int
 
     def average(self, values: np.ndarray) -> np.ndarray:
         """(1/n) * sum of mult * values per fiber, along the last axis of
         ``values``, summed in fiber order as apply_transfer does."""
-        return np.add.reduceat(self.mult * values, self.offsets[:-1], axis=-1) / self.degree
+        return np.add.reduceat(self.mult * values, self.offsets[:-1], axis=-1) / self.map.degree
 
 
 def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
@@ -98,25 +146,61 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
               for s in range(0, max(points.size, 1), _BLOCK_ROWS)]
     pts, infs, mult, offsets = zip(*blocks)
     counts = np.concatenate([np.diff(o) for o in offsets])
-    return Fibers(np.concatenate(pts), np.concatenate(infs), np.concatenate(mult),
-                  np.concatenate([[0], np.cumsum(counts)]), rmap.degree)
+    return Fibers(rmap, np.concatenate(pts), np.concatenate(infs), np.concatenate(mult),
+                  np.concatenate([[0], np.cumsum(counts)]))
 
 
-@dataclass
-class TreeLevel:
-    """One level of a preimage tree as parallel arrays."""
+@dataclass(eq=False)
+class AtomicMeasure(PointSet):
+    """A finite atomic probability measure with exact rational weights.
 
+    Atom i has weight ``cum[i] / base**depth``.  The numerators are
+    integers and always sum to ``base**depth`` exactly.  Level k of a
+    preimage tree is its depth-k measure: ``cum`` holds the running
+    branch-index products and ``parent`` each atom's index on the level
+    above (-1 at the root).  A pushforward keeps each merged atom's
+    ``spread`` instead.
+    """
+
+    map: RationalMap
+    root: SpherePoint
+    depth: int
+    base: int
     points: np.ndarray           # complex128
-    infinite: np.ndarray         # bool
-    cum: np.ndarray              # int64 running branch-index products
-    parent: np.ndarray           # int64 index into the previous level (-1 at root)
+    inf_mask: np.ndarray         # bool
+    cum: np.ndarray              # int64 weight numerators
+    parent: np.ndarray | None = None
+    spread: np.ndarray | None = None
 
-    @property
-    def size(self) -> int:
-        return self.points.size
+    def denominator(self) -> int:
+        return self.base ** self.depth
 
-    def atom(self, i: int) -> SpherePoint:
-        return INFINITY if self.infinite[i] else SpherePoint(complex(self.points[i]))
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The float weights, each ``cum[i] / float(base**depth)``."""
+        return self.cum / float(self.denominator())
+
+    def weight_fractions(self) -> list[Fraction]:
+        d = self.denominator()
+        return [Fraction(int(n), d) for n in self.cum]
+
+    def atoms(self) -> list[tuple[SpherePoint, Fraction]]:
+        d = self.denominator()
+        return [(self.atom(i), Fraction(int(self.cum[i]), d)) for i in range(self.size)]
+
+    def validate(self) -> None:
+        if np.any(self.cum <= 0):
+            raise ValueError("weights must be positive")
+        if int(self.cum.sum()) != self.denominator():
+            raise ValueError("weights do not sum to one exactly")
+
+    def to_csv(self, path) -> None:
+        """Columns re, im, weight_num, weight_depth; weight = num/base**depth."""
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["re", "im", "weight_num", "weight_depth"])
+            for (re, im), num in zip(csv_cells(self.points, self.inf_mask), self.cum.tolist()):
+                writer.writerow([re, im, num, self.depth])
 
 
 @dataclass
@@ -134,7 +218,7 @@ class PreimageTree:
     weight_base: int
     levels: list = field(default_factory=list)
 
-    def level(self, k: int) -> TreeLevel:
+    def level(self, k: int) -> AtomicMeasure:
         return self.levels[k]
 
     def atom_count(self, k: int) -> int:
@@ -150,27 +234,9 @@ class PreimageTree:
             writer = csv.writer(handle)
             writer.writerow(["level", "re", "im", "cumulative_mult", "parent_index"])
             for k, lvl in enumerate(self.levels):
-                for i in range(lvl.size):
-                    if lvl.infinite[i]:
-                        re, im = "inf", "inf"
-                    else:
-                        re = repr(float(lvl.points[i].real))
-                        im = repr(float(lvl.points[i].imag))
-                    writer.writerow([k, re, im, int(lvl.cum[i]), int(lvl.parent[i])])
-
-
-def _root_level(w: SpherePoint) -> TreeLevel:
-    return TreeLevel(
-        points=np.array([w.value], dtype=complex),
-        infinite=np.array([w.infinite]),
-        cum=np.array([1], dtype=np.int64),
-        parent=np.array([-1], dtype=np.int64),
-    )
-
-
-def _sorted_level(points, infinite, cum, parent) -> TreeLevel:
-    order = atom_order(points, infinite)
-    return TreeLevel(points[order], infinite[order], cum[order], parent[order])
+                for (re, im), cum, parent in zip(csv_cells(lvl.points, lvl.inf_mask),
+                                                 lvl.cum.tolist(), lvl.parent.tolist()):
+                    writer.writerow([k, re, im, cum, parent])
 
 
 def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
@@ -194,11 +260,12 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
             f"{what}**m = {branches ** m} exceeds the atom budget {budget}")
 
     n = rmap.degree
-    tree = PreimageTree(map=rmap, root=root, depth=m, weight_base=branches,
-                        levels=[_root_level(root)])
-    for _ in range(m):
-        prev = tree.levels[-1]
-        fib = gather_fibers(rmap, prev.points, prev.infinite)
+    levels = [AtomicMeasure(rmap, root, 0, branches, np.array([root.value], dtype=complex),
+                            np.array([root.infinite]), np.ones(1, dtype=np.int64),
+                            np.full(1, -1, dtype=np.int64))]
+    for k in range(1, m + 1):
+        prev = levels[-1]
+        fib = gather_fibers(rmap, prev.points, prev.inf_mask)
         parent = np.repeat(np.arange(prev.size), np.diff(fib.offsets))
         counts = fib.mult
         if branches < n:
@@ -208,11 +275,12 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
             draws = np.concatenate([n * j + rng.permutation(n)[:branches]
                                     for j in range(prev.size)])
             counts = np.bincount(slots[draws], minlength=parent.size)
-        keep = counts > 0
-        tree.levels.append(_sorted_level(
-            fib.points[keep], fib.inf_mask[keep],
-            counts[keep] * prev.cum[parent[keep]], parent[keep]))
-    return tree
+        keep = np.flatnonzero(counts > 0)
+        keep = keep[atom_order(fib.points[keep], fib.inf_mask[keep])]
+        levels.append(AtomicMeasure(rmap, root, k, branches, fib.points[keep],
+                                    fib.inf_mask[keep], counts[keep] * prev.cum[parent[keep]],
+                                    parent[keep]))
+    return PreimageTree(map=rmap, root=root, depth=m, weight_base=branches, levels=levels)
 
 
 def iterated_preimages(rmap: RationalMap, w, m: int,

@@ -42,6 +42,8 @@ MAX_ITERATIONS = 200
 # A candidate is accepted as a root when |p(z)| falls below this times the
 # evaluation scale sum(|c_k| |z|^k); this is a backward-error criterion.
 RESIDUAL_TOL = 1e-12
+# Newton steps of each polish_rows call.
+_POLISH_STEPS = 3
 
 
 def trim(coeffs, rel_tol: float = 0.0) -> np.ndarray:
@@ -208,23 +210,26 @@ def quadratic_rows(h: np.ndarray):
     :func:`aberth_rows`.
     """
     h = np.ascontiguousarray(h.T)
-    c = h / np.abs(h).max(axis=0)
-    c0, b, a = c
-    bb = b * b
-    ac = a * c0
-    d = np.sqrt(bb - 4 * ac)
-    # Re(conj(b) d) < 0 means b - d is the longer sum.
-    d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
-    longer = b + d
-    q = -0.5 * longer
-    z = np.stack([q / a, c0 / q])
-    pv = horner(c, z)
-    abs_pv = np.abs(pv)
-    converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
-                 ).all(axis=0)
-    # A zero derivative (a double root) or an overflow gives a step that is
-    # not finite, and the root keeps its closed form.
+    # A row whose constant term underflows when scaled gets q = 0 and the
+    # root 0/0, which fails the residual test and goes to the companion
+    # matrix; a zero derivative (a double root) or an overflow gives a
+    # step that is not finite, and the root keeps its closed form.  So no
+    # warning is news.
     with np.errstate(all="ignore"):
+        c = h / np.abs(h).max(axis=0)
+        c0, b, a = c
+        bb = b * b
+        ac = a * c0
+        d = np.sqrt(bb - 4 * ac)
+        # Re(conj(b) d) < 0 means b - d is the longer sum.
+        d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
+        longer = b + d
+        q = -0.5 * longer
+        z = np.stack([q / a, c0 / q])
+        pv = horner(c, z)
+        abs_pv = np.abs(pv)
+        converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
+                     ).all(axis=0)
         dv = horner(derivative(c), z)
         moved = z - pv / dv
         better = np.isfinite(moved) & (np.abs(horner(c, moved)) <= abs_pv)
@@ -248,18 +253,18 @@ def rows_roots(h: np.ndarray):
     return z, converged & quadratic
 
 
-def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1, steps: int = 3) -> np.ndarray:
-    """The multiplicity-corrected Newton step ``z -= m p/p'`` on every root
-    of every row of the unnormalised ``h``, keeping the iterate of least
-    residual.  For an m-fold root this converges quadratically where the
-    plain Newton step would stall at linear rate."""
+def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1) -> np.ndarray:
+    """Three multiplicity-corrected Newton steps ``z -= m p/p'`` on every
+    root of every row of the unnormalised ``h``, keeping the iterate of
+    least residual.  For an m-fold root this converges quadratically where
+    the plain Newton step would stall at linear rate."""
     h = np.ascontiguousarray(h.T)
     z = np.ascontiguousarray(z.T)
     dh = derivative(h)
     pv = horner(h, z)
     best, best_res = z, np.abs(pv)
     stepping = np.ones(z.shape, dtype=bool)
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         dv = horner(dh, z)
         stepping &= dv != 0
         moved = z - multiplicity * pv / dv
@@ -320,8 +325,8 @@ def aberth_roots(coeffs) -> np.ndarray:
     return np.concatenate([head, rows_roots(c[None, :])[0][0]])
 
 
-def polish_root(coeffs, z0: complex, multiplicity: int, steps: int = 3) -> complex:
+def polish_root(coeffs, z0: complex, multiplicity: int) -> complex:
     """:func:`polish_rows` on one root of one polynomial."""
     c = np.asarray(coeffs, dtype=complex).reshape(1, -1)
     with np.errstate(all="ignore"):
-        return complex(polish_rows(c, np.array([[complex(z0)]]), multiplicity, steps)[0, 0])
+        return complex(polish_rows(c, np.array([[complex(z0)]]), multiplicity)[0, 0])

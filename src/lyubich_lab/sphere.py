@@ -73,6 +73,13 @@ def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]
             for z, inf in zip(points, inf_mask)]
 
 
+def csv_cells(points: np.ndarray, inf_mask: np.ndarray) -> list[list[str]]:
+    """The ``re, im`` CSV cells of each point: the shortest round-trip
+    reprs of its parts, or ``inf, inf`` at infinity."""
+    return [["inf", "inf"] if inf else [repr(z.real), repr(z.imag)]
+            for z, inf in zip(points.tolist(), inf_mask.tolist())]
+
+
 def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
     """The order of atoms along the last axis, the one order of fibers,
     tree levels and Julia samples: finite points by (real, imag), then

@@ -78,7 +78,7 @@ def test_fiber_solve_span_counts_only_single_point_solves():
         # infinite atom, whose fiber holds the double pole 0.
         tracer.reset()
         tree = preimage_solver.iterated_preimages(newton, INFINITY, 5)
-        assert sum(int(lvl.infinite.sum()) for lvl in tree.levels[:-1]) == 5
+        assert sum(int(lvl.inf_mask.sum()) for lvl in tree.levels[:-1]) == 5
         assert tracer.calls("fiber.solve") == 0
         preimage_solver.preimages(newton, INFINITY)
         assert tracer.calls("fiber.solve") == 1
@@ -99,8 +99,8 @@ def test_point_arrays_skip_the_cache_and_the_scalar_path():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        transfer_operator.gather_fibers(basilica, level.points, level.infinite)
-        transfer_operator.gather_fibers(basilica, level.points, level.infinite,
+        transfer_operator.gather_fibers(basilica, level.points, level.inf_mask)
+        transfer_operator.gather_fibers(basilica, level.points, level.inf_mask,
                                         siblings=True)
         transfer_operator.sup_norm_2(basilica, xi, sample.sphere_points())
         bimodule_basis.reconstruct(basilica, basis, xi, len(basis), sample)

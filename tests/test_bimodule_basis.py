@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyubich_lab import bimodule_basis
+from lyubich_lab import bimodule_basis, preimage_solver
 from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         PartitionOfUnity, VanishingFunction,
                                         _RawBump, basis_to_json,
@@ -167,8 +167,8 @@ def test_median_spacing_with_infinity_in_the_sample(monkeypatch):
     # fixed point: every level of its tree rooted there holds infinity.
     lattes = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4], name="lattes")
     lvl = iterated_preimages(lattes, INFINITY, 3).level(3)
-    assert lvl.infinite.sum() == 1
-    sample = JuliaSample(lattes, lvl.points, lvl.infinite, "tree", 0)
+    assert lvl.inf_mask.sum() == 1
+    sample = JuliaSample(lattes, lvl.points, lvl.inf_mask, "tree", 0)
     want = _median_spacing_loop(sample)
     assert bimodule_basis._median_spacing(sample) == want
     # Row blocks of one and of several points, and a remainder block.
@@ -305,7 +305,7 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     xis = [tf.random_polynomial(rng, 2) for _ in range(2)]
     solves = []
     members = []
-    gather = bimodule_basis.gather_fibers
+    gather = preimage_solver.gather_fibers
     member_matrix = PartitionOfUnity.member_matrix
 
     def counting(*args, **kwargs):
@@ -316,9 +316,12 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
         members.append(np.size(points))
         return member_matrix(self, points, inf_mask)
 
-    monkeypatch.setattr(bimodule_basis, "gather_fibers", counting)
-    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting_members)
+    # The sampled trees behind the samples solve their levels with the
+    # same function, so both samples are drawn before the spies go in.
     sample = julia_sample(cheb, 320, seed=7)
+    cold_sample = julia_sample(cheb, 320, seed=7)
+    monkeypatch.setattr(preimage_solver, "gather_fibers", counting)
+    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting_members)
     reconstruct(cheb, basis, xis[0], len(basis), sample)
     assert solves == [sample.size]
     # The member matrices on the sample and on its sibling fibers.
@@ -326,7 +329,6 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     warm, warm_residual = reconstruct(cheb, basis, xis[1], len(basis), sample)
     assert solves == [sample.size]
     assert len(members) == 2
-    cold_sample = julia_sample(cheb, 320, seed=7)
     cold, cold_residual = reconstruct(cheb, basis, xis[1], len(basis), cold_sample)
     assert len(solves) == 2
     assert len(members) == 4

@@ -181,8 +181,8 @@ def test_batched_levels_agree_with_scalar_fibers(rmap, root, depth):
     tree = iterated_preimages(rmap, root, depth)
     for k in range(1, depth + 1):
         prev, lvl = tree.level(k - 1), tree.level(k)
-        _assert_matches_reference(rmap, prev.points, prev.infinite,
-                                  (lvl.points, lvl.infinite, lvl.cum, lvl.parent),
+        _assert_matches_reference(rmap, prev.points, prev.inf_mask,
+                                  (lvl.points, lvl.inf_mask, lvl.cum, lvl.parent),
                                   prev.cum)
 
 
@@ -324,7 +324,7 @@ def test_block_size_never_changes_an_answer(monkeypatch, rmap, root, depth):
         root = default_root(rmap) if root is None else root
         whole = iterated_preimages(rmap, root, depth)
         lvl = whole.level(depth - 1)
-        points, infinite = lvl.points, lvl.infinite
+        points, infinite = lvl.points, lvl.inf_mask
     one = _solve(rmap, points, infinite)
     for rows in (1, 7, 100):
         parts = [_solve(rmap, points[s:s + rows], infinite[s:s + rows])
@@ -345,7 +345,7 @@ def test_block_size_never_changes_an_answer(monkeypatch, rmap, root, depth):
         monkeypatch.setattr(preimage_solver, "_BLOCK_ROWS", 5)
         blocked = iterated_preimages(rmap, root, depth)
         for a, b in zip(whole.levels, blocked.levels):
-            for name in ("points", "infinite", "cum", "parent"):
+            for name in ("points", "inf_mask", "cum", "parent"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -363,8 +363,8 @@ def test_blocks_above_the_elision_size_keep_every_bit(monkeypatch):
 
     lvl = trees[0].level(13)
     assert lvl.size == 8192
-    one = _solve(basilica, lvl.points, lvl.infinite)
-    parts = [_solve(basilica, lvl.points[s:s + 1000], lvl.infinite[s:s + 1000])
+    one = _solve(basilica, lvl.points, lvl.inf_mask)
+    parts = [_solve(basilica, lvl.points[s:s + 1000], lvl.inf_mask[s:s + 1000])
              for s in range(0, lvl.size, 1000)]
     for got, want in zip(zip(*parts), one[:3]):
         assert np.concatenate(got).tobytes() == want.tobytes()
@@ -454,7 +454,7 @@ def _ref_polish_rows(h, z, multiplicity=1, steps=3):
 
 def _assert_same_levels(tree, other):
     for a, b in zip(tree.levels, other.levels, strict=True):
-        for name in ("points", "infinite", "cum", "parent"):
+        for name in ("points", "inf_mask", "cum", "parent"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
@@ -509,7 +509,7 @@ def test_engine_keeps_the_bits_of_the_row_major_engine(monkeypatch, rmap, root, 
             ref = iterated_preimages(rmap, root, depth)
         _assert_same_levels(tree, ref)
     for lvl in tree.levels[:-1]:
-        _assert_rows_keep_the_reference_bits(rmap, lvl.points, lvl.infinite)
+        _assert_rows_keep_the_reference_bits(rmap, lvl.points, lvl.inf_mask)
 
 
 # The critical-point merge as it was, row-major: the scale of its
@@ -538,16 +538,6 @@ def _ref_merge_at_critical_point(h, points, inf_mask, mult, c, e):
     mult[hit] = m
     points[hit[total > 0], first[total > 0]] = c
     return hit.size
-
-
-def test_row_sums_keep_the_order_of_numpy_row_sums():
-    # Below 8 terms numpy adds a row left to right, from 8 in eight
-    # partial sums, and above 128 in halves.
-    rng = np.random.default_rng(8)
-    for k in [*range(1, 20), 127, 128, 129, 300]:
-        terms = np.abs(rng.normal(size=(2000, k))) * np.exp(rng.uniform(-30, 30, (2000, k)))
-        want = terms.sum(axis=1)
-        assert _fiber._row_major_sum(np.ascontiguousarray(terms.T)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rmap", [
@@ -623,7 +613,7 @@ def test_the_newton_step_agrees_with_the_three_step_polish(rmap, root):
     moved = 0
     # The fibers over levels 0 to 13 are levels 1 to 14.
     for lvl in tree.levels:
-        w = lvl.points[~lvl.infinite, None]
+        w = lvl.points[~lvl.inf_mask, None]
         h = rmap._num_pad - w * rmap._den_pad
         h = h[h[:, 0] != 0]
         closed, converged, c = _ref_closed_form(h)

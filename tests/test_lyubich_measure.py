@@ -12,7 +12,7 @@ from lyubich_lab.lyubich_measure import (compensated_sum, convergence_report,
                                          default_root, integrate, measure_from_tree,
                                          measure_match_defect, measures_match,
                                          pushforward)
-from lyubich_lab.preimage_solver import iterated_preimages
+from lyubich_lab.preimage_solver import iterated_preimages, sampled_tree
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab import test_functions as tf
 
@@ -230,9 +230,26 @@ def test_newton_map_at_infinity_passes_every_level():
     newton = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton")
     tree = iterated_preimages(newton, complex("inf"), 6)
     for k in range(6, 0, -1):
-        assert tree.level(k).infinite.any()
+        assert tree.level(k).inf_mask.any()
         defect, exact = invariance(tree, k)
         assert exact and defect <= 1e-8, f"level {k}"
+
+
+@pytest.mark.parametrize("branches", [None, 1, 2])
+def test_a_tree_level_is_its_measure(branches):
+    # z^3 - 3z, fully enumerated and sampled with fewer branches than its
+    # degree: the measure of a level is the level, with no copy.
+    cubic = RationalMap([0, -3, 0, 1], [1])
+    tree = (iterated_preimages(cubic, -2, 4) if branches is None
+            else sampled_tree(cubic, -2, 4, branches, seed=3))
+    base = cubic.degree if branches is None else branches
+    for k in range(tree.depth + 1):
+        mu = measure_from_tree(tree, k)
+        assert mu is tree.level(k)
+        assert mu.map is cubic and mu.root == tree.root
+        assert (mu.depth, mu.base) == (k, base)
+        assert int(mu.cum.sum()) == base ** k
+    assert measure_from_tree(tree) is tree.level(4)
 
 
 def test_pushforward_rejects_measures_off_their_tree(quad_map):

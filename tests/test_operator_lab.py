@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lyubich_lab.operator_lab import (TOLERANCES, _frame_matrix, build_model,
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, SpherePoint
 from lyubich_lab.transfer_operator import apply_transfer, inner_product
-from lyubich_lab import bimodule_basis, operator_lab
+from lyubich_lab import bimodule_basis, operator_lab, preimage_solver
 from lyubich_lab import test_functions as tf
 
 
@@ -397,20 +398,56 @@ def test_suite_builds_no_basis_it_does_not_read():
 
 def test_model_solves_each_level_once(monkeypatch, quad_map):
     calls = []
-    gather = operator_lab.gather_fibers
+    gather = preimage_solver.gather_fibers
 
     def counting(*args, **kwargs):
         calls.append(args)
         return gather(*args, **kwargs)
 
-    monkeypatch.setattr(operator_lab, "gather_fibers", counting)
+    # The tree builder solves its levels with the same function, so the
+    # spy goes in once the model is built.
     model = build_model(quad_map, 1, 5)
+    monkeypatch.setattr(preimage_solver, "gather_fibers", counting)
     rng = np.random.default_rng(3)
     for _ in range(3):
         a, f, g = (tf.random_polynomial(rng, 2) for _ in range(3))
         assert verify_covariance(model, a, f, g, 5) <= TOLERANCES["covariance"]
         assert verify_representation(model, f, g, a, 5)[1] <= TOLERANCES["representation"]
     assert len(calls) == 1
+
+
+def test_levels_own_what_the_checks_read(quad_model):
+    assert quad_model.levels[5] is quad_model.tree.level(5)
+    assert quad_model.fibers(8) is quad_model.levels[7].fibers
+    assert quad_model.sibling_fibers(8) is quad_model.levels[8].sibling_fibers
+
+
+def test_suite_solves_each_point_set_and_evaluates_each_partition_once(monkeypatch):
+    solved, members = [], []
+    gather, member_matrix = preimage_solver.gather_fibers, PartitionOfUnity.member_matrix
+
+    def counting(rmap, points, inf_mask, siblings=False):
+        # The tree builders solve each level to grow the next one; the
+        # checks solve a level again on their own, and only they count.
+        if sys._getframe(1).f_code is not preimage_solver._grow.__code__:
+            solved.append((points, siblings))
+        return gather(rmap, points, inf_mask, siblings)
+
+    def counting_members(self, points, inf_mask=None):
+        members.append((self, points))
+        return member_matrix(self, points, inf_mask)
+
+    monkeypatch.setattr(preimage_solver, "gather_fibers", counting)
+    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting_members)
+    report = verification_suite(builtin_map("basilica"), m=6, seed=1, trials=4, pairs=4)
+    assert report["all_pass"]
+    # The fibers over level 5 (covariance, representation), the sibling
+    # fibers of level 6 (key lemma) and of the basis sample (separation
+    # radius), and the fibers over the unitality sample.  The lists hold
+    # the arrays, so no id is reused.
+    assert len({(id(points), siblings) for points, siblings in solved}) == len(solved) == 4
+    # The basis on level 6 and on its sibling fibers.
+    assert len({(id(p), id(points)) for p, points in members}) == len(members) == 2
 
 
 # ----------------------------------------------------------------------

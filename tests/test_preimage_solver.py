@@ -199,7 +199,7 @@ def test_sampled_full_branches_is_full_tree(rmap, w):
     samp = sampled_tree(rmap, w, 3, branches_per_node=rmap.degree, seed=42)
     assert samp.weight_base == full.weight_base == rmap.degree
     for k in range(4):
-        for name in ("points", "infinite", "cum", "parent"):
+        for name in ("points", "inf_mask", "cum", "parent"):
             np.testing.assert_array_equal(getattr(samp.level(k), name),
                                           getattr(full.level(k), name))
 
@@ -220,7 +220,7 @@ def test_sampled_tree_draw_order_is_pinned():
     assert tree.weight_base == 2
     for lvl, (points, infinite, cum, parent) in zip(tree.levels, want):
         np.testing.assert_allclose(lvl.points, points, atol=1e-8)
-        np.testing.assert_array_equal(lvl.infinite, infinite)
+        np.testing.assert_array_equal(lvl.inf_mask, infinite)
         np.testing.assert_array_equal(lvl.cum, cum)
         np.testing.assert_array_equal(lvl.parent, parent)
 

@@ -201,3 +201,16 @@ def test_the_newton_step_raises_no_warning():
         roots.rows_roots(h)
     assert converged.all()
     assert z[0].tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200])
+def test_an_underflowing_constant_term_raises_no_warning(scale):
+    # Scaled by max|c_k| the constant term underflows to 0, so the closed
+    # form divides 0 by 0; the row fails the residual test and the
+    # companion matrix answers 0, 0.  The roots are +-i/scale, within
+    # chordal distance 2/scale of 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = aberth_roots([1 / scale, 0, scale])
+    assert z.size == 2
+    assert np.all(np.abs(z) <= 2 / scale)

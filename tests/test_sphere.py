@@ -154,7 +154,7 @@ def test_atom_order_keeps_the_lexsort_order():
 def test_atom_order_keeps_the_lexsort_order_of_a_deep_level():
     basilica = builtin_map("basilica")
     prev = iterated_preimages(basilica, default_root(basilica), 13).level(13)
-    fib = gather_fibers(basilica, prev.points, prev.infinite)
+    fib = gather_fibers(basilica, prev.points, prev.inf_mask)
     shuffle = np.random.default_rng(3).permutation(fib.points.size)
     for points, inf_mask in ((fib.points, fib.inf_mask),
                              (fib.points[shuffle], fib.inf_mask[shuffle])):
