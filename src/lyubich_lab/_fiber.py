@@ -9,10 +9,10 @@ targets and solves each fiber polynomial h = P - wQ (h = Q when w is
 infinity) as a row.  A degree drop of h, decided at ``_CANCEL_TOL``, is an
 atom at infinity, and exact zero low-order coefficients are an exact root
 at 0.  Rows that share what is left to solve are solved together by the
-rows engine of :mod:`roots`: quadratic rows in closed form with one fused
-Newton step, and the rows of other degrees, or that the closed form
-fails, by the Aberth iteration or the companion matrix and three steps of
-``polish_rows``.
+rows engine of :mod:`roots`: rows of degree 2 and 3 in closed form with
+one fused Newton step, and the rows of other degrees, or that the closed
+form fails, by the Aberth iteration or the companion matrix and three
+steps of ``polish_rows``.
 
 Multiplicities come from critical points, not from distances: a multiple
 root of h lies at a critical point c with R(c) = w, and its multiplicity

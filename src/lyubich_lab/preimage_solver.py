@@ -37,11 +37,11 @@ from .test_functions import PowerTable
 DEFAULT_BUDGET = 1 << 22
 
 # Points solved per call of the batched fiber engine.  Each call makes
-# its numpy calls (a few dozen per Aberth iteration, fewer for the closed
-# form of quadratic rows) whatever the block size, so larger blocks
-# spread that fixed cost over more rows; tree building time
-# is flat from about 2048 rows up, and 4096 keeps a quadratic map's root
-# array at 128 KiB.  Every point is solved on its own, so any block size
+# its numpy calls (a few dozen for the closed form of rows of degree 2 or
+# 3, as many per Aberth iteration for the other degrees) whatever the
+# block size, so larger blocks spread that fixed cost over more rows; tree
+# building time is flat from about 2048 rows up, and 4096 keeps a
+# quadratic map's root array at 128 KiB.  Every point is solved on its own, so any block size
 # gives the same bits (tests/test_fiber_engine.py checks 1024 to 16384).
 _BLOCK_ROWS = 4096
 

@@ -1,23 +1,26 @@
 """Polynomial root finding for the preimage machinery.
 
 Rows of one degree are solved as a stack, a ``(rows, degree + 1)``
-array, by one of two engines chosen by the degree alone.  A quadratic row
-takes the closed form, the quadratic formula with the root of larger
-modulus taken first and the other from the product of the roots, which is
-backward stable (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., 2002, section 1.8).  Rows of any other degree take
-the simultaneous Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973;
-Bini, Numer. Algorithms 13, 1996).  Both work root-major: they transpose
-the stack once into coefficients ``(degree + 1, rows)`` and roots
-``(degree, rows)``, so that every Horner step, residual test and
-repulsion term works on contiguous length-``rows`` vectors, and the
-per-row reductions run over the short leading axis.  Both hold their
-roots to one backward-error test, and rows that fail it (the closed form)
-or miss it within ``MAX_ITERATIONS`` (the iteration) take the eigenvalues
-of their companion matrices, in one stacked call.  The closed-form roots
-then take one Newton step, fused with the residual test that already
-evaluated p at them; the iteration's roots and the companion roots are
-for the three steps of :func:`polish_rows`.  The scalar functions
+array, by an engine chosen by the degree alone.  Rows of degree 2 and 3
+take closed forms (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, section 1.8; Kahan, "To solve a real cubic
+equation", 1986): a quadratic row the quadratic formula with the root of
+larger modulus taken first and the other from the product of the roots,
+which is backward stable, and a cubic row Cardano's formula with the
+longer of the two sums under the cube root.  Rows of degree 1 and of
+degree 4 and more take the simultaneous Aberth-Ehrlich iteration
+(Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996).  All
+work root-major: they transpose the stack once into coefficients
+``(degree + 1, rows)`` and roots ``(degree, rows)``, so that every Horner
+step, residual test and repulsion term works on contiguous
+length-``rows`` vectors, and the per-row reductions run over the short
+leading axis.  All hold their roots to one backward-error test, and rows
+that fail it (a closed form) or miss it within ``MAX_ITERATIONS`` (the
+iteration) take the eigenvalues of their companion matrices, in one
+stacked call.  The closed-form roots then take one Newton step, fused
+with the residual test that already evaluated p at them; the iteration's
+roots and the companion roots are for the three steps of
+:func:`polish_rows`.  The scalar functions
 :func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
 same code.
 
@@ -203,18 +206,14 @@ def quadratic_rows(h: np.ndarray):
 
     With each row scaled by max|c_k|, d = sqrt(b^2 - 4ac) takes the sign
     that makes |b + d| >= |b - d|, so q = -(b + d)/2 suffers no
-    cancellation; the roots are q/a and c/q.  Each root then takes the
-    step z - p/p' on the scaled coefficients, kept where it is finite and
-    |p| does not rise.  Returns the roots (rows, 2) and a mask of the rows
-    whose two closed-form roots meet the residual test of
-    :func:`aberth_rows`.
+    cancellation; the roots are q/a and c/q.  Returns the roots (rows, 2)
+    and a mask of the rows whose two closed-form roots meet the residual
+    test of :func:`aberth_rows`; see :func:`_newton_step`.
     """
     h = np.ascontiguousarray(h.T)
     # A row whose constant term underflows when scaled gets q = 0 and the
     # root 0/0, which fails the residual test and goes to the companion
-    # matrix; a zero derivative (a double root) or an overflow gives a
-    # step that is not finite, and the root keeps its closed form.  So no
-    # warning is news.
+    # matrix.  So no warning is news.
     with np.errstate(all="ignore"):
         c = h / np.abs(h).max(axis=0)
         c0, b, a = c
@@ -225,32 +224,102 @@ def quadratic_rows(h: np.ndarray):
         d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
         longer = b + d
         q = -0.5 * longer
-        z = np.stack([q / a, c0 / q])
-        pv = horner(c, z)
-        abs_pv = np.abs(pv)
-        converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
-                     ).all(axis=0)
-        dv = horner(derivative(c), z)
-        moved = z - pv / dv
-        better = np.isfinite(moved) & (np.abs(horner(c, moved)) <= abs_pv)
+        return _newton_step(c, np.stack([q / a, c0 / q]))
+
+
+# The primitive cube root of unity exp(2 pi i / 3) and its exact conjugate.
+_OMEGA = complex(-0.5, math.sqrt(3) / 2)
+
+
+def cubic_rows(h: np.ndarray):
+    """The three roots of each row of ``h`` (rows, 4), with a nonzero
+    leading coefficient in every row, in closed form, each refined by one
+    Newton step.
+
+    Each row is scaled by max|c_k| and made monic, z^3 + B z^2 + C z + D.
+    With D0 = B^2 - 3C and D1 = 2B^3 - 9BC + 27D, s = sqrt(D1^2 - 4 D0^3)
+    takes the sign that makes |D1 + s| >= |D1 - s|, K is a cube root of
+    (D1 + s)/2, and the roots are -(B + w K + D0/(w K))/3 for the three
+    cube roots of unity w; a triple root (K = 0) is -B/3.  K is the real
+    cube root of a real radicand and otherwise the cube root of modulus
+    cbrt|.| and argument arg/3, both odd under conjugation, so conjugate
+    rows give conjugate roots to the bit, and the complex pair of a real
+    row is an exact conjugate pair.  Returns the roots (rows, 3) and a
+    mask of the rows whose three closed-form roots meet the residual test
+    of :func:`aberth_rows`; see :func:`_newton_step`.
+    """
+    h = np.ascontiguousarray(h.T)
+    # Cardano's shift -B/3 cancels when one root is much smaller than the
+    # others, and a row that overflows or underflows when made monic gives
+    # roots that are not finite: both fail the residual test and go to the
+    # companion matrix.  So no warning is news.
+    with np.errstate(all="ignore"):
+        c = h / np.abs(h).max(axis=0)
+        lead = c[3]
+        b = c[2] / lead
+        cc = c[1] / lead
+        dd = c[0] / lead
+        bb = b * b
+        bbb = bb * b
+        bc = b * cc
+        d0 = bb - 3 * cc
+        d1 = 2 * bbb - 9 * bc + 27 * dd
+        d1d1 = d1 * d1
+        d0d0 = d0 * d0
+        d0d0d0 = d0d0 * d0
+        s = np.sqrt(d1d1 - 4 * d0d0d0)
+        # Re(conj(D1) s) < 0 means D1 - s is the longer sum.
+        s = np.where(d1.real * s.real + d1.imag * s.imag < 0, -s, s)
+        longer = d1 + s
+        half = 0.5 * longer
+        k = np.empty_like(half)
+        angle = np.angle(half) / 3
+        modulus = np.cbrt(np.abs(half))
+        k.real = np.where(half.imag == 0, np.cbrt(half.real), modulus * np.cos(angle))
+        k.imag = np.where(half.imag == 0, 0.0, modulus * np.sin(angle))
+        wk = np.stack([k, _OMEGA * k, _OMEGA.conjugate() * k])
+        z = -(b + wk + d0 / wk) / 3
+        z = np.where(k == 0, -b / 3, z)
+        return _newton_step(c, z)
+
+
+def _newton_step(c: np.ndarray, z: np.ndarray):
+    """The tail of the closed forms: the residual test of
+    :func:`aberth_rows` on the roots ``z`` (degree, rows) of the scaled
+    root-major coefficients ``c``, then one Newton step z - p/p' on each
+    root, kept where it is finite and |p| does not rise.  A zero
+    derivative (a double root) or an overflow gives a step that is not
+    finite, and the root keeps its closed form.  Returns the roots
+    (rows, degree) and the mask of the rows whose closed-form roots all
+    meet the test."""
+    pv = horner(c, z)
+    abs_pv = np.abs(pv)
+    converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
+                 ).all(axis=0)
+    dv = horner(derivative(c), z)
+    moved = z - pv / dv
+    better = np.isfinite(moved) & (np.abs(horner(c, moved)) <= abs_pv)
     return np.where(better, moved, z).T, converged
+
+
+_CLOSED_FORMS = {2: quadratic_rows, 3: cubic_rows}
 
 
 def rows_roots(h: np.ndarray):
     """All roots of each row of ``h`` (rows, n + 1), n >= 1: the closed
-    form for n = 2, the Aberth iteration otherwise, and the companion
-    matrix for the rows that fail the residual test in either.
+    form for n = 2 and n = 3, the Aberth iteration otherwise, and the
+    companion matrix for the rows that fail the residual test in either.
 
     Returns the roots (rows, n) and a mask of the rows solved in closed
     form, whose roots have taken their Newton step; the roots of the other
     rows are for :func:`polish_rows`.  Raises RootFindingFailure when a
     companion root fails its residual test.
     """
-    quadratic = h.shape[1] == 3
-    z, converged = quadratic_rows(h) if quadratic else aberth_rows(h)
+    closed_form = _CLOSED_FORMS.get(h.shape[1] - 1)
+    z, converged = closed_form(h) if closed_form else aberth_rows(h)
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
-    return z, converged & quadratic
+    return z, converged & (closed_form is not None)
 
 
 def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1) -> np.ndarray:
@@ -310,8 +379,8 @@ def aberth_roots(coeffs) -> np.ndarray:
     ------
     RootFindingFailure
         If neither :func:`rows_roots`'s engine for the degree (the closed
-        form of a quadratic, the simultaneous iteration otherwise) nor the
-        companion fallback meets the residual criterion.
+        form of a quadratic or a cubic, the simultaneous iteration
+        otherwise) nor the companion fallback meets the residual criterion.
     """
     c = trim(coeffs)
     # Exact zero low-order coefficients contribute roots at the origin.

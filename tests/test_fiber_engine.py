@@ -9,7 +9,8 @@ the rows past the iteration cap or failing the residual test, and that
 splitting the targets into blocks never changes an answer.  A frozen copy
 of the row-major engine that the root-major one replaced pins every bit
 of the Aberth iteration and the polishing, and of the tables of maps of
-degree 3 and more, whose rows the iteration solves.  Frozen copies of the
+degree 4 and more, whose rows the iteration solves (rows of degree 2 and
+3 take the closed forms).  Frozen copies of the
 row-major critical-point merge and of the closed form before its Newton
 step pin the merge's bits and bound the step against the polish it
 replaced.
@@ -207,18 +208,18 @@ def test_special_rows_match_the_reference(monkeypatch):
 
 
 def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
-    # Cubic rows: the quadratics' rows take the closed form, not the
-    # iteration.
-    points, infinite = _targets([0.3 + 0.2j, -1.5, 2j])
-    want = _solve(CHEB3, points, infinite)
+    # Quartic rows: the rows of degrees 2 and 3 take the closed forms, not
+    # the iteration.
+    points, infinite = _targets([0.3 + 0.2j, -1.5 + 0.1j, 0.5 + 2j])
+    want = _solve(LATTES, points, infinite)
     # A block that the cap splits, solved without the cap: its rows first
-    # meet the residual test at iterations 6, 8, 11 and 17.
+    # meet the residual test at iterations 6, 15, 18 and 28.
     values = np.array([0.3 + 0.2j, 100.0, 1e3, 1e6j])
     finite = np.zeros(4, dtype=bool)
-    h = CHEB3._num_pad - values[:, None] * CHEB3._den_pad
+    h = LATTES._num_pad - values[:, None] * LATTES._den_pad
     full, converged = roots.aberth_rows(h)
     assert converged.all()
-    want_split = _solve(CHEB3, values, finite)
+    want_split = _solve(LATTES, values, finite)
     calls = []
     companion = roots.companion_rows
 
@@ -228,27 +229,27 @@ def test_rows_past_the_iteration_cap_fall_back(monkeypatch):
 
     monkeypatch.setattr(roots, "companion_rows", counting)
     monkeypatch.setattr(roots, "MAX_ITERATIONS", 2)
-    got = _solve(CHEB3, points, infinite)
+    got = _solve(LATTES, points, infinite)
     assert calls == [3]
     assert np.max(np.abs(got[0] - want[0])) <= AGREEMENT
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
 
     # At 6 iterations one row of four has finished, too few to be dropped
-    # from the iteration, and at 8 two have, and are dropped.  Either way
+    # from the iteration, and at 15 two have, and are dropped.  Either way
     # the finished rows keep their Aberth roots and only the others reach
     # the companion matrices.
-    for cap, finished in ((6, [0]), (8, [0, 1])):
+    for cap, finished in ((6, [0]), (15, [0, 1])):
         monkeypatch.setattr(roots, "MAX_ITERATIONS", cap)
         z, converged = roots.aberth_rows(h)
         np.testing.assert_array_equal(np.flatnonzero(converged), finished)
         assert z[converged].tobytes() == full[converged].tobytes()
         calls.clear()
-        got = _solve(CHEB3, values, finite)
+        got = _solve(LATTES, values, finite)
         assert calls == [4 - len(finished)]
         for j in finished:
             for a, b in zip(got[:3], want_split[:3]):
-                assert a[3 * j:3 * j + 3].tobytes() == b[3 * j:3 * j + 3].tobytes()
+                assert a[4 * j:4 * j + 4].tobytes() == b[4 * j:4 * j + 4].tobytes()
 
 
 def test_quadratic_rows_that_fail_the_residual_test_fall_back(monkeypatch):
@@ -500,9 +501,9 @@ def test_engine_keeps_the_bits_of_the_row_major_engine(monkeypatch, rmap, root, 
 
     root = default_root(rmap) if root is None else root
     tree = iterated_preimages(rmap, root, depth)
-    # The trees of quadratic maps never reach the iteration, so only their
-    # rows are compared.
-    if rmap.degree >= 3:
+    # The trees of maps of degree 2 and 3 never reach the iteration, so
+    # only their rows are compared.
+    if rmap.degree >= 4:
         with monkeypatch.context() as patch:
             patch.setattr(roots, "aberth_rows", _ref_aberth_rows)
             patch.setattr(roots, "polish_rows", _ref_polish_rows)

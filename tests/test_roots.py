@@ -3,9 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from lyubich_lab import roots
+from lyubich_lab import _fiber, roots
+from lyubich_lab.errors import RootFindingFailure
+from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab.preimage_solver import iterated_preimages
+from lyubich_lab.rational_map import RationalMap, critical_points
 from lyubich_lab.roots import (aberth_roots, companion_roots, derivative, horner,
                                polish_root, taylor_shift, trim)
+from lyubich_lab.sphere import INFINITY
 
 
 def _poly_from_roots(zeros):
@@ -173,7 +178,185 @@ def test_quadratic_block_keeps_the_bits_of_one_row_solves():
     np.testing.assert_array_equal(stepped, np.concatenate([s for _, s in singles]))
 
 
-def test_rows_roots_takes_the_closed_form_for_quadratics_only(monkeypatch):
+@pytest.mark.parametrize("roots_", [
+    pytest.param([np.exp(1j * (0.4 + 2 * np.pi * k / 3)) for k in range(3)], id="z^3-w"),
+    pytest.param([-3.25, 0.125 + 4j, 0.6 - 0.7j], id="generic"),
+])
+def test_cubic_rows_give_the_prescribed_roots(roots_):
+    h = _poly_from_roots(roots_)
+    want = np.array(roots_)
+    for scale in (1.0, 1e150, 1e-150):
+        z, converged = roots.cubic_rows(scale * h[None, :])
+        assert converged.all()
+        # Each prescribed root has its own closed-form root.
+        dist = _chordal(z[0][:, None], want[None, :])
+        assert sorted(np.argmin(dist, axis=0).tolist()) == [0, 1, 2]
+        assert dist.min(axis=0).max() <= AGREEMENT
+
+
+@pytest.mark.parametrize("roots_,bound", [
+    # Unscaled, the triple root takes K = 0 and comes out exact; scaled by
+    # 1e150 it lands 5e-6 from 1, within eps^(1/3).
+    pytest.param([1, 1, 1], 1e-5, id="(z-1)^3"),
+    pytest.param([1, 1, -2], 1e-7, id="(z-1)^2(z+2)"),
+])
+def test_cubic_rows_near_multiple_roots_meet_the_backward_error_test(roots_, bound):
+    h = _poly_from_roots(roots_)
+    want = np.array(roots_, dtype=complex)
+    for scale in (1.0, 1e150, 1e-150):
+        z, converged = roots.cubic_rows(scale * h[None, :])
+        assert converged.all()
+        assert _backward_error_ok(scale * h, z[0])
+        assert np.abs(z[0][:, None] - want[None, :]).min(axis=0).max() < bound
+
+
+def test_a_cubic_row_that_cancels_falls_back_to_the_companion_matrix(monkeypatch):
+    # Cardano's shift -B/3 cancels against the small root, so the closed
+    # form fails the residual test at every scale.
+    want = np.array([1, 1e6 * np.exp(1j), 1e-6 * np.exp(-2j)])
+    h = _poly_from_roots(want)
+    calls = []
+    companion = roots.companion_rows
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return companion(h)
+
+    monkeypatch.setattr(roots, "companion_rows", counting)
+    for scale in (1.0, 1e150, 1e-150):
+        _, converged = roots.cubic_rows(scale * h[None, :])
+        assert not converged.any()
+        calls.clear()
+        z, stepped = roots.rows_roots(scale * h[None, :])
+        assert calls == [1]
+        assert not stepped.any()
+        dist = _chordal(z[0][:, None], want[None, :])
+        assert dist.min(axis=0).max() <= AGREEMENT
+
+
+def test_conjugate_cubic_rows_give_conjugate_roots_to_the_bit():
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+    z, converged = roots.cubic_rows(h)
+    zc, converged_c = roots.cubic_rows(np.conj(h))
+    np.testing.assert_array_equal(converged, converged_c)
+    assert converged.mean() > 0.99
+    # The cube roots of unity w and conj(w) trade places.
+    assert zc.tobytes() == np.conj(z[:, [0, 2, 1]]).tobytes()
+
+    # A real row with a complex pair: the pair is exactly conjugate and
+    # the third root exactly real, so their order never rests on a last bit.
+    real = rng.normal(size=(2000, 4)).astype(complex)
+    z, converged = roots.cubic_rows(real)
+    paired = converged & (np.abs(z.imag).max(axis=1) > 1e-8)
+    assert paired.sum() > 1000
+    assert z[paired, 1].tobytes() == np.conj(z[paired, 2]).tobytes()
+    assert not z[paired, 0].imag.any()
+
+
+def test_cubic_block_keeps_the_bits_of_one_row_solves():
+    # 16384 rows: arrays above numpy's 256 KiB elision size.
+    rng = np.random.default_rng(6)
+    h = rng.normal(size=(16384, 4)) + 1j * rng.normal(size=(16384, 4))
+    h[::5, 2] = 0
+    h[::7] = h[::7].real
+    h[::11] *= 1e120
+    block, stepped = roots.rows_roots(h)
+    singles = [roots.rows_roots(h[r:r + 1]) for r in range(h.shape[0])]
+    assert block.tobytes() == np.concatenate([z for z, _ in singles]).tobytes()
+    np.testing.assert_array_equal(stepped, np.concatenate([s for _, s in singles]))
+
+
+def test_cubic_rows_that_fail_the_residual_test_fall_back(monkeypatch):
+    # The fiber of (z - 4)^3 + 64 over 64 is (z - 4)^3: scaled by its
+    # largest coefficient it is exact, and its closed form (K = 0) is the
+    # exact root 4.  The fibers over the other targets are not exact.
+    rmap = RationalMap([0, 48, -12, 1], [1], name="(z-4)^3+64")
+    values = np.array([0.3 + 0.2j, 64.0, -0.5 + 2j])
+    finite = np.zeros(3, dtype=bool)
+
+    def solve():
+        return _fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
+                                   values, finite, critical_points(rmap))
+
+    want = solve()
+    calls, polished = [], []
+    companion, polish = roots.companion_rows, roots.polish_rows
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return companion(h)
+
+    def counting_polish(h, z):
+        polished.append(h.shape[0])
+        return polish(h, z)
+
+    monkeypatch.setattr(roots, "companion_rows", counting)
+    monkeypatch.setattr(roots, "polish_rows", counting_polish)
+    # With no tolerance only exact roots pass.
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 0.0)
+    h = rmap._num_pad - values[:, None] * rmap._den_pad
+    _, converged = roots.cubic_rows(h)
+    np.testing.assert_array_equal(converged, [False, True, False])
+    got = solve()
+    assert calls == [2]
+    assert polished == [2]
+    assert np.max(_chordal(got[0], want[0])) <= AGREEMENT
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(a, b)
+    # The triple root keeps its bits.
+    for a, b in zip(got[:3], want[:3]):
+        assert a[want[3][1]:want[3][2]].tobytes() == b[want[3][1]:want[3][2]].tobytes()
+
+
+def test_a_cubic_row_with_a_nan_coefficient_raises():
+    h = np.array([[0.3, 0, 0, 1], [np.nan, 0, 0, 1], [1, 2j, 0, 1]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(RootFindingFailure):
+        roots.rows_roots(h)
+
+
+def test_cubic_rows_raise_no_warning():
+    # Double and triple roots (a zero derivative, and 0/0 beside K = 0),
+    # a constant term that underflows when the row is scaled, and a
+    # generic row.
+    h = np.array([_poly_from_roots([1, 1, 1]), _poly_from_roots([1, 1, -2]),
+                  _poly_from_roots([0.3j, 0.3j, 2]), [1e-150, 0, 0, 1e150],
+                  [3, 0.5 - 1j, 2j, 1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots.cubic_rows(h)
+        roots.rows_roots(h)
+        for scale in (1e300, 1e200):
+            z = aberth_roots([1 / scale, 0, 0, scale])
+            # The roots have modulus scale^(-2/3).
+            assert np.all(np.abs(z) <= 2 * scale ** (-2 / 3))
+
+
+@pytest.mark.parametrize("rmap,root,depth", [
+    pytest.param(RationalMap([0, -3, 0, 1], [1]), -2, 9, id="z^3-3z"),
+    pytest.param(RationalMap([1, 0, 0, 2], [0, 0, 3]), INFINITY, 7, id="newton-inf"),
+    pytest.param(RationalMap([0.3 + 0.5j, 0, 0, 1], [1]), None, 8, id="z^3+0.3+0.5i"),
+])
+def test_cubic_tree_atoms_are_backward_stable(rmap, root, depth):
+    # |h(z)| <= 4 eps sum |h_k| |z|^k on every simple finite atom over a
+    # finite parent; the worst on these trees is 1.34 eps.
+    root = default_root(rmap) if root is None else root
+    tree = iterated_preimages(rmap, root, depth)
+    eps = np.finfo(float).eps
+    checked = 0
+    for k in range(1, depth + 1):
+        prev, lvl = tree.level(k - 1), tree.level(k)
+        parent = lvl.parent
+        simple = (lvl.cum == prev.cum[parent]) & ~lvl.inf_mask & ~prev.inf_mask[parent]
+        w = prev.points[parent[simple]]
+        z = lvl.points[simple][None, :]
+        h = (rmap._num_pad - w[:, None] * rmap._den_pad).T
+        assert np.all(np.abs(horner(h, z)) <= 4 * eps * horner(np.abs(h), np.abs(z)))
+        checked += z.size
+    assert checked > 0.9 * tree.level(depth).size
+
+
+def test_rows_roots_takes_the_closed_forms_for_degrees_2_and_3(monkeypatch):
     seen = []
     aberth = roots.aberth_rows
 
@@ -187,7 +370,7 @@ def test_rows_roots_takes_the_closed_form_for_quadratics_only(monkeypatch):
         got = np.sort_complex(roots.rows_roots(h)[0][0])
         np.testing.assert_allclose(got, np.sort_complex(np.arange(1, degree + 1) * (0.5 + 0.25j)),
                                    atol=1e-12)
-    assert seen == [1, 3, 4]
+    assert seen == [1, 4]
 
 
 def test_the_newton_step_raises_no_warning():

@@ -11,11 +11,12 @@ command fails before writing it) its stdout report with the
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
 elision can move last bits), a tree with atoms at infinity, a tree of
-the cubic z^3 - 3z (its rows take the Aberth iteration, where those of
-the quadratics take the closed form) and a sampled tree of it, the
-measure CSV of a tree with double atoms, a Julia sample, basis exports of
-basilica and of chebyshev (whose Julia set meets a critical point), and
-five verification reports, one of them on chebyshev and one with trials
+the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
+form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
+take the Aberth iteration and the polish), the measure CSV of a tree
+with double atoms, a Julia sample, basis exports of basilica and of
+chebyshev (whose Julia set meets a critical point), and five
+verification reports, one of them on chebyshev and one with trials
 checked in chunks of several rows.
 """
 
@@ -32,11 +33,15 @@ COMMANDS = [
     ["tree", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
     ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "inf",
      "--depth", "7", "--out", "out.csv"],
-    # z^3 - 3z: cubic rows on the Aberth iteration, 19683 atoms at level 9.
+    # z^3 - 3z: cubic rows in closed form, 19683 atoms at level 9.
     ["tree", "--num=0,0;-3,0;0,0;1,0", "--den=1,0", "--depth", "9", "--out", "out.csv"],
     # A sampled tree with fewer branches than the degree: weights over 2**k.
     ["tree", "--num=0,0;-3,0;0,0;1,0", "--den=1,0", "--depth", "9", "--branches", "2",
      "--seed", "3", "--out", "out.csv"],
+    # The Lattes map (z^2 + 1)^2 / (4z(z^2 - 1)): quartic rows on the Aberth
+    # iteration and the three-step polish, 4096 atoms at level 6.
+    ["tree", "--num=1,0;0,0;2,0;0,0;1,0", "--den=0,0;-4,0;0,0;4,0", "--depth", "6",
+     "--out", "out.csv"],
     # The measure CSV, with the double atoms of chebyshev's tree at 2.
     ["measure", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
     ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
