@@ -252,7 +252,8 @@ def cubic_rows(h: np.ndarray):
     # Cardano's shift -B/3 cancels when one root is much smaller than the
     # others, and a row that overflows or underflows when made monic gives
     # roots that are not finite: both fail the residual test and go to the
-    # companion matrix.  So no warning is news.
+    # companion matrix.  A triple root divides 0 by 0 before it takes
+    # -B/3.  So no warning is news.
     with np.errstate(all="ignore"):
         c = h / np.abs(h).max(axis=0)
         lead = c[3]
@@ -302,9 +303,6 @@ def _newton_step(c: np.ndarray, z: np.ndarray):
     return np.where(better, moved, z).T, converged
 
 
-_CLOSED_FORMS = {2: quadratic_rows, 3: cubic_rows}
-
-
 def rows_roots(h: np.ndarray):
     """All roots of each row of ``h`` (rows, n + 1), n >= 1: the closed
     form for n = 2 and n = 3, the Aberth iteration otherwise, and the
@@ -315,7 +313,7 @@ def rows_roots(h: np.ndarray):
     rows are for :func:`polish_rows`.  Raises RootFindingFailure when a
     companion root fails its residual test.
     """
-    closed_form = _CLOSED_FORMS.get(h.shape[1] - 1)
+    closed_form = {2: quadratic_rows, 3: cubic_rows}.get(h.shape[1] - 1)
     z, converged = closed_form(h) if closed_form else aberth_rows(h)
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
