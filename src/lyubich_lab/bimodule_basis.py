@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
-from .preimage_solver import Fibers, PointSet, sampled_tree
+from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
                      chordal_array, chordal_pairs, sphere_points)
@@ -41,9 +41,9 @@ class JuliaSample(PointSet):
 
     The sample owns what is derived from its points, each computed once,
     when first read: what every :class:`PointSet` owns (the fibers over
-    the points and over their images, and each partition's member
-    matrices), their distances to the critical points and the branch
-    points.  Arrays it keeps are read-only.
+    the points and over their images, and each partition's cover table),
+    their distances to the critical points and the branch points.  Arrays
+    it keeps are read-only.
     """
 
     map: RationalMap
@@ -518,13 +518,27 @@ class VanishingFunction:
         return gap < self.support_radius + element.support_radius
 
 
-def reconstruction_sum(U: np.ndarray, fib: Fibers, U_fiber: np.ndarray,
-                       values: np.ndarray) -> np.ndarray:
-    """sum_i u_i * L(u_i * f) at each point: ``U`` holds the elements on
-    the points, ``U_fiber`` on ``fib``, the fibers of the points' images,
-    and ``values`` is f on ``fib``.  Bumps are real, so the conjugate in
-    the inner product is a no-op."""
-    return (U * fib.average(U_fiber * values)).sum(axis=0)
+def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
+                       values: np.ndarray, count: int) -> np.ndarray:
+    """sum_i u_i * L(u_i * f) at each point over the first ``count``
+    elements: ``cover`` holds the elements on the points, ``fiber_cover``
+    on ``fib``, the fibers of the points' images, and ``values`` is f on
+    ``fib``.  Bumps are real, so the conjugate in the inner product is a
+    no-op.
+
+    Each layer of the cover adds, at each point, the term of one element
+    nonzero there, so a point's terms come in ascending element order.  The
+    sum over every element adds the same terms in the same order, and
+    besides them only the terms of elements that vanish at the point,
+    which are 0 or -0 wherever L(u_i * f) is finite; so every finite sum
+    has the bits of the sum over every element.
+    """
+    segment = np.repeat(np.arange(cover.index.shape[1]), np.diff(fib.offsets))
+    total = np.zeros(cover.index.shape[1], dtype=complex)
+    for members, u in zip(cover.index, cover.values(count)):
+        u_fiber = fiber_cover.member(members[segment])
+        total = total + u * fib.average(u_fiber * values)
+    return total
 
 
 def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
@@ -545,8 +559,8 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
     fib = sample.sibling_fibers
     partition = basis[0].partition
     count = min(N, len(basis))
-    recon = reconstruction_sum(sample.member_matrix(partition)[:count], fib,
-                               fib.member_matrix(partition)[:count], xi.evaluate(fib.powers))
+    recon = reconstruction_sum(sample.cover(partition), fib, fib.cover(partition),
+                               xi.evaluate(fib.powers), count)
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0
     table = TestFunction.from_table(pts, infs, recon, name=f"recon{count}({xi.name})")

@@ -23,9 +23,11 @@ degree x degree per level-(k-1) atom, and C* M C is diagonal.  The dense
 level matrices below are only the reference that tests compare against.
 
 The model's levels are the tree's own levels, with no copies.  The checks
-read the fibers, sibling fibers, power tables and member matrices that
-each level, fiber table and Julia sample owns, so over one suite run each
-point set is solved once and each partition evaluated on it once.
+read the fibers, sibling fibers, power tables and cover tables that each
+level, fiber table and Julia sample owns, so over one suite run each
+point set is solved once and each partition evaluated on it once.  Sums
+over the basis run over each point's cover, the few elements nonzero
+there, never over whole (elements, points) arrays.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +40,7 @@ from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
-from .preimage_solver import Fibers, PointSet, PreimageTree, iterated_preimages
+from .preimage_solver import Cover, Fibers, PointSet, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import INFINITY, SpherePoint, as_point
 from .test_functions import (ONE, PolynomialBatch, TestFunction,
@@ -64,9 +66,10 @@ class OperatorModel:
     level k is the tree's depth-k measure, the tree's own level.
 
     Each level owns what is derived from its points (its fibers, sibling
-    fibers, power table and member matrices); the model only names them
-    by level.  The one memo it keeps holds :meth:`frame_vectors`, which
-    reads two levels, keyed by (k, partition).  Its arrays are read-only.
+    fibers, power table and cover tables); the model only names them by
+    level.  The one memo it keeps holds what reads two levels:
+    :meth:`siblings`, keyed by ("siblings", k), and :meth:`frame_vectors`,
+    keyed by (k, partition).  Its arrays are read-only.
     """
 
     map: RationalMap
@@ -97,6 +100,25 @@ class OperatorModel:
         read the level's power table."""
         return f.evaluate(self.levels[k].powers)
 
+    def siblings(self, k: int):
+        """The sibling blocks of level k, computed once: each atom's slot
+        among its siblings, in level order; each level-(k-1) atom's child
+        count; and the (parents, width) table of the atom in each slot,
+        with atom 0 in the padded slots."""
+        key = ("siblings", k)
+        if key not in self._memo:
+            lvl = self.levels[k]
+            counts = np.bincount(lvl.parent, minlength=self.levels[k - 1].size)
+            order = np.argsort(lvl.parent, kind="stable")
+            slot = np.empty(lvl.size, dtype=np.intp)
+            slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
+            children = np.zeros((counts.size, int(counts.max())), dtype=np.intp)
+            children[lvl.parent, slot] = np.arange(lvl.size)
+            for array in (slot, counts, children):
+                array.setflags(write=False)
+            self._memo[key] = slot, counts, children
+        return self._memo[key]
+
     def frame_vectors(self, basis: list, k: int):
         """The basis on level k regrouped by sibling block after the
         sqrt(weight) similarity, computed once per partition.  Returns ``V``
@@ -107,15 +129,14 @@ class OperatorModel:
         if key not in self._memo:
             lvl = self.levels[k]
             prev = self.levels[k - 1]
-            counts = np.bincount(lvl.parent, minlength=prev.size)
-            order = np.argsort(lvl.parent, kind="stable")
-            slot = np.empty(lvl.size, dtype=np.intp)
-            slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
-            U = _basis_on(lvl, basis)
-            V = np.zeros((prev.size, int(counts.max()), U.shape[0]))
-            V[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
-            for array in (V, slot, counts):
-                array.setflags(write=False)
+            slot, counts, _ = self.siblings(k)
+            scale = np.sqrt(lvl.weights / prev.weights[lvl.parent])
+            V = np.zeros((prev.size, int(counts.max()), len(basis)))
+            cover = _cover_on(lvl, basis)
+            for members, u in zip(cover.index, cover.value):
+                hit = u != 0.0
+                V[lvl.parent[hit], slot[hit], members[hit]] = u[hit] * scale[hit]
+            V.setflags(write=False)
             self._memo[key] = V, slot, counts
         return self._memo[key]
 
@@ -162,9 +183,9 @@ class OperatorModel:
         return float(np.linalg.norm(sim, 2))
 
 
-def _basis_on(points: PointSet, basis: list) -> np.ndarray:
-    """The basis's partition on a point set, one row per member."""
-    return points.member_matrix(basis[0].partition) if basis else np.zeros((0, points.size))
+def _cover_on(points: PointSet, basis: list) -> Cover:
+    """The cover table of the basis's partition on a point set."""
+    return points.cover(basis[0].partition) if basis else Cover.of(np.zeros((0, points.size)))
 
 
 def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
@@ -243,24 +264,53 @@ def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBat
     return residual1, residual2
 
 
+def model_reconstruction_sum(model: OperatorModel, cover: Cover, av: np.ndarray,
+                             count: int, k: int) -> np.ndarray:
+    """sum_i u_i * C C*(u_i * a) on level k over the first ``count``
+    elements, ``cover`` holding the elements on level k and ``av`` the
+    values of a there.
+
+    C*(u_i * a) at a parent is what :meth:`OperatorModel.apply_adjoint`
+    computes: 0 plus the sum over the parent's children, in level order, of
+    (u_i * a) * w, divided by the parent's weight.  Each layer of the cover
+    adds one element nonzero at each atom, so an atom's terms come in
+    ascending element order, and every finite sum has the bits of the sum
+    over every element (see ``reconstruction_sum``).  Bumps are real, so no
+    conjugates appear.
+    """
+    lvl = model.levels[k]
+    _, counts, children = model.siblings(k)
+    siblings = children.T[:, lvl.parent]
+    present = np.arange(children.shape[1])[:, None] < counts[lvl.parent]
+    weights = lvl.weights[siblings]
+    a_sib = av[siblings]
+    parent_weights = model.levels[k - 1].weights[lvl.parent]
+    total = np.zeros(lvl.size, dtype=complex)
+    for members, u in zip(cover.index, cover.values(count)):
+        adjoint = np.zeros(lvl.size, dtype=complex)
+        for y, here, w, a_y in zip(siblings, present, weights, a_sib):
+            term = (cover.member(members, y) * a_y) * w
+            adjoint = adjoint + np.where(here, term, 0.0)
+        total = total + u * (adjoint / parent_weights)
+    return total
+
+
 def verify_key_lemma(model: OperatorModel, basis: list, N: int,
                      a: TestFunction, k: int) -> float:
     """Two evaluations of the same reconstruction sum must agree pointwise.
 
-    Path one composes the model matrices; path two evaluates each element
-    against independently root-found fibers of the mapped atoms.
+    Path one averages over the tree's sibling blocks with the level
+    weights (``model_reconstruction_sum``); path two evaluates each element
+    against independently root-found fibers of the mapped atoms
+    (``reconstruction_sum``).  Both sum over the elements nonzero at each
+    atom only.
     """
     lvl = model.levels[k]
-    av = model.values(a, k)
     count = min(N, len(basis))
-    U = _basis_on(lvl, basis)[:count]
-
-    # Bumps are real-valued, so no conjugates appear.
-    path_a = (U * model.apply_adjoint(k, U * av)[:, lvl.parent]).sum(axis=0)
-
+    cover = _cover_on(lvl, basis)
+    path_a = model_reconstruction_sum(model, cover, model.values(a, k), count, k)
     fib = model.sibling_fibers(k)
-    path_b = reconstruction_sum(U, fib, _basis_on(fib, basis)[:count], a.evaluate(fib.powers))
-
+    path_b = reconstruction_sum(cover, fib, _cover_on(fib, basis), a.evaluate(fib.powers), count)
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
 
@@ -269,9 +319,10 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     lvl = model.levels[k]
     comp = model.composition_matrix(k)
     proj = comp @ model.adjoint_matrix(k)
-    U = _basis_on(lvl, basis)
+    count = min(N, len(basis))
+    U = basis[0].partition.member_matrix(lvl.points, lvl.inf_mask) if count else None
     total = np.zeros((lvl.size, lvl.size), dtype=complex)
-    for i in range(min(N, len(basis))):
+    for i in range(count):
         u = U[i]
         total += u[:, None] * proj * u[None, :]
     return total

@@ -16,7 +16,8 @@ temporaries stay small.  Both tree builders share one level loop that
 calls it on each level.  Tree levels, fiber tables and Julia samples
 share :class:`PointSet`, the one implementation of what a point set
 derives from its points: its fibers, the fibers over its images, its
-power table and its member matrices, each kept by the point set itself.
+power table and each partition's :class:`Cover` table, each kept by the
+point set itself.
 :func:`preimages` solves one point through the engine's one-row front
 ``_fiber.solve_fiber``.
 """
@@ -73,12 +74,52 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
     return WeightedPreimage(target=target, atoms=tuple(atoms))
 
 
+@dataclass(frozen=True)
+class Cover:
+    """The members of a partition that are nonzero at each point of a point
+    set.  Column j of ``index`` holds the indices of the members nonzero at
+    point j in ascending order, and the same column of ``value`` their
+    values; shorter columns are padded with index 0 and value 0.  Both
+    arrays are (width, points), width being the most members nonzero at
+    one point, and read-only."""
+
+    index: np.ndarray            # intp
+    value: np.ndarray            # float64
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "Cover":
+        """The cover table of a (members, points) member matrix."""
+        # Point-major, so each point's members come in ascending order.
+        at, member = np.nonzero((matrix != 0.0).T)
+        counts = np.bincount(at, minlength=matrix.shape[1])
+        layer = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        shape = (int(counts.max(initial=0)), matrix.shape[1])
+        index = np.zeros(shape, dtype=np.intp)
+        value = np.zeros(shape)
+        index[layer, at] = member
+        value[layer, at] = matrix[member, at]
+        for array in (index, value):
+            array.setflags(write=False)
+        return cls(index, value)
+
+    def values(self, count: int) -> np.ndarray:
+        """``value`` with the members from index ``count`` on read as 0."""
+        return np.where(self.index < count, self.value, 0.0)
+
+    def member(self, members: np.ndarray, at=slice(None)) -> np.ndarray:
+        """The value of member ``members[j]`` at point ``at[j]``, or at
+        point j with ``at`` omitted: its cover value, or 0 where it is not
+        in the point's cover."""
+        index, value = self.index[:, at], self.value[:, at]
+        return np.where(index == members, value, 0.0).sum(axis=0)
+
+
 class PointSet:
     """A point array of a map with its infinity mask, and the one owner of
     what is derived from its points, each computed once, when first read:
     the fibers over the points and over their images, the power table that
-    polynomials read, and each partition's member matrix.  Subclasses hold
-    ``map``, ``points`` and ``inf_mask``.  Matrices it keeps are read-only.
+    polynomials read, and each partition's cover table.  Subclasses hold
+    ``map``, ``points`` and ``inf_mask``.
     """
 
     @property
@@ -103,14 +144,13 @@ class PointSet:
     def powers(self) -> PowerTable:
         return PowerTable(self.points, self.inf_mask)
 
-    def member_matrix(self, partition) -> np.ndarray:
-        """``partition.member_matrix`` on the points, one row per member."""
-        members = self.__dict__.setdefault("_members", {})
-        if partition not in members:
-            matrix = partition.member_matrix(self.points, self.inf_mask)
-            matrix.setflags(write=False)
-            members[partition] = matrix
-        return members[partition]
+    def cover(self, partition) -> Cover:
+        """The :class:`Cover` table of ``partition.member_matrix`` on the
+        points; the member matrix itself is not kept."""
+        covers = self.__dict__.setdefault("_covers", {})
+        if partition not in covers:
+            covers[partition] = Cover.of(partition.member_matrix(self.points, self.inf_mask))
+        return covers[partition]
 
 
 @dataclass(eq=False)

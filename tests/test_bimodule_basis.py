@@ -10,7 +10,7 @@ from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         farthest_point_net, julia_sample,
                                         net_radius, reconstruct)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
-from lyubich_lab.preimage_solver import iterated_preimages
+from lyubich_lab.preimage_solver import Cover, iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_array
 from lyubich_lab.transfer_operator import cached_fiber
@@ -240,6 +240,61 @@ def test_basis_json_export(quad_map, circle_sample, tmp_path):
     assert len(data) == len(basis)
     for rec in data:
         assert {"center", "radius", "profile", "scale"} <= set(rec)
+
+
+# ----------------------------------------------------------------------
+# cover tables
+
+
+def test_cover_lists_each_nonzero_member_once_in_ascending_order():
+    matrix = np.array([[0.0, 0.5, 0.0],
+                       [0.25, 0.0, 0.0],
+                       [0.75, 1.0, 0.0]])
+    cover = Cover.of(matrix)
+    assert cover.index.tolist() == [[1, 0, 0], [2, 2, 0]]
+    assert cover.value.tolist() == [[0.25, 0.5, 0.0], [0.75, 1.0, 0.0]]
+    assert cover.values(2).tolist() == [[0.25, 0.5, 0.0], [0.0, 0.0, 0.0]]
+    for i in range(3):
+        assert cover.member(np.full(3, i)).tolist() == matrix[i].tolist()
+    assert cover.member(np.array([2, 0]), np.array([1, 0])).tolist() == [1.0, 0.0]
+    empty = Cover.of(np.zeros((0, 4)))
+    assert empty.index.shape == empty.value.shape == (0, 4)
+    assert empty.member(np.zeros(4, dtype=np.intp)).tolist() == [0.0] * 4
+
+
+def test_cover_of_a_partition_holds_its_member_matrix(monkeypatch, cheb, interval_sample):
+    # Sector ladders at chebyshev's critical point overlap the net bumps,
+    # so some points lie in more than two supports.
+    r = min(net_radius(interval_sample, 24) * 1.000001,
+            branch_separation_radius(cheb, interval_sample) / 3.0)
+    basis = build_basis(cheb, interval_sample, r, count_cap=128)
+    partition = basis[0].partition
+    other = PartitionOfUnity(partition.degree, partition.bumps[:3])
+    sample = julia_sample(cheb, 320, seed=7)
+    members = []
+    member_matrix = PartitionOfUnity.member_matrix
+
+    def counting(self, points, inf_mask=None):
+        members.append(self)
+        return member_matrix(self, points, inf_mask)
+
+    monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting)
+    for points in (sample, sample.sibling_fibers):
+        cover = points.cover(partition)
+        assert points.cover(partition) is cover
+        matrix = member_matrix(partition, points.points, points.inf_mask)
+        nonzero = (matrix != 0.0).sum(axis=0)
+        assert cover.index.shape == cover.value.shape == (nonzero.max(), points.size)
+        assert cover.index.shape[0] > 2 and nonzero.min() < cover.index.shape[0]
+        for j in range(points.size):
+            held = np.flatnonzero(matrix[:, j])
+            assert cover.index[:held.size, j].tolist() == held.tolist()
+            assert cover.value[:held.size, j].tobytes() == matrix[held, j].tobytes()
+            assert not cover.index[held.size:, j].any()
+            assert not cover.value[held.size:, j].any()
+        assert not cover.index.flags.writeable and not cover.value.flags.writeable
+        assert points.cover(other) is not cover
+    assert members == [partition, other, partition, other]
 
 
 # ----------------------------------------------------------------------

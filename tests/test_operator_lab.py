@@ -10,8 +10,9 @@ from lyubich_lab.bimodule_basis import (BasisElement, PartitionOfUnity,
                                         julia_sample, reconstruct)
 from lyubich_lab.errors import NoVanishingTail
 from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab.bimodule_basis import reconstruction_sum
 from lyubich_lab.operator_lab import (TOLERANCES, _frame_matrix, build_model,
-                                      default_basis,
+                                      default_basis, model_reconstruction_sum,
                                       verification_suite, verify_covariance,
                                       verify_frame_bound, verify_isometry,
                                       verify_key_lemma, verify_representation,
@@ -535,6 +536,120 @@ def test_representation_matches_dense(oracle_case):
         ip_vals = inner_product(rmap, xi, eta).evaluate(prev.points, prev.inf_mask)
         dense = model.weighted_norm(k - 1, pairing - np.diag(ip_vals))
         assert abs(residual2 - dense) <= ORACLE_BOUND
+
+
+# ----------------------------------------------------------------------
+# reconstruction sums over the cover against the dense products
+#
+# The library sums each point's terms over the elements nonzero there.
+# The products over every element below are the reference, held bit for
+# bit: the terms they add besides are +-0 wherever the values are finite.
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _dense_reconstruction(U, fib, U_fiber, values):
+    return (U * fib.average(U_fiber * values)).sum(axis=0)
+
+
+def _dense_model_reconstruction(model, U, av, k):
+    return (U * model.apply_adjoint(k, U * av)[:, model.levels[k].parent]).sum(axis=0)
+
+
+COVER_CASES = [
+    ("quad", builtin_map("quad"), 1, 8),
+    ("basilica", builtin_map("basilica"), None, 8),
+    # sector ladders at the critical point 0, which the Julia set meets
+    ("chebyshev", builtin_map("chebyshev"), -1, 8),
+    ("z^3", RationalMap([0, 0, 0, 1], [1]), None, 5),
+]
+
+
+@pytest.fixture(scope="module", params=COVER_CASES, ids=[c[0] for c in COVER_CASES])
+def cover_case(request):
+    _, rmap, w, k = request.param
+    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    sample = julia_sample(rmap, 384, seed=0)
+    basis = default_basis(rmap, sample, count=32)
+    return rmap, model, sample, basis, k
+
+
+def _prefixes(basis, cover):
+    """N = 0, 1, half and all; some cover columns are padded, and the
+    middle two mask some layers."""
+    counts = (0, 1, len(basis) // 2, len(basis))
+    assert (cover.value == 0.0).any()
+    assert ((cover.index >= counts[2]) & (cover.value != 0.0)).any()
+    return counts
+
+
+def test_key_lemma_paths_keep_the_dense_bits(cover_case):
+    _, model, _, basis, k = cover_case
+    lvl, fib = model.levels[k], model.sibling_fibers(k)
+    partition = basis[0].partition
+    U = partition.member_matrix(lvl.points, lvl.inf_mask)
+    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
+    cover = lvl.cover(partition)
+    rng = np.random.default_rng(52)
+    for N in _prefixes(basis, cover):
+        a = tf.random_polynomial(rng, 2)
+        av, values = model.values(a, k), a.evaluate(fib.powers)
+        path_a = model_reconstruction_sum(model, cover, av, N, k)
+        path_b = reconstruction_sum(cover, fib, fib.cover(partition), values, N)
+        dense_a = _dense_model_reconstruction(model, U[:N], av, k)
+        dense_b = _dense_reconstruction(U[:N], fib, U_fiber[:N], values)
+        assert np.array_equal(_bits(path_a), _bits(dense_a))
+        assert np.array_equal(_bits(path_b), _bits(dense_b))
+        assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(dense_a - dense_b)))
+
+
+def test_reconstruct_keeps_the_dense_bits(cover_case):
+    rmap, _, sample, basis, _ = cover_case
+    pts, infs = sample.points, sample.inf_mask
+    fib = sample.sibling_fibers
+    partition = basis[0].partition
+    U = partition.member_matrix(pts, infs)
+    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
+    rng = np.random.default_rng(53)
+    for N in _prefixes(basis, sample.cover(partition)):
+        xi = tf.random_polynomial(rng, 2)
+        table, residual = reconstruct(rmap, basis, xi, N, sample)
+        dense = _dense_reconstruction(U[:N], fib, U_fiber[:N], xi.evaluate(fib.powers))
+        assert np.array_equal(_bits(table.evaluate(pts, infs)), _bits(dense))
+        assert residual == float(np.max(np.abs(dense - xi.evaluate(pts, infs))))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_value_on_the_sibling_fibers_fails_the_checks():
+    rmap = builtin_map("basilica")
+    model = build_model(rmap, default_root(rmap), 8)
+    sample = julia_sample(rmap, 384, seed=0)
+    basis = default_basis(rmap, sample, count=32)
+    partition = basis[0].partition
+
+    def spiked(points):
+        # Infinite at one sibling that is not a point of the set itself,
+        # so only the fiber side of each sum sees it.
+        fib = points.sibling_fibers
+        spike = fib.points[~np.isin(fib.points, points.points)][0]
+        return tf.TestFunction.from_callable(
+            lambda z, inf_mask: np.where(z == spike, np.inf, 0.5 + 0.25j), "spike")
+
+    xi, a = spiked(sample), spiked(model.levels[8])
+    assert np.isnan(reconstruct(rmap, basis, xi, len(basis), sample)[1])
+    assert np.isnan(verify_key_lemma(model, basis, len(basis), a, 8))
+    for points, f in ((sample, xi), (model.levels[8], a)):
+        fib = points.sibling_fibers
+        values = f.evaluate(fib.points, fib.inf_mask)
+        sparse = reconstruction_sum(points.cover(partition), fib, fib.cover(partition),
+                                    values, len(basis))
+        dense = _dense_reconstruction(partition.member_matrix(points.points, points.inf_mask),
+                                      fib, partition.member_matrix(fib.points, fib.inf_mask),
+                                      values)
+        assert np.isnan(dense).any()
+        assert np.array_equal(np.isnan(sparse), np.isnan(dense))
 
 
 # ----------------------------------------------------------------------
