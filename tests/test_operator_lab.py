@@ -605,6 +605,16 @@ def test_key_lemma_paths_keep_the_dense_bits(cover_case):
         assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(dense_a - dense_b)))
 
 
+def test_frame_vectors_keep_the_dense_bits(cover_case):
+    _, model, _, basis, k = cover_case
+    lvl, prev = model.levels[k], model.levels[k - 1]
+    U = basis[0].partition.member_matrix(lvl.points, lvl.inf_mask)
+    V, slot, counts = model.frame_vectors(basis, k)
+    dense = np.zeros((prev.size, int(counts.max()), len(basis)))
+    dense[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
+    assert np.array_equal(_bits(V), _bits(dense))
+
+
 def test_reconstruct_keeps_the_dense_bits(cover_case):
     rmap, _, sample, basis, _ = cover_case
     pts, infs = sample.points, sample.inf_mask
