@@ -30,7 +30,7 @@ print("== frame curve: partial sums climb to the identity ==")
 sample = julia_sample(quad, 384, seed=0)
 basis = default_basis(quad, sample, count=32)
 for n in (1, 4, 8, 16, 24, 32):
-    top = verify_frame_bound(model, basis, n, 8)
+    _, top = verify_frame_bound(model, basis, n, 8)
     bar = "#" * int(round(40 * top))
     print(f"  N={n:2d}  max eigenvalue {top:.6f}  |{bar}")
 

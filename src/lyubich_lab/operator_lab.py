@@ -18,9 +18,14 @@ and the identities below hold up to roundoff rather than discretization:
 Identities are tested across adjacent levels, which is exactly where the
 discrete pushforward identity makes them exact.
 
-C C* couples only siblings, so the checks work on one block of at most
-degree x degree per level-(k-1) atom, and C* M C is diagonal.  The dense
-level matrices below are only the reference that tests compare against.
+C C* is the conditional expectation onto sibling groups, so it couples
+only siblings, and C* M C is diagonal.  The model reaches sibling groups
+one way: each level-k atom has a slot among the children of its parent,
+and a level vector is put into (parents, width) blocks by that slot.  The
+adjoint sums each parent's slots; the partial frame sum is one block of
+at most degree x degree per parent, which the frame bound, the vanishing
+tail and the key lemma's first path all read.  The dense level matrices
+below are only the reference that tests compare against.
 
 The model's levels are the tree's own levels, with no copies.  The checks
 read the fibers, sibling fibers, power tables and cover tables that each
@@ -102,9 +107,8 @@ class OperatorModel:
 
     def siblings(self, k: int):
         """The sibling blocks of level k, computed once: each atom's slot
-        among its siblings, in level order; each level-(k-1) atom's child
-        count; and the (parents, width) table of the atom in each slot,
-        with atom 0 in the padded slots."""
+        among its siblings, in level order, and each level-(k-1) atom's
+        child count, the number of slots it fills."""
         key = ("siblings", k)
         if key not in self._memo:
             lvl = self.levels[k]
@@ -112,12 +116,18 @@ class OperatorModel:
             order = np.argsort(lvl.parent, kind="stable")
             slot = np.empty(lvl.size, dtype=np.intp)
             slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
-            children = np.zeros((counts.size, int(counts.max())), dtype=np.intp)
-            children[lvl.parent, slot] = np.arange(lvl.size)
-            for array in (slot, counts, children):
+            for array in (slot, counts):
                 array.setflags(write=False)
-            self._memo[key] = slot, counts, children
+            self._memo[key] = slot, counts
         return self._memo[key]
+
+    def _blocks(self, k: int, v: np.ndarray) -> np.ndarray:
+        """The vectors along the last axis of ``v`` on level k, put into
+        (..., parents, width) sibling blocks, with 0 in the padded slots."""
+        slot, counts = self.siblings(k)
+        out = np.zeros(v.shape[:-1] + (counts.size, int(counts.max())), dtype=v.dtype)
+        out[..., self.levels[k].parent, slot] = v
+        return out
 
     def frame_vectors(self, basis: list, k: int):
         """The basis on level k regrouped by sibling block after the
@@ -129,7 +139,7 @@ class OperatorModel:
         if key not in self._memo:
             lvl = self.levels[k]
             prev = self.levels[k - 1]
-            slot, counts, _ = self.siblings(k)
+            slot, counts = self.siblings(k)
             scale = np.sqrt(lvl.weights / prev.weights[lvl.parent])
             V = np.zeros((prev.size, int(counts.max()), len(basis)))
             cover = _cover_on(lvl, basis)
@@ -169,12 +179,13 @@ class OperatorModel:
 
     def apply_adjoint(self, k: int, v: np.ndarray) -> np.ndarray:
         """Adjoint composition applied to the vectors along the last axis
-        of ``v``, without the dense matrix."""
-        lvl = self.levels[k]
-        prev = self.levels[k - 1]
-        out = np.zeros(v.shape[:-1] + (prev.size,), dtype=complex)
-        np.add.at(out.T, lvl.parent, (v * lvl.weights).T)
-        return out / prev.weights
+        of ``v``, without the dense matrix: each parent sums its children's
+        v * w from 0, in level order, and divides by its weight."""
+        blocks = self._blocks(k, v * self.levels[k].weights)
+        out = np.zeros(blocks.shape[:-1], dtype=complex)
+        for s in range(blocks.shape[-1]):
+            out = out + blocks[..., s]
+        return out / self.levels[k - 1].weights
 
     def weighted_norm(self, k: int, matrix: np.ndarray) -> float:
         """Operator norm on level k with the weighted inner product; dense reference."""
@@ -264,53 +275,23 @@ def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBat
     return residual1, residual2
 
 
-def model_reconstruction_sum(model: OperatorModel, cover: Cover, av: np.ndarray,
-                             count: int, k: int) -> np.ndarray:
-    """sum_i u_i * C C*(u_i * a) on level k over the first ``count``
-    elements, ``cover`` holding the elements on level k and ``av`` the
-    values of a there.
-
-    C*(u_i * a) at a parent is what :meth:`OperatorModel.apply_adjoint`
-    computes: 0 plus the sum over the parent's children, in level order, of
-    (u_i * a) * w, divided by the parent's weight.  Each layer of the cover
-    adds one element nonzero at each atom, so an atom's terms come in
-    ascending element order, and every finite sum has the bits of the sum
-    over every element (see ``reconstruction_sum``).  Bumps are real, so no
-    conjugates appear.
-    """
-    lvl = model.levels[k]
-    _, counts, children = model.siblings(k)
-    siblings = children.T[:, lvl.parent]
-    present = np.arange(children.shape[1])[:, None] < counts[lvl.parent]
-    weights = lvl.weights[siblings]
-    a_sib = av[siblings]
-    parent_weights = model.levels[k - 1].weights[lvl.parent]
-    total = np.zeros(lvl.size, dtype=complex)
-    for members, u in zip(cover.index, cover.values(count)):
-        adjoint = np.zeros(lvl.size, dtype=complex)
-        for y, here, w, a_y in zip(siblings, present, weights, a_sib):
-            term = (cover.member(members, y) * a_y) * w
-            adjoint = adjoint + np.where(here, term, 0.0)
-        total = total + u * (adjoint / parent_weights)
-    return total
-
-
 def verify_key_lemma(model: OperatorModel, basis: list, N: int,
                      a: TestFunction, k: int) -> float:
     """Two evaluations of the same reconstruction sum must agree pointwise.
 
-    Path one averages over the tree's sibling blocks with the level
-    weights (``model_reconstruction_sum``); path two evaluates each element
-    against independently root-found fibers of the mapped atoms
-    (``reconstruction_sum``).  Both sum over the elements nonzero at each
-    atom only.
+    Path one applies the partial frame sum's sibling blocks to the values
+    of a on the level (``_apply_frame_sum``), with the tree's weights and
+    parents; path two evaluates each element against independently
+    root-found fibers of the mapped atoms (``reconstruction_sum``), summing
+    over the elements nonzero at each atom only.
     """
     lvl = model.levels[k]
-    count = min(N, len(basis))
-    cover = _cover_on(lvl, basis)
-    path_a = model_reconstruction_sum(model, cover, model.values(a, k), count, k)
+    # Path two first: its fiber solve is the larger allocation, and the
+    # frame vectors built after it stay below that peak.
     fib = model.sibling_fibers(k)
-    path_b = reconstruction_sum(cover, fib, _cover_on(fib, basis), a.evaluate(fib.powers), count)
+    path_b = reconstruction_sum(_cover_on(lvl, basis), fib, _cover_on(fib, basis),
+                                a.evaluate(fib.powers), min(N, len(basis)))
+    path_a = _apply_frame_sum(model, basis, N, k, model.values(a, k))
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
 
@@ -341,16 +322,25 @@ def _frame_blocks(model: OperatorModel, basis: list, N: int, k: int):
     return V @ V.transpose(0, 2, 1), slot, counts
 
 
-def verify_frame_bound(model: OperatorModel, basis: list, N: int, k: int,
-                       full: bool = False):
-    """Largest eigenvalue of the partial frame sum on level k.
+def _apply_frame_sum(model: OperatorModel, basis: list, N: int, k: int,
+                     av: np.ndarray) -> np.ndarray:
+    """The partial frame sum on level k applied to ``av``: its sibling
+    blocks act on sqrt(weight) * av, and the similarity is undone."""
+    lvl = model.levels[k]
+    blocks, slot, _ = _frame_blocks(model, basis, N, k)
+    root_w = np.sqrt(lvl.weights)
+    product = blocks @ model._blocks(k, root_w * av)[..., None]
+    return product[lvl.parent, slot, 0] / root_w
+
+
+def verify_frame_bound(model: OperatorModel, basis: list, N: int, k: int):
+    """Smallest and largest eigenvalue of the partial frame sum on level k.
 
     The sum of element-conjugated projections is positive and bounded by
-    the identity; eigenvalues are monotone non-decreasing in N.  With
-    ``full=True`` returns (min_eigenvalue, max_eigenvalue).
+    the identity; eigenvalues are monotone non-decreasing in N.
     """
     if min(N, len(basis)) == 0:
-        return (0.0, 0.0) if full else 0.0
+        return 0.0, 0.0
     blocks, _, counts = _frame_blocks(model, basis, N, k)
     # A padded slot gets the block's first diagonal entry as its eigenvalue,
     # which lies between the block's extreme eigenvalues and so moves neither.
@@ -360,9 +350,7 @@ def verify_frame_bound(model: OperatorModel, basis: list, N: int, k: int,
         eigs = np.linalg.eigvalsh(blocks)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure("sibling-block eigensolve failed") from exc
-    if full:
-        return float(eigs[:, 0].min()), float(eigs[:, -1].max())
-    return float(eigs[:, -1].max())
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
 def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
@@ -380,11 +368,10 @@ def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
     for i, m in enumerate(meets):
         if m:
             M = i + 1
-    blocks, slot, _ = _frame_blocks(model, basis, M, k)
+    blocks, _, _ = _frame_blocks(model, basis, M, k)
     # diag(a) (frame - I) splits into the same sibling blocks; padded rows
     # carry a = 0 and padded columns of (frame - I) are zero off the diagonal.
-    a_blocks = np.zeros(blocks.shape[:2], dtype=complex)
-    a_blocks[model.levels[k].parent, slot] = model.values(a.fn, k)
+    a_blocks = model._blocks(k, model.values(a.fn, k))
     gap = a_blocks[:, :, None] * (blocks - np.eye(blocks.shape[1]))
     return M, float(np.linalg.norm(gap, 2, axis=(1, 2)).max())
 
@@ -442,10 +429,11 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     """Run every identity check for one map and return the JSON report.
 
     Deterministic for a given seed.  ``identities`` may restrict to a
-    subset of the record names.  Each identity compares level m with
-    level m - 1, so m < 1 raises ValueError, as do fewer than one trial or
-    pair.  The random polynomials of each identity are drawn up front and
-    checked in batches.
+    subset of the record names; any other name raises ValueError.  Each
+    identity compares level m with level m - 1, so m < 1 raises
+    ValueError, as do fewer than one trial or pair.  The random
+    polynomials of each identity are drawn up front and checked in
+    batches.
     """
     if m < 1:
         raise ValueError(f"verification needs depth m >= 1, got {m}")
@@ -454,6 +442,9 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
                          f"got trials={trials}, pairs={pairs}")
     w = default_root(rmap) if w is None else as_point(w)
     wanted = None if identities is None else set(identities)
+    if wanted is not None and not wanted <= TOLERANCES.keys():
+        raise ValueError(f"unknown identities {sorted(wanted - TOLERANCES.keys())}; "
+                         f"choose from {sorted(TOLERANCES)}")
 
     def want(name):
         return wanted is None or name in wanted
@@ -544,7 +535,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         monotone = True
         previous = 0.0
         for N in range(1, len(basis) + 1):
-            low, high = verify_frame_bound(model, basis, N, k, full=True)
+            low, high = verify_frame_bound(model, basis, N, k)
             worst_high = max(worst_high, high - 1.0)
             worst_low = max(worst_low, -low)
             if high < previous - 1e-10:

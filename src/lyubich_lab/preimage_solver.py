@@ -106,12 +106,10 @@ class Cover:
         """``value`` with the members from index ``count`` on read as 0."""
         return np.where(self.index < count, self.value, 0.0)
 
-    def member(self, members: np.ndarray, at=slice(None)) -> np.ndarray:
-        """The value of member ``members[j]`` at point ``at[j]``, or at
-        point j with ``at`` omitted: its cover value, or 0 where it is not
-        in the point's cover."""
-        index, value = self.index[:, at], self.value[:, at]
-        return np.where(index == members, value, 0.0).sum(axis=0)
+    def member(self, members: np.ndarray) -> np.ndarray:
+        """The value of member ``members[j]`` at point j: its cover value,
+        or 0 where it is not in the point's cover."""
+        return np.where(self.index == members, self.value, 0.0).sum(axis=0)
 
 
 class PointSet:

@@ -181,7 +181,7 @@ def test_criterion_7_frame_bound():
     model = build_model(quad_map, default_root(quad_map), 8)
     lows, highs = [], []
     for n in range(1, len(basis) + 1):
-        low, high = verify_frame_bound(model, basis, n, 8, full=True)
+        low, high = verify_frame_bound(model, basis, n, 8)
         lows.append(low)
         highs.append(high)
     monotone = all(b >= a - 1e-10 for a, b in zip(highs, highs[1:]))

@@ -256,7 +256,8 @@ def test_cover_lists_each_nonzero_member_once_in_ascending_order():
     assert cover.values(2).tolist() == [[0.25, 0.5, 0.0], [0.0, 0.0, 0.0]]
     for i in range(3):
         assert cover.member(np.full(3, i)).tolist() == matrix[i].tolist()
-    assert cover.member(np.array([2, 0]), np.array([1, 0])).tolist() == [1.0, 0.0]
+    # one member per point: 2 at point 0, 0 at point 1, 1 at point 2
+    assert cover.member(np.array([2, 0, 1])).tolist() == [0.75, 0.5, 0.0]
     empty = Cover.of(np.zeros((0, 4)))
     assert empty.index.shape == empty.value.shape == (0, 4)
     assert empty.member(np.zeros(4, dtype=np.intp)).tolist() == [0.0] * 4

@@ -12,8 +12,7 @@ from lyubich_lab.errors import NoVanishingTail
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.bimodule_basis import reconstruction_sum
 from lyubich_lab.operator_lab import (TOLERANCES, _frame_matrix, build_model,
-                                      default_basis, model_reconstruction_sum,
-                                      verification_suite, verify_covariance,
+                                      default_basis, verification_suite, verify_covariance,
                                       verify_frame_bound, verify_isometry,
                                       verify_key_lemma, verify_representation,
                                       verify_vanishing_reconstruction)
@@ -226,13 +225,12 @@ def test_key_lemma_random_symbol(cheb_model, cheb_basis):
 
 
 def test_frame_bound_zero(quad_model, quad_basis):
-    assert verify_frame_bound(quad_model, quad_basis, 0, 6) == 0.0
+    assert verify_frame_bound(quad_model, quad_basis, 0, 6) == (0.0, 0.0)
 
 
 def test_frame_bound_full_basis(quad_map, quad_basis):
     model = build_model(quad_map, 1, 6)
-    low, high = verify_frame_bound(model, quad_basis, len(quad_basis), 6,
-                                   full=True)
+    low, high = verify_frame_bound(model, quad_basis, len(quad_basis), 6)
     assert -1e-10 <= low
     assert 0.9 <= high <= 1 + 1e-8
 
@@ -240,7 +238,7 @@ def test_frame_bound_full_basis(quad_map, quad_basis):
 def test_frame_bound_monotone(quad_model, quad_basis):
     previous = 0.0
     for n in range(1, len(quad_basis) + 1):
-        top = verify_frame_bound(quad_model, quad_basis, n, 8)
+        _, top = verify_frame_bound(quad_model, quad_basis, n, 8)
         assert top >= previous - 1e-10
         previous = top
 
@@ -248,8 +246,7 @@ def test_frame_bound_monotone(quad_model, quad_basis):
 def test_frame_bound_beyond_4096_atoms(quad_map, quad_basis):
     model = build_model(quad_map, 1, 13)
     assert model.dim(13) == 8192
-    low, high = verify_frame_bound(model, quad_basis, len(quad_basis), 13,
-                                   full=True)
+    low, high = verify_frame_bound(model, quad_basis, len(quad_basis), 13)
     assert -1e-10 <= low and high <= 1 + 1e-8
 
 
@@ -316,6 +313,12 @@ def test_suite_subset(quad_map):
 def test_suite_rejects_depth_below_1(quad_map, m):
     with pytest.raises(ValueError, match="depth m >= 1"):
         verification_suite(quad_map, m=m, identities=["isometry"])
+
+
+def test_suite_rejects_unknown_identities(quad_map):
+    # A misspelt name once selected nothing and reported all_pass.
+    with pytest.raises(ValueError, match=r"unknown identities \['keylemma'\]"):
+        verification_suite(quad_map, m=4, identities=["keylemma", "isometry"])
 
 
 def test_suite_deterministic(quad_map):
@@ -483,7 +486,7 @@ def _dense_eigvals(model, k, matrix):
 def _assert_frame_matches_dense(model, basis, k):
     for n in range(1, len(basis) + 1):
         eigs = _dense_eigvals(model, k, _frame_matrix(model, basis, n, k))
-        low, high = verify_frame_bound(model, basis, n, k, full=True)
+        low, high = verify_frame_bound(model, basis, n, k)
         assert abs(low - eigs[0]) <= ORACLE_BOUND
         assert abs(high - eigs[-1]) <= ORACLE_BOUND
 
@@ -504,7 +507,7 @@ def test_frame_bound_padded_block_matches_dense():
     partition = PartitionOfUnity(2, [_RawBump(SpherePoint(2 + 0j), 3.0, 2),
                                      _RawBump(SpherePoint(-2 + 1j), 3.0, 2)])
     basis = [BasisElement(i, b, partition) for i, b in enumerate(partition.bumps)]
-    low, _ = verify_frame_bound(model, basis, 2, 2, full=True)
+    low, _ = verify_frame_bound(model, basis, 2, 2)
     assert low > 1e-3
     _assert_frame_matches_dense(model, basis, 2)
 
@@ -554,8 +557,41 @@ def _dense_reconstruction(U, fib, U_fiber, values):
     return (U * fib.average(U_fiber * values)).sum(axis=0)
 
 
-def _dense_model_reconstruction(model, U, av, k):
-    return (U * model.apply_adjoint(k, U * av)[:, model.levels[k].parent]).sum(axis=0)
+def _add_at_adjoint(model, k, v):
+    """The adjoint as an unbuffered scatter-add over the parents."""
+    lvl, prev = model.levels[k], model.levels[k - 1]
+    out = np.zeros(v.shape[:-1] + (prev.size,), dtype=complex)
+    np.add.at(out.T, lvl.parent, (v * lvl.weights).T)
+    return out / prev.weights
+
+
+ADJOINT_CASES = [
+    # name, map, root, level, whether some sibling block is padded
+    ("quad", builtin_map("quad"), 1, 6, False),
+    # level 2 holds the two children of 1 and the double child 0 of -1
+    ("basilica@0", builtin_map("basilica"), 0, 2, True),
+    ("basilica", builtin_map("basilica"), None, 7, False),
+    # the one-child parent -2 -> 0 pads a block on every level from 2 on
+    ("chebyshev@2", builtin_map("chebyshev"), 2, 6, True),
+    ("z^3", RationalMap([0, 0, 0, 1], [1]), None, 4, False),
+]
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES, ids=[c[0] for c in ADJOINT_CASES])
+def test_apply_adjoint_keeps_the_add_at_bits(case):
+    _, rmap, w, k, padded = case
+    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    _, counts = model.siblings(k)
+    assert (counts < counts.max()).any() == padded
+    rng = np.random.default_rng(54)
+    n = model.dim(k)
+    signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    batch = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    batch[1] = signed_zeros + 1j * signed_zeros[::-1]
+    for v in (batch, batch[0], batch.real, signed_zeros):
+        got, want = model.apply_adjoint(k, v), _add_at_adjoint(model, k, v)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 COVER_CASES = [
@@ -563,6 +599,8 @@ COVER_CASES = [
     ("basilica", builtin_map("basilica"), None, 8),
     # sector ladders at the critical point 0, which the Julia set meets
     ("chebyshev", builtin_map("chebyshev"), -1, 8),
+    # padded sibling blocks below the one-child parent -2 -> 0
+    ("chebyshev@2", builtin_map("chebyshev"), 2, 8),
     ("z^3", RationalMap([0, 0, 0, 1], [1]), None, 5),
 ]
 
@@ -596,13 +634,16 @@ def test_key_lemma_paths_keep_the_dense_bits(cover_case):
     for N in _prefixes(basis, cover):
         a = tf.random_polynomial(rng, 2)
         av, values = model.values(a, k), a.evaluate(fib.powers)
-        path_a = model_reconstruction_sum(model, cover, av, N, k)
+        # Path A applies the frame sum's sibling blocks, which add in
+        # their own order, so it is held to the dense product within a
+        # bound; path B keeps the dense product's bits.
+        path_a = operator_lab._apply_frame_sum(model, basis, N, k, av)
+        dense_a = _frame_matrix(model, basis, N, k) @ av
+        assert np.max(np.abs(path_a - dense_a)) <= ORACLE_BOUND
         path_b = reconstruction_sum(cover, fib, fib.cover(partition), values, N)
-        dense_a = _dense_model_reconstruction(model, U[:N], av, k)
         dense_b = _dense_reconstruction(U[:N], fib, U_fiber[:N], values)
-        assert np.array_equal(_bits(path_a), _bits(dense_a))
         assert np.array_equal(_bits(path_b), _bits(dense_b))
-        assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(dense_a - dense_b)))
+        assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(path_a - path_b)))
 
 
 def test_frame_vectors_keep_the_dense_bits(cover_case):

@@ -15,11 +15,11 @@ the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
 form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
 take the Aberth iteration and the polish), the measure CSV of a tree
 with double atoms, a Julia sample, basis exports of basilica and of
-chebyshev (whose Julia set meets a critical point), five verification
-reports, one of them on chebyshev and one with trials checked in chunks
-of several rows, and the key lemma alone on chebyshev at depth 12, a
-sector-ladder basis on a 4096-atom level whose points lie in up to three
-supports.
+chebyshev (whose Julia set meets a critical point), six verification
+reports, two of them on chebyshev (one with padded sibling blocks) and
+one with trials checked in chunks of several rows, and the key lemma
+alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
+level whose points lie in up to three supports.
 """
 
 import hashlib
@@ -59,6 +59,9 @@ COMMANDS = [
     ["verify", "all", "--map", "basilica", "--depth", "11", "--seed", "2",
      "--trials", "40", "--pairs", "20"],
     ["verify", "all", "--map", "chebyshev", "--depth", "8", "--seed", "4"],
+    # Rooted at 2, every level from 2 on has the one-child parent -2 -> 0,
+    # so its sibling blocks are padded.
+    ["verify", "all", "--map", "chebyshev", "--w", "2,0", "--depth", "8", "--seed", "4"],
     # Reconstruction sums over covers wider than two elements.
     ["verify", "key_lemma", "--map", "chebyshev", "--depth", "12", "--seed", "4"],
 ]
