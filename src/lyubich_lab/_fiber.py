@@ -14,6 +14,15 @@ one fused Newton step, and the rows of other degrees, or that the closed
 form fails, by the Aberth iteration or the companion matrix and three
 steps of ``polish_rows``.
 
+A row is real when the map's coefficients and its target are, and its
+roots are then closed under conjugation to the bit: real roots have
+imaginary part +0, the others come in exact conjugate pairs.  A block of
+real rows only is solved in float64 from h on, its critical-point test
+included, by the real closed forms of :mod:`roots`; the
+real rows of a complex block get the same roots (see
+:func:`roots.rows_roots`), and the real rows no closed form solves are
+paired after their polish by ``roots.pair_rows``.
+
 Multiplicities come from critical points, not from distances: a multiple
 root of h lies at a critical point c with R(c) = w, and its multiplicity
 is the branch index e(c).  So when a finite critical point meets a row's
@@ -102,13 +111,22 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     with ``point`` and ``index``).  Returns ``(points, inf_mask, mult,
     offsets)``: the fiber over target j fills ``offsets[j]:offsets[j + 1]``
     of the other arrays, in ``atom_order``.  Each target is solved on its
-    own, so splitting the targets into blocks never changes an answer.
+    own, so splitting the targets into blocks never changes an answer: a
+    real row has the same roots in a block of real rows, solved in
+    float64, as in a complex block.
     """
     n = degree
     values = np.asarray(values, dtype=complex)
     infinite = np.asarray(infinite, dtype=bool)
     rows = values.size
+    # A row is real when the map and its target are.  A block of real rows
+    # only is solved in float64 from h on.
+    real = np.zeros(rows, dtype=bool)
+    if not (num_pad.imag.any() or den_pad.imag.any()):
+        real = infinite | (values.imag == 0)
     w = np.where(infinite, 0j, values)[:, None]
+    if rows and real.all():
+        num_pad, den_pad, w = num_pad.real, den_pad.real, w.real
     h = num_pad - w * den_pad
     h[infinite] = den_pad
 
@@ -120,23 +138,22 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
                     abs(num_pad[n]) + np.abs(w[:, 0]) * abs(den_pad[n]))
     # A NaN target is one of them: its leading coefficient is NaN.
     odd = np.flatnonzero(~(np.abs(h[:, n]) > _CANCEL_TOL * lead) | (h[:, 0] == 0))
-    h_odd = h[odd]
-    if np.isnan(h_odd).any():
-        raise RootFindingFailure("a fiber polynomial has a NaN coefficient")
-    size = np.where(infinite[odd, None], abs(den_pad),
-                    abs(num_pad) + np.abs(w[odd]) * abs(den_pad))
-    kept = np.abs(h_odd) > _CANCEL_TOL * size
-    kept[:, 0] = True
-    top = n - np.argmax(kept[:, ::-1], axis=1)
-    low = np.minimum(np.argmax(h_odd != 0, axis=1), top)
-    plain = slice(None)
+    groups = [(0, n, slice(None))] if rows else []
     if odd.size:
+        h_odd = h[odd]
+        if np.isnan(h_odd).any():
+            raise RootFindingFailure("a fiber polynomial has a NaN coefficient")
+        size = np.where(infinite[odd, None], abs(den_pad),
+                        abs(num_pad) + np.abs(w[odd]) * abs(den_pad))
+        kept = np.abs(h_odd) > _CANCEL_TOL * size
+        kept[:, 0] = True
+        top = n - np.argmax(kept[:, ::-1], axis=1)
+        low = np.minimum(np.argmax(h_odd != 0, axis=1), top)
         plain = np.ones(rows, dtype=bool)
         plain[odd] = False
-        plain = np.flatnonzero(plain)
-    groups = [(0, n, plain)] if odd.size < rows else []
-    for lo, hi in sorted(set(zip(low.tolist(), top.tolist()))):
-        groups.append((lo, hi, odd[(low == lo) & (top == hi)]))
+        groups = [(0, n, np.flatnonzero(plain))] if odd.size < rows else []
+        for lo, hi in sorted(set(zip(low.tolist(), top.tolist()))):
+            groups.append((lo, hi, odd[(low == lo) & (top == hi)]))
 
     points = np.zeros((rows, n), dtype=complex)
     inf_mask = np.zeros((rows, n), dtype=bool)
@@ -146,12 +163,16 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     for lo, hi, at in groups:
         if hi > lo:
             reduced = h[at, lo:hi + 1]
+            paired = real[at]
             # Steps that divide by zero are masked out and a row that
             # overflows fails its residual test, so no warning is news.
             with np.errstate(all="ignore"):
-                z, stepped = roots.rows_roots(reduced)
+                z, stepped = roots.rows_roots(reduced, paired)
                 if not stepped.all():
                     z[~stepped] = roots.polish_rows(reduced[~stepped], z[~stepped])
+                    loose = paired & ~stepped
+                    if loose.any():
+                        z[loose] = roots.pair_rows(z[loose])
             points[at, :hi - lo] = z
             mult[at, :hi - lo] = 1
         if lo:
@@ -164,12 +185,20 @@ def solve_fibers(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     if finite_critical:
         coeffs = np.ascontiguousarray(h.T)
         for datum in finite_critical:
-            _merge_at_critical_point(coeffs, points, inf_mask, mult,
-                                     datum.point.value, datum.index)
+            c = datum.point.value
+            # A real critical point of a real block is a float, so that
+            # its backward-error test runs in float64 too.
+            if h.dtype.kind == "f" and not c.imag:
+                c = c.real
+            _merge_at_critical_point(coeffs, points, inf_mask, mult, c, datum.index)
 
     # Each row in order, its empty slots dropped: the stable sort keeps the
     # order of the other slots whatever the empty ones hold.
     ranked = (n * np.arange(rows)[:, None] + atom_order(points, inf_mask)).ravel()
+    if mult.all():
+        # No empty slot: every fiber fills its n slots.
+        return (points.ravel()[ranked], inf_mask.ravel()[ranked], mult.ravel()[ranked],
+                np.arange(0, n * rows + 1, n))
     filled = mult.ravel()[ranked] != 0
     flat = ranked[filled]
     offsets = np.concatenate([[0], np.cumsum(filled)[n - 1::n]])

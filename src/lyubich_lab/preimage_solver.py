@@ -13,7 +13,12 @@ its multiple roots from the map's critical points.  :func:`gather_fibers`
 solves the fibers over a whole point array into one flat :class:`Fibers`
 table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
 temporaries stay small.  Both tree builders share one level loop that
-calls it on each level.  Tree levels, fiber tables and Julia samples
+calls it on each level.  A fully enumerated tree of a map with real
+coefficients rooted on the real line or at infinity has levels closed
+under conjugation; the loop solves each such level over its atoms with
+Im >= 0 and infinity only, and gives every atom below the real line the
+exact conjugate of its partner's fiber, so the next level is closed to
+the bit too.  Tree levels, fiber tables and Julia samples
 share :class:`PointSet`, the one implementation of what a point set
 derives from its points: its fibers, the fibers over its images, its
 power table and each partition's :class:`Cover` table, each kept by the
@@ -31,7 +36,8 @@ import numpy as np
 
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
-from .rational_map import RationalMap, critical_points, evaluate_array, is_exceptional
+from .rational_map import (RationalMap, critical_points, evaluate_array,
+                           has_real_coefficients, is_exceptional)
 from .sphere import INFINITY, SpherePoint, as_point, atom_order, csv_cells
 from .test_functions import PowerTable
 
@@ -42,8 +48,15 @@ DEFAULT_BUDGET = 1 << 22
 # 3, as many per Aberth iteration for the other degrees) whatever the
 # block size, so larger blocks spread that fixed cost over more rows; tree
 # building time is flat from about 2048 rows up, and 4096 keeps a
-# quadratic map's root array at 128 KiB.  Every point is solved on its own, so any block size
-# gives the same bits (tests/test_fiber_engine.py checks 1024 to 16384).
+# quadratic map's root array at 128 KiB.  Temporaries of 2048 rows and
+# more fault their pages in again on every call: measured with getrusage
+# in a fresh process on random complex rows, a quadratic_rows call takes
+# 368 minor faults at 4096 rows (2.4-2.9 ms), 168 at 2048 (1.1-1.5 ms) and
+# none at 1024 (0.3-0.5 ms), while the four trees of the tree_deep
+# benchmark took the same time at 1024, 2048 and 4096 rows, within the
+# 10-15% that repeat runs differ by.  Every point is solved on its own, so
+# any block size gives the same bits (tests/test_fiber_engine.py checks
+# 1024 to 16384).
 _BLOCK_ROWS = 4096
 
 
@@ -188,6 +201,24 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
                   np.concatenate([[0], np.cumsum(counts)]))
 
 
+def _conjugate_partners(level: "AtomicMeasure") -> np.ndarray | None:
+    """Each atom's conjugate in a level sorted by ``atom_order``: the atom
+    at the mirror place of its run of equal real parts (infinity is one
+    run), or the atom itself on a level with no imaginary part.  None when
+    the level is not closed under conjugation to the bit."""
+    imag = level.points.imag
+    if not imag.any():
+        return np.arange(level.size)
+    key = np.where(level.inf_mask, np.inf, level.points.real)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], key.size)
+    run = np.cumsum(first) - 1
+    partner = starts[run] + ends[run] - 1 - np.arange(key.size)
+    return partner if np.array_equal(imag[partner], -imag) else None
+
+
 @dataclass(eq=False)
 class AtomicMeasure(PointSet):
     """A finite atomic probability measure with exact rational weights.
@@ -281,11 +312,16 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
           budget: int, rng=None) -> PreimageTree:
     """The one level loop behind both tree builders.
 
-    Each level solves the fibers of all its atoms into one flat table.  A
-    child's count is its branch index when ``branches`` equals the degree;
-    otherwise each node draws ``branches`` of its ``degree`` fiber slots
-    from ``rng`` without replacement, in node order, and a child's count is
-    its number of draws.
+    Each level solves the fibers of all its atoms into one flat table.  In
+    a fully enumerated tree of a map with real coefficients rooted on the
+    real line or at infinity it solves those of its atoms with Im >= 0 and
+    infinity only, and each atom with Im < 0 takes the exact conjugate of
+    its partner's fiber (see :func:`_conjugate_partners`); a level whose
+    partners are not exact conjugates is solved whole.  A child's count is
+    its branch index when ``branches`` equals the degree; otherwise each
+    node draws ``branches`` of its ``degree`` fiber slots from ``rng``
+    without replacement, in node order, and a child's count is its number
+    of draws.
     """
     if m < 0:
         raise ValueError("depth must be non-negative")
@@ -298,26 +334,42 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
             f"{what}**m = {branches ** m} exceeds the atom budget {budget}")
 
     n = rmap.degree
+    mirror = (branches == n and has_real_coefficients(rmap)
+              and (root.infinite or root.value.imag == 0))
     levels = [AtomicMeasure(rmap, root, 0, branches, np.array([root.value], dtype=complex),
                             np.array([root.infinite]), np.ones(1, dtype=np.int64),
                             np.full(1, -1, dtype=np.int64))]
     for k in range(1, m + 1):
         prev = levels[-1]
-        fib = gather_fibers(rmap, prev.points, prev.inf_mask)
-        parent = np.repeat(np.arange(prev.size), np.diff(fib.offsets))
-        counts = fib.mult
+        partner = _conjugate_partners(prev) if mirror else None
+        solved = np.arange(prev.size)
+        targets, target_inf = prev.points, prev.inf_mask
+        if partner is not None:
+            solved = solved[~(targets.imag < 0)]
+            targets, target_inf = targets[solved], target_inf[solved]
+        fib = gather_fibers(rmap, targets, target_inf)
+        points, inf_mask, counts = fib.points, fib.inf_mask, fib.mult
+        parent = np.repeat(solved, np.diff(fib.offsets))
+        if partner is not None:
+            # Each atom with Im > 0 lends the exact conjugate of its fiber
+            # to its partner.
+            lent = np.flatnonzero(prev.points.imag[parent] > 0)
+            points = np.concatenate([points, np.conj(points[lent])])
+            inf_mask = np.concatenate([inf_mask, inf_mask[lent]])
+            counts = np.concatenate([counts, counts[lent]])
+            parent = np.concatenate([parent, partner[parent[lent]]])
         if branches < n:
             # Each fiber's multiplicities sum to n, so node j owns the fiber
             # slots n*j .. n*j + n - 1; a child fills branch-index many.
-            slots = np.repeat(np.arange(parent.size), fib.mult)
+            slots = np.repeat(np.arange(parent.size), counts)
             draws = np.concatenate([n * j + rng.permutation(n)[:branches]
                                     for j in range(prev.size)])
             counts = np.bincount(slots[draws], minlength=parent.size)
-        keep = np.flatnonzero(counts > 0)
-        keep = keep[atom_order(fib.points[keep], fib.inf_mask[keep])]
-        levels.append(AtomicMeasure(rmap, root, k, branches, fib.points[keep],
-                                    fib.inf_mask[keep], counts[keep] * prev.cum[parent[keep]],
-                                    parent[keep]))
+            keep = np.flatnonzero(counts > 0)
+            points, inf_mask, counts, parent = (a[keep] for a in (points, inf_mask, counts, parent))
+        order = atom_order(points, inf_mask)
+        levels.append(AtomicMeasure(rmap, root, k, branches, points[order], inf_mask[order],
+                                    counts[order] * prev.cum[parent[order]], parent[order]))
     return PreimageTree(map=rmap, root=root, depth=m, weight_base=branches, levels=levels)
 
 

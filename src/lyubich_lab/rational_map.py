@@ -218,7 +218,10 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
     (s - 1)-th derivative of the Wronskian, and Newton there places it to
     rounding; the cluster is accepted when it is nearer its centre than
     every other root and the local degree there is s + 1.  The result always satisfies the Riemann-Hurwitz count
-    sum(index - 1) = 2 * degree - 2 exactly, or an error is raised.
+    sum(index - 1) = 2 * degree - 2 exactly, or an error is raised.  For
+    a map with real coefficients the list is closed under conjugation to
+    the bit: real points have imaginary part +0 and the others come in
+    exact conjugate pairs.
 
     This list is the branched-point set used downstream: the basis
     machinery treats the members that meet the Julia set as the branch
@@ -253,6 +256,8 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
                 taken = near[:size]
                 break
         left[taken] = False
+    if has_real_coefficients(rmap):
+        data = _paired_critical_points(data)
     e_inf = branch_index(rmap, INFINITY)
     if e_inf >= 2:
         data.append(CriticalDatum(INFINITY, e_inf))
@@ -265,6 +270,27 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
     data.sort(key=lambda d: d.point.sort_key())
     rmap._cache["critical"] = data
     return data
+
+
+def has_real_coefficients(rmap: RationalMap) -> bool:
+    """Whether P and Q have real coefficients, so that R commutes with
+    conjugation and maps the real line into the real line and infinity."""
+    return not (rmap.num.imag.any() or rmap.den.imag.any())
+
+
+def _paired_critical_points(data: list) -> list:
+    """The finite critical points of a real map closed under conjugation
+    to the bit, as :func:`roots.pair_rows` pairs them: a real point with
+    imaginary part +0, a pair as its upper point and that point's exact
+    conjugate.  They are kept as found if they do not pair off, or if a
+    pair would join points of different indices."""
+    if not data:
+        return data
+    z = roots.pair_rows(np.array([[d.point.value for d in data]]))[0].tolist()
+    found = {(p, d.index) for p, d in zip(z, data)}
+    if any((p.conjugate(), d.index) not in found for p, d in zip(z, data)):
+        return data
+    return [CriticalDatum(SpherePoint(p), d.index) for p, d in zip(z, data)]
 
 
 def fixed_points(rmap: RationalMap) -> list[tuple[SpherePoint, complex | None]]:

@@ -24,6 +24,15 @@ roots and the companion roots are for the three steps of
 :func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
 same code.
 
+Rows with real coefficients (a float stack) take real closed forms in
+float64: the quadratic formula in the arithmetic that numpy's complex
+division uses for a real divisor, so that a real row of a complex stack,
+which the quadratic form pairs in place, gets the same bits, and for a
+cubic the trigonometric form when it has three real roots and Cardano's
+with a real cube root otherwise.  Both return real roots with imaginary
+part +0 and complex roots as exact conjugate pairs; :func:`pair_rows`
+closes the roots of the other engines' real rows in the same way.
+
 Each row is solved on its own, and the answers are the same to the bit
 for any number of rows.  That needs one rule: an operand of a complex
 product is never a temporary.  From 256 KiB numpy may compute
@@ -63,10 +72,13 @@ def trim(coeffs, rel_tol: float = 0.0) -> np.ndarray:
 
 def derivative(coeffs) -> np.ndarray:
     """The derivative's coefficients along the leading axis: of one
-    polynomial, or of each column of a root-major stack."""
-    c = np.asarray(coeffs, dtype=complex)
+    polynomial, or of each column of a root-major stack.  Real (float)
+    coefficients give real ones, any others complex ones."""
+    c = np.asarray(coeffs)
+    if c.dtype.kind != "f":
+        c = c.astype(complex)
     if c.shape[0] <= 1:
-        return np.zeros((1,) + c.shape[1:], dtype=complex)
+        return np.zeros((1,) + c.shape[1:], dtype=c.dtype)
     return c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
 
 
@@ -180,7 +192,9 @@ def aberth_rows(h: np.ndarray):
 def companion_rows(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrices of the rows of ``h``
     (rows, n + 1), in one stacked call, each root held to a loose residual
-    test: multiple roots legitimately stop near sqrt(eps) accuracy."""
+    test: multiple roots legitimately stop near sqrt(eps) accuracy.  Real
+    rows are solved as complex ones with zero imaginary parts."""
+    h = np.asarray(h, dtype=complex)
     n = h.shape[1] - 1
     mats = np.zeros((h.shape[0], n, n), dtype=complex)
     mats[:, 0, :] = -h[:, n - 1::-1] / h[:, n:]
@@ -199,7 +213,7 @@ def companion_rows(h: np.ndarray) -> np.ndarray:
     return z
 
 
-def quadratic_rows(h: np.ndarray):
+def quadratic_rows(h: np.ndarray, real=None):
     """Both roots of each row of ``h`` (rows, 3), with a nonzero leading
     coefficient in every row, in closed form, each refined by one Newton
     step.
@@ -209,26 +223,72 @@ def quadratic_rows(h: np.ndarray):
     cancellation; the roots are q/a and c/q.  Returns the roots (rows, 2)
     and a mask of the rows whose two closed-form roots meet the residual
     test of :func:`aberth_rows`; see :func:`_newton_step`.
+
+    A real row (every row of a float ``h``, and the rows of a complex
+    ``h`` that ``real`` marks, whose imaginary parts are zero) with a
+    negative discriminant takes q/a and its exact conjugate, in place of
+    c/q, before the residual test, and its roots come out as
+    :func:`_conjugate_closed` puts them.  A float ``h`` is solved in
+    float64, dividing by a real y as x * (1 / y): that is what numpy's
+    complex division does with a divisor of zero imaginary part, so a
+    real row has the same roots in a float array as in a complex one.
     """
     h = np.ascontiguousarray(h.T)
     # A row whose constant term underflows when scaled gets q = 0 and the
     # root 0/0, which fails the residual test and goes to the companion
     # matrix.  So no warning is news.
     with np.errstate(all="ignore"):
+        if h.dtype.kind == "f":
+            return _real_quadratic(h * (1 / np.abs(h).max(axis=0)))
         c = h / np.abs(h).max(axis=0)
         c0, b, a = c
         bb = b * b
         ac = a * c0
-        d = np.sqrt(bb - 4 * ac)
+        disc = bb - 4 * ac
+        d = np.sqrt(disc)
         # Re(conj(b) d) < 0 means b - d is the longer sum.
         d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
         longer = b + d
         q = -0.5 * longer
-        return _newton_step(c, np.stack([q / a, c0 / q]))
+        z = np.stack([q / a, c0 / q])
+        if real is None or not real.any():
+            return _newton_step(c, z)
+        rows = np.flatnonzero(real)
+        pair = disc.real[rows] < 0
+        z[1, rows[pair]] = np.conj(z[0, rows[pair]])
+        z, converged = _newton_step(c, z)
+        z[rows] = _conjugate_closed(z[rows], pair)
+        return z, converged
+
+
+def _real_quadratic(c: np.ndarray):
+    """:func:`quadratic_rows` on real rows, scaled and root-major (3, rows),
+    in the arithmetic of the complex route on the same rows."""
+    c0, b, a = c
+    disc = b * b - 4 * (a * c0)
+    pair = disc < 0
+    d = np.sqrt(np.abs(disc))
+    # The complex route's d is sqrt(disc), or i sqrt(-disc), which adds
+    # +0 to the real part b of the longer sum.
+    longer = b + np.where(pair, 0.0, np.where(b * d < 0, -d, d))
+    q = -0.5 * longer
+    inv_a = 1 / a
+    if not pair.any():
+        z, converged = _newton_step(c, np.stack([q * inv_a, c0 * (1 / q)]))
+        return z + 0j, converged
+    z = np.empty((2, c.shape[1]), dtype=complex)
+    z.real[0] = q * inv_a
+    z.imag[0] = np.where(pair, -0.5 * d * inv_a, 0.0)
+    z.real[1] = np.where(pair, z.real[0], c0 * (1 / q))
+    z.imag[1] = -z.imag[0]
+    z, converged = _newton_step(c, z)
+    return _conjugate_closed(z, pair), converged
 
 
 # The primitive cube root of unity exp(2 pi i / 3) and its exact conjugate.
 _OMEGA = complex(-0.5, math.sqrt(3) / 2)
+# The three angles 2 pi j / 3 of the trigonometric form of a real cubic.
+_THIRDS = (2 * math.pi / 3) * np.arange(3)[:, None]
 
 
 def cubic_rows(h: np.ndarray):
@@ -244,9 +304,10 @@ def cubic_rows(h: np.ndarray):
     cube root of a real radicand and otherwise the cube root of modulus
     cbrt|.| and argument arg/3, both odd under conjugation, so conjugate
     rows give conjugate roots to the bit, and the complex pair of a real
-    row is an exact conjugate pair.  Returns the roots (rows, 3) and a
-    mask of the rows whose three closed-form roots meet the residual test
-    of :func:`aberth_rows`; see :func:`_newton_step`.
+    row is an exact conjugate pair.  A float ``h`` is solved in float64 by
+    :func:`_real_cubic`.  Returns the roots (rows, 3) and a mask of the
+    rows whose three closed-form roots meet the residual test of
+    :func:`aberth_rows`; see :func:`_newton_step`.
     """
     h = np.ascontiguousarray(h.T)
     # Cardano's shift -B/3 cancels when one root is much smaller than the
@@ -255,6 +316,8 @@ def cubic_rows(h: np.ndarray):
     # companion matrix.  A triple root divides 0 by 0 before it takes
     # -B/3.  So no warning is news.
     with np.errstate(all="ignore"):
+        if h.dtype.kind == "f":
+            return _real_cubic(h)
         c = h / np.abs(h).max(axis=0)
         lead = c[3]
         b = c[2] / lead
@@ -284,48 +347,143 @@ def cubic_rows(h: np.ndarray):
         return _newton_step(c, z)
 
 
+def _real_cubic(h: np.ndarray):
+    """:func:`cubic_rows` on real rows, root-major ``h`` (4, rows), in
+    float64.  With D0, D1 and D1^2 - 4 D0^3 as there, a negative
+    discriminant means three real roots, -(B + 2 sqrt(D0) cos(t + 2 pi j/3))/3
+    with t = atan2(sqrt(4 D0^3 - D1^2), D1)/3, the real parts of the
+    complex form; otherwise K is the real cube root of (D1 + s)/2, the
+    real root is -(B + K + D0/K)/3 and the pair is
+    -(B - (K + D0/K)/2)/3 +- i (K - D0/K)/(2 sqrt 3), lower first."""
+    rows = h.shape[1]
+    c = h / np.abs(h).max(axis=0)
+    lead = c[3]
+    b = c[2] / lead
+    cc = c[1] / lead
+    dd = c[0] / lead
+    bb = b * b
+    d0 = bb - 3 * cc
+    d1 = 2 * (bb * b) - 9 * (b * cc) + 27 * dd
+    disc = d1 * d1 - 4 * (d0 * d0 * d0)
+    s = np.sqrt(np.abs(disc))
+    three = disc < 0
+    z = np.empty((3, rows))
+    if three.any():
+        z[:] = -(b + 2 * np.sqrt(d0) * np.cos(np.arctan2(s, d1) / 3 + _THIRDS)) / 3
+    pair = np.zeros(rows, dtype=bool)
+    one = np.flatnonzero(~three)
+    if one.size:
+        b1, d01, d11, s1 = b[one], d0[one], d1[one], s[one]
+        k = np.cbrt(0.5 * (d11 + np.where(d11 < 0, -s1, s1)))
+        t = d01 / k
+        triple = k == 0
+        z[0, one] = np.where(triple, -b1 / 3, -(b1 + k + t) / 3)
+        z[1:, one] = np.where(triple, -b1 / 3, -(b1 - 0.5 * (k + t)) / 3)
+        im = np.where(triple, 0.0, (k - t) / (2 * math.sqrt(3)))
+        pair[one] = im != 0
+    if not pair.any():
+        z, converged = _newton_step(c, z)
+        return z + 0j, converged
+    z = z.astype(complex)
+    im = np.abs(im[pair[one]])
+    z.imag[1, pair] = -im
+    z.imag[2, pair] = im
+    z, converged = _newton_step(c, z)
+    return _conjugate_closed(z, pair), converged
+
+
+def _conjugate_closed(z: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The roots ``z`` (rows, n) of real rows, closed under conjugation:
+    on the rows that ``pair`` marks the last two roots are the second to
+    last and its conjugate, lower first, and every other root is real.
+    Real roots have imaginary part +0, and a zero real part is +0."""
+    out = z.real + 0j
+    if pair.any():
+        upper = z[pair, -2]
+        out.real[pair, -2:] = (upper.real + 0.0)[:, None]
+        out.imag[pair, -2] = -np.abs(upper.imag)
+        out.imag[pair, -1] = np.abs(upper.imag)
+    return out
+
+
 def _newton_step(c: np.ndarray, z: np.ndarray):
     """The tail of the closed forms: the residual test of
     :func:`aberth_rows` on the roots ``z`` (degree, rows) of the scaled
     root-major coefficients ``c``, then one Newton step z - p/p' on each
     root, kept where it is finite and |p| does not rise.  A zero
     derivative (a double root) or an overflow gives a step that is not
-    finite, and the root keeps its closed form.  Returns the roots
-    (rows, degree) and the mask of the rows whose closed-form roots all
-    meet the test."""
+    finite, and the root keeps its closed form.  Real roots divide as
+    p * (1 / p'), as a complex division by a real divisor does.  Returns
+    the roots (rows, degree) and the mask of the rows whose closed-form
+    roots all meet the test."""
     pv = horner(c, z)
     abs_pv = np.abs(pv)
     converged = (abs_pv <= RESIDUAL_TOL * np.maximum(horner(np.abs(c), np.abs(z)), 1e-300)
                  ).all(axis=0)
     dv = horner(derivative(c), z)
-    moved = z - pv / dv
+    moved = z - (pv / dv if z.dtype.kind == "c" else pv * (1 / dv))
     better = np.isfinite(moved) & (np.abs(horner(c, moved)) <= abs_pv)
     return np.where(better, moved, z).T, converged
 
 
-def rows_roots(h: np.ndarray):
+def rows_roots(h: np.ndarray, real=None):
     """All roots of each row of ``h`` (rows, n + 1), n >= 1: the closed
     form for n = 2 and n = 3, the Aberth iteration otherwise, and the
     companion matrix for the rows that fail the residual test in either.
+
+    A float ``h`` is real rows: their closed forms run in float64 and give
+    real roots with imaginary part +0 and complex roots in exact conjugate
+    pairs.  ``real`` marks the rows of a complex ``h`` whose imaginary
+    parts are zero, which get the same roots as in a float ``h``: the
+    quadratic closed form pairs them in place, with the same bits, and
+    cubic rows are solved again by the float64 form.  The rows of the
+    other engines come out as they are, for :func:`pair_rows`.
 
     Returns the roots (rows, n) and a mask of the rows solved in closed
     form, whose roots have taken their Newton step; the roots of the other
     rows are for :func:`polish_rows`.  Raises RootFindingFailure when a
     companion root fails its residual test.
     """
-    closed_form = {2: quadratic_rows, 3: cubic_rows}.get(h.shape[1] - 1)
-    z, converged = closed_form(h) if closed_form else aberth_rows(h)
+    n = h.shape[1] - 1
+    if n == 2:
+        z, converged = quadratic_rows(h, real)
+    elif n == 3:
+        z, converged = cubic_rows(h)
+        if h.dtype.kind == "c" and real is not None and real.any():
+            at = np.flatnonzero(real)
+            z[at], converged[at] = cubic_rows(h[at].real)
+    else:
+        z, converged = aberth_rows(np.asarray(h, dtype=complex))
     if not converged.all():
         z[~converged] = companion_rows(h[~converged])
-    return z, converged & (closed_form is not None)
+    return z, converged & (n in (2, 3))
+
+
+def pair_rows(z: np.ndarray) -> np.ndarray:
+    """The roots ``z`` (rows, n) of real polynomials closed under
+    conjugation.  A root nearer its own conjugate than any other root's
+    is real and gets imaginary part +0; two roots each nearest the
+    other's conjugate are a pair, the one of larger imaginary part (the
+    later slot on a tie) and its exact conjugate.  A row whose roots do
+    not pair off so keeps them."""
+    n = z.shape[1]
+    slots = np.arange(n)
+    # partner[r, i]: the root of row r nearest conj(z[r, i]).
+    partner = np.argmin(np.abs(z[:, None, :] - np.conj(z)[:, :, None]), axis=2)
+    paired = (np.take_along_axis(partner, partner, axis=1) == slots).all(axis=1)
+    mate = np.take_along_axis(z, partner, axis=1)
+    upper = (z.imag > mate.imag) | ((z.imag == mate.imag) & (slots > partner))
+    out = np.where(partner == slots, z.real + 0j, np.where(upper, z, np.conj(mate)))
+    return np.where(paired[:, None], out, z)
 
 
 def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1) -> np.ndarray:
     """Three multiplicity-corrected Newton steps ``z -= m p/p'`` on every
     root of every row of the unnormalised ``h``, keeping the iterate of
     least residual.  For an m-fold root this converges quadratically where
-    the plain Newton step would stall at linear rate."""
-    h = np.ascontiguousarray(h.T)
+    the plain Newton step would stall at linear rate.  Real rows are
+    polished as complex ones with zero imaginary parts."""
+    h = np.ascontiguousarray(h.T, dtype=complex)
     z = np.ascontiguousarray(z.T)
     dh = derivative(h)
     pv = horner(h, z)

@@ -89,13 +89,29 @@ def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
     the points with the real part +inf on infinite entries.  numpy puts
     every value with a NaN part after all others, so a NaN imaginary part
     under a non-NaN real part enters the key as +inf, and sorts last among
-    its real part as a NaN does in a sort by real part, then imaginary."""
+    its real part as a NaN does in a sort by real part, then imaginary.
+
+    Rows of two without a NaN real part, as the fiber engine sorts for
+    a map of degree 2, compare their two keys instead."""
     real = np.where(inf_mask, np.inf, points.real)
-    imag = points.imag
+    imag = np.where(np.isnan(points.imag) & ~np.isnan(real), np.inf, points.imag)
+    if points.shape[-1] == 2 and not np.isnan(real).any():
+        return _order_of_two(real, imag)
     key = np.empty(points.shape, dtype=complex)
     key.real = real
-    key.imag = np.where(np.isnan(imag) & ~np.isnan(real), np.inf, imag)
+    key.imag = imag
     return np.argsort(key, axis=-1, kind="stable")
+
+
+def _order_of_two(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """:func:`atom_order` of rows of two keys (..., 2) with no NaN part:
+    the second first where its key is the smaller."""
+    swap = (real[..., 1] < real[..., 0]) | (
+        (real[..., 1] == real[..., 0]) & (imag[..., 1] < imag[..., 0]))
+    order = np.empty(real.shape, dtype=np.intp)
+    order[..., 0] = swap
+    order[..., 1] = ~swap
+    return order
 
 
 def _chordal_finite(z: complex, w: complex) -> float:

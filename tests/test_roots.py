@@ -397,3 +397,114 @@ def test_an_underflowing_constant_term_raises_no_warning(scale):
         z = aberth_roots([1 / scale, 0, scale])
     assert z.size == 2
     assert np.all(np.abs(z) <= 2 / scale)
+
+
+# Real rows: the float64 closed forms, the complex closed forms on the same
+# rows, and the pairing of the other engines' real rows.
+
+
+def _assert_conjugate_closed(z):
+    """Each row's roots: real ones with imaginary part +0, the others in
+    exact conjugate pairs."""
+    def bits(x):
+        return sorted(map(tuple, x.view(np.int64).reshape(-1, 2).tolist()))
+
+    for row in z:
+        real = row.imag == 0
+        assert not np.signbit(row.imag[real]).any()
+        assert bits(row[~real]) == bits(np.conj(row[~real]))
+
+
+def _real_rows(rng, rows, n):
+    h = rng.normal(size=(rows, n + 1))
+    h[::5, 1] = 0                                      # b = 0
+    h[1::7] = _poly_from_roots([0.5] * n).real             # an n-fold root
+    h[::11] *= 1e150
+    h[::13] *= 1e-150
+    return h
+
+
+def test_real_quadratic_rows_keep_the_bits_of_complex_rows():
+    # A real row has the same roots in a float block as marked real in a
+    # complex one, whatever the sign of its zero imaginary parts; the
+    # complex rows of that block keep the bits of the unmarked route.
+    rng = np.random.default_rng(21)
+    h = _real_rows(rng, 4000, 2)
+    z, converged = roots.quadratic_rows(h)
+    _assert_conjugate_closed(z[converged])
+    assert (z.imag != 0).any(axis=1).mean() > 0.2
+    for zero in (0.0, -0.0):
+        hc = h.astype(complex)
+        hc.imag = zero
+        zc, converged_c = roots.quadratic_rows(hc, np.ones(h.shape[0], dtype=bool))
+        assert zc.tobytes() == z.tobytes()
+        np.testing.assert_array_equal(converged_c, converged)
+
+    mixed = rng.normal(size=(4000, 3)) + 1j * rng.normal(size=(4000, 3))
+    real = rng.random(4000) < 0.3
+    mixed[real] = h[real]
+    zm, converged_m = roots.quadratic_rows(mixed, real)
+    want, want_converged = roots.quadratic_rows(mixed)
+    assert zm[real].tobytes() == z[real].tobytes()
+    assert zm[~real].tobytes() == want[~real].tobytes()
+    np.testing.assert_array_equal(converged_m[real], converged[real])
+    np.testing.assert_array_equal(converged_m[~real], want_converged[~real])
+
+
+def test_real_cubic_rows_of_a_complex_block_take_the_float_route():
+    rng = np.random.default_rng(22)
+    h = _real_rows(rng, 3000, 3)
+    z, stepped = roots.rows_roots(h)
+    _assert_conjugate_closed(z[stepped])
+    assert not z.imag[stepped].any(axis=1).all()
+    mixed = rng.normal(size=(3000, 4)) + 1j * rng.normal(size=(3000, 4))
+    real = rng.random(3000) < 0.3
+    mixed[real] = h[real]
+    zm, stepped_m = roots.rows_roots(mixed, real)
+    want, want_stepped = roots.rows_roots(mixed)
+    assert zm[real].tobytes() == z[real].tobytes()
+    assert zm[~real].tobytes() == want[~real].tobytes()
+    np.testing.assert_array_equal(stepped_m, np.where(real, stepped, want_stepped))
+
+
+@pytest.mark.parametrize("roots_", [
+    pytest.param([1, 1], id="(z-1)^2"),
+    pytest.param([0.3, 0.3 + 1e-8], id="near-double"),
+    pytest.param([0.25 + 2j, 0.25 - 2j], id="pair"),
+    pytest.param([1j, -1j], id="z^2+1"),
+    pytest.param([1, 1, 1], id="(z-1)^3"),
+    pytest.param([1, 1, -2], id="(z-1)^2(z+2)"),
+    pytest.param([-3.25, 0.125 + 4j, 0.125 - 4j], id="real-and-pair"),
+    pytest.param([-1.5, 0.2, 3.0], id="three-real"),
+    # Cardano's -B/3 cancels against the small root: both routes fall back.
+    pytest.param([1, 1e6, 1e-6], id="cancelling"),
+])
+def test_real_rows_fall_back_as_the_complex_closed_forms_do(roots_):
+    h = _poly_from_roots(roots_).real
+    want = np.array(roots_, dtype=complex)
+    closed_form = roots.quadratic_rows if h.size == 3 else roots.cubic_rows
+    for scale in (1.0, 1e150, 1e-150):
+        rows = scale * h[None, :]
+        _, converged = closed_form(rows)
+        _, converged_c = closed_form(rows.astype(complex))
+        np.testing.assert_array_equal(converged, converged_c)
+        z, stepped = roots.rows_roots(rows)
+        if not stepped.all():
+            z = roots.pair_rows(roots.polish_rows(rows, z))
+        _assert_conjugate_closed(z)
+        assert _backward_error_ok(rows[0], z[0])
+        # Each prescribed root has a root of the row within eps^(1/3).
+        assert np.abs(z[0][:, None] - want[None, :]).min(axis=0).max() < 1e-5 * np.abs(want).max()
+
+
+def test_pair_rows_closes_real_rows_under_conjugation():
+    z = np.array([
+        [1 + 1e-17j, 2 - 3j, 2 + 3.0000000000000004j],    # a real root and a pair
+        [0.5 - 1e-18j, -1 + 0j, 4 + 0j],                  # three real roots
+        [1 + 1e-3j, 1 + 2e-3j, 5 + 0j],                   # two that do not pair off
+    ])
+    got = roots.pair_rows(z)
+    assert got[0].tolist() == [1, np.conj(2 + 3.0000000000000004j), 2 + 3.0000000000000004j]
+    assert not np.signbit(got[0].imag[0]) and not np.signbit(got[1].imag).any()
+    assert got[1].tolist() == [0.5, -1, 4]
+    assert got[2].tobytes() == z[2].tobytes()

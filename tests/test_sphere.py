@@ -151,6 +151,21 @@ def test_atom_order_keeps_the_lexsort_order():
                 == _lexsort_order(conj, inf_mask).tolist())
 
 
+def test_atom_order_of_rows_of_two_keeps_the_lexsort_order():
+    # Rows of two without a NaN real part compare their keys: ±0.0 parts,
+    # conjugate pairs, exact ties, NaN imaginary parts and infinite entries
+    # storing 0, inf or NaN.
+    rng = np.random.default_rng(13)
+    finite = np.array([0.5 + 2j, 0.5 - 2j, complex(0.0, 1.0), complex(-0.0, 1.0),
+                       complex(0.0, -0.0), complex(-0.0, 0.0), -3 + 0j,
+                       complex(0.5, np.nan), complex(-3.0, np.inf)])
+    for shape in [(3000, 2), (2,), (40, 5, 2)]:
+        points = rng.choice(finite, shape)
+        inf_mask = rng.random(shape) < 0.2
+        points[inf_mask] = rng.choice([0j, np.inf, np.nan], np.count_nonzero(inf_mask))
+        assert atom_order(points, inf_mask).tolist() == _lexsort_order(points, inf_mask).tolist()
+
+
 def test_atom_order_keeps_the_lexsort_order_of_a_deep_level():
     basilica = builtin_map("basilica")
     prev = iterated_preimages(basilica, default_root(basilica), 13).level(13)

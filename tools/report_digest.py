@@ -13,7 +13,9 @@ The set covers trees at 16384 atoms and more (where numpy's temporary
 elision can move last bits), a tree with atoms at infinity, a tree of
 the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
 form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
-take the Aberth iteration and the polish), the measure CSV of a tree
+take the Aberth iteration and the polish), two trees none of whose rows
+is real (a real map rooted off the real line, and a map with a non-real
+coefficient), the measure CSV of a tree
 with double atoms, a Julia sample, basis exports of basilica and of
 chebyshev (whose Julia set meets a critical point), six verification
 reports, two of them on chebyshev (one with padded sibling blocks) and
@@ -44,6 +46,12 @@ COMMANDS = [
     # iteration and the three-step polish, 4096 atoms at level 6.
     ["tree", "--num=1,0;0,0;2,0;0,0;1,0", "--den=0,0;-4,0;0,0;4,0", "--depth", "6",
      "--out", "out.csv"],
+    # Trees whose fibers are never real rows, so they take the complex
+    # route throughout: a real map (Newton's for z^3 - 1) rooted off the
+    # real line, and a map with a non-real coefficient, z^3 + 0.3 + 0.5i.
+    ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "0.31,0.17",
+     "--depth", "8", "--out", "out.csv"],
+    ["tree", "--num=0.3,0.5;0,0;0,0;1,0", "--den=1,0", "--depth", "8", "--out", "out.csv"],
     # The measure CSV, with the double atoms of chebyshev's tree at 2.
     ["measure", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
     ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
