@@ -25,7 +25,7 @@ from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
-                     chordal_array, chordal_pairs, sphere_points)
+                     chordal_array, chordal_pairs, sphere_points, write_csv)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -54,6 +54,10 @@ class JuliaSample(PointSet):
 
     def sphere_points(self) -> list[SpherePoint]:
         return sphere_points(self.points, self.inf_mask)
+
+    def to_csv(self, path) -> None:
+        """Columns re, im."""
+        write_csv(path, ["re", "im"], [([], self.points, self.inf_mask, [])])
 
     @cached_property
     def critical_distances(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
                      LyubichLabError, RootFindingFailure)
 from .preimage_solver import DEFAULT_BUDGET, iterated_preimages, preimages, sampled_tree
 from .rational_map import RationalMap, builtin_map
-from .sphere import INFINITY, SpherePoint, csv_cells
+from .sphere import INFINITY, SpherePoint
 from .transfer_operator import transfer_power
 
 EXIT_OK = 0
@@ -27,9 +27,13 @@ EXIT_NUMERIC = 3
 
 _IDENTITIES = sorted(operator_lab.TOLERANCES)
 
-# Commands that write their data to a .csv --out; basis writes its JSON
-# export to --out whatever the name.
+# Commands that write their data to a --out whose suffix is .csv in any
+# case; basis writes its JSON export to --out whatever the name.
 _CSV_EXPORTS = ("tree", "julia", "measure")
+
+
+def _writes_csv(args) -> bool:
+    return str(args.out or "").lower().endswith(".csv")
 
 
 class ConfigError(Exception):
@@ -111,11 +115,17 @@ def _build_map(args) -> RationalMap:
                        name="custom")
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, export=None) -> None:
+    """Print the JSON report or write it to --out; a .csv --out, which main
+    lets only commands with a CSV ``export`` keep, receives the export."""
     payload = dict(payload)
+    if export is not None:
+        payload["csv"] = str(args.out) if args.out else None
     payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     text = json.dumps(payload, indent=2, default=_json_default)
-    if args.out and not str(args.out).endswith(".csv"):
+    if _writes_csv(args):
+        export.to_csv(args.out)
+    elif args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
     if args.json or not args.out:
@@ -151,19 +161,17 @@ def _cmd_preimages(args) -> int:
     return EXIT_OK
 
 
-def _make_tree(args, rmap, w):
+def _make_tree(args, rmap):
+    w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
     if args.branches is not None:
-        return sampled_tree(rmap, w, args.depth, args.branches,
-                            seed=args.seed, budget=args.budget)
-    return iterated_preimages(rmap, w, args.depth, budget=args.budget)
+        return w, sampled_tree(rmap, w, args.depth, args.branches,
+                               seed=args.seed, budget=args.budget)
+    return w, iterated_preimages(rmap, w, args.depth, budget=args.budget)
 
 
 def _cmd_tree(args) -> int:
     rmap = _build_map(args)
-    w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
-    tree = _make_tree(args, rmap, w)
-    if args.out and str(args.out).endswith(".csv"):
-        tree.to_csv(args.out)
+    w, tree = _make_tree(args, rmap)
     _emit({
         "command": "tree",
         "map": rmap.describe(),
@@ -171,38 +179,27 @@ def _cmd_tree(args) -> int:
         "depth": tree.depth,
         "weight_base": tree.weight_base,
         "level_sizes": [tree.atom_count(k) for k in range(tree.depth + 1)],
-        "csv": str(args.out) if args.out else None,
-    }, args)
+    }, args, export=tree)
     return EXIT_OK
 
 
 def _cmd_julia(args) -> int:
     rmap = _build_map(args)
     sample = bimodule_basis.julia_sample(rmap, args.size, args.seed)
-    if args.out and str(args.out).endswith(".csv"):
-        import csv
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["re", "im"])
-            writer.writerows(csv_cells(sample.points, sample.inf_mask))
     _emit({
         "command": "julia",
         "map": rmap.describe(),
         "size": sample.size,
         "method": sample.method,
         "seed": sample.seed,
-        "csv": str(args.out) if args.out else None,
-    }, args)
+    }, args, export=sample)
     return EXIT_OK
 
 
 def _cmd_measure(args) -> int:
     rmap = _build_map(args)
-    w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
-    tree = _make_tree(args, rmap, w)
+    w, tree = _make_tree(args, rmap)
     mu = lyubich_measure.measure_from_tree(tree)
-    if args.out and str(args.out).endswith(".csv"):
-        mu.to_csv(args.out)
     values = {}
     for spec in args.f or []:
         f = parse_test_function(spec)
@@ -215,8 +212,7 @@ def _cmd_measure(args) -> int:
         "weight_base": mu.base,
         "atoms": mu.size,
         "integrals": values,
-        "csv": str(args.out) if args.out else None,
-    }, args)
+    }, args, export=mu)
     return EXIT_OK
 
 
@@ -402,8 +398,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         _apply_config(args, argv)
-        if (str(args.out or "").endswith(".csv")
-                and args.command not in _CSV_EXPORTS + ("basis",)):
+        if _writes_csv(args) and args.command not in _CSV_EXPORTS + ("basis",):
             raise ConfigError(f"{args.command} has no CSV export; "
                               f"only {', '.join(_CSV_EXPORTS)} write --out *.csv")
         handler = parser._command_table[args.command]

@@ -27,7 +27,6 @@ point set itself.
 ``_fiber.solve_fiber``.
 """
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,7 +37,7 @@ from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
 from .rational_map import (RationalMap, critical_points, evaluate_array,
                            has_real_coefficients, is_exceptional)
-from .sphere import INFINITY, SpherePoint, as_point, atom_order, csv_cells
+from .sphere import INFINITY, SpherePoint, as_point, atom_order, write_csv
 from .test_functions import PowerTable
 
 DEFAULT_BUDGET = 1 << 22
@@ -265,11 +264,8 @@ class AtomicMeasure(PointSet):
 
     def to_csv(self, path) -> None:
         """Columns re, im, weight_num, weight_depth; weight = num/base**depth."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["re", "im", "weight_num", "weight_depth"])
-            for (re, im), num in zip(csv_cells(self.points, self.inf_mask), self.cum.tolist()):
-                writer.writerow([re, im, num, self.depth])
+        write_csv(path, ["re", "im", "weight_num", "weight_depth"],
+                  [([], self.points, self.inf_mask, [self.cum, self.depth])])
 
 
 @dataclass
@@ -299,13 +295,9 @@ class PreimageTree:
 
     def to_csv(self, path) -> None:
         """One row per atom: level, re, im, cumulative_mult, parent_index."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["level", "re", "im", "cumulative_mult", "parent_index"])
-            for k, lvl in enumerate(self.levels):
-                for (re, im), cum, parent in zip(csv_cells(lvl.points, lvl.inf_mask),
-                                                 lvl.cum.tolist(), lvl.parent.tolist()):
-                    writer.writerow([k, re, im, cum, parent])
+        write_csv(path, ["level", "re", "im", "cumulative_mult", "parent_index"],
+                  [([k], lvl.points, lvl.inf_mask, [lvl.cum, lvl.parent])
+                   for k, lvl in enumerate(self.levels)])
 
 
 def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,

@@ -299,7 +299,6 @@ def fixed_points(rmap: RationalMap) -> list[tuple[SpherePoint, complex | None]]:
     cached = rmap._cache.get("fixed")
     if cached is not None:
         return cached
-    n = rmap.degree
     f = np.concatenate([rmap._num_pad, [0j]]) - np.concatenate([[0j], rmap._den_pad])
     f = roots.trim(f, 1e-13)
     out = []

@@ -6,6 +6,7 @@ chordal metric, which treats infinity like any other point and never
 overflows for large moduli.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,10 @@ import numpy as np
 # Moduli beyond this are metrically indistinguishable from infinity in
 # double precision (chordal distance to infinity below ~1e-153).
 _HUGE = 1e153
+
+# Rows of a CSV export formatted per write, so that the writer never holds
+# the strings of the whole file.
+_CSV_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -36,14 +41,6 @@ class SpherePoint:
                 raise ValueError("finite sphere point must have finite coordinates")
             object.__setattr__(self, "value", v)
 
-    @staticmethod
-    def finite(z) -> "SpherePoint":
-        return SpherePoint(complex(z))
-
-    @staticmethod
-    def infinity() -> "SpherePoint":
-        return SpherePoint(0j, True)
-
     def sort_key(self) -> tuple:
         """The scalar form of :func:`atom_order`."""
         return (1 if self.infinite else 0, self.value.real, self.value.imag)
@@ -54,7 +51,7 @@ class SpherePoint:
         return f"SpherePoint({self.value!r})"
 
 
-INFINITY = SpherePoint.infinity()
+INFINITY = SpherePoint(0j, True)
 
 
 def as_point(x) -> SpherePoint:
@@ -73,11 +70,24 @@ def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]
             for z, inf in zip(points, inf_mask)]
 
 
-def csv_cells(points: np.ndarray, inf_mask: np.ndarray) -> list[list[str]]:
-    """The ``re, im`` CSV cells of each point: the shortest round-trip
-    reprs of its parts, or ``inf, inf`` at infinity."""
-    return [["inf", "inf"] if inf else [repr(z.real), repr(z.imag)]
-            for z, inf in zip(points.tolist(), inf_mask.tolist())]
+def write_csv(path, header: list[str], tables) -> None:
+    """Write a header and a row per point of each table ``(lead, points,
+    inf_mask, tail)``, as ``csv.writer`` would: the shortest reprs of the
+    point's parts (``inf, inf`` at infinity) between the integer columns
+    ``lead`` and ``tail``, each an array or one int for every row."""
+    def ints(columns, part):
+        return [itertools.repeat(str(c)) if np.ndim(c) == 0
+                else map(str, c[part].tolist()) for c in columns]
+
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for lead, points, inf_mask, tail in tables:
+            for start in range(0, len(points), _CSV_CHUNK):
+                part = slice(start, start + _CSV_CHUNK)
+                re_im = [map(repr, np.where(inf_mask[part], np.inf, x).tolist())
+                         for x in (points[part].real, points[part].imag)]
+                cells = ints(lead, part) + re_im + ints(tail, part)
+                handle.writelines(row + "\r\n" for row in map(",".join, zip(*cells)))
 
 
 def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:

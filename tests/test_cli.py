@@ -156,6 +156,20 @@ def test_csv_out_without_a_csv_export_exits_2(tmp_path, capsys, argv):
     assert "tree, julia, measure" in captured.err
 
 
+def test_csv_suffix_is_matched_without_case(tmp_path, capsys):
+    argv = ["measure", "--map", "quad", "--depth", "2", "--out"]
+    assert main(argv + [str(tmp_path / "m.csv")]) == 0
+    assert main(argv + [str(tmp_path / "M.CSV")]) == 0
+    assert capsys.readouterr().out == ""
+    data = (tmp_path / "M.CSV").read_bytes()
+    assert data.startswith(b"re,im,weight_num,weight_depth\r\n")
+    assert data == (tmp_path / "m.csv").read_bytes()
+    path = tmp_path / "x.CSV"
+    assert main(["verify", "isometry", "--map", "quad", "--depth", "2",
+                 "--out", str(path)]) == 2
+    assert "has no CSV export" in capsys.readouterr().err and not path.exists()
+
+
 def test_basis_command(tmp_path, capsys):
     path = tmp_path / "basis.json"
     code = main(["basis", "--map", "quad", "--size", "128", "--basis-count",

@@ -7,7 +7,7 @@ from lyubich_lab.errors import BudgetExceeded, ExceptionalRoot
 from lyubich_lab.preimage_solver import (iterated_preimages, preimages,
                                          sampled_tree)
 from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
-from lyubich_lab.sphere import INFINITY, chordal
+from lyubich_lab.sphere import INFINITY, chordal, chordal_pairs
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,25 @@ def test_chain_rule_cumulative(cheb):
 def test_budget_enforced(quad):
     with pytest.raises(BudgetExceeded):
         iterated_preimages(quad, 1, 30)
+
+
+@pytest.mark.parametrize("degree, m", [(2, 8), (2, 14), (2, 20), (3, 6), (3, 9), (3, 12)])
+def test_power_map_levels_are_the_roots_of_unity(degree, m):
+    """Known answer: level m of z^n rooted at 1 is the n^m-th roots of
+    unity, each a simple atom."""
+    rmap = RationalMap([0] * degree + [1], [1])
+    level = iterated_preimages(rmap, 1, m).level(m)
+    count = degree ** m
+    assert level.size == count and not level.inf_mask.any()
+    assert level.cum.tolist() == [1] * count
+    k = np.rint(np.angle(level.points) * count / (2 * np.pi)).astype(np.int64) % count
+    assert np.bincount(k, minlength=count).tolist() == [1] * count
+    exact = np.exp(2j * np.pi * k / count)
+    no_inf = np.zeros(count, dtype=bool)
+    # |R'(z)| = n on the unit circle, so each backward step shrinks the
+    # error carried from the level above by n and the solver's own roundoff
+    # does not accumulate with depth: the bound is the same at every m.
+    assert chordal_pairs(level.points, no_inf, exact, no_inf).max() <= 4e-15
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab import sphere
+from lyubich_lab.bimodule_basis import julia_sample
+from lyubich_lab.lyubich_measure import default_root, measure_from_tree
 from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
 from lyubich_lab.rational_map import builtin_map
 from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
-                                chordal_array, chordal_pairs)
+                                chordal_array, chordal_pairs, write_csv)
 
 
 def test_finite_point_rejects_nan():
@@ -175,3 +178,78 @@ def test_atom_order_keeps_the_lexsort_order_of_a_deep_level():
                              (fib.points[shuffle], fib.inf_mask[shuffle])):
         assert points.size == 16384
         assert atom_order(points, inf_mask).tolist() == _lexsort_order(points, inf_mask).tolist()
+
+
+# ----------------------------------------------------------------------
+# CSV export
+
+
+def _reference_csv(path, header, tables):
+    """:func:`write_csv`'s tables written by ``csv.writer``, one row at a
+    time, over a list of every point's ``re, im`` cells."""
+    def cells(points, inf_mask):
+        return [["inf", "inf"] if inf else [repr(z.real), repr(z.imag)]
+                for z, inf in zip(points.tolist(), inf_mask.tolist())]
+
+    def columns(ints, size):
+        return [[c] * size if np.ndim(c) == 0 else c.tolist() for c in ints]
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for lead, points, inf_mask, tail in tables:
+            before, after = columns(lead, points.size), columns(tail, points.size)
+            for i, re_im in enumerate(cells(points, inf_mask)):
+                writer.writerow([c[i] for c in before] + re_im + [c[i] for c in after])
+
+
+def _same_bytes(tmp_path, header, tables, write=None):
+    tables = list(tables)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    (write or (lambda path: write_csv(path, header, tables)))(ours)
+    _reference_csv(theirs, header, tables)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_write_csv_bytes_on_edge_values(tmp_path):
+    # An atom at infinity (whatever value it stores), signed zeros, the
+    # smallest subnormal, parts whose reprs switch to exponent form, and
+    # the widest integers a tree holds.
+    points = np.array([complex(np.nan, 7.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                       complex(5e-324, -5e-324), complex(1e16, -1e16),
+                       complex(1e-5, 0.1), complex(-1e-5, 1e15), 1 / 3 + 2j / 3])
+    inf_mask = np.zeros(points.size, dtype=bool)
+    inf_mask[0] = True
+    cum = np.array([2**62 - 1, 2**62, 1, 2, 3, 4, 5, 2**62 + 2**61], dtype=np.int64)
+    parent = np.array([-1, 0, 0, 1, 1, 2, 2, 3], dtype=np.int64)
+    _same_bytes(tmp_path, ["level", "re", "im", "cumulative_mult", "parent_index"],
+                [([20], points, inf_mask, [cum, parent])])
+    _same_bytes(tmp_path, ["re", "im", "weight_num", "weight_depth"],
+                [([], points, inf_mask, [cum, 20])])
+    _same_bytes(tmp_path, ["re", "im"], [([], points, inf_mask, [])])
+
+
+def test_write_csv_bytes_across_chunks(tmp_path, monkeypatch):
+    chunk = 4
+    monkeypatch.setattr(sphere, "_CSV_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    tables = []
+    for k, size in enumerate([chunk - 1, chunk, chunk + 1, 3 * chunk + 2]):
+        points = rng.normal(size=size) + 1j * rng.normal(size=size)
+        inf_mask = rng.random(size) < 0.2
+        tables.append(([k], points, inf_mask, [rng.integers(1, 9, size), k]))
+    for table in tables:
+        _same_bytes(tmp_path, ["level", "re", "im", "n", "k"], [table])
+    _same_bytes(tmp_path, ["level", "re", "im", "n", "k"], tables)
+    # The three exports, on a tree whose levels span up to eight chunks.
+    basilica = builtin_map("basilica")
+    tree = iterated_preimages(basilica, default_root(basilica), 5)
+    _same_bytes(tmp_path, ["level", "re", "im", "cumulative_mult", "parent_index"],
+                [([k], lvl.points, lvl.inf_mask, [lvl.cum, lvl.parent])
+                 for k, lvl in enumerate(tree.levels)], tree.to_csv)
+    mu = measure_from_tree(tree)
+    _same_bytes(tmp_path, ["re", "im", "weight_num", "weight_depth"],
+                [([], mu.points, mu.inf_mask, [mu.cum, mu.depth])], mu.to_csv)
+    sample = julia_sample(basilica, 48, seed=1)
+    _same_bytes(tmp_path, ["re", "im"], [([], sample.points, sample.inf_mask, [])],
+                sample.to_csv)

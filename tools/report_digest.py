@@ -10,7 +10,8 @@ command fails before writing it) its stdout report with the
     python tools/report_digest.py
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
-elision can move last bits), a tree with atoms at infinity, a tree of
+elision can move last bits), a tree whose deepest level spans two chunks
+of the CSV writer, a tree with atoms at infinity, a tree of
 the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
 form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
 take the Aberth iteration and the polish), two trees none of whose rows
@@ -35,6 +36,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 COMMANDS = [
     ["tree", "--map", "basilica", "--depth", "14", "--out", "out.csv"],
     ["tree", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
+    # 65536 atoms at level 16: two chunks of the CSV writer.
+    ["tree", "--map", "basilica", "--depth", "16", "--out", "out.csv"],
     ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "inf",
      "--depth", "7", "--out", "out.csv"],
     # z^3 - 3z: cubic rows in closed form, 19683 atoms at level 9.
