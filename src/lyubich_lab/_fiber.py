@@ -36,7 +36,7 @@ import numpy as np
 
 from . import roots
 from .errors import RootFindingFailure
-from .sphere import INFINITY, SpherePoint, atom_order, chordal
+from .sphere import SpherePoint, atom_order, chordal, sphere_points
 
 # Chordal radius under which numerically distinct points are one point in
 # the critical-, fixed- and exceptional-point search: double roots perturb
@@ -54,8 +54,8 @@ _NEAR_INFINITY = 2.0 / CLUSTER_RADIUS
 _CANCEL_TOL = 1e-10
 
 
-def cluster_points(points, mults, radius: float = CLUSTER_RADIUS):
-    """Merge points closer than ``radius`` in the chordal metric.
+def cluster_points(points, mults):
+    """Merge points closer than ``CLUSTER_RADIUS`` in the chordal metric.
 
     Parameters
     ----------
@@ -83,9 +83,9 @@ def cluster_points(points, mults, radius: float = CLUSTER_RADIUS):
             j = order[b]
             # Sorted by real part: once the real gap alone exceeds the
             # radius no later point can be within it.
-            if (pts[j].real - pts[i].real) > radius:
+            if (pts[j].real - pts[i].real) > CLUSTER_RADIUS:
                 break
-            if chordal(SpherePoint(pts[i]), SpherePoint(pts[j])) <= radius:
+            if chordal(SpherePoint(pts[i]), SpherePoint(pts[j])) <= CLUSTER_RADIUS:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -240,5 +240,4 @@ def solve_fiber(num_pad: np.ndarray, den_pad: np.ndarray, degree: int,
     points, inf_mask, mult, _ = solve_fibers(num_pad, den_pad, degree,
                                              np.array([w.value]), np.array([w.infinite]),
                                              critical)
-    return [(INFINITY if inf else SpherePoint(complex(z)), int(m))
-            for z, inf, m in zip(points, inf_mask, mult)]
+    return list(zip(sphere_points(points, inf_mask), mult.tolist()))

@@ -98,28 +98,26 @@ def _check_sample(rmap: RationalMap, sample: JuliaSample) -> None:
         raise ValueError("the sample belongs to another map")
 
 
-def julia_sample(rmap: RationalMap, size: int, seed: int,
-                 depth: int | None = None) -> JuliaSample:
+def julia_sample(rmap: RationalMap, size: int, seed: int) -> JuliaSample:
     """Sample the Julia set via the deepest level of a sampled preimage tree.
 
     Backward orbits of any non-exceptional point accumulate on the Julia
-    set; depth >= 12 puts the atoms within sampling tolerance of it.
+    set; depth >= 12 puts the atoms within sampling tolerance of it, and
+    the depth is the larger of 12 and ceil(log2 size) + 2.
     Deterministic for a given seed; at most ``size`` points, deduplicated
     and sorted.
     """
-    return _julia_samples(rmap, (size,), seed, depth)[0]
+    return _julia_samples(rmap, (size,), seed)[0]
 
 
-def _julia_samples(rmap: RationalMap, sizes, seed: int,
-                   depth: int | None = None) -> list[JuliaSample]:
+def _julia_samples(rmap: RationalMap, sizes, seed: int) -> list[JuliaSample]:
     """:func:`julia_sample` for each of ``sizes``; sizes that pick the same
     depth read one sampled tree."""
     from .lyubich_measure import default_root
 
     if min(sizes) < 1:
         raise DegenerateSample("sample size must be positive")
-    depths = [max(12, int(math.ceil(math.log2(max(size, 2)))) + 2) if depth is None
-              else depth for size in sizes]
+    depths = [max(12, int(math.ceil(math.log2(max(size, 2)))) + 2) for size in sizes]
     root = default_root(rmap)
     levels = {d: sampled_tree(rmap, root, d, branches_per_node=2, seed=seed).level(d)
               for d in sorted(set(depths))}
@@ -415,8 +413,8 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
             f"{cover:.3g} > {r:.3g}")
 
     centers = pool_idx[chosen]
-    net_bumps = [_RawBump(center=INFINITY if infs[i] else SpherePoint(complex(pts[i])),
-                          radius=_SUPPORT_FACTOR * r, exponent=2) for i in centers]
+    net_bumps = [_RawBump(center=sample.atom(i), radius=_SUPPORT_FACTOR * r, exponent=2)
+                 for i in centers]
     if branch:
         # Farthest from the branch points first.
         clearance = near[:, centers].min(axis=0)
@@ -452,8 +450,7 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
     total = partition.raw_matrix(pts, infs).sum(axis=0)
     uncovered = np.flatnonzero((total <= 0.0) & (near.min(axis=0, initial=np.inf) > 1e-9))
     if uncovered.size:
-        i = uncovered[0]
-        p = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
+        p = sample.atom(uncovered[0])
         raise CoverFailure(f"sample point {p!r} is not covered by any bump")
 
     return [BasisElement(index=i, bump=b, partition=partition)
@@ -468,16 +465,13 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
 class VanishingFunction:
     """A function certified to vanish near the branch points.
 
-    Carries the support geometry (center and radius of a chordal ball)
-    and the recorded positive distance from the support to each branch
-    point, so the vanishing-tail index can be determined geometrically.
+    Carries the support geometry (center and radius of a chordal ball),
+    so the vanishing-tail index can be determined geometrically.
     """
 
     fn: TestFunction
     support_center: SpherePoint
     support_radius: float
-    branch_points: tuple
-    distances: tuple
 
     @staticmethod
     def bump(rmap: RationalMap, center, radius: float,
@@ -489,14 +483,10 @@ class VanishingFunction:
                 branch_points = [d.point for d in branch_points_on_julia(rmap, sample)]
             else:
                 branch_points = [d.point for d in critical_points(rmap)]
-        branch_points = tuple(branch_points)
-        dists = []
         for bp in branch_points:
-            gap = chordal(c, bp) - radius
-            if gap <= 0:
+            if chordal(c, bp) <= radius:
                 raise ValueError(
                     f"support of the bump meets the branch point {bp!r}")
-            dists.append(gap)
 
         def profile(points, inf_mask):
             d = chordal_pairs(points, inf_mask, np.full(points.shape, c.value),
@@ -505,15 +495,12 @@ class VanishingFunction:
             return np.clip(1.0 - t * t, 0.0, None) ** 2
 
         fn = TestFunction.from_callable(profile, name=f"bump({c!r},{radius})")
-        return VanishingFunction(fn=fn, support_center=c, support_radius=radius,
-                                 branch_points=branch_points, distances=tuple(dists))
+        return VanishingFunction(fn=fn, support_center=c, support_radius=radius)
 
     @staticmethod
-    def zero(branch_points=()) -> "VanishingFunction":
+    def zero() -> "VanishingFunction":
         fn = TestFunction.constant(0.0, name="0")
-        return VanishingFunction(fn=fn, support_center=SpherePoint(0j),
-                                 support_radius=0.0,
-                                 branch_points=tuple(branch_points), distances=())
+        return VanishingFunction(fn=fn, support_center=SpherePoint(0j), support_radius=0.0)
 
     def meets(self, element: BasisElement) -> bool:
         if self.support_radius <= 0.0:

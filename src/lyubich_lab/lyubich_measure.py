@@ -114,11 +114,10 @@ def measure_match_defect(a: AtomicMeasure, b: AtomicMeasure) -> tuple[float, boo
     return worst, bool(exact)
 
 
-def measures_match(a: AtomicMeasure, b: AtomicMeasure,
-                   position_tol: float = 1e-8) -> bool:
-    """Same atoms to ``position_tol`` and exactly equal rational weights."""
+def measures_match(a: AtomicMeasure, b: AtomicMeasure) -> bool:
+    """Same atoms to 1e-8 chordal and exactly equal rational weights."""
     defect, exact = measure_match_defect(a, b)
-    return exact and defect <= position_tol
+    return exact and defect <= 1e-8
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
 from .preimage_solver import Cover, Fibers, PointSet, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
-from .sphere import INFINITY, SpherePoint, as_point
+from .sphere import SpherePoint, as_point
 from .test_functions import (ONE, PolynomialBatch, TestFunction,
                              random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
@@ -67,8 +67,9 @@ TOLERANCES = {
 
 @dataclass
 class OperatorModel:
-    """The tower of weighted atom spaces for one map, root, and depth:
-    level k is the tree's depth-k measure, the tree's own level.
+    """The tower of weighted atom spaces of one preimage tree, which holds
+    the map and the root: level k is the tree's depth-k measure, the
+    tree's own level.
 
     Each level owns what is derived from its points (its fibers, sibling
     fibers, power table and cover tables); the model only names them by
@@ -77,8 +78,6 @@ class OperatorModel:
     keyed by (k, partition).  Its arrays are read-only.
     """
 
-    map: RationalMap
-    root: SpherePoint
     depth: int
     tree: PreimageTree
     levels: list = field(default_factory=list)
@@ -202,7 +201,7 @@ def _cover_on(points: PointSet, basis: list) -> Cover:
 def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
     """Populate the tower for a map, non-exceptional root, and depth."""
     tree = iterated_preimages(rmap, w, m)
-    return OperatorModel(map=rmap, root=tree.root, depth=m, tree=tree,
+    return OperatorModel(depth=m, tree=tree,
                          levels=[measure_from_tree(tree, k) for k in range(m + 1)])
 
 
@@ -551,12 +550,10 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         if branch:
             dists = sample.branch_distances.min(axis=0)
             center_idx = int(np.argmax(dists))
-            center = (INFINITY if sample.inf_mask[center_idx]
-                      else SpherePoint(complex(sample.points[center_idx])))
+            center = sample.atom(center_idx)
             radius = min(0.45 * float(dists[center_idx]), 0.5)
         else:
-            center = (INFINITY if sample.inf_mask[0]
-                      else SpherePoint(complex(sample.points[0])))
+            center = sample.atom(0)
             radius = 0.5
         vf = VanishingFunction.bump(rmap, center, radius, branch_points=branch)
         M, residual = verify_vanishing_reconstruction(model, basis, vf, k)

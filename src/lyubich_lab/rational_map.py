@@ -7,6 +7,7 @@ infinity as an ordinary point by switching to the reciprocal coordinate.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,19 @@ def evaluate_array(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray):
 # local structure
 
 
+def _taylor(c: np.ndarray, z0: complex) -> np.ndarray:
+    """The Taylor coefficients p^(k)(z0)/k! of the polynomial ``c`` at z0."""
+    out = np.empty(c.size, dtype=complex)
+    for k in range(c.size):
+        out[k] = roots.horner(c, z0) / math.factorial(k)
+        c = roots.derivative(c)
+    return out
+
+
 def branch_index(rmap: RationalMap, z) -> int:
     """Local degree of the map at a point (1 away from critical points).
 
-    Computed as the order of vanishing of the shifted coefficients of
+    Computed as the order of vanishing of the Taylor coefficients of
     P - R(z) Q at the point (or of Q at a pole), in the reciprocal chart
     when the point is at or near infinity.
     """
@@ -188,7 +198,7 @@ def branch_index(rmap: RationalMap, z) -> int:
     else:
         num, den, z0 = rmap._num_pad, rmap._den_pad, p.value
 
-    b = roots.taylor_shift(den, z0)
+    b = _taylor(den, z0)
     tol_b = _ORDER_TOL * np.max(np.abs(b))
     if abs(b[0]) <= tol_b:
         # Pole: local degree equals the order of the zero of the denominator.
@@ -197,7 +207,7 @@ def branch_index(rmap: RationalMap, z) -> int:
                 return k
         raise RootFindingFailure("denominator vanishes to full tested order")
 
-    a = roots.taylor_shift(num, z0)
+    a = _taylor(num, z0)
     w0 = a[0] / b[0]
     h = a - w0 * b
     tol_h = _ORDER_TOL * max(np.max(np.abs(h)), 1e-300)

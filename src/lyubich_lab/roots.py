@@ -20,9 +20,9 @@ iteration) take the eigenvalues of their companion matrices, in one
 stacked call.  The closed-form roots then take one Newton step, fused
 with the residual test that already evaluated p at them; the iteration's
 roots and the companion roots are for the three steps of
-:func:`polish_rows`.  The scalar functions
-:func:`aberth_roots` and :func:`polish_root` are one-row fronts of the
-same code.
+:func:`polish_rows`.  The scalar functions :func:`aberth_roots`,
+:func:`polish_root` and :func:`companion_roots` are one-row fronts of
+the same code.
 
 Rows with real coefficients (a float stack) take real closed forms in
 float64: the quadratic formula in the arithmetic that numpy's complex
@@ -80,31 +80,6 @@ def derivative(coeffs) -> np.ndarray:
     if c.shape[0] <= 1:
         return np.zeros((1,) + c.shape[1:], dtype=c.dtype)
     return c[1:] * np.arange(1, c.shape[0]).reshape((-1,) + (1,) * (c.ndim - 1))
-
-
-def taylor_shift(coeffs, z0: complex) -> np.ndarray:
-    """Coefficients of p(z0 + t) as a polynomial in t.
-
-    Repeated synthetic division by (z - z0); the k-th remainder is the
-    k-th Taylor coefficient.
-    """
-    work = list(np.asarray(coeffs, dtype=complex).ravel())
-    n = len(work)
-    out = np.zeros(n, dtype=complex)
-    z0 = complex(z0)
-    for i in range(n):
-        top = len(work) - 1
-        if top == 0:
-            out[i] = work[0]
-            break
-        quotient = [0j] * top
-        carry = work[top]
-        for j in range(top - 1, -1, -1):
-            quotient[j] = carry
-            carry = work[j] + z0 * carry
-        out[i] = carry
-        work = quotient
-    return out
 
 
 def horner(c: np.ndarray, z):
@@ -505,17 +480,12 @@ def polish_rows(h: np.ndarray, z: np.ndarray, multiplicity=1) -> np.ndarray:
 
 
 def companion_roots(coeffs) -> np.ndarray:
-    """Roots via the companion matrix (numpy's eigenvalue routine)."""
+    """:func:`companion_rows` on one polynomial; exact zero leading
+    coefficients are ignored."""
     c = trim(coeffs)
     if c.size <= 1:
         return np.zeros(0, dtype=complex)
-    try:
-        r = np.roots(c[::-1])
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingFailure("companion eigenvalue solve failed") from exc
-    if not np.all(np.isfinite(r)):
-        raise RootFindingFailure("companion roots are not finite")
-    return r
+    return companion_rows(c[None])[0]
 
 
 def aberth_roots(coeffs) -> np.ndarray:

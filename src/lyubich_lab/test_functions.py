@@ -1,9 +1,9 @@
 """Closed-form evaluable functions on the sphere.
 
 These play the role of the continuous / square-integrable functions fed to
-quadrature and to the operator model: bivariate polynomials in (z, conj z),
-named analytic forms wrapped as callables, and pointwise tables bound to a
-specific atom set.  Polynomials compose exactly under products and
+quadrature and to the operator model: bivariate polynomials in (z, conj z)
+and array closures, among them named analytic forms and pointwise tables
+bound to a specific atom set.  Polynomials compose exactly under products and
 conjugation, which keeps the operator identities free of interpolation
 error.  A :class:`PolynomialBatch` holds many polynomials over one term
 list, and a :class:`PowerTable` keeps the powers of a point array that
@@ -22,24 +22,19 @@ class TestFunction:
 
     Construct through the classmethods: :meth:`polynomial` for a
     coefficient table ``{(j, k): c}`` meaning ``sum c * z**j * conj(z)**k``,
-    :meth:`from_callable` for array closures, :meth:`from_table` for values
-    bound to a fixed atom set.  :meth:`evaluate` is the one evaluation
-    path; calling a function on a point evaluates it on a one-point array.
+    :meth:`from_callable` for array closures, and :meth:`from_table` for
+    the closure of values bound to a fixed atom set.  :meth:`evaluate` is
+    the one evaluation path; calling a function on a point evaluates it on
+    a one-point array.
     """
 
-    __slots__ = ("kind", "name", "_coeffs", "_fn", "_points", "_inf_mask", "_values",
-                 "_search")
+    __slots__ = ("kind", "name", "_coeffs", "_fn")
 
-    def __init__(self, kind, name, coeffs=None, fn=None,
-                 points=None, inf_mask=None, values=None):
+    def __init__(self, kind, name, coeffs=None, fn=None):
         self.kind = kind
         self.name = name
         self._coeffs = coeffs
         self._fn = fn
-        self._points = points
-        self._inf_mask = inf_mask
-        self._values = values
-        self._search = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -69,10 +64,39 @@ class TestFunction:
 
     @classmethod
     def from_table(cls, points, inf_mask, values, name: str = "table") -> "TestFunction":
-        points = np.asarray(points, dtype=complex)
-        inf_mask = np.asarray(inf_mask, dtype=bool)
+        """The closure of ``values`` at the atoms ``points``: it evaluates
+        only at those atoms, matched exactly, and raises IncompatibleTable
+        at any other point."""
+        atoms = np.asarray(points, dtype=complex)
+        atoms_inf = np.asarray(inf_mask, dtype=bool)
         values = np.asarray(values, dtype=complex)
-        return cls("table", name, points=points, inf_mask=inf_mask, values=values)
+        search = None
+
+        def lookup(points, inf_mask):
+            nonlocal search
+            # The first of equal atoms wins.  Infinite points are keyed
+            # inf + 0j, and a NaN sentinel, which sorts last, keeps every
+            # search in range.  The table's own atom array, the common case,
+            # needs no search; the sorted keys are kept from the first
+            # search on.
+            if (points.shape == atoms.shape and np.array_equal(inf_mask, atoms_inf)
+                    and np.array_equal(points, atoms)):
+                return values.copy()
+            if search is None:
+                keys = np.append(np.where(atoms_inf, np.inf, atoms), np.nan)
+                order = np.argsort(keys, kind="stable")
+                search = order, keys[order]
+            order, keys = search
+            query = np.where(inf_mask, np.inf, points).ravel()
+            slots = np.searchsorted(keys, query)
+            missing = np.flatnonzero(keys[slots] != query)
+            if missing.size:
+                z = complex(query[missing[0]])
+                z = "inf" if np.isinf(z) else repr(z)
+                raise IncompatibleTable(f"point {z} is not an atom of table {name}")
+            return values.ravel()[order[slots]].reshape(points.shape)
+
+        return cls.from_callable(lookup, name)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -84,35 +108,11 @@ class TestFunction:
     def evaluate(self, points, inf_mask=None) -> np.ndarray:
         """The values on a complex array with its infinity mask (no infinite
         points when omitted), or on a :class:`PowerTable`, whose powers a
-        polynomial reads.  A table evaluates only at its own atoms, matched
-        exactly, and raises IncompatibleTable at any other point."""
+        polynomial reads."""
         table = as_power_table(points, inf_mask)
-        points, inf_mask = table.points, table.inf_mask
         if self.kind == "poly":
             return PolynomialBatch.of(self).evaluate(table)[0]
-        if self.kind == "callable":
-            return np.asarray(self._fn(points, inf_mask), dtype=complex)
-        # table: each point must be one of the atoms, matched exactly; the
-        # first of equal atoms wins.  Infinite points are keyed inf + 0j,
-        # and a NaN sentinel, which sorts last, keeps every search in range.
-        # The table's own atom array, the common case, needs no search; the
-        # sorted keys are kept from the first search on.
-        if (points.shape == self._points.shape and np.array_equal(inf_mask, self._inf_mask)
-                and np.array_equal(points, self._points)):
-            return self._values.copy()
-        if self._search is None:
-            atoms = np.append(np.where(self._inf_mask, np.inf, self._points), np.nan)
-            order = np.argsort(atoms, kind="stable")
-            self._search = order, atoms[order]
-        order, keys = self._search
-        query = np.where(inf_mask, np.inf, points).ravel()
-        slots = np.searchsorted(keys, query)
-        missing = np.flatnonzero(keys[slots] != query)
-        if missing.size:
-            z = complex(query[missing[0]])
-            z = "inf" if np.isinf(z) else repr(z)
-            raise IncompatibleTable(f"point {z} is not an atom of table {self.name}")
-        return self._values.ravel()[order[slots]].reshape(points.shape)
+        return np.asarray(self._fn(table.points, table.inf_mask), dtype=complex)
 
     # ------------------------------------------------------------------
     # algebra
@@ -121,11 +121,8 @@ class TestFunction:
         if self.kind == "poly":
             flipped = {(k, j): c.conjugate() for (j, k), c in self._coeffs.items()}
             return TestFunction.polynomial(flipped, name=f"conj({self.name})")
-        if self.kind == "callable":
-            return TestFunction.from_callable(
-                lambda p, i: np.conj(self.evaluate(p, i)), f"conj({self.name})")
-        return TestFunction.from_table(
-            self._points, self._inf_mask, np.conj(self._values), f"conj({self.name})")
+        return TestFunction.from_callable(
+            lambda p, i: np.conj(self.evaluate(p, i)), f"conj({self.name})")
 
     def __mul__(self, other) -> "TestFunction":
         if np.isscalar(other) and not isinstance(other, TestFunction):
@@ -169,11 +166,8 @@ class TestFunction:
             return TestFunction.polynomial(
                 {jk: c * v for jk, v in self._coeffs.items()},
                 name=f"{c}*({self.name})")
-        if self.kind == "callable":
-            return TestFunction.from_callable(
-                lambda p, i: c * self.evaluate(p, i), f"{c}*({self.name})")
-        return TestFunction.from_table(
-            self._points, self._inf_mask, c * self._values, f"{c}*({self.name})")
+        return TestFunction.from_callable(
+            lambda p, i: c * self.evaluate(p, i), f"{c}*({self.name})")
 
     def compose_with(self, rational_map) -> "TestFunction":
         """The function z -> f(R(z)); composition is exact, no interpolation."""
@@ -353,12 +347,16 @@ def abs_distance(center: complex, name: str | None = None) -> TestFunction:
 ABS = abs_distance(0.0, "|z|")
 
 
+# Random polynomials damp the coefficient of z^j conj(z)^k by this to the
+# power -(j + k).
+_DECAY = 3.0
+
+
 def _term_keys(max_degree: int) -> list:
     return [(j, k) for j in range(max_degree + 1) for k in range(max_degree + 1 - j)]
 
 
-def random_trials(rng: np.random.Generator, count: int, degrees,
-                  decay: float = 3.0, name: str = "rand") -> tuple:
+def random_trials(rng: np.random.Generator, count: int, degrees) -> tuple:
     """``count`` trials of one random polynomial per entry of ``degrees``,
     as one batch per entry, drawn from the stream exactly as ``count``
     rounds of ``random_polynomial(rng, d)`` for d in ``degrees`` would draw
@@ -369,16 +367,16 @@ def random_trials(rng: np.random.Generator, count: int, degrees,
     batches = []
     for lo, hi, terms in zip(edges, edges[1:], keys):
         parts = normals[:, lo:hi].reshape(count, len(terms), 2)
-        scale = np.array([decay ** (-(j + k)) for j, k in terms])
+        scale = np.array([_DECAY ** (-(j + k)) for j, k in terms])
         coeffs = np.empty((count, len(terms)), dtype=complex)
         coeffs.real = parts[..., 0] * scale
         coeffs.imag = parts[..., 1] * scale
-        batches.append(PolynomialBatch(terms, coeffs, name))
+        batches.append(PolynomialBatch(terms, coeffs, "rand"))
     return tuple(batches)
 
 
-def random_polynomials(rng: np.random.Generator, count: int, max_degree: int = 2,
-                       decay: float = 3.0, name: str = "rand") -> PolynomialBatch:
+def random_polynomials(rng: np.random.Generator, count: int,
+                       max_degree: int = 2) -> PolynomialBatch:
     """``count`` random polynomials in (z, conj z) over one term list, with
     geometrically damped coefficients: the batch of ``count`` successive
     :func:`random_polynomial` calls, drawn with one call of
@@ -387,10 +385,9 @@ def random_polynomials(rng: np.random.Generator, count: int, max_degree: int = 2
     The damping keeps values O(1) on the disk |z| <= 2 so that residual
     tolerances in the operator checks are meaningful.
     """
-    return random_trials(rng, count, (max_degree,), decay, name)[0]
+    return random_trials(rng, count, (max_degree,))[0]
 
 
-def random_polynomial(rng: np.random.Generator, max_degree: int = 2,
-                      decay: float = 3.0, name: str = "rand") -> TestFunction:
+def random_polynomial(rng: np.random.Generator, max_degree: int = 2) -> TestFunction:
     """One random polynomial: the one-row case of :func:`random_polynomials`."""
-    return random_polynomials(rng, 1, max_degree, decay, name)[0]
+    return random_polynomials(rng, 1, max_degree)[0]

@@ -276,8 +276,7 @@ def test_vanishing_no_tail_raises(cheb_model, cheb_basis, cheb):
     sample = julia_sample(cheb, 384, seed=0)
     # a support blanket over the whole interval meets every element
     wide = VanishingFunction(fn=tf.ONE, support_center=SpherePoint(0j),
-                             support_radius=10.0, branch_points=(),
-                             distances=())
+                             support_radius=10.0)
     with pytest.raises(NoVanishingTail):
         verify_vanishing_reconstruction(cheb_model, cheb_basis, wide, 8)
 

@@ -104,6 +104,25 @@ def test_branch_index_examples(quad, cheb):
     assert branch_index(invsq, 0) == 2
 
 
+def test_branch_index_reads_the_order_in_either_chart(quad):
+    z5 = RationalMap([0, 0, 0, 0, 0, 1], [1])
+    assert branch_index(z5, 0) == 5
+    assert branch_index(z5, INFINITY) == 5
+    assert branch_index(RationalMap([1], [0, 0, 0, 1]), 0) == 3
+    # Beyond CHART_LIMIT the index is read in the reciprocal chart at
+    # s = 1e-9.  Infinity is a regular point of (z^2 + z)/(z^2 + 1); quad's
+    # is critical, and 1e9, 2e-9 chordal from it, is read as that point
+    # at the order tolerance, as 1e-9 is read as 0.
+    assert branch_index(RationalMap([0, 1, 1], [1, 0, 1]), 1e9) == 1
+    assert branch_index(quad, 1e9) == branch_index(quad, 1e-9) == 2
+    assert branch_index(quad, 1e5) == 1
+    lattes = RationalMap([1, 0, 2, 0, 1], [0, -4, 0, 4])
+    data = critical_points(lattes)
+    assert [d.index for d in data] == [2] * 6
+    for d in data:
+        assert branch_index(lattes, d.point) == d.index
+
+
 def test_branch_index_matches_critical_set(quad, cheb):
     rng = np.random.default_rng(5)
     for rmap in (quad, cheb, _random_map(rng, 3)):

@@ -8,8 +8,8 @@ from lyubich_lab.errors import RootFindingFailure
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import iterated_preimages
 from lyubich_lab.rational_map import RationalMap, critical_points
-from lyubich_lab.roots import (aberth_roots, companion_roots, derivative, horner,
-                               polish_root, taylor_shift, trim)
+from lyubich_lab.roots import (aberth_roots, companion_roots, companion_rows, derivative,
+                               horner, polish_root, trim)
 from lyubich_lab.sphere import INFINITY
 
 
@@ -39,21 +39,6 @@ def test_derivative():
     assert derivative([7]).tolist() == [0]
     stack = np.array([[5, 1], [3, 1], [2, 1], [1, 1]])
     np.testing.assert_array_equal(derivative(stack), [[3, 1], [4, 2], [3, 3]])
-
-
-def test_taylor_shift_quadratic():
-    np.testing.assert_allclose(taylor_shift([0, 0, 1], 1.0), [1, 2, 1])
-    np.testing.assert_allclose(taylor_shift([-2, 0, 1], 3.0), [7, 6, 1])
-    np.testing.assert_allclose(taylor_shift([5], 2.0), [5])
-
-
-def test_taylor_shift_matches_eval():
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=7) + 1j * rng.normal(size=7)
-    z0 = 0.7 - 0.4j
-    shifted = taylor_shift(c, z0)
-    for t in (0.1, -0.3 + 0.2j, 1.5j):
-        assert horner(shifted, t) == pytest.approx(horner(c, z0 + t), rel=1e-12)
 
 
 def test_aberth_simple_cubic():
@@ -95,6 +80,16 @@ def test_companion_matches_aberth():
     # pair by nearest match; lexicographic sorting is unstable at ulp level
     for root in a:
         assert np.min(np.abs(b - root)) < 1e-8
+
+
+def test_companion_roots_is_the_one_row_companion_solve():
+    zero_constant = [0, 2, -1j, 1, 0]
+    quartic = np.random.default_rng(31).standard_normal((5, 2)) @ [1, 1j]
+    for c in (zero_constant, quartic):
+        expected = companion_rows(trim(c)[None])[0]
+        np.testing.assert_array_equal(companion_roots(c), expected)
+    with pytest.raises(RootFindingFailure):
+        companion_roots([1, np.nan, 1])
 
 
 def test_polish_recovers_simple_root():
