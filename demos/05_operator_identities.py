@@ -29,8 +29,9 @@ print()
 print("== frame curve: partial sums climb to the identity ==")
 sample = julia_sample(quad, 384, seed=0)
 basis = default_basis(quad, sample, count=32)
+_, tops = verify_frame_bound(model, basis, 8)
 for n in (1, 4, 8, 16, 24, 32):
-    _, top = verify_frame_bound(model, basis, n, 8)
+    top = tops[n - 1]
     bar = "#" * int(round(40 * top))
     print(f"  N={n:2d}  max eigenvalue {top:.6f}  |{bar}")
 

@@ -23,9 +23,11 @@ only siblings, and C* M C is diagonal.  The model reaches sibling groups
 one way: each level-k atom has a slot among the children of its parent,
 and a level vector is put into (parents, width) blocks by that slot.  The
 adjoint sums each parent's slots; the partial frame sum is one block of
-at most degree x degree per parent, which the frame bound, the vanishing
-tail and the key lemma's first path all read.  The dense level matrices
-below are only the reference that tests compare against.
+at most degree x degree per parent, built as one running sum over the
+basis, which the frame bound, the vanishing tail and the key lemma's
+first path all read.  The frame bound reads every prefix of the basis in
+one pass, and blocks of two take their spectra in closed form.  The dense
+level matrices below are only the reference that tests compare against.
 
 The model's levels are the tree's own levels, with no copies.  The checks
 read the fibers, sibling fibers, power tables and cover tables that each
@@ -36,6 +38,7 @@ there, never over whole (elements, points) arrays.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -128,12 +131,11 @@ class OperatorModel:
         out[..., self.levels[k].parent, slot] = v
         return out
 
-    def frame_vectors(self, basis: list, k: int):
+    def frame_vectors(self, basis: list, k: int) -> np.ndarray:
         """The basis on level k regrouped by sibling block after the
-        sqrt(weight) similarity, computed once per partition.  Returns ``V``
+        sqrt(weight) similarity, computed once per partition: ``V``
         (parents, width, elements) with ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)``
-        for the child x in slot s of parent p and zero padding, each atom's
-        slot among its siblings, and each parent's child count."""
+        for the child x in slot s of parent p, and zero padding."""
         key = (k, basis[0].partition if basis else None)
         if key not in self._memo:
             lvl = self.levels[k]
@@ -146,7 +148,7 @@ class OperatorModel:
                 hit = u != 0.0
                 V[lvl.parent[hit], slot[hit], members[hit]] = u[hit] * scale[hit]
             V.setflags(write=False)
-            self._memo[key] = V, slot, counts
+            self._memo[key] = V
         return self._memo[key]
 
     def inner(self, k: int, fv: np.ndarray, gv: np.ndarray | None = None):
@@ -308,17 +310,30 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     return total
 
 
-def _frame_blocks(model: OperatorModel, basis: list, N: int, k: int):
-    """The partial frame sum on level k after the sqrt(weight) similarity,
-    as a (parents, width, width) stack of real symmetric sibling blocks.
+def _frame_sums(model: OperatorModel, basis: list, k: int):
+    """The partial frame sums on level k after the sqrt(weight) similarity,
+    B_N for N = 0, 1, ..., len(basis), as (parents, width, width) stacks of
+    real symmetric sibling blocks.
 
-    Block p sums v v^T over the first N elements of
-    :meth:`OperatorModel.frame_vectors`.  Also returns each atom's slot
-    among its siblings and each parent's child count.
+    One running sum B_N = B_(N-1) + v_N v_N^T over the elements of
+    :meth:`OperatorModel.frame_vectors` yields them in turn, each as the
+    same read-only view of the one array that the next step adds to.
     """
-    V, slot, counts = model.frame_vectors(basis, k)
-    V = V[..., :min(N, len(basis))]
-    return V @ V.transpose(0, 2, 1), slot, counts
+    V = model.frame_vectors(basis, k)
+    total = np.zeros(V.shape[:2] + V.shape[1:2])
+    view = total.view()
+    view.setflags(write=False)
+    yield view
+    for i in range(V.shape[2]):
+        v = V[..., i]
+        total += v[:, :, None] * v[:, None, :]
+        yield view
+
+
+def _frame_sum(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarray:
+    """The partial frame sum B_N of :func:`_frame_sums`, N capped at the
+    basis size."""
+    return next(islice(_frame_sums(model, basis, k), min(N, len(basis)), None))
 
 
 def _apply_frame_sum(model: OperatorModel, basis: list, N: int, k: int,
@@ -326,30 +341,58 @@ def _apply_frame_sum(model: OperatorModel, basis: list, N: int, k: int,
     """The partial frame sum on level k applied to ``av``: its sibling
     blocks act on sqrt(weight) * av, and the similarity is undone."""
     lvl = model.levels[k]
-    blocks, slot, _ = _frame_blocks(model, basis, N, k)
+    slot, _ = model.siblings(k)
     root_w = np.sqrt(lvl.weights)
-    product = blocks @ model._blocks(k, root_w * av)[..., None]
+    product = _frame_sum(model, basis, N, k) @ model._blocks(k, root_w * av)[..., None]
     return product[lvl.parent, slot, 0] / root_w
 
 
-def verify_frame_bound(model: OperatorModel, basis: list, N: int, k: int):
-    """Smallest and largest eigenvalue of the partial frame sum on level k.
+def _block_extremes(blocks: np.ndarray, counts: np.ndarray):
+    """Smallest and largest eigenvalue of each real symmetric sibling
+    block, without writing to ``blocks``.
+
+    A padded slot gets the block's first diagonal entry as its eigenvalue,
+    which lies between the block's extreme eigenvalues and so moves
+    neither.  Blocks of width 2 take the closed form
+    (a + c)/2 -+ hypot((a - c)/2, b), with c := a on one-child parents;
+    wider blocks go to the eigensolver on a padded copy.
+    """
+    width = blocks.shape[1]
+    a = blocks[:, 0, 0]
+    if width == 1:
+        return a, a
+    if width == 2:
+        c = np.where(counts == 1, a, blocks[:, 1, 1])
+        mid = (a + c) / 2
+        radius = np.hypot((a - c) / 2, blocks[:, 0, 1])
+        return mid - radius, mid + radius
+    padded = blocks.copy()
+    parent, pad = np.nonzero(np.arange(width) >= counts[:, None])
+    padded[parent, pad, pad] = padded[parent, 0, 0]
+    try:
+        eigs = np.linalg.eigvalsh(padded)
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure("sibling-block eigensolve failed") from exc
+    return eigs[:, 0], eigs[:, -1]
+
+
+def verify_frame_bound(model: OperatorModel, basis: list, k: int):
+    """Smallest and largest eigenvalue of every partial frame sum on level
+    k, as two arrays whose entry N - 1 belongs to the sum of the first N
+    elements, N = 1..len(basis), read in one pass of the running sum.
 
     The sum of element-conjugated projections is positive and bounded by
     the identity; eigenvalues are monotone non-decreasing in N.
     """
-    if min(N, len(basis)) == 0:
-        return 0.0, 0.0
-    blocks, _, counts = _frame_blocks(model, basis, N, k)
-    # A padded slot gets the block's first diagonal entry as its eigenvalue,
-    # which lies between the block's extreme eigenvalues and so moves neither.
-    parent, pad = np.nonzero(np.arange(blocks.shape[1]) >= counts[:, None])
-    blocks[parent, pad, pad] = blocks[parent, 0, 0]
-    try:
-        eigs = np.linalg.eigvalsh(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure("sibling-block eigensolve failed") from exc
-    return float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    _, counts = model.siblings(k)
+    lows = np.empty(len(basis))
+    highs = np.empty(len(basis))
+    sums = _frame_sums(model, basis, k)
+    next(sums)  # B_0, the empty sum
+    for n, blocks in enumerate(sums):
+        low, high = _block_extremes(blocks, counts)
+        lows[n], highs[n] = low.min(), high.max()
+    return lows, highs
 
 
 def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
@@ -367,7 +410,7 @@ def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
     for i, m in enumerate(meets):
         if m:
             M = i + 1
-    blocks, _, _ = _frame_blocks(model, basis, M, k)
+    blocks = _frame_sum(model, basis, M, k)
     # diag(a) (frame - I) splits into the same sibling blocks; padded rows
     # carry a = 0 and padded columns of (frame - I) are zero off the diagonal.
     a_blocks = model._blocks(k, model.values(a.fn, k))
@@ -529,19 +572,11 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
                                N=len(basis)))
 
     if want("frame_bound"):
-        worst_high = 0.0
-        worst_low = 0.0
-        monotone = True
-        previous = 0.0
-        for N in range(1, len(basis) + 1):
-            low, high = verify_frame_bound(model, basis, N, k)
-            worst_high = max(worst_high, high - 1.0)
-            worst_low = max(worst_low, -low)
-            if high < previous - 1e-10:
-                monotone = False
-            previous = high
-        residual = max(worst_high, 0.0)
-        ok = monotone and worst_low <= 1e-10
+        lows, highs = verify_frame_bound(model, basis, k)
+        previous = np.concatenate(([0.0], highs[:-1]))
+        monotone = not np.any(highs < previous - 1e-10)
+        residual = float(np.max(highs - 1.0, initial=0.0))
+        ok = monotone and bool(np.all(-lows <= 1e-10))
         records.append(_record("frame_bound", rmap, w, m, k, residual,
                                N=len(basis), extra_pass=ok))
 

@@ -179,11 +179,7 @@ def test_criterion_7_frame_bound():
     basis = default_basis(quad_map, sample, count=32)
     assert len(basis) == 32
     model = build_model(quad_map, default_root(quad_map), 8)
-    lows, highs = [], []
-    for n in range(1, len(basis) + 1):
-        low, high = verify_frame_bound(model, basis, n, 8)
-        lows.append(low)
-        highs.append(high)
+    lows, highs = verify_frame_bound(model, basis, 8)
     monotone = all(b >= a - 1e-10 for a, b in zip(highs, highs[1:]))
     ok = (min(lows) >= -1e-10 and max(highs) <= 1 + 1e-8 and monotone)
     _report("criterion-7 frame-bound", ok,

@@ -245,6 +245,25 @@ def test_power_memo_hits_equal_cold_solves(rmap, w, a, powers):
     assert warm == cold
 
 
+def test_functions_at_one_kept_orbit_share_its_powers(solves):
+    basilica, w = builtin_map("basilica"), 0.25 + 0.4j
+    rng = np.random.default_rng(49)
+    f, g = tf.random_polynomial(rng, 2), tf.random_polynomial(rng, 2)
+    first = transfer_power(basilica, f, 6, w)
+    # f was evaluated on the deepest table's own power table ...
+    deepest = transfer_operator._orbit[0][1][-1]
+    table = vars(deepest)["powers"]
+    z = table.power(1)
+    second = transfer_power(basilica, g, 6, w)
+    # ... and g on the same one, at the same kept orbit.
+    assert len(solves) == 6
+    assert transfer_operator._orbit[0][1][-1] is deepest
+    assert vars(deepest)["powers"] is table and table.power(1) is z
+    warm = np.array([first, second])
+    cold = np.array([_cold_power(basilica, a, 6, w) for a in (f, g)])
+    assert np.array_equal(warm.view(np.int64), cold.view(np.int64))
+
+
 def test_inner_product_identity_element(quad_map):
     ip = inner_product(quad_map, tf.ONE, tf.ONE)
     for w in (0.2, 1 + 1j, -0.7j):

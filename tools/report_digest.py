@@ -18,9 +18,10 @@ take the Aberth iteration and the polish), two trees none of whose rows
 is real (a real map rooted off the real line, and a map with a non-real
 coefficient), the measure CSV of a tree
 with double atoms, a Julia sample, basis exports of basilica and of
-chebyshev (whose Julia set meets a critical point), six verification
-reports, two of them on chebyshev (one with padded sibling blocks) and
-one with trials checked in chunks of several rows, and the key lemma
+chebyshev (whose Julia set meets a critical point), seven verification
+reports, two of them on chebyshev (one with padded sibling blocks), one
+with trials checked in chunks of several rows and one on z^3 (whose
+sibling blocks of three take the eigensolver), and the key lemma
 alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
 level whose points lie in up to three supports.
 """
@@ -75,6 +76,8 @@ COMMANDS = [
     ["verify", "all", "--map", "chebyshev", "--w", "2,0", "--depth", "8", "--seed", "4"],
     # Reconstruction sums over covers wider than two elements.
     ["verify", "key_lemma", "--map", "chebyshev", "--depth", "12", "--seed", "4"],
+    # z^3: sibling blocks of width 3, whose spectra take the eigensolver.
+    ["verify", "all", "--num=0,0;0,0;0,0;1,0", "--den=1,0", "--depth", "5", "--seed", "1"],
 ]
 
 
