@@ -355,13 +355,12 @@ def _block_extremes(blocks: np.ndarray, counts: np.ndarray):
     which lies between the block's extreme eigenvalues and so moves
     neither.  Blocks of width 2 take the closed form
     (a + c)/2 -+ hypot((a - c)/2, b), with c := a on one-child parents;
-    wider blocks go to the eigensolver on a padded copy.
+    other widths go to the eigensolver on a padded copy.  A block with a
+    non-finite entry gets NaN extremes at every width.
     """
     width = blocks.shape[1]
-    a = blocks[:, 0, 0]
-    if width == 1:
-        return a, a
     if width == 2:
+        a = blocks[:, 0, 0]
         c = np.where(counts == 1, a, blocks[:, 1, 1])
         mid = (a + c) / 2
         radius = np.hypot((a - c) / 2, blocks[:, 0, 1])
@@ -373,6 +372,8 @@ def _block_extremes(blocks: np.ndarray, counts: np.ndarray):
         eigs = np.linalg.eigvalsh(padded)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure("sibling-block eigensolve failed") from exc
+    # LAPACK can read a NaN on the diagonal as a finite spectrum.
+    eigs[~np.isfinite(padded).all(axis=(1, 2))] = np.nan
     return eigs[:, 0], eigs[:, -1]
 
 

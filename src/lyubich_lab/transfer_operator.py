@@ -70,14 +70,13 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
     """m-fold application at a point, level by level over the backward orbit.
 
     Solves the fibers over each level of the orbit of w in one
-    ``gather_fibers`` table, evaluates a once on the deepest table's power
-    table, and averages the values back up the tables.  The orbit is the
-    one the tree builders enumerate, with the same engine, but summed in
-    fiber order rather than read from a tree.  The tables of the last orbit are
+    ``gather_fibers`` table, evaluates a once on the deepest level, and
+    averages the values back up the tables.  The orbit is the one the
+    tree builders enumerate, with the same engine, but summed in fiber
+    order rather than read from a tree.  The tables of the last orbit are
     kept: a later call at the same point on the same map reuses the levels
     it needs and solves only the missing deeper ones, from the deepest
-    kept table, and functions evaluated on a kept level share its powers,
-    so every value equals a cold solve's bit for bit;
+    kept table, so every value equals a cold solve's bit for bit;
     ``clear_fiber_cache()`` releases the kept tables.  Raises
     BudgetExceeded, before any solve, when degree**m exceeds the tree
     builders' atom budget.
@@ -105,7 +104,7 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
             points, inf_mask = fib.points, fib.inf_mask
         _orbit[0] = (key, tables)
     tables = tables[:m]
-    values = a.evaluate(tables[-1].powers)
+    values = a.evaluate(tables[-1].points, tables[-1].inf_mask)
     for fib in reversed(tables):
         values = fib.average(values)
     return complex(values[0])

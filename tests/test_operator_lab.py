@@ -554,6 +554,17 @@ def test_closed_form_reads_a_one_child_block_as_its_first_entry():
     assert low[1] < 0.375 < 0.5 < high[1]
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_non_finite_block_has_nan_extremes(width):
+    # LAPACK reads 0.5 I_3 with a NaN first entry as the finite spectrum
+    # {0, -0, 0.5}; every width must read it as NaN, so the record fails.
+    blocks = np.stack([0.5 * np.eye(width)] * 2)
+    blocks[0, 0, 0] = np.nan
+    low, high = operator_lab._block_extremes(blocks, np.full(2, width))
+    assert np.isnan(low[0]) and np.isnan(high[0])
+    assert (low[1], high[1]) == (0.5, 0.5)
+
+
 def test_running_frame_sum_matches_the_products(oracle_case):
     _, model, basis, k = oracle_case
     V = model.frame_vectors(basis, k)
