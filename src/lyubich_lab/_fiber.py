@@ -36,7 +36,7 @@ import numpy as np
 
 from . import roots
 from .errors import RootFindingFailure
-from .sphere import SpherePoint, atom_order, chordal, sphere_points
+from .sphere import SpherePoint, atom_order, chordal_pairs, sphere_points
 
 # Chordal radius under which numerically distinct points are one point in
 # the critical-, fixed- and exceptional-point search: double roots perturb
@@ -66,38 +66,19 @@ def cluster_points(points, mults):
     -------
     list of (SpherePoint, int), unsorted.
     """
-    pts = [complex(p) for p in points]
-    ms = [int(m) for m in mults]
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(len(order)):
-        i = order[a]
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            # Sorted by real part: once the real gap alone exceeds the
-            # radius no later point can be within it.
-            if (pts[j].real - pts[i].real) > CLUSTER_RADIUS:
-                break
-            if chordal(SpherePoint(pts[i]), SpherePoint(pts[j])) <= CLUSTER_RADIUS:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    groups = {}
-    for i in range(len(pts)):
-        groups.setdefault(find(i), []).append(i)
+    pts = np.asarray(points, dtype=complex)
+    ms = np.asarray(mults, dtype=int)
+    close = chordal_pairs(pts[:, None], False, pts, False) <= CLUSTER_RADIUS
+    # Each point takes the least index it is chained to by close pairs.
+    label = np.arange(pts.size)
+    for _ in range(pts.size):
+        label = np.where(close, label, pts.size).min(axis=1)
 
     out = []
-    for members in groups.values():
-        total = sum(ms[i] for i in members)
-        center = sum(pts[i] * ms[i] for i in members) / total
+    for root in np.flatnonzero(label == np.arange(pts.size)):
+        members = label == root
+        total = int(ms[members].sum())
+        center = sum(z * m for z, m in zip(pts[members].tolist(), ms[members].tolist())) / total
         out.append((SpherePoint(center), total))
     return out
 

@@ -158,12 +158,15 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
         raise DegenerateSample("need at least two sample points")
     dist_crit = sample.critical_distances.min(axis=0, initial=np.inf)
 
+    # Every pair (a, b), a < b, of atoms within one fiber of the sample.
     fib = sample.sibling_fibers
-    atoms = sphere_points(fib.points, fib.inf_mask)
-    min_gap = np.array([
-        min((chordal(atoms[a], atoms[b]) for a in range(lo, hi) for b in range(a + 1, hi)),
-            default=np.inf)
-        for lo, hi in zip(fib.offsets[:-1], fib.offsets[1:])])
+    size = np.diff(fib.offsets)
+    i, j = np.triu_indices(size.max(initial=0), 1)
+    fiber, pair = np.nonzero(j < size[:, None])
+    a, b = fib.offsets[fiber] + i[pair], fib.offsets[fiber] + j[pair]
+    min_gap = np.full(size.size, np.inf)
+    np.minimum.at(min_gap, fiber, chordal_pairs(fib.points[a], fib.inf_mask[a],
+                                                fib.points[b], fib.inf_mask[b]))
 
     def ok(r: float) -> bool:
         included = dist_crit > 2 * r
@@ -359,22 +362,13 @@ def branch_points_on_julia(rmap: RationalMap, sample: JuliaSample) -> list:
 def _median_spacing(sample: JuliaSample) -> float:
     """The median over the sample of the chordal distance from a point to
     its nearest other point, taken row block by row block of the distance
-    matrix, each entry rounded as ``chordal_array`` rounds it."""
+    matrix."""
     pts, infs = sample.points, sample.inf_mask
-    norm = np.hypot(1.0, np.abs(pts))
-    # chordal_array takes a finite query point's hypot(1, |q|) in scalars,
-    # with abs(q), which rounds as np.hypot(re, im) does.
-    q_norm = np.array([math.hypot(1.0, a) for a in np.hypot(pts.real, pts.imag).tolist()])
     nearest = np.empty(sample.size)
     block = max(1, _SPACING_BLOCK // max(sample.size, 1))
     for start in range(0, sample.size, block):
         at = slice(start, start + block)
-        qn = q_norm[at, None]
-        with np.errstate(all="ignore"):
-            d = 2.0 * np.abs(pts - pts[at, None]) / (norm * qn)
-        if infs.any():
-            d = np.where(infs, 2.0 / qn, d)
-            d = np.where(infs[at, None], np.where(infs, 0.0, 2.0 / norm), d)
+        d = chordal_pairs(pts, infs, pts[at, None], infs[at, None])
         rows = np.arange(d.shape[0])
         d[rows, start + rows] = np.inf
         nearest[at] = d.min(axis=1)
@@ -489,8 +483,7 @@ class VanishingFunction:
                     f"support of the bump meets the branch point {bp!r}")
 
         def profile(points, inf_mask):
-            d = chordal_pairs(points, inf_mask, np.full(points.shape, c.value),
-                              np.full(points.shape, c.infinite))
+            d = chordal_pairs(points, inf_mask, c.value, c.infinite)
             t = d / radius
             return np.clip(1.0 - t * t, 0.0, None) ** 2
 

@@ -184,7 +184,11 @@ def _taylor(c: np.ndarray, z0: complex) -> np.ndarray:
 
 
 def branch_index(rmap: RationalMap, z) -> int:
-    """Local degree of the map at a point (1 away from critical points).
+    """Local degree of the map at a point: e(c) at a critical point c, and
+    1 away from them.  The resolution is the lab's: a point within
+    ``_fiber.CLUSTER_RADIUS`` = 1e-6 chordal of c, where the lab treats
+    points as one, may read e(c) (points 2e-9 from 0 or infinity of z^2
+    do), while the test maps read 1 from 1e-5 out.
 
     Computed as the order of vanishing of the Taylor coefficients of
     P - R(z) Q at the point (or of Q at a pole), in the reciprocal chart

@@ -2,8 +2,15 @@
 
 Finite points are ordinary complex numbers; the point at infinity is a
 tagged alternative.  All geometric comparisons in the package use the
-chordal metric, which treats infinity like any other point and never
-overflows for large moduli.
+chordal metric, and :func:`chordal_pairs` is its one rule:
+
+    d(z, w) = 2|z - w| / (sqrt(1 + |z|^2) sqrt(1 + |w|^2)),
+    d(z, inf) = 2 / sqrt(1 + |z|^2),
+
+taken as written, which keeps nearby points at any modulus to a few ulps.
+Where the product of the two norms nears overflow (moduli beyond about
+1e153) it halves the points before the difference and divides by each
+norm in turn, so the answer stays finite and no warning is raised.
 """
 
 import itertools
@@ -12,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Moduli beyond this are metrically indistinguishable from infinity in
-# double precision (chordal distance to infinity below ~1e-153).
-_HUGE = 1e153
+# Below this product of the two norms sqrt(1 + |z|^2) sqrt(1 + |w|^2),
+# neither it nor 2|z - w| overflows; above it, at moduli beyond about
+# 1e153, the chordal formula divides by each norm in turn.
+_OVERFLOW = np.finfo(float).max / 4
 
 # Rows of a CSV export formatted per write, so that the writer never holds
 # the strings of the whole file.
@@ -124,75 +132,42 @@ def _order_of_two(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return order
 
 
-def _chordal_finite(z: complex, w: complex) -> float:
-    az, aw = abs(z), abs(w)
-    if az > _HUGE and aw > _HUGE:
-        # Both effectively at infinity; invert (the metric is invariant
-        # under z -> 1/z) to keep the arithmetic finite.
-        z, w = 1.0 / z, 1.0 / w
-        az, aw = abs(z), abs(w)
-    elif az > _HUGE:
-        return 2.0 / math.hypot(1.0, aw)
-    elif aw > _HUGE:
-        return 2.0 / math.hypot(1.0, az)
-    if az > 1.0 and aw > 1.0:
-        z, w = 1.0 / z, 1.0 / w
-        az, aw = abs(z), abs(w)
-    return 2.0 * abs(z - w) / (math.hypot(1.0, az) * math.hypot(1.0, aw))
+def _norm(x):
+    """sqrt(1 + |x|^2); a single point's in scalars, which can round
+    differently in the last bit from numpy's abs and hypot of an array."""
+    if np.ndim(x) == 0:
+        return np.float64(math.hypot(1.0, abs(x)))
+    return np.hypot(1.0, np.abs(x))
 
 
 def chordal(p, q) -> float:
     """Chordal distance between two points of the sphere (range [0, 2])."""
-    p = as_point(p)
-    q = as_point(q)
-    if p.infinite and q.infinite:
-        return 0.0
-    if p.infinite:
-        return 2.0 / math.hypot(1.0, abs(q.value))
-    if q.infinite:
-        return 2.0 / math.hypot(1.0, abs(p.value))
-    return _chordal_finite(p.value, q.value)
+    p, q = as_point(p), as_point(q)
+    return float(chordal_pairs(p.value, p.infinite, q.value, q.infinite))
 
 
 def chordal_array(points: np.ndarray, inf_mask: np.ndarray, q) -> np.ndarray:
-    """Chordal distances from each entry of a point array to a single point.
-
-    `points` is a complex array with companion boolean `inf_mask`; entries
-    flagged infinite have their complex value ignored.
-    """
+    """Chordal distances from each entry of a point array to a single point."""
     q = as_point(q)
-    points = np.asarray(points, dtype=complex)
-    inf_mask = np.asarray(inf_mask, dtype=bool)
-    norm = np.hypot(1.0, np.abs(points))
-    if q.infinite:
-        out = 2.0 / norm
-    else:
-        qn = math.hypot(1.0, abs(q.value))
-        out = 2.0 * np.abs(points - q.value) / (norm * qn)
-        out[inf_mask] = 2.0 / qn
-        return out
-    out = np.asarray(out)
-    out[inf_mask] = 0.0
-    return out
+    return chordal_pairs(np.asarray(points, dtype=complex), inf_mask, q.value, q.infinite)
 
 
-def chordal_pairs(z: np.ndarray, z_inf: np.ndarray,
-                  w: np.ndarray, w_inf: np.ndarray) -> np.ndarray:
-    """Chordal distances between matching entries of two point arrays.
+def chordal_pairs(z, z_inf, w, w_inf):
+    """Chordal distances between the points ``z`` and ``w``, broadcast
+    against each other: 2|z - w| / (sqrt(1 + |z|^2) sqrt(1 + |w|^2)).
 
-    Pairs outside the unit disc are compared through z -> 1/z, as
-    :func:`chordal` does, so nearby large points keep their precision.
+    Each point is a complex value with an infinity flag; a flagged entry
+    is infinity, whatever its value.
     """
-    # hypot of the parts rounds as the scalar abs(complex) does; np.abs
-    # of a complex array differs from it in the last bit.
-    def mod(x):
-        return np.hypot(x.real, x.imag)
-
-    flip = (z_inf | (mod(z) > 1.0)) & (w_inf | (mod(w) > 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(flip, np.where(z_inf, 0j, 1.0 / z), z)
-        w = np.where(flip, np.where(w_inf, 0j, 1.0 / w), w)
-    hz, hw = np.hypot(1.0, mod(z)), np.hypot(1.0, mod(w))
-    out = 2.0 * mod(z - w) / (hz * hw)
-    out = np.where(z_inf & ~flip, 2.0 / hw, out)
-    return np.where(w_inf & ~flip, 2.0 / hz, out)
+    nz, nw = _norm(z), _norm(w)
+    if nz.max(initial=1.0) <= _OVERFLOW / nw.max(initial=1.0):
+        out = 2.0 * np.abs(z - w)
+        out /= nz * nw
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = nz * nw
+            out = np.where(norms > _OVERFLOW, 4.0 * (np.abs(0.5 * z - 0.5 * w) / nz / nw),
+                           2.0 * np.abs(z - w) / norms)
+    if np.logical_or(z_inf, w_inf).any():
+        out = np.where(z_inf, np.where(w_inf, 0.0, 2.0 / nw), np.where(w_inf, 2.0 / nz, out))
+    return out

@@ -201,6 +201,34 @@ def test_power_map_levels_are_the_roots_of_unity(degree, m):
     assert chordal_pairs(level.points, no_inf, exact, no_inf).max() <= 4e-15
 
 
+def test_cayley_conjugate_tree_is_the_image_of_the_quadratic_tree():
+    """Metamorphic check: R'(u) = (u^2 + 1) / (2u) is M o z^2 o M^-1 for
+    the Cayley map M(z) = (z + 1) / (z - 1), so the depth-10 tree of R'
+    rooted at M(e^i) is M of the tree of z^2 rooted at e^i.  M sends the
+    unit circle to the imaginary axis, and the points of the z^2 levels
+    near 1 to |u| up to 2048, where R' is solved far outside the unit
+    disc.  Each image atom must have one nearest R' atom of its own,
+    with the same running product.  The bound allows a few ulps of the
+    chordal scale: M and the two solvers each round in the last bits."""
+    cayley = RationalMap([1, 0, 1], [0, 2], name="cayley z^2")
+    root = np.exp(1j)
+
+    def m(z):
+        return (z + 1) / (z - 1)
+
+    image = iterated_preimages(builtin_map("quad"), root, 10)
+    conj = iterated_preimages(cayley, m(root), 10)
+    worst = 0.0
+    for a, b in zip(image.levels, conj.levels):
+        d = chordal_pairs(m(a.points)[:, None], a.inf_mask[:, None], b.points, b.inf_mask)
+        near = d.argmin(axis=1)
+        assert np.sort(near).tolist() == list(range(b.size))
+        assert b.cum[near].tolist() == a.cum.tolist()
+        worst = max(worst, d[np.arange(a.size), near].max())
+    assert np.abs(conj.level(10).points).max() > 1e3
+    assert worst <= 1e-15
+
+
 # ----------------------------------------------------------------------
 # sampled trees
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lyubich_lab import _fiber
 from lyubich_lab.errors import InvalidMapError
 from lyubich_lab.rational_map import (RationalMap, branch_index, builtin_map,
                                       critical_points, evaluate, evaluate_array,
@@ -121,6 +122,27 @@ def test_branch_index_reads_the_order_in_either_chart(quad):
     assert [d.index for d in data] == [2] * 6
     for d in data:
         assert branch_index(lattes, d.point) == d.index
+
+
+@pytest.mark.parametrize("rmap", [
+    builtin_map("quad"), builtin_map("basilica"), builtin_map("chebyshev"),
+    RationalMap([0, -3, 0, 1], [1], name="z^3-3z"),
+    RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")], ids=lambda r: r.name)
+def test_branch_index_resolves_critical_points_at_the_cluster_radius(rmap):
+    """e(c) at each critical point c, and 1 at points 1e-5 and 1e-4
+    chordal from it in eight directions: the index tells critical points
+    apart down to about ten times ``CLUSTER_RADIUS`` = 1e-6, inside which
+    the lab treats points as one."""
+    for d in critical_points(rmap):
+        assert branch_index(rmap, d.point) == d.index
+        for delta in (1e-5, 1e-4):
+            for u in np.exp(2j * np.pi * np.arange(8) / 8):
+                if d.point.infinite:
+                    z = 2 / delta * u
+                else:
+                    z = d.point.value + delta * (1 + abs(d.point.value) ** 2) / 2 * u
+                assert chordal(z, d.point) == pytest.approx(delta, rel=1e-3)
+                assert branch_index(rmap, z) == 1
 
 
 def test_branch_index_matches_critical_set(quad, cheb):
@@ -262,6 +284,18 @@ def test_exceptional_at_most_two_random():
 
 # ----------------------------------------------------------------------
 # fixed points
+
+
+def test_cluster_points_chains_chordal_neighbours_at_any_modulus():
+    """Points merge when a chain of chordal gaps within ``CLUSTER_RADIUS``
+    joins them, whatever their Euclidean gap: 1000 and 1000.4 lie 8.0e-7
+    apart, and 0 and 8e-7 (1.6e-6 apart) are chained through 4e-7."""
+    got = _fiber.cluster_points([1000, 8e-7, 5j, 1000.4, 0, 4e-7], [1, 1, 1, 1, 2, 1])
+    assert [m for _, m in got] == [2, 4, 1]
+    assert got[0][0].value == pytest.approx(1000.2, rel=1e-15)
+    assert got[1][0].value == pytest.approx(3e-7, rel=1e-15)
+    assert got[2][0].value == 5j
+    assert _fiber.cluster_points([], []) == []
 
 
 def test_fixed_points_quad(quad):

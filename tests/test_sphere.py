@@ -1,16 +1,17 @@
 import csv
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from lyubich_lab import sphere
-from lyubich_lab.bimodule_basis import julia_sample
+from lyubich_lab.bimodule_basis import branch_separation_radius, julia_sample
 from lyubich_lab.lyubich_measure import default_root, measure_from_tree
 from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
-from lyubich_lab.rational_map import builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
-                                chordal_array, chordal_pairs, write_csv)
+                                chordal_array, chordal_pairs, sphere_points, write_csv)
 
 
 def test_finite_point_rejects_nan():
@@ -56,21 +57,82 @@ def test_chordal_inversion_invariance():
         assert d1 == pytest.approx(d2, rel=1e-12)
 
 
+def _exact(p, q) -> float:
+    """The chordal distance of two points, from 50-digit decimal arithmetic
+    on their exact binary values, rounded once to a float."""
+    p, q = as_point(p), as_point(q)
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def norm(z):
+            return (1 + Decimal(z.real) ** 2 + Decimal(z.imag) ** 2).sqrt()
+
+        if p.infinite or q.infinite:
+            return 0.0 if p.infinite and q.infinite else float(
+                2 / norm(q.value if p.infinite else p.value))
+        gap = ((Decimal(p.value.real) - Decimal(q.value.real)) ** 2
+               + (Decimal(p.value.imag) - Decimal(q.value.imag)) ** 2).sqrt()
+        return float(2 * gap / (norm(p.value) * norm(q.value)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z,w", [(1e8, 1e8 + 1), (3e5, 3e5 + 1e-10), (3e5j, 3e5j + 1e-10j)])
+def test_chordal_keeps_nearby_large_points_to_a_few_ulps(z, w):
+    want = _exact(z, w)
+    assert chordal(z, w) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
+    pair = chordal_pairs(np.array([z], dtype=complex), np.array([False]),
+                         np.array([w], dtype=complex), np.array([False]))
+    assert pair[0] == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
 def test_chordal_huge_moduli():
     assert chordal(1e200, INFINITY) < 1e-150
     assert math.isfinite(chordal(1e200, -1e200))
+    assert chordal(1e200, -1e200) < 1e-150
+    # The product of the two norms overflows; each divides in turn.
+    assert chordal(1e300, 1e9) == 2 / math.hypot(1, 1e9)
+    assert chordal(1e9, 1e300) == pytest.approx(2 / math.hypot(1, 1e9), rel=1e-15)
+    # The difference itself overflows, unless halved first.
+    assert 0 < chordal(1.5e308, -1.5e308) < 1e-300
+    assert chordal(1e308, -1) == pytest.approx(2 / math.hypot(1, 1), rel=1e-15)
+    got = chordal_array(np.array([1e300, 1e9, -1e200]), np.zeros(3, bool), 1e9)
+    assert got[0] == chordal(1e300, 1e9)
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(2 / math.hypot(1, 1e9), rel=1e-15)
 
 
-def test_chordal_array_matches_scalar():
-    pts = np.array([0, 1 + 1j, -2, 5j], dtype=complex)
-    inf = np.array([False, False, False, False])
-    q = as_point(0.5 - 0.5j)
-    vec = chordal_array(pts, inf, q)
-    for i in range(pts.size):
-        assert vec[i] == pytest.approx(chordal(pts[i], q), rel=1e-14)
-    inf2 = np.array([False, True, False, False])
-    vec2 = chordal_array(pts, inf2, q)
-    assert vec2[1] == pytest.approx(chordal(INFINITY, q), rel=1e-14)
+def test_chordal_array_matches_the_exact_reference():
+    pts = np.array([0, 1 + 1j, -2, 5j, 3e5, -1e8 + 1e8j], dtype=complex)
+    for inf in (np.zeros(pts.size, bool), np.arange(pts.size) == 1):
+        for q in (as_point(0.5 - 0.5j), INFINITY):
+            want = [_exact(INFINITY if f else SpherePoint(p), q) for p, f in zip(pts, inf)]
+            np.testing.assert_allclose(chordal_array(pts, inf, q), want, rtol=1e-14, atol=0)
+
+
+def test_separation_radius_equals_a_per_pair_loop():
+    """The fiber gaps of ``branch_separation_radius``, taken in one call,
+    give the radius that a loop over each fiber's pairs gives.  The fibers
+    of z^3 - 3z hold three atoms."""
+    rmap = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
+    sample = julia_sample(rmap, 384, seed=1)
+    fib = sample.sibling_fibers
+    atoms = sphere_points(fib.points, fib.inf_mask)
+    gaps = np.array([min((chordal(atoms[a], atoms[b]) for a in range(lo, hi)
+                          for b in range(a + 1, hi)), default=np.inf)
+                     for lo, hi in zip(fib.offsets[:-1], fib.offsets[1:])])
+    assert np.diff(fib.offsets).max() == 3
+    dist_crit = sample.critical_distances.min(axis=0)
+
+    def ok(r):
+        included = dist_crit > 2 * r
+        return included.any() and np.all(gaps[included] > 4 * r)
+
+    lo, hi = 1e-9, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    assert branch_separation_radius(rmap, sample) == lo
 
 
 def test_sort_key_orders_infinity_last():
@@ -102,7 +164,7 @@ def test_atom_order_is_sort_key_order():
             range(len(shuffled)), key=lambda i: shuffled[::-1][i].sort_key())
 
 
-def test_chordal_pairs_match_scalar_chordal():
+def test_chordal_pairs_match_the_exact_reference():
     rng = np.random.default_rng(5)
     z = (rng.normal(size=400) + 1j * rng.normal(size=400)) * np.exp(rng.uniform(-8, 8, 400))
     w = np.concatenate([z[:100] * (1 + 1e-9j), z[100:200], -z[200:300],
@@ -115,7 +177,7 @@ def test_chordal_pairs_match_scalar_chordal():
     z[::7] = 0j
     w[::11] = 0j
     got = chordal_pairs(z, z_inf, w, w_inf)
-    want = [chordal(INFINITY if zi else SpherePoint(a), INFINITY if wi else SpherePoint(b))
+    want = [_exact(INFINITY if zi else SpherePoint(a), INFINITY if wi else SpherePoint(b))
             for a, zi, b, wi in zip(z, z_inf, w, w_inf)]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 

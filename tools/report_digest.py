@@ -23,7 +23,9 @@ reports, two of them on chebyshev (one with padded sibling blocks), one
 with trials checked in chunks of several rows and one on z^3 (whose
 sibling blocks of three take the eigensolver), and the key lemma
 alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
-level whose points lie in up to three supports.
+level whose points lie in up to three supports, and the invariance
+defect of z^2 conjugated by the Cayley map, whose atoms reach large
+moduli.
 """
 
 import hashlib
@@ -78,6 +80,10 @@ COMMANDS = [
     ["verify", "key_lemma", "--map", "chebyshev", "--depth", "12", "--seed", "4"],
     # z^3: sibling blocks of width 3, whose spectra take the eigensolver.
     ["verify", "all", "--num=0,0;0,0;0,0;1,0", "--den=1,0", "--depth", "5", "--seed", "1"],
+    # (u^2 + 1) / (2u), z^2 conjugated by the Cayley map: its Julia set is
+    # the imaginary axis through infinity, and its depth-12 atoms reach |u| ~ 3000.
+    ["verify", "invariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
+     "--seed", "1"],
 ]
 
 
