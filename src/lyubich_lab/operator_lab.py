@@ -109,15 +109,14 @@ class OperatorModel:
 
     def siblings(self, k: int):
         """The sibling blocks of level k, computed once: each atom's slot
-        among its siblings, in level order, and each level-(k-1) atom's
-        child count, the number of slots it fills."""
+        among its siblings, its distance from its parent's first child
+        (``parent`` never decreases), and each level-(k-1) atom's child
+        count, the number of slots it fills."""
         key = ("siblings", k)
         if key not in self._memo:
             lvl = self.levels[k]
             counts = np.bincount(lvl.parent, minlength=self.levels[k - 1].size)
-            order = np.argsort(lvl.parent, kind="stable")
-            slot = np.empty(lvl.size, dtype=np.intp)
-            slot[order] = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent[order]]
+            slot = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent]
             for array in (slot, counts):
                 array.setflags(write=False)
             self._memo[key] = slot, counts
@@ -537,10 +536,10 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         worst = 0.0
         powers = (0, 1, 2, 3, 5, 8, min(m, 10))
         # Every power reads a level of one tree; level k of a deeper tree
-        # is built exactly as in a depth-k tree.  transfer_power solves the
-        # same orbit with the same engine, so this compares the tree's
-        # weights, order and quadrature with fiber-order averaging; the
-        # tests hold transfer_power to the scalar path and the closed form.
+        # is built exactly as in a depth-k tree.  transfer_power solves every
+        # fiber of the same orbit and averages fiber by fiber, against the
+        # tree's weights, mirrored fibers and quadrature; the tests hold
+        # transfer_power to the scalar path and the closed form.
         # The powers share one orbit solve: each reuses the levels of the
         # one before and solves only the deeper ones.
         tree = (model.tree if max(powers) <= m

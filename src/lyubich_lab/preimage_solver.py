@@ -13,18 +13,18 @@ its multiple roots from the map's critical points.  :func:`gather_fibers`
 solves the fibers over a whole point array into one flat :class:`Fibers`
 table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
 temporaries stay small.  Both tree builders share one level loop that
-calls it on each level.  A fully enumerated tree of a map with real
-coefficients rooted on the real line or at infinity has levels closed
-under conjugation; the loop solves each such level over its atoms with
-Im >= 0 and infinity only, and gives every atom below the real line the
-exact conjugate of its partner's fiber, so the next level is closed to
-the bit too.  Tree levels, fiber tables and Julia samples
-share :class:`PointSet`, the one implementation of what a point set
-derives from its points: its fibers, the fibers over its images, its
-power table and each partition's :class:`Cover` table, each kept by the
-point set itself.
-:func:`preimages` solves one point through the engine's one-row front
-``_fiber.solve_fiber``.
+calls it on each level: level k + 1 is the fibers of level k's atoms in
+level order, so ``parent`` never decreases along a level.  A fully
+enumerated tree of a map with real coefficients rooted on the real line
+or at infinity has levels closed under conjugation; the loop solves each
+such level over its atoms with Im >= 0 and infinity only, and gives
+every atom below the real line the exact conjugate of its partner's
+fiber, so the next level is closed to the bit too.  Tree levels, fiber
+tables and Julia samples share :class:`PointSet`, the one implementation
+of what a point set derives from its points: its fibers, the fibers over
+its images, its power table and each partition's :class:`Cover` table,
+each kept by the point set itself.  :func:`preimages` solves one point
+through the engine's one-row front ``_fiber.solve_fiber``.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +37,7 @@ from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
 from .rational_map import (RationalMap, critical_points, evaluate_array,
                            has_real_coefficients, is_exceptional)
-from .sphere import INFINITY, SpherePoint, as_point, atom_order, write_csv
+from .sphere import INFINITY, SpherePoint, as_point, write_csv
 from .test_functions import PowerTable
 
 DEFAULT_BUDGET = 1 << 22
@@ -200,24 +200,6 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
                   np.concatenate([[0], np.cumsum(counts)]))
 
 
-def _conjugate_partners(level: "AtomicMeasure") -> np.ndarray | None:
-    """Each atom's conjugate in a level sorted by ``atom_order``: the atom
-    at the mirror place of its run of equal real parts (infinity is one
-    run), or the atom itself on a level with no imaginary part.  None when
-    the level is not closed under conjugation to the bit."""
-    imag = level.points.imag
-    if not imag.any():
-        return np.arange(level.size)
-    key = np.where(level.inf_mask, np.inf, level.points.real)
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], key.size)
-    run = np.cumsum(first) - 1
-    partner = starts[run] + ends[run] - 1 - np.arange(key.size)
-    return partner if np.array_equal(imag[partner], -imag) else None
-
-
 @dataclass(eq=False)
 class AtomicMeasure(PointSet):
     """A finite atomic probability measure with exact rational weights.
@@ -300,20 +282,41 @@ class PreimageTree:
                    for k, lvl in enumerate(self.levels)])
 
 
+def _partners(level: AtomicMeasure, above: AtomicMeasure,
+              partner: np.ndarray) -> np.ndarray | None:
+    """Each atom's conjugate on a mirrored level, from the partners above:
+    the children of two partners are partners slot by slot, and in the
+    fiber of a real atom or infinity a child's mirror in its run of equal
+    real parts is its partner.  None if the level is not closed to the bit."""
+    parent = level.parent
+    offset = np.searchsorted(parent, np.arange(above.size))
+    mirror = np.arange(level.size) + (offset[partner] - offset)[parent]
+    # The children of real atoms and infinity take the mirrors in their runs.
+    at = np.flatnonzero(above.points.imag[parent] == 0)
+    key = np.where(level.inf_mask[at], np.inf, level.points.real[at])
+    first = np.ones(at.size, dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (parent[at[1:]] != parent[at[:-1]])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    ends = np.append(starts[1:], at.size)
+    mirror[at] = at[starts[run] + ends[run] - 1 - np.arange(at.size)]
+    return mirror if np.array_equal(level.points.imag[mirror], -level.points.imag) else None
+
+
 def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
           budget: int, rng=None) -> PreimageTree:
     """The one level loop behind both tree builders.
 
-    Each level solves the fibers of all its atoms into one flat table.  In
-    a fully enumerated tree of a map with real coefficients rooted on the
-    real line or at infinity it solves those of its atoms with Im >= 0 and
-    infinity only, and each atom with Im < 0 takes the exact conjugate of
-    its partner's fiber (see :func:`_conjugate_partners`); a level whose
-    partners are not exact conjugates is solved whole.  A child's count is
-    its branch index when ``branches`` equals the degree; otherwise each
-    node draws ``branches`` of its ``degree`` fiber slots from ``rng``
-    without replacement, in node order, and a child's count is its number
-    of draws.
+    Each level solves its atoms' fibers into one flat table, and the next
+    level is each atom's row of it, in level order.  In a fully enumerated
+    tree of a real map rooted on the real line or at infinity only atoms
+    with Im >= 0 and infinity are solved, and each atom with Im < 0 takes
+    its partner's row, conjugated (see :func:`_partners`); below a level
+    not closed under conjugation, every level is solved whole.  A child's
+    count is its branch index when ``branches`` equals the degree;
+    otherwise each node draws ``branches`` of its ``degree`` fiber slots
+    from ``rng`` without replacement, in node order, and a child's count
+    is its number of draws.
     """
     if m < 0:
         raise ValueError("depth must be non-negative")
@@ -331,25 +334,21 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
     levels = [AtomicMeasure(rmap, root, 0, branches, np.array([root.value], dtype=complex),
                             np.array([root.infinite]), np.ones(1, dtype=np.int64),
                             np.full(1, -1, dtype=np.int64))]
+    partner = np.zeros(1, dtype=np.intp) if mirror else None
     for k in range(1, m + 1):
         prev = levels[-1]
-        partner = _conjugate_partners(prev) if mirror else None
-        solved = np.arange(prev.size)
-        targets, target_inf = prev.points, prev.inf_mask
-        if partner is not None:
-            solved = solved[~(targets.imag < 0)]
-            targets, target_inf = targets[solved], target_inf[solved]
-        fib = gather_fibers(rmap, targets, target_inf)
-        points, inf_mask, counts = fib.points, fib.inf_mask, fib.mult
-        parent = np.repeat(solved, np.diff(fib.offsets))
-        if partner is not None:
-            # Each atom with Im > 0 lends the exact conjugate of its fiber
-            # to its partner.
-            lent = np.flatnonzero(prev.points.imag[parent] > 0)
-            points = np.concatenate([points, np.conj(points[lent])])
-            inf_mask = np.concatenate([inf_mask, inf_mask[lent]])
-            counts = np.concatenate([counts, counts[lent]])
-            parent = np.concatenate([parent, partner[parent[lent]]])
+        # Each atom reads its own row of one fiber table; on a mirrored
+        # level an atom with Im < 0 reads its partner's row, conjugated.
+        at = np.arange(prev.size)
+        source = at if partner is None else np.where(prev.points.imag < 0, partner, at)
+        solved = source == at
+        fib = gather_fibers(rmap, prev.points[solved], prev.inf_mask[solved])
+        row = (np.cumsum(solved) - 1)[source]
+        sizes = np.diff(fib.offsets)[row]
+        parent = np.repeat(at, sizes)
+        take = np.arange(parent.size) + np.repeat(fib.offsets[row] - np.cumsum(sizes) + sizes, sizes)
+        points, inf_mask, counts = fib.points[take], fib.inf_mask[take], fib.mult[take]
+        np.conjugate(points, out=points, where=~solved[parent])
         if branches < n:
             # Each fiber's multiplicities sum to n, so node j owns the fiber
             # slots n*j .. n*j + n - 1; a child fills branch-index many.
@@ -359,9 +358,10 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
             counts = np.bincount(slots[draws], minlength=parent.size)
             keep = np.flatnonzero(counts > 0)
             points, inf_mask, counts, parent = (a[keep] for a in (points, inf_mask, counts, parent))
-        order = atom_order(points, inf_mask)
-        levels.append(AtomicMeasure(rmap, root, k, branches, points[order], inf_mask[order],
-                                    counts[order] * prev.cum[parent[order]], parent[order]))
+        levels.append(AtomicMeasure(rmap, root, k, branches, points, inf_mask,
+                                    counts * prev.cum[parent], parent))
+        if partner is not None and k < m:
+            partner = _partners(levels[-1], prev, partner)
     return PreimageTree(map=rmap, root=root, depth=m, weight_base=branches, levels=levels)
 
 

@@ -7,10 +7,10 @@ chordal metric, and :func:`chordal_pairs` is its one rule:
     d(z, w) = 2|z - w| / (sqrt(1 + |z|^2) sqrt(1 + |w|^2)),
     d(z, inf) = 2 / sqrt(1 + |z|^2),
 
-taken as written, which keeps nearby points at any modulus to a few ulps.
-Where the product of the two norms nears overflow (moduli beyond about
-1e153) it halves the points before the difference and divides by each
-norm in turn, so the answer stays finite and no warning is raised.
+taken as written, with each norm halved, which keeps nearby points at
+any modulus to a few ulps.  Where the norms' product nears overflow
+(moduli beyond about 1e153) it quarters the points and divides by each
+half norm in turn: the answer stays finite, past |z| = DBL_MAX too.
 """
 
 import itertools
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this product of the two norms sqrt(1 + |z|^2) sqrt(1 + |w|^2),
-# neither it nor 2|z - w| overflows; above it, at moduli beyond about
-# 1e153, the chordal formula divides by each norm in turn.
-_OVERFLOW = np.finfo(float).max / 4
+# Below this product of the half norms sqrt(1 + |z|^2) / 2 and
+# sqrt(1 + |w|^2) / 2, neither the norms' product nor 2|z - w| overflows;
+# above it, at moduli beyond about 1e153, each norm divides in turn.
+_OVERFLOW = np.finfo(float).max / 16
 
 # Rows of a CSV export formatted per write, so that the writer never holds
 # the strings of the whole file.
@@ -99,9 +99,9 @@ def write_csv(path, header: list[str], tables) -> None:
 
 
 def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
-    """The order of atoms along the last axis, the one order of fibers,
-    tree levels and Julia samples: finite points by (real, imag), then
-    infinity, ties kept in place.  A NaN real part sorts after infinity.
+    """The order of atoms along the last axis, the one order of fibers
+    and Julia samples: finite points by (real, imag), then infinity, ties
+    kept in place.  A NaN real part sorts after infinity.
 
     One stable sort of a complex key, which numpy orders by (real, imag):
     the points with the real part +inf on infinite entries.  numpy puts
@@ -132,12 +132,13 @@ def _order_of_two(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return order
 
 
-def _norm(x):
-    """sqrt(1 + |x|^2); a single point's in scalars, which can round
-    differently in the last bit from numpy's abs and hypot of an array."""
+def _half_norm(x):
+    """sqrt(1 + |x|^2) / 2 from x / 2, finite whenever x's parts are; a
+    single point's in scalars, which can round differently in the last
+    bit from numpy's abs and hypot of an array."""
     if np.ndim(x) == 0:
-        return np.float64(math.hypot(1.0, abs(x)))
-    return np.hypot(1.0, np.abs(x))
+        return np.float64(math.hypot(0.5, abs(0.5 * x)))
+    return np.hypot(0.5, np.abs(0.5 * x))
 
 
 def chordal(p, q) -> float:
@@ -159,15 +160,15 @@ def chordal_pairs(z, z_inf, w, w_inf):
     Each point is a complex value with an infinity flag; a flagged entry
     is infinity, whatever its value.
     """
-    nz, nw = _norm(z), _norm(w)
-    if nz.max(initial=1.0) <= _OVERFLOW / nw.max(initial=1.0):
-        out = 2.0 * np.abs(z - w)
-        out /= nz * nw
+    hz, hw = _half_norm(z), _half_norm(w)
+    if hz.max(initial=0.5) <= _OVERFLOW / hw.max(initial=0.5):
+        out = np.abs(z - w)
+        out /= 2.0 * hz * hw
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = nz * nw
-            out = np.where(norms > _OVERFLOW, 4.0 * (np.abs(0.5 * z - 0.5 * w) / nz / nw),
-                           2.0 * np.abs(z - w) / norms)
+            halves = hz * hw
+            out = np.where(halves > _OVERFLOW, 2.0 * (np.abs(0.25 * z - 0.25 * w) / hz / hw),
+                           np.abs(z - w) / (2.0 * halves))
     if np.logical_or(z_inf, w_inf).any():
-        out = np.where(z_inf, np.where(w_inf, 0.0, 2.0 / nw), np.where(w_inf, 2.0 / nz, out))
+        out = np.where(z_inf, np.where(w_inf, 0.0, 1.0 / hw), np.where(w_inf, 1.0 / hz, out))
     return out

@@ -71,15 +71,14 @@ def transfer_power(rmap: RationalMap, a: TestFunction, m: int, w) -> complex:
 
     Solves the fibers over each level of the orbit of w in one
     ``gather_fibers`` table, evaluates a once on the deepest level, and
-    averages the values back up the tables.  The orbit is the one the
-    tree builders enumerate, with the same engine, but summed in fiber
-    order rather than read from a tree.  The tables of the last orbit are
-    kept: a later call at the same point on the same map reuses the levels
-    it needs and solves only the missing deeper ones, from the deepest
-    kept table, so every value equals a cold solve's bit for bit;
-    ``clear_fiber_cache()`` releases the kept tables.  Raises
-    BudgetExceeded, before any solve, when degree**m exceeds the tree
-    builders' atom budget.
+    averages the values back up the tables.  Table k holds level k + 1 of
+    the tree rooted at w in its order, bit for bit where the tree mirrors
+    no fiber.  The tables of the last orbit are kept: a later call at the
+    same point on the same map reuses the levels it needs and solves only
+    the missing deeper ones, from the deepest kept table, so every value
+    equals a cold solve's bit for bit; ``clear_fiber_cache()`` releases
+    the kept tables.  Raises BudgetExceeded, before any solve, when
+    degree**m exceeds the tree builders' atom budget.
     """
     if m < 0:
         raise ValueError("power must be non-negative")

@@ -148,7 +148,7 @@ def test_no_real_row_no_real_route(monkeypatch, rmap, root, depth):
     def unreachable(*args, **kwargs):
         raise AssertionError("reached the real route")
 
-    for module, name in ((preimage_solver, "_conjugate_partners"), (roots, "_real_quadratic"),
+    for module, name in ((preimage_solver, "_partners"), (roots, "_real_quadratic"),
                          (roots, "_real_cubic"), (roots, "_conjugate_closed"),
                          (roots, "pair_rows")):
         monkeypatch.setattr(module, name, unreachable)
@@ -172,7 +172,7 @@ def test_a_level_that_is_not_closed_is_solved_whole(monkeypatch):
     mirrored = iterated_preimages(basilica, root, 8)
     halves = list(calls)
     calls.clear()
-    monkeypatch.setattr(preimage_solver, "_conjugate_partners", lambda level: None)
+    monkeypatch.setattr(preimage_solver, "_partners", lambda level, above, partner: None)
     whole = iterated_preimages(basilica, root, 8)
     assert calls == [lvl.size for lvl in whole.levels[:-1]]
     assert halves == [np.count_nonzero(lvl.points.imag >= 0) for lvl in mirrored.levels[:-1]]

@@ -662,6 +662,16 @@ def test_apply_adjoint_keeps_the_add_at_bits(case):
         assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("case", ADJOINT_CASES, ids=[c[0] for c in ADJOINT_CASES])
+def test_sibling_slots_number_each_parents_children_in_level_order(case):
+    _, rmap, w, k, _ = case
+    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    slot, counts = model.siblings(k)
+    parent = model.levels[k].parent
+    for j in range(counts.size):
+        assert slot[parent == j].tolist() == list(range(counts[j]))
+
+
 COVER_CASES = [
     ("quad", builtin_map("quad"), 1, 8),
     ("basilica", builtin_map("basilica"), None, 8),

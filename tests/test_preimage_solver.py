@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 
 from lyubich_lab.errors import BudgetExceeded, ExceptionalRoot
-from lyubich_lab.preimage_solver import (iterated_preimages, preimages,
+from lyubich_lab.lyubich_measure import default_root
+from lyubich_lab.preimage_solver import (gather_fibers, iterated_preimages, preimages,
                                          sampled_tree)
 from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
 from lyubich_lab.sphere import INFINITY, chordal, chordal_pairs
@@ -201,6 +203,89 @@ def test_power_map_levels_are_the_roots_of_unity(degree, m):
     assert chordal_pairs(level.points, no_inf, exact, no_inf).max() <= 4e-15
 
 
+CHEB3 = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
+NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
+RABBIT = RationalMap([-0.1226 + 0.7449j, 0, 1], [1], name="rabbit")
+Z3C = RationalMap([0.3 + 0.5j, 0, 0, 1], [1], name="z^3+0.3+0.5i")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: iterated_preimages(RABBIT, default_root(RABBIT), 12),
+    lambda: iterated_preimages(builtin_map("basilica"), default_root(builtin_map("basilica")), 12),
+    lambda: iterated_preimages(NEWTON, INFINITY, 7),
+    lambda: sampled_tree(CHEB3, -2, 9, branches_per_node=2, seed=3),
+    lambda: sampled_tree(NEWTON, INFINITY, 8, branches_per_node=2, seed=2),
+], ids=["full", "mirrored", "mirrored@inf", "sampled", "sampled@inf"])
+def test_parent_never_decreases_along_a_level(make):
+    # Each level holds its parents' children together, parents in order.
+    tree = make()
+    for k in range(1, tree.depth + 1):
+        parent = tree.level(k).parent
+        assert np.all(np.diff(parent) >= 0)
+        assert 0 <= parent[0] and parent[-1] < tree.atom_count(k - 1)
+
+
+@pytest.mark.parametrize("rmap,m", [(RABBIT, 12), (Z3C, 7)], ids=["rabbit", "z^3+0.3+0.5i"])
+def test_a_level_is_the_fiber_table_of_the_level_above(rmap, m):
+    """With no real row nothing is mirrored, so level k + 1 is
+    ``gather_fibers`` over level k, bit for bit: the tree's levels are the
+    tables of the backward orbit that transfer_power averages over."""
+    tree = iterated_preimages(rmap, default_root(rmap), m)
+    for k in range(m):
+        lvl, nxt = tree.level(k), tree.level(k + 1)
+        fib = gather_fibers(rmap, lvl.points, lvl.inf_mask)
+        assert nxt.points.tobytes() == fib.points.tobytes()
+        assert nxt.inf_mask.tolist() == fib.inf_mask.tolist()
+        assert nxt.parent.tolist() == np.repeat(np.arange(lvl.size), np.diff(fib.offsets)).tolist()
+        assert nxt.cum.tolist() == (fib.mult * lvl.cum[nxt.parent]).tolist()
+
+
+@pytest.mark.parametrize("rmap,root,phase,m", [
+    (CHEB3, -2, 0.5, 7), (CHEB3, -2, 0.5, 10),
+    (builtin_map("chebyshev"), 2, 0.0, 12), (builtin_map("chebyshev"), 2, 0.0, 16),
+], ids=["z^3-3z@-2,m=7", "z^3-3z@-2,m=10", "chebyshev@2,m=12", "chebyshev@2,m=16"])
+def test_chebyshev_levels_have_their_exact_multiplicities(rmap, root, phase, m):
+    """Known answer: T_n(2cos t) = 2cos(nt), so level m of T_n rooted at
+    2cos(2 pi phase) holds the distinct values x_k = 2cos(2 pi (phase + k) / N),
+    N = n^m, for t_k in [0, pi].  T_N(x) - T_N(x_k) has a double root at
+    x_k unless t_k is 0 or pi, where the root is simple, so each atom's
+    ``cum`` is 2, and 1 at the ends.  The orbits pass through the
+    critical points (R(1) = -2 for z^3 - 3z, R(0) = -2 and R(-2) = 2 for
+    z^2 - 2), where the engine merges a double atom.
+
+    The error bound follows the conditioning down the tree: a child z of
+    w carries e(z) = (u s(w) + e(w)) / |R'(z)|, s(w) being the fiber
+    polynomial's scale sum |h_k| max(1, |z|)^k, and a merged atom sits on
+    a listed critical point, to e = u.  Every atom is held to 4 e(z) plus
+    4 u for the rounding of the reference values themselves."""
+    u = np.finfo(float).eps / 2
+    n = rmap.degree
+    N = n ** m
+    tree = iterated_preimages(rmap, root, m)
+    coeffs = rmap.num.real
+    slope = polyder(coeffs)
+    err = np.zeros(1)
+    for k in range(1, m + 1):
+        lvl, prev = tree.level(k), tree.level(k - 1)
+        assert not lvl.points.imag.any() and not lvl.inf_mask.any()
+        z, w = lvl.points.real, prev.points.real[lvl.parent]
+        scale = polyval(np.maximum(1.0, np.abs(z)), np.abs(coeffs)) + np.abs(w)
+        merged = lvl.cum != prev.cum[lvl.parent]
+        derivative = np.where(merged, 1.0, np.abs(polyval(z, slope)))
+        err = np.where(merged, u, (u * scale + err[lvl.parent]) / derivative)
+    k = np.arange(int(N / 2 - phase) + 1)
+    angle = 2 * np.pi * (phase + k) / N
+    exact = 2 * np.cos(angle)
+    count = np.where((phase + k == 0) | (2 * (phase + k) == N), 1, 2)
+    lvl = tree.level(m)
+    assert lvl.size == exact.size
+    got = np.argsort(lvl.points.real, kind="stable")
+    want = np.argsort(exact, kind="stable")
+    assert np.all(np.abs(lvl.points.real[got] - exact[want]) <= 4 * err[got] + 4 * u)
+    assert lvl.cum[got].tolist() == count[want].tolist()
+    assert int(lvl.cum.sum()) == N
+
+
 def test_cayley_conjugate_tree_is_the_image_of_the_quadratic_tree():
     """Metamorphic check: R'(u) = (u^2 + 1) / (2u) is M o z^2 o M^-1 for
     the Cayley map M(z) = (z + 1) / (z - 1), so the depth-10 tree of R'
@@ -233,9 +318,6 @@ def test_cayley_conjugate_tree_is_the_image_of_the_quadratic_tree():
 # sampled trees
 
 
-NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
-
-
 @pytest.mark.parametrize("rmap,w", [
     (builtin_map("quad"), 1),
     (RationalMap([0, -3, 0, 1], [1], name="z^3-3z"), -2),
@@ -252,17 +334,18 @@ def test_sampled_full_branches_is_full_tree(rmap, w):
 
 
 def test_sampled_tree_draw_order_is_pinned():
-    # Two of three fiber slots per node, drawn in node order; the fiber over
-    # infinity is the double pole 0 and infinity itself.
+    # Two of three fiber slots per node, drawn in node order; each level
+    # holds its nodes' children in node order, and the fiber over infinity
+    # is the double pole 0 and infinity itself.
     tree = sampled_tree(NEWTON, INFINITY, 3, branches_per_node=2, seed=2)
     r, s, t = 0.793700526, 0.396850263 + 0.687364818j, 0.56126102 + 0.183618349j
     u = 0.71688775 + 1.241686006j
     want = [
         ([0], [True], [1], [-1]),
         ([0, 0], [False, True], [1, 1], [0, 0]),
-        ([0, s.conjugate(), s], [False, False, False], [2, 1, 1], [1, 0, 0]),
-        ([-r, -t, -t.conjugate(), s, u.conjugate(), u], [False] * 6,
-         [2, 1, 1, 2, 1, 1], [0, 1, 2, 0, 1, 2]),
+        ([s.conjugate(), s, 0], [False, False, False], [1, 1, 2], [0, 0, 1]),
+        ([-t, u.conjugate(), -t.conjugate(), u, -r, s], [False] * 6,
+         [1, 1, 1, 1, 2, 2], [0, 0, 1, 1, 2, 2]),
     ]
     assert tree.weight_base == 2
     for lvl, (points, infinite, cum, parent) in zip(tree.levels, want):

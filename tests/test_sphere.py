@@ -102,6 +102,25 @@ def test_chordal_huge_moduli():
     assert got[2] == pytest.approx(2 / math.hypot(1, 1e9), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_chordal_past_the_largest_modulus():
+    # Finite parts, but |z| = 2.1e308 exceeds DBL_MAX: its distance to 0 is
+    # about 2, to infinity a subnormal 9.4e-309, and to -z about 4 / |z|.
+    z = 1.5e308 + 1.5e308j
+    for q in (0, INFINITY, -z, 1.0):
+        want = _exact(z, q)
+        got = chordal(z, q)
+        assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
+        q = as_point(q)
+        array = chordal_array(np.array([z, 1.0]), np.array([False, False]), q)
+        assert array[0] == pytest.approx(got, rel=4 * np.finfo(float).eps, abs=0)
+        assert array[1] == pytest.approx(_exact(1.0, q), rel=4 * np.finfo(float).eps, abs=0)
+    assert 1.9 < chordal(z, 0) and 0 < chordal(z, INFINITY) < 1e-308
+    pair = chordal_pairs(np.array([z, -z]), np.array([False, False]),
+                         np.array([[0], [z]]), np.array([[False], [False]]))
+    assert pair[0, 0] == pytest.approx(2, rel=1e-15) and pair[1, 0] == 0.0
+
+
 def test_chordal_array_matches_the_exact_reference():
     pts = np.array([0, 1 + 1j, -2, 5j, 3e5, -1e8 + 1e8j], dtype=complex)
     for inf in (np.zeros(pts.size, bool), np.arange(pts.size) == 1):
