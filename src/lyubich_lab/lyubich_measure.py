@@ -33,23 +33,94 @@ def measure_from_tree(tree: PreimageTree, level: int | None = None) -> AtomicMea
     return mu
 
 
+# Terms per block of the binned sum: every temporary of a block stays below
+# glibc's 128 KiB mmap threshold, and a bin sums far fewer than 2**26 terms.
+_SUM_BLOCK = 8192
+# An array with an exponent beyond this band is summed by fsum itself: its
+# bins, scaled back, could leave the normal floats.
+_SUM_EXPONENTS = 900
+
+
 def compensated_sum(re: np.ndarray, im: np.ndarray | None = None):
     """The complex number whose parts are the correctly rounded sums of the
     real and the imaginary term arrays, or the real sum alone when ``im`` is
     omitted; every weighted sum of a report is taken here.  Term arrays of
-    shape (rows, n) give one sum per row, as an array."""
-    parts = [[math.fsum(row) for row in np.atleast_2d(terms).tolist()]
+    shape (rows, n) give one sum per row, as an array.
+
+    Each sum equals ``math.fsum`` of its row, bit for bit, and does not
+    depend on the order of the row's terms.  The real and imaginary rows
+    are summed in one pass, in blocks of at most ``_SUM_BLOCK`` terms (a
+    longer row spans several).  ``np.frexp`` writes each term as m * 2**e,
+    and m * 2**27 splits exactly into its integer part, below 2**27, and
+    the rest, a multiple of 2**-26 below 1.  One ``np.bincount`` per part
+    sums a block's terms by (row, e).  A bin that sums fewer than 2**26
+    terms, as every bin of a block does, keeps its partial sums below 2**53
+    on their grid, so they are exact.  Scaled by 2**(e - 27), each bin is
+    an exact float, and ``math.fsum`` over a row's bins (two per exponent
+    its block spans) is the correctly rounded sum of its terms.  An array
+    holding a term that is not finite, or a binary exponent beyond +-900,
+    where a scaled bin could leave the normal floats, is summed by
+    ``math.fsum`` itself, row by row, so NaN, inf, ``OverflowError`` and
+    the ``ValueError`` of inf - inf stay fsum's.
+    """
+    parts = [np.atleast_2d(np.asarray(terms, dtype=float))
              for terms in ((re,) if im is None else (re, im))]
-    sums = parts[0] if im is None else list(map(complex, *parts))
-    return sums[0] if np.ndim(re) == 1 else np.array(sums)
+    sums = _binned_sums(parts)
+    if sums is None:
+        sums = np.array([[math.fsum(row) for row in p.tolist()] for p in parts]).T
+    sums = sums[:, 0] if im is None else np.ascontiguousarray(sums).view(complex)[:, 0]
+    return sums[0].item() if np.ndim(re) == 1 else sums
+
+
+def _binned_sums(parts: list) -> np.ndarray | None:
+    """The correctly rounded row sums of equal-shape (rows, n) arrays as a
+    (rows, len(parts)) array, or None where fsum must take the whole sum."""
+    rows, n = parts[0].shape
+    if n == 0:
+        return np.zeros((rows, len(parts)))
+    width = min(n, max(1, _SUM_BLOCK // len(parts)))
+    step = max(1, _SUM_BLOCK // (len(parts) * width))
+    sums = []
+    for r in range(0, rows, step):
+        bins = []
+        for c in range(0, n, width):
+            block = np.concatenate([p[r:r + step, None, c:c + width] for p in parts], axis=1)
+            bins.append(_exact_bins(block.reshape(-1, block.shape[-1])))
+            if bins[-1] is None:
+                return None
+        sums += map(math.fsum, np.concatenate(bins, axis=1).tolist())
+    return np.reshape(sums, (rows, len(parts)))
+
+
+def _exact_bins(terms: np.ndarray) -> np.ndarray | None:
+    """Per row of ``terms``, exact floats that add up to the row's terms:
+    each row's sums by binary exponent, in an integer and a fractional half;
+    None when a term is not finite or an exponent leaves the safe band."""
+    if not np.isfinite(terms).all():
+        return None
+    mantissa, exponent = np.frexp(terms)
+    low, high = int(exponent.min()), int(exponent.max())
+    if low < -_SUM_EXPONENTS or high > _SUM_EXPONENTS:
+        return None
+    rows, span = len(terms), high - low + 1
+    index = (exponent + (span * np.arange(rows, dtype=np.int32)[:, None] - low)).ravel()
+    frac = mantissa * 2.0 ** 27
+    whole = np.trunc(frac)
+    frac -= whole  # exact: m * 2**27 is a multiple of 2**-26
+    bins = np.concatenate([np.bincount(index, half.ravel(), rows * span)
+                           for half in (whole, frac)])
+    scaled = bins.reshape(2, rows, span) * np.ldexp(1.0, np.arange(low - 27, high - 26))
+    return scaled.transpose(1, 0, 2).reshape(rows, 2 * span)
 
 
 def integrate(mu: AtomicMeasure, f: TestFunction) -> complex:
-    """Quadrature sum(f(atom) * weight) with compensated summation.
+    """Quadrature sum(f(atom) * weight), correctly rounded.
 
     Weights become floating point only at the final accumulation; each
     num/denominator is an exact dyadic-style division for the desk-scale
-    denominators used here.
+    denominators used here.  Each part is summed by ``compensated_sum``:
+    exact per exponent bin, rounded once, so it is ``math.fsum``'s result
+    whatever the order of the atoms.
     """
     values = f.evaluate(mu.points, mu.inf_mask)
     return compensated_sum(values.real * mu.weights, values.imag * mu.weights)

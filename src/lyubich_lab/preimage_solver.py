@@ -66,9 +66,6 @@ class WeightedPreimage:
     target: SpherePoint
     atoms: tuple
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.atoms)
-
     def points(self) -> list[SpherePoint]:
         return [p for p, _ in self.atoms]
 
@@ -229,10 +226,6 @@ class AtomicMeasure(PointSet):
     def weights(self) -> np.ndarray:
         """The float weights, each ``cum[i] / float(base**depth)``."""
         return self.cum / float(self.denominator())
-
-    def weight_fractions(self) -> list[Fraction]:
-        d = self.denominator()
-        return [Fraction(int(n), d) for n in self.cum]
 
     def atoms(self) -> list[tuple[SpherePoint, Fraction]]:
         d = self.denominator()

@@ -158,7 +158,8 @@ def chordal_pairs(z, z_inf, w, w_inf):
     against each other: 2|z - w| / (sqrt(1 + |z|^2) sqrt(1 + |w|^2)).
 
     Each point is a complex value with an infinity flag; a flagged entry
-    is infinity, whatever its value.
+    is infinity, whatever its value.  A result that rounds above the
+    sphere's diameter 2 reads 2.
     """
     hz, hw = _half_norm(z), _half_norm(w)
     if hz.max(initial=0.5) <= _OVERFLOW / hw.max(initial=0.5):
@@ -169,6 +170,7 @@ def chordal_pairs(z, z_inf, w, w_inf):
             halves = hz * hw
             out = np.where(halves > _OVERFLOW, 2.0 * (np.abs(0.25 * z - 0.25 * w) / hz / hw),
                            np.abs(z - w) / (2.0 * halves))
+    out = np.minimum(out, 2.0)
     if np.logical_or(z_inf, w_inf).any():
         out = np.where(z_inf, np.where(w_inf, 0.0, 1.0 / hw), np.where(w_inf, 1.0 / hz, out))
     return out

@@ -13,7 +13,6 @@ every polynomial evaluated on it reads.
 import numpy as np
 
 from .errors import IncompatibleTable
-from .rational_map import evaluate_array
 from .sphere import as_point
 
 
@@ -168,12 +167,6 @@ class TestFunction:
                 name=f"{c}*({self.name})")
         return TestFunction.from_callable(
             lambda p, i: c * self.evaluate(p, i), f"{c}*({self.name})")
-
-    def compose_with(self, rational_map) -> "TestFunction":
-        """The function z -> f(R(z)); composition is exact, no interpolation."""
-        return TestFunction.from_callable(
-            lambda p, i: self.evaluate(*evaluate_array(rational_map, p, i)),
-            f"({self.name}) o R")
 
     def __repr__(self):
         return f"TestFunction<{self.kind}:{self.name}>"

@@ -124,77 +124,6 @@ def transfer_function(rmap: RationalMap, a: TestFunction) -> TestFunction:
     return _fiber_average(rmap, a, f"L[{a.name}]")
 
 
-def _power_sum_polynomials(rmap: RationalMap, top: int) -> list[np.ndarray]:
-    """Power sums of the fiber over w as polynomials in w (Newton's
-    identities); valid for polynomial maps, where the fiber polynomial's
-    leading coefficient does not depend on w.
-
-    The fiber solves P(z) - w*den0 = 0, so only the product of the roots
-    (the top elementary symmetric function) carries the w-dependence.
-    """
-    n = rmap.degree
-    lead = rmap._num_pad[n]
-    den0 = rmap.den[0]
-    elementary = [np.array([1.0 + 0j])]
-    for i in range(1, n + 1):
-        sign = (-1.0) ** i
-        if i < n:
-            e = np.array([sign * rmap._num_pad[n - i] / lead], dtype=complex)
-        else:
-            e = np.array([sign * rmap._num_pad[0] / lead,
-                          -sign * den0 / lead], dtype=complex)
-        elementary.append(e)
-    sums = [np.array([float(n)], dtype=complex)]
-    for k in range(1, top + 1):
-        acc = np.zeros(1, dtype=complex)
-        for i in range(1, min(k - 1, n) + 1):
-            term = np.convolve(elementary[i], sums[k - i]) * ((-1.0) ** (i - 1))
-            acc = _poly_add(acc, term)
-        if k <= n:
-            acc = _poly_add(acc, ((-1.0) ** (k - 1)) * k * elementary[k])
-        sums.append(acc)
-    return sums
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    size = max(a.size, b.size)
-    out = np.zeros(size, dtype=complex)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
-def _closed_form_transfer(rmap: RationalMap, a: TestFunction) -> TestFunction | None:
-    """The transfer of a as an exact polynomial, when a is a polynomial in
-    pure powers of z or conj(z) and the map itself is a polynomial; None
-    otherwise.  The tests read it as an oracle."""
-    if a.kind != "poly" or rmap.den.size != 1:
-        return None
-    keys = list(a._coeffs)
-    if any(j > 0 and k > 0 for j, k in keys):
-        return None
-    top = max((max(j, k) for j, k in keys), default=0)
-    sums = _power_sum_polynomials(rmap, top)
-    n = rmap.degree
-    coeffs: dict = {}
-    for (j, k), c in a._coeffs.items():
-        if j == 0 and k == 0:
-            coeffs[(0, 0)] = coeffs.get((0, 0), 0j) + c
-            continue
-        if k == 0:
-            poly = sums[j] / n
-            for i, b in enumerate(poly):
-                if b != 0:
-                    coeffs[(i, 0)] = coeffs.get((i, 0), 0j) + c * b
-        else:
-            # sum of conj(z)^k over the fiber is the conjugate power sum
-            poly = sums[k] / n
-            for i, b in enumerate(poly):
-                if b != 0:
-                    coeffs[(0, i)] = coeffs.get((0, i), 0j) + c * b.conjugate()
-    return TestFunction.polynomial(coeffs, name=f"L[{a.name}] closed form")
-
-
 def inner_product(rmap: RationalMap, xi: TestFunction, eta: TestFunction) -> TestFunction:
     """The module inner product: the transfer of conj(xi) * eta.
 

@@ -14,7 +14,7 @@ from lyubich_lab.lyubich_measure import (compensated_sum, convergence_report,
                                          pushforward)
 from lyubich_lab.preimage_solver import iterated_preimages, sampled_tree
 from lyubich_lab.rational_map import RationalMap, builtin_map
-from lyubich_lab import test_functions as tf
+from lyubich_lab import lyubich_measure, test_functions as tf
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_weights_sum_to_one_exactly(cheb):
     tree = iterated_preimages(cheb, 0.3, 9)
     for k in range(10):
         mu = measure_from_tree(tree, k)
-        assert sum(mu.weight_fractions()) == 1
+        assert sum(weight for _, weight in mu.atoms()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_pushforward_depth_one_is_root(quad_map):
     mu = pushforward(measure_from_tree(tree), quad_map)
     assert mu.size == 1
     assert abs(mu.points[0] - (0.25 + 1j)) < 1e-10
-    assert mu.weight_fractions()[0] == 1
+    assert mu.atoms()[0][1] == 1
 
 
 def test_pushforward_merges_double_root(cheb):
@@ -346,3 +346,125 @@ def test_compensated_sum_takes_one_sum_per_row():
         assert compensated_sum(re[i]) == math.fsum(re[i])
     assert compensated_sum(re).tolist() == [math.fsum(row) for row in re]
     assert compensated_sum(np.zeros(0), np.zeros(0)) == 0j
+
+
+def _fsum_rows(terms):
+    """The reference: math.fsum of each row."""
+    return np.array([math.fsum(row) for row in np.atleast_2d(terms).tolist()])
+
+
+def _assert_fsum_bits(re, im=None):
+    """compensated_sum has the bits of per-row math.fsum, complex or real."""
+    got = compensated_sum(re, im)
+    want = _fsum_rows(re) if im is None else _fsum_rows(re) + 0j
+    if im is not None:
+        want.imag = _fsum_rows(im)
+    if np.ndim(re) == 1:
+        assert type(got) is (float if im is None else complex)
+        got = np.array([got])
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _wide(rng, shape, low, high):
+    """Random terms of both signs with binary exponents spread over [low, high)."""
+    return rng.standard_normal(shape) * np.exp2(rng.integers(low, high, shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (31, 512), (7, 256), (2, 8193), (1, 20000),
+                                   (5, 4096), (40,), (9000,)])
+def test_compensated_sum_is_fsum_on_random_rows(shape):
+    rng = np.random.default_rng(sum(shape))
+    _assert_fsum_bits(rng.standard_normal(shape), rng.standard_normal(shape))
+    _assert_fsum_bits(rng.standard_normal(shape) * 1e-5)
+    # exponents over most of the binned band, and beyond it, where fsum
+    # takes the whole array
+    _assert_fsum_bits(_wide(rng, shape, -800, 800), _wide(rng, shape, -60, 60))
+    _assert_fsum_bits(_wide(rng, shape, -1000, 1000))
+
+
+def test_compensated_sum_is_fsum_on_cancelling_rows():
+    rng = np.random.default_rng(5)
+    big = _wide(rng, (6, 300), -40, 900)
+    small = rng.standard_normal((6, 300))
+    # every big term and its negative, in shuffled places, around small ones
+    re = rng.permuted(np.concatenate([big, -big, small], axis=1), axis=1)
+    _assert_fsum_bits(re, rng.permuted(np.concatenate([big, small, -big], axis=1), axis=1))
+    _assert_fsum_bits(np.array([1e300, 1.0, -1e300, 2.0 ** -900]))
+    _assert_fsum_bits(np.array([2.0 ** 900, 1.0, -(2.0 ** 900), 2.0 ** -899]))
+    rows = np.array([[1e16, 1.0, -1e16], [1.0, 1e100, -1e100]])
+    assert compensated_sum(rows).tolist() == [1.0, 1.0]
+
+
+def test_compensated_sum_rounds_ties_to_even():
+    half = 2.0 ** -53
+    tiny = 2.0 ** -200
+    rows = np.array([[1.0, half, 0.0], [1.0, half, tiny], [1.0, half, -tiny],
+                     [1.0 + 2 * half, half, 0.0], [-1.0, -half, 0.0], [-1.0, -half, -tiny]])
+    _assert_fsum_bits(rows)
+    assert compensated_sum(rows).tolist() == [1.0, 1.0 + 2 * half, 1.0, 1.0 + 4 * half,
+                                              -1.0, -1.0 - 2 * half]
+
+
+def test_compensated_sum_of_subnormal_and_zero_rows():
+    tiny = 5e-324
+    assert compensated_sum(np.array([tiny, tiny])) == 1e-323
+    _assert_fsum_bits(np.array([[tiny, tiny, 0.0], [2.0 ** -1022, -tiny, tiny]]))
+    _assert_fsum_bits(np.array([[-0.0, -0.0], [0.0, -0.0], [0.0, 0.0], [1.0, -1.0]]),
+                      np.array([[-0.0, 0.0], [-0.0, -0.0], [-1.5, 1.5], [0.0, -0.0]]))
+    _assert_fsum_bits(np.zeros((3, 9000)), -np.zeros((3, 9000)))
+
+
+def test_compensated_sum_of_empty_arrays():
+    assert compensated_sum(np.zeros(0)) == 0.0 and type(compensated_sum(np.zeros(0))) is float
+    assert compensated_sum(np.zeros(0), np.zeros(0)) == 0j
+    _assert_fsum_bits(np.zeros(0))
+    _assert_fsum_bits(np.zeros((4, 0)), np.zeros((4, 0)))
+    _assert_fsum_bits(np.zeros((4, 0)))
+
+
+def test_compensated_sum_fills_a_bin_with_a_whole_block():
+    # 8192 terms with the largest mantissa in one (row, exponent) bin
+    top = 1.0 - 2.0 ** -53
+    _assert_fsum_bits(np.full((2, 8192), top), np.full((2, 8192), -top * 2.0 ** 40))
+    _assert_fsum_bits(np.full(3 * 8192 + 1, top * 2.0 ** 899))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_compensated_sum_does_not_depend_on_the_block_size(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    re, im = _wide(rng, (7, 37), -300, 300), rng.standard_normal((7, 37))
+    want = compensated_sum(re, im)
+    monkeypatch.setattr(lyubich_measure, "_SUM_BLOCK", block)
+    assert compensated_sum(re, im).tobytes() == want.tobytes()
+    _assert_fsum_bits(re, im)
+    _assert_fsum_bits(re[0])
+
+
+def test_compensated_sum_is_the_same_for_shuffled_rows():
+    rng = np.random.default_rng(11)
+    re = np.concatenate([_wide(rng, (4, 5000), -100, 100), np.full((4, 3), 2.0 ** -53)], axis=1)
+    want = compensated_sum(re)
+    for _ in range(3):
+        assert compensated_sum(rng.permuted(re, axis=1)).tobytes() == want.tobytes()
+    _assert_fsum_bits(re)
+
+
+@pytest.mark.parametrize("terms, error", [([1e308, 1e308], OverflowError),
+                                          ([np.inf, -np.inf], ValueError),
+                                          ([1.0, np.inf, 1.0, -np.inf], ValueError)])
+def test_compensated_sum_raises_as_fsum_does(terms, error):
+    with pytest.raises(error) as want:
+        math.fsum(terms)
+    with pytest.raises(error) as got:
+        compensated_sum(np.array(terms))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(error):
+        compensated_sum(np.zeros((2, len(terms))), np.array([[0.0] * len(terms), terms]))
+
+
+def test_compensated_sum_keeps_fsum_non_finite_sums():
+    for terms in ([np.inf, 1.0], [-np.inf, -1e308], [np.nan, 1.0], [1.0, np.nan, np.inf]):
+        _assert_fsum_bits(np.array(terms))
+        ones = [1.0] * len(terms)
+        _assert_fsum_bits(np.array([terms, ones]), np.array([ones, terms]))

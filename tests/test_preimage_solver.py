@@ -62,7 +62,7 @@ def test_fiber_mass_random_maps():
         except Exception:
             continue
         w = complex(rng.normal(), rng.normal())
-        assert preimages(rmap, w).total_multiplicity() == rmap.degree
+        assert sum(m for _, m in preimages(rmap, w).atoms) == rmap.degree
 
 
 def test_fiber_residuals(quad, cheb):
@@ -184,23 +184,55 @@ def test_budget_enforced(quad):
         iterated_preimages(quad, 1, 30)
 
 
+def _carried_error(tree, rmap):
+    """The first-order error bound of every atom of a polynomial map's
+    tree, carried down to its deepest level: a child z of w carries
+    e(z) = (u s(w) + e(w)) / |R'(z)|, where s(w) is the fiber polynomial's
+    scale sum |h_k| max(1, |z|)^k and u the unit roundoff, and a merged
+    atom sits on a listed critical point, to e = u."""
+    u = np.finfo(float).eps / 2
+    coeffs = rmap.num
+    slope = polyder(coeffs)
+    err = np.zeros(1)
+    for k in range(1, tree.depth + 1):
+        lvl, prev = tree.level(k), tree.level(k - 1)
+        z, w = lvl.points, prev.points[lvl.parent]
+        scale = polyval(np.maximum(1.0, np.abs(z)), np.abs(coeffs)) + np.abs(w)
+        merged = lvl.cum != prev.cum[lvl.parent]
+        derivative = np.where(merged, 1.0, np.abs(polyval(z, slope)))
+        err = np.where(merged, u, (u * scale + err[lvl.parent]) / derivative)
+    return err
+
+
+def _roots_of_unity(k, count):
+    """exp(2 pi i k / count) within about 3 u: the angle is reduced in
+    integers to at most pi/4 from a quarter turn, which is then made
+    exactly."""
+    quarter, rest = np.divmod(4 * k, count)
+    flip = 2 * rest > count
+    angle = np.pi / 2 * np.where(flip, count - rest, rest) / count
+    cos, sin = np.cos(angle), np.sin(angle)
+    return np.where(flip, sin + 1j * cos, cos + 1j * sin) * np.array([1, 1j, -1, -1j])[quarter]
+
+
 @pytest.mark.parametrize("degree, m", [(2, 8), (2, 14), (2, 20), (3, 6), (3, 9), (3, 12)])
 def test_power_map_levels_are_the_roots_of_unity(degree, m):
     """Known answer: level m of z^n rooted at 1 is the n^m-th roots of
-    unity, each a simple atom."""
+    unity, each a simple atom.  |R'(z)| = n on the unit circle, so the
+    carried bound (see ``_carried_error``) stays near 2u / (n - 1) at
+    every depth.  Every atom is held to 4 e(z) plus 4 u for the rounding
+    of the reference values themselves."""
+    u = np.finfo(float).eps / 2
     rmap = RationalMap([0] * degree + [1], [1])
-    level = iterated_preimages(rmap, 1, m).level(m)
+    tree = iterated_preimages(rmap, 1, m)
+    level = tree.level(m)
     count = degree ** m
     assert level.size == count and not level.inf_mask.any()
     assert level.cum.tolist() == [1] * count
     k = np.rint(np.angle(level.points) * count / (2 * np.pi)).astype(np.int64) % count
     assert np.bincount(k, minlength=count).tolist() == [1] * count
-    exact = np.exp(2j * np.pi * k / count)
-    no_inf = np.zeros(count, dtype=bool)
-    # |R'(z)| = n on the unit circle, so each backward step shrinks the
-    # error carried from the level above by n and the solver's own roundoff
-    # does not accumulate with depth: the bound is the same at every m.
-    assert chordal_pairs(level.points, no_inf, exact, no_inf).max() <= 4e-15
+    error = np.abs(level.points - _roots_of_unity(k, count))
+    assert np.all(error <= 4 * _carried_error(tree, rmap) + 4 * u)
 
 
 CHEB3 = RationalMap([0, -3, 0, 1], [1], name="z^3-3z")
@@ -241,42 +273,41 @@ def test_a_level_is_the_fiber_table_of_the_level_above(rmap, m):
 
 
 @pytest.mark.parametrize("rmap,root,phase,m", [
-    (CHEB3, -2, 0.5, 7), (CHEB3, -2, 0.5, 10),
-    (builtin_map("chebyshev"), 2, 0.0, 12), (builtin_map("chebyshev"), 2, 0.0, 16),
-], ids=["z^3-3z@-2,m=7", "z^3-3z@-2,m=10", "chebyshev@2,m=12", "chebyshev@2,m=16"])
+    (CHEB3, -2, (1, 2), 7), (CHEB3, -2, (1, 2), 10),
+    (builtin_map("chebyshev"), 2, (0, 1), 12), (builtin_map("chebyshev"), 2, (0, 1), 16),
+    (builtin_map("chebyshev"), -1, (1, 3), 8), (builtin_map("chebyshev"), -1, (1, 3), 14),
+    (builtin_map("chebyshev"), -1, (1, 3), 20),
+], ids=["z^3-3z@-2,m=7", "z^3-3z@-2,m=10", "chebyshev@2,m=12", "chebyshev@2,m=16",
+        "chebyshev@-1,m=8", "chebyshev@-1,m=14", "chebyshev@-1,m=20"])
 def test_chebyshev_levels_have_their_exact_multiplicities(rmap, root, phase, m):
     """Known answer: T_n(2cos t) = 2cos(nt), so level m of T_n rooted at
-    2cos(2 pi phase) holds the distinct values x_k = 2cos(2 pi (phase + k) / N),
-    N = n^m, for t_k in [0, pi].  T_N(x) - T_N(x_k) has a double root at
-    x_k unless t_k is 0 or pi, where the root is simple, so each atom's
-    ``cum`` is 2, and 1 at the ends.  The orbits pass through the
-    critical points (R(1) = -2 for z^3 - 3z, R(0) = -2 and R(-2) = 2 for
-    z^2 - 2), where the engine merges a double atom.
+    2cos(2 pi p / q), phase = (p, q), holds the values
+    x_k = 2cos(2 pi (p / q + k) / N), N = n^m, k = 0 .. N - 1.  Two k give
+    one value when their angles are opposite; then T_N(x) - T_N(x_k) has
+    a double root there, unless t_k is 0 or pi, so the atom's ``cum``
+    counts its k.  Rooted at the critical values +-2 every value but the
+    ends is double, and the orbits pass through the critical points
+    (R(1) = -2 for z^3 - 3z, R(0) = -2 and R(-2) = 2 for z^2 - 2), where
+    the engine merges a double atom.  Rooted at the fixed point -1 of
+    z^2 - 2 every value is simple, and atoms near the critical point 0
+    carry the worst conditioning.
 
-    The error bound follows the conditioning down the tree: a child z of
-    w carries e(z) = (u s(w) + e(w)) / |R'(z)|, s(w) being the fiber
-    polynomial's scale sum |h_k| max(1, |z|)^k, and a merged atom sits on
-    a listed critical point, to e = u.  Every atom is held to 4 e(z) plus
-    4 u for the rounding of the reference values themselves."""
+    Every atom is held to 4 e(z) of the carried bound (see
+    ``_carried_error``) plus 4 u for the rounding of the reference values
+    themselves."""
     u = np.finfo(float).eps / 2
-    n = rmap.degree
-    N = n ** m
+    p, q = phase
+    N = rmap.degree ** m
     tree = iterated_preimages(rmap, root, m)
-    coeffs = rmap.num.real
-    slope = polyder(coeffs)
-    err = np.zeros(1)
     for k in range(1, m + 1):
-        lvl, prev = tree.level(k), tree.level(k - 1)
+        lvl = tree.level(k)
         assert not lvl.points.imag.any() and not lvl.inf_mask.any()
-        z, w = lvl.points.real, prev.points.real[lvl.parent]
-        scale = polyval(np.maximum(1.0, np.abs(z)), np.abs(coeffs)) + np.abs(w)
-        merged = lvl.cum != prev.cum[lvl.parent]
-        derivative = np.where(merged, 1.0, np.abs(polyval(z, slope)))
-        err = np.where(merged, u, (u * scale + err[lvl.parent]) / derivative)
-    k = np.arange(int(N / 2 - phase) + 1)
-    angle = 2 * np.pi * (phase + k) / N
-    exact = 2 * np.cos(angle)
-    count = np.where((phase + k == 0) | (2 * (phase + k) == N), 1, 2)
+    err = _carried_error(tree, rmap)
+    # x_k in lowest angle terms: the index of 2 pi (p + q k) / (q N) or of
+    # its opposite, whichever lies in [0, pi].
+    turn = p + q * np.arange(N)
+    index, count = np.unique(np.minimum(turn, q * N - turn), return_counts=True)
+    exact = 2 * np.cos(2 * np.pi * index / (q * N))
     lvl = tree.level(m)
     assert lvl.size == exact.size
     got = np.argsort(lvl.points.real, kind="stable")

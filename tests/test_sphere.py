@@ -121,6 +121,23 @@ def test_chordal_past_the_largest_modulus():
     assert pair[0, 0] == pytest.approx(2, rel=1e-15) and pair[1, 0] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_chordal_never_exceeds_the_diameter():
+    # The overflow branch divides by each norm in turn, and nearly
+    # antipodal pairs z, -1/conj(z) round above 2 unless clamped.
+    for z in (1e154 + 1e154j, 1.5e308 + 1.5e308j):
+        assert chordal(SpherePoint(z), 0) == 2.0
+        assert chordal_array(np.array([z]), np.array([False]), 0)[0] == 2.0
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    z *= np.exp(rng.uniform(-5, 5, 4096))
+    no_inf = np.zeros(z.size, bool)
+    antipodal = chordal_pairs(z, no_inf, -1 / np.conj(z), no_inf)
+    assert antipodal.max() == 2.0 and antipodal.min() > 2.0 - 1e-14
+    assert max(chordal(SpherePoint(q), SpherePoint(-1 / np.conj(q))) for q in z[:200]) == 2.0
+    assert np.isnan(chordal_pairs(np.array([np.nan]), np.array([False]), 0j, False)[0])
+
+
 def test_chordal_array_matches_the_exact_reference():
     pts = np.array([0, 1 + 1j, -2, 5j, 3e5, -1e8 + 1e8j], dtype=complex)
     for inf in (np.zeros(pts.size, bool), np.arange(pts.size) == 1):

@@ -6,12 +6,11 @@ from lyubich_lab.bimodule_basis import julia_sample
 from lyubich_lab.errors import BudgetExceeded
 from lyubich_lab.lyubich_measure import integrate, measure_from_tree
 from lyubich_lab.preimage_solver import iterated_preimages, preimages
-from lyubich_lab.rational_map import RationalMap, builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map, evaluate_array
 from lyubich_lab.sphere import INFINITY, as_point, sphere_points
-from lyubich_lab.transfer_operator import (_closed_form_transfer, apply_transfer,
-                                           gather_fibers, inner_product,
-                                           sup_norm_2, transfer_function,
-                                           transfer_power)
+from lyubich_lab.transfer_operator import (apply_transfer, gather_fibers,
+                                           inner_product, sup_norm_2,
+                                           transfer_function, transfer_power)
 from lyubich_lab import test_functions as tf
 
 
@@ -23,6 +22,77 @@ def quad_map():
 @pytest.fixture(scope="module")
 def cheb():
     return builtin_map("chebyshev")
+
+
+def _power_sum_polynomials(rmap, top):
+    """Power sums of the fiber over w as polynomials in w (Newton's
+    identities); valid for polynomial maps, where the fiber polynomial's
+    leading coefficient does not depend on w.
+
+    The fiber solves P(z) - w*den0 = 0, so only the product of the roots
+    (the top elementary symmetric function) carries the w-dependence.
+    """
+    n = rmap.degree
+    lead = rmap._num_pad[n]
+    den0 = rmap.den[0]
+    elementary = [np.array([1.0 + 0j])]
+    for i in range(1, n + 1):
+        sign = (-1.0) ** i
+        if i < n:
+            e = np.array([sign * rmap._num_pad[n - i] / lead], dtype=complex)
+        else:
+            e = np.array([sign * rmap._num_pad[0] / lead,
+                          -sign * den0 / lead], dtype=complex)
+        elementary.append(e)
+    sums = [np.array([float(n)], dtype=complex)]
+    for k in range(1, top + 1):
+        acc = np.zeros(1, dtype=complex)
+        for i in range(1, min(k - 1, n) + 1):
+            term = np.convolve(elementary[i], sums[k - i]) * ((-1.0) ** (i - 1))
+            acc = _poly_add(acc, term)
+        if k <= n:
+            acc = _poly_add(acc, ((-1.0) ** (k - 1)) * k * elementary[k])
+        sums.append(acc)
+    return sums
+
+
+def _poly_add(a, b):
+    size = max(a.size, b.size)
+    out = np.zeros(size, dtype=complex)
+    out[: a.size] += a
+    out[: b.size] += b
+    return out
+
+
+def _closed_form_transfer(rmap, a):
+    """The transfer of a as an exact polynomial, when a is a polynomial in
+    pure powers of z or conj(z) and the map itself is a polynomial; None
+    otherwise.  An oracle for the fiber solves."""
+    if a.kind != "poly" or rmap.den.size != 1:
+        return None
+    keys = list(a._coeffs)
+    if any(j > 0 and k > 0 for j, k in keys):
+        return None
+    top = max((max(j, k) for j, k in keys), default=0)
+    sums = _power_sum_polynomials(rmap, top)
+    n = rmap.degree
+    coeffs: dict = {}
+    for (j, k), c in a._coeffs.items():
+        if j == 0 and k == 0:
+            coeffs[(0, 0)] = coeffs.get((0, 0), 0j) + c
+            continue
+        if k == 0:
+            poly = sums[j] / n
+            for i, b in enumerate(poly):
+                if b != 0:
+                    coeffs[(i, 0)] = coeffs.get((i, 0), 0j) + c * b
+        else:
+            # sum of conj(z)^k over the fiber is the conjugate power sum
+            poly = sums[k] / n
+            for i, b in enumerate(poly):
+                if b != 0:
+                    coeffs[(0, i)] = coeffs.get((0, i), 0j) + c * b.conjugate()
+    return tf.TestFunction.polynomial(coeffs, name=f"L[{a.name}] closed form")
 
 
 def _brute_force_transfer(rmap, a, w):
@@ -69,7 +139,8 @@ def test_module_property(quad_map, cheb):
     for rmap in (quad_map, cheb):
         a = tf.random_polynomial(rng, 2)
         b = tf.random_polynomial(rng, 2)
-        lifted = b.compose_with(rmap) * a
+        lifted = tf.TestFunction.from_callable(
+            lambda p, i: b.evaluate(*evaluate_array(rmap, p, i)), "b o R") * a
         for w in (0.4 + 0.3j, -1.2 + 0j, 0.9j):
             lhs = apply_transfer(rmap, lifted, w)
             rhs = b(w) * apply_transfer(rmap, a, w)

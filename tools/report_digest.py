@@ -24,8 +24,9 @@ with trials checked in chunks of several rows and one on z^3 (whose
 sibling blocks of three take the eigensolver), and the key lemma
 alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
 level whose points lie in up to three supports, and the invariance
-defect of z^2 conjugated by the Cayley map, whose atoms reach large
-moduli.
+defect and the covariance relation of z^2 conjugated by the Cayley map,
+whose atoms reach large moduli and whose weighted sums span many
+binades.
 """
 
 import hashlib
@@ -83,6 +84,10 @@ COMMANDS = [
     # (u^2 + 1) / (2u), z^2 conjugated by the Cayley map: its Julia set is
     # the imaginary axis through infinity, and its depth-12 atoms reach |u| ~ 3000.
     ["verify", "invariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
+     "--seed", "1"],
+    # The covariance relation on the same Cayley-map tree: its weighted sums
+    # span many binades.
+    ["verify", "covariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
      "--seed", "1"],
 ]
 
