@@ -76,20 +76,28 @@ def _binned_sums(parts: list) -> np.ndarray | None:
     """The correctly rounded row sums of equal-shape (rows, n) arrays as a
     (rows, len(parts)) array, or None where fsum must take the whole sum."""
     rows, n = parts[0].shape
+    count = len(parts)
     if n == 0:
-        return np.zeros((rows, len(parts)))
-    width = min(n, max(1, _SUM_BLOCK // len(parts)))
-    step = max(1, _SUM_BLOCK // (len(parts) * width))
-    sums = []
+        return np.zeros((rows, count))
+    width = min(n, max(1, _SUM_BLOCK // count))
+    step = max(1, _SUM_BLOCK // (count * width))
+    sums = np.empty(rows * count)
     for r in range(0, rows, step):
         bins = []
         for c in range(0, n, width):
-            block = np.concatenate([p[r:r + step, None, c:c + width] for p in parts], axis=1)
-            bins.append(_exact_bins(block.reshape(-1, block.shape[-1])))
+            # Row j of a block is part j % count of row r + j // count; a
+            # single part is its own block.
+            block = parts[0][r:r + step, c:c + width]
+            if count > 1:
+                block = np.concatenate([p[r:r + step, None, c:c + width] for p in parts],
+                                       axis=1).reshape(-1, block.shape[1])
+            bins.append(_exact_bins(block))
             if bins[-1] is None:
                 return None
-        sums += map(math.fsum, np.concatenate(bins, axis=1).tolist())
-    return np.reshape(sums, (rows, len(parts)))
+        # A row that spans several blocks sums the bins of all of them.
+        bins = bins[0] if len(bins) == 1 else np.concatenate(bins, axis=1)
+        sums[r * count:r * count + len(bins)] = list(map(math.fsum, bins.tolist()))
+    return sums.reshape(rows, count)
 
 
 def _exact_bins(terms: np.ndarray) -> np.ndarray | None:
@@ -103,13 +111,14 @@ def _exact_bins(terms: np.ndarray) -> np.ndarray | None:
     if low < -_SUM_EXPONENTS or high > _SUM_EXPONENTS:
         return None
     rows, span = len(terms), high - low + 1
-    index = (exponent + (span * np.arange(rows, dtype=np.int32)[:, None] - low)).ravel()
+    # Row r's term of exponent e goes to bin r * span + e - low.
+    index = (exponent + np.arange(-low, rows * span - low, span, dtype=np.int32)[:, None]).ravel()
     frac = mantissa * 2.0 ** 27
     whole = np.trunc(frac)
     frac -= whole  # exact: m * 2**27 is a multiple of 2**-26
     bins = np.concatenate([np.bincount(index, half.ravel(), rows * span)
                            for half in (whole, frac)])
-    scaled = bins.reshape(2, rows, span) * np.ldexp(1.0, np.arange(low - 27, high - 26))
+    scaled = np.ldexp(bins.reshape(2, rows, span), np.arange(low - 27, high - 26))
     return scaled.transpose(1, 0, 2).reshape(rows, 2 * span)
 
 

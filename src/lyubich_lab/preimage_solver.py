@@ -9,10 +9,13 @@ Level sums of those products are exactly degree**k, which is what makes
 the downstream measure identities testable bit-exactly.
 
 Every fiber is solved by one engine, ``_fiber.solve_fibers``, which takes
-its multiple roots from the map's critical points.  :func:`gather_fibers`
+its multiple roots from the map's critical points and reads the map
+through its ``_fiber.FiberPlan``, built once per map and kept beside the
+critical points (``rational_map.fiber_plan``).  :func:`gather_fibers`
 solves the fibers over a whole point array into one flat :class:`Fibers`
 table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
-temporaries stay small.  Both tree builders share one level loop that
+temporaries stay small; a single block's table is the engine's own, with
+nothing copied.  Both tree builders share one level loop that
 calls it on each level: level k + 1 is the fibers of level k's atoms in
 level order, so ``parent`` never decreases along a level.  A fully
 enumerated tree of a map with real coefficients rooted on the real line
@@ -35,8 +38,8 @@ import numpy as np
 
 from . import _fiber
 from .errors import BudgetExceeded, ExceptionalRoot
-from .rational_map import (RationalMap, critical_points, evaluate_array,
-                           has_real_coefficients, is_exceptional)
+from .rational_map import (RationalMap, evaluate_array, fiber_plan, has_real_coefficients,
+                           is_exceptional)
 from .sphere import INFINITY, SpherePoint, as_point, write_csv
 from .test_functions import PowerTable
 
@@ -78,8 +81,7 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
     if the root finder cannot meet its residual target.
     """
     target = as_point(w)
-    atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, target,
-                               critical_points(rmap))
+    atoms = _fiber.solve_fiber(fiber_plan(rmap), target)
     return WeightedPreimage(target=target, atoms=tuple(atoms))
 
 
@@ -182,15 +184,16 @@ def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
                   siblings: bool = False) -> Fibers:
     """The fiber over each point of a point array, solved in blocks by the
     batched engine; with ``siblings=True`` the fiber over its image, which
-    holds the point and its siblings."""
+    holds the point and its siblings.  The table of a single block is
+    returned as the engine made it; several are joined."""
     if siblings:
         points, inf_mask = evaluate_array(rmap, points, inf_mask)
-    critical = critical_points(rmap)
+    plan = fiber_plan(rmap)
     # An empty array is solved as one empty block.
-    blocks = [_fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
-                                  points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS],
-                                  critical)
+    blocks = [_fiber.solve_fibers(plan, points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS])
               for s in range(0, max(points.size, 1), _BLOCK_ROWS)]
+    if len(blocks) == 1:
+        return Fibers(rmap, *blocks[0])
     pts, infs, mult, offsets = zip(*blocks)
     counts = np.concatenate([np.diff(o) for o in offsets])
     return Fibers(rmap, np.concatenate(pts), np.concatenate(infs), np.concatenate(mult),

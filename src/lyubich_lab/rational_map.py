@@ -286,6 +286,17 @@ def critical_points(rmap: RationalMap) -> list[CriticalDatum]:
     return data
 
 
+def fiber_plan(rmap: RationalMap) -> _fiber.FiberPlan:
+    """The map's :class:`_fiber.FiberPlan`, what every fiber solve of the
+    map reads, built once and kept beside its critical points."""
+    plan = rmap._cache.get("fiber_plan")
+    if plan is None:
+        plan = _fiber.FiberPlan.of(rmap._num_pad, rmap._den_pad, rmap.degree,
+                                   critical_points(rmap))
+        rmap._cache["fiber_plan"] = plan
+    return plan
+
+
 def has_real_coefficients(rmap: RationalMap) -> bool:
     """Whether P and Q have real coefficients, so that R commutes with
     conjugation and maps the real line into the real line and infinity."""
@@ -349,9 +360,9 @@ def exceptional_points(rmap: RationalMap) -> list[SpherePoint]:
     if cached is not None:
         return cached
     n = rmap.degree
-    critical = critical_points(rmap)
+    plan = fiber_plan(rmap)
     candidates = []
-    for datum in critical:
+    for datum in critical_points(rmap):
         if datum.index == n:
             candidates.append(evaluate(rmap, datum.point))
 
@@ -364,14 +375,14 @@ def exceptional_points(rmap: RationalMap) -> list[SpherePoint]:
         found.append(p)
 
     for p in candidates:
-        atoms = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, p, critical)
+        atoms = _fiber.solve_fiber(plan, p)
         if len(atoms) != 1:
             continue
         z1 = atoms[0][0]
         if chordal(z1, p) <= _fiber.CLUSTER_RADIUS:
             record(p)
             continue
-        atoms2 = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, n, z1, critical)
+        atoms2 = _fiber.solve_fiber(plan, z1)
         if len(atoms2) != 1:
             continue
         z2 = atoms2[0][0]

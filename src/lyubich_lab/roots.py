@@ -11,10 +11,11 @@ longer of the two sums under the cube root.  Rows of degree 1 and of
 degree 4 and more take the simultaneous Aberth-Ehrlich iteration
 (Aberth, Math. Comp. 27, 1973; Bini, Numer. Algorithms 13, 1996).  All
 work root-major: they transpose the stack once into coefficients
-``(degree + 1, rows)`` and roots ``(degree, rows)``, so that every Horner
-step, residual test and repulsion term works on contiguous
-length-``rows`` vectors, and the per-row reductions run over the short
-leading axis.  All hold their roots to one backward-error test, and rows
+``(degree + 1, rows)`` and roots ``(degree, rows)`` (no copy when the
+stack is itself the transpose of a root-major array, as the fiber
+engine's is), so that every Horner step, residual test and repulsion
+term works on contiguous length-``rows`` vectors, and the per-row
+reductions run over the short leading axis.  All hold their roots to one backward-error test, and rows
 that fail it (a closed form) or miss it within ``MAX_ITERATIONS`` (the
 iteration) take the eigenvalues of their companion matrices, in one
 stacked call.  The closed-form roots then take one Newton step, fused
@@ -225,7 +226,9 @@ def quadratic_rows(h: np.ndarray, real=None):
         d = np.where(b.real * d.real + b.imag * d.imag < 0, -d, d)
         longer = b + d
         q = -0.5 * longer
-        z = np.stack([q / a, c0 / q])
+        z = np.empty((2, c.shape[1]), dtype=complex)
+        np.divide(q, a, out=z[0])
+        np.divide(c0, q, out=z[1])
         if real is None or not real.any():
             return _newton_step(c, z)
         rows = np.flatnonzero(real)
@@ -249,7 +252,10 @@ def _real_quadratic(c: np.ndarray):
     q = -0.5 * longer
     inv_a = 1 / a
     if not pair.any():
-        z, converged = _newton_step(c, np.stack([q * inv_a, c0 * (1 / q)]))
+        z = np.empty((2, c.shape[1]))
+        np.multiply(q, inv_a, out=z[0])
+        np.multiply(c0, 1 / q, out=z[1])
+        z, converged = _newton_step(c, z)
         return z + 0j, converged
     z = np.empty((2, c.shape[1]), dtype=complex)
     z.real[0] = q * inv_a

@@ -112,7 +112,10 @@ def atom_order(points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
     Rows of two without a NaN real part, as the fiber engine sorts for
     a map of degree 2, compare their two keys instead."""
     real = np.where(inf_mask, np.inf, points.real)
-    imag = np.where(np.isnan(points.imag) & ~np.isnan(real), np.inf, points.imag)
+    imag = points.imag
+    nan = np.isnan(imag)
+    if nan.any():
+        imag = np.where(nan & ~np.isnan(real), np.inf, imag)
     if points.shape[-1] == 2 and not np.isnan(real).any():
         return _order_of_two(real, imag)
     key = np.empty(points.shape, dtype=complex)

@@ -19,7 +19,7 @@ import pytest
 from lyubich_lab import _fiber, bimodule_basis, lyubich_measure, preimage_solver, roots
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
-from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
+from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points, fiber_plan
 from lyubich_lab.sphere import INFINITY, SpherePoint, atom_order
 
 NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
@@ -196,7 +196,6 @@ def test_critical_points_of_a_real_map_are_closed_under_conjugation():
     # atom at that point.
     lower = cube_roots[1]
     c = min((d.point.value for d in critical_points(NEWTON)), key=lambda p: abs(p - lower))
-    points, _, mult, _ = _fiber.solve_fibers(NEWTON._num_pad, NEWTON._den_pad, 3,
-                                             np.array([c]), np.array([False]),
-                                             critical_points(NEWTON))
+    points, _, mult, _ = _fiber.solve_fibers(fiber_plan(NEWTON), np.array([c]),
+                                             np.array([False]))
     assert points[mult == 2].tolist() == [c]

@@ -26,7 +26,8 @@ from lyubich_lab import _fiber, preimage_solver, roots
 from lyubich_lab.errors import RootFindingFailure
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import iterated_preimages, preimages
-from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points, evaluate
+from lyubich_lab.rational_map import (RationalMap, builtin_map, critical_points, evaluate,
+                                      fiber_plan)
 from lyubich_lab.sphere import INFINITY, as_point, sphere_points
 
 NEWTON = RationalMap([1, 0, 0, 2], [0, 0, 3], name="newton z^3-1")
@@ -123,8 +124,7 @@ def _targets(values):
 
 
 def _solve(rmap, points, infinite):
-    return _fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
-                               points, infinite, critical_points(rmap))
+    return _fiber.solve_fibers(fiber_plan(rmap), points, infinite)
 
 
 def _assert_matches_reference(rmap, points, infinite, got, parent_cum=None):
@@ -334,11 +334,11 @@ def test_block_size_never_changes_an_answer(monkeypatch, rmap, root, depth):
             np.testing.assert_array_equal(np.concatenate(got), want)
 
     # The one-row fronts are the same engine.
-    crit = critical_points(rmap)
+    plan = fiber_plan(rmap)
     for j, w in enumerate(sphere_points(points, infinite)):
         at = slice(one[3][j], one[3][j + 1])
         want = list(zip(one[0][at], one[1][at], one[2][at]))
-        single = _fiber.solve_fiber(rmap._num_pad, rmap._den_pad, rmap.degree, w, crit)
+        single = _fiber.solve_fiber(plan, w)
         for atoms in (single, preimages(rmap, w).atoms):
             assert [(p.value, p.infinite, m) for p, m in atoms] == want
 
@@ -562,7 +562,7 @@ def test_root_major_merge_keeps_the_bits_of_the_row_major_merge(monkeypatch, rma
     infinite = np.zeros(targets.size, dtype=bool)
     hits = []
 
-    def ref(coeffs, points, inf_mask, mult, c, e):
+    def ref(coeffs, points, inf_mask, mult, c, e, powers):
         hits.append(_ref_merge_at_critical_point(np.ascontiguousarray(coeffs.T),
                                                  points, inf_mask, mult, c, e))
 
@@ -631,3 +631,82 @@ def test_the_newton_step_agrees_with_the_three_step_polish(rmap, root):
         assert np.all(np.abs(roots.horner(c, got.T)) <= np.abs(roots.horner(c, closed.T)))
         moved += np.count_nonzero(got != closed)
     assert moved > 0
+
+
+# The shortcuts of a block whose rows are all plain (no infinite target, no
+# degree drop, no exact root at 0): no infinity masking, and the roots
+# array as the table.  A plain row keeps every bit when the block also
+# holds special rows and takes the row groups instead.
+
+
+@pytest.mark.parametrize("rmap,zero", [
+    pytest.param(builtin_map("basilica"), -1.0, id="basilica"),
+    pytest.param(RationalMap([0.3 + 0.5j, 0, 0, 1], [1]), 0.3 + 0.5j, id="z^3+0.3+0.5i"),
+])
+def test_special_rows_leave_the_bits_of_the_plain_rows(rmap, zero):
+    # The fiber polynomial over ``zero`` has a zero constant term.
+    rng = np.random.default_rng(12)
+    # Complex targets, and real ones: a real map solves them in float64.
+    for plain in (rng.normal(size=40) + 1j * rng.normal(size=40), rng.normal(size=40)):
+        alone = _solve(rmap, plain, np.zeros(plain.size, dtype=bool))
+        values = np.concatenate([plain, [0.0, zero]])
+        infinite = np.zeros(values.size, dtype=bool)
+        infinite[-2] = True
+        points, inf_mask, mult, offsets = _solve(rmap, values, infinite)
+        end = offsets[plain.size]
+        for a, b in zip(alone, (points[:end], inf_mask[:end], mult[:end],
+                                offsets[:plain.size + 1]), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # The special rows took their groups: an atom at infinity over
+        # infinity, an exact root at 0 over ``zero``.
+        over_infinity = slice(offsets[-3], offsets[-2])
+        assert inf_mask[over_infinity].any()
+        assert 0 in points[offsets[-2]:offsets[-1]]
+        assert mult[over_infinity].sum() == mult[offsets[-2]:].sum() == rmap.degree
+
+
+def test_a_map_builds_its_fiber_plan_once(monkeypatch):
+    built = []
+    of = _fiber.FiberPlan.of.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return of(cls, *args)
+
+    monkeypatch.setattr(_fiber.FiberPlan, "of", classmethod(counting))
+    rmap = RationalMap([-1, 0, 1], [1], name="basilica")
+    tree = iterated_preimages(rmap, default_root(rmap), 10)
+    preimages(rmap, 0.5 + 0.25j)
+    assert tree.atom_count(10) == 1024
+    assert len(built) == 1
+    assert fiber_plan(rmap) is fiber_plan(rmap)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("rmap", [
+    pytest.param(RationalMap([-1, 0.5j, 1], [1]), id="z^2+0.5iz-1"),
+    pytest.param(RationalMap([0.3 + 0.5j, 0, 0, 1], [1]), id="z^3+0.3+0.5i"),
+])
+def test_a_map_with_a_non_real_coefficient_never_solves_in_float64(monkeypatch, rmap):
+    plan = fiber_plan(rmap)
+    assert not plan.real and plan.num_real is None and plan.den_real is None
+    assert all(isinstance(c_real, complex) for _, c_real, _, _ in plan.critical)
+    seen = []
+    rows_roots = roots.rows_roots
+
+    def recording(h, real=None):
+        seen.append((h.dtype.kind, bool(real.any())))
+        return rows_roots(h, real)
+
+    def never(*args):
+        raise AssertionError("a float64 closed form ran")
+
+    monkeypatch.setattr(roots, "rows_roots", recording)
+    monkeypatch.setattr(roots, "_real_quadratic", never)
+    monkeypatch.setattr(roots, "_real_cubic", never)
+    # Real targets, the critical values, infinity and a tree's levels.
+    crit = [evaluate(rmap, d.point) for d in critical_points(rmap)]
+    values, infinite = _targets([0.5, -2.0, 0.0, INFINITY, *crit])
+    _solve(rmap, values, infinite)
+    iterated_preimages(rmap, 0.25, 5)
+    assert seen and all(seen_row == ("c", False) for seen_row in seen)

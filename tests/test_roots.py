@@ -7,7 +7,7 @@ from lyubich_lab import _fiber, roots
 from lyubich_lab.errors import RootFindingFailure
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.preimage_solver import iterated_preimages
-from lyubich_lab.rational_map import RationalMap, critical_points
+from lyubich_lab.rational_map import RationalMap, fiber_plan
 from lyubich_lab.roots import (aberth_roots, companion_roots, companion_rows, derivative,
                                horner, polish_root, trim)
 from lyubich_lab.sphere import INFINITY
@@ -271,8 +271,7 @@ def test_cubic_rows_that_fail_the_residual_test_fall_back(monkeypatch):
     finite = np.zeros(3, dtype=bool)
 
     def solve():
-        return _fiber.solve_fibers(rmap._num_pad, rmap._den_pad, rmap.degree,
-                                   values, finite, critical_points(rmap))
+        return _fiber.solve_fibers(fiber_plan(rmap), values, finite)
 
     want = solve()
     calls, polished = [], []

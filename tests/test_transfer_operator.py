@@ -368,7 +368,7 @@ def test_closures_solve_a_point_array_in_one_call(monkeypatch, cheb, closure):
         return gather(rmap, pts, *args, **kwargs)
 
     def counting_single(*args):
-        singles.append(args[3])
+        singles.append(args[1])
         return single(*args)
 
     monkeypatch.setattr(transfer_operator, "gather_fibers", counting_gather)
@@ -403,7 +403,7 @@ def test_sup_norm_equals_pointwise_inner_products(monkeypatch, cheb):
     single = _fiber.solve_fiber
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[1])
         return single(*args)
 
     rng = np.random.default_rng(45)

@@ -26,7 +26,8 @@ alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
 level whose points lie in up to three supports, and the invariance
 defect and the covariance relation of z^2 conjugated by the Cayley map,
 whose atoms reach large moduli and whose weighted sums span many
-binades.
+binades, a transfer power through the orbit memo, whose levels are
+mostly a few rows, and one fiber through the one-row front.
 """
 
 import hashlib
@@ -89,6 +90,12 @@ COMMANDS = [
     # span many binades.
     ["verify", "covariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
      "--seed", "1"],
+    # transfer_power through the orbit memo at a complex root: levels of 1
+    # to 2048 rows, most of them a few rows.
+    ["transfer", "--map", "basilica", "--w", "0.03546487410077015,1.351391088977806",
+     "--f", "x2", "--power", "12"],
+    # One fiber through the one-row front.
+    ["preimages", "--map", "basilica", "--w", "0.5,0.25"],
 ]
 
 
