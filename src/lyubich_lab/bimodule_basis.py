@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
-from .sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
-                     chordal_array, chordal_pairs, sphere_points, write_csv)
+from .sphere import (INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal, chordal_pairs,
+                     half_norm, sphere_points, write_csv)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -33,6 +33,10 @@ _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
 _SECTOR_LADDER_CAP = 16
 # Entries of one row block of the distance matrix in ``_median_spacing``.
 _SPACING_BLOCK = 1 << 16
+# Bytes of a bump table's complex temporaries, the (bumps, points)
+# differences between the bump centres and a block of points; its float
+# tables stay at half that, at glibc's 128 KiB mmap threshold.
+_TABLE_BYTES = 1 << 18
 
 
 @dataclass(eq=False)
@@ -42,8 +46,8 @@ class JuliaSample(PointSet):
     The sample owns what is derived from its points, each computed once,
     when first read: what every :class:`PointSet` owns (the fibers over
     the points and over their images, and each partition's cover table),
-    their distances to the critical points and the branch points.  Arrays
-    it keeps are read-only.
+    their half norms, their distances to the critical points and the
+    branch points.  Arrays it keeps are read-only.
     """
 
     map: RationalMap
@@ -60,12 +64,19 @@ class JuliaSample(PointSet):
         write_csv(path, ["re", "im"], [([], self.points, self.inf_mask, [])])
 
     @cached_property
+    def half_norms(self) -> np.ndarray:
+        """:func:`~lyubich_lab.sphere.half_norm` of each sample point, which
+        every distance table of the sample reads."""
+        norms = half_norm(self.points)
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
     def critical_distances(self) -> np.ndarray:
         """The chordal distances from each critical point of the map (one
         row each, in ``critical_points`` order) to each sample point."""
-        crit = critical_points(self.map)
-        table = np.array([chordal_array(self.points, self.inf_mask, d.point)
-                          for d in crit]).reshape(len(crit), self.size)
+        crit = _columns([d.point for d in critical_points(self.map)])
+        table = _chordal(self.points, self.inf_mask, self.half_norms, *crit)
         table.setflags(write=False)
         return table
 
@@ -208,28 +219,30 @@ class _RawBump:
     exponent: int
     sector: SectorSpec | None = None
 
-    def values(self, points: np.ndarray, inf_mask: np.ndarray) -> np.ndarray:
-        d = chordal_array(points, inf_mask, self.center)
-        if self.sector is None:
-            t = d / self.radius
-            out = np.clip(1.0 - t * t, 0.0, None) ** self.exponent
-            return out
-        spec = self.sector
-        mid = 0.5 * (spec.r_inner + spec.r_outer)
-        half = 0.5 * (spec.r_outer - spec.r_inner)
-        t = (d - mid) / half
-        radial = np.clip(1.0 - t * t, 0.0, None) ** self.exponent
-        if self.center.infinite:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                local = np.where(points == 0, np.inf, 1.0 / points)
-        else:
-            local = points - self.center.value
-        ang = np.angle(local)
-        diff = np.angle(np.exp(1j * (ang - spec.axis)))
-        t = diff / spec.halfwidth
-        angular = np.clip(1.0 - t * t, 0.0, None) ** self.exponent
-        angular = np.where(inf_mask, 0.0, angular)
-        return radial * angular
+
+def _columns(points: list) -> tuple:
+    """The values, infinity flags and half norms of sphere points as
+    (k, 1) columns, to broadcast against a point array in :func:`_chordal`;
+    each norm by the scalar rule, as for a single point."""
+    values = np.array([p.value for p in points], dtype=complex).reshape(-1, 1)
+    inf = np.array([p.infinite for p in points], dtype=bool).reshape(-1, 1)
+    return values, inf, _column([half_norm(p.value) for p in points])
+
+
+def _column(values: list) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _profile(t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """max(1 - t^2, 0) ** exponents[i] on row i of ``t``."""
+    base = np.clip(1.0 - t * t, 0.0, None)
+    kinds = np.unique(exponents)
+    if kinds.size == 1:
+        return base ** int(kinds[0])
+    for e in kinds:
+        rows = exponents == e
+        base[rows] = base[rows] ** int(e)
+    return base
 
 
 class PartitionOfUnity:
@@ -237,21 +250,75 @@ class PartitionOfUnity:
 
     Member i evaluates to sqrt(degree * raw_i / sum(raw)), which makes the
     squares sum to the degree exactly wherever any bump is positive.
+
+    The bumps are evaluated as one table per block of ``block`` points:
+    the chordal distances d from every centre to the block's points, whose
+    half norms are taken once per block; then the radial profile
+    (1 - t^2)^exponent, clipped at 0, of every row with t = (d - mid) / half,
+    where a net bump has mid 0 and half its radius, so t = d / radius, and
+    a sector the middle and half width of its annulus; then, on the sector
+    rows only, the angular profile of the same form.  Every value of a
+    point depends on that point alone, so any block size gives the same
+    bits.
     """
 
     def __init__(self, degree: int, bumps: list):
         self.degree = degree
         self.bumps = bumps
+        self._centres = _columns([b.center for b in bumps])
+        self._exponents = np.array([b.exponent for b in bumps], dtype=int)
+        self._mid = _column([0.0 if b.sector is None else
+                             0.5 * (b.sector.r_inner + b.sector.r_outer) for b in bumps])
+        self._half = _column([b.radius if b.sector is None else
+                              0.5 * (b.sector.r_outer - b.sector.r_inner) for b in bumps])
+        self._sectors = np.flatnonzero([b.sector is not None for b in bumps])
+        sectors = [bumps[i] for i in self._sectors]
+        self._sector_centres = self._centres[0][self._sectors]
+        self._sector_at_infinity = np.array([b.center.infinite for b in sectors], dtype=bool)
+        self._axis = _column([b.sector.axis for b in sectors])
+        self._halfwidth = _column([b.sector.halfwidth for b in sectors])
+
+    @property
+    def block(self) -> int:
+        """The points per table: the table's complex temporaries stay
+        within ``_TABLE_BYTES``."""
+        return max(1, _TABLE_BYTES // (16 * max(len(self.bumps), 1)))
 
     def raw_matrix(self, points, inf_mask=None) -> np.ndarray:
+        """The raw bumps at the points, one row per bump, filled block by
+        block."""
         points = np.asarray(points, dtype=complex)
         if inf_mask is None:
             inf_mask = np.zeros(points.shape, dtype=bool)
-        return np.array([b.values(points, inf_mask) for b in self.bumps])
+        z, z_inf = points.ravel(), np.broadcast_to(inf_mask, points.shape).ravel()
+        raw = np.empty((len(self.bumps), z.size))
+        step = self.block
+        for s in range(0, z.size, step):
+            raw[:, s:s + step] = self._table(z[s:s + step], z_inf[s:s + step])
+        return raw.reshape((len(self.bumps),) + points.shape)
+
+    def _table(self, z: np.ndarray, z_inf: np.ndarray) -> np.ndarray:
+        """The (bumps, points) raw table of one block of points."""
+        d = _chordal(z, z_inf, half_norm(z), *self._centres)
+        raw = _profile((d - self._mid) / self._half, self._exponents)
+        if self._sectors.size:
+            local = z - self._sector_centres
+            if self._sector_at_infinity.any():
+                # About infinity the chart is 1/z.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    local[self._sector_at_infinity] = np.where(z == 0, np.inf, 1.0 / z)
+            diff = np.angle(np.exp(1j * (np.angle(local) - self._axis)))
+            angular = _profile(diff / self._halfwidth, self._exponents[self._sectors])
+            raw[self._sectors] *= np.where(z_inf, 0.0, angular)
+        return raw
 
     def member_matrix(self, points, inf_mask=None) -> np.ndarray:
         raw = self.raw_matrix(points, inf_mask)
-        total = raw.sum(axis=0)
+        # Row by row: numpy sums a single column pairwise, so a point's
+        # total would depend on how many points share the call.
+        total = np.zeros(raw.shape[1:])
+        for row in raw:
+            total += row
         safe = np.where(total > 0.0, total, 1.0)
         members = np.sqrt(self.degree * raw / safe)
         members[:, total <= 0.0] = 0.0
@@ -323,14 +390,21 @@ def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
 
     Stops when the coverage radius drops to ``radius`` or when ``count``
     centers have been chosen, whichever comes first.  Returns the chosen
-    indices (in insertion order) and the final coverage radius.
+    indices (in insertion order) and the final coverage radius.  The
+    points' half norms are taken once, and each new center's distances
+    read them.
     """
     m = points.size
     if m == 0:
         return [], 0.0
+    norms = half_norm(points)
+
+    def distances(i: int) -> np.ndarray:
+        c = INFINITY if inf_mask[i] else SpherePoint(complex(points[i]))
+        return _chordal(points, inf_mask, norms, c.value, c.infinite, half_norm(c.value))
+
     chosen = [0]
-    first = INFINITY if inf_mask[0] else SpherePoint(complex(points[0]))
-    cover = chordal_array(points, inf_mask, first)
+    cover = distances(0)
     while True:
         worst = float(cover.max())
         if radius is not None and worst <= radius:
@@ -341,8 +415,7 @@ def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
             break
         nxt = int(cover.argmax())
         chosen.append(nxt)
-        c = INFINITY if inf_mask[nxt] else SpherePoint(complex(points[nxt]))
-        cover = np.minimum(cover, chordal_array(points, inf_mask, c))
+        cover = np.minimum(cover, distances(nxt))
     return chosen, float(cover.max())
 
 
@@ -363,12 +436,12 @@ def _median_spacing(sample: JuliaSample) -> float:
     """The median over the sample of the chordal distance from a point to
     its nearest other point, taken row block by row block of the distance
     matrix."""
-    pts, infs = sample.points, sample.inf_mask
+    pts, infs, norms = sample.points, sample.inf_mask, sample.half_norms
     nearest = np.empty(sample.size)
     block = max(1, _SPACING_BLOCK // max(sample.size, 1))
     for start in range(0, sample.size, block):
         at = slice(start, start + block)
-        d = chordal_pairs(pts, infs, pts[at, None], infs[at, None])
+        d = _chordal(pts, infs, norms, pts[at, None], infs[at, None], norms[at, None])
         rows = np.arange(d.shape[0])
         d[rows, start + rows] = np.inf
         nearest[at] = d.min(axis=1)

@@ -113,6 +113,23 @@ class Cover:
             array.setflags(write=False)
         return cls(index, value)
 
+    @classmethod
+    def join(cls, covers: list) -> "Cover":
+        """The cover table of the points of ``covers`` in turn: each table
+        padded to the widest, then all concatenated along the points."""
+        if len(covers) == 1:
+            return covers[0]
+        width = max(c.index.shape[0] for c in covers)
+
+        def joined(arrays):
+            return np.concatenate([np.pad(a, ((0, width - a.shape[0]), (0, 0))) for a in arrays],
+                                  axis=1)
+
+        index, value = joined([c.index for c in covers]), joined([c.value for c in covers])
+        for array in (index, value):
+            array.setflags(write=False)
+        return cls(index, value)
+
     def values(self, count: int) -> np.ndarray:
         """``value`` with the members from index ``count`` on read as 0."""
         return np.where(self.index < count, self.value, 0.0)
@@ -154,11 +171,18 @@ class PointSet:
         return PowerTable(self.points, self.inf_mask)
 
     def cover(self, partition) -> Cover:
-        """The :class:`Cover` table of ``partition.member_matrix`` on the
-        points; the member matrix itself is not kept."""
+        """The :class:`Cover` table of ``partition`` on the points, built
+        block by block: one ``partition.member_matrix`` call per block of
+        ``partition.block`` points, the blocks' tables joined.  No member
+        matrix over the whole set is formed."""
         covers = self.__dict__.setdefault("_covers", {})
         if partition not in covers:
-            covers[partition] = Cover.of(partition.member_matrix(self.points, self.inf_mask))
+            step = partition.block
+            # An empty set is one empty block.
+            covers[partition] = Cover.join([
+                Cover.of(partition.member_matrix(self.points[s:s + step],
+                                                 self.inf_mask[s:s + step]))
+                for s in range(0, max(self.size, 1), step)])
         return covers[partition]
 
 

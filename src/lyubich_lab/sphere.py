@@ -11,6 +11,9 @@ taken as written, with each norm halved, which keeps nearby points at
 any modulus to a few ulps.  Where the norms' product nears overflow
 (moduli beyond about 1e153) it quarters the points and divides by each
 half norm in turn: the answer stays finite, past |z| = DBL_MAX too.
+Callers that hold a point array's half norms (:func:`half_norm`) pass
+them to the same rule, so a pair's distance never depends on the other
+pairs of a call.
 """
 
 import itertools
@@ -135,7 +138,7 @@ def _order_of_two(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     return order
 
 
-def _half_norm(x):
+def half_norm(x):
     """sqrt(1 + |x|^2) / 2 from x / 2, finite whenever x's parts are; a
     single point's in scalars, which can round differently in the last
     bit from numpy's abs and hypot of an array."""
@@ -162,9 +165,15 @@ def chordal_pairs(z, z_inf, w, w_inf):
 
     Each point is a complex value with an infinity flag; a flagged entry
     is infinity, whatever its value.  A result that rounds above the
-    sphere's diameter 2 reads 2.
+    sphere's diameter 2 reads 2.  A pair's distance does not depend on
+    the other pairs of the call.
     """
-    hz, hw = _half_norm(z), _half_norm(w)
+    return _chordal(z, z_inf, half_norm(z), w, w_inf, half_norm(w))
+
+
+def _chordal(z, z_inf, hz, w, w_inf, hw):
+    """:func:`chordal_pairs` from the half norms ``hz`` and ``hw`` of ``z``
+    and ``w``, for callers that reuse a point array's norms."""
     if hz.max(initial=0.5) <= _OVERFLOW / hw.max(initial=0.5):
         out = np.abs(z - w)
         out /= 2.0 * hz * hw

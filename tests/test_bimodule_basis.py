@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lyubich_lab import bimodule_basis, preimage_solver
+from lyubich_lab import bimodule_basis, preimage_solver, sphere
 from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
-                                        PartitionOfUnity, VanishingFunction,
+                                        PartitionOfUnity, SectorSpec, VanishingFunction,
                                         _RawBump, basis_to_json,
                                         branch_points_on_julia,
                                         branch_separation_radius, build_basis,
@@ -11,7 +11,7 @@ from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         net_radius, reconstruct)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
 from lyubich_lab.preimage_solver import Cover, iterated_preimages
-from lyubich_lab.rational_map import RationalMap, builtin_map
+from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
 from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_array
 from lyubich_lab.transfer_operator import cached_fiber
 from lyubich_lab import test_functions as tf
@@ -140,6 +140,39 @@ def test_branch_points_detection(quad_map, cheb, circle_sample, interval_sample)
     found = branch_points_on_julia(cheb, interval_sample)
     assert len(found) == 1
     assert abs(found[0].point.value) < 1e-9 and found[0].index == 2
+
+
+def _net_loop(points, inf_mask, radius=None, count=None):
+    """The greedy farthest-point net, one ``chordal_array`` per center."""
+    def distances(i):
+        return chordal_array(points, inf_mask, INFINITY if inf_mask[i] else complex(points[i]))
+
+    chosen, cover = [0], distances(0)
+    while not ((radius is not None and cover.max() <= radius)
+               or (count is not None and len(chosen) >= count) or len(chosen) >= points.size):
+        chosen.append(int(cover.argmax()))
+        cover = np.minimum(cover, distances(chosen[-1]))
+    return chosen, float(cover.max())
+
+
+def test_farthest_point_net_equals_the_per_center_loop(circle_sample):
+    pts = np.append(circle_sample.points, [0j, 1e160 + 1e160j])
+    infs = np.append(circle_sample.inf_mask, [True, False])
+    for points, inf_mask in ((circle_sample.points, circle_sample.inf_mask), (pts, infs)):
+        for radius, count in ((0.2, None), (None, 40), (0.05, 25)):
+            assert (farthest_point_net(points, inf_mask, radius, count)
+                    == _net_loop(points, inf_mask, radius, count))
+
+
+def test_critical_distances_equal_one_chordal_array_per_critical_point(cheb):
+    # Newton's map for z^3 - 1: infinity is a critical point and lies in
+    # its Julia set, and so in the sample.
+    for rmap in (cheb, RationalMap([1, 0, 0, 2], [0, 0, 3])):
+        sample = julia_sample(rmap, 256, seed=2)
+        rows = [chordal_array(sample.points, sample.inf_mask, d.point)
+                for d in critical_points(rmap)]
+        assert sample.critical_distances.tobytes() == np.array(rows).tobytes()
+        assert sample.half_norms.tobytes() == sphere.half_norm(sample.points).tobytes()
 
 
 def _median_spacing_loop(sample):
@@ -276,10 +309,12 @@ def test_cover_of_a_partition_holds_its_member_matrix(monkeypatch, cheb, interva
     member_matrix = PartitionOfUnity.member_matrix
 
     def counting(self, points, inf_mask=None):
-        members.append(self)
+        members.append((self, points.size))
         return member_matrix(self, points, inf_mask)
 
     monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting)
+    # 49 bumps: the 640 sibling-fiber points take two blocks.
+    assert partition.block < sample.sibling_fibers.size <= 2 * partition.block
     for points in (sample, sample.sibling_fibers):
         cover = points.cover(partition)
         assert points.cover(partition) is cover
@@ -295,7 +330,121 @@ def test_cover_of_a_partition_holds_its_member_matrix(monkeypatch, cheb, interva
             assert not cover.value[held.size:, j].any()
         assert not cover.index.flags.writeable and not cover.value.flags.writeable
         assert points.cover(other) is not cover
-    assert members == [partition, other, partition, other]
+    # One pass of each partition over each point set, block by block.
+    assert members == [(p, n) for points in (sample, sample.sibling_fibers)
+                       for p in (partition, other) for n in _blocks(p, points.size)]
+
+
+def _bump_values(bump, points, inf_mask):
+    """One raw bump at the points, alone: the per-bump reference for the
+    bump tables."""
+    d = chordal_array(points, inf_mask, bump.center)
+    if bump.sector is None:
+        t = d / bump.radius
+        return np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+    spec = bump.sector
+    mid = 0.5 * (spec.r_inner + spec.r_outer)
+    half = 0.5 * (spec.r_outer - spec.r_inner)
+    t = (d - mid) / half
+    radial = np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+    if bump.center.infinite:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            local = np.where(points == 0, np.inf, 1.0 / points)
+    else:
+        local = points - bump.center.value
+    diff = np.angle(np.exp(1j * (np.angle(local) - spec.axis)))
+    t = diff / spec.halfwidth
+    angular = np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+    return radial * np.where(inf_mask, 0.0, angular)
+
+
+def _reference_members(partition, points, inf_mask):
+    """The member matrix from the per-bump rows, summed bump by bump."""
+    raw = np.array([_bump_values(b, points, inf_mask) for b in partition.bumps])
+    total = np.zeros(points.size)
+    for row in raw:
+        total = total + row
+    members = np.sqrt(partition.degree * raw / np.where(total > 0.0, total, 1.0))
+    members[:, total <= 0.0] = 0.0
+    return raw, members
+
+
+@pytest.fixture(scope="module")
+def table_cases():
+    """(partition, point sets) cases: basilica's net bumps on a sample and
+    its sibling fibers, chebyshev's sector ladder on the same, and bumps and
+    sectors centred at 0, at 1e200 and at infinity, of exponents 2 and 3,
+    on a point set holding 0 and infinity."""
+    basilica, cheb = builtin_map("basilica"), builtin_map("chebyshev")
+    cases = []
+    for rmap, count in ((basilica, 32), (cheb, 24)):
+        sample = julia_sample(rmap, 384, seed=1)
+        r = min(net_radius(sample, count) * 1.000001,
+                branch_separation_radius(rmap, sample) / 3.0)
+        partition = build_basis(rmap, sample, r, count_cap=128)[0].partition
+        cases.append((partition, [sample, sample.sibling_fibers]))
+    assert not any(b.sector for b in cases[0][0].bumps)
+    assert any(b.sector for b in cases[1][0].bumps)
+    sector = SectorSpec(axis=0.5, halfwidth=1.2, r_inner=0.2, r_outer=1.5)
+    # The bump at 1e200 and the point 1e160i take the overflow branch.
+    bumps = [_RawBump(INFINITY, 0.9, 2), _RawBump(SpherePoint(0j), 0.7, 3),
+             _RawBump(SpherePoint(1e200 + 0j), 0.3, 2),
+             _RawBump(INFINITY, 1.5, 2, sector), _RawBump(SpherePoint(0j), 1.5, 3, sector),
+             _RawBump(SpherePoint(1 - 1j), 1.1, 2, sector)]
+    rng = np.random.default_rng(29)
+    pts = np.concatenate([[0j, 0j, 1e160j, 1 - 1j], rng.standard_normal(60)
+                          + 1j * rng.standard_normal(60)])
+    infs = np.arange(pts.size) == 1
+    cases.append((PartitionOfUnity(2, bumps), [JuliaSample(cheb, pts, infs, "manual", 0)]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+def test_bump_tables_and_joined_covers_equal_the_per_bump_reference(monkeypatch, table_cases,
+                                                                   block):
+    for partition, point_sets in table_cases:
+        monkeypatch.setattr(bimodule_basis, "_TABLE_BYTES", 16 * len(partition.bumps) * block)
+        assert partition.block == block
+        for points in point_sets:
+            raw, members = _reference_members(partition, points.points, points.inf_mask)
+            assert (raw > 0).sum(axis=0).max() >= 2
+            got = partition.raw_matrix(points.points, points.inf_mask)
+            assert got.tobytes() == raw.tobytes()
+            fresh = JuliaSample(points.map, points.points, points.inf_mask, "copy", 0)
+            cover, whole = fresh.cover(partition), Cover.of(members)
+            assert cover.index.shape == whole.index.shape
+            assert cover.index.tobytes() == whole.index.tobytes()
+            assert cover.value.tobytes() == whole.value.tobytes()
+            assert not cover.index.flags.writeable and not cover.value.flags.writeable
+
+
+def test_a_point_has_the_same_members_alone_as_among_others(cheb, interval_sample):
+    # numpy would sum a single column pairwise; the totals are summed bump
+    # by bump whatever the number of points.  The sector ladders put some
+    # points in three supports.
+    r = min(net_radius(interval_sample, 24) * 1.000001,
+            branch_separation_radius(cheb, interval_sample) / 3.0)
+    partition = build_basis(cheb, interval_sample, r, count_cap=128)[0].partition
+    pts, infs = interval_sample.points, interval_sample.inf_mask
+    whole = partition.member_matrix(pts, infs)
+    assert (whole > 0).sum(axis=0).max() > 2
+    alone = np.concatenate([partition.member_matrix(pts[i:i + 1], infs[i:i + 1])
+                            for i in range(pts.size)], axis=1)
+    assert alone.tobytes() == whole.tobytes()
+
+
+def test_an_empty_point_set_has_an_empty_cover(cheb):
+    partition = PartitionOfUnity(2, [_RawBump(SpherePoint(0j), 0.5, 2)])
+    empty = JuliaSample(cheb, np.zeros(0, dtype=complex), np.zeros(0, dtype=bool), "manual", 0)
+    cover = empty.cover(partition)
+    assert cover.index.shape == cover.value.shape == (0, 0)
+    assert partition.raw_matrix(empty.points, empty.inf_mask).shape == (len(partition.bumps), 0)
+
+
+def _blocks(partition, size):
+    """The point counts of the member matrices of one pass of a partition
+    over ``size`` points."""
+    return [min(partition.block, size - s) for s in range(0, size, partition.block)]
 
 
 # ----------------------------------------------------------------------
@@ -380,14 +529,16 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     monkeypatch.setattr(PartitionOfUnity, "member_matrix", counting_members)
     reconstruct(cheb, basis, xis[0], len(basis), sample)
     assert solves == [sample.size]
-    # The member matrices on the sample and on its sibling fibers.
-    assert sorted(members) == [sample.size, sample.sibling_fibers.points.size]
+    # One pass over the sample and one over its sibling fibers.
+    one_pass = sorted(_blocks(basis[0].partition, sample.size)
+                      + _blocks(basis[0].partition, sample.sibling_fibers.size))
+    assert sorted(members) == one_pass
     warm, warm_residual = reconstruct(cheb, basis, xis[1], len(basis), sample)
     assert solves == [sample.size]
-    assert len(members) == 2
+    assert len(members) == len(one_pass)
     cold, cold_residual = reconstruct(cheb, basis, xis[1], len(basis), cold_sample)
     assert len(solves) == 2
-    assert len(members) == 4
+    assert len(members) == 2 * len(one_pass)
     pts, infs = sample.points, sample.inf_mask
     assert np.array_equal(warm.evaluate(pts, infs), cold.evaluate(pts, infs))
     assert warm_residual == cold_residual

@@ -138,6 +138,40 @@ def test_chordal_never_exceeds_the_diameter():
     assert np.isnan(chordal_pairs(np.array([np.nan]), np.array([False]), 0j, False)[0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_pairs_distance_does_not_depend_on_the_other_pairs():
+    # The bump tables broadcast a block of points against every centre and
+    # take each entry as that pair's distance alone.  A call holding a
+    # modulus past 1e153 takes the overflow branch for every pair, and one
+    # holding infinity reads the masks for every pair; each pair, in any
+    # stretch of any length of the arrays, keeps the bits of its call alone.
+    rng = np.random.default_rng(29)
+    n = 67
+    z, w = ((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            * np.exp(rng.uniform(-8, 8, n)) for _ in range(2))
+    z[5], z[11], w[17], w[18] = 1e154 + 1e154j, 1.5e308 - 1e308j, -3e200j, z[18] * (1 + 1e-15)
+    z_inf, w_inf = np.zeros(n, bool), np.zeros(n, bool)
+    z_inf[[23, 41]] = True
+    w_inf[[31, 41]] = True
+    alone = np.array([chordal_pairs(z[i:i + 1], z_inf[i:i + 1], w[i:i + 1], w_inf[i:i + 1])[0]
+                      for i in range(n)])
+    for start in range(8):
+        for length in (1, 2, 3, 7, 8, 9, 16, 17, 33, n):
+            at = slice(start, start + length)
+            got = chordal_pairs(z[at], z_inf[at], w[at], w_inf[at])
+            assert got.tobytes() == alone[at].tobytes()
+    # The table of every point against every other.
+    table = chordal_pairs(z, z_inf, w[:, None], w_inf[:, None])
+    for i in range(n):
+        row = [chordal_pairs(z[j:j + 1], z_inf[j:j + 1], w[i:i + 1], w_inf[i:i + 1])[0]
+               for j in range(n)]
+        assert table[i].tobytes() == np.array(row).tobytes()
+    # The norms read from a table of half norms are those of the points.
+    hz, hw = sphere.half_norm(z), sphere.half_norm(w)
+    assert hz.tobytes() == np.array([sphere.half_norm(z[i:i + 1])[0] for i in range(n)]).tobytes()
+    assert sphere._chordal(z, z_inf, hz, w, w_inf, hw).tobytes() == alone.tobytes()
+
+
 def test_chordal_array_matches_the_exact_reference():
     pts = np.array([0, 1 + 1j, -2, 5j, 3e5, -1e8 + 1e8j], dtype=complex)
     for inf in (np.zeros(pts.size, bool), np.arange(pts.size) == 1):

@@ -21,10 +21,12 @@ with double atoms, a Julia sample, basis exports of basilica and of
 chebyshev (whose Julia set meets a critical point), seven verification
 reports, two of them on chebyshev (one with padded sibling blocks), one
 with trials checked in chunks of several rows and one on z^3 (whose
-sibling blocks of three take the eigensolver), and the key lemma
-alone on chebyshev at depth 12, a sector-ladder basis on a 4096-atom
-level whose points lie in up to three supports, and the invariance
-defect and the covariance relation of z^2 conjugated by the Cayley map,
+sibling blocks of three take the eigensolver), the key lemma alone on
+chebyshev at depth 12, a sector-ladder basis on a 4096-atom level whose
+points lie in up to three supports, and on Newton's map for z^3 - 1,
+whose 141 bumps take their cover tables on 19683 sibling-fiber points
+block by block, and the invariance defect and the covariance relation
+of z^2 conjugated by the Cayley map,
 whose atoms reach large moduli and whose weighted sums span many
 binades, a transfer power through the orbit memo, whose levels are
 mostly a few rows, and one fiber through the one-row front.
@@ -80,6 +82,10 @@ COMMANDS = [
     ["verify", "all", "--map", "chebyshev", "--w", "2,0", "--depth", "8", "--seed", "4"],
     # Reconstruction sums over covers wider than two elements.
     ["verify", "key_lemma", "--map", "chebyshev", "--depth", "12", "--seed", "4"],
+    # Newton's map for z^3 - 1 rooted off the real line: 141 bumps on 19683
+    # sibling-fiber points, a cover taken in many blocks.
+    ["verify", "key_lemma", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "0.31,0.17",
+     "--depth", "8", "--seed", "1"],
     # z^3: sibling blocks of width 3, whose spectra take the eigensolver.
     ["verify", "all", "--num=0,0;0,0;0,0;1,0", "--den=1,0", "--depth", "5", "--seed", "1"],
     # (u^2 + 1) / (2u), z^2 conjugated by the Cayley map: its Julia set is
