@@ -59,7 +59,7 @@ print("branch points meeting the interval:",
 r = min(net_radius(interval, 24) * 1.000001, r_interval / 3)
 basis = build_basis(cheb, interval, r, count_cap=128)
 bump = VanishingFunction.bump(cheb, 1.0, 0.5, sample=interval)
-meets = [bump.meets(el) for el in basis]
+meets = bump.meets_elements(basis)
 print(f"a bump supported in [0.5, 1.5] meets elements "
       f"{[i for i, m in enumerate(meets) if m]}")
 print(f"every element past index {max(i for i, m in enumerate(meets) if m)} "

@@ -568,11 +568,18 @@ class VanishingFunction:
         fn = TestFunction.constant(0.0, name="0")
         return VanishingFunction(fn=fn, support_center=SpherePoint(0j), support_radius=0.0)
 
-    def meets(self, element: BasisElement) -> bool:
-        if self.support_radius <= 0.0:
-            return False
-        gap = chordal(self.support_center, element.center)
-        return gap < self.support_radius + element.support_radius
+    def meets_elements(self, basis: list) -> np.ndarray:
+        """Whether the support meets each element's, for elements of one
+        partition: one row of chordal distances from the support centre to
+        the partition's centre column, whose half norms keep the scalar
+        rule, so each answer is that of the scalar chordal distance."""
+        if self.support_radius <= 0.0 or not basis:
+            return np.zeros(len(basis), dtype=bool)
+        c = self.support_center
+        rows = [el.index for el in basis]
+        values, inf, norms = (column[rows, 0] for column in basis[0].partition._centres)
+        gaps = _chordal(c.value, c.infinite, half_norm(c.value), values, inf, norms)
+        return gaps < self.support_radius + np.array([el.support_radius for el in basis])
 
 
 def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,

@@ -402,14 +402,12 @@ def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
 
     Raises NoVanishingTail when a meets every element.
     """
-    meets = [a.meets(el) for el in basis]
-    if basis and all(meets):
+    meets = a.meets_elements(basis)
+    if basis and meets.all():
         raise NoVanishingTail(
             f"{a.fn.name} meets all {len(basis)} elements")
-    M = 0
-    for i, m in enumerate(meets):
-        if m:
-            M = i + 1
+    hits = np.flatnonzero(meets)
+    M = int(hits[-1]) + 1 if hits.size else 0
     blocks = _frame_sum(model, basis, M, k)
     # diag(a) (frame - I) splits into the same sibling blocks; padded rows
     # carry a = 0 and padded columns of (frame - I) are zero off the diagonal.

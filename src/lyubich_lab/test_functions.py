@@ -262,20 +262,35 @@ class PolynomialBatch:
         :class:`PowerTable`: one row per polynomial, in the points' shape.
 
         This is the one polynomial evaluator.  Terms accumulate in key order
-        as ``(c * z**j) * conj(z)**k`` on the table's named power arrays, so
-        the product order does not depend on the array size (numpy runs
-        ``x * temporary`` as ``temporary * x`` from 256 KiB), and a row's
-        values do not depend on the other rows.  The second product is
-        taken in place, which rounds as the fresh product does and spares
-        numpy's costly check for a temporary it may reuse.  At infinity
-        only a constant is defined.
+        as ``(c * z**j) * conj(z)**k`` on the table's named power arrays,
+        each written into one work array of the call (``out=``, no
+        temporaries), so the product order does not depend on the array
+        size (numpy runs ``x * temporary`` as ``temporary * x`` from
+        256 KiB), and a row's values do not depend on the other rows.
+
+        No product by ``z**0``, which is exactly 1: the constant term is
+        added as ``c``, and ``(j, 0)`` and ``(0, k)`` take the one product
+        ``c * z**j`` or ``c * conj(z)**k``.  A finite value times 1 + 0j
+        differs from it at most in the sign of a zero part, as then does
+        its product with ``conj(z)**k``; and no such sign reaches the sum,
+        which starts at +0 and which round-to-nearest addition never turns
+        into -0.  So every finite value has the bits of the full formula.
+        Where a term overflows, ``c * z**j`` can read inf + NaN*i, as
+        ``c * conj(z)**k`` does, where its product with 1 + 0j reads
+        NaN + NaN*i.  At infinity only a constant is defined.
         """
         table = as_power_table(points, inf_mask)
         out = np.zeros((len(self),) + table.points.shape, dtype=complex)
+        term = np.empty_like(out)
         column = (-1,) + (1,) * table.points.ndim
         for (j, k), c in zip(self.keys, self.coeffs.T):
-            term = c.reshape(column) * table.power(j)
-            term *= table.power(k, conjugate=True)
+            c = c.reshape(column)
+            if j == k == 0:
+                out += c
+                continue
+            np.multiply(c, table.power(j) if j else table.power(k, conjugate=True), out=term)
+            if j and k:
+                term *= table.power(k, conjugate=True)
             out += term
         if table.inf_mask.any():
             if any(key != (0, 0) for key in self.keys):

@@ -10,6 +10,7 @@ from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
                                         farthest_point_net, julia_sample,
                                         net_radius, reconstruct)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
+from lyubich_lab.operator_lab import default_basis
 from lyubich_lab.preimage_solver import Cover, iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
 from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_array
@@ -582,7 +583,7 @@ def test_vanishing_function_finite_tail(cheb, interval_sample):
             branch_separation_radius(cheb, interval_sample) / 3.0)
     basis = build_basis(cheb, interval_sample, r, count_cap=128)
     vf = VanishingFunction.bump(cheb, 1.0, 0.5, sample=interval_sample)
-    meets = [vf.meets(el) for el in basis]
+    meets = vf.meets_elements(basis).tolist()
     assert any(meets)
     assert not all(meets)
     last = max(i for i, m in enumerate(meets) if m)
@@ -595,4 +596,38 @@ def test_vanishing_zero_function_meets_nothing(cheb, interval_sample):
                         min(r, branch_separation_radius(cheb, interval_sample) / 3),
                         count_cap=128)
     vf = VanishingFunction.zero()
-    assert not any(vf.meets(el) for el in basis)
+    assert not vf.meets_elements(basis).any()
+
+
+def _meets(vf, element):
+    """The scalar rule: one chordal distance between the support centres."""
+    if vf.support_radius <= 0.0:
+        return False
+    return chordal(vf.support_center, element.center) < vf.support_radius + element.support_radius
+
+
+@pytest.mark.parametrize("rmap", [builtin_map("basilica"), builtin_map("chebyshev"),
+                                  RationalMap([1, 0, 0, 2], [0, 0, 3])],
+                         ids=["basilica", "chebyshev", "newton"])
+def test_a_support_meets_the_elements_the_scalar_rule_meets(rmap):
+    # Chebyshev's basis holds sector ladders; Newton's map for z^3 - 1 has
+    # infinity in its sample.
+    sample = julia_sample(rmap, 384, seed=1)
+    basis = default_basis(rmap, sample)
+    centres = [el.center for el in basis[::9]] + [sample.atom(i) for i in range(0, 384, 61)]
+    centres += [INFINITY, SpherePoint(0j), SpherePoint(1e200 + 0j)]
+    for centre in centres:
+        gaps = [chordal(centre, el.center) for el in basis]
+        touching = sorted({g - el.support_radius for g, el in zip(gaps, basis)})
+        # radii at which some pair of supports just touches, and just past
+        radii = [0.0, 1e-3, 0.05, 0.5, 3.0] + touching[1::5] + [np.nextafter(g, 3)
+                                                                  for g in touching[2::5]]
+        for radius in (r for r in radii if r >= 0):
+            vf = VanishingFunction(fn=tf.ONE, support_center=centre, support_radius=radius)
+            expected = [radius > 0 and g < radius + el.support_radius
+                        for g, el in zip(gaps, basis)]
+            assert vf.meets_elements(basis).tolist() == expected
+            assert vf.meets_elements(basis[7:30][::-1]).tolist() == expected[7:30][::-1]
+        assert [_meets(vf, el) for el in basis] == expected
+    assert any(el.is_sector for el in basis) == (rmap.name == "chebyshev")
+    assert VanishingFunction.zero().meets_elements([]).shape == (0,)

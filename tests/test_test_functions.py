@@ -185,6 +185,102 @@ def test_a_batch_evaluates_row_by_row_on_a_power_table():
             assert zeroth.tobytes() == (base**0).tobytes()
 
 
+def _reference_evaluate(batch, points, inf_mask=None):
+    """The per-term evaluator: every term as ``(c * z**j) * conj(z)**k``,
+    ``z**0`` included, each in a fresh array."""
+    table = tf.as_power_table(points, inf_mask)
+    out = np.zeros((len(batch),) + table.points.shape, dtype=complex)
+    column = (-1,) + (1,) * table.points.ndim
+    for (j, k), c in zip(batch.keys, batch.coeffs.T):
+        term = c.reshape(column) * table.power(j)
+        term *= table.power(k, conjugate=True)
+        out += term
+    if table.inf_mask.any():
+        if any(key != (0, 0) for key in batch.keys):
+            raise ValueError(f"polynomial {batch.name} is not defined at infinity")
+        out[:, table.inf_mask] = batch.coeffs[:, :1] if batch.keys else 0j
+    return out
+
+
+def _batches(rng, rows, degree):
+    """A random batch of the degree, its conjugate and a product batch
+    ``xi.conj() * eta``, as the covariance check forms it."""
+    xi, eta = tf.random_polynomials(rng, rows, degree), tf.random_polynomials(rng, rows, degree)
+    return xi, xi.conj(), xi.conj() * eta
+
+
+# (rows, point shape): 1 to 100 rows on 1-D and 2-D point arrays of 1 to
+# 65536 points; from (3, 16384) on a row block passes numpy's 256 KiB
+# elision size.
+EVALUATION_CASES = [
+    (1, (1,)), (7, (1,)), (100, (1, 1)), (1, (300,)), (7, (20, 15)), (31, (512,)),
+    (100, (512,)), (31, (2, 256)), (7, (4096,)), (100, (4096,)), (3, (16384,)),
+    (31, (128, 128)), (1, (65536,)), (7, (65536,)), (1, (256, 256)),
+]
+
+
+@pytest.mark.parametrize("rows,shape", EVALUATION_CASES)
+def test_a_batch_keeps_the_bits_of_the_per_term_evaluator(rows, shape):
+    rng = np.random.default_rng(rows * 65537 + int(np.prod(shape)))
+    size = int(np.prod(shape))
+    points = 1.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    points[:3] = [0.0, -0.0, complex(-0.0, -0.0)][:size]
+    points = points.reshape(shape)
+    for degree in range(5):
+        for batch in _batches(rng, rows, degree):
+            expected = _reference_evaluate(batch, tf.PowerTable(points))
+            assert batch.evaluate(tf.PowerTable(points)).tobytes() == expected.tobytes()
+            assert batch.evaluate(points).tobytes() == expected.tobytes()
+
+
+def test_signed_zeros_keep_the_bits_of_the_per_term_evaluator():
+    parts = [0.0, -0.0, 1.5, -2.25]
+    coeffs = np.array([complex(a, b) for a in parts for b in parts])
+    points = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1.0,
+                       1j, -1j, 0.5 - 0.25j])
+    for degree in range(4):
+        keys = tf._term_keys(degree)
+        # every coefficient on every term, one row each
+        table = np.resize(coeffs, (len(coeffs), len(keys)))
+        for offset in range(len(keys)):
+            batch = tf.PolynomialBatch(keys, np.roll(table, offset, axis=0))
+            for b in (batch, batch.conj(), batch.conj() * batch):
+                expected = _reference_evaluate(b, points)
+                assert b.evaluate(points).tobytes() == expected.tobytes()
+
+
+def test_constant_batches_read_no_power_on_tables_holding_infinity():
+    points = np.array([0.5, np.inf, complex(np.inf, np.nan), np.nan, -0.0, 1e200])
+    consts = tf.PolynomialBatch([(0, 0)], [[2.0], [1j], [complex(-0.0, -0.0)], [0j]])
+    with np.errstate(all="ignore"):
+        for inf_mask in (None, [False, True, True, False, False, False]):
+            table = tf.PowerTable(points, inf_mask)
+            expected = _reference_evaluate(consts, points, inf_mask)
+            assert consts.evaluate(table).tobytes() == expected.tobytes()
+            assert not table._powers
+        empty = tf.PolynomialBatch([], np.zeros((2, 0)))
+        assert empty.evaluate(points).tobytes() == _reference_evaluate(empty, points).tobytes()
+
+
+def test_an_overflowing_term_is_not_multiplied_by_one():
+    """At |z| = 1e200, z**2 is inf + 0j.  The term c * z**2 reads
+    inf + NaN*i, as its conjugate c * conj(z)**2 always did; the per-term
+    evaluator's product of it with 1 + 0j read NaN + NaN*i.  Every value
+    finite in one reads the same bits in the other."""
+    points = np.array([1e200, -1e200, 1e200j, 0.75 - 0.5j])
+    with np.errstate(all="ignore"):
+        for keys in ([(2, 0)], [(0, 0), (1, 0), (2, 0)]):
+            batch = tf.PolynomialBatch(keys, [[1.0] * len(keys)])
+            value, expected = batch.evaluate(points)[0], _reference_evaluate(batch, points)[0]
+            assert np.isinf(value[:3].real).all() and np.isnan(value[:3].imag).all()
+            assert np.isnan(expected[:3].real).all() and np.isnan(expected[:3].imag).all()
+            assert value[3:].tobytes() == expected[3:].tobytes()
+        conj = tf.PolynomialBatch([(0, 2)], [[1.0]])
+        assert (conj.evaluate(points).tobytes()
+                == _reference_evaluate(conj, points).tobytes()
+                == tf.PolynomialBatch([(2, 0)], [[1.0]]).evaluate(np.conj(points)).tobytes())
+
+
 def test_a_batch_is_defined_at_infinity_only_when_constant():
     inf = np.array([False, True])
     consts = tf.PolynomialBatch([(0, 0)], [[2.0], [1j]])

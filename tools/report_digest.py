@@ -18,9 +18,10 @@ take the Aberth iteration and the polish), two trees none of whose rows
 is real (a real map rooted off the real line, and a map with a non-real
 coefficient), the measure CSV of a tree
 with double atoms, a Julia sample, basis exports of basilica and of
-chebyshev (whose Julia set meets a critical point), seven verification
+chebyshev (whose Julia set meets a critical point), eight verification
 reports, two of them on chebyshev (one with padded sibling blocks), one
-with trials checked in chunks of several rows and one on z^3 (whose
+with trials checked in chunks of several rows, one at 65536 atoms, whose
+trials are checked one row at a time, and one on z^3 (whose
 sibling blocks of three take the eigensolver), the key lemma alone on
 chebyshev at depth 12, a sector-ladder basis on a 4096-atom level whose
 points lie in up to three supports, and on Newton's map for z^3 - 1,
@@ -73,6 +74,8 @@ COMMANDS = [
     ["verify", "all", "--map", "basilica", "--depth", "9", "--seed", "1"],
     ["verify", "all", "--map", "basilica", "--depth", "14", "--seed", "1",
      "--trials", "3", "--pairs", "3"],
+    # 65536-atom levels: each trial's polynomials take their own call.
+    ["verify", "all", "--map", "basilica", "--depth", "16", "--seed", "1"],
     # 2048-atom levels: the suite checks its trials in chunks of several rows.
     ["verify", "all", "--map", "basilica", "--depth", "11", "--seed", "2",
      "--trials", "40", "--pairs", "20"],
