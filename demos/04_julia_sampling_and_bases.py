@@ -2,11 +2,12 @@
 """Julia-set sampling and partition-of-unity bases.
 
 Deep backward orbits accumulate on the Julia set, which gives a cheap
-deterministic sampler.  On the sample we build bump bases: square roots
-of a normalized partition subordinate to supports where the map is
-injective, with angular-sector ladders around branch points that meet
-the set.  The normalization makes the reconstruction identity hold to
-roundoff away from the branch points.
+deterministic sampler.  On the sample we build bump bases: each basis
+is one partition of unity, whose elements are the square roots of its
+normalized bumps, subordinate to supports where the map is injective,
+with angular-sector ladders around branch points that meet the set.
+The normalization makes the reconstruction identity hold to roundoff
+away from the branch points.
 """
 
 import numpy as np
@@ -43,8 +44,8 @@ for name, rmap, sample, r_sep in (("circle", quad, circle, r_circle),
                                   ("interval", cheb, interval, r_interval)):
     r = min(net_radius(sample, 24) * 1.000001, r_sep / 3)
     basis = build_basis(rmap, sample, r, count_cap=128)
-    sectors = sum(1 for el in basis if el.is_sector)
-    members = basis[0].partition.member_matrix(sample.points, sample.inf_mask)
+    sectors = sum(1 for bump in basis.bumps if bump.sector is not None)
+    members = basis.member_matrix(sample.points, sample.inf_mask)
     total = (members ** 2).sum(axis=0)
     print(f"{name}: {len(basis)} elements ({sectors} branch sectors), "
           f"sum of squares in [{total.min():.12f}, {total.max():.12f}]")

@@ -7,7 +7,7 @@ function bimodule, and a finite operator model on tree levels where the
 composition-operator identities hold to roundoff.
 """
 
-from .bimodule_basis import (BasisElement, JuliaSample, VanishingFunction,
+from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction,
                              basis_to_json, branch_points_on_julia,
                              branch_separation_radius, build_basis,
                              farthest_point_net, julia_sample, net_radius,

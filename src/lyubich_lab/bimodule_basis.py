@@ -1,13 +1,15 @@
 """Countable bases for the function bimodule over the Julia set.
 
-Elements are square roots of a partition of unity subordinate to supports
-on which the map is injective: smooth radial bumps centered on a greedy
-net of a Julia-set sample, normalized so the squares sum to the map degree
-on the sample.  Around each branch point that meets the Julia set, the net
-is replaced by ladders of shrinking annular sector bumps whose supports
+A basis is one :class:`PartitionOfUnity`, whose ordered elements are the
+square roots of a partition of unity subordinate to supports on which the
+map is injective: smooth radial bumps centered on a greedy net of a
+Julia-set sample, normalized so the squares sum to the map degree on the
+sample.  Around each branch point that meets the Julia set, the net is
+replaced by ladders of shrinking annular sector bumps whose supports
 separate the local branches; supports shrink toward branch points with
 increasing element index, which gives every function vanishing near the
-branch points a finite tail of disjoint elements.
+branch points a finite tail of disjoint elements.  A partial sum takes
+the first N elements, N a count.
 
 Reconstruction at the branch points themselves is reported by the
 verification harness, not asserted; everywhere else the normalization
@@ -25,12 +27,14 @@ from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal, chordal_pairs,
-                     half_norm, sphere_points, write_csv)
+                     half_norm, point_json, sphere_points, write_csv)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
 _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
 _SECTOR_LADDER_CAP = 16
+# The exponent e of every bump's profile max(1 - t^2, 0)^e.
+_PROFILE = 2
 # Entries of one row block of the distance matrix in ``_median_spacing``.
 _SPACING_BLOCK = 1 << 16
 # Bytes of a bump table's complex temporaries, the (bumps, points)
@@ -45,7 +49,7 @@ class JuliaSample(PointSet):
 
     The sample owns what is derived from its points, each computed once,
     when first read: what every :class:`PointSet` owns (the fibers over
-    the points and over their images, and each partition's cover table),
+    the points and over their images, and each basis's cover table),
     their half norms, their distances to the critical points and the
     branch points.  Arrays it keeps are read-only.
     """
@@ -199,12 +203,12 @@ def branch_separation_radius(rmap: RationalMap, sample: JuliaSample) -> float:
 
 
 # ----------------------------------------------------------------------
-# bumps and the shared partition
+# bumps and the partition
 
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """Angular sector data for elements near a branch point."""
+    """Angular sector data for bumps near a branch point."""
 
     axis: float          # direction of the sector center in the local chart
     halfwidth: float     # angular half-extent
@@ -216,7 +220,6 @@ class SectorSpec:
 class _RawBump:
     center: SpherePoint
     radius: float        # support radius (outer radius for sectors)
-    exponent: int
     sector: SectorSpec | None = None
 
 
@@ -233,28 +236,23 @@ def _column(values: list) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def _profile(t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """max(1 - t^2, 0) ** exponents[i] on row i of ``t``."""
-    base = np.clip(1.0 - t * t, 0.0, None)
-    kinds = np.unique(exponents)
-    if kinds.size == 1:
-        return base ** int(kinds[0])
-    for e in kinds:
-        rows = exponents == e
-        base[rows] = base[rows] ** int(e)
-    return base
+def _profile(t: np.ndarray) -> np.ndarray:
+    """max(1 - t^2, 0) ** _PROFILE."""
+    return np.clip(1.0 - t * t, 0.0, None) ** _PROFILE
 
 
 class PartitionOfUnity:
-    """Shared normalizer: raw bumps plus the degree scaling.
+    """A basis: raw bumps plus the degree scaling.
 
-    Member i evaluates to sqrt(degree * raw_i / sum(raw)), which makes the
-    squares sum to the degree exactly wherever any bump is positive.
+    Element i is ``bumps[i]`` normalized, row i of :meth:`member_matrix`:
+    sqrt(degree * raw_i / sum(raw)), which makes the squares sum to the
+    degree exactly wherever any bump is positive.  ``len`` is the element
+    count, and a partial sum over the first N elements takes the count N.
 
     The bumps are evaluated as one table per block of ``block`` points:
     the chordal distances d from every centre to the block's points, whose
     half norms are taken once per block; then the radial profile
-    (1 - t^2)^exponent, clipped at 0, of every row with t = (d - mid) / half,
+    (1 - t^2)^``_PROFILE``, clipped at 0, of every row with t = (d - mid) / half,
     where a net bump has mid 0 and half its radius, so t = d / radius, and
     a sector the middle and half width of its annulus; then, on the sector
     rows only, the angular profile of the same form.  Every value of a
@@ -266,7 +264,7 @@ class PartitionOfUnity:
         self.degree = degree
         self.bumps = bumps
         self._centres = _columns([b.center for b in bumps])
-        self._exponents = np.array([b.exponent for b in bumps], dtype=int)
+        self._radii = np.array([b.radius for b in bumps], dtype=float)
         self._mid = _column([0.0 if b.sector is None else
                              0.5 * (b.sector.r_inner + b.sector.r_outer) for b in bumps])
         self._half = _column([b.radius if b.sector is None else
@@ -278,11 +276,14 @@ class PartitionOfUnity:
         self._axis = _column([b.sector.axis for b in sectors])
         self._halfwidth = _column([b.sector.halfwidth for b in sectors])
 
+    def __len__(self) -> int:
+        return len(self.bumps)
+
     @property
     def block(self) -> int:
         """The points per table: the table's complex temporaries stay
         within ``_TABLE_BYTES``."""
-        return max(1, _TABLE_BYTES // (16 * max(len(self.bumps), 1)))
+        return max(1, _TABLE_BYTES // (16 * max(len(self), 1)))
 
     def raw_matrix(self, points, inf_mask=None) -> np.ndarray:
         """The raw bumps at the points, one row per bump, filled block by
@@ -291,16 +292,16 @@ class PartitionOfUnity:
         if inf_mask is None:
             inf_mask = np.zeros(points.shape, dtype=bool)
         z, z_inf = points.ravel(), np.broadcast_to(inf_mask, points.shape).ravel()
-        raw = np.empty((len(self.bumps), z.size))
+        raw = np.empty((len(self), z.size))
         step = self.block
         for s in range(0, z.size, step):
             raw[:, s:s + step] = self._table(z[s:s + step], z_inf[s:s + step])
-        return raw.reshape((len(self.bumps),) + points.shape)
+        return raw.reshape((len(self),) + points.shape)
 
     def _table(self, z: np.ndarray, z_inf: np.ndarray) -> np.ndarray:
         """The (bumps, points) raw table of one block of points."""
         d = _chordal(z, z_inf, half_norm(z), *self._centres)
-        raw = _profile((d - self._mid) / self._half, self._exponents)
+        raw = _profile((d - self._mid) / self._half)
         if self._sectors.size:
             local = z - self._sector_centres
             if self._sector_at_infinity.any():
@@ -308,7 +309,7 @@ class PartitionOfUnity:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     local[self._sector_at_infinity] = np.where(z == 0, np.inf, 1.0 / z)
             diff = np.angle(np.exp(1j * (np.angle(local) - self._axis)))
-            angular = _profile(diff / self._halfwidth, self._exponents[self._sectors])
+            angular = _profile(diff / self._halfwidth)
             raw[self._sectors] *= np.where(z_inf, 0.0, angular)
         return raw
 
@@ -325,50 +326,19 @@ class PartitionOfUnity:
         return members
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One element: a normalized bump, evaluable everywhere."""
-
-    index: int
-    bump: _RawBump
-    partition: PartitionOfUnity
-
-    @property
-    def center(self) -> SpherePoint:
-        return self.bump.center
-
-    @property
-    def support_radius(self) -> float:
-        return self.bump.radius
-
-    @property
-    def is_sector(self) -> bool:
-        return self.bump.sector is not None
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(self.partition.degree)
-
-    def evaluate(self, points, inf_mask=None) -> np.ndarray:
-        return self.partition.member_matrix(points, inf_mask)[self.index]
-
-    def function(self) -> TestFunction:
-        return TestFunction.from_callable(self.evaluate, name=f"u{self.index}")
-
-
-def basis_to_json(basis: list, path=None) -> str:
-    """Export as JSON: list of {center, radius, profile, scale, sector?}."""
+def basis_to_json(basis: PartitionOfUnity, path=None) -> str:
+    """Export as JSON: list of {center, radius, profile, scale, sector?},
+    one record per element."""
     records = []
-    for el in basis:
+    for bump in basis.bumps:
         rec = {
-            "center": "inf" if el.center.infinite else
-                      [el.center.value.real, el.center.value.imag],
-            "radius": el.support_radius,
-            "profile": el.bump.exponent,
-            "scale": el.scale,
+            "center": point_json(bump.center),
+            "radius": bump.radius,
+            "profile": _PROFILE,
+            "scale": math.sqrt(basis.degree),
         }
-        if el.is_sector:
-            s = el.bump.sector
+        if bump.sector is not None:
+            s = bump.sector
             rec["sector"] = {"axis": s.axis, "halfwidth": s.halfwidth,
                              "r_inner": s.r_inner, "r_outer": s.r_outer}
         records.append(rec)
@@ -449,7 +419,7 @@ def _median_spacing(sample: JuliaSample) -> float:
 
 
 def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
-                count_cap: int = 256) -> list:
+                count_cap: int = 256) -> PartitionOfUnity:
     """Basis from a greedy r-net of the sample plus branch-point sectors.
 
     Net bumps have support radius 1.3 r; callers should keep
@@ -480,8 +450,7 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
             f"{cover:.3g} > {r:.3g}")
 
     centers = pool_idx[chosen]
-    net_bumps = [_RawBump(center=sample.atom(i), radius=_SUPPORT_FACTOR * r, exponent=2)
-                 for i in centers]
+    net_bumps = [_RawBump(center=sample.atom(i), radius=_SUPPORT_FACTOR * r) for i in centers]
     if branch:
         # Farthest from the branch points first.
         clearance = near[:, centers].min(axis=0)
@@ -504,8 +473,7 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
                 spec = SectorSpec(axis=2.0 * math.pi * k / e,
                                   halfwidth=halfwidth,
                                   r_inner=rho / 4.0, r_outer=rho)
-                sector_bumps.append(_RawBump(center=datum.point, radius=rho,
-                                             exponent=2, sector=spec))
+                sector_bumps.append(_RawBump(center=datum.point, radius=rho, sector=spec))
 
     bumps = net_bumps + sector_bumps
     if len(bumps) > count_cap:
@@ -519,9 +487,7 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
     if uncovered.size:
         p = sample.atom(uncovered[0])
         raise CoverFailure(f"sample point {p!r} is not covered by any bump")
-
-    return [BasisElement(index=i, bump=b, partition=partition)
-            for i, b in enumerate(bumps)]
+    return partition
 
 
 # ----------------------------------------------------------------------
@@ -568,18 +534,17 @@ class VanishingFunction:
         fn = TestFunction.constant(0.0, name="0")
         return VanishingFunction(fn=fn, support_center=SpherePoint(0j), support_radius=0.0)
 
-    def meets_elements(self, basis: list) -> np.ndarray:
-        """Whether the support meets each element's, for elements of one
-        partition: one row of chordal distances from the support centre to
-        the partition's centre column, whose half norms keep the scalar
-        rule, so each answer is that of the scalar chordal distance."""
+    def meets_elements(self, basis: PartitionOfUnity) -> np.ndarray:
+        """Whether the support meets each element's: one row of chordal
+        distances from the support centre to the basis's centre column,
+        whose half norms keep the scalar rule, so each answer is that of
+        the scalar chordal distance."""
         if self.support_radius <= 0.0 or not basis:
             return np.zeros(len(basis), dtype=bool)
         c = self.support_center
-        rows = [el.index for el in basis]
-        values, inf, norms = (column[rows, 0] for column in basis[0].partition._centres)
+        values, inf, norms = (column[:, 0] for column in basis._centres)
         gaps = _chordal(c.value, c.infinite, half_norm(c.value), values, inf, norms)
-        return gaps < self.support_radius + np.array([el.support_radius for el in basis])
+        return gaps < self.support_radius + basis._radii
 
 
 def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
@@ -605,7 +570,7 @@ def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
     return total
 
 
-def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
+def reconstruct(rmap: RationalMap, basis: PartitionOfUnity, xi: TestFunction, N: int,
                 sample: JuliaSample) -> tuple[TestFunction, float]:
     """Partial reconstruction sum over the first N elements, on the sample.
 
@@ -621,9 +586,8 @@ def reconstruct(rmap: RationalMap, basis: list, xi: TestFunction, N: int,
         return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
 
     fib = sample.sibling_fibers
-    partition = basis[0].partition
     count = min(N, len(basis))
-    recon = reconstruction_sum(sample.cover(partition), fib, fib.cover(partition),
+    recon = reconstruction_sum(sample.cover(basis), fib, fib.cover(basis),
                                xi.evaluate(fib.powers), count)
 
     residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0

@@ -17,7 +17,7 @@ from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
                      LyubichLabError, RootFindingFailure)
 from .preimage_solver import DEFAULT_BUDGET, iterated_preimages, preimages, sampled_tree
 from .rational_map import RationalMap, builtin_map
-from .sphere import INFINITY, SpherePoint
+from .sphere import INFINITY, SpherePoint, point_json
 from .transfer_operator import transfer_power
 
 EXIT_OK = 0
@@ -140,10 +140,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _point_json(p: SpherePoint):
-    return "inf" if p.infinite else [p.value.real, p.value.imag]
-
-
 # ----------------------------------------------------------------------
 # commands
 
@@ -155,8 +151,8 @@ def _cmd_preimages(args) -> int:
     _emit({
         "command": "preimages",
         "map": rmap.describe(),
-        "w": _point_json(w),
-        "atoms": [{"point": _point_json(p), "mult": m} for p, m in fib.atoms],
+        "w": point_json(w),
+        "atoms": [{"point": point_json(p), "mult": m} for p, m in fib.atoms],
     }, args)
     return EXIT_OK
 
@@ -175,7 +171,7 @@ def _cmd_tree(args) -> int:
     _emit({
         "command": "tree",
         "map": rmap.describe(),
-        "w": _point_json(w),
+        "w": point_json(w),
         "depth": tree.depth,
         "weight_base": tree.weight_base,
         "level_sizes": [tree.atom_count(k) for k in range(tree.depth + 1)],
@@ -207,7 +203,7 @@ def _cmd_measure(args) -> int:
     _emit({
         "command": "measure",
         "map": rmap.describe(),
-        "w": _point_json(w),
+        "w": point_json(w),
         "m": tree.depth,
         "weight_base": mu.base,
         "atoms": mu.size,
@@ -238,7 +234,7 @@ def _cmd_transfer(args) -> int:
     _emit({
         "command": "transfer",
         "map": rmap.describe(),
-        "w": _point_json(w),
+        "w": point_json(w),
         "f": f.name,
         "power": power,
         "value": value,
@@ -262,7 +258,7 @@ def _cmd_basis(args) -> int:
         "command": "basis",
         "map": rmap.describe(),
         "elements": len(basis),
-        "sectors": sum(1 for el in basis if el.is_sector),
+        "sectors": sum(1 for bump in basis.bumps if bump.sector is not None),
         "json": str(destination) if destination else None,
     }, args)
     return EXIT_OK

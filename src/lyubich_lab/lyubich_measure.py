@@ -21,7 +21,7 @@ from .errors import DegenerateSample, ExceptionalRoot
 from .preimage_solver import AtomicMeasure, PreimageTree, iterated_preimages
 from .rational_map import (RationalMap, branch_index, evaluate_array,
                            fixed_points, is_exceptional)
-from .sphere import SpherePoint, as_point, chordal_pairs
+from .sphere import SpherePoint, as_point, chordal_pairs, point_json
 from .test_functions import TestFunction
 
 
@@ -261,7 +261,7 @@ def convergence_report(rmap: RationalMap, roots, depths, fs) -> dict:
                 spread = max(abs(x - y) for x in across for y in across)
                 records.append({
                     "map": rmap.describe(),
-                    "w": [root.value.real, root.value.imag] if not root.infinite else "inf",
+                    "w": point_json(root),
                     "m": m,
                     "f": f.name,
                     "value": [v.real, v.imag],
@@ -270,7 +270,6 @@ def convergence_report(rmap: RationalMap, roots, depths, fs) -> dict:
                 })
                 prev = v
     return {"records": records,
-            "roots": [[r.value.real, r.value.imag] if not r.infinite else "inf"
-                      for r in roots],
+            "roots": [point_json(r) for r in roots],
             "depths": depths,
             "functions": [f.name for f in fs]}

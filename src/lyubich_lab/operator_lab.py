@@ -32,7 +32,7 @@ level matrices below are only the reference that tests compare against.
 The model's levels are the tree's own levels, with no copies.  The checks
 read the fibers, sibling fibers, power tables and cover tables that each
 level, fiber table and Julia sample owns, so over one suite run each
-point set is solved once and each partition evaluated on it once.  Sums
+point set is solved once and each basis evaluated on it once.  Sums
 over the basis run over each point's cover, the few elements nonzero
 there, never over whole (elements, points) arrays.
 """
@@ -42,15 +42,15 @@ from itertools import islice
 
 import numpy as np
 
-from .bimodule_basis import (JuliaSample, VanishingFunction, _julia_samples,
+from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction, _julia_samples,
                              branch_points_on_julia, branch_separation_radius,
                              build_basis, net_radius, reconstruction_sum)
 from .errors import EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
-from .preimage_solver import Cover, Fibers, PointSet, PreimageTree, iterated_preimages
+from .preimage_solver import Fibers, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
-from .sphere import SpherePoint, as_point
+from .sphere import SpherePoint, as_point, point_json
 from .test_functions import (ONE, PolynomialBatch, TestFunction,
                              random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
@@ -78,7 +78,7 @@ class OperatorModel:
     fibers, power table and cover tables); the model only names them by
     level.  The one memo it keeps holds what reads two levels:
     :meth:`siblings`, keyed by ("siblings", k), and :meth:`frame_vectors`,
-    keyed by (k, partition).  Its arrays are read-only.
+    keyed by (k, basis).  Its arrays are read-only.
     """
 
     depth: int
@@ -130,19 +130,19 @@ class OperatorModel:
         out[..., self.levels[k].parent, slot] = v
         return out
 
-    def frame_vectors(self, basis: list, k: int) -> np.ndarray:
+    def frame_vectors(self, basis: PartitionOfUnity, k: int) -> np.ndarray:
         """The basis on level k regrouped by sibling block after the
-        sqrt(weight) similarity, computed once per partition: ``V``
+        sqrt(weight) similarity, computed once per basis: ``V``
         (parents, width, elements) with ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)``
         for the child x in slot s of parent p, and zero padding."""
-        key = (k, basis[0].partition if basis else None)
+        key = (k, basis)
         if key not in self._memo:
             lvl = self.levels[k]
             prev = self.levels[k - 1]
             slot, counts = self.siblings(k)
             scale = np.sqrt(lvl.weights / prev.weights[lvl.parent])
             V = np.zeros((prev.size, int(counts.max()), len(basis)))
-            cover = _cover_on(lvl, basis)
+            cover = lvl.cover(basis)
             for members, u in zip(cover.index, cover.value):
                 hit = u != 0.0
                 V[lvl.parent[hit], slot[hit], members[hit]] = u[hit] * scale[hit]
@@ -192,11 +192,6 @@ class OperatorModel:
         d = np.sqrt(self.levels[k].weights)
         sim = (matrix * (d[:, None] / d[None, :]))
         return float(np.linalg.norm(sim, 2))
-
-
-def _cover_on(points: PointSet, basis: list) -> Cover:
-    """The cover table of the basis's partition on a point set."""
-    return points.cover(basis[0].partition) if basis else Cover.of(np.zeros((0, points.size)))
 
 
 def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
@@ -275,7 +270,7 @@ def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBat
     return residual1, residual2
 
 
-def verify_key_lemma(model: OperatorModel, basis: list, N: int,
+def verify_key_lemma(model: OperatorModel, basis: PartitionOfUnity, N: int,
                      a: TestFunction, k: int) -> float:
     """Two evaluations of the same reconstruction sum must agree pointwise.
 
@@ -289,19 +284,19 @@ def verify_key_lemma(model: OperatorModel, basis: list, N: int,
     # Path two first: its fiber solve is the larger allocation, and the
     # frame vectors built after it stay below that peak.
     fib = model.sibling_fibers(k)
-    path_b = reconstruction_sum(_cover_on(lvl, basis), fib, _cover_on(fib, basis),
+    path_b = reconstruction_sum(lvl.cover(basis), fib, fib.cover(basis),
                                 a.evaluate(fib.powers), min(N, len(basis)))
     path_a = _apply_frame_sum(model, basis, N, k, model.values(a, k))
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
 
-def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarray:
+def _frame_matrix(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int) -> np.ndarray:
     """Partial frame sum on level k; dense reference."""
     lvl = model.levels[k]
     comp = model.composition_matrix(k)
     proj = comp @ model.adjoint_matrix(k)
     count = min(N, len(basis))
-    U = basis[0].partition.member_matrix(lvl.points, lvl.inf_mask) if count else None
+    U = basis.member_matrix(lvl.points, lvl.inf_mask) if count else None
     total = np.zeros((lvl.size, lvl.size), dtype=complex)
     for i in range(count):
         u = U[i]
@@ -309,7 +304,7 @@ def _frame_matrix(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarr
     return total
 
 
-def _frame_sums(model: OperatorModel, basis: list, k: int):
+def _frame_sums(model: OperatorModel, basis: PartitionOfUnity, k: int):
     """The partial frame sums on level k after the sqrt(weight) similarity,
     B_N for N = 0, 1, ..., len(basis), as (parents, width, width) stacks of
     real symmetric sibling blocks.
@@ -329,13 +324,13 @@ def _frame_sums(model: OperatorModel, basis: list, k: int):
         yield view
 
 
-def _frame_sum(model: OperatorModel, basis: list, N: int, k: int) -> np.ndarray:
+def _frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int) -> np.ndarray:
     """The partial frame sum B_N of :func:`_frame_sums`, N capped at the
     basis size."""
     return next(islice(_frame_sums(model, basis, k), min(N, len(basis)), None))
 
 
-def _apply_frame_sum(model: OperatorModel, basis: list, N: int, k: int,
+def _apply_frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int,
                      av: np.ndarray) -> np.ndarray:
     """The partial frame sum on level k applied to ``av``: its sibling
     blocks act on sqrt(weight) * av, and the similarity is undone."""
@@ -376,7 +371,7 @@ def _block_extremes(blocks: np.ndarray, counts: np.ndarray):
     return eigs[:, 0], eigs[:, -1]
 
 
-def verify_frame_bound(model: OperatorModel, basis: list, k: int):
+def verify_frame_bound(model: OperatorModel, basis: PartitionOfUnity, k: int):
     """Smallest and largest eigenvalue of every partial frame sum on level
     k, as two arrays whose entry N - 1 belongs to the sum of the first N
     elements, N = 1..len(basis), read in one pass of the running sum.
@@ -395,7 +390,7 @@ def verify_frame_bound(model: OperatorModel, basis: list, k: int):
     return lows, highs
 
 
-def verify_vanishing_reconstruction(model: OperatorModel, basis: list,
+def verify_vanishing_reconstruction(model: OperatorModel, basis: PartitionOfUnity,
                                     a: VanishingFunction, k: int) -> tuple[int, float]:
     """Smallest index M past which a meets no element, and the norm gap
     between the a-weighted partial frame sum at M and multiplication by a.
@@ -426,7 +421,7 @@ def _record(identity: str, rmap: RationalMap, w: SpherePoint, m: int, k: int,
     rec = {
         "identity": identity,
         "map": rmap.name or repr(rmap),
-        "w": "inf" if w.infinite else [w.value.real, w.value.imag],
+        "w": point_json(w),
         "m": m,
         "k": k,
         "residual": residual,
@@ -453,7 +448,7 @@ def _chunks(count: int, *sizes: int) -> list:
 
 
 def default_basis(rmap: RationalMap, sample: JuliaSample,
-                  count: int = 32, count_cap: int = 256) -> list:
+                  count: int = 32, count_cap: int = 256) -> PartitionOfUnity:
     """Basis sized for the suite: a net of about ``count`` bumps whose
     supports respect the separation radius."""
     r_sep = branch_separation_radius(rmap, sample)
@@ -595,7 +590,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     return {
         "config": {
             "map": rmap.describe(),
-            "w": "inf" if w.infinite else [w.value.real, w.value.imag],
+            "w": point_json(w),
             "m": m,
             "seed": seed,
             "trials": trials,

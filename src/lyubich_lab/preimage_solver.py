@@ -25,7 +25,7 @@ every atom below the real line the exact conjugate of its partner's
 fiber, so the next level is closed to the bit too.  Tree levels, fiber
 tables and Julia samples share :class:`PointSet`, the one implementation
 of what a point set derives from its points: its fibers, the fibers over
-its images, its power table and each partition's :class:`Cover` table,
+its images, its power table and each basis's :class:`Cover` table,
 each kept by the point set itself.  :func:`preimages` solves one point
 through the engine's one-row front ``_fiber.solve_fiber``.
 """
@@ -87,11 +87,11 @@ def preimages(rmap: RationalMap, w) -> WeightedPreimage:
 
 @dataclass(frozen=True)
 class Cover:
-    """The members of a partition that are nonzero at each point of a point
-    set.  Column j of ``index`` holds the indices of the members nonzero at
+    """The elements of a basis that are nonzero at each point of a point
+    set.  Column j of ``index`` holds the indices of the elements nonzero at
     point j in ascending order, and the same column of ``value`` their
     values; shorter columns are padded with index 0 and value 0.  Both
-    arrays are (width, points), width being the most members nonzero at
+    arrays are (width, points), width being the most elements nonzero at
     one point, and read-only."""
 
     index: np.ndarray            # intp
@@ -144,7 +144,7 @@ class PointSet:
     """A point array of a map with its infinity mask, and the one owner of
     what is derived from its points, each computed once, when first read:
     the fibers over the points and over their images, the power table that
-    polynomials read, and each partition's cover table.  Subclasses hold
+    polynomials read, and each basis's cover table.  Subclasses hold
     ``map``, ``points`` and ``inf_mask``.
     """
 
@@ -170,20 +170,21 @@ class PointSet:
     def powers(self) -> PowerTable:
         return PowerTable(self.points, self.inf_mask)
 
-    def cover(self, partition) -> Cover:
-        """The :class:`Cover` table of ``partition`` on the points, built
-        block by block: one ``partition.member_matrix`` call per block of
-        ``partition.block`` points, the blocks' tables joined.  No member
-        matrix over the whole set is formed."""
+    def cover(self, basis) -> Cover:
+        """The :class:`Cover` table of ``basis`` on the points, built block
+        by block: one ``basis.member_matrix`` call per block of
+        ``basis.block`` points, the blocks' tables joined.  No member
+        matrix over the whole set is formed, and an empty basis has the
+        empty cover."""
         covers = self.__dict__.setdefault("_covers", {})
-        if partition not in covers:
-            step = partition.block
+        if basis not in covers:
+            step = basis.block
             # An empty set is one empty block.
-            covers[partition] = Cover.join([
-                Cover.of(partition.member_matrix(self.points[s:s + step],
-                                                 self.inf_mask[s:s + step]))
+            covers[basis] = Cover.join([
+                Cover.of(basis.member_matrix(self.points[s:s + step],
+                                             self.inf_mask[s:s + step]))
                 for s in range(0, max(self.size, 1), step)])
-        return covers[partition]
+        return covers[basis]
 
 
 @dataclass(eq=False)

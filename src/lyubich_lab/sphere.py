@@ -75,6 +75,11 @@ def as_point(x) -> SpherePoint:
     return SpherePoint(z)
 
 
+def point_json(p: SpherePoint):
+    """The JSON form of a point: ``"inf"``, or its parts ``[re, im]``."""
+    return "inf" if p.infinite else [p.value.real, p.value.imag]
+
+
 def sphere_points(points: np.ndarray, inf_mask: np.ndarray) -> list[SpherePoint]:
     """The points of a complex array with its companion infinity mask."""
     return [INFINITY if inf else SpherePoint(complex(z))
@@ -151,12 +156,6 @@ def chordal(p, q) -> float:
     """Chordal distance between two points of the sphere (range [0, 2])."""
     p, q = as_point(p), as_point(q)
     return float(chordal_pairs(p.value, p.infinite, q.value, q.infinite))
-
-
-def chordal_array(points: np.ndarray, inf_mask: np.ndarray, q) -> np.ndarray:
-    """Chordal distances from each entry of a point array to a single point."""
-    q = as_point(q)
-    return chordal_pairs(np.asarray(points, dtype=complex), inf_mask, q.value, q.infinite)
 
 
 def chordal_pairs(z, z_inf, w, w_inf):

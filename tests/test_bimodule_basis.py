@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from lyubich_lab import bimodule_basis, preimage_solver, sphere
-from lyubich_lab.bimodule_basis import (BasisElement, JuliaSample,
-                                        PartitionOfUnity, SectorSpec, VanishingFunction,
-                                        _RawBump, basis_to_json,
+from lyubich_lab.bimodule_basis import (JuliaSample, PartitionOfUnity, SectorSpec,
+                                        VanishingFunction, _RawBump, basis_to_json,
                                         branch_points_on_julia,
                                         branch_separation_radius, build_basis,
                                         farthest_point_net, julia_sample,
@@ -13,7 +12,7 @@ from lyubich_lab.errors import CoverFailure, DegenerateSample
 from lyubich_lab.operator_lab import default_basis
 from lyubich_lab.preimage_solver import Cover, iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map, critical_points
-from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_array
+from lyubich_lab.sphere import INFINITY, SpherePoint, chordal, chordal_pairs
 from lyubich_lab.transfer_operator import cached_fiber
 from lyubich_lab import test_functions as tf
 
@@ -144,9 +143,10 @@ def test_branch_points_detection(quad_map, cheb, circle_sample, interval_sample)
 
 
 def _net_loop(points, inf_mask, radius=None, count=None):
-    """The greedy farthest-point net, one ``chordal_array`` per center."""
+    """The greedy farthest-point net, one ``chordal_pairs`` row per center."""
     def distances(i):
-        return chordal_array(points, inf_mask, INFINITY if inf_mask[i] else complex(points[i]))
+        c = INFINITY if inf_mask[i] else SpherePoint(complex(points[i]))
+        return chordal_pairs(points, inf_mask, c.value, c.infinite)
 
     chosen, cover = [0], distances(0)
     while not ((radius is not None and cover.max() <= radius)
@@ -170,19 +170,19 @@ def test_critical_distances_equal_one_chordal_array_per_critical_point(cheb):
     # its Julia set, and so in the sample.
     for rmap in (cheb, RationalMap([1, 0, 0, 2], [0, 0, 3])):
         sample = julia_sample(rmap, 256, seed=2)
-        rows = [chordal_array(sample.points, sample.inf_mask, d.point)
+        rows = [chordal_pairs(sample.points, sample.inf_mask, d.point.value, d.point.infinite)
                 for d in critical_points(rmap)]
         assert sample.critical_distances.tobytes() == np.array(rows).tobytes()
         assert sample.half_norms.tobytes() == sphere.half_norm(sample.points).tobytes()
 
 
 def _median_spacing_loop(sample):
-    """The median nearest-neighbour spacing, one ``chordal_array`` per point."""
+    """The median nearest-neighbour spacing, one ``chordal_pairs`` row per point."""
     pts, infs = sample.points, sample.inf_mask
     nearest = np.full(sample.size, np.inf)
     for i in range(sample.size):
         p = INFINITY if infs[i] else SpherePoint(complex(pts[i]))
-        d = chordal_array(pts, infs, p)
+        d = chordal_pairs(pts, infs, p.value, p.infinite)
         d[i] = np.inf
         nearest[i] = d.min()
     return float(np.median(nearest))
@@ -224,8 +224,7 @@ def test_build_basis_partition_normalization(quad_map, circle_sample):
     r = net_radius(circle_sample, 8) * 1.000001
     basis = build_basis(quad_map, circle_sample, r, count_cap=16)
     assert len(basis) == 8
-    U = basis[0].partition.member_matrix(circle_sample.points,
-                                         circle_sample.inf_mask)
+    U = basis.member_matrix(circle_sample.points, circle_sample.inf_mask)
     np.testing.assert_allclose((U ** 2).sum(axis=0), 2.0, atol=1e-10)
 
 
@@ -243,11 +242,11 @@ def test_basis_local_injectivity(cheb, interval_sample):
     for i in range(interval_sample.size):
         z = SpherePoint(complex(interval_sample.points[i]))
         fib = cached_fiber(cheb, evaluate(cheb, z))
-        for el in basis:
-            if el.is_sector:
+        for bump in basis.bumps:
+            if bump.sector is not None:
                 continue
             inside = sum(1 for p, _ in fib.atoms
-                         if chordal(p, el.center) < el.support_radius)
+                         if chordal(p, bump.center) < bump.radius)
             assert inside <= 1
 
 
@@ -256,9 +255,9 @@ def test_basis_ordering_shrinks_toward_branch(cheb, interval_sample):
             branch_separation_radius(cheb, interval_sample) / 3.0)
     basis = build_basis(cheb, interval_sample, r, count_cap=128)
     branch = branch_points_on_julia(cheb, interval_sample)[0].point
-    dists = [chordal(el.center, branch) for el in basis if not el.is_sector]
+    dists = [chordal(b.center, branch) for b in basis.bumps if b.sector is None]
     assert dists == sorted(dists, reverse=True)
-    sector_radii = [el.support_radius for el in basis if el.is_sector]
+    sector_radii = [b.radius for b in basis.bumps if b.sector is not None]
     assert sector_radii == sorted(sector_radii, reverse=True)
     assert sector_radii, "interval map must produce sector elements"
 
@@ -302,8 +301,7 @@ def test_cover_of_a_partition_holds_its_member_matrix(monkeypatch, cheb, interva
     # so some points lie in more than two supports.
     r = min(net_radius(interval_sample, 24) * 1.000001,
             branch_separation_radius(cheb, interval_sample) / 3.0)
-    basis = build_basis(cheb, interval_sample, r, count_cap=128)
-    partition = basis[0].partition
+    partition = build_basis(cheb, interval_sample, r, count_cap=128)
     other = PartitionOfUnity(partition.degree, partition.bumps[:3])
     sample = julia_sample(cheb, 320, seed=7)
     members = []
@@ -339,15 +337,15 @@ def test_cover_of_a_partition_holds_its_member_matrix(monkeypatch, cheb, interva
 def _bump_values(bump, points, inf_mask):
     """One raw bump at the points, alone: the per-bump reference for the
     bump tables."""
-    d = chordal_array(points, inf_mask, bump.center)
+    d = chordal_pairs(points, inf_mask, bump.center.value, bump.center.infinite)
     if bump.sector is None:
         t = d / bump.radius
-        return np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+        return np.clip(1.0 - t * t, 0.0, None) ** bimodule_basis._PROFILE
     spec = bump.sector
     mid = 0.5 * (spec.r_inner + spec.r_outer)
     half = 0.5 * (spec.r_outer - spec.r_inner)
     t = (d - mid) / half
-    radial = np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+    radial = np.clip(1.0 - t * t, 0.0, None) ** bimodule_basis._PROFILE
     if bump.center.infinite:
         with np.errstate(divide="ignore", invalid="ignore"):
             local = np.where(points == 0, np.inf, 1.0 / points)
@@ -355,7 +353,7 @@ def _bump_values(bump, points, inf_mask):
         local = points - bump.center.value
     diff = np.angle(np.exp(1j * (np.angle(local) - spec.axis)))
     t = diff / spec.halfwidth
-    angular = np.clip(1.0 - t * t, 0.0, None) ** bump.exponent
+    angular = np.clip(1.0 - t * t, 0.0, None) ** bimodule_basis._PROFILE
     return radial * np.where(inf_mask, 0.0, angular)
 
 
@@ -374,24 +372,24 @@ def _reference_members(partition, points, inf_mask):
 def table_cases():
     """(partition, point sets) cases: basilica's net bumps on a sample and
     its sibling fibers, chebyshev's sector ladder on the same, and bumps and
-    sectors centred at 0, at 1e200 and at infinity, of exponents 2 and 3,
-    on a point set holding 0 and infinity."""
+    sectors centred at 0, at 1e200 and at infinity, on a point set holding
+    0 and infinity."""
     basilica, cheb = builtin_map("basilica"), builtin_map("chebyshev")
     cases = []
     for rmap, count in ((basilica, 32), (cheb, 24)):
         sample = julia_sample(rmap, 384, seed=1)
         r = min(net_radius(sample, count) * 1.000001,
                 branch_separation_radius(rmap, sample) / 3.0)
-        partition = build_basis(rmap, sample, r, count_cap=128)[0].partition
+        partition = build_basis(rmap, sample, r, count_cap=128)
         cases.append((partition, [sample, sample.sibling_fibers]))
     assert not any(b.sector for b in cases[0][0].bumps)
     assert any(b.sector for b in cases[1][0].bumps)
     sector = SectorSpec(axis=0.5, halfwidth=1.2, r_inner=0.2, r_outer=1.5)
     # The bump at 1e200 and the point 1e160i take the overflow branch.
-    bumps = [_RawBump(INFINITY, 0.9, 2), _RawBump(SpherePoint(0j), 0.7, 3),
-             _RawBump(SpherePoint(1e200 + 0j), 0.3, 2),
-             _RawBump(INFINITY, 1.5, 2, sector), _RawBump(SpherePoint(0j), 1.5, 3, sector),
-             _RawBump(SpherePoint(1 - 1j), 1.1, 2, sector)]
+    bumps = [_RawBump(INFINITY, 0.9), _RawBump(SpherePoint(0j), 0.7),
+             _RawBump(SpherePoint(1e200 + 0j), 0.3),
+             _RawBump(INFINITY, 1.5, sector), _RawBump(SpherePoint(0j), 1.5, sector),
+             _RawBump(SpherePoint(1 - 1j), 1.1, sector)]
     rng = np.random.default_rng(29)
     pts = np.concatenate([[0j, 0j, 1e160j, 1 - 1j], rng.standard_normal(60)
                           + 1j * rng.standard_normal(60)])
@@ -425,7 +423,7 @@ def test_a_point_has_the_same_members_alone_as_among_others(cheb, interval_sampl
     # points in three supports.
     r = min(net_radius(interval_sample, 24) * 1.000001,
             branch_separation_radius(cheb, interval_sample) / 3.0)
-    partition = build_basis(cheb, interval_sample, r, count_cap=128)[0].partition
+    partition = build_basis(cheb, interval_sample, r, count_cap=128)
     pts, infs = interval_sample.points, interval_sample.inf_mask
     whole = partition.member_matrix(pts, infs)
     assert (whole > 0).sum(axis=0).max() > 2
@@ -435,7 +433,7 @@ def test_a_point_has_the_same_members_alone_as_among_others(cheb, interval_sampl
 
 
 def test_an_empty_point_set_has_an_empty_cover(cheb):
-    partition = PartitionOfUnity(2, [_RawBump(SpherePoint(0j), 0.5, 2)])
+    partition = PartitionOfUnity(2, [_RawBump(SpherePoint(0j), 0.5)])
     empty = JuliaSample(cheb, np.zeros(0, dtype=complex), np.zeros(0, dtype=bool), "manual", 0)
     cover = empty.cover(partition)
     assert cover.index.shape == cover.value.shape == (0, 0)
@@ -460,7 +458,7 @@ def test_reconstruct_constant(quad_map, circle_sample):
 
 
 def test_reconstruct_zero_terms_gives_sup_norm(quad_map, circle_sample):
-    _, residual = reconstruct(quad_map, [], tf.RE2, 0, circle_sample)
+    _, residual = reconstruct(quad_map, PartitionOfUnity(2, []), tf.RE2, 0, circle_sample)
     values = tf.RE2.evaluate(circle_sample.points, circle_sample.inf_mask)
     assert residual == pytest.approx(float(np.max(np.abs(values))))
 
@@ -468,12 +466,10 @@ def test_reconstruct_zero_terms_gives_sup_norm(quad_map, circle_sample):
 def test_reconstruct_orthogonal_support_single_term(quad_map, circle_sample):
     # four disjoint bumps on the circle; the first element reproduces itself
     centers = [1.0, 1j, -1.0, -1j]
-    bumps = [_RawBump(center=SpherePoint(c), radius=0.45, exponent=2)
-             for c in centers]
-    partition = PartitionOfUnity(quad_map.degree, bumps)
-    basis = [BasisElement(index=i, bump=b, partition=partition)
-             for i, b in enumerate(bumps)]
-    u1 = basis[0].function()
+    bumps = [_RawBump(center=SpherePoint(c), radius=0.45) for c in centers]
+    basis = PartitionOfUnity(quad_map.degree, bumps)
+    u1 = tf.TestFunction.from_callable(lambda pts, infs: basis.member_matrix(pts, infs)[0],
+                                       name="u0")
     _, residual = reconstruct(quad_map, basis, u1, len(basis), circle_sample)
     assert residual < 1e-10
 
@@ -486,10 +482,9 @@ def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
     r = min(net_radius(interval_sample, 24) * 1.000001,
             branch_separation_radius(cheb, interval_sample) / 3.0)
     basis = build_basis(cheb, interval_sample, r, count_cap=128)
-    partition = basis[0].partition
     xi = tf.random_polynomial(np.random.default_rng(47), 2)
     pts, infs = interval_sample.points, interval_sample.inf_mask
-    U = partition.member_matrix(pts, infs)
+    U = basis.member_matrix(pts, infs)
     for count in (1, len(basis) // 2, len(basis)):
         table, _ = reconstruct(cheb, basis, xi, count, interval_sample)
         want = np.zeros(pts.size, dtype=complex)
@@ -498,7 +493,7 @@ def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
             at = np.array([p.value for p, _ in atoms])
             at_inf = np.array([p.infinite for p, _ in atoms])
             seg = np.array([m for _, m in atoms]) * xi.evaluate(at, at_inf)
-            want[i] = U[:count, i] @ (partition.member_matrix(at, at_inf)[:count] @ seg) / 2
+            want[i] = U[:count, i] @ (basis.member_matrix(at, at_inf)[:count] @ seg) / 2
         assert np.max(np.abs(table.evaluate(pts, infs) - want)) <= 1e-13
 
 
@@ -531,8 +526,7 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     reconstruct(cheb, basis, xis[0], len(basis), sample)
     assert solves == [sample.size]
     # One pass over the sample and one over its sibling fibers.
-    one_pass = sorted(_blocks(basis[0].partition, sample.size)
-                      + _blocks(basis[0].partition, sample.sibling_fibers.size))
+    one_pass = sorted(_blocks(basis, sample.size) + _blocks(basis, sample.sibling_fibers.size))
     assert sorted(members) == one_pass
     warm, warm_residual = reconstruct(cheb, basis, xis[1], len(basis), sample)
     assert solves == [sample.size]
@@ -599,11 +593,11 @@ def test_vanishing_zero_function_meets_nothing(cheb, interval_sample):
     assert not vf.meets_elements(basis).any()
 
 
-def _meets(vf, element):
+def _meets(vf, bump):
     """The scalar rule: one chordal distance between the support centres."""
     if vf.support_radius <= 0.0:
         return False
-    return chordal(vf.support_center, element.center) < vf.support_radius + element.support_radius
+    return chordal(vf.support_center, bump.center) < vf.support_radius + bump.radius
 
 
 @pytest.mark.parametrize("rmap", [builtin_map("basilica"), builtin_map("chebyshev"),
@@ -614,20 +608,19 @@ def test_a_support_meets_the_elements_the_scalar_rule_meets(rmap):
     # infinity in its sample.
     sample = julia_sample(rmap, 384, seed=1)
     basis = default_basis(rmap, sample)
-    centres = [el.center for el in basis[::9]] + [sample.atom(i) for i in range(0, 384, 61)]
+    bumps = basis.bumps
+    centres = [b.center for b in bumps[::9]] + [sample.atom(i) for i in range(0, 384, 61)]
     centres += [INFINITY, SpherePoint(0j), SpherePoint(1e200 + 0j)]
     for centre in centres:
-        gaps = [chordal(centre, el.center) for el in basis]
-        touching = sorted({g - el.support_radius for g, el in zip(gaps, basis)})
+        gaps = [chordal(centre, b.center) for b in bumps]
+        touching = sorted({g - b.radius for g, b in zip(gaps, bumps)})
         # radii at which some pair of supports just touches, and just past
         radii = [0.0, 1e-3, 0.05, 0.5, 3.0] + touching[1::5] + [np.nextafter(g, 3)
                                                                   for g in touching[2::5]]
         for radius in (r for r in radii if r >= 0):
             vf = VanishingFunction(fn=tf.ONE, support_center=centre, support_radius=radius)
-            expected = [radius > 0 and g < radius + el.support_radius
-                        for g, el in zip(gaps, basis)]
+            expected = [radius > 0 and g < radius + b.radius for g, b in zip(gaps, bumps)]
             assert vf.meets_elements(basis).tolist() == expected
-            assert vf.meets_elements(basis[7:30][::-1]).tolist() == expected[7:30][::-1]
-        assert [_meets(vf, el) for el in basis] == expected
-    assert any(el.is_sector for el in basis) == (rmap.name == "chebyshev")
-    assert VanishingFunction.zero().meets_elements([]).shape == (0,)
+        assert [_meets(vf, b) for b in bumps] == expected
+    assert any(b.sector for b in bumps) == (rmap.name == "chebyshev")
+    assert VanishingFunction.zero().meets_elements(PartitionOfUnity(2, [])).shape == (0,)

@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from lyubich_lab.bimodule_basis import (BasisElement, PartitionOfUnity,
-                                        VanishingFunction, _RawBump,
-                                        julia_sample, reconstruct)
+from lyubich_lab.bimodule_basis import (PartitionOfUnity, VanishingFunction, _RawBump,
+                                        basis_to_json, julia_sample, reconstruct)
 from lyubich_lab.errors import NoVanishingTail
 from lyubich_lab.lyubich_measure import default_root
 from lyubich_lab.bimodule_basis import reconstruction_sum
@@ -225,7 +224,7 @@ def test_key_lemma_random_symbol(cheb_model, cheb_basis):
 
 
 def test_frame_bound_zero(quad_model):
-    lows, highs = verify_frame_bound(quad_model, [], 6)
+    lows, highs = verify_frame_bound(quad_model, PartitionOfUnity(2, []), 6)
     assert lows.shape == highs.shape == (0,)
 
 
@@ -506,12 +505,50 @@ def test_frame_bound_padded_block_matches_dense():
     rmap = builtin_map("basilica")
     model = build_model(rmap, 0, 2)
     assert model.dims() == (1, 2, 3)
-    partition = PartitionOfUnity(2, [_RawBump(SpherePoint(2 + 0j), 3.0, 2),
-                                     _RawBump(SpherePoint(-2 + 1j), 3.0, 2)])
-    basis = [BasisElement(i, b, partition) for i, b in enumerate(partition.bumps)]
+    basis = PartitionOfUnity(2, [_RawBump(SpherePoint(2 + 0j), 3.0),
+                                 _RawBump(SpherePoint(-2 + 1j), 3.0)])
     lows, _ = verify_frame_bound(model, basis, 2)
     assert lows[1] > 1e-3
     _assert_frame_matches_dense(model, basis, 2)
+
+
+@pytest.mark.parametrize("name", ["basilica", "chebyshev"])
+def test_a_basis_is_one_partition_whose_prefixes_are_counts(name):
+    # The basis is the partition itself: its length is its element count,
+    # its JSON export holds one record per element, and reconstruction and
+    # every check take a prefix as the count N.  Chebyshev's basis holds
+    # sector ladders.
+    rmap, k = builtin_map(name), 6
+    model = build_model(rmap, default_root(rmap), k)
+    sample = julia_sample(rmap, 256, seed=0)
+    basis = default_basis(rmap, sample, count=16)
+    assert isinstance(basis, PartitionOfUnity)
+    assert len(basis) == len(basis.bumps) == len(json.loads(basis_to_json(basis)))
+    assert any(b.sector for b in basis.bumps) == (name == "chebyshev")
+    lows, highs = verify_frame_bound(model, basis, k)
+    assert lows.shape == highs.shape == (len(basis),)
+    xi = tf.random_polynomial(np.random.default_rng(61), 2)
+    lvl = model.levels[k]
+    for N in (0, 1, len(basis) // 2, len(basis)):
+        table, _ = reconstruct(rmap, basis, xi, N, sample)
+        assert table.name == f"recon{N}({xi.name})"
+        assert verify_key_lemma(model, basis, N, xi, k) <= TOLERANCES["key_lemma"]
+        if N == 0:
+            vf = VanishingFunction.zero()
+        else:
+            eigs = _dense_eigvals(model, k, _frame_matrix(model, basis, N, k))
+            assert abs(lows[N - 1] - eigs[0]) <= ORACLE_BOUND
+            assert abs(highs[N - 1] - eigs[-1]) <= ORACLE_BOUND
+            # A small bump on the centre of element N - 1 meets it, so its
+            # tail starts at N or later.
+            vf = VanishingFunction.bump(rmap, basis.bumps[N - 1].center, 1e-3,
+                                        branch_points=[])
+        meets = vf.meets_elements(basis)
+        M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
+        assert M == (np.flatnonzero(meets)[-1] + 1 if meets.any() else 0) >= N
+        gap = np.diag(model.values(vf.fn, k)) @ (_frame_matrix(model, basis, M, k)
+                                                  - np.eye(lvl.size))
+        assert abs(residual - model.weighted_norm(k, gap)) <= ORACLE_BOUND
 
 
 # The closed-form spectrum of a 2x2 block and LAPACK's each err by a few
@@ -704,10 +741,9 @@ def _prefixes(basis, cover):
 def test_key_lemma_paths_keep_the_dense_bits(cover_case):
     _, model, _, basis, k = cover_case
     lvl, fib = model.levels[k], model.sibling_fibers(k)
-    partition = basis[0].partition
-    U = partition.member_matrix(lvl.points, lvl.inf_mask)
-    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
-    cover = lvl.cover(partition)
+    U = basis.member_matrix(lvl.points, lvl.inf_mask)
+    U_fiber = basis.member_matrix(fib.points, fib.inf_mask)
+    cover = lvl.cover(basis)
     rng = np.random.default_rng(52)
     for N in _prefixes(basis, cover):
         a = tf.random_polynomial(rng, 2)
@@ -718,7 +754,7 @@ def test_key_lemma_paths_keep_the_dense_bits(cover_case):
         path_a = operator_lab._apply_frame_sum(model, basis, N, k, av)
         dense_a = _frame_matrix(model, basis, N, k) @ av
         assert np.max(np.abs(path_a - dense_a)) <= ORACLE_BOUND
-        path_b = reconstruction_sum(cover, fib, fib.cover(partition), values, N)
+        path_b = reconstruction_sum(cover, fib, fib.cover(basis), values, N)
         dense_b = _dense_reconstruction(U[:N], fib, U_fiber[:N], values)
         assert np.array_equal(_bits(path_b), _bits(dense_b))
         assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(path_a - path_b)))
@@ -727,7 +763,7 @@ def test_key_lemma_paths_keep_the_dense_bits(cover_case):
 def test_frame_vectors_keep_the_dense_bits(cover_case):
     _, model, _, basis, k = cover_case
     lvl, prev = model.levels[k], model.levels[k - 1]
-    U = basis[0].partition.member_matrix(lvl.points, lvl.inf_mask)
+    U = basis.member_matrix(lvl.points, lvl.inf_mask)
     V = model.frame_vectors(basis, k)
     slot, counts = model.siblings(k)
     dense = np.zeros((prev.size, int(counts.max()), len(basis)))
@@ -739,11 +775,10 @@ def test_reconstruct_keeps_the_dense_bits(cover_case):
     rmap, _, sample, basis, _ = cover_case
     pts, infs = sample.points, sample.inf_mask
     fib = sample.sibling_fibers
-    partition = basis[0].partition
-    U = partition.member_matrix(pts, infs)
-    U_fiber = partition.member_matrix(fib.points, fib.inf_mask)
+    U = basis.member_matrix(pts, infs)
+    U_fiber = basis.member_matrix(fib.points, fib.inf_mask)
     rng = np.random.default_rng(53)
-    for N in _prefixes(basis, sample.cover(partition)):
+    for N in _prefixes(basis, sample.cover(basis)):
         xi = tf.random_polynomial(rng, 2)
         table, residual = reconstruct(rmap, basis, xi, N, sample)
         dense = _dense_reconstruction(U[:N], fib, U_fiber[:N], xi.evaluate(fib.powers))
@@ -757,7 +792,6 @@ def test_a_non_finite_value_on_the_sibling_fibers_fails_the_checks():
     model = build_model(rmap, default_root(rmap), 8)
     sample = julia_sample(rmap, 384, seed=0)
     basis = default_basis(rmap, sample, count=32)
-    partition = basis[0].partition
 
     def spiked(points):
         # Infinite at one sibling that is not a point of the set itself,
@@ -773,10 +807,10 @@ def test_a_non_finite_value_on_the_sibling_fibers_fails_the_checks():
     for points, f in ((sample, xi), (model.levels[8], a)):
         fib = points.sibling_fibers
         values = f.evaluate(fib.points, fib.inf_mask)
-        sparse = reconstruction_sum(points.cover(partition), fib, fib.cover(partition),
+        sparse = reconstruction_sum(points.cover(basis), fib, fib.cover(basis),
                                     values, len(basis))
-        dense = _dense_reconstruction(partition.member_matrix(points.points, points.inf_mask),
-                                      fib, partition.member_matrix(fib.points, fib.inf_mask),
+        dense = _dense_reconstruction(basis.member_matrix(points.points, points.inf_mask),
+                                      fib, basis.member_matrix(fib.points, fib.inf_mask),
                                       values)
         assert np.isnan(dense).any()
         assert np.array_equal(np.isnan(sparse), np.isnan(dense))

@@ -11,7 +11,7 @@ from lyubich_lab.lyubich_measure import default_root, measure_from_tree
 from lyubich_lab.preimage_solver import gather_fibers, iterated_preimages
 from lyubich_lab.rational_map import RationalMap, builtin_map
 from lyubich_lab.sphere import (INFINITY, SpherePoint, as_point, atom_order, chordal,
-                                chordal_array, chordal_pairs, sphere_points, write_csv)
+                                chordal_pairs, sphere_points, write_csv)
 
 
 def test_finite_point_rejects_nan():
@@ -96,7 +96,8 @@ def test_chordal_huge_moduli():
     # The difference itself overflows, unless halved first.
     assert 0 < chordal(1.5e308, -1.5e308) < 1e-300
     assert chordal(1e308, -1) == pytest.approx(2 / math.hypot(1, 1), rel=1e-15)
-    got = chordal_array(np.array([1e300, 1e9, -1e200]), np.zeros(3, bool), 1e9)
+    got = chordal_pairs(np.array([1e300, 1e9, -1e200], dtype=complex), np.zeros(3, bool),
+                        1e9 + 0j, False)
     assert got[0] == chordal(1e300, 1e9)
     assert got[1] == 0.0
     assert got[2] == pytest.approx(2 / math.hypot(1, 1e9), rel=1e-15)
@@ -112,7 +113,7 @@ def test_chordal_past_the_largest_modulus():
         got = chordal(z, q)
         assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
         q = as_point(q)
-        array = chordal_array(np.array([z, 1.0]), np.array([False, False]), q)
+        array = chordal_pairs(np.array([z, 1.0]), np.array([False, False]), q.value, q.infinite)
         assert array[0] == pytest.approx(got, rel=4 * np.finfo(float).eps, abs=0)
         assert array[1] == pytest.approx(_exact(1.0, q), rel=4 * np.finfo(float).eps, abs=0)
     assert 1.9 < chordal(z, 0) and 0 < chordal(z, INFINITY) < 1e-308
@@ -127,7 +128,7 @@ def test_chordal_never_exceeds_the_diameter():
     # antipodal pairs z, -1/conj(z) round above 2 unless clamped.
     for z in (1e154 + 1e154j, 1.5e308 + 1.5e308j):
         assert chordal(SpherePoint(z), 0) == 2.0
-        assert chordal_array(np.array([z]), np.array([False]), 0)[0] == 2.0
+        assert chordal_pairs(np.array([z]), np.array([False]), 0j, False)[0] == 2.0
     rng = np.random.default_rng(3)
     z = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     z *= np.exp(rng.uniform(-5, 5, 4096))
@@ -177,7 +178,8 @@ def test_chordal_array_matches_the_exact_reference():
     for inf in (np.zeros(pts.size, bool), np.arange(pts.size) == 1):
         for q in (as_point(0.5 - 0.5j), INFINITY):
             want = [_exact(INFINITY if f else SpherePoint(p), q) for p, f in zip(pts, inf)]
-            np.testing.assert_allclose(chordal_array(pts, inf, q), want, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(chordal_pairs(pts, inf, q.value, q.infinite), want,
+                                       rtol=1e-14, atol=0)
 
 
 def test_separation_radius_equals_a_per_pair_loop():

@@ -17,8 +17,10 @@ form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
 take the Aberth iteration and the polish), two trees none of whose rows
 is real (a real map rooted off the real line, and a map with a non-real
 coefficient), the measure CSV of a tree
-with double atoms, a Julia sample, basis exports of basilica and of
-chebyshev (whose Julia set meets a critical point), eight verification
+with double atoms, a Julia sample, basis exports of basilica, of
+chebyshev (whose Julia set meets a critical point, once more as its
+stdout report) and of Newton's map for z^3 - 1 (degree 3, infinity in
+its Julia set), eight verification
 reports, two of them on chebyshev (one with padded sibling blocks), one
 with trials checked in chunks of several rows, one at 65536 atoms, whose
 trials are checked one row at a time, and one on z^3 (whose
@@ -70,6 +72,10 @@ COMMANDS = [
     # Chebyshev's Julia set meets its critical point: sector ladders, the
     # pool mask and the vanishing tail's branch-side centre.
     ["basis", "--map", "chebyshev", "--out", "out.json"],
+    # The stdout report of the same basis: its element and sector counts.
+    ["basis", "--map", "chebyshev"],
+    # Newton's map for z^3 - 1: degree 3 and infinity in its Julia set.
+    ["basis", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--out", "out.json"],
     ["verify", "all", "--map", "quad", "--seed", "7"],
     ["verify", "all", "--map", "basilica", "--depth", "9", "--seed", "1"],
     ["verify", "all", "--map", "basilica", "--depth", "14", "--seed", "1",
