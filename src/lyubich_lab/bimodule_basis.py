@@ -26,8 +26,8 @@ import numpy as np
 from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
-from .sphere import (INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal, chordal_pairs,
-                     half_norm, point_json, sphere_points, write_csv)
+from .sphere import (_OVERFLOW, INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal,
+                     chordal_pairs, half_norm, point_json, sphere_points, write_csv)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -35,7 +35,9 @@ _SUPPORT_FACTOR = 1.3        # bump support radius over net radius
 _SECTOR_LADDER_CAP = 16
 # The exponent e of every bump's profile max(1 - t^2, 0)^e.
 _PROFILE = 2
-# Entries of one row block of the distance matrix in ``_median_spacing``.
+# Branches kept per node of the tree a Julia sample reads.
+_SAMPLE_BRANCHES = 2
+# Entries of one row block of the distance table in ``_median_spacing``.
 _SPACING_BLOCK = 1 << 16
 # Bytes of a bump table's complex temporaries, the (bumps, points)
 # differences between the bump centres and a block of points; its float
@@ -50,8 +52,8 @@ class JuliaSample(PointSet):
     The sample owns what is derived from its points, each computed once,
     when first read: what every :class:`PointSet` owns (the fibers over
     the points and over their images, and each basis's cover table),
-    their half norms, their distances to the critical points and the
-    branch points.  Arrays it keeps are read-only.
+    their half norms, their greedy net, their distances to the critical
+    points and the branch points.  Arrays it keeps are read-only.
     """
 
     map: RationalMap
@@ -74,6 +76,13 @@ class JuliaSample(PointSet):
         norms = half_norm(self.points)
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def net(self) -> "_Net":
+        """The greedy farthest-point net over the sample, grown as reads
+        need it: the net of :func:`net_radius` and, where the basis pool
+        is the whole sample, of :func:`build_basis`."""
+        return _Net(self.points, self.inf_mask, self.half_norms)
 
     @cached_property
     def critical_distances(self) -> np.ndarray:
@@ -118,24 +127,51 @@ def julia_sample(rmap: RationalMap, size: int, seed: int) -> JuliaSample:
 
     Backward orbits of any non-exceptional point accumulate on the Julia
     set; depth >= 12 puts the atoms within sampling tolerance of it, and
-    the depth is the larger of 12 and ceil(log2 size) + 2.
-    Deterministic for a given seed; at most ``size`` points, deduplicated
-    and sorted.
+    the depth is the larger of 12 and ceil(log2 size) + 2.  The tree keeps
+    two branches per node from the default root, so for a map of degree 2
+    it is the enumerated tree.  Deterministic for a given seed; at
+    most ``size`` points, deduplicated and sorted.
     """
     return _julia_samples(rmap, (size,), seed)[0]
 
 
-def _julia_samples(rmap: RationalMap, sizes, seed: int) -> list[JuliaSample]:
+def _sample_depth(size: int) -> int:
+    """The depth of the tree level a Julia sample of ``size`` points reads."""
+    return max(12, int(math.ceil(math.log2(max(size, 2)))) + 2)
+
+
+def _samples_read_enumerated_tree(rmap: RationalMap, w: SpherePoint) -> bool:
+    """Whether the tree the Julia samples read is the map's enumerated
+    tree rooted at w: it keeps every branch, since the map's degree is
+    ``_SAMPLE_BRANCHES``, and w is the default root to the bit."""
+    from .lyubich_measure import default_root
+
+    root = default_root(rmap)
+    return (rmap.degree == _SAMPLE_BRANCHES and w.infinite == root.infinite
+            and np.complex128(w.value).tobytes() == np.complex128(root.value).tobytes())
+
+
+def _julia_samples(rmap: RationalMap, sizes, seed: int, tree=None) -> list[JuliaSample]:
     """:func:`julia_sample` for each of ``sizes``; sizes that pick the same
-    depth read one sampled tree."""
+    depth read one sampled tree.
+
+    A sampled tree that keeps every branch is the enumerated tree
+    (:func:`~lyubich_lab.preimage_solver.sampled_tree`), so where
+    :func:`_samples_read_enumerated_tree` holds, a caller may pass
+    ``tree``, that tree at least as deep as every size's depth, and each
+    sample reads its level of it instead.
+    """
     from .lyubich_measure import default_root
 
     if min(sizes) < 1:
         raise DegenerateSample("sample size must be positive")
-    depths = [max(12, int(math.ceil(math.log2(max(size, 2)))) + 2) for size in sizes]
+    depths = [_sample_depth(size) for size in sizes]
     root = default_root(rmap)
-    levels = {d: sampled_tree(rmap, root, d, branches_per_node=2, seed=seed).level(d)
-              for d in sorted(set(depths))}
+    levels = {}
+    for d in sorted(set(depths)):
+        source = tree if tree is not None else sampled_tree(
+            rmap, root, d, branches_per_node=_SAMPLE_BRANCHES, seed=seed)
+        levels[d] = source.level(d)
     return [_thin(rmap, levels[d], size, d, seed) for size, d in zip(sizes, depths)]
 
 
@@ -153,8 +189,8 @@ def _thin(rmap: RationalMap, lvl, size: int, depth: int, seed: int) -> JuliaSamp
         idx = np.unique(np.round(np.linspace(0, pts.size - 1, size)).astype(int))
         pts, infs = pts[idx], infs[idx]
 
-    return JuliaSample(map=rmap, points=pts, inf_mask=infs,
-                       method=f"sampled-tree(depth={depth},branches=2)", seed=seed)
+    method = f"sampled-tree(depth={depth},branches={_SAMPLE_BRANCHES})"
+    return JuliaSample(map=rmap, points=pts, inf_mask=infs, method=method, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +389,44 @@ def basis_to_json(basis: PartitionOfUnity, path=None) -> str:
 # net construction
 
 
+class _Net:
+    """The greedy farthest-point net of a point set, grown only as far as
+    a read needs: its centres in insertion order and the cover radius of
+    each prefix.  Each centre is the farthest point from the ones before
+    it, so a prefix is the net that a fresh run stopping there chooses."""
+
+    def __init__(self, points: np.ndarray, inf_mask: np.ndarray, norms: np.ndarray):
+        self._points, self._inf_mask, self._norms = points, inf_mask, norms
+        self.chosen: list[int] = []
+        self.radii: list[float] = []
+        self._cover = None
+        if points.size:
+            self._add(0)
+
+    def _add(self, i: int) -> None:
+        c = INFINITY if self._inf_mask[i] else SpherePoint(complex(self._points[i]))
+        d = _chordal(self._points, self._inf_mask, self._norms,
+                     c.value, c.infinite, half_norm(c.value))
+        self._cover = d if self._cover is None else np.minimum(self._cover, d)
+        self.chosen.append(i)
+        self.radii.append(float(self._cover.max()))
+
+    def take(self, radius: float | None = None,
+             count: int | None = None) -> tuple[list[int], float]:
+        """The first prefix whose cover radius is at most ``radius``, or
+        that has ``count`` centres, or every point, whichever comes first,
+        grown as far as needed; and its cover radius."""
+        if not self.chosen:
+            return [], 0.0
+        n = 1
+        while not ((radius is not None and self.radii[n - 1] <= radius)
+                   or (count is not None and n >= count) or n >= self._points.size):
+            n += 1
+            if n > len(self.chosen):
+                self._add(int(self._cover.argmax()))
+        return self.chosen[:n], self.radii[n - 1]
+
+
 def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
                        radius: float | None = None,
                        count: int | None = None) -> tuple[list[int], float]:
@@ -364,35 +438,13 @@ def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
     points' half norms are taken once, and each new center's distances
     read them.
     """
-    m = points.size
-    if m == 0:
-        return [], 0.0
-    norms = half_norm(points)
-
-    def distances(i: int) -> np.ndarray:
-        c = INFINITY if inf_mask[i] else SpherePoint(complex(points[i]))
-        return _chordal(points, inf_mask, norms, c.value, c.infinite, half_norm(c.value))
-
-    chosen = [0]
-    cover = distances(0)
-    while True:
-        worst = float(cover.max())
-        if radius is not None and worst <= radius:
-            break
-        if count is not None and len(chosen) >= count:
-            break
-        if len(chosen) >= m:
-            break
-        nxt = int(cover.argmax())
-        chosen.append(nxt)
-        cover = np.minimum(cover, distances(nxt))
-    return chosen, float(cover.max())
+    return _Net(points, inf_mask, half_norm(points)).take(radius, count)
 
 
 def net_radius(sample: JuliaSample, count: int) -> float:
-    """Coverage radius of the greedy net with exactly ``count`` centers."""
-    _, cover = farthest_point_net(sample.points, sample.inf_mask, count=count)
-    return cover
+    """Coverage radius of the greedy net with exactly ``count`` centers,
+    read from the sample's own net (:attr:`JuliaSample.net`)."""
+    return sample.net.take(count=count)[1]
 
 
 def branch_points_on_julia(rmap: RationalMap, sample: JuliaSample) -> list:
@@ -404,12 +456,35 @@ def branch_points_on_julia(rmap: RationalMap, sample: JuliaSample) -> list:
 
 def _median_spacing(sample: JuliaSample) -> float:
     """The median over the sample of the chordal distance from a point to
-    its nearest other point, taken row block by row block of the distance
-    matrix."""
+    its nearest other point.
+
+    The table is taken in row blocks of at most ``_SPACING_BLOCK`` entries,
+    each block's rows against its own and every later point, so a pair
+    outside a block's own square is taken once and feeds the nearest
+    distances of both its points.  The chordal rule is symmetric to the
+    bit except on pairs whose half norms' product passes
+    ``sphere._OVERFLOW``, which it divides by each norm in turn; a finite
+    point that can be in such a pair takes its nearest distance from its
+    row block of the whole table, as a row of that table reads it.
+    """
     pts, infs, norms = sample.points, sample.inf_mask, sample.half_norms
-    nearest = np.empty(sample.size)
-    block = max(1, _SPACING_BLOCK // max(sample.size, 1))
-    for start in range(0, sample.size, block):
+    size = sample.size
+    nearest = np.full(size, np.inf)
+    start = 0
+    while start < size:
+        stop = start + max(1, _SPACING_BLOCK // (size - start))
+        d = _chordal(pts[start:], infs[start:], norms[start:],
+                     pts[start:stop, None], infs[start:stop, None], norms[start:stop, None])
+        rows = np.arange(d.shape[0])
+        d[rows, rows] = np.inf
+        np.minimum(nearest[start:stop], d.min(axis=1), out=nearest[start:stop])
+        np.minimum(nearest[stop:], d[:, rows.size:].min(axis=0), out=nearest[stop:])
+        start = stop
+
+    with np.errstate(over="ignore"):
+        risky = np.flatnonzero(~infs & (norms * norms[~infs].max(initial=0.0) > _OVERFLOW))
+    block = max(1, _SPACING_BLOCK // max(size, 1))
+    for start in np.unique(risky // block) * block:
         at = slice(start, start + block)
         d = _chordal(pts, infs, norms, pts[at, None], infs[at, None], norms[at, None])
         rows = np.arange(d.shape[0])
@@ -442,8 +517,10 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
     if pool_idx.size == 0 and not branch:
         raise CoverFailure("empty sample")
 
-    chosen, cover = farthest_point_net(pts[pool_idx], infs[pool_idx],
-                                       radius=r, count=count_cap)
+    # A pool of the whole sample continues the sample's own net.
+    net = (sample.net if pool_idx.size == sample.size
+           else _Net(pts[pool_idx], infs[pool_idx], half_norm(pts[pool_idx])))
+    chosen, cover = net.take(radius=r, count=count_cap)
     if cover > r:
         raise CoverFailure(
             f"net of {len(chosen)} centers covers the sample only to radius "

@@ -29,7 +29,12 @@ first path all read.  The frame bound reads every prefix of the basis in
 one pass, and blocks of two take their spectra in closed form.  The dense
 level matrices below are only the reference that tests compare against.
 
-The model's levels are the tree's own levels, with no copies.  The checks
+The model's levels are the tree's own levels, with no copies.  The
+suite's Julia samples read a tree that keeps two branches per node from
+the default root, which for a map of degree 2 is the enumerated tree; so
+a suite of such a map rooted there builds one tree, to the deepest level
+that the model or a sample reads, and the model keeps levels 0..m.  The
+basis net continues the sample's net that sized its radius.  The checks
 read the fibers, sibling fibers, power tables and cover tables that each
 level, fiber table and Julia sample owns, so over one suite run each
 point set is solved once and each basis evaluated on it once.  Sums
@@ -43,9 +48,10 @@ from itertools import islice
 import numpy as np
 
 from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction, _julia_samples,
+                             _sample_depth, _samples_read_enumerated_tree,
                              branch_points_on_julia, branch_separation_radius,
                              build_basis, net_radius, reconstruction_sum)
-from .errors import EigSolverFailure, NoVanishingTail
+from .errors import DegenerateSample, EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
 from .preimage_solver import Fibers, PreimageTree, iterated_preimages
@@ -194,9 +200,17 @@ class OperatorModel:
         return float(np.linalg.norm(sim, 2))
 
 
-def build_model(rmap: RationalMap, w, m: int) -> OperatorModel:
-    """Populate the tower for a map, non-exceptional root, and depth."""
-    tree = iterated_preimages(rmap, w, m)
+def build_model(rmap: RationalMap, w, m: int, tree: PreimageTree | None = None) -> OperatorModel:
+    """Populate the tower for a map, non-exceptional root, and depth.
+
+    ``tree``, if given, is the map's fully enumerated tree rooted at w, at
+    least m deep; the model keeps its levels 0..m and no deeper one.
+    """
+    if tree is None:
+        tree = iterated_preimages(rmap, w, m)
+    elif tree.depth > m:
+        tree = PreimageTree(map=tree.map, root=tree.root, depth=m,
+                            weight_base=tree.weight_base, levels=tree.levels[:m + 1])
     return OperatorModel(depth=m, tree=tree,
                          levels=[measure_from_tree(tree, k) for k in range(m + 1)])
 
@@ -450,10 +464,35 @@ def _chunks(count: int, *sizes: int) -> list:
 def default_basis(rmap: RationalMap, sample: JuliaSample,
                   count: int = 32, count_cap: int = 256) -> PartitionOfUnity:
     """Basis sized for the suite: a net of about ``count`` bumps whose
-    supports respect the separation radius."""
+    supports respect the separation radius.
+
+    The radius is read from the sample's greedy net, which the basis net
+    continues where its pool is the whole sample.  A sample of at most
+    ``count`` points raises DegenerateSample: that net covers it at
+    radius 0.
+    """
     r_sep = branch_separation_radius(rmap, sample)
-    r = min(net_radius(sample, count) * 1.000001, r_sep / 3.0)
+    radius = net_radius(sample, count)
+    if radius <= 0.0:
+        raise DegenerateSample(f"a basis of {count} elements needs a sample of more than "
+                               f"{count} points; this one has {sample.size} points")
+    r = min(radius * 1.000001, r_sep / 3.0)
     return build_basis(rmap, sample, r, count_cap=count_cap)
+
+
+def _model_and_samples(rmap: RationalMap, w: SpherePoint, m: int, sizes: tuple,
+                       seed: int) -> tuple[OperatorModel, list[JuliaSample]]:
+    """The depth-m model rooted at w and the Julia samples of ``sizes``.
+
+    Where the samples read the map's enumerated tree rooted at w, one
+    tree, built to the deepest level that the model or a sample reads,
+    serves both; the model keeps its levels 0..m, and the deeper ones go
+    once the samples are read.
+    """
+    if sizes and _samples_read_enumerated_tree(rmap, w):
+        tree = iterated_preimages(rmap, w, max(m, *map(_sample_depth, sizes)))
+        return build_model(rmap, w, m, tree), _julia_samples(rmap, sizes, seed, tree)
+    return build_model(rmap, w, m), (_julia_samples(rmap, sizes, seed) if sizes else [])
 
 
 def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
@@ -485,13 +524,12 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
         return wanted is None or name in wanted
 
     rng = np.random.default_rng(seed)
-    model = build_model(rmap, w, m)
     # The basis sample feeds the last three identities only.  At the
-    # default sizes both samples come from one depth-12 tree.
+    # default sizes both samples read level 12 of one tree.
     with_basis = any(map(want, ("key_lemma", "frame_bound", "vanishing_tail")))
     sizes = (((sample_size,) if with_basis else ())
              + ((unitality_points,) if want("transfer_unitality") else ()))
-    samples = _julia_samples(rmap, sizes, seed) if sizes else []
+    model, samples = _model_and_samples(rmap, w, m, sizes, seed)
     k = m
     records = []
 

@@ -220,6 +220,75 @@ def test_median_spacing_with_infinity_in_the_sample(monkeypatch):
         assert bimodule_basis._median_spacing(small) == want
 
 
+def _median_spacing_table(sample):
+    """The median nearest-neighbour spacing from the whole distance table
+    in one call, row i holding the distances from every point to point i."""
+    pts, infs, norms = sample.points, sample.inf_mask, sample.half_norms
+    d = sphere._chordal(pts, infs, norms, pts[:, None], infs[:, None], norms[:, None])
+    np.fill_diagonal(d, np.inf)
+    return float(np.median(d.min(axis=1)))
+
+
+def test_median_spacing_takes_pairs_past_the_overflow_bound_as_the_table_does(monkeypatch):
+    # Near |z| = 1e200 the half norms' product passes sphere._OVERFLOW and
+    # the chordal rule divides by each norm in turn, which is not symmetric
+    # in the last bit: on several of these samples, a table read one way
+    # round for each pair has another median.  Infinity and points of
+    # modulus about 1 share the samples.
+    basilica = builtin_map("basilica")
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        big = 1e200 * np.exp(2j * np.pi * rng.uniform()) * (
+            1 + 0.01 * (rng.standard_normal(31) + 1j * rng.standard_normal(31)))
+        pts = np.concatenate([rng.standard_normal(4) + 1j * rng.standard_normal(4), big, [0j]])
+        infs = np.arange(pts.size) == pts.size - (seed % 2)
+        sample = JuliaSample(basilica, pts, infs, "test", seed)
+        want = _median_spacing_table(sample)
+        for block in (1, 7, 1 << 16):
+            monkeypatch.setattr(bimodule_basis, "_SPACING_BLOCK", block)
+            assert bimodule_basis._median_spacing(sample) == want
+
+
+def test_median_spacing_equals_the_whole_table(monkeypatch):
+    basilica = builtin_map("basilica")
+    sample = julia_sample(basilica, 384, seed=1)
+    want = _median_spacing_table(sample)
+    for block in (1, 5 * 384, 1 << 16):
+        monkeypatch.setattr(bimodule_basis, "_SPACING_BLOCK", block)
+        assert bimodule_basis._median_spacing(sample) == want
+
+
+@pytest.mark.parametrize("size,elements", [(33, 31), (384, 48)])
+def test_the_basis_net_continues_the_radius_net(size, elements):
+    # On basilica no critical point meets the sample, so the basis pool is
+    # the whole sample and its net continues the 32-centre radius net up to
+    # the prefix a fresh net at radius r stops at.  On 33 points that is
+    # 31 centres, though the radius net already holds 32.
+    basilica = builtin_map("basilica")
+    sample = julia_sample(basilica, size, seed=1)
+    basis = default_basis(basilica, sample, count=32)
+    assert len(basis) == elements
+    assert len(sample.net.chosen) == max(32, elements)
+    r = min(net_radius(sample, 32) * 1.000001,
+            branch_separation_radius(basilica, sample) / 3.0)
+    fresh = farthest_point_net(sample.points, sample.inf_mask, radius=r, count=256)
+    assert sample.net.take(radius=r, count=256) == fresh
+    assert len(fresh[0]) == elements
+    assert [bump.center for bump in basis.bumps] == [sample.atom(i) for i in fresh[0]]
+    for count in (1, 16, 32):
+        assert net_radius(sample, count) == farthest_point_net(
+            sample.points, sample.inf_mask, count=count)[1]
+
+
+@pytest.mark.parametrize("size", [16, 31, 32])
+def test_a_basis_count_of_at_least_the_sample_size_names_both(size):
+    basilica = builtin_map("basilica")
+    sample = julia_sample(basilica, size, seed=1)
+    assert sample.size == size
+    with pytest.raises(DegenerateSample, match=f"32 elements.* {size} points"):
+        default_basis(basilica, sample, count=32)
+
+
 def test_build_basis_partition_normalization(quad_map, circle_sample):
     r = net_radius(circle_sample, 8) * 1.000001
     basis = build_basis(quad_map, circle_sample, r, count_cap=16)

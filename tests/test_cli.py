@@ -50,6 +50,17 @@ def test_verify_without_trials_exit_2(capsys, argv):
     assert "trials >= 1 and pairs >= 1" in captured.err
 
 
+def test_basis_count_beyond_the_sample_exit_2(capsys):
+    # A net of 32 centres covers 16 points at radius 0: no basis radius.
+    argv = ["verify", "all", "--map", "basilica", "--depth", "3",
+            "--sample-size", "16", "--basis-count", "32"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a basis of 32 elements needs a sample of more than 32 points; " \
+           "this one has 16 points" in captured.err
+
+
 def test_exceptional_root_exit_2(capsys):
     assert main(["tree", "--map", "quad", "--w", "0,0", "--depth", "2"]) == 2
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -330,27 +332,78 @@ def test_suite_deterministic(quad_map):
 
 
 def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
-    # The default 384-point basis sample and 1000-point unitality sample
-    # both pick depth 12, so one sampled tree serves them.
+    # The samples read a tree that keeps two branches per node from the
+    # default root, which for a map of degree 2 is the enumerated tree.
+    # At the default root the model and both default samples (384 and 1000
+    # points, depth 12) read one tree, built to depth max(m, 12); z^3, or
+    # another root, builds the model's tree and the samples' tree.
     depths = []
-    sampled_tree = bimodule_basis.sampled_tree
+    grow = preimage_solver._grow
 
-    def counting(rmap, w, m, *args, **kwargs):
+    def counting(rmap, root, m, *args, **kwargs):
         depths.append(m)
-        return sampled_tree(rmap, w, m, *args, **kwargs)
+        return grow(rmap, root, m, *args, **kwargs)
 
-    monkeypatch.setattr(bimodule_basis, "sampled_tree", counting)
-    verification_suite(quad_map, m=4, seed=3, trials=2, pairs=2, basis_count=8,
-                       identities=["transfer_unitality", "key_lemma"])
-    assert depths == [12]
+    monkeypatch.setattr(preimage_solver, "_grow", counting)
+    basilica = builtin_map("basilica")
+    cube = RationalMap([0, 0, 0, 1], [1], name="z^3")
+    for rmap, w, m, want in ((basilica, None, 4, [12]), (basilica, None, 13, [13]),
+                             (basilica, 0.1 + 0.7j, 4, [4, 12]), (cube, None, 4, [4, 12])):
+        depths.clear()
+        verification_suite(rmap, w, m=m, seed=3, trials=2, pairs=2, basis_count=8,
+                           identities=["transfer_unitality", "key_lemma"])
+        assert depths == want
 
+    depths.clear()
     both = bimodule_basis._julia_samples(quad_map, (384, 1000), 3)
-    assert depths == [12, 12]
+    assert depths == [12]
     for sample, size in zip(both, (384, 1000)):
         alone = julia_sample(quad_map, size, 3)
         np.testing.assert_array_equal(sample.points, alone.points)
         np.testing.assert_array_equal(sample.inf_mask, alone.inf_mask)
         assert sample.method == alone.method
+
+
+def test_the_model_keeps_no_level_below_its_depth(monkeypatch):
+    # The shared tree is built to depth 12 for the samples; once they are
+    # read, the depth-9 model holds levels 0..9 and level 12 is freed.
+    basilica = builtin_map("basilica")
+    levels = []
+    enumerate_tree = operator_lab.iterated_preimages
+
+    def keeping(*args):
+        tree = enumerate_tree(*args)
+        levels.append(weakref.ref(tree.levels[-1]))
+        return tree
+
+    monkeypatch.setattr(operator_lab, "iterated_preimages", keeping)
+    model, samples = operator_lab._model_and_samples(
+        basilica, default_root(basilica), 9, (384, 1000), 1)
+    gc.collect()
+    assert len(levels) == 1 and levels[0]() is None
+    assert model.tree.depth == 9 and len(model.tree.levels) == 10
+    assert model.dims() == tuple(2 ** k for k in range(10))
+    assert [s.size for s in samples] == [384, 1000]
+
+
+def _old_way(rmap, w, m, sizes, seed):
+    """The model and the samples as two trees: the model's enumerated tree
+    and the samples' sampled tree."""
+    return (build_model(rmap, w, m),
+            bimodule_basis._julia_samples(rmap, sizes, seed) if sizes else [])
+
+
+@pytest.mark.parametrize("name,w,m", [("basilica", None, 9), ("basilica", None, 13),
+                                      ("basilica", 0.1 + 0.7j, 9), ("z^3", None, 5)])
+def test_one_tree_and_one_net_keep_every_report_byte(monkeypatch, name, w, m):
+    rmap = RationalMap([0, 0, 0, 1], [1], name="z^3") if name == "z^3" else builtin_map(name)
+    report = json.dumps(verification_suite(rmap, w, m=m, seed=1))
+    # The old way: two trees, and a fresh net for the radius and another
+    # for the basis.
+    monkeypatch.setattr(operator_lab, "_model_and_samples", _old_way)
+    monkeypatch.setattr(bimodule_basis.JuliaSample, "net", property(
+        lambda s: bimodule_basis._Net(s.points, s.inf_mask, s.half_norms)))
+    assert json.dumps(verification_suite(rmap, w, m=m, seed=1)) == report
 
 
 def test_suite_evaluates_the_basis_once_per_level(monkeypatch, quad_map):

@@ -364,6 +364,36 @@ def test_sampled_full_branches_is_full_tree(rmap, w):
                                           getattr(full.level(k), name))
 
 
+def _same_levels(a, b, depth):
+    """Whether levels 0..depth of two trees agree to the bit."""
+    return all(getattr(a.level(k), name).tobytes() == getattr(b.level(k), name).tobytes()
+               for k in range(depth + 1) for name in ("points", "inf_mask", "cum", "parent"))
+
+
+@pytest.mark.parametrize("name,w", [("basilica", None), ("quad", None), ("chebyshev", None),
+                                    ("basilica", 0.1 + 0.7j)],
+                         ids=["basilica", "quad", "chebyshev", "basilica-off-the-real-line"])
+def test_a_sampled_tree_keeping_every_branch_is_the_enumerated_tree(name, w):
+    # The rule the verification suite relies on when it reads its Julia
+    # samples from the model's own tree: at depth 12, the samples' depth.
+    rmap = builtin_map(name)
+    w = default_root(rmap) if w is None else w
+    full = iterated_preimages(rmap, w, 12)
+    samp = sampled_tree(rmap, w, 12, branches_per_node=rmap.degree, seed=1)
+    assert samp.weight_base == full.weight_base
+    assert _same_levels(samp, full, 12)
+
+
+def test_a_deeper_tree_begins_with_the_shallower_one():
+    # Levels 0..m of a depth-d tree are the depth-m tree, so a model of
+    # depth m can read them.
+    basilica = builtin_map("basilica")
+    w = default_root(basilica)
+    deep = iterated_preimages(basilica, w, 12)
+    for m in (1, 9, 12):
+        assert _same_levels(deep, iterated_preimages(basilica, w, m), m)
+
+
 def test_sampled_tree_draw_order_is_pinned():
     # Two of three fiber slots per node, drawn in node order; each level
     # holds its nodes' children in node order, and the fiber over infinity

@@ -20,11 +20,12 @@ coefficient), the measure CSV of a tree
 with double atoms, a Julia sample, basis exports of basilica, of
 chebyshev (whose Julia set meets a critical point, once more as its
 stdout report) and of Newton's map for z^3 - 1 (degree 3, infinity in
-its Julia set), eight verification
+its Julia set), nine verification
 reports, two of them on chebyshev (one with padded sibling blocks), one
 with trials checked in chunks of several rows, one at 65536 atoms, whose
-trials are checked one row at a time, and one on z^3 (whose
-sibling blocks of three take the eigensolver), the key lemma alone on
+trials are checked one row at a time, one on z^3 (whose
+sibling blocks of three take the eigensolver) and one on a degree-4
+Lattes map (whose samples read a tree apart from the model's), the key lemma alone on
 chebyshev at depth 12, a sector-ladder basis on a 4096-atom level whose
 points lie in up to three supports, and on Newton's map for z^3 - 1,
 whose 141 bumps take their cover tables on 19683 sibling-fiber points
@@ -97,6 +98,10 @@ COMMANDS = [
      "--depth", "8", "--seed", "1"],
     # z^3: sibling blocks of width 3, whose spectra take the eigensolver.
     ["verify", "all", "--num=0,0;0,0;0,0;1,0", "--den=1,0", "--depth", "5", "--seed", "1"],
+    # The Lattes map (z^2 + 1)^2 / (4z(z^2 - 1)): degree 4, so its samples
+    # take a sampled tree of their own, apart from the model's tree.
+    ["verify", "all", "--num=1,0;0,0;2,0;0,0;1,0", "--den=0,0;-4,0;0,0;4,0", "--depth", "5",
+     "--basis-count", "12", "--sample-size", "128", "--seed", "1"],
     # (u^2 + 1) / (2u), z^2 conjugated by the Cayley map: its Julia set is
     # the imaginary axis through infinity, and its depth-12 atoms reach |u| ~ 3000.
     ["verify", "invariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
