@@ -13,9 +13,8 @@ from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction,
                              farthest_point_net, julia_sample, net_radius,
                              reconstruct)
 from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
-                     EigSolverFailure, ExceptionalRoot, IncompatibleTable,
-                     InvalidMapError, LyubichLabError, NoVanishingTail,
-                     RootFindingFailure)
+                     EigSolverFailure, ExceptionalRoot, InvalidMapError,
+                     LyubichLabError, NoVanishingTail, RootFindingFailure)
 from .lyubich_measure import (AtomicMeasure, convergence_report, default_root,
                               integrate, measure_from_tree, measure_match_defect,
                               measures_match, pushforward)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoverFailure, DegenerateSample
-from .preimage_solver import Cover, Fibers, PointSet, sampled_tree
+from .preimage_solver import PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
 from .sphere import (_OVERFLOW, INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal,
                      chordal_pairs, half_norm, point_json, sphere_points, write_csv)
@@ -624,13 +624,13 @@ class VanishingFunction:
         return gaps < self.support_radius + basis._radii
 
 
-def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
-                       values: np.ndarray, count: int) -> np.ndarray:
-    """sum_i u_i * L(u_i * f) at each point over the first ``count``
-    elements: ``cover`` holds the elements on the points, ``fiber_cover``
-    on ``fib``, the fibers of the points' images, and ``values`` is f on
-    ``fib``.  Bumps are real, so the conjugate in the inner product is a
-    no-op.
+def reconstruction_sum(points: PointSet, basis: PartitionOfUnity, f: TestFunction,
+                       count: int) -> np.ndarray:
+    """sum_i u_i * L(u_i * f) at each of ``points`` over the first ``count``
+    elements of ``basis``, read from what the point set owns: its cover of
+    the basis, its sibling fibers (the fibers of the points' images), their
+    cover, and f on their power table.  Bumps are real, so the conjugate in
+    the inner product is a no-op.
 
     Each layer of the cover adds, at each point, the term of one element
     nonzero there, so a point's terms come in ascending element order.  The
@@ -639,8 +639,10 @@ def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
     which are 0 or -0 wherever L(u_i * f) is finite; so every finite sum
     has the bits of the sum over every element.
     """
-    segment = np.repeat(np.arange(cover.index.shape[1]), np.diff(fib.offsets))
-    total = np.zeros(cover.index.shape[1], dtype=complex)
+    cover, fib = points.cover(basis), points.sibling_fibers
+    fiber_cover, values = fib.cover(basis), f.evaluate(fib.powers)
+    segment = np.repeat(np.arange(points.size), np.diff(fib.offsets))
+    total = np.zeros(points.size, dtype=complex)
     for members, u in zip(cover.index, cover.values(count)):
         u_fiber = fiber_cover.member(members[segment])
         total = total + u * fib.average(u_fiber * values)
@@ -648,25 +650,16 @@ def reconstruction_sum(cover: Cover, fib: Fibers, fiber_cover: Cover,
 
 
 def reconstruct(rmap: RationalMap, basis: PartitionOfUnity, xi: TestFunction, N: int,
-                sample: JuliaSample) -> tuple[TestFunction, float]:
-    """Partial reconstruction sum over the first N elements, on the sample.
+                sample: JuliaSample) -> tuple[np.ndarray, float]:
+    """Partial reconstruction sum over the first N elements at the sample's
+    points, as a complex array (zeros for N <= 0), and its sup-norm gap to
+    xi over the sample.
 
     Each term is element * (inner product of element with xi, composed
-    with the map); the residual is the sup-norm gap to xi over the sample.
+    with the map).
     """
     _check_sample(rmap, sample)
-    pts, infs = sample.points, sample.inf_mask
-    xi_vals = xi.evaluate(pts, infs)
-    if N <= 0:
-        table = TestFunction.from_table(pts, infs, np.zeros(pts.size, dtype=complex),
-                                        name=f"recon0({xi.name})")
-        return table, float(np.max(np.abs(xi_vals))) if pts.size else 0.0
-
-    fib = sample.sibling_fibers
-    count = min(N, len(basis))
-    recon = reconstruction_sum(sample.cover(basis), fib, fib.cover(basis),
-                               xi.evaluate(fib.powers), count)
-
-    residual = float(np.max(np.abs(recon - xi_vals))) if pts.size else 0.0
-    table = TestFunction.from_table(pts, infs, recon, name=f"recon{count}({xi.name})")
-    return table, residual
+    recon = (reconstruction_sum(sample, basis, xi, min(N, len(basis))) if N > 0
+             else np.zeros(sample.size, dtype=complex))
+    gap = np.abs(recon - xi.evaluate(sample.powers))
+    return recon, float(np.max(gap)) if sample.size else 0.0

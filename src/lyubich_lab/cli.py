@@ -345,12 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
                                    type=int, default=384)
 
     parser._command_table = {name: fn for name, (_, fn) in specs.items()}
+    parser._command_parsers = parsers
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list) -> None:
-    if not args.config:
-        return
+def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list) -> list:
+    """argv followed by the tokens of the flag of each --config key that no
+    flag in argv sets, so that one parse checks a config value as it checks
+    the flag; a report's ``map`` block gives --num and --den."""
     try:
         with open(args.config) as handle:
             config = json.load(handle)
@@ -358,25 +361,34 @@ def _apply_config(args: argparse.Namespace, argv: list) -> None:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    given = {token.split("=")[0].lstrip("-").replace("-", "_")
-             for token in argv if token.startswith("--")}
+    # A flag is given as itself or, as argparse reads it, by a unique prefix.
+    actions = parser._command_parsers[args.command]._option_string_actions
+    heads = {token.split("=")[0] for token in argv if token.startswith("--")}
+    given = {flag for flag in actions for head in heads
+             if flag == head or head not in actions and flag.startswith(head)}
+    if isinstance(config.get("map"), dict) and "--map" not in given:
+        block = config.pop("map")
+        config.update((key, block[key]) for key in ("num", "den") if key in block)
+    tokens = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        flag = "--" + key.replace("_", "-")
+        if flag not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr in given:
+        if flag in given:
             continue
-        if attr == "map" and isinstance(value, dict):
-            args.num = [f"{c[0]},{c[1]}" for c in value["num"]]
-            args.den = [f"{c[0]},{c[1]}" for c in value["den"]]
-            args.map = None
-            continue
-        if attr in ("num", "den") and isinstance(value, list):
-            value = [f"{c[0]},{c[1]}" if isinstance(c, (list, tuple)) else str(c)
-                     for c in value]
-        if attr == "w" and isinstance(value, (list, tuple)):
-            value = f"{value[0]},{value[1]}"
-        setattr(args, attr, value)
+        # A point [re, im] is one item.  argparse reads an item that starts
+        # with '-' as a flag; the parsers of these flags strip the space put
+        # before it.
+        nargs = actions[flag].nargs
+        items = value if nargs == "+" and isinstance(value, list) else [value]
+        texts = [",".join(map(str, v)) if isinstance(v, list) else str(v) for v in items]
+        if nargs == 0 and isinstance(value, bool):
+            tokens += [flag] * value
+        elif nargs is None:
+            tokens.append(f"{flag}={texts[0]}")
+        else:
+            tokens += [flag] + [" " + t if t.startswith("-") else t for t in texts]
+    return argv + tokens
 
 
 def main(argv=None) -> int:
@@ -384,17 +396,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        _apply_config(args, argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(parser, args, argv))
         if _writes_csv(args) and args.command not in _CSV_EXPORTS + ("basis",):
             raise ConfigError(f"{args.command} has no CSV export; "
                               f"only {', '.join(_CSV_EXPORTS)} write --out *.csv")
         handler = parser._command_table[args.command]
         return handler(args)
+    except SystemExit as exc:
+        return EXIT_CONFIG if exc.code not in (0, None) else 0
     except (ConfigError, InvalidMapError, ExceptionalRoot, DegenerateSample,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RootFindingFailure, EigSolverFailure, BudgetExceeded,

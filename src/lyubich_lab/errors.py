@@ -22,10 +22,6 @@ class BudgetExceeded(LyubichLabError):
     """A tree or sample would exceed the configured atom budget."""
 
 
-class IncompatibleTable(LyubichLabError, ValueError):
-    """A table-bound function was evaluated on a different atom set."""
-
-
 class DegenerateSample(LyubichLabError, ValueError):
     """The sample is too small or too degenerate for the requested operation."""
 

@@ -103,11 +103,6 @@ class OperatorModel:
         never read from the tree's parent and ``cum`` assembly."""
         return self.levels[k - 1].fibers
 
-    def sibling_fibers(self, k: int) -> Fibers:
-        """The fibers over the images of level k, each holding an atom and
-        its siblings, solved once from the level's points."""
-        return self.levels[k].sibling_fibers
-
     def values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
         """f on level k, or one row per polynomial of a batch; polynomials
         read the level's power table."""
@@ -297,9 +292,7 @@ def verify_key_lemma(model: OperatorModel, basis: PartitionOfUnity, N: int,
     lvl = model.levels[k]
     # Path two first: its fiber solve is the larger allocation, and the
     # frame vectors built after it stay below that peak.
-    fib = model.sibling_fibers(k)
-    path_b = reconstruction_sum(lvl.cover(basis), fib, fib.cover(basis),
-                                a.evaluate(fib.powers), min(N, len(basis)))
+    path_b = reconstruction_sum(lvl, basis, a, min(N, len(basis)))
     path_a = _apply_frame_sum(model, basis, N, k, model.values(a, k))
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 

@@ -2,17 +2,15 @@
 
 These play the role of the continuous / square-integrable functions fed to
 quadrature and to the operator model: bivariate polynomials in (z, conj z)
-and array closures, among them named analytic forms and pointwise tables
-bound to a specific atom set.  Polynomials compose exactly under products and
-conjugation, which keeps the operator identities free of interpolation
-error.  A :class:`PolynomialBatch` holds many polynomials over one term
-list, and a :class:`PowerTable` keeps the powers of a point array that
-every polynomial evaluated on it reads.
+and array closures, among them named analytic forms.  Polynomials compose
+exactly under products and conjugation, which keeps the operator
+identities free of interpolation error.  A :class:`PolynomialBatch` holds
+many polynomials over one term list, and a :class:`PowerTable` keeps the
+powers of a point array that every polynomial evaluated on it reads.
 """
 
 import numpy as np
 
-from .errors import IncompatibleTable
 from .sphere import as_point
 
 
@@ -21,9 +19,8 @@ class TestFunction:
 
     Construct through the classmethods: :meth:`polynomial` for a
     coefficient table ``{(j, k): c}`` meaning ``sum c * z**j * conj(z)**k``,
-    :meth:`from_callable` for array closures, and :meth:`from_table` for
-    the closure of values bound to a fixed atom set.  :meth:`evaluate` is
-    the one evaluation path; calling a function on a point evaluates it on
+    and :meth:`from_callable` for array closures.  :meth:`evaluate` is the
+    one evaluation path; calling a function on a point evaluates it on
     a one-point array.
     """
 
@@ -60,42 +57,6 @@ class TestFunction:
         raises ValueError where the function is undefined (at infinity,
         say)."""
         return cls("callable", name, fn=fn)
-
-    @classmethod
-    def from_table(cls, points, inf_mask, values, name: str = "table") -> "TestFunction":
-        """The closure of ``values`` at the atoms ``points``: it evaluates
-        only at those atoms, matched exactly, and raises IncompatibleTable
-        at any other point."""
-        atoms = np.asarray(points, dtype=complex)
-        atoms_inf = np.asarray(inf_mask, dtype=bool)
-        values = np.asarray(values, dtype=complex)
-        search = None
-
-        def lookup(points, inf_mask):
-            nonlocal search
-            # The first of equal atoms wins.  Infinite points are keyed
-            # inf + 0j, and a NaN sentinel, which sorts last, keeps every
-            # search in range.  The table's own atom array, the common case,
-            # needs no search; the sorted keys are kept from the first
-            # search on.
-            if (points.shape == atoms.shape and np.array_equal(inf_mask, atoms_inf)
-                    and np.array_equal(points, atoms)):
-                return values.copy()
-            if search is None:
-                keys = np.append(np.where(atoms_inf, np.inf, atoms), np.nan)
-                order = np.argsort(keys, kind="stable")
-                search = order, keys[order]
-            order, keys = search
-            query = np.where(inf_mask, np.inf, points).ravel()
-            slots = np.searchsorted(keys, query)
-            missing = np.flatnonzero(keys[slots] != query)
-            if missing.size:
-                z = complex(query[missing[0]])
-                z = "inf" if np.isinf(z) else repr(z)
-                raise IncompatibleTable(f"point {z} is not an atom of table {name}")
-            return values.ravel()[order[slots]].reshape(points.shape)
-
-        return cls.from_callable(lookup, name)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -205,14 +166,10 @@ class PowerTable:
         self._powers = {}
 
     def power(self, j: int, conjugate: bool = False) -> np.ndarray:
-        """``points**j``, or ``conj(points)**j`` with ``conjugate``.  numpy's
-        ``z**0`` is exactly 1 at every point, NaN and infinity included, so
-        it is filled in, not computed."""
+        """``points**j``, or ``conj(points)**j`` with ``conjugate``."""
         key = (j, conjugate)
         if key not in self._powers:
-            if j == 0:
-                value = np.ones(self.points.shape, dtype=complex)
-            elif conjugate:
+            if conjugate:
                 if "conj" not in self._powers:
                     self._powers["conj"] = np.conj(self.points)
                 value = self._powers["conj"]**j

@@ -7,7 +7,7 @@ from lyubich_lab.bimodule_basis import (JuliaSample, PartitionOfUnity, SectorSpe
                                         branch_points_on_julia,
                                         branch_separation_radius, build_basis,
                                         farthest_point_net, julia_sample,
-                                        net_radius, reconstruct)
+                                        net_radius, reconstruct, reconstruction_sum)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
 from lyubich_lab.operator_lab import default_basis
 from lyubich_lab.preimage_solver import Cover, iterated_preimages
@@ -555,7 +555,7 @@ def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
     pts, infs = interval_sample.points, interval_sample.inf_mask
     U = basis.member_matrix(pts, infs)
     for count in (1, len(basis) // 2, len(basis)):
-        table, _ = reconstruct(cheb, basis, xi, count, interval_sample)
+        values, _ = reconstruct(cheb, basis, xi, count, interval_sample)
         want = np.zeros(pts.size, dtype=complex)
         for i, z in enumerate(interval_sample.sphere_points()):
             atoms = cached_fiber(cheb, evaluate(cheb, z)).atoms
@@ -563,7 +563,7 @@ def test_reconstruct_matches_per_point_fiber_sums(cheb, interval_sample):
             at_inf = np.array([p.infinite for p, _ in atoms])
             seg = np.array([m for _, m in atoms]) * xi.evaluate(at, at_inf)
             want[i] = U[:count, i] @ (basis.member_matrix(at, at_inf)[:count] @ seg) / 2
-        assert np.max(np.abs(table.evaluate(pts, infs) - want)) <= 1e-13
+        assert np.max(np.abs(values - want)) <= 1e-13
 
 
 def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
@@ -603,8 +603,7 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
     cold, cold_residual = reconstruct(cheb, basis, xis[1], len(basis), cold_sample)
     assert len(solves) == 2
     assert len(members) == 2 * len(one_pass)
-    pts, infs = sample.points, sample.inf_mask
-    assert np.array_equal(warm.evaluate(pts, infs), cold.evaluate(pts, infs))
+    assert np.array_equal(warm, cold)
     assert warm_residual == cold_residual
     other = builtin_map("chebyshev")
     for refused in (lambda: reconstruct(other, basis, xis[1], len(basis), sample),
@@ -613,6 +612,30 @@ def test_reconstruct_solves_the_sample_sibling_fibers_once(monkeypatch, cheb,
                     lambda: build_basis(other, sample, r)):
         with pytest.raises(ValueError, match="another map"):
             refused()
+
+
+def test_reconstruct_without_terms_reads_zeros(quad_map, circle_sample):
+    r = net_radius(circle_sample, 16) * 1.000001
+    basis = build_basis(quad_map, circle_sample, r, count_cap=32)
+    xi = tf.random_polynomial(np.random.default_rng(54), 2)
+    sup = float(np.max(np.abs(xi.evaluate(circle_sample.points, circle_sample.inf_mask))))
+    for N in (0, -1, -len(basis)):
+        values, residual = reconstruct(quad_map, basis, xi, N, circle_sample)
+        assert values.tobytes() == np.zeros(circle_sample.size, dtype=complex).tobytes()
+        assert np.float64(residual).tobytes() == np.float64(sup).tobytes()
+
+
+def test_reconstruct_reads_the_prefix_sum(cheb, interval_sample):
+    r = min(net_radius(interval_sample, 24) * 1.000001,
+            branch_separation_radius(cheb, interval_sample) / 3.0)
+    basis = build_basis(cheb, interval_sample, r, count_cap=128)
+    xi = tf.random_polynomial(np.random.default_rng(55), 2)
+    for N in range(1, len(basis) + 3):
+        values, residual = reconstruct(cheb, basis, xi, N, interval_sample)
+        want = reconstruction_sum(interval_sample, basis, xi, min(N, len(basis)))
+        assert values.tobytes() == want.tobytes()
+        gap = want - xi.evaluate(interval_sample.points, interval_sample.inf_mask)
+        assert residual == float(np.max(np.abs(gap)))
 
 
 def test_reconstruct_residual_nonincreasing(quad_map, circle_sample):

@@ -232,10 +232,63 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert data["map"]["name"] == "chebyshev"
 
 
+def test_an_abbreviated_flag_wins_over_the_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map": "quad", "depth": 3}))
+    _, data = _run_json(capsys, ["tree", "--config", str(config), "--dep", "1"])
+    assert data["level_sizes"] == [1, 2]
+    # --depth is whole, so it does not set --depths, a flag it is a prefix of
+    config.write_text(json.dumps({"map": "quad", "depth": 3, "depths": [1, 2]}))
+    _, data = _run_json(capsys, ["converge", "--config", str(config), "--depth", "2"])
+    assert sorted({record["m"] for record in data["records"]}) == [1, 2]
+
+
 def test_config_unknown_key_exit_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mystery": 1}))
     assert main(["measure", "--config", str(config), "--map", "quad"]) == 2
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"map": {"num": [[-1, 0], [0, 0], [1, 0]]}}, "both --num and --den"),
+    ({"map": "basilica", "depth": "four"}, "argument --depth: invalid int value: 'four'"),
+    ({"map": "basilica", "w": [0.5]}, "expected 're,im', got '0.5'"),
+])
+def test_malformed_config_exits_2_as_its_flag_would(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["tree", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        line for line in err.splitlines() if message in line]
+    assert "Traceback" not in err
+
+
+def test_config_takes_a_report_map_block_and_negative_items(tmp_path, capsys):
+    _, report = _run_json(capsys, ["tree", "--map", "chebyshev", "--depth", "1"])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map": report["map"], "w": [-1.5, 0], "depth": 2,
+                                  "json": True}))
+    code, data = _run_json(capsys, ["tree", "--config", str(config)])
+    assert code == 0
+    assert data["map"]["num"] == report["map"]["num"] == [[-2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert data["w"] == [-1.5, 0.0]
+    assert data["level_sizes"] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["tree", "--map", "quad", "--depth", "2"], "x.csv"),
+    (["tree", "--map", "quad", "--depth", "2"], "x.json"),
+    (["verify", "--map", "quad", "--depth", "3", "--trials", "2", "--pairs", "2",
+      "--basis-count", "8", "--sample-size", "64"], "x.json"),
+    (["basis", "--map", "quad", "--size", "64", "--basis-count", "8"], "x.json"),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, name):
+    out = tmp_path / "missing" / name
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
 
 
 def test_parse_test_function_forms():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lyubich_lab.errors import ExceptionalRoot, IncompatibleTable
+from lyubich_lab.errors import ExceptionalRoot
 from lyubich_lab.lyubich_measure import (compensated_sum, convergence_report,
                                          default_root, integrate, measure_from_tree,
                                          measure_match_defect, measures_match,
@@ -99,15 +99,6 @@ def test_integrate_arcsine_moments(cheb):
     assert x4 == pytest.approx(6.0, abs=1e-8)
     assert abs(integrate(mu, tf.RE2).real - x2) < 0.02
     assert abs(integrate(mu, tf.RE4).real - x4) < 0.1
-
-
-def test_integrate_incompatible_table(quad_map):
-    mu = measure_from_tree(iterated_preimages(quad_map, 1, 3))
-    other = np.zeros(mu.size, dtype=complex)
-    table = tf.TestFunction.from_table(other, np.zeros(mu.size, bool),
-                                       np.ones(mu.size, dtype=complex))
-    with pytest.raises(IncompatibleTable):
-        integrate(mu, table)
 
 
 # ----------------------------------------------------------------------

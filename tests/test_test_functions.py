@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from lyubich_lab.errors import IncompatibleTable
 from lyubich_lab.rational_map import builtin_map, evaluate_array
 from lyubich_lab.sphere import INFINITY
 from lyubich_lab import test_functions as tf
@@ -48,18 +47,6 @@ def test_compose_with_map():
     assert f(3) == pytest.approx(7.0)
 
 
-def test_table_binding():
-    pts = np.array([1.0, 2.0], dtype=complex)
-    inf = np.zeros(2, dtype=bool)
-    f = tf.TestFunction.from_table(pts, inf, np.array([10.0, 20.0], dtype=complex))
-    np.testing.assert_allclose(f.evaluate(pts, inf), [10, 20])
-    assert f(2.0) == 20
-    with pytest.raises(IncompatibleTable):
-        f.evaluate(np.array([1.0, 3.0], dtype=complex), inf)
-    with pytest.raises(IncompatibleTable):
-        f(5.0)
-
-
 def test_random_polynomial_deterministic():
     a = tf.random_polynomial(np.random.default_rng(5), 2)
     b = tf.random_polynomial(np.random.default_rng(5), 2)
@@ -77,8 +64,6 @@ def _bounded(z, inf_mask):
 
 BOUNDED = tf.TestFunction.from_callable(_bounded, "bounded")
 POINTS = np.array([0.3 + 0.1j, -1.2, 2j, 0.0, 5.0 - 1j, -0.7 - 0.4j])
-TABLE = tf.TestFunction.from_table(POINTS, np.zeros(POINTS.size, dtype=bool),
-                                   np.arange(POINTS.size) - 1j)
 POLY = tf.random_polynomial(np.random.default_rng(12), 3)
 
 # name: (function, its value at infinity, or None where it is undefined)
@@ -87,14 +72,12 @@ ONE_PATH = {
     "constant": (tf.ONE, 1.0),
     "callable": (tf.abs_distance(0.7), None),
     "bounded": (BOUNDED, 1.0),
-    "table": (TABLE, None),
     "sum": (tf.ABS + POLY, None),
     "bounded sum": (BOUNDED + tf.ONE, 2.0),
     "product": (tf.ABS * POLY, None),
     "bounded product": (BOUNDED * BOUNDED, 1.0),
     "conj": (BOUNDED.conj(), 1.0),
     "scaled": ((0.5 - 2j) * BOUNDED, 0.5 - 2j),
-    "scaled table": (3.0 * TABLE, None),
     "composed": (_composed(BOUNDED, builtin_map("chebyshev")), 1.0),
 }
 
@@ -176,24 +159,18 @@ def test_a_batch_evaluates_row_by_row_on_a_power_table():
     assert table.power(2, conjugate=True).tobytes() == (np.conj(points)**2).tobytes()
     assert table.power(3) is table.power(3)
     assert not table.power(3).flags.writeable
-    # z**0 is filled in as numpy computes it: 1 everywhere, NaN and inf too
-    odd = np.append(points, [np.nan, np.inf, complex(np.nan, 1), complex(-np.inf, np.inf), 0])
-    with np.errstate(all="ignore"):
-        for conjugate in (False, True):
-            base = np.conj(odd) if conjugate else odd
-            zeroth = tf.PowerTable(odd).power(0, conjugate)
-            assert zeroth.tobytes() == (base**0).tobytes()
 
 
 def _reference_evaluate(batch, points, inf_mask=None):
     """The per-term evaluator: every term as ``(c * z**j) * conj(z)**k``,
     ``z**0`` included, each in a fresh array."""
     table = tf.as_power_table(points, inf_mask)
-    out = np.zeros((len(batch),) + table.points.shape, dtype=complex)
-    column = (-1,) + (1,) * table.points.ndim
+    z = table.points
+    out = np.zeros((len(batch),) + z.shape, dtype=complex)
+    column = (-1,) + (1,) * z.ndim
     for (j, k), c in zip(batch.keys, batch.coeffs.T):
-        term = c.reshape(column) * table.power(j)
-        term *= table.power(k, conjugate=True)
+        term = c.reshape(column) * z**j
+        term *= np.conj(z)**k
         out += term
     if table.inf_mask.any():
         if any(key != (0, 0) for key in batch.keys):
@@ -287,25 +264,3 @@ def test_a_batch_is_defined_at_infinity_only_when_constant():
     np.testing.assert_array_equal(consts.evaluate([0.5, 0.0], inf), [[2, 2], [1j, 1j]])
     with pytest.raises(ValueError):
         tf.random_polynomials(np.random.default_rng(0), 2, 1).evaluate([0.5, 0.0], inf)
-
-
-def test_table_lookups_sort_the_atoms_once(monkeypatch):
-    points = np.random.default_rng(9).standard_normal(500) + 0j
-    table = tf.TestFunction.from_table(points, np.zeros(500, dtype=bool), 2 * points)
-    sorts = []
-    argsort = np.argsort
-
-    def counting(*args, **kwargs):
-        sorts.append(args)
-        return argsort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting)
-    query = points[[7, 3, 499, 3]]
-    first = table.evaluate(query)
-    second = table.evaluate(query[::-1])
-    assert len(sorts) == 1
-    np.testing.assert_array_equal(first, 2 * query)
-    np.testing.assert_array_equal(second, first[::-1])
-    with pytest.raises(IncompatibleTable):
-        table(0.123)
-    assert len(sorts) == 1
