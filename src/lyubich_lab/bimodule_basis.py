@@ -507,6 +507,8 @@ def build_basis(rmap: RationalMap, sample: JuliaSample, r: float,
     """
     if r <= 0:
         raise ValueError("net radius must be positive")
+    if count_cap < 1:
+        raise ValueError(f"a basis needs count_cap >= 1, got {count_cap}")
     n = rmap.degree
     pts, infs = sample.points, sample.inf_mask
     branch = branch_points_on_julia(rmap, sample)

@@ -96,7 +96,8 @@ def parse_test_function(spec: str):
             if len(fields) != 4:
                 raise ConfigError(f"bad poly term {term!r}; expected j,k,re,im")
             j, k = int(fields[0]), int(fields[1])
-            coeffs[(j, k)] = complex(float(fields[2]), float(fields[3]))
+            c = complex(float(fields[2]), float(fields[3]))
+            coeffs[(j, k)] = coeffs[(j, k)] + c if (j, k) in coeffs else c
         return test_functions.TestFunction.polynomial(coeffs, name=spec)
     if spec.startswith("absdist:"):
         return test_functions.abs_distance(_parse_complex(spec[8:]), name=spec)

@@ -462,8 +462,10 @@ def default_basis(rmap: RationalMap, sample: JuliaSample,
     The radius is read from the sample's greedy net, which the basis net
     continues where its pool is the whole sample.  A sample of at most
     ``count`` points raises DegenerateSample: that net covers it at
-    radius 0.
+    radius 0, and a count below 1 raises ValueError.
     """
+    if count < 1:
+        raise ValueError(f"a basis needs count >= 1, got {count}")
     r_sep = branch_separation_radius(rmap, sample)
     radius = net_radius(sample, count)
     if radius <= 0.0:
@@ -498,15 +500,15 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     Deterministic for a given seed.  ``identities`` may restrict to a
     subset of the record names; any other name raises ValueError.  Each
     identity compares level m with level m - 1, so m < 1 raises
-    ValueError, as do fewer than one trial or pair.  The random
+    ValueError, as do fewer than one trial, pair or basis element.  The random
     polynomials of each identity are drawn up front and checked in
     batches.
     """
     if m < 1:
         raise ValueError(f"verification needs depth m >= 1, got {m}")
-    if trials < 1 or pairs < 1:
-        raise ValueError(f"verification needs trials >= 1 and pairs >= 1, "
-                         f"got trials={trials}, pairs={pairs}")
+    if min(trials, pairs, basis_count) < 1:
+        raise ValueError(f"verification needs trials >= 1 and pairs >= 1 and basis_count >= 1, "
+                         f"got trials={trials}, pairs={pairs}, basis_count={basis_count}")
     w = default_root(rmap) if w is None else as_point(w)
     wanted = None if identities is None else set(identities)
     if wanted is not None and not wanted <= TOLERANCES.keys():

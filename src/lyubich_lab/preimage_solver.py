@@ -164,7 +164,7 @@ class PointSet:
     def sibling_fibers(self) -> "Fibers":
         """The fibers over the images of the points, each holding a point
         and its siblings."""
-        return gather_fibers(self.map, self.points, self.inf_mask, siblings=True)
+        return gather_fibers(self.map, *evaluate_array(self.map, self.points, self.inf_mask))
 
     @cached_property
     def powers(self) -> PowerTable:
@@ -205,14 +205,10 @@ class Fibers(PointSet):
         return np.add.reduceat(self.mult * values, self.offsets[:-1], axis=-1) / self.map.degree
 
 
-def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray,
-                  siblings: bool = False) -> Fibers:
+def gather_fibers(rmap: RationalMap, points: np.ndarray, inf_mask: np.ndarray) -> Fibers:
     """The fiber over each point of a point array, solved in blocks by the
-    batched engine; with ``siblings=True`` the fiber over its image, which
-    holds the point and its siblings.  The table of a single block is
-    returned as the engine made it; several are joined."""
-    if siblings:
-        points, inf_mask = evaluate_array(rmap, points, inf_mask)
+    batched engine.  The table of a single block is returned as the engine
+    made it; several are joined."""
     plan = fiber_plan(rmap)
     # An empty array is solved as one empty block.
     blocks = [_fiber.solve_fibers(plan, points[s:s + _BLOCK_ROWS], inf_mask[s:s + _BLOCK_ROWS])

@@ -2,11 +2,14 @@
 
 These play the role of the continuous / square-integrable functions fed to
 quadrature and to the operator model: bivariate polynomials in (z, conj z)
-and array closures, among them named analytic forms.  Polynomials compose
-exactly under products and conjugation, which keeps the operator
-identities free of interpolation error.  A :class:`PolynomialBatch` holds
-many polynomials over one term list, and a :class:`PowerTable` keeps the
-powers of a point array that every polynomial evaluated on it reads.
+and array closures, among them named analytic forms.  A
+:class:`PolynomialBatch` holds many polynomials over one term list and
+is the one implementation of polynomial evaluation, products and
+conjugates; a polynomial :class:`TestFunction` is a one-row batch.
+Polynomials compose exactly under products and conjugation, the only
+algebra the operator identities use, which keeps them free of
+interpolation error.  A :class:`PowerTable` keeps the powers of a point
+array that every polynomial evaluated on it reads.
 """
 
 import numpy as np
@@ -19,32 +22,32 @@ class TestFunction:
 
     Construct through the classmethods: :meth:`polynomial` for a
     coefficient table ``{(j, k): c}`` meaning ``sum c * z**j * conj(z)**k``,
-    and :meth:`from_callable` for array closures.  :meth:`evaluate` is the
-    one evaluation path; calling a function on a point evaluates it on
-    a one-point array.
+    held as a one-row :class:`PolynomialBatch` (``batch``), and
+    :meth:`from_callable` for array closures (``batch`` is None).
+    :meth:`evaluate` is the one evaluation path; calling a function on a
+    point evaluates it on a one-point array.  The algebra is what the
+    operator identities use: conjugates and products.
     """
 
-    __slots__ = ("kind", "name", "_coeffs", "_fn")
+    __slots__ = ("name", "batch", "_fn")
 
-    def __init__(self, kind, name, coeffs=None, fn=None):
-        self.kind = kind
+    def __init__(self, name, batch=None, fn=None):
         self.name = name
-        self._coeffs = coeffs
+        self.batch = batch
         self._fn = fn
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def polynomial(cls, coeffs: dict, name: str | None = None) -> "TestFunction":
+    def polynomial(cls, coeffs: dict, name: str) -> "TestFunction":
+        """The polynomial of the table, its zero coefficients dropped."""
         clean = {}
         for (j, k), c in coeffs.items():
             c = complex(c)
             if c != 0:
                 clean[(int(j), int(k))] = c
-        if name is None:
-            name = _poly_name(clean)
-        return cls("poly", name, coeffs=clean)
+        return cls(name, batch=PolynomialBatch(list(clean), [list(clean.values())], name))
 
     @classmethod
     def constant(cls, c, name: str | None = None) -> "TestFunction":
@@ -56,7 +59,7 @@ class TestFunction:
         complex array with its infinity mask, in the array's shape, and
         raises ValueError where the function is undefined (at infinity,
         say)."""
-        return cls("callable", name, fn=fn)
+        return cls(name, fn=fn)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -70,81 +73,31 @@ class TestFunction:
         points when omitted), or on a :class:`PowerTable`, whose powers a
         polynomial reads."""
         table = as_power_table(points, inf_mask)
-        if self.kind == "poly":
-            return PolynomialBatch.of(self).evaluate(table)[0]
+        if self.batch is not None:
+            return self.batch.evaluate(table)[0]
         return np.asarray(self._fn(table.points, table.inf_mask), dtype=complex)
 
     # ------------------------------------------------------------------
     # algebra
 
     def conj(self) -> "TestFunction":
-        if self.kind == "poly":
-            flipped = {(k, j): c.conjugate() for (j, k), c in self._coeffs.items()}
-            return TestFunction.polynomial(flipped, name=f"conj({self.name})")
-        return TestFunction.from_callable(
-            lambda p, i: np.conj(self.evaluate(p, i)), f"conj({self.name})")
+        name = f"conj({self.name})"
+        if self.batch is not None:
+            return TestFunction(name, batch=self.batch.conj())
+        return TestFunction.from_callable(lambda p, i: np.conj(self.evaluate(p, i)), name)
 
     def __mul__(self, other) -> "TestFunction":
-        if np.isscalar(other) and not isinstance(other, TestFunction):
-            return self._scale(complex(other))
         if not isinstance(other, TestFunction):
             return NotImplemented
-        if self.kind == "poly" and other.kind == "poly":
-            prod = PolynomialBatch.of(self) * PolynomialBatch.of(other)
-            return TestFunction.polynomial(dict(zip(prod.keys, prod.coeffs[0])),
-                                           name=f"({self.name})*({other.name})")
+        name = f"({self.name})*({other.name})"
+        if self.batch is not None and other.batch is not None:
+            prod = self.batch * other.batch
+            return TestFunction.polynomial(dict(zip(prod.keys, prod.coeffs[0])), name)
         return TestFunction.from_callable(
-            lambda p, i: self.evaluate(p, i) * other.evaluate(p, i),
-            f"({self.name})*({other.name})")
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __add__(self, other) -> "TestFunction":
-        if np.isscalar(other) and not isinstance(other, TestFunction):
-            other = TestFunction.constant(complex(other))
-        if not isinstance(other, TestFunction):
-            return NotImplemented
-        if self.kind == "poly" and other.kind == "poly":
-            total = dict(self._coeffs)
-            for key, c in other._coeffs.items():
-                total[key] = total.get(key, 0j) + c
-            return TestFunction.polynomial(total, name=f"({self.name})+({other.name})")
-        return TestFunction.from_callable(
-            lambda p, i: self.evaluate(p, i) + other.evaluate(p, i),
-            f"({self.name})+({other.name})")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if np.isscalar(other) and not isinstance(other, TestFunction):
-            other = TestFunction.constant(complex(other))
-        return self + (-1.0) * other
-
-    def _scale(self, c: complex) -> "TestFunction":
-        if self.kind == "poly":
-            return TestFunction.polynomial(
-                {jk: c * v for jk, v in self._coeffs.items()},
-                name=f"{c}*({self.name})")
-        return TestFunction.from_callable(
-            lambda p, i: c * self.evaluate(p, i), f"{c}*({self.name})")
+            lambda p, i: self.evaluate(p, i) * other.evaluate(p, i), name)
 
     def __repr__(self):
-        return f"TestFunction<{self.kind}:{self.name}>"
-
-
-def _poly_name(coeffs: dict) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for (j, k) in sorted(coeffs):
-        term = ""
-        if j:
-            term += f"z^{j}" if j > 1 else "z"
-        if k:
-            term += f"zb^{k}" if k > 1 else "zb"
-        parts.append(term or "1")
-    return "+".join(parts)
+        return f"TestFunction<{self.name}>"
 
 
 # ----------------------------------------------------------------------
@@ -197,13 +150,6 @@ class PolynomialBatch:
         self.keys = tuple((int(j), int(k)) for j, k in keys)
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         self.name = name
-
-    @classmethod
-    def of(cls, f: TestFunction) -> "PolynomialBatch":
-        """A polynomial TestFunction as a one-row batch."""
-        if f.kind != "poly":
-            raise TypeError(f"{f.name} is not a polynomial")
-        return cls(list(f._coeffs), [list(f._coeffs.values())], f.name)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -260,7 +206,8 @@ class PolynomialBatch:
                                f"conj({self.name})")
 
     def __mul__(self, other: "PolynomialBatch") -> "PolynomialBatch":
-        """Row-wise products, in :meth:`TestFunction.__mul__`'s key order.
+        """Row-wise products, each key where the nested term loops first
+        reach it.
 
         The products of coefficients round as Python's complex product does,
         from real and imaginary parts (numpy's complex multiply may fuse

@@ -20,7 +20,7 @@ from lyubich_lab import (bimodule_basis, preimage_solver,  # noqa: E402
 from lyubich_lab.lyubich_measure import default_root  # noqa: E402
 from lyubich_lab.operator_lab import default_basis  # noqa: E402
 from lyubich_lab.rational_map import (RationalMap, builtin_map,  # noqa: E402
-                                      exceptional_points)
+                                      evaluate_array, exceptional_points)
 from lyubich_lab.sphere import INFINITY  # noqa: E402
 from lyubich_lab.test_functions import random_polynomial  # noqa: E402
 
@@ -100,8 +100,8 @@ def test_point_arrays_skip_the_cache_and_the_scalar_path():
     tracer.install()
     try:
         transfer_operator.gather_fibers(basilica, level.points, level.inf_mask)
-        transfer_operator.gather_fibers(basilica, level.points, level.inf_mask,
-                                        siblings=True)
+        transfer_operator.gather_fibers(basilica,
+                                        *evaluate_array(basilica, level.points, level.inf_mask))
         transfer_operator.sup_norm_2(basilica, xi, sample.sphere_points())
         bimodule_basis.reconstruct(basilica, basis, xi, len(basis), sample)
         transfer_operator.transfer_power(basilica, xi, 8, level.atom(0))

@@ -302,6 +302,18 @@ def test_build_basis_cover_failure(quad_map, circle_sample):
         build_basis(quad_map, circle_sample, 0.01, count_cap=4)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_basis_count_below_one_is_rejected(quad_map, circle_sample, count):
+    # A count or cap of 0 once took a one-element net or raised
+    # CoverFailure, as if the numerics had failed.
+    with pytest.raises(ValueError, match=f"count >= 1, got {count}"):
+        default_basis(quad_map, circle_sample, count=count)
+    with pytest.raises(ValueError, match=f"count_cap >= 1, got {count}"):
+        default_basis(quad_map, circle_sample, count_cap=count)
+    with pytest.raises(ValueError, match=f"count_cap >= 1, got {count}"):
+        build_basis(quad_map, circle_sample, 0.5, count_cap=count)
+
+
 def test_basis_local_injectivity(cheb, interval_sample):
     from lyubich_lab.rational_map import evaluate
 

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from lyubich_lab.cli import main, parse_test_function, ConfigError
@@ -48,6 +49,22 @@ def test_verify_without_trials_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "trials >= 1 and pairs >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--map", "basilica", "--depth", "3", "--basis-count", "0"],
+    ["verify", "all", "--map", "basilica", "--depth", "3", "--basis-count", "-3"],
+    ["basis", "--map", "basilica", "--basis-count", "0"],
+    ["basis", "--map", "basilica", "--count-cap", "0"],
+    ["basis", "--map", "basilica", "--radius", "0.1", "--count-cap", "-3"],
+])
+def test_basis_count_below_one_exit_2(capsys, argv):
+    # Such counts once ran as a count of 1, or failed as numerics (exit 3).
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and ">= 1, got" in captured.err
 
 
 def test_basis_count_beyond_the_sample_exit_2(capsys):
@@ -291,11 +308,29 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, name):
     assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
 
 
+def test_a_repeated_poly_term_adds():
+    # The spec is sum c * z^j * conj(z)^k: a repeated term once replaced
+    # the one before it, so this read 2 where it is 3.
+    repeated = parse_test_function("poly:0,0,1,0;1,1,0.5,0;0,0,2,0;1,1,0,-1")
+    once = parse_test_function("poly:0,0,3,0;1,1,0.5,-1")
+    assert repeated.batch.keys == once.batch.keys == ((0, 0), (1, 1))
+    points = np.array([0.0, 0.3 - 0.2j, 2j, -1.5])
+    assert repeated.evaluate(points).tobytes() == once.evaluate(points).tobytes()
+
+
+def test_a_repeated_poly_term_adds_in_measure(capsys):
+    code, report = _run_json(capsys, ["measure", "--map", "quad", "--w", "1,0", "--depth", "3",
+                                      "--f", "poly:0,0,1,0;0,0,2,0"])
+    assert code == 0
+    assert report["integrals"] == {"poly:0,0,1,0;0,0,2,0": [3.0, 0.0]}
+
+
 def test_parse_test_function_forms():
     assert parse_test_function("one")(2.0) == 1.0
     assert parse_test_function("x2")(3.0) == pytest.approx(9.0)
     f = parse_test_function("poly:1,0,2,0;0,0,1,0")     # 2z + 1
     assert f(1j) == pytest.approx(1 + 2j)
+    assert f.batch.keys == ((1, 0), (0, 0)) and f.batch.coeffs.tolist() == [[2, 1]]
     g = parse_test_function("absdist:1,0")
     assert g(1 + 1j) == pytest.approx(1.0)
     with pytest.raises(ConfigError):

@@ -162,9 +162,9 @@ def test_a_level_that_is_not_closed_is_solved_whole(monkeypatch):
     calls = []
     gather = preimage_solver.gather_fibers
 
-    def counting(rmap, points, inf_mask, siblings=False):
+    def counting(rmap, points, inf_mask):
         calls.append(points.size)
-        return gather(rmap, points, inf_mask, siblings)
+        return gather(rmap, points, inf_mask)
 
     basilica = builtin_map("basilica")
     root = default_root(basilica)

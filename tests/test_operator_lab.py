@@ -482,12 +482,12 @@ def test_suite_solves_each_point_set_and_evaluates_each_partition_once(monkeypat
     solved, members = [], []
     gather, member_matrix = preimage_solver.gather_fibers, PartitionOfUnity.member_matrix
 
-    def counting(rmap, points, inf_mask, siblings=False):
+    def counting(rmap, points, inf_mask):
         # The tree builders solve each level to grow the next one; the
         # checks solve a level again on their own, and only they count.
         if sys._getframe(1).f_code is not preimage_solver._grow.__code__:
-            solved.append((points, siblings))
-        return gather(rmap, points, inf_mask, siblings)
+            solved.append(points)
+        return gather(rmap, points, inf_mask)
 
     def counting_members(self, points, inf_mask=None):
         members.append((self, points))
@@ -501,7 +501,7 @@ def test_suite_solves_each_point_set_and_evaluates_each_partition_once(monkeypat
     # fibers of level 6 (key lemma) and of the basis sample (separation
     # radius), and the fibers over the unitality sample.  The lists hold
     # the arrays, so no id is reused.
-    assert len({(id(points), siblings) for points, siblings in solved}) == len(solved) == 4
+    assert len({id(points) for points in solved}) == len(solved) == 4
     # The basis on level 6 and on its sibling fibers.
     assert len({(id(p), id(points)) for p, points in members}) == len(members) == 2
 
@@ -1023,3 +1023,9 @@ def test_suite_rejects_fewer_than_one_trial(quad_map, trials, pairs):
     with pytest.raises(ValueError, match="trials >= 1 and pairs >= 1"):
         verification_suite(quad_map, m=3, trials=trials, pairs=pairs,
                            identities=["covariance"])
+
+
+@pytest.mark.parametrize("basis_count", [0, -3])
+def test_suite_rejects_a_basis_count_below_one(quad_map, basis_count):
+    with pytest.raises(ValueError, match=f"basis_count >= 1, .*basis_count={basis_count}"):
+        verification_suite(quad_map, m=3, basis_count=basis_count)

@@ -68,16 +68,16 @@ def _closed_form_transfer(rmap, a):
     """The transfer of a as an exact polynomial, when a is a polynomial in
     pure powers of z or conj(z) and the map itself is a polynomial; None
     otherwise.  An oracle for the fiber solves."""
-    if a.kind != "poly" or rmap.den.size != 1:
+    if a.batch is None or rmap.den.size != 1:
         return None
-    keys = list(a._coeffs)
+    keys = a.batch.keys
     if any(j > 0 and k > 0 for j, k in keys):
         return None
     top = max((max(j, k) for j, k in keys), default=0)
     sums = _power_sum_polynomials(rmap, top)
     n = rmap.degree
     coeffs: dict = {}
-    for (j, k), c in a._coeffs.items():
+    for (j, k), c in zip(keys, a.batch.coeffs[0].tolist()):
         if j == 0 and k == 0:
             coeffs[(0, 0)] = coeffs.get((0, 0), 0j) + c
             continue
@@ -213,7 +213,7 @@ def test_power_matches_the_scalar_recursion(rmap, w, a):
 
 # A polynomial in pure powers of z and conj(z), whose transfers stay so.
 PURE_POWERS = tf.TestFunction.polynomial({(1, 0): 0.3, (2, 0): 1.0, (0, 2): -0.5j,
-                                          (0, 1): 0.2})
+                                          (0, 1): 0.2}, "pure powers")
 
 
 def _closed_form_power(rmap, a, p):
@@ -481,7 +481,7 @@ def test_transfer_table_satisfies_formula(cheb):
 def test_closed_form_transfer_polynomial_map(quad_map, cheb):
     rng = np.random.default_rng(29)
     cubic_symbol = tf.TestFunction.polynomial({(3, 0): 1.0, (0, 2): 2j,
-                                               (0, 0): -1.0})
+                                               (0, 0): -1.0}, "z^3 + 2i zb^2 - 1")
     for rmap in (quad_map, cheb):
         for a in (tf.ONE, tf.Z, tf.Z * tf.Z, tf.ZBAR, cubic_symbol):
             closed_form = _closed_form_transfer(rmap, a)
@@ -492,7 +492,7 @@ def test_closed_form_transfer_polynomial_map(quad_map, cheb):
 
 
 def test_no_closed_form_transfer_cases(quad_map):
-    mixed = tf.TestFunction.polynomial({(1, 1): 1.0})
+    mixed = tf.TestFunction.polynomial({(1, 1): 1.0}, "|z|^2")
     assert _closed_form_transfer(quad_map, mixed) is None
     ratl = RationalMap([-1, 0, 1], [1, 0, 1])
     assert _closed_form_transfer(ratl, tf.Z) is None
@@ -509,7 +509,7 @@ def test_gathered_fibers_average_like_apply_transfer(cheb):
     via_fibers = fib.average(a.evaluate(fib.points, fib.inf_mask))
     for value, w in zip(via_fibers, sphere_points(points, inf_mask)):
         assert abs(value - apply_transfer(cheb, a, w)) < 1e-14
-    siblings = gather_fibers(cheb, points, inf_mask, siblings=True)
+    siblings = gather_fibers(cheb, *evaluate_array(cheb, points, inf_mask))
     for j, z in enumerate(points):
         lo, hi = siblings.offsets[j], siblings.offsets[j + 1]
         assert np.min(np.abs(siblings.points[lo:hi] - z)) < 1e-12

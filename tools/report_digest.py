@@ -17,7 +17,8 @@ form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
 take the Aberth iteration and the polish), two trees none of whose rows
 is real (a real map rooted off the real line, and a map with a non-real
 coefficient), the measure CSV of a tree
-with double atoms, a Julia sample, basis exports of basilica, of
+with double atoms, the integrals of named products and of a polynomial
+spec against a chebyshev measure, a Julia sample, basis exports of basilica, of
 chebyshev (whose Julia set meets a critical point, once more as its
 stdout report) and of Newton's map for z^3 - 1 (degree 3, infinity in
 its Julia set), nine verification
@@ -68,6 +69,10 @@ COMMANDS = [
     ["tree", "--num=0.3,0.5;0,0;0,0;1,0", "--den=1,0", "--depth", "8", "--out", "out.csv"],
     # The measure CSV, with the double atoms of chebyshev's tree at 2.
     ["measure", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
+    # The integrals of named products (x2 = re(z)^2, x4 its square) and a
+    # polynomial spec, through integrate: the stdout report.
+    ["measure", "--map", "chebyshev", "--w", "2,0", "--depth", "12", "--f", "x2", "x4",
+     "abs2", "rez", "imz", "poly:1,1,0.5,0;0,0,-1,0"],
     ["julia", "--map", "basilica", "--size", "512", "--seed", "1", "--out", "out.csv"],
     ["basis", "--map", "basilica", "--out", "out.json"],
     # Chebyshev's Julia set meets its critical point: sector ladders, the
