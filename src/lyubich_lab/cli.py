@@ -1,5 +1,8 @@
 """Config-driven experiment runner.
 
+Each command takes only the flags it reads; any other, given as a flag
+or as a --config key, exits 2.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure (root finder or eigensolver).
 """
@@ -116,14 +119,18 @@ def _build_map(args) -> RationalMap:
                        name="custom")
 
 
+def _report(payload: dict) -> str:
+    """The JSON text of a report, stamped with the time it is made."""
+    payload = dict(payload, generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"))
+    return json.dumps(payload, indent=2, default=_json_default)
+
+
 def _emit(payload: dict, args, export=None) -> None:
     """Print the JSON report or write it to --out; a .csv --out, which main
     lets only commands with a CSV ``export`` keep, receives the export."""
-    payload = dict(payload)
     if export is not None:
-        payload["csv"] = str(args.out) if args.out else None
-    payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(payload, indent=2, default=_json_default)
+        payload = dict(payload, csv=str(args.out) if args.out else None)
+    text = _report(payload)
     if _writes_csv(args):
         export.to_csv(args.out)
     elif args.out:
@@ -159,11 +166,13 @@ def _cmd_preimages(args) -> int:
 
 
 def _make_tree(args, rmap):
+    if args.branches is None and args.seed is not None:
+        raise ConfigError("--seed needs --branches: only a sampled tree is drawn at random")
     w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
-    if args.branches is not None:
-        return w, sampled_tree(rmap, w, args.depth, args.branches,
-                               seed=args.seed, budget=args.budget)
-    return w, iterated_preimages(rmap, w, args.depth, budget=args.budget)
+    if args.branches is None:
+        return w, iterated_preimages(rmap, w, args.depth, budget=args.budget)
+    return w, sampled_tree(rmap, w, args.depth, args.branches,
+                           seed=args.seed or 0, budget=args.budget)
 
 
 def _cmd_tree(args) -> int:
@@ -198,7 +207,7 @@ def _cmd_measure(args) -> int:
     w, tree = _make_tree(args, rmap)
     mu = lyubich_measure.measure_from_tree(tree)
     values = {}
-    for spec in args.f or []:
+    for spec in args.f:
         f = parse_test_function(spec)
         values[spec] = lyubich_measure.integrate(mu, f)
     _emit({
@@ -217,9 +226,8 @@ def _cmd_converge(args) -> int:
     rmap = _build_map(args)
     roots = ([_parse_point(t) for t in args.roots]
              if args.roots else [lyubich_measure.default_root(rmap)])
-    depths = args.depths or [4, 8, args.depth]
-    fs = [parse_test_function(s) for s in (args.f or ["x2"])]
-    report = lyubich_measure.convergence_report(rmap, roots, depths, fs)
+    fs = [parse_test_function(s) for s in args.f]
+    report = lyubich_measure.convergence_report(rmap, roots, args.depths, fs)
     report["command"] = "converge"
     report["map"] = rmap.describe()
     _emit(report, args)
@@ -229,15 +237,14 @@ def _cmd_converge(args) -> int:
 def _cmd_transfer(args) -> int:
     rmap = _build_map(args)
     w = _parse_point(args.w) if args.w else lyubich_measure.default_root(rmap)
-    f = parse_test_function(args.f or "one")
-    power = args.power if args.power is not None else 1
-    value = transfer_power(rmap, f, power, w)
+    f = parse_test_function(args.f)
+    value = transfer_power(rmap, f, args.power, w)
     _emit({
         "command": "transfer",
         "map": rmap.describe(),
         "w": point_json(w),
         "f": f.name,
-        "power": power,
+        "power": args.power,
         "value": value,
     }, args)
     return EXIT_OK
@@ -252,16 +259,14 @@ def _cmd_basis(args) -> int:
     else:
         basis = operator_lab.default_basis(rmap, sample, count=args.basis_count,
                                            count_cap=args.count_cap)
-    destination = args.out
-    bimodule_basis.basis_to_json(basis, destination if destination else None)
-    args.out = None                    # the report goes to stdout only
-    _emit({
+    bimodule_basis.basis_to_json(basis, args.out or None)
+    print(_report({                    # the export goes to --out, the report to stdout
         "command": "basis",
         "map": rmap.describe(),
         "elements": len(basis),
         "sectors": sum(1 for bump in basis.bumps if bump.sector is not None),
-        "json": str(destination) if destination else None,
-    }, args)
+        "json": args.out or None,
+    }))
     return EXIT_OK
 
 
@@ -280,22 +285,6 @@ def _cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------------
 # argument wiring
-
-
-def _add_map_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--map", help="built-in map name: quad, basilica, chebyshev")
-    parser.add_argument("--num", nargs="+",
-                        help="numerator coefficients, ascending, entries 're,im' "
-                             "(separate with spaces or ';')")
-    parser.add_argument("--den", nargs="+", help="denominator coefficients")
-    parser.add_argument("--w", help="root point 're,im' (or 'inf')")
-    parser.add_argument("--depth", type=int, default=8, help="tree depth m")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--out", help="output path (.csv for data, else JSON)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the JSON report to stdout as well")
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,33 +306,51 @@ def build_parser() -> argparse.ArgumentParser:
     }
     parsers = {}
     for name, (help_text, _) in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_map_arguments(p)
-        parsers[name] = p
-
-    parsers["tree"].add_argument("--branches", type=int, default=None,
-                                 help="sampled tree with this many branches per node")
-    parsers["measure"].add_argument("--branches", type=int, default=None)
-    parsers["measure"].add_argument("--f", nargs="+", help="test function specs")
-    parsers["julia"].add_argument("--size", type=int, default=512)
-    parsers["converge"].add_argument("--roots", nargs="+",
-                                     help="root points 're,im'")
-    parsers["converge"].add_argument("--depths", nargs="+", type=int)
-    parsers["converge"].add_argument("--f", nargs="+")
-    parsers["transfer"].add_argument("--f", help="test function spec")
-    parsers["transfer"].add_argument("--power", type=int, default=None)
-    parsers["basis"].add_argument("--size", type=int, default=384)
-    parsers["basis"].add_argument("--radius", type=float, default=None)
-    parsers["basis"].add_argument("--count-cap", dest="count_cap", type=int, default=256)
-    parsers["basis"].add_argument("--basis-count", dest="basis_count", type=int, default=32)
-    parsers["verify"].add_argument("identity", nargs="?", default="all",
-                                   help=f"'all' or one of {_IDENTITIES}")
-    parsers["verify"].add_argument("--trials", type=int, default=100)
-    parsers["verify"].add_argument("--pairs", type=int, default=50)
-    parsers["verify"].add_argument("--basis-count", dest="basis_count",
-                                   type=int, default=32)
-    parsers["verify"].add_argument("--sample-size", dest="sample_size",
-                                   type=int, default=384)
+        # converge takes flags whole: --depth, which it lacks, is no abbreviation of --depths.
+        parsers[name] = p = sub.add_parser(
+            name, help=help_text, allow_abbrev=name != "converge",
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        add = p.add_argument
+        add("--map", help="built-in map name: quad, basilica, chebyshev")
+        add("--num", nargs="+", help="numerator coefficients, ascending, entries 're,im' "
+                                     "(separate with spaces or ';')")
+        add("--den", nargs="+", help="denominator coefficients")
+        add("--out", help="output path (.csv for data, else JSON)")
+        if name != "basis":                # basis prints its report always
+            add("--json", action="store_true", help="print the report as well")
+        add("--config", help="JSON config file; flags override its keys")
+        if name in ("preimages", "tree", "measure", "transfer", "verify"):
+            add("--w", help="root point 're,im' (or 'inf'); None: a default root")
+        if name in ("tree", "measure", "verify"):
+            add("--depth", type=int, default=8, help="tree depth m")
+        if name in ("tree", "measure"):
+            add("--budget", type=int, default=DEFAULT_BUDGET, help="most atoms at depth m")
+            add("--branches", type=int, help="sampled tree, branches kept per node")
+            add("--seed", type=int, help="sampled tree's seed, None: 0; needs --branches")
+        elif name in ("julia", "basis", "verify"):
+            add("--seed", type=int, default=0, help="seed of the random draws")
+    parsers["measure"].add_argument("--f", nargs="+", default=[], help="test function specs")
+    parsers["julia"].add_argument("--size", type=int, default=512, help="sample points")
+    add = parsers["converge"].add_argument
+    add("--roots", nargs="+", help="root points 're,im'; None: a default root")
+    add("--depths", nargs="+", type=int, default=[4, 8], help="tree depths m")
+    add("--f", nargs="+", default=["x2"], help="test function specs")
+    parsers["transfer"].add_argument("--f", default="one", help="test function spec")
+    parsers["transfer"].add_argument("--power", type=int, default=1, help="power n of L^n")
+    add = parsers["basis"].add_argument
+    add("--size", type=int, default=384, help="Julia sample points")
+    add("--count-cap", dest="count_cap", type=int, default=256, help="most net bumps")
+    sizes = parsers["basis"].add_mutually_exclusive_group()
+    sizes.add_argument("--radius", type=float, help="net radius, in place of --basis-count")
+    # A str default is parsed as given values are, so a given 32 still conflicts with --radius.
+    sizes.add_argument("--basis-count", dest="basis_count", type=int, default="32",
+                       help="about this many net bumps")
+    add = parsers["verify"].add_argument
+    add("identity", nargs="?", default="all", help=f"'all' or one of {_IDENTITIES}")
+    add("--trials", type=int, default=100, help="random trials per identity")
+    add("--pairs", type=int, default=50, help="random pairs for representation")
+    add("--basis-count", dest="basis_count", type=int, default=32, help="about this many bumps")
+    add("--sample-size", dest="sample_size", type=int, default=384, help="Julia sample points")
 
     parser._command_table = {name: fn for name, (_, fn) in specs.items()}
     parser._command_parsers = parsers

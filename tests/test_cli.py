@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from lyubich_lab.cli import main, parse_test_function, ConfigError
+from lyubich_lab.cli import build_parser, main, parse_test_function, ConfigError
+from lyubich_lab.preimage_solver import sampled_tree
 from lyubich_lab.rational_map import builtin_map
 from lyubich_lab.transfer_operator import apply_transfer
 
@@ -254,10 +256,6 @@ def test_an_abbreviated_flag_wins_over_the_config(tmp_path, capsys):
     config.write_text(json.dumps({"map": "quad", "depth": 3}))
     _, data = _run_json(capsys, ["tree", "--config", str(config), "--dep", "1"])
     assert data["level_sizes"] == [1, 2]
-    # --depth is whole, so it does not set --depths, a flag it is a prefix of
-    config.write_text(json.dumps({"map": "quad", "depth": 3, "depths": [1, 2]}))
-    _, data = _run_json(capsys, ["converge", "--config", str(config), "--depth", "2"])
-    assert sorted({record["m"] for record in data["records"]}) == [1, 2]
 
 
 def test_config_unknown_key_exit_2(tmp_path, capsys):
@@ -335,3 +333,134 @@ def test_parse_test_function_forms():
     assert g(1 + 1j) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         parse_test_function("nope")
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that records the names of the values read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# Each command on both sides of every flag that is read only under
+# another: --branches (tree, measure) and --radius or --basis-count (basis).
+_TRACED = {
+    "preimages": [["--map", "quad", "--w", "4,0", "--out", "x.json", "--json"]],
+    "tree": [["--map", "quad", "--w", "1,0", "--depth", "3", "--budget", "64",
+              "--out", "x.csv", "--json"],
+             ["--num=0,0;0,0;1,0", "--den=1,0", "--depth", "3", "--branches", "1",
+              "--seed", "3"]],
+    "julia": [["--map", "quad", "--size", "16", "--seed", "1", "--out", "x.csv", "--json"]],
+    "measure": [["--map", "quad", "--depth", "3", "--budget", "64", "--f", "x2"],
+                ["--map", "quad", "--depth", "3", "--branches", "1", "--seed", "2",
+                 "--out", "x.csv", "--json"]],
+    "converge": [["--map", "quad", "--roots", "1,0", "--depths", "2", "3", "--f", "one",
+                  "--out", "x.json", "--json"]],
+    "transfer": [["--map", "quad", "--w", "0.5,0.5", "--f", "x2", "--power", "2",
+                  "--out", "x.json", "--json"]],
+    "basis": [["--map", "quad", "--size", "64", "--seed", "1", "--basis-count", "8",
+               "--count-cap", "64", "--out", "x.json"],
+              ["--map", "quad", "--size", "64", "--radius", "0.5"]],
+    "verify": [["isometry", "--map", "quad", "--w", "1,0", "--depth", "3", "--seed", "1",
+                "--trials", "2", "--pairs", "2", "--basis-count", "8", "--sample-size", "64",
+                "--out", "x.json", "--json"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRACED))
+def test_every_flag_a_command_takes_is_read(tmp_path, monkeypatch, capsys, command):
+    # main reads --config (and the command) itself; the handler reads the rest.
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    sub = parser._command_parsers[command]
+    values = {action.dest for action in sub._actions
+              if not isinstance(action, argparse._HelpAction)} - {"config"}
+    defaults = vars(sub.parse_args([]))
+    read = set()
+    for argv in _TRACED[command]:
+        args = parser.parse_args([command] + argv, namespace=_ReadLog(_reads=set()))
+        args._reads.clear()
+        assert parser._command_table[command](args) == 0
+        given = {dest for dest in values if vars(args)[dest] != defaults[dest]}
+        assert given <= args._reads, argv
+        read |= args._reads
+    capsys.readouterr()
+    assert values <= read
+
+
+# The (command, flag) pairs that commands once took and never read.
+_REMOVED = [("preimages", "depth"), ("preimages", "seed"), ("preimages", "budget"),
+            ("julia", "w"), ("julia", "depth"), ("julia", "budget"),
+            ("converge", "w"), ("converge", "depth"), ("converge", "seed"),
+            ("converge", "budget"),
+            ("transfer", "depth"), ("transfer", "seed"), ("transfer", "budget"),
+            ("basis", "w"), ("basis", "depth"), ("basis", "budget"), ("basis", "json"),
+            ("verify", "budget")]
+_VALUES = {"w": "1,0", "depth": "3", "seed": "1", "budget": "64", "json": True}
+
+
+def _one_error_line(err):
+    assert "Traceback" not in err
+    return len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("command, key", _REMOVED, ids=[f"{c}-{k}" for c, k in _REMOVED])
+def test_a_removed_flag_exits_2(tmp_path, capsys, command, key):
+    value = _VALUES[key]
+    flag = [f"--{key}"] + ([] if value is True else [value])
+    assert main([command, "--map", "quad"] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"unrecognized arguments: --{key}" in captured.err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map": "quad", key: value}))
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert f"unknown config key '{key}'" in captured.err
+
+
+def test_tree_seed_needs_branches(tmp_path, capsys):
+    for command in ("tree", "measure"):
+        assert main([command, "--map", "quad", "--depth", "2", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --seed needs --branches: only a sampled tree is drawn at random"]
+    rmap = builtin_map("basilica")
+    for seed, flags in ((3, ["--seed", "3"]), (0, [])):
+        path = tmp_path / f"tree{seed}.csv"
+        assert main(["tree", "--map", "basilica", "--w", "0.5,0.25", "--depth", "6",
+                     "--branches", "2", "--out", str(path)] + flags) == 0
+        want = tmp_path / f"want{seed}.csv"
+        sampled_tree(rmap, 0.5 + 0.25j, 6, 2, seed=seed).to_csv(want)
+        assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "0.1", "--basis-count", "0"],
+    ["--radius", "0.1", "--basis-count", "32"],
+    ["--config", "{config}"],
+], ids=["flags", "default-count", "config"])
+def test_basis_takes_a_radius_or_a_count(tmp_path, capsys, argv):
+    # --radius once ignored --basis-count: a count of 0 passed unseen.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"radius": 0.1, "basis_count": 8}))
+    argv = [token.format(config=config) for token in argv]
+    assert main(["basis", "--map", "basilica"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "argument --basis-count: not allowed with argument --radius" in captured.err
+
+
+def test_converge_default_depths(capsys):
+    # The default list once read --depth (default 8) after 4 and 8, so
+    # depth 8 came twice, the second time with diff_prev_m 0.0.
+    code, data = _run_json(capsys, ["converge", "--map", "quad", "--roots", "1,0", "2,0",
+                                    "--f", "one", "x2"])
+    assert code == 0
+    assert data["depths"] == [4, 8]
+    keys = [(r["f"], tuple(r["w"]), r["m"]) for r in data["records"]]
+    assert len(keys) == len(set(keys)) == 2 * 2 * 2

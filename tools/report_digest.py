@@ -34,7 +34,8 @@ block by block, and the invariance defect and the covariance relation
 of z^2 conjugated by the Cayley map,
 whose atoms reach large moduli and whose weighted sums span many
 binades, a transfer power through the orbit memo, whose levels are
-mostly a few rows, and one fiber through the one-row front.
+mostly a few rows, one fiber through the one-row front, and the
+convergence report of README's example, two roots at three depths.
 """
 
 import hashlib
@@ -121,6 +122,9 @@ COMMANDS = [
      "--f", "x2", "--power", "12"],
     # One fiber through the one-row front.
     ["preimages", "--map", "basilica", "--w", "0.5,0.25"],
+    # README's convergence example: one tree per root, read at each depth.
+    ["converge", "--map", "quad", "--roots", "1,0", "2,0", "--depths", "4", "8", "12",
+     "--f", "rez2"],
 ]
 
 
