@@ -17,17 +17,21 @@ table, in blocks of ``_BLOCK_ROWS`` points so that the engine's
 temporaries stay small; a single block's table is the engine's own, with
 nothing copied.  Both tree builders share one level loop that
 calls it on each level: level k + 1 is the fibers of level k's atoms in
-level order, so ``parent`` never decreases along a level.  A fully
-enumerated tree of a map with real coefficients rooted on the real line
-or at infinity has levels closed under conjugation; the loop solves each
-such level over its atoms with Im >= 0 and infinity only, and gives
+level order, so ``parent`` never decreases along a level.  A level with
+no atom below the real line is solved whole, and its fiber table is the
+next level as it stands.  A fully enumerated tree of a map with real
+coefficients rooted on the real line or at infinity has levels closed
+under conjugation; the loop solves each such level that has atoms below
+the real line over its atoms with Im >= 0 and infinity only, and gives
 every atom below the real line the exact conjugate of its partner's
-fiber, so the next level is closed to the bit too.  Tree levels, fiber
-tables and Julia samples share :class:`PointSet`, the one implementation
-of what a point set derives from its points: its fibers, the fibers over
-its images, its power table and each basis's :class:`Cover` table,
-each kept by the point set itself.  :func:`preimages` solves one point
-through the engine's one-row front ``_fiber.solve_fiber``.
+fiber, so the next level is closed to the bit too.  A tree whose atoms
+are all real, such as chebyshev's rooted at -1, mirrors nothing.  Tree
+levels, fiber tables and Julia samples share :class:`PointSet`, the one
+implementation of what a point set derives from its points: its fibers,
+the fibers over its images, its power table and each basis's
+:class:`Cover` table, each kept by the point set itself.
+:func:`preimages` solves one point through the engine's one-row front
+``_fiber.solve_fiber``.
 """
 
 from dataclasses import dataclass, field
@@ -299,22 +303,22 @@ class PreimageTree:
                    for k, lvl in enumerate(self.levels)])
 
 
-def _partners(level: AtomicMeasure, above: AtomicMeasure,
-              partner: np.ndarray) -> np.ndarray | None:
-    """Each atom's conjugate on a mirrored level, from the partners above:
-    the children of two partners are partners slot by slot, and in the
-    fiber of a real atom or infinity a child's mirror in its run of equal
-    real parts is its partner.  None if the level is not closed to the bit."""
+def _partners(level: AtomicMeasure, above: AtomicMeasure, partner: np.ndarray,
+              first: np.ndarray) -> np.ndarray | None:
+    """Each atom's conjugate on a mirrored level, from the partners above
+    and each atom above's first child, ``first``: the children of two
+    partners are partners slot by slot, and in the fiber of a real atom or
+    infinity a child's mirror in its run of equal real parts is its
+    partner.  None if the level is not closed to the bit."""
     parent = level.parent
-    offset = np.searchsorted(parent, np.arange(above.size))
-    mirror = np.arange(level.size) + (offset[partner] - offset)[parent]
+    mirror = np.arange(level.size) + (first[partner] - first)[parent]
     # The children of real atoms and infinity take the mirrors in their runs.
     at = np.flatnonzero(above.points.imag[parent] == 0)
     key = np.where(level.inf_mask[at], np.inf, level.points.real[at])
-    first = np.ones(at.size, dtype=bool)
-    first[1:] = (key[1:] != key[:-1]) | (parent[at[1:]] != parent[at[:-1]])
-    starts = np.flatnonzero(first)
-    run = np.cumsum(first) - 1
+    head = np.ones(at.size, dtype=bool)
+    head[1:] = (key[1:] != key[:-1]) | (parent[at[1:]] != parent[at[:-1]])
+    starts = np.flatnonzero(head)
+    run = np.cumsum(head) - 1
     ends = np.append(starts[1:], at.size)
     mirror[at] = at[starts[run] + ends[run] - 1 - np.arange(at.size)]
     return mirror if np.array_equal(level.points.imag[mirror], -level.points.imag) else None
@@ -325,11 +329,15 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
     """The one level loop behind both tree builders.
 
     Each level solves its atoms' fibers into one flat table, and the next
-    level is each atom's row of it, in level order.  In a fully enumerated
-    tree of a real map rooted on the real line or at infinity only atoms
-    with Im >= 0 and infinity are solved, and each atom with Im < 0 takes
-    its partner's row, conjugated (see :func:`_partners`); below a level
-    not closed under conjugation, every level is solved whole.  A child's
+    level is each atom's row of it, in level order.  A level with no atom
+    below the real line is solved whole and the table is the next level,
+    with nothing copied: every level of a tree that is not mirrored, and
+    every real level of one that is.  In a fully enumerated tree of a real
+    map rooted on the real line or at infinity, a level with atoms below
+    the real line solves only its atoms with Im >= 0 and infinity, and
+    each atom with Im < 0 takes its partner's row, conjugated (see
+    :func:`_partners`); a real level is its own partner, and below a level
+    not closed under conjugation every level is solved whole.  A child's
     count is its branch index when ``branches`` equals the degree;
     otherwise each node draws ``branches`` of its ``degree`` fiber slots
     from ``rng`` without replacement, in node order, and a child's count
@@ -354,18 +362,25 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
     partner = np.zeros(1, dtype=np.intp) if mirror else None
     for k in range(1, m + 1):
         prev = levels[-1]
-        # Each atom reads its own row of one fiber table; on a mirrored
-        # level an atom with Im < 0 reads its partner's row, conjugated.
         at = np.arange(prev.size)
-        source = at if partner is None else np.where(prev.points.imag < 0, partner, at)
-        solved = source == at
-        fib = gather_fibers(rmap, prev.points[solved], prev.inf_mask[solved])
-        row = (np.cumsum(solved) - 1)[source]
-        sizes = np.diff(fib.offsets)[row]
-        parent = np.repeat(at, sizes)
-        take = np.arange(parent.size) + np.repeat(fib.offsets[row] - np.cumsum(sizes) + sizes, sizes)
-        points, inf_mask, counts = fib.points[take], fib.inf_mask[take], fib.mult[take]
-        np.conjugate(points, out=points, where=~solved[parent])
+        below = None if partner is None else prev.points.imag < 0
+        if below is None or not below.any():
+            # Solved whole, the level is its atoms' fiber table.
+            fib = gather_fibers(rmap, prev.points, prev.inf_mask)
+            first = fib.offsets[:-1]
+            parent = np.repeat(at, np.diff(fib.offsets))
+            points, inf_mask, counts = fib.points, fib.inf_mask, fib.mult
+        else:
+            # An atom with Im < 0 reads its partner's row, conjugated.
+            solved = ~below
+            fib = gather_fibers(rmap, prev.points[solved], prev.inf_mask[solved])
+            row = (np.cumsum(solved) - 1)[np.where(below, partner, at)]
+            sizes = np.diff(fib.offsets)[row]
+            first = np.cumsum(sizes) - sizes
+            parent = np.repeat(at, sizes)
+            take = np.arange(parent.size) + np.repeat(fib.offsets[row] - first, sizes)
+            points, inf_mask, counts = fib.points[take], fib.inf_mask[take], fib.mult[take]
+            np.conjugate(points, out=points, where=below[parent])
         if branches < n:
             # Each fiber's multiplicities sum to n, so node j owns the fiber
             # slots n*j .. n*j + n - 1; a child fills branch-index many.
@@ -378,7 +393,9 @@ def _grow(rmap: RationalMap, root: SpherePoint, m: int, branches: int,
         levels.append(AtomicMeasure(rmap, root, k, branches, points, inf_mask,
                                     counts * prev.cum[parent], parent))
         if partner is not None and k < m:
-            partner = _partners(levels[-1], prev, partner)
+            # A real level is its own partner.
+            partner = (_partners(levels[-1], prev, partner, first) if points.imag.any()
+                       else np.arange(points.size))
     return PreimageTree(map=rmap, root=root, depth=m, weight_base=branches, levels=levels)
 
 

@@ -6,11 +6,14 @@ conjugation.  The engine keeps this to the bit.  A real row gives real
 roots with imaginary part +0 and complex roots in exact conjugate pairs,
 whether it is solved in a block of real rows (float64) or in a complex
 block.  A fully enumerated tree rooted on the real line or at infinity
-solves each level over its atoms with Im >= 0 only and mirrors the rest.
-These checks pin the closure of every level, the bits of the fibers that
-are still solved, the level order and the Julia sample under a last-bit
-change of the root, the real closed forms against the complex ones, and
-that maps with non-real coefficients or roots never reach the real route.
+solves each level that has atoms below the real line over its atoms with
+Im >= 0 only and mirrors the rest; a level with none is solved whole, so
+a tree whose atoms are all real mirrors nothing.  These checks pin the
+closure of every level, the bits of the fibers that are still solved,
+the level order and the Julia sample under a last-bit change of the
+root, the real closed forms against the complex ones, that maps with
+non-real coefficients or roots never reach the real route, and that
+real-line trees never reach the mirror.
 """
 
 import numpy as np
@@ -158,6 +161,28 @@ def test_no_real_row_no_real_route(monkeypatch, rmap, root, depth):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+@pytest.mark.parametrize("rmap,root,depth", [
+    pytest.param(builtin_map("chebyshev"), -1, 14, id="chebyshev@-1"),
+    # Its orbit passes through the critical point 0: double atoms.
+    pytest.param(builtin_map("chebyshev"), 2, 12, id="chebyshev@2"),
+    pytest.param(CHEB3, -2, 9, id="z^3-3z@-2"),
+])
+def test_a_real_line_tree_never_mirrors(monkeypatch, rmap, root, depth):
+    # Every atom is real, so each level is solved whole and is its own
+    # partner: the mirror is never reached and changes no bit.
+    def unreachable(*args):
+        raise AssertionError("reached the mirror")
+
+    monkeypatch.setattr(preimage_solver, "_partners", unreachable)
+    tree = iterated_preimages(rmap, root, depth)
+    assert not any(lvl.points.imag.any() for lvl in tree.levels)
+    monkeypatch.setattr(preimage_solver, "has_real_coefficients", lambda rmap: False)
+    unmirrored = iterated_preimages(rmap, root, depth)
+    for a, b in zip(tree.levels, unmirrored.levels, strict=True):
+        for name in ("points", "inf_mask", "cum", "parent"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_a_level_that_is_not_closed_is_solved_whole(monkeypatch):
     calls = []
     gather = preimage_solver.gather_fibers
@@ -172,7 +197,7 @@ def test_a_level_that_is_not_closed_is_solved_whole(monkeypatch):
     mirrored = iterated_preimages(basilica, root, 8)
     halves = list(calls)
     calls.clear()
-    monkeypatch.setattr(preimage_solver, "_partners", lambda level, above, partner: None)
+    monkeypatch.setattr(preimage_solver, "_partners", lambda level, above, partner, first: None)
     whole = iterated_preimages(basilica, root, 8)
     assert calls == [lvl.size for lvl in whole.levels[:-1]]
     assert halves == [np.count_nonzero(lvl.points.imag >= 0) for lvl in mirrored.levels[:-1]]

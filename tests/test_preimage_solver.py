@@ -257,12 +257,19 @@ def test_parent_never_decreases_along_a_level(make):
         assert 0 <= parent[0] and parent[-1] < tree.atom_count(k - 1)
 
 
-@pytest.mark.parametrize("rmap,m", [(RABBIT, 12), (Z3C, 7)], ids=["rabbit", "z^3+0.3+0.5i"])
-def test_a_level_is_the_fiber_table_of_the_level_above(rmap, m):
-    """With no real row nothing is mirrored, so level k + 1 is
-    ``gather_fibers`` over level k, bit for bit: the tree's levels are the
-    tables of the backward orbit that transfer_power averages over."""
-    tree = iterated_preimages(rmap, default_root(rmap), m)
+@pytest.mark.parametrize("rmap,root,m", [
+    (RABBIT, None, 12), (Z3C, None, 7),
+    (builtin_map("quad"), complex(np.exp(2j * np.pi * 0.3)), 12),
+    (builtin_map("chebyshev"), -1, 12),
+], ids=["rabbit", "z^3+0.3+0.5i", "quad@e^0.6pi i", "chebyshev@-1"])
+def test_a_level_is_the_fiber_table_of_the_level_above(rmap, root, m):
+    """A level with no atom below the real line is solved whole, so level
+    k + 1 is ``gather_fibers`` over level k, bit for bit: every level of a
+    tree that is not mirrored (a map with a non-real coefficient, a real
+    map rooted off the real line) and of a real-line tree.  The tree's
+    levels are the tables of the backward orbit that transfer_power
+    averages over."""
+    tree = iterated_preimages(rmap, default_root(rmap) if root is None else root, m)
     for k in range(m):
         lvl, nxt = tree.level(k), tree.level(k + 1)
         fib = gather_fibers(rmap, lvl.points, lvl.inf_mask)

@@ -11,8 +11,8 @@ command fails before writing it) its stdout report with the
 
 The set covers trees at 16384 atoms and more (where numpy's temporary
 elision can move last bits), a tree whose deepest level spans two chunks
-of the CSV writer, a tree with atoms at infinity, a tree of
-the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
+of the CSV writer, a tree every level of which lies on the real line,
+a tree with atoms at infinity, a tree of the cubic z^3 - 3z and a sampled tree of it (cubic rows take the closed
 form, as quadratic rows do), a tree of a degree-4 Lattes map (its rows
 take the Aberth iteration and the polish), two trees none of whose rows
 is real (a real map rooted off the real line, and a map with a non-real
@@ -49,6 +49,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 COMMANDS = [
     ["tree", "--map", "basilica", "--depth", "14", "--out", "out.csv"],
     ["tree", "--map", "chebyshev", "--w", "2,0", "--depth", "14", "--out", "out.csv"],
+    # Rooted at its default root -1, every level real, so each level is
+    # solved whole as its own fiber table and is never mirrored.
+    ["tree", "--map", "chebyshev", "--depth", "14", "--out", "out.csv"],
     # 65536 atoms at level 16: two chunks of the CSV writer.
     ["tree", "--map", "basilica", "--depth", "16", "--out", "out.csv"],
     ["tree", "--num=1,0;0,0;0,0;2,0", "--den=0,0;0,0;3,0", "--w", "inf",
