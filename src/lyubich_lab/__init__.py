@@ -3,15 +3,14 @@
 The package builds iterated preimage trees of a rational map, the atomic
 measures they carry (whose weak limit is the balanced / Lyubich measure),
 the fiber-averaging transfer operator, bump bases of the associated
-function bimodule, and a finite operator model on tree levels where the
-composition-operator identities hold to roundoff.
+function bimodule, and a finite operator model on one level step of a
+tree, where the composition-operator identities hold to roundoff.
 """
 
 from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction,
                              basis_to_json, branch_points_on_julia,
                              branch_separation_radius, build_basis,
-                             farthest_point_net, julia_sample, net_radius,
-                             reconstruct)
+                             julia_sample, net_radius, reconstruct)
 from .errors import (BudgetExceeded, CoverFailure, DegenerateSample,
                      EigSolverFailure, ExceptionalRoot, InvalidMapError,
                      LyubichLabError, NoVanishingTail, RootFindingFailure)

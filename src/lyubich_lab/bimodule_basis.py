@@ -429,20 +429,6 @@ class _Net:
         return self.chosen[:n], self.radii[n - 1]
 
 
-def farthest_point_net(points: np.ndarray, inf_mask: np.ndarray,
-                       radius: float | None = None,
-                       count: int | None = None) -> tuple[list[int], float]:
-    """Greedy farthest-point net over a point set.
-
-    Stops when the coverage radius drops to ``radius`` or when ``count``
-    centers have been chosen, whichever comes first.  Returns the chosen
-    indices (in insertion order) and the final coverage radius.  The
-    points' half norms are taken once, and each new center's distances
-    read them.
-    """
-    return _Net(points, inf_mask, half_norm(points)).take(radius, count)
-
-
 def net_radius(sample: JuliaSample, count: int) -> float:
     """Coverage radius of the greedy net with exactly ``count`` centers,
     read from the sample's own net (:attr:`JuliaSample.net`)."""
@@ -609,11 +595,6 @@ class VanishingFunction:
 
         fn = TestFunction.from_callable(profile, name=f"bump({c!r},{radius})")
         return VanishingFunction(fn=fn, support_center=c, support_radius=radius)
-
-    @staticmethod
-    def zero() -> "VanishingFunction":
-        fn = TestFunction.constant(0.0, name="0")
-        return VanishingFunction(fn=fn, support_center=SpherePoint(0j), support_radius=0.0)
 
     def meets_elements(self, basis: PartitionOfUnity) -> np.ndarray:
         """Whether the support meets each element's: one row of chordal

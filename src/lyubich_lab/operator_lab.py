@@ -1,11 +1,11 @@
-"""Finite operator model on preimage-tree levels, plus the identity harness.
+"""Finite operator model on one preimage-tree level step, plus the identity harness.
 
-The square-summable space over the balanced measure is modeled by the
-tower of weighted atom spaces carried by a preimage tree: level k holds
-the depth-k atoms with their exact measure weights.  On that tower the
-composition operator is the parent-lookup matrix between adjacent levels,
-its weighted adjoint is literally the fiber-averaging transfer operator,
-and the identities below hold up to roundoff rather than discretization:
+The square-summable space over the balanced measure is modeled on one
+step of a preimage tree: the depth-(m-1) atoms, the parents, and the
+depth-m atoms, the children, with their exact measure weights.  There the
+composition operator is the parent-lookup matrix from the parents to the
+children, its weighted adjoint is literally the fiber-averaging transfer
+operator, and the identities below hold up to roundoff, not discretization:
 
 * isometry of the composition operator,
 * the covariance relation (adjoint conjugation equals multiplication by
@@ -15,34 +15,36 @@ and the identities below hold up to roundoff rather than discretization:
 * the vanishing-tail reconstruction for functions that vanish near the
   branch points.
 
-Identities are tested across adjacent levels, which is exactly where the
-discrete pushforward identity makes them exact.
+Each is a statement about one application of the map, which is exactly
+where the discrete pushforward identity makes them exact.
 
 C C* is the conditional expectation onto sibling groups, so it couples
 only siblings, and C* M C is diagonal.  The model reaches sibling groups
-one way: each level-k atom has a slot among the children of its parent,
-and a level vector is put into (parents, width) blocks by that slot.  The
-adjoint sums each parent's slots; the partial frame sum is one block of
-at most degree x degree per parent, built as one running sum over the
+one way: each child has a slot among the children of its parent, and a
+vector on the children is put into (parents, width) blocks by that slot.
+The adjoint sums each parent's slots; the partial frame sum is one block
+of at most degree x degree per parent, built as one running sum over the
 basis, which the frame bound, the vanishing tail and the key lemma's
 first path all read.  The frame bound reads every prefix of the basis in
 one pass, and blocks of two take their spectra in closed form.  The dense
 level matrices below are only the reference that tests compare against.
 
-The model's levels are the tree's own levels, with no copies.  The
-suite's Julia samples read a tree that keeps two branches per node from
-the default root, which for a map of degree 2 is the enumerated tree; so
-a suite of such a map rooted there builds one tree, to the deepest level
-that the model or a sample reads, and the model keeps levels 0..m.  The
-basis net continues the sample's net that sized its radius.  The checks
-read the fibers, sibling fibers, power tables and cover tables that each
-level, fiber table and Julia sample owns, so over one suite run each
-point set is solved once and each basis evaluated on it once.  Sums
-over the basis run over each point's cover, the few elements nonzero
-there, never over whole (elements, points) arrays.
+The model's parents and children are the tree's own levels, with no
+copies.  The suite's Julia samples read a tree that keeps two branches
+per node from the default root, which for a map of degree 2 is the
+enumerated tree; so a suite of such a map rooted there builds one tree,
+to the deepest level that the model or a sample reads, and the model
+keeps levels 0..m, which the invariance check reads.  The basis net
+continues the sample's net that sized its radius.  The checks read the
+fibers, sibling fibers, power tables and cover tables that each level,
+fiber table and Julia sample owns, so over one suite run each point set
+is solved once and each basis evaluated on it once.  Sums over the basis
+run over each point's cover, the few elements nonzero there, never over
+whole (elements, points) arrays.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -54,7 +56,7 @@ from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction, _
 from .errors import DegenerateSample, EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
                               measure_from_tree, measure_match_defect, pushforward)
-from .preimage_solver import Fibers, PreimageTree, iterated_preimages
+from .preimage_solver import AtomicMeasure, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
 from .sphere import SpherePoint, as_point, point_json
 from .test_functions import (ONE, PolynomialBatch, TestFunction,
@@ -76,138 +78,132 @@ TOLERANCES = {
 
 @dataclass
 class OperatorModel:
-    """The tower of weighted atom spaces of one preimage tree, which holds
-    the map and the root: level k is the tree's depth-k measure, the
-    tree's own level.
+    """One application of the map on a preimage tree, which holds the map
+    and the root: the step from the tree's depth-(m-1) measure, the
+    parents, to its depth-m measure, the children, each the tree's own
+    level.
 
     Each level owns what is derived from its points (its fibers, sibling
-    fibers, power table and cover tables); the model only names them by
-    level.  The one memo it keeps holds what reads two levels:
-    :meth:`siblings`, keyed by ("siblings", k), and :meth:`frame_vectors`,
-    keyed by (k, basis).  Its arrays are read-only.
+    fibers, power table and cover tables).  The model keeps what reads
+    both levels: :attr:`siblings`, and :meth:`frame_vectors` keyed by
+    basis.  Its arrays are read-only.
     """
 
-    depth: int
     tree: PreimageTree
-    levels: list = field(default_factory=list)
-    _memo: dict = field(default_factory=dict, repr=False)
+    _frames: dict = field(default_factory=dict, repr=False)
 
-    def dim(self, k: int) -> int:
-        return self.levels[k].size
+    @property
+    def parents(self) -> AtomicMeasure:
+        return self.tree.levels[-2]
 
-    def dims(self) -> tuple:
-        return tuple(lvl.size for lvl in self.levels)
+    @property
+    def children(self) -> AtomicMeasure:
+        return self.tree.levels[-1]
 
-    def fibers(self, k: int) -> Fibers:
-        """The fibers over level k-1, solved once from the level's points,
-        never read from the tree's parent and ``cum`` assembly."""
-        return self.levels[k - 1].fibers
+    @cached_property
+    def siblings(self):
+        """The sibling blocks of the children: each child's slot among its
+        siblings, its distance from its parent's first child (``parent``
+        never decreases), and each parent's child count, the number of
+        slots it fills."""
+        lvl = self.children
+        counts = np.bincount(lvl.parent, minlength=self.parents.size)
+        slot = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent]
+        for array in (slot, counts):
+            array.setflags(write=False)
+        return slot, counts
 
-    def values(self, f: TestFunction | PolynomialBatch, k: int) -> np.ndarray:
-        """f on level k, or one row per polynomial of a batch; polynomials
-        read the level's power table."""
-        return f.evaluate(self.levels[k].powers)
-
-    def siblings(self, k: int):
-        """The sibling blocks of level k, computed once: each atom's slot
-        among its siblings, its distance from its parent's first child
-        (``parent`` never decreases), and each level-(k-1) atom's child
-        count, the number of slots it fills."""
-        key = ("siblings", k)
-        if key not in self._memo:
-            lvl = self.levels[k]
-            counts = np.bincount(lvl.parent, minlength=self.levels[k - 1].size)
-            slot = np.arange(lvl.size) - (np.cumsum(counts) - counts)[lvl.parent]
-            for array in (slot, counts):
-                array.setflags(write=False)
-            self._memo[key] = slot, counts
-        return self._memo[key]
-
-    def _blocks(self, k: int, v: np.ndarray) -> np.ndarray:
-        """The vectors along the last axis of ``v`` on level k, put into
-        (..., parents, width) sibling blocks, with 0 in the padded slots."""
-        slot, counts = self.siblings(k)
+    def _blocks(self, v: np.ndarray) -> np.ndarray:
+        """The vectors along the last axis of ``v`` on the children, put
+        into (..., parents, width) sibling blocks, with 0 in the padded
+        slots."""
+        slot, counts = self.siblings
         out = np.zeros(v.shape[:-1] + (counts.size, int(counts.max())), dtype=v.dtype)
-        out[..., self.levels[k].parent, slot] = v
+        out[..., self.children.parent, slot] = v
         return out
 
-    def frame_vectors(self, basis: PartitionOfUnity, k: int) -> np.ndarray:
-        """The basis on level k regrouped by sibling block after the
+    def frame_vectors(self, basis: PartitionOfUnity) -> np.ndarray:
+        """The basis on the children regrouped by sibling block after the
         sqrt(weight) similarity, computed once per basis: ``V``
         (parents, width, elements) with ``V[p, s, i] = u_i(x) sqrt(w_x / w_p)``
         for the child x in slot s of parent p, and zero padding."""
-        key = (k, basis)
-        if key not in self._memo:
-            lvl = self.levels[k]
-            prev = self.levels[k - 1]
-            slot, counts = self.siblings(k)
-            scale = np.sqrt(lvl.weights / prev.weights[lvl.parent])
-            V = np.zeros((prev.size, int(counts.max()), len(basis)))
+        if basis not in self._frames:
+            lvl = self.children
+            slot, counts = self.siblings
+            scale = np.sqrt(lvl.weights / self.parents.weights[lvl.parent])
+            V = np.zeros((self.parents.size, int(counts.max()), len(basis)))
             cover = lvl.cover(basis)
             for members, u in zip(cover.index, cover.value):
                 hit = u != 0.0
                 V[lvl.parent[hit], slot[hit], members[hit]] = u[hit] * scale[hit]
             V.setflags(write=False)
-            self._memo[key] = V
-        return self._memo[key]
+            self._frames[basis] = V
+        return self._frames[basis]
 
-    def inner(self, k: int, fv: np.ndarray, gv: np.ndarray | None = None):
-        """The weighted inner products <fv, gv> on level k along the last
-        axis; with ``gv`` omitted, the squared norms <fv, fv>, whose
-        imaginary parts are not summed."""
-        terms = fv * np.conj(fv if gv is None else gv) * self.levels[k].weights
-        return compensated_sum(terms.real, None if gv is None else terms.imag)
-
-    def composition_matrix(self, k: int) -> np.ndarray:
-        """The parent-lookup matrix H_{k-1} -> H_k (rows are one-hot); dense reference."""
-        lvl = self.levels[k]
-        mat = np.zeros((lvl.size, self.levels[k - 1].size))
+    def composition_matrix(self) -> np.ndarray:
+        """The parent-lookup matrix from the parents to the children (rows
+        are one-hot); dense reference."""
+        lvl = self.children
+        mat = np.zeros((lvl.size, self.parents.size))
         mat[np.arange(lvl.size), lvl.parent] = 1.0
         return mat
 
-    def adjoint_matrix(self, k: int) -> np.ndarray:
+    def adjoint_matrix(self) -> np.ndarray:
         """Adjoint of the composition matrix in the weighted inner products.
 
-        Row j averages the children of atom j with weight ratios; on a
+        Row j averages the children of parent j with weight ratios; on a
         fully enumerated tree this is exactly the fiber-averaging transfer
         operator restricted to the atoms.  Dense reference.
         """
-        lvl = self.levels[k]
-        prev = self.levels[k - 1]
-        mat = np.zeros((prev.size, lvl.size))
-        mat[lvl.parent, np.arange(lvl.size)] = lvl.weights / prev.weights[lvl.parent]
+        lvl = self.children
+        mat = np.zeros((self.parents.size, lvl.size))
+        mat[lvl.parent, np.arange(lvl.size)] = lvl.weights / self.parents.weights[lvl.parent]
         return mat
 
-    def apply_adjoint(self, k: int, v: np.ndarray) -> np.ndarray:
+    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """Adjoint composition applied to the vectors along the last axis
-        of ``v``, without the dense matrix: each parent sums its children's
-        v * w from 0, in level order, and divides by its weight."""
-        blocks = self._blocks(k, v * self.levels[k].weights)
+        of ``v`` on the children, without the dense matrix: each parent sums
+        its children's v * w from 0, in level order, and divides by its
+        weight."""
+        blocks = self._blocks(v * self.children.weights)
         out = np.zeros(blocks.shape[:-1], dtype=complex)
         for s in range(blocks.shape[-1]):
             out = out + blocks[..., s]
-        return out / self.levels[k - 1].weights
+        return out / self.parents.weights
 
-    def weighted_norm(self, k: int, matrix: np.ndarray) -> float:
-        """Operator norm on level k with the weighted inner product; dense reference."""
-        d = np.sqrt(self.levels[k].weights)
+    def weighted_norm(self, level: AtomicMeasure, matrix: np.ndarray) -> float:
+        """Operator norm on ``level`` with the weighted inner product; dense reference."""
+        d = np.sqrt(level.weights)
         sim = (matrix * (d[:, None] / d[None, :]))
         return float(np.linalg.norm(sim, 2))
 
 
+def _inner(level: AtomicMeasure, fv: np.ndarray, gv: np.ndarray | None = None):
+    """The weighted inner products <fv, gv> on ``level`` along the last
+    axis; with ``gv`` omitted, the squared norms <fv, fv>, whose imaginary
+    parts are not summed."""
+    terms = fv * np.conj(fv if gv is None else gv) * level.weights
+    return compensated_sum(terms.real, None if gv is None else terms.imag)
+
+
 def build_model(rmap: RationalMap, w, m: int, tree: PreimageTree | None = None) -> OperatorModel:
-    """Populate the tower for a map, non-exceptional root, and depth.
+    """The step from depth m - 1 to depth m for a map and non-exceptional
+    root; m < 1 raises ValueError, as a depth-0 tree takes no step.
 
     ``tree``, if given, is the map's fully enumerated tree rooted at w, at
-    least m deep; the model keeps its levels 0..m and no deeper one.
+    least m deep; the model keeps its levels 0..m and no deeper one.  Every
+    kept level is validated.
     """
+    if m < 1:
+        raise ValueError(f"a model needs depth m >= 1, got {m}")
     if tree is None:
         tree = iterated_preimages(rmap, w, m)
     elif tree.depth > m:
         tree = PreimageTree(map=tree.map, root=tree.root, depth=m,
                             weight_base=tree.weight_base, levels=tree.levels[:m + 1])
-    return OperatorModel(depth=m, tree=tree,
-                         levels=[measure_from_tree(tree, k) for k in range(m + 1)])
+    for level in tree.levels:
+        level.validate()
+    return OperatorModel(tree)
 
 
 # ----------------------------------------------------------------------
@@ -218,28 +214,28 @@ def build_model(rmap: RationalMap, w, m: int, tree: PreimageTree | None = None) 
 # a polynomial, and return the worst residual over its rows.
 
 
-def verify_isometry(model: OperatorModel, f: TestFunction | PolynomialBatch, k: int) -> float:
-    """| ||Cf||^2 on level k  -  ||f||^2 on level k-1 |."""
-    fv = model.values(f, k - 1)
-    cf = fv[..., model.levels[k].parent]
-    return float(np.max(np.abs(model.inner(k, cf) - model.inner(k - 1, fv))))
+def verify_isometry(model: OperatorModel, f: TestFunction | PolynomialBatch) -> float:
+    """| ||Cf||^2 on the children  -  ||f||^2 on the parents |."""
+    fv = f.evaluate(model.parents.powers)
+    cf = fv[..., model.children.parent]
+    return float(np.max(np.abs(_inner(model.children, cf) - _inner(model.parents, fv))))
 
 
 def verify_covariance(model: OperatorModel, a: TestFunction | PolynomialBatch,
-                      f: TestFunction | PolynomialBatch, g: TestFunction | PolynomialBatch,
-                      k: int) -> float:
-    """|<M_a Cf, Cg> on level k - <M_(La) f, g> on level k-1|.
+                      f: TestFunction | PolynomialBatch,
+                      g: TestFunction | PolynomialBatch) -> float:
+    """|<M_a Cf, Cg> on the children - <M_(La) f, g> on the parents|.
 
     The right side evaluates the transferred symbol through independent
     fiber solves, not through the tree.
     """
-    lvl = model.levels[k]
-    prev = model.levels[k - 1]
-    av = model.values(a, k)
-    fv = model.values(f, k - 1)
-    gv = model.values(g, k - 1)
+    lvl = model.children
+    prev = model.parents
+    av = a.evaluate(lvl.powers)
+    fv = f.evaluate(prev.powers)
+    gv = g.evaluate(prev.powers)
     lhs_terms = av * fv[..., lvl.parent] * np.conj(gv[..., lvl.parent]) * lvl.weights
-    fib = model.fibers(k)
+    fib = prev.fibers
     la = fib.average(a.evaluate(fib.powers))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
     gap = (compensated_sum(lhs_terms.real, lhs_terms.imag)
@@ -249,38 +245,39 @@ def verify_covariance(model: OperatorModel, a: TestFunction | PolynomialBatch,
 
 
 def verify_representation(model: OperatorModel, xi: TestFunction | PolynomialBatch,
-                          eta: TestFunction | PolynomialBatch, a: TestFunction | PolynomialBatch,
-                          k: int) -> tuple[float, float]:
+                          eta: TestFunction | PolynomialBatch,
+                          a: TestFunction | PolynomialBatch) -> tuple[float, float]:
     """Residuals of the two representation relations.
 
     First: multiplication before or after the symbol map agrees exactly
     as matrices (asserted zero by construction, on every row of a batch).
     Second: the operator norm gap between the composed pairing and
-    multiplication by the module inner product on level k-1.
+    multiplication by the module inner product on the parents.
     """
-    av = model.values(a, k)
-    xv = model.values(xi, k)
-    # C has a single one per level-k atom (row); scale those entries as the
-    # row scalings would, so both sides take the identical floating-point path.
+    powers = model.children.powers
+    av = a.evaluate(powers)
+    xv = xi.evaluate(powers)
+    # C has a single one per child (row); scale those entries as the row
+    # scalings would, so both sides take the identical floating-point path.
     # The products are named: from 256 KiB numpy computes ``x * temporary``
     # in place as ``temporary * x``, and a complex product can differ from
     # its mirror image in the last bit.
-    comp = np.ones(model.dim(k))
+    comp = np.ones(model.children.size)
     x_comp = xv * comp
     a_x = av * xv
     residual1 = float(np.max(np.abs(av * x_comp - a_x * comp)))
 
     # C* M C is the diagonal fiber average of conj(xi) * eta; the weighted
     # norm of a diagonal is its largest entry.
-    pairing = model.apply_adjoint(k, np.conj(xv) * model.values(eta, k))
-    fib = model.fibers(k)
+    pairing = model.apply_adjoint(np.conj(xv) * eta.evaluate(powers))
+    fib = model.parents.fibers
     ip_vals = fib.average((xi.conj() * eta).evaluate(fib.powers))
     residual2 = float(np.max(np.abs(pairing - ip_vals)))
     return residual1, residual2
 
 
 def verify_key_lemma(model: OperatorModel, basis: PartitionOfUnity, N: int,
-                     a: TestFunction, k: int) -> float:
+                     a: TestFunction) -> float:
     """Two evaluations of the same reconstruction sum must agree pointwise.
 
     Path one applies the partial frame sum's sibling blocks to the values
@@ -289,19 +286,19 @@ def verify_key_lemma(model: OperatorModel, basis: PartitionOfUnity, N: int,
     root-found fibers of the mapped atoms (``reconstruction_sum``), summing
     over the elements nonzero at each atom only.
     """
-    lvl = model.levels[k]
+    lvl = model.children
     # Path two first: its fiber solve is the larger allocation, and the
     # frame vectors built after it stay below that peak.
     path_b = reconstruction_sum(lvl, basis, a, min(N, len(basis)))
-    path_a = _apply_frame_sum(model, basis, N, k, model.values(a, k))
+    path_a = _apply_frame_sum(model, basis, N, a.evaluate(lvl.powers))
     return float(np.max(np.abs(path_a - path_b))) if lvl.size else 0.0
 
 
-def _frame_matrix(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int) -> np.ndarray:
-    """Partial frame sum on level k; dense reference."""
-    lvl = model.levels[k]
-    comp = model.composition_matrix(k)
-    proj = comp @ model.adjoint_matrix(k)
+def _frame_matrix(model: OperatorModel, basis: PartitionOfUnity, N: int) -> np.ndarray:
+    """Partial frame sum on the children; dense reference."""
+    lvl = model.children
+    comp = model.composition_matrix()
+    proj = comp @ model.adjoint_matrix()
     count = min(N, len(basis))
     U = basis.member_matrix(lvl.points, lvl.inf_mask) if count else None
     total = np.zeros((lvl.size, lvl.size), dtype=complex)
@@ -311,8 +308,8 @@ def _frame_matrix(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int)
     return total
 
 
-def _frame_sums(model: OperatorModel, basis: PartitionOfUnity, k: int):
-    """The partial frame sums on level k after the sqrt(weight) similarity,
+def _frame_sums(model: OperatorModel, basis: PartitionOfUnity):
+    """The partial frame sums on the children after the sqrt(weight) similarity,
     B_N for N = 0, 1, ..., len(basis), as (parents, width, width) stacks of
     real symmetric sibling blocks.
 
@@ -320,7 +317,7 @@ def _frame_sums(model: OperatorModel, basis: PartitionOfUnity, k: int):
     :meth:`OperatorModel.frame_vectors` yields them in turn, each as the
     same read-only view of the one array that the next step adds to.
     """
-    V = model.frame_vectors(basis, k)
+    V = model.frame_vectors(basis)
     total = np.zeros(V.shape[:2] + V.shape[1:2])
     view = total.view()
     view.setflags(write=False)
@@ -331,20 +328,20 @@ def _frame_sums(model: OperatorModel, basis: PartitionOfUnity, k: int):
         yield view
 
 
-def _frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int) -> np.ndarray:
+def _frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int) -> np.ndarray:
     """The partial frame sum B_N of :func:`_frame_sums`, N capped at the
     basis size."""
-    return next(islice(_frame_sums(model, basis, k), min(N, len(basis)), None))
+    return next(islice(_frame_sums(model, basis), min(N, len(basis)), None))
 
 
-def _apply_frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int, k: int,
+def _apply_frame_sum(model: OperatorModel, basis: PartitionOfUnity, N: int,
                      av: np.ndarray) -> np.ndarray:
-    """The partial frame sum on level k applied to ``av``: its sibling
+    """The partial frame sum on the children applied to ``av``: its sibling
     blocks act on sqrt(weight) * av, and the similarity is undone."""
-    lvl = model.levels[k]
-    slot, _ = model.siblings(k)
+    lvl = model.children
+    slot, _ = model.siblings
     root_w = np.sqrt(lvl.weights)
-    product = _frame_sum(model, basis, N, k) @ model._blocks(k, root_w * av)[..., None]
+    product = _frame_sum(model, basis, N) @ model._blocks(root_w * av)[..., None]
     return product[lvl.parent, slot, 0] / root_w
 
 
@@ -378,18 +375,18 @@ def _block_extremes(blocks: np.ndarray, counts: np.ndarray):
     return eigs[:, 0], eigs[:, -1]
 
 
-def verify_frame_bound(model: OperatorModel, basis: PartitionOfUnity, k: int):
-    """Smallest and largest eigenvalue of every partial frame sum on level
-    k, as two arrays whose entry N - 1 belongs to the sum of the first N
+def verify_frame_bound(model: OperatorModel, basis: PartitionOfUnity):
+    """Smallest and largest eigenvalue of every partial frame sum on the
+    children, as two arrays whose entry N - 1 belongs to the sum of the first N
     elements, N = 1..len(basis), read in one pass of the running sum.
 
     The sum of element-conjugated projections is positive and bounded by
     the identity; eigenvalues are monotone non-decreasing in N.
     """
-    _, counts = model.siblings(k)
+    _, counts = model.siblings
     lows = np.empty(len(basis))
     highs = np.empty(len(basis))
-    sums = _frame_sums(model, basis, k)
+    sums = _frame_sums(model, basis)
     next(sums)  # B_0, the empty sum
     for n, blocks in enumerate(sums):
         low, high = _block_extremes(blocks, counts)
@@ -398,7 +395,7 @@ def verify_frame_bound(model: OperatorModel, basis: PartitionOfUnity, k: int):
 
 
 def verify_vanishing_reconstruction(model: OperatorModel, basis: PartitionOfUnity,
-                                    a: VanishingFunction, k: int) -> tuple[int, float]:
+                                    a: VanishingFunction) -> tuple[int, float]:
     """Smallest index M past which a meets no element, and the norm gap
     between the a-weighted partial frame sum at M and multiplication by a.
 
@@ -410,10 +407,10 @@ def verify_vanishing_reconstruction(model: OperatorModel, basis: PartitionOfUnit
             f"{a.fn.name} meets all {len(basis)} elements")
     hits = np.flatnonzero(meets)
     M = int(hits[-1]) + 1 if hits.size else 0
-    blocks = _frame_sum(model, basis, M, k)
+    blocks = _frame_sum(model, basis, M)
     # diag(a) (frame - I) splits into the same sibling blocks; padded rows
     # carry a = 0 and padded columns of (frame - I) are zero off the diagonal.
-    a_blocks = model._blocks(k, model.values(a.fn, k))
+    a_blocks = model._blocks(a.fn.evaluate(model.children.powers))
     gap = a_blocks[:, :, None] * (blocks - np.eye(blocks.shape[1]))
     return M, float(np.linalg.norm(gap, 2, axis=(1, 2)).max())
 
@@ -422,7 +419,7 @@ def verify_vanishing_reconstruction(model: OperatorModel, basis: PartitionOfUnit
 # the verification suite
 
 
-def _record(identity: str, rmap: RationalMap, w: SpherePoint, m: int, k: int,
+def _record(identity: str, rmap: RationalMap, w: SpherePoint, m: int,
             residual: float, N: int | None = None, extra_pass: bool = True) -> dict:
     tol = TOLERANCES[identity]
     rec = {
@@ -430,7 +427,7 @@ def _record(identity: str, rmap: RationalMap, w: SpherePoint, m: int, k: int,
         "map": rmap.name or repr(rmap),
         "w": point_json(w),
         "m": m,
-        "k": k,
+        "k": m,
         "residual": residual,
         "tolerance": tol,
         "pass": bool(residual <= tol) and extra_pass,
@@ -477,7 +474,8 @@ def default_basis(rmap: RationalMap, sample: JuliaSample,
 
 def _model_and_samples(rmap: RationalMap, w: SpherePoint, m: int, sizes: tuple,
                        seed: int) -> tuple[OperatorModel, list[JuliaSample]]:
-    """The depth-m model rooted at w and the Julia samples of ``sizes``.
+    """The model of the step to depth m rooted at w and the Julia samples
+    of ``sizes``.
 
     Where the samples read the map's enumerated tree rooted at w, one
     tree, built to the deepest level that the model or a sample reads,
@@ -525,37 +523,37 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     sizes = (((sample_size,) if with_basis else ())
              + ((unitality_points,) if want("transfer_unitality") else ()))
     model, samples = _model_and_samples(rmap, w, m, sizes, seed)
-    k = m
     records = []
 
     if want("invariance"):
         worst = 0.0
         exact = True
-        for level in range(model.depth, 0, -1):
-            pushed = pushforward(model.levels[level], rmap)
-            defect, ok = measure_match_defect(pushed, model.levels[level - 1])
+        levels = model.tree.levels
+        for level in range(m, 0, -1):
+            pushed = pushforward(levels[level], rmap)
+            defect, ok = measure_match_defect(pushed, levels[level - 1])
             worst = max(worst, defect)
             exact = exact and ok
-        records.append(_record("invariance", rmap, w, m, k, worst,
+        records.append(_record("invariance", rmap, w, m, worst,
                                extra_pass=exact))
 
     if want("isometry"):
         fs = random_polynomials(rng, trials, 2)
-        worst = max(verify_isometry(model, fs[rows], k)
-                    for rows in _chunks(trials, model.dim(k)))
-        records.append(_record("isometry", rmap, w, m, k, worst))
+        worst = max(verify_isometry(model, fs[rows])
+                    for rows in _chunks(trials, model.children.size))
+        records.append(_record("isometry", rmap, w, m, worst))
 
     if want("covariance"):
         a, f, g = random_trials(rng, trials, (2, 2, 2))
-        worst = max(verify_covariance(model, a[rows], f[rows], g[rows], k)
-                    for rows in _chunks(trials, model.dim(k), model.fibers(k).points.size))
-        records.append(_record("covariance", rmap, w, m, k, worst))
+        worst = max(verify_covariance(model, a[rows], f[rows], g[rows])
+                    for rows in _chunks(trials, model.children.size, model.parents.fibers.size))
+        records.append(_record("covariance", rmap, w, m, worst))
 
     if want("transfer_unitality"):
         fib = samples[-1].fibers
         ones = fib.average(ONE.evaluate(fib.points, fib.inf_mask))
         worst = float(np.max(np.abs(ones - 1.0)))
-        records.append(_record("transfer_unitality", rmap, w, m, k, worst))
+        records.append(_record("transfer_unitality", rmap, w, m, worst))
 
     if want("transfer_two_path"):
         a = random_polynomial(rng, 2)
@@ -574,7 +572,7 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
             via_power = transfer_power(rmap, a, power, w)
             via_tree = integrate(measure_from_tree(tree, power), a)
             worst = max(worst, abs(via_power - via_tree))
-        records.append(_record("transfer_two_path", rmap, w, m, k, worst))
+        records.append(_record("transfer_two_path", rmap, w, m, worst))
 
     if with_basis:
         sample = samples[0]
@@ -582,28 +580,28 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
 
     if want("representation"):
         xi, eta, a = random_trials(rng, pairs, (2, 2, 1))
-        residuals = [verify_representation(model, xi[rows], eta[rows], a[rows], k)
-                     for rows in _chunks(pairs, model.dim(k), model.fibers(k).points.size)]
+        residuals = [verify_representation(model, xi[rows], eta[rows], a[rows])
+                     for rows in _chunks(pairs, model.children.size, model.parents.fibers.size)]
         exact = all(r1 == 0.0 for r1, _ in residuals)
         worst = max(r2 for _, r2 in residuals)
-        records.append(_record("representation", rmap, w, m, k, worst,
+        records.append(_record("representation", rmap, w, m, worst,
                                extra_pass=exact))
 
     if want("key_lemma"):
         worst = 0.0
         symbols = random_polynomials(rng, 3, 2)
         for N, a in zip((0, max(1, len(basis) // 2), len(basis)), symbols):
-            worst = max(worst, verify_key_lemma(model, basis, N, a, k))
-        records.append(_record("key_lemma", rmap, w, m, k, worst,
+            worst = max(worst, verify_key_lemma(model, basis, N, a))
+        records.append(_record("key_lemma", rmap, w, m, worst,
                                N=len(basis)))
 
     if want("frame_bound"):
-        lows, highs = verify_frame_bound(model, basis, k)
+        lows, highs = verify_frame_bound(model, basis)
         previous = np.concatenate(([0.0], highs[:-1]))
         monotone = not np.any(highs < previous - 1e-10)
         residual = float(np.max(highs - 1.0, initial=0.0))
         ok = monotone and bool(np.all(-lows <= 1e-10))
-        records.append(_record("frame_bound", rmap, w, m, k, residual,
+        records.append(_record("frame_bound", rmap, w, m, residual,
                                N=len(basis), extra_pass=ok))
 
     if want("vanishing_tail"):
@@ -617,8 +615,8 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
             center = sample.atom(0)
             radius = 0.5
         vf = VanishingFunction.bump(rmap, center, radius, branch_points=branch)
-        M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
-        records.append(_record("vanishing_tail", rmap, w, m, k, residual, N=M))
+        M, residual = verify_vanishing_reconstruction(model, basis, vf)
+        records.append(_record("vanishing_tail", rmap, w, m, residual, N=M))
 
     return {
         "config": {

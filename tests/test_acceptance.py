@@ -79,7 +79,7 @@ def test_criterion_2_isometry():
         model = build_model(rmap, default_root(rmap), 8)
         for _ in range(100):
             f = tf.random_polynomial(rng, 2)
-            worst = max(worst, verify_isometry(model, f, 8))
+            worst = max(worst, verify_isometry(model, f))
     _report("criterion-2 isometry", worst < 1e-12, f"max residual {worst:.2e}")
 
 
@@ -95,7 +95,7 @@ def test_criterion_3_covariance():
             a = tf.random_polynomial(rng, 2)
             f = tf.random_polynomial(rng, 2)
             g = tf.random_polynomial(rng, 2)
-            worst = max(worst, verify_covariance(model, a, f, g, 8))
+            worst = max(worst, verify_covariance(model, a, f, g))
     _report("criterion-3 covariance", worst < 1e-10, f"max residual {worst:.2e}")
 
 
@@ -179,7 +179,7 @@ def test_criterion_7_frame_bound():
     basis = default_basis(quad_map, sample, count=32)
     assert len(basis) == 32
     model = build_model(quad_map, default_root(quad_map), 8)
-    lows, highs = verify_frame_bound(model, basis, 8)
+    lows, highs = verify_frame_bound(model, basis)
     monotone = all(b >= a - 1e-10 for a, b in zip(highs, highs[1:]))
     ok = (min(lows) >= -1e-10 and max(highs) <= 1 + 1e-8 and monotone)
     _report("criterion-7 frame-bound", ok,
@@ -199,7 +199,7 @@ def test_criterion_8_key_lemma():
         model = build_model(rmap, default_root(rmap), 8)
         for n in (0, len(basis) // 2, len(basis)):
             a = tf.random_polynomial(rng, 2)
-            worst = max(worst, verify_key_lemma(model, basis, n, a, 8))
+            worst = max(worst, verify_key_lemma(model, basis, n, a))
     _report("criterion-8 key-lemma", worst < 1e-10, f"max residual {worst:.2e}")
 
 
@@ -211,7 +211,7 @@ def test_criterion_9_vanishing_tail():
     basis = default_basis(cheb, sample, count=32)
     model = build_model(cheb, default_root(cheb), 8)
     vf = VanishingFunction.bump(cheb, 1.0, 0.5, sample=sample)
-    M, residual = verify_vanishing_reconstruction(model, basis, vf, 8)
+    M, residual = verify_vanishing_reconstruction(model, basis, vf)
     ok = 0 < M < len(basis) and residual < 1e-2
     _report("criterion-9 vanishing-tail", ok,
             f"tail index M={M} of {len(basis)}, residual {residual:.2e}")
@@ -230,7 +230,7 @@ def test_criterion_10_representation():
             xi = tf.random_polynomial(rng, 2)
             eta = tf.random_polynomial(rng, 2)
             a = tf.random_polynomial(rng, 1)
-            r1, r2 = verify_representation(model, xi, eta, a, 8)
+            r1, r2 = verify_representation(model, xi, eta, a)
             exact = exact and r1 == 0.0
             worst = max(worst, r2)
     ok = exact and worst < 1e-10

@@ -15,7 +15,7 @@ sys.path.insert(0, BENCH)
 import tracing  # noqa: E402
 sys.path.remove(BENCH)
 
-from lyubich_lab import (bimodule_basis, preimage_solver,  # noqa: E402
+from lyubich_lab import (bimodule_basis, operator_lab, preimage_solver,  # noqa: E402
                          transfer_operator)
 from lyubich_lab.lyubich_measure import default_root  # noqa: E402
 from lyubich_lab.operator_lab import default_basis  # noqa: E402
@@ -107,6 +107,38 @@ def test_point_arrays_skip_the_cache_and_the_scalar_path():
         transfer_operator.transfer_power(basilica, xi, 8, level.atom(0))
         assert tracer.calls("transfer_operator.cached_fiber") == 0
         assert tracer.calls("fiber.solve") == 0
+    finally:
+        tracer.restore()
+    assert not tracing.wrappers_installed()
+
+
+def test_dense_references_count_their_bytes_once_per_call():
+    # The tracer counts the bytes of the dense references from the arrays
+    # they return, and of weighted_norm from its matrix, the third
+    # positional argument after the model and the level.
+    quad = builtin_map("quad")
+    model = operator_lab.build_model(quad, 1, 4)
+    basis = default_basis(quad, bimodule_basis.julia_sample(quad, 128, seed=0), count=8)
+    dense = "operator_lab.dense_bytes_computed"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.reset()
+        comp = model.composition_matrix()
+        adj = model.adjoint_matrix()
+        proj = comp @ adj
+        model.weighted_norm(model.children, proj)
+        assert tracer.counter(dense) == comp.nbytes + adj.nbytes + proj.nbytes
+        for span in ("composition_matrix", "adjoint_matrix", "weighted_norm"):
+            assert tracer.calls("operator_lab." + span) == 1
+
+        # The partial frame sum builds both references once more.
+        tracer.reset()
+        frame = operator_lab._frame_matrix(model, basis, len(basis))
+        assert frame.shape == (model.children.size,) * 2
+        assert tracer.counter(dense) == frame.nbytes + comp.nbytes + adj.nbytes
+        for span in ("frame_matrix", "composition_matrix", "adjoint_matrix"):
+            assert tracer.calls("operator_lab." + span) == 1
     finally:
         tracer.restore()
     assert not tracing.wrappers_installed()

@@ -6,8 +6,7 @@ from lyubich_lab.bimodule_basis import (JuliaSample, PartitionOfUnity, SectorSpe
                                         VanishingFunction, _RawBump, basis_to_json,
                                         branch_points_on_julia,
                                         branch_separation_radius, build_basis,
-                                        farthest_point_net, julia_sample,
-                                        net_radius, reconstruct, reconstruction_sum)
+                                        julia_sample, net_radius, reconstruct, reconstruction_sum)
 from lyubich_lab.errors import CoverFailure, DegenerateSample
 from lyubich_lab.operator_lab import default_basis
 from lyubich_lab.preimage_solver import Cover, iterated_preimages
@@ -123,9 +122,14 @@ def test_separation_radius_degenerate():
 # nets and bases
 
 
+def _fresh_net(points, inf_mask, radius=None, count=None):
+    """The prefix of a new greedy farthest-point net of the points that a
+    read at ``radius`` and ``count`` takes, and its cover radius."""
+    return bimodule_basis._Net(points, inf_mask, sphere.half_norm(points)).take(radius, count)
+
+
 def test_farthest_point_net_covers(circle_sample):
-    idx, cover = farthest_point_net(circle_sample.points,
-                                    circle_sample.inf_mask, radius=0.2)
+    idx, cover = _fresh_net(circle_sample.points, circle_sample.inf_mask, radius=0.2)
     assert cover <= 0.2
     assert len(idx) == len(set(idx))
 
@@ -161,7 +165,7 @@ def test_farthest_point_net_equals_the_per_center_loop(circle_sample):
     infs = np.append(circle_sample.inf_mask, [True, False])
     for points, inf_mask in ((circle_sample.points, circle_sample.inf_mask), (pts, infs)):
         for radius, count in ((0.2, None), (None, 40), (0.05, 25)):
-            assert (farthest_point_net(points, inf_mask, radius, count)
+            assert (_fresh_net(points, inf_mask, radius, count)
                     == _net_loop(points, inf_mask, radius, count))
 
 
@@ -271,12 +275,12 @@ def test_the_basis_net_continues_the_radius_net(size, elements):
     assert len(sample.net.chosen) == max(32, elements)
     r = min(net_radius(sample, 32) * 1.000001,
             branch_separation_radius(basilica, sample) / 3.0)
-    fresh = farthest_point_net(sample.points, sample.inf_mask, radius=r, count=256)
+    fresh = _fresh_net(sample.points, sample.inf_mask, radius=r, count=256)
     assert sample.net.take(radius=r, count=256) == fresh
     assert len(fresh[0]) == elements
     assert [bump.center for bump in basis.bumps] == [sample.atom(i) for i in fresh[0]]
     for count in (1, 16, 32):
-        assert net_radius(sample, count) == farthest_point_net(
+        assert net_radius(sample, count) == _fresh_net(
             sample.points, sample.inf_mask, count=count)[1]
 
 
@@ -687,7 +691,7 @@ def test_vanishing_zero_function_meets_nothing(cheb, interval_sample):
     basis = build_basis(cheb, interval_sample,
                         min(r, branch_separation_radius(cheb, interval_sample) / 3),
                         count_cap=128)
-    vf = VanishingFunction.zero()
+    vf = VanishingFunction(tf.TestFunction.constant(0.0), SpherePoint(0j), 0.0)
     assert not vf.meets_elements(basis).any()
 
 
@@ -721,4 +725,5 @@ def test_a_support_meets_the_elements_the_scalar_rule_meets(rmap):
             assert vf.meets_elements(basis).tolist() == expected
         assert [_meets(vf, b) for b in bumps] == expected
     assert any(b.sector for b in bumps) == (rmap.name == "chebyshev")
-    assert VanishingFunction.zero().meets_elements(PartitionOfUnity(2, [])).shape == (0,)
+    zero = VanishingFunction(tf.TestFunction.constant(0.0), SpherePoint(0j), 0.0)
+    assert zero.meets_elements(PartitionOfUnity(2, [])).shape == (0,)

@@ -60,53 +60,62 @@ def cheb_basis(cheb):
 # model structure
 
 
+def _sizes(model):
+    return model.parents.size, model.children.size
+
+
 def test_model_dims(quad_map, cheb):
-    assert build_model(quad_map, 1, 2).dims() == (1, 2, 4)
-    assert build_model(cheb, 2, 2).dims() == (1, 2, 3)
-    assert build_model(quad_map, 0.5 + 0.5j, 0).dims() == (1,)
+    # A model is one step: its parents and children are the tree's last two
+    # levels, and a depth-0 tree takes no step.
+    assert _sizes(build_model(quad_map, 1, 2)) == (2, 4)
+    assert _sizes(build_model(cheb, 2, 2)) == (2, 3)
+    assert _sizes(build_model(quad_map, 0.5 + 0.5j, 1)) == (1, 2)
+    with pytest.raises(ValueError, match="depth m >= 1"):
+        build_model(quad_map, 0.5 + 0.5j, 0)
 
 
 def test_level_weights_sum_to_one(cheb_model):
-    for lvl in cheb_model.levels:
+    for lvl in cheb_model.tree.levels:
         assert np.sum(lvl.weights) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_adjoint_pairing(quad_model):
+def test_adjoint_pairing(quad_map):
+    model = build_model(quad_map, 1, 5)
     rng = np.random.default_rng(31)
-    k = 5
     for _ in range(30):
-        f = rng.normal(size=quad_model.dim(k - 1)) \
-            + 1j * rng.normal(size=quad_model.dim(k - 1))
-        g = rng.normal(size=quad_model.dim(k)) \
-            + 1j * rng.normal(size=quad_model.dim(k))
-        comp = quad_model.composition_matrix(k)
-        lhs = quad_model.inner(k, comp @ f, g)
-        rhs = quad_model.inner(k - 1, f, quad_model.apply_adjoint(k, g))
+        f = rng.normal(size=model.parents.size) \
+            + 1j * rng.normal(size=model.parents.size)
+        g = rng.normal(size=model.children.size) \
+            + 1j * rng.normal(size=model.children.size)
+        comp = model.composition_matrix()
+        lhs = operator_lab._inner(model.children, comp @ f, g)
+        rhs = operator_lab._inner(model.parents, f, model.apply_adjoint(g))
         assert abs(lhs - rhs) < 1e-12
 
 
-def test_adjoint_composition_is_identity(cheb_model):
+def test_adjoint_composition_is_identity(cheb):
     for k in (1, 4, 8):
-        comp = cheb_model.composition_matrix(k)
-        adj = cheb_model.adjoint_matrix(k)
+        model = build_model(cheb, -1, k)
+        comp = model.composition_matrix()
+        adj = model.adjoint_matrix()
         eye = adj @ comp
-        assert np.max(np.abs(eye - np.eye(cheb_model.dim(k - 1)))) < 1e-12
+        assert np.max(np.abs(eye - np.eye(model.parents.size))) < 1e-12
 
 
-def test_range_projection_idempotent(cheb_model):
-    k = 6
-    comp = cheb_model.composition_matrix(k)
-    proj = comp @ cheb_model.adjoint_matrix(k)
+def test_range_projection_idempotent(cheb):
+    model = build_model(cheb, -1, 6)
+    comp = model.composition_matrix()
+    proj = comp @ model.adjoint_matrix()
     assert np.max(np.abs(proj @ proj - proj)) < 1e-10
 
 
-def test_adjoint_realizes_transfer(cheb_model, cheb):
-    k = 7
+def test_adjoint_realizes_transfer(cheb):
+    model = build_model(cheb, -1, 7)
     rng = np.random.default_rng(32)
     f = tf.random_polynomial(rng, 2)
-    fv = cheb_model.values(f, k)
-    via_model = cheb_model.apply_adjoint(k, fv)
-    prev = cheb_model.levels[k - 1]
+    fv = f.evaluate(model.children.powers)
+    via_model = model.apply_adjoint(fv)
+    prev = model.parents
     for j in range(prev.size):
         y = INFINITY if prev.inf_mask[j] else SpherePoint(complex(prev.points[j]))
         assert abs(via_model[j] - apply_transfer(cheb, f, y)) < 1e-10
@@ -116,12 +125,12 @@ def test_adjoint_realizes_transfer(cheb_model, cheb):
 # identity residuals
 
 
-def test_isometry_constant(quad_model):
-    assert verify_isometry(quad_model, tf.ONE, 3) == 0.0
+def test_isometry_constant(quad_map):
+    assert verify_isometry(build_model(quad_map, 1, 3), tf.ONE) == 0.0
 
 
-def test_isometry_coordinate(quad_model):
-    assert verify_isometry(quad_model, tf.Z, 2) < 1e-14
+def test_isometry_coordinate(quad_map):
+    assert verify_isometry(build_model(quad_map, 1, 2), tf.Z) < 1e-14
 
 
 @pytest.mark.parametrize("name,w", [("quad", 1), ("basilica", 0.25),
@@ -130,18 +139,18 @@ def test_isometry_random_trials(name, w):
     model = build_model(builtin_map(name), w, 8)
     rng = np.random.default_rng(33)
     for _ in range(100):
-        assert verify_isometry(model, tf.random_polynomial(rng, 2), 8) < 1e-12
+        assert verify_isometry(model, tf.random_polynomial(rng, 2)) < 1e-12
 
 
-def test_covariance_reduces_to_isometry(cheb_model):
+def test_covariance_reduces_to_isometry(cheb):
     rng = np.random.default_rng(34)
     f = tf.random_polynomial(rng, 2)
-    assert verify_covariance(cheb_model, tf.ONE, f, f, 5) < 1e-12
+    assert verify_covariance(build_model(cheb, -1, 5), tf.ONE, f, f) < 1e-12
 
 
-def test_covariance_symmetric_symbol(quad_model):
+def test_covariance_symmetric_symbol(quad_map):
     # transfer of z vanishes for the squaring map, so both sides are zero
-    assert verify_covariance(quad_model, tf.Z, tf.ONE, tf.ONE, 4) < 1e-13
+    assert verify_covariance(build_model(quad_map, 1, 4), tf.Z, tf.ONE, tf.ONE) < 1e-13
 
 
 def test_covariance_random_trials(cheb_model):
@@ -150,17 +159,17 @@ def test_covariance_random_trials(cheb_model):
         a = tf.random_polynomial(rng, 2)
         f = tf.random_polynomial(rng, 2)
         g = tf.random_polynomial(rng, 2)
-        assert verify_covariance(cheb_model, a, f, g, 8) < 1e-10
+        assert verify_covariance(cheb_model, a, f, g) < 1e-10
 
 
 def test_representation_identity_element(quad_model):
-    r1, r2 = verify_representation(quad_model, tf.ONE, tf.ONE, tf.ONE, 8)
+    r1, r2 = verify_representation(quad_model, tf.ONE, tf.ONE, tf.ONE)
     assert r1 == 0.0
     assert r2 < 1e-12
 
 
 def test_representation_coordinate(quad_model):
-    r1, r2 = verify_representation(quad_model, tf.Z, tf.Z, tf.ONE, 8)
+    r1, r2 = verify_representation(quad_model, tf.Z, tf.Z, tf.ONE)
     assert r1 == 0.0
     assert r2 < 1e-10
 
@@ -171,7 +180,7 @@ def test_representation_random_pairs(cheb_model):
         xi = tf.random_polynomial(rng, 2)
         eta = tf.random_polynomial(rng, 2)
         a = tf.random_polynomial(rng, 1)
-        r1, r2 = verify_representation(cheb_model, xi, eta, a, 8)
+        r1, r2 = verify_representation(cheb_model, xi, eta, a)
         assert r1 == 0.0
         assert r2 < 1e-10
 
@@ -191,7 +200,7 @@ def test_refit_fibers_catch_a_swapped_parent():
     # tree's parent assembly must still show against them.
     basilica = builtin_map("basilica")
     model = build_model(basilica, default_root(basilica), 6)
-    parent = model.levels[6].parent
+    parent = model.children.parent
     i, j = 0, int(np.flatnonzero(parent != parent[0])[0])
 
     def worst(model):
@@ -199,8 +208,8 @@ def test_refit_fibers_catch_a_swapped_parent():
         cov = rep = 0.0
         for _ in range(5):
             a, f, g = (tf.random_polynomial(rng, 2) for _ in range(3))
-            cov = max(cov, verify_covariance(model, a, f, g, 6))
-            rep = max(rep, verify_representation(model, f, g, a, 6)[1])
+            cov = max(cov, verify_covariance(model, a, f, g))
+            rep = max(rep, verify_representation(model, f, g, a)[1])
         return cov, rep
 
     cov, rep = worst(model)
@@ -212,34 +221,34 @@ def test_refit_fibers_catch_a_swapped_parent():
 
 
 def test_key_lemma_zero_terms(quad_model, quad_basis):
-    assert verify_key_lemma(quad_model, quad_basis, 0, tf.ONE, 8) == 0.0
+    assert verify_key_lemma(quad_model, quad_basis, 0, tf.ONE) == 0.0
 
 
 def test_key_lemma_paths_agree(quad_model, quad_basis):
-    assert verify_key_lemma(quad_model, quad_basis, 8, tf.ONE, 8) < 1e-10
+    assert verify_key_lemma(quad_model, quad_basis, 8, tf.ONE) < 1e-10
 
 
 def test_key_lemma_random_symbol(cheb_model, cheb_basis):
     rng = np.random.default_rng(37)
     a = tf.random_polynomial(rng, 2)
-    assert verify_key_lemma(cheb_model, cheb_basis, len(cheb_basis), a, 8) < 1e-10
+    assert verify_key_lemma(cheb_model, cheb_basis, len(cheb_basis), a) < 1e-10
 
 
-def test_frame_bound_zero(quad_model):
-    lows, highs = verify_frame_bound(quad_model, PartitionOfUnity(2, []), 6)
+def test_frame_bound_zero(quad_map):
+    lows, highs = verify_frame_bound(build_model(quad_map, 1, 6), PartitionOfUnity(2, []))
     assert lows.shape == highs.shape == (0,)
 
 
 def test_frame_bound_full_basis(quad_map, quad_basis):
     model = build_model(quad_map, 1, 6)
-    lows, highs = verify_frame_bound(model, quad_basis, 6)
+    lows, highs = verify_frame_bound(model, quad_basis)
     assert lows.shape == highs.shape == (len(quad_basis),)
     assert -1e-10 <= lows[-1]
     assert 0.9 <= highs[-1] <= 1 + 1e-8
 
 
 def test_frame_bound_monotone(quad_model, quad_basis):
-    _, highs = verify_frame_bound(quad_model, quad_basis, 8)
+    _, highs = verify_frame_bound(quad_model, quad_basis)
     previous = 0.0
     for top in highs:
         assert top >= previous - 1e-10
@@ -248,21 +257,22 @@ def test_frame_bound_monotone(quad_model, quad_basis):
 
 def test_frame_bound_beyond_4096_atoms(quad_map, quad_basis):
     model = build_model(quad_map, 1, 13)
-    assert model.dim(13) == 8192
-    lows, highs = verify_frame_bound(model, quad_basis, 13)
+    assert model.children.size == 8192
+    lows, highs = verify_frame_bound(model, quad_basis)
     assert -1e-10 <= lows[-1] and highs[-1] <= 1 + 1e-8
 
 
 def test_vanishing_zero_function(cheb_model, cheb_basis):
     M, residual = verify_vanishing_reconstruction(
-        cheb_model, cheb_basis, VanishingFunction.zero(), 8)
+        cheb_model, cheb_basis,
+        VanishingFunction(tf.TestFunction.constant(0.0), SpherePoint(0j), 0.0))
     assert (M, residual) == (0, 0.0)
 
 
 def test_vanishing_full_circle(quad_map, quad_model, quad_basis):
     # no branch points meet the circle, so any bump is certified
     vf = VanishingFunction.bump(quad_map, 1.0, 0.5, branch_points=[])
-    M, residual = verify_vanishing_reconstruction(quad_model, quad_basis, vf, 8)
+    M, residual = verify_vanishing_reconstruction(quad_model, quad_basis, vf)
     assert M <= len(quad_basis)
     assert residual < 1e-2
 
@@ -270,7 +280,7 @@ def test_vanishing_full_circle(quad_map, quad_model, quad_basis):
 def test_vanishing_tail_chebyshev(cheb, cheb_model, cheb_basis):
     sample = julia_sample(cheb, 384, seed=0)
     vf = VanishingFunction.bump(cheb, 1.0, 0.5, sample=sample)
-    M, residual = verify_vanishing_reconstruction(cheb_model, cheb_basis, vf, 8)
+    M, residual = verify_vanishing_reconstruction(cheb_model, cheb_basis, vf)
     assert 0 < M < len(cheb_basis)
     assert residual < 1e-2
 
@@ -281,7 +291,7 @@ def test_vanishing_no_tail_raises(cheb_model, cheb_basis, cheb):
     wide = VanishingFunction(fn=tf.ONE, support_center=SpherePoint(0j),
                              support_radius=10.0)
     with pytest.raises(NoVanishingTail):
-        verify_vanishing_reconstruction(cheb_model, cheb_basis, wide, 8)
+        verify_vanishing_reconstruction(cheb_model, cheb_basis, wide)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +392,7 @@ def test_the_model_keeps_no_level_below_its_depth(monkeypatch):
     gc.collect()
     assert len(levels) == 1 and levels[0]() is None
     assert model.tree.depth == 9 and len(model.tree.levels) == 10
-    assert model.dims() == tuple(2 ** k for k in range(10))
+    assert tuple(lvl.size for lvl in model.tree.levels) == tuple(2 ** k for k in range(10))
     assert [s.size for s in samples] == [384, 1000]
 
 
@@ -468,14 +478,42 @@ def test_model_solves_each_level_once(monkeypatch, quad_map):
     rng = np.random.default_rng(3)
     for _ in range(3):
         a, f, g = (tf.random_polynomial(rng, 2) for _ in range(3))
-        assert verify_covariance(model, a, f, g, 5) <= TOLERANCES["covariance"]
-        assert verify_representation(model, f, g, a, 5)[1] <= TOLERANCES["representation"]
+        assert verify_covariance(model, a, f, g) <= TOLERANCES["covariance"]
+        assert verify_representation(model, f, g, a)[1] <= TOLERANCES["representation"]
     assert len(calls) == 1
 
 
 def test_levels_own_what_the_checks_read(quad_model):
-    assert quad_model.levels[5] is quad_model.tree.level(5)
-    assert quad_model.fibers(8) is quad_model.levels[7].fibers
+    assert quad_model.parents is quad_model.tree.level(7)
+    assert quad_model.children is quad_model.tree.level(8)
+
+
+@pytest.mark.parametrize("name,w", [("basilica", None), ("quad", 0.3 + 0.4j), ("z^3", None)],
+                         ids=["basilica", "quad-off-the-line", "z^3"])
+def test_a_model_from_a_deeper_tree_is_the_same_step(name, w):
+    # Basilica's levels are mirrored at its default root; quad's are not
+    # rooted off the real line.  The model keeps the deeper tree's own
+    # level objects, and every check reads them as it reads its own tree's.
+    rmap = RationalMap([0, 0, 0, 1], [1], name="z^3") if name == "z^3" else builtin_map(name)
+    w = default_root(rmap) if w is None else w
+    m = 6
+    deep = preimage_solver.iterated_preimages(rmap, w, m + 3)
+    shared = build_model(rmap, w, m, tree=deep)
+    assert shared.parents is deep.levels[m - 1] and shared.children is deep.levels[m]
+    assert shared.tree.depth == m
+    basis = default_basis(rmap, julia_sample(rmap, 256, seed=0), count=16)
+    a, f, g = tf.random_trials(np.random.default_rng(62), 4, (2, 2, 1))
+
+    def residuals(model):
+        vf = VanishingFunction.bump(rmap, model.children.atom(0), 0.5, branch_points=[])
+        return [verify_isometry(model, f), verify_covariance(model, a, f, g),
+                verify_representation(model, f, g, a),
+                verify_key_lemma(model, basis, len(basis) // 2, a[0]),
+                verify_frame_bound(model, basis),
+                verify_vanishing_reconstruction(model, basis, vf)]
+
+    got, want = residuals(shared), residuals(build_model(rmap, w, m))
+    assert all(np.array_equal(_bits(x), _bits(y)) for x, y in zip(got, want))
 
 
 def test_suite_solves_each_point_set_and_evaluates_each_partition_once(monkeypatch):
@@ -523,30 +561,30 @@ ORACLE_CASES = [
 
 @pytest.fixture(scope="module", params=ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def oracle_case(request):
-    _, rmap, w, k = request.param
-    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    _, rmap, w, m = request.param
+    model = build_model(rmap, default_root(rmap) if w is None else w, m)
     basis = default_basis(rmap, julia_sample(rmap, 256, seed=0), count=16)
-    return rmap, model, basis, k
+    return rmap, model, basis
 
 
-def _dense_eigvals(model, k, matrix):
-    d = np.sqrt(model.levels[k].weights)
+def _dense_eigvals(model, matrix):
+    d = np.sqrt(model.children.weights)
     sim = matrix * (d[:, None] / d[None, :])
     return np.linalg.eigvalsh(0.5 * (sim + sim.conj().T))
 
 
-def _assert_frame_matches_dense(model, basis, k):
-    lows, highs = verify_frame_bound(model, basis, k)
+def _assert_frame_matches_dense(model, basis):
+    lows, highs = verify_frame_bound(model, basis)
     assert lows.shape == highs.shape == (len(basis),)
     for n in range(1, len(basis) + 1):
-        eigs = _dense_eigvals(model, k, _frame_matrix(model, basis, n, k))
+        eigs = _dense_eigvals(model, _frame_matrix(model, basis, n))
         assert abs(lows[n - 1] - eigs[0]) <= ORACLE_BOUND
         assert abs(highs[n - 1] - eigs[-1]) <= ORACLE_BOUND
 
 
 def test_frame_bound_matches_dense(oracle_case):
-    _, model, basis, k = oracle_case
-    _assert_frame_matches_dense(model, basis, k)
+    _, model, basis = oracle_case
+    _assert_frame_matches_dense(model, basis)
 
 
 def test_frame_bound_padded_block_matches_dense():
@@ -556,12 +594,12 @@ def test_frame_bound_padded_block_matches_dense():
     # padding must not show up as a zero eigenvalue.
     rmap = builtin_map("basilica")
     model = build_model(rmap, 0, 2)
-    assert model.dims() == (1, 2, 3)
+    assert _sizes(model) == (2, 3)
     basis = PartitionOfUnity(2, [_RawBump(SpherePoint(2 + 0j), 3.0),
                                  _RawBump(SpherePoint(-2 + 1j), 3.0)])
-    lows, _ = verify_frame_bound(model, basis, 2)
+    lows, _ = verify_frame_bound(model, basis)
     assert lows[1] > 1e-3
-    _assert_frame_matches_dense(model, basis, 2)
+    _assert_frame_matches_dense(model, basis)
 
 
 @pytest.mark.parametrize("name", ["basilica", "chebyshev"])
@@ -570,25 +608,25 @@ def test_a_basis_is_one_partition_whose_prefixes_are_counts(name):
     # its JSON export holds one record per element, and reconstruction and
     # every check take a prefix as the count N.  Chebyshev's basis holds
     # sector ladders.
-    rmap, k = builtin_map(name), 6
-    model = build_model(rmap, default_root(rmap), k)
+    rmap = builtin_map(name)
+    model = build_model(rmap, default_root(rmap), 6)
     sample = julia_sample(rmap, 256, seed=0)
     basis = default_basis(rmap, sample, count=16)
     assert isinstance(basis, PartitionOfUnity)
     assert len(basis) == len(basis.bumps) == len(json.loads(basis_to_json(basis)))
     assert any(b.sector for b in basis.bumps) == (name == "chebyshev")
-    lows, highs = verify_frame_bound(model, basis, k)
+    lows, highs = verify_frame_bound(model, basis)
     assert lows.shape == highs.shape == (len(basis),)
     xi = tf.random_polynomial(np.random.default_rng(61), 2)
-    lvl = model.levels[k]
+    lvl = model.children
     for N in (0, 1, len(basis) // 2, len(basis)):
         values, _ = reconstruct(rmap, basis, xi, N, sample)
         assert values.shape == (sample.size,)
-        assert verify_key_lemma(model, basis, N, xi, k) <= TOLERANCES["key_lemma"]
+        assert verify_key_lemma(model, basis, N, xi) <= TOLERANCES["key_lemma"]
         if N == 0:
-            vf = VanishingFunction.zero()
+            vf = VanishingFunction(tf.TestFunction.constant(0.0), SpherePoint(0j), 0.0)
         else:
-            eigs = _dense_eigvals(model, k, _frame_matrix(model, basis, N, k))
+            eigs = _dense_eigvals(model, _frame_matrix(model, basis, N))
             assert abs(lows[N - 1] - eigs[0]) <= ORACLE_BOUND
             assert abs(highs[N - 1] - eigs[-1]) <= ORACLE_BOUND
             # A small bump on the centre of element N - 1 meets it, so its
@@ -596,11 +634,11 @@ def test_a_basis_is_one_partition_whose_prefixes_are_counts(name):
             vf = VanishingFunction.bump(rmap, basis.bumps[N - 1].center, 1e-3,
                                         branch_points=[])
         meets = vf.meets_elements(basis)
-        M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
+        M, residual = verify_vanishing_reconstruction(model, basis, vf)
         assert M == (np.flatnonzero(meets)[-1] + 1 if meets.any() else 0) >= N
-        gap = np.diag(model.values(vf.fn, k)) @ (_frame_matrix(model, basis, M, k)
-                                                  - np.eye(lvl.size))
-        assert abs(residual - model.weighted_norm(k, gap)) <= ORACLE_BOUND
+        gap = np.diag(vf.fn.evaluate(lvl.powers)) @ (_frame_matrix(model, basis, M)
+                                                     - np.eye(lvl.size))
+        assert abs(residual - model.weighted_norm(lvl, gap)) <= ORACLE_BOUND
 
 
 # The closed-form spectrum of a 2x2 block and LAPACK's each err by a few
@@ -655,46 +693,46 @@ def test_a_non_finite_block_has_nan_extremes(width):
 
 
 def test_running_frame_sum_matches_the_products(oracle_case):
-    _, model, basis, k = oracle_case
-    V = model.frame_vectors(basis, k)
-    sums = list(map(np.copy, operator_lab._frame_sums(model, basis, k)))
+    _, model, basis = oracle_case
+    V = model.frame_vectors(basis)
+    sums = list(map(np.copy, operator_lab._frame_sums(model, basis)))
     assert len(sums) == len(basis) + 1
     for n, blocks in enumerate(sums):
         product = V[..., :n] @ V[..., :n].transpose(0, 2, 1)
         assert np.max(np.abs(blocks - product), initial=0.0) <= ORACLE_BOUND
-        assert np.array_equal(operator_lab._frame_sum(model, basis, n, k), blocks)
+        assert np.array_equal(operator_lab._frame_sum(model, basis, n), blocks)
     # Readers get a view of the running array that they cannot write to.
-    view = next(operator_lab._frame_sums(model, basis, k))
+    view = next(operator_lab._frame_sums(model, basis))
     with pytest.raises(ValueError):
         view[0, 0, 0] = 1.0
 
 
 def test_vanishing_gap_matches_dense(oracle_case):
-    rmap, model, basis, k = oracle_case
-    lvl = model.levels[k]
+    rmap, model, basis = oracle_case
+    lvl = model.children
     centre = SpherePoint(complex(lvl.points[0]))
     vf = VanishingFunction.bump(rmap, centre, 0.5, branch_points=[])
-    M, residual = verify_vanishing_reconstruction(model, basis, vf, k)
-    gap = np.diag(model.values(vf.fn, k)) @ (_frame_matrix(model, basis, M, k)
-                                              - np.eye(lvl.size))
-    assert abs(residual - model.weighted_norm(k, gap)) <= ORACLE_BOUND
+    M, residual = verify_vanishing_reconstruction(model, basis, vf)
+    gap = np.diag(vf.fn.evaluate(lvl.powers)) @ (_frame_matrix(model, basis, M)
+                                                 - np.eye(lvl.size))
+    assert abs(residual - model.weighted_norm(lvl, gap)) <= ORACLE_BOUND
 
 
 def test_representation_matches_dense(oracle_case):
-    rmap, model, _, k = oracle_case
+    rmap, model, _ = oracle_case
     rng = np.random.default_rng(38)
-    prev = model.levels[k - 1]
-    comp = model.composition_matrix(k)
-    adj = model.adjoint_matrix(k)
+    prev = model.parents
+    comp = model.composition_matrix()
+    adj = model.adjoint_matrix()
     for _ in range(5):
         xi = tf.random_polynomial(rng, 2)
         eta = tf.random_polynomial(rng, 2)
         a = tf.random_polynomial(rng, 1)
-        _, residual2 = verify_representation(model, xi, eta, a, k)
-        xv, ev = model.values(xi, k), model.values(eta, k)
+        _, residual2 = verify_representation(model, xi, eta, a)
+        xv, ev = xi.evaluate(model.children.powers), eta.evaluate(model.children.powers)
         pairing = adj @ ((np.conj(xv) * ev)[:, None] * comp)
         ip_vals = inner_product(rmap, xi, eta).evaluate(prev.points, prev.inf_mask)
-        dense = model.weighted_norm(k - 1, pairing - np.diag(ip_vals))
+        dense = model.weighted_norm(prev, pairing - np.diag(ip_vals))
         assert abs(residual2 - dense) <= ORACLE_BOUND
 
 
@@ -714,9 +752,9 @@ def _dense_reconstruction(U, fib, U_fiber, values):
     return (U * fib.average(U_fiber * values)).sum(axis=0)
 
 
-def _add_at_adjoint(model, k, v):
+def _add_at_adjoint(model, v):
     """The adjoint as an unbuffered scatter-add over the parents."""
-    lvl, prev = model.levels[k], model.levels[k - 1]
+    lvl, prev = model.children, model.parents
     out = np.zeros(v.shape[:-1] + (prev.size,), dtype=complex)
     np.add.at(out.T, lvl.parent, (v * lvl.weights).T)
     return out / prev.weights
@@ -736,27 +774,27 @@ ADJOINT_CASES = [
 
 @pytest.mark.parametrize("case", ADJOINT_CASES, ids=[c[0] for c in ADJOINT_CASES])
 def test_apply_adjoint_keeps_the_add_at_bits(case):
-    _, rmap, w, k, padded = case
-    model = build_model(rmap, default_root(rmap) if w is None else w, k)
-    _, counts = model.siblings(k)
+    _, rmap, w, m, padded = case
+    model = build_model(rmap, default_root(rmap) if w is None else w, m)
+    _, counts = model.siblings
     assert (counts < counts.max()).any() == padded
     rng = np.random.default_rng(54)
-    n = model.dim(k)
+    n = model.children.size
     signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     batch = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     batch[1] = signed_zeros + 1j * signed_zeros[::-1]
     for v in (batch, batch[0], batch.real, signed_zeros):
-        got, want = model.apply_adjoint(k, v), _add_at_adjoint(model, k, v)
+        got, want = model.apply_adjoint(v), _add_at_adjoint(model, v)
         assert got.shape == want.shape
         assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("case", ADJOINT_CASES, ids=[c[0] for c in ADJOINT_CASES])
 def test_sibling_slots_number_each_parents_children_in_level_order(case):
-    _, rmap, w, k, _ = case
-    model = build_model(rmap, default_root(rmap) if w is None else w, k)
-    slot, counts = model.siblings(k)
-    parent = model.levels[k].parent
+    _, rmap, w, m, _ = case
+    model = build_model(rmap, default_root(rmap) if w is None else w, m)
+    slot, counts = model.siblings
+    parent = model.children.parent
     for j in range(counts.size):
         assert slot[parent == j].tolist() == list(range(counts[j]))
 
@@ -774,11 +812,11 @@ COVER_CASES = [
 
 @pytest.fixture(scope="module", params=COVER_CASES, ids=[c[0] for c in COVER_CASES])
 def cover_case(request):
-    _, rmap, w, k = request.param
-    model = build_model(rmap, default_root(rmap) if w is None else w, k)
+    _, rmap, w, m = request.param
+    model = build_model(rmap, default_root(rmap) if w is None else w, m)
     sample = julia_sample(rmap, 384, seed=0)
     basis = default_basis(rmap, sample, count=32)
-    return rmap, model, sample, basis, k
+    return rmap, model, sample, basis
 
 
 def _prefixes(basis, cover):
@@ -791,8 +829,8 @@ def _prefixes(basis, cover):
 
 
 def test_key_lemma_paths_keep_the_dense_bits(cover_case):
-    _, model, _, basis, k = cover_case
-    lvl = model.levels[k]
+    _, model, _, basis = cover_case
+    lvl = model.children
     fib = lvl.sibling_fibers
     U = basis.member_matrix(lvl.points, lvl.inf_mask)
     U_fiber = basis.member_matrix(fib.points, fib.inf_mask)
@@ -800,32 +838,32 @@ def test_key_lemma_paths_keep_the_dense_bits(cover_case):
     rng = np.random.default_rng(52)
     for N in _prefixes(basis, cover):
         a = tf.random_polynomial(rng, 2)
-        av, values = model.values(a, k), a.evaluate(fib.powers)
+        av, values = a.evaluate(lvl.powers), a.evaluate(fib.powers)
         # Path A applies the frame sum's sibling blocks, which add in
         # their own order, so it is held to the dense product within a
         # bound; path B keeps the dense product's bits.
-        path_a = operator_lab._apply_frame_sum(model, basis, N, k, av)
-        dense_a = _frame_matrix(model, basis, N, k) @ av
+        path_a = operator_lab._apply_frame_sum(model, basis, N, av)
+        dense_a = _frame_matrix(model, basis, N) @ av
         assert np.max(np.abs(path_a - dense_a)) <= ORACLE_BOUND
         path_b = reconstruction_sum(lvl, basis, a, N)
         dense_b = _dense_reconstruction(U[:N], fib, U_fiber[:N], values)
         assert np.array_equal(_bits(path_b), _bits(dense_b))
-        assert verify_key_lemma(model, basis, N, a, k) == float(np.max(np.abs(path_a - path_b)))
+        assert verify_key_lemma(model, basis, N, a) == float(np.max(np.abs(path_a - path_b)))
 
 
 def test_frame_vectors_keep_the_dense_bits(cover_case):
-    _, model, _, basis, k = cover_case
-    lvl, prev = model.levels[k], model.levels[k - 1]
+    _, model, _, basis = cover_case
+    lvl, prev = model.children, model.parents
     U = basis.member_matrix(lvl.points, lvl.inf_mask)
-    V = model.frame_vectors(basis, k)
-    slot, counts = model.siblings(k)
+    V = model.frame_vectors(basis)
+    slot, counts = model.siblings
     dense = np.zeros((prev.size, int(counts.max()), len(basis)))
     dense[lvl.parent, slot] = (U * np.sqrt(lvl.weights / prev.weights[lvl.parent])).T
     assert np.array_equal(_bits(V), _bits(dense))
 
 
 def test_reconstruct_keeps_the_dense_bits(cover_case):
-    rmap, _, sample, basis, _ = cover_case
+    rmap, _, sample, basis = cover_case
     pts, infs = sample.points, sample.inf_mask
     fib = sample.sibling_fibers
     U = basis.member_matrix(pts, infs)
@@ -854,10 +892,10 @@ def test_a_non_finite_value_on_the_sibling_fibers_fails_the_checks():
         return tf.TestFunction.from_callable(
             lambda z, inf_mask: np.where(z == spike, np.inf, 0.5 + 0.25j), "spike")
 
-    xi, a = spiked(sample), spiked(model.levels[8])
+    xi, a = spiked(sample), spiked(model.children)
     assert np.isnan(reconstruct(rmap, basis, xi, len(basis), sample)[1])
-    assert np.isnan(verify_key_lemma(model, basis, len(basis), a, 8))
-    for points, f in ((sample, xi), (model.levels[8], a)):
+    assert np.isnan(verify_key_lemma(model, basis, len(basis), a))
+    for points, f in ((sample, xi), (model.children, a)):
         fib = points.sibling_fibers
         values = f.evaluate(fib.points, fib.inf_mask)
         sparse = reconstruction_sum(points, basis, f, len(basis))
@@ -906,37 +944,37 @@ def _frozen_sum(terms):
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def _frozen_isometry(model, f, k):
-    fv = _frozen_values(f, model.levels[k - 1].points)
-    cf = fv[model.levels[k].parent]
-    lhs = _frozen_sum(cf * np.conj(cf) * model.levels[k].weights).real
-    rhs = _frozen_sum(fv * np.conj(fv) * model.levels[k - 1].weights).real
+def _frozen_isometry(model, f):
+    fv = _frozen_values(f, model.parents.points)
+    cf = fv[model.children.parent]
+    lhs = _frozen_sum(cf * np.conj(cf) * model.children.weights).real
+    rhs = _frozen_sum(fv * np.conj(fv) * model.parents.weights).real
     return abs(lhs - rhs)
 
 
-def _frozen_covariance(model, a, f, g, k):
-    lvl = model.levels[k]
-    prev = model.levels[k - 1]
+def _frozen_covariance(model, a, f, g):
+    lvl = model.children
+    prev = model.parents
     av = _frozen_values(a, lvl.points)
     fv = _frozen_values(f, prev.points)
     gv = _frozen_values(g, prev.points)
     lhs_terms = av * fv[lvl.parent] * np.conj(gv[lvl.parent]) * lvl.weights
-    fib = model.fibers(k)
+    fib = prev.fibers
     la = fib.average(_frozen_values(a, fib.points))
     rhs_terms = la * fv * np.conj(gv) * prev.weights
     return abs(_frozen_sum(lhs_terms) - _frozen_sum(rhs_terms))
 
 
-def _frozen_representation(model, xi, eta, a, k):
-    points = model.levels[k].points
+def _frozen_representation(model, xi, eta, a):
+    points = model.children.points
     av = _frozen_values(a, points)
     xv = _frozen_values(xi, points)
-    comp = np.ones(model.dim(k))
+    comp = np.ones(model.children.size)
     x_comp = xv * comp
     a_x = av * xv
     residual1 = float(np.max(np.abs(av * x_comp - a_x * comp)))
-    pairing = model.apply_adjoint(k, np.conj(xv) * _frozen_values(eta, points))
-    fib = model.fibers(k)
+    pairing = model.apply_adjoint(np.conj(xv) * _frozen_values(eta, points))
+    fib = model.parents.fibers
     ip_vals = fib.average(_frozen_values(_frozen_conj_product(xi, eta), fib.points))
     return residual1, float(np.max(np.abs(pairing - ip_vals)))
 
@@ -945,24 +983,24 @@ def _frozen_records(rmap, m, seed, trials, pairs):
     w = default_root(rmap)
     rng = np.random.default_rng(seed)
     model = build_model(rmap, w, m)
-    worst = max(_frozen_isometry(model, _frozen_polynomial(rng, 2), m)
+    worst = max(_frozen_isometry(model, _frozen_polynomial(rng, 2))
                 for _ in range(trials))
-    records = [operator_lab._record("isometry", rmap, w, m, m, worst)]
+    records = [operator_lab._record("isometry", rmap, w, m, worst)]
     worst = 0.0
     for _ in range(trials):
         a, f, g = (_frozen_polynomial(rng, 2) for _ in range(3))
-        worst = max(worst, _frozen_covariance(model, a, f, g, m))
-    records.append(operator_lab._record("covariance", rmap, w, m, m, worst))
+        worst = max(worst, _frozen_covariance(model, a, f, g))
+    records.append(operator_lab._record("covariance", rmap, w, m, worst))
     _frozen_polynomial(rng, 2)          # transfer_two_path's symbol
     worst = 0.0
     exact = True
     for _ in range(pairs):
         xi, eta, a = _frozen_polynomial(rng, 2), _frozen_polynomial(rng, 2), \
             _frozen_polynomial(rng, 1)
-        r1, r2 = _frozen_representation(model, xi, eta, a, m)
+        r1, r2 = _frozen_representation(model, xi, eta, a)
         exact = exact and (r1 == 0.0)
         worst = max(worst, r2)
-    records.append(operator_lab._record("representation", rmap, w, m, m, worst,
+    records.append(operator_lab._record("representation", rmap, w, m, worst,
                                         extra_pass=exact))
     return records
 
@@ -990,7 +1028,7 @@ def test_batched_trials_keep_the_per_trial_records(name, m, seed, trials, pairs)
 def test_a_polynomial_and_its_one_row_batch_agree_above_the_elision_size():
     # 16384 atoms: numpy would run ``x * temporary`` in place and swapped.
     basilica = builtin_map("basilica")
-    lvl = build_model(basilica, default_root(basilica), 14).levels[14]
+    lvl = build_model(basilica, default_root(basilica), 14).children
     assert lvl.size == 16384
     rng = np.random.default_rng(5)
     batch = tf.random_polynomials(rng, 3, 2)
@@ -1008,12 +1046,12 @@ def test_a_polynomial_and_its_one_row_batch_agree_above_the_elision_size():
 def test_batched_checks_return_the_worst_row(cheb_model):
     rng = np.random.default_rng(37)
     a, f, g = tf.random_trials(rng, 6, (2, 2, 1))
-    assert verify_isometry(cheb_model, f, 8) == max(verify_isometry(cheb_model, f[i], 8)
-                                                    for i in range(6))
-    assert verify_covariance(cheb_model, a, f, g, 8) == max(
-        verify_covariance(cheb_model, a[i], f[i], g[i], 8) for i in range(6))
-    r1, r2 = verify_representation(cheb_model, a, f, g, 8)
-    rows = [verify_representation(cheb_model, a[i], f[i], g[i], 8) for i in range(6)]
+    assert verify_isometry(cheb_model, f) == max(verify_isometry(cheb_model, f[i])
+                                                 for i in range(6))
+    assert verify_covariance(cheb_model, a, f, g) == max(
+        verify_covariance(cheb_model, a[i], f[i], g[i]) for i in range(6))
+    r1, r2 = verify_representation(cheb_model, a, f, g)
+    rows = [verify_representation(cheb_model, a[i], f[i], g[i]) for i in range(6)]
     assert r1 == 0.0 and all(row[0] == 0.0 for row in rows)
     assert r2 == max(row[1] for row in rows)
 
