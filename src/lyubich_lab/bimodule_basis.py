@@ -26,8 +26,9 @@ import numpy as np
 from .errors import CoverFailure, DegenerateSample
 from .preimage_solver import PointSet, sampled_tree
 from .rational_map import RationalMap, critical_points
-from .sphere import (_OVERFLOW, INFINITY, SpherePoint, _chordal, as_point, atom_order, chordal,
-                     chordal_pairs, half_norm, point_json, sphere_points, write_csv)
+from .sphere import (_OVERFLOW, INFINITY, SpherePoint, _chordal, _same_bits, as_point,
+                     atom_order, chordal, chordal_pairs, half_norm, point_json, sphere_points,
+                     write_csv)
 from .test_functions import TestFunction
 
 _SECTOR_GAP = 0.1            # radians removed from each sector's full width
@@ -148,9 +149,7 @@ def _samples_read_enumerated_tree(rmap: RationalMap, w: SpherePoint) -> bool:
     ``_SAMPLE_BRANCHES``, and w is the default root to the bit."""
     from .lyubich_measure import default_root
 
-    root = default_root(rmap)
-    return (rmap.degree == _SAMPLE_BRANCHES and w.infinite == root.infinite
-            and np.complex128(w.value).tobytes() == np.complex128(root.value).tobytes())
+    return rmap.degree == _SAMPLE_BRANCHES and _same_bits(w, default_root(rmap))
 
 
 def _julia_samples(rmap: RationalMap, sizes, seed: int, tree=None) -> list[JuliaSample]:

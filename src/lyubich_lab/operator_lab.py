@@ -29,18 +29,20 @@ first path all read.  The frame bound reads every prefix of the basis in
 one pass, and blocks of two take their spectra in closed form.  The dense
 level matrices below are only the reference that tests compare against.
 
-The model's parents and children are the tree's own levels, with no
-copies.  The suite's Julia samples read a tree that keeps two branches
-per node from the default root, which for a map of degree 2 is the
-enumerated tree; so a suite of such a map rooted there builds one tree,
-to the deepest level that the model or a sample reads, and the model
-keeps levels 0..m, which the invariance check reads.  The basis net
-continues the sample's net that sized its radius.  The checks read the
-fibers, sibling fibers, power tables and cover tables that each level,
-fiber table and Julia sample owns, so over one suite run each point set
-is solved once and each basis evaluated on it once.  Sums over the basis
-run over each point's cover, the few elements nonzero there, never over
-whole (elements, points) arrays.
+The model is two levels of an enumerated tree, the parents and the
+children, with no copies and no tree behind them.  A suite builds one
+enumerated tree rooted at w, to the deepest level that a record reads:
+m for the model and the invariance check, the powers of the two-path
+transfer check, and, where the Julia samples read the map's enumerated
+tree (they keep two branches per node from the default root, which for
+a map of degree 2 is every branch), the samples' level.  Once the
+samples are read the suite keeps only the levels its records read.  The
+basis net continues the sample's net that sized its radius.  The checks
+read the fibers, sibling fibers, power tables and cover tables that each
+level, fiber table and Julia sample owns, so over one suite run each
+point set is solved once and each basis evaluated on it once.  Sums over
+the basis run over each point's cover, the few elements nonzero there,
+never over whole (elements, points) arrays.
 """
 
 from dataclasses import dataclass, field
@@ -55,10 +57,10 @@ from .bimodule_basis import (JuliaSample, PartitionOfUnity, VanishingFunction, _
                              build_basis, net_radius, reconstruction_sum)
 from .errors import DegenerateSample, EigSolverFailure, NoVanishingTail
 from .lyubich_measure import (compensated_sum, default_root, integrate,
-                              measure_from_tree, measure_match_defect, pushforward)
+                              measure_match_defect, pushforward)
 from .preimage_solver import AtomicMeasure, PreimageTree, iterated_preimages
 from .rational_map import RationalMap
-from .sphere import SpherePoint, as_point, point_json
+from .sphere import SpherePoint, _same_bits, as_point, point_json
 from .test_functions import (ONE, PolynomialBatch, TestFunction,
                              random_polynomial, random_polynomials, random_trials)
 from .transfer_operator import transfer_power
@@ -78,10 +80,9 @@ TOLERANCES = {
 
 @dataclass
 class OperatorModel:
-    """One application of the map on a preimage tree, which holds the map
-    and the root: the step from the tree's depth-(m-1) measure, the
-    parents, to its depth-m measure, the children, each the tree's own
-    level.
+    """One application of the map: the step from an enumerated tree's
+    depth-(m-1) measure, the parents, to its depth-m measure, the
+    children, each the tree's own level object.
 
     Each level owns what is derived from its points (its fibers, sibling
     fibers, power table and cover tables).  The model keeps what reads
@@ -89,16 +90,9 @@ class OperatorModel:
     basis.  Its arrays are read-only.
     """
 
-    tree: PreimageTree
+    parents: AtomicMeasure
+    children: AtomicMeasure
     _frames: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def parents(self) -> AtomicMeasure:
-        return self.tree.levels[-2]
-
-    @property
-    def children(self) -> AtomicMeasure:
-        return self.tree.levels[-1]
 
     @cached_property
     def siblings(self):
@@ -188,22 +182,27 @@ def _inner(level: AtomicMeasure, fv: np.ndarray, gv: np.ndarray | None = None):
 
 def build_model(rmap: RationalMap, w, m: int, tree: PreimageTree | None = None) -> OperatorModel:
     """The step from depth m - 1 to depth m for a map and non-exceptional
-    root; m < 1 raises ValueError, as a depth-0 tree takes no step.
+    root: levels m - 1 and m of its enumerated tree, validated; m < 1
+    raises ValueError, as a depth-0 tree takes no step.
 
-    ``tree``, if given, is the map's fully enumerated tree rooted at w, at
-    least m deep; the model keeps its levels 0..m and no deeper one.  Every
-    kept level is validated.
+    ``tree``, if given, must be ``rmap``'s enumerated tree (its weight base
+    the degree) rooted at w to the bit and at least m deep, and the model
+    reads its level objects; any other tree raises ValueError.
     """
     if m < 1:
         raise ValueError(f"a model needs depth m >= 1, got {m}")
+    w = as_point(w)
     if tree is None:
         tree = iterated_preimages(rmap, w, m)
-    elif tree.depth > m:
-        tree = PreimageTree(map=tree.map, root=tree.root, depth=m,
-                            weight_base=tree.weight_base, levels=tree.levels[:m + 1])
-    for level in tree.levels:
-        level.validate()
-    return OperatorModel(tree)
+    elif not (tree.map is rmap and tree.weight_base == rmap.degree
+              and _same_bits(tree.root, w) and tree.depth >= m):
+        raise ValueError(f"a model of depth {m} needs the map's enumerated tree rooted at "
+                         f"{w!r}, at least {m} deep; got a tree of depth {tree.depth} "
+                         f"rooted at {tree.root!r}")
+    parents, children = tree.levels[m - 1], tree.levels[m]
+    parents.validate()
+    children.validate()
+    return OperatorModel(parents, children)
 
 
 # ----------------------------------------------------------------------
@@ -472,22 +471,6 @@ def default_basis(rmap: RationalMap, sample: JuliaSample,
     return build_basis(rmap, sample, r, count_cap=count_cap)
 
 
-def _model_and_samples(rmap: RationalMap, w: SpherePoint, m: int, sizes: tuple,
-                       seed: int) -> tuple[OperatorModel, list[JuliaSample]]:
-    """The model of the step to depth m rooted at w and the Julia samples
-    of ``sizes``.
-
-    Where the samples read the map's enumerated tree rooted at w, one
-    tree, built to the deepest level that the model or a sample reads,
-    serves both; the model keeps its levels 0..m, and the deeper ones go
-    once the samples are read.
-    """
-    if sizes and _samples_read_enumerated_tree(rmap, w):
-        tree = iterated_preimages(rmap, w, max(m, *map(_sample_depth, sizes)))
-        return build_model(rmap, w, m, tree), _julia_samples(rmap, sizes, seed, tree)
-    return build_model(rmap, w, m), (_julia_samples(rmap, sizes, seed) if sizes else [])
-
-
 def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
                        trials: int = 100, pairs: int = 50,
                        basis_count: int = 32, sample_size: int = 384,
@@ -522,13 +505,23 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     with_basis = any(map(want, ("key_lemma", "frame_bound", "vanishing_tail")))
     sizes = (((sample_size,) if with_basis else ())
              + ((unitality_points,) if want("transfer_unitality") else ()))
-    model, samples = _model_and_samples(rmap, w, m, sizes, seed)
+    powers = (0, 1, 2, 3, 5, 8, min(m, 10))
+    depth = max(m, *powers) if want("transfer_two_path") else m
+    # One enumerated tree rooted at w serves every record; the samples'
+    # level, if they read this tree, goes once they are read.
+    shared = bool(sizes) and _samples_read_enumerated_tree(rmap, w)
+    tree = iterated_preimages(rmap, w, max(depth, *map(_sample_depth, sizes)) if shared else depth)
+    samples = _julia_samples(rmap, sizes, seed, tree if shared else None) if sizes else []
+    model = build_model(rmap, w, m, tree)
+    levels = tree.levels[:depth + 1]
+    del tree
+    for level in levels:
+        level.validate()
     records = []
 
     if want("invariance"):
         worst = 0.0
         exact = True
-        levels = model.tree.levels
         for level in range(m, 0, -1):
             pushed = pushforward(levels[level], rmap)
             defect, ok = measure_match_defect(pushed, levels[level - 1])
@@ -558,19 +551,16 @@ def verification_suite(rmap: RationalMap, w=None, m: int = 8, seed: int = 0,
     if want("transfer_two_path"):
         a = random_polynomial(rng, 2)
         worst = 0.0
-        powers = (0, 1, 2, 3, 5, 8, min(m, 10))
-        # Every power reads a level of one tree; level k of a deeper tree
-        # is built exactly as in a depth-k tree.  transfer_power solves every
-        # fiber of the same orbit and averages fiber by fiber, against the
-        # tree's weights, mirrored fibers and quadrature; the tests hold
+        # Every power reads a level of the suite's tree; level k of a deeper
+        # tree is built exactly as in a depth-k tree.  transfer_power solves
+        # every fiber of the same orbit and averages fiber by fiber, against
+        # the tree's weights, mirrored fibers and quadrature; the tests hold
         # transfer_power to the scalar path and the closed form.
         # The powers share one orbit solve: each reuses the levels of the
         # one before and solves only the deeper ones.
-        tree = (model.tree if max(powers) <= m
-                else iterated_preimages(rmap, w, max(powers)))
         for power in powers:
             via_power = transfer_power(rmap, a, power, w)
-            via_tree = integrate(measure_from_tree(tree, power), a)
+            via_tree = integrate(levels[power], a)
             worst = max(worst, abs(via_power - via_tree))
         records.append(_record("transfer_two_path", rmap, w, m, worst))
 

@@ -75,6 +75,12 @@ def as_point(x) -> SpherePoint:
     return SpherePoint(z)
 
 
+def _same_bits(p: SpherePoint, q: SpherePoint) -> bool:
+    """Whether two points are one point to the bit (0.0 and -0.0 differ)."""
+    return (p.infinite == q.infinite
+            and np.complex128(p.value).tobytes() == np.complex128(q.value).tobytes())
+
+
 def point_json(p: SpherePoint):
     """The JSON form of a point: ``"inf"``, or its parts ``[re, im]``."""
     return "inf" if p.infinite else [p.value.real, p.value.imag]

@@ -74,8 +74,25 @@ def test_model_dims(quad_map, cheb):
         build_model(quad_map, 0.5 + 0.5j, 0)
 
 
-def test_level_weights_sum_to_one(cheb_model):
-    for lvl in cheb_model.tree.levels:
+def _trees_built(monkeypatch):
+    """The trees that ``operator_lab`` enumerates from now on, in order."""
+    trees = []
+    enumerate_tree = operator_lab.iterated_preimages
+
+    def keeping(*args):
+        trees.append(enumerate_tree(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(operator_lab, "iterated_preimages", keeping)
+    return trees
+
+
+def test_level_weights_sum_to_one(monkeypatch, cheb):
+    trees = _trees_built(monkeypatch)
+    model = build_model(cheb, -1, 8)
+    [tree] = trees
+    assert model.parents is tree.levels[7] and model.children is tree.levels[8]
+    for lvl in tree.levels:
         assert np.sum(lvl.weights) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -375,42 +392,37 @@ def test_suite_takes_both_samples_from_one_tree(monkeypatch, quad_map):
 
 
 def test_the_model_keeps_no_level_below_its_depth(monkeypatch):
-    # The shared tree is built to depth 12 for the samples; once they are
-    # read, the depth-9 model holds levels 0..9 and level 12 is freed.
+    # The suite's tree is built to depth 12 for the samples; once they are
+    # read, the suite at m=9 holds levels 0..9, and level 12 is freed
+    # before the invariance check pushes its first level forward.
     basilica = builtin_map("basilica")
-    levels = []
-    enumerate_tree = operator_lab.iterated_preimages
+    trees = _trees_built(monkeypatch)
+    seen = []
+    push = operator_lab.pushforward
 
-    def keeping(*args):
-        tree = enumerate_tree(*args)
-        levels.append(weakref.ref(tree.levels[-1]))
-        return tree
+    def pushing(mu, rmap):
+        if trees:
+            level12 = weakref.ref(trees.pop().levels[12])
+            gc.collect()
+            seen.append(level12() is None)
+            seen.append(tuple(lvl.size for lvl in sys._getframe(1).f_locals["levels"]))
+        return push(mu, rmap)
 
-    monkeypatch.setattr(operator_lab, "iterated_preimages", keeping)
-    model, samples = operator_lab._model_and_samples(
-        basilica, default_root(basilica), 9, (384, 1000), 1)
-    gc.collect()
-    assert len(levels) == 1 and levels[0]() is None
-    assert model.tree.depth == 9 and len(model.tree.levels) == 10
-    assert tuple(lvl.size for lvl in model.tree.levels) == tuple(2 ** k for k in range(10))
-    assert [s.size for s in samples] == [384, 1000]
-
-
-def _old_way(rmap, w, m, sizes, seed):
-    """The model and the samples as two trees: the model's enumerated tree
-    and the samples' sampled tree."""
-    return (build_model(rmap, w, m),
-            bimodule_basis._julia_samples(rmap, sizes, seed) if sizes else [])
+    monkeypatch.setattr(operator_lab, "pushforward", pushing)
+    report = verification_suite(basilica, m=9, seed=1, trials=2, pairs=2)
+    assert report["all_pass"]
+    assert seen == [True, tuple(2 ** k for k in range(10))]
 
 
 @pytest.mark.parametrize("name,w,m", [("basilica", None, 9), ("basilica", None, 13),
-                                      ("basilica", 0.1 + 0.7j, 9), ("z^3", None, 5)])
+                                      ("basilica", 0.1 + 0.7j, 9), ("z^3", None, 5),
+                                      ("basilica", None, 5)])
 def test_one_tree_and_one_net_keep_every_report_byte(monkeypatch, name, w, m):
     rmap = RationalMap([0, 0, 0, 1], [1], name="z^3") if name == "z^3" else builtin_map(name)
     report = json.dumps(verification_suite(rmap, w, m=m, seed=1))
-    # The old way: two trees, and a fresh net for the radius and another
-    # for the basis.
-    monkeypatch.setattr(operator_lab, "_model_and_samples", _old_way)
+    # The samples from a sampled tree of their own, and a fresh net for
+    # the radius and another for the basis.
+    monkeypatch.setattr(operator_lab, "_samples_read_enumerated_tree", lambda rmap, w: False)
     monkeypatch.setattr(bimodule_basis.JuliaSample, "net", property(
         lambda s: bimodule_basis._Net(s.points, s.inf_mask, s.half_norms)))
     assert json.dumps(verification_suite(rmap, w, m=m, seed=1)) == report
@@ -483,9 +495,11 @@ def test_model_solves_each_level_once(monkeypatch, quad_map):
     assert len(calls) == 1
 
 
-def test_levels_own_what_the_checks_read(quad_model):
-    assert quad_model.parents is quad_model.tree.level(7)
-    assert quad_model.children is quad_model.tree.level(8)
+def test_levels_own_what_the_checks_read(monkeypatch, quad_map):
+    trees = _trees_built(monkeypatch)
+    model = build_model(quad_map, 1, 8)
+    [tree] = trees
+    assert model.parents is tree.levels[7] and model.children is tree.levels[8]
 
 
 @pytest.mark.parametrize("name,w", [("basilica", None), ("quad", 0.3 + 0.4j), ("z^3", None)],
@@ -500,7 +514,6 @@ def test_a_model_from_a_deeper_tree_is_the_same_step(name, w):
     deep = preimage_solver.iterated_preimages(rmap, w, m + 3)
     shared = build_model(rmap, w, m, tree=deep)
     assert shared.parents is deep.levels[m - 1] and shared.children is deep.levels[m]
-    assert shared.tree.depth == m
     basis = default_basis(rmap, julia_sample(rmap, 256, seed=0), count=16)
     a, f, g = tf.random_trials(np.random.default_rng(62), 4, (2, 2, 1))
 
@@ -514,6 +527,48 @@ def test_a_model_from_a_deeper_tree_is_the_same_step(name, w):
 
     got, want = residuals(shared), residuals(build_model(rmap, w, m))
     assert all(np.array_equal(_bits(x), _bits(y)) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("m,tree", [
+    (8, lambda q: preimage_solver.iterated_preimages(q, 1, 5)),
+    (3, lambda q: preimage_solver.iterated_preimages(q, 0.5j, 5)),
+    (3, lambda q: preimage_solver.iterated_preimages(q, complex(1, -0.0), 5)),
+    (3, lambda q: preimage_solver.sampled_tree(q, 1, 5, 1, seed=0)),
+    (3, lambda q: preimage_solver.iterated_preimages(builtin_map("quad"), 1, 5))],
+    ids=["shallower", "another-root", "minus-zero-root", "fewer-branches", "another-map"])
+def test_a_model_rejects_a_tree_of_another_step(quad_map, m, tree):
+    with pytest.raises(ValueError, match="enumerated tree rooted at"):
+        build_model(quad_map, 1, m, tree(quad_map))
+
+
+def test_a_model_takes_a_sampled_tree_that_keeps_every_branch(quad_map):
+    # It is the enumerated tree; a deeper tree is taken as well (see
+    # test_a_model_from_a_deeper_tree_is_the_same_step).
+    tree = preimage_solver.sampled_tree(quad_map, 1, 5, 2, seed=0)
+    model = build_model(quad_map, 1, 3, tree)
+    assert model.parents is tree.levels[2] and model.children is tree.levels[3]
+
+
+@pytest.mark.parametrize("name,m,want", [
+    ("basilica", 5, [("enumerated", 12)]),
+    ("z^3", 5, [("enumerated", 8), ("sampled", 12)]),
+    ("basilica", 9, [("enumerated", 12)])])
+def test_a_suite_enumerates_one_tree(monkeypatch, name, m, want):
+    # The model, the invariance and two-path checks and, at a degree-2
+    # map's default root, the Julia samples all read one enumerated tree.
+    rmap = RationalMap([0, 0, 0, 1], [1], name="z^3") if name == "z^3" else builtin_map(name)
+    built = []
+    grow = preimage_solver._grow
+
+    def counting(rmap, root, m, branches, budget, rng=None):
+        built.append(("enumerated" if rng is None else "sampled", m))
+        return grow(rmap, root, m, branches, budget, rng)
+
+    monkeypatch.setattr(preimage_solver, "_grow", counting)
+    report = verification_suite(rmap, m=m, seed=1, trials=4, pairs=3, basis_count=8,
+                                sample_size=128, unitality_points=40)
+    assert report["all_pass"]
+    assert built == want
 
 
 def test_suite_solves_each_point_set_and_evaluates_each_partition_once(monkeypatch):

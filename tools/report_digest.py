@@ -21,8 +21,10 @@ with double atoms, the integrals of named products and of a polynomial
 spec against a chebyshev measure, a Julia sample, basis exports of basilica, of
 chebyshev (whose Julia set meets a critical point, once more as its
 stdout report) and of Newton's map for z^3 - 1 (degree 3, infinity in
-its Julia set), nine verification
+its Julia set), ten verification
 reports, two of them on chebyshev (one with padded sibling blocks), one
+on basilica at depth 6 (whose two-path and sample levels lie below the
+model's, in its one tree), one
 with trials checked in chunks of several rows, one at 65536 atoms, whose
 trials are checked one row at a time, one on z^3 (whose
 sibling blocks of three take the eigensolver) and one on a degree-4
@@ -111,6 +113,9 @@ COMMANDS = [
     # take a sampled tree of their own, apart from the model's tree.
     ["verify", "all", "--num=1,0;0,0;2,0;0,0;1,0", "--den=0,0;-4,0;0,0;4,0", "--depth", "5",
      "--basis-count", "12", "--sample-size", "128", "--seed", "1"],
+    # Basilica at m=6 from its default root: the model's levels, the
+    # two-path levels to depth 8 and the samples' level 12 of one tree.
+    ["verify", "all", "--map", "basilica", "--depth", "6", "--seed", "3"],
     # (u^2 + 1) / (2u), z^2 conjugated by the Cayley map: its Julia set is
     # the imaginary axis through infinity, and its depth-12 atoms reach |u| ~ 3000.
     ["verify", "invariance", "--num=1,0;0,0;1,0", "--den=0,0;2,0", "--depth", "12",
